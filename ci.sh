@@ -52,6 +52,15 @@ echo "== multiwave smoke =="
 # "Multi-wave timing model").
 ./target/release/multiwave --smoke --json "$fresh/multiwave.json" > /dev/null
 
+echo "== convbench profile + trace =="
+# The observed measurement paths: `--profile` attaches the stall profile to
+# the fused kernel of the FX -> fused pipeline (device model), `--trace`
+# records the device-exact per-SM wave timeline of the fused kernel alone.
+# Observation changes no number (crates/core/tests/measure_observation.rs);
+# this stage checks both paths run end to end and the trace file parses.
+./target/release/convbench --layer Conv5 --n 32 --profile --trace "$fresh/trace.json" > /dev/null
+python3 -m json.tool "$fresh/trace.json" > /dev/null
+
 echo "== tune smoke =="
 # Autotuner smoke: tiny fixed-seed 2-island search on V100, run twice
 # (--jobs 1 and --jobs 2) inside the binary, asserting byte-identical

@@ -14,11 +14,8 @@ fn functional_block_throughput(h: &Harness) {
         "functional_simulation/fused_block_c32",
         Some(insts_per_launch),
         || {
-            let mut gpu = Gpu::new(DeviceSpec::v100(), 1 << 22);
-            let d_in = gpu.alloc((32 * 4 * 4 * 32) as u64 * 4);
-            let d_tf = gpu.alloc((32 * 16 * 64) as u64 * 4);
-            let d_out = gpu.alloc((64 * 4 * 4 * 32) as u64 * 4);
-            let params = kern.params(d_in, d_tf, d_out);
+            let (mut gpu, d) = kern.buffers().alloc(DeviceSpec::v100());
+            let params = kern.params(d[0], d[1], d[2]);
             gpu.launch(&kern.module, kern.launch_dims(), &params)
                 .unwrap();
             gpu
@@ -31,11 +28,8 @@ fn timing_model_wave(h: &Harness) {
     cfg.main_loop_only = true;
     let kern = FusedKernel::emit(cfg);
     h.bench("timing_model_one_wave_c64", None, || {
-        let mut gpu = Gpu::new(DeviceSpec::rtx2070(), 1 << 26);
-        let d_in = gpu.alloc((64 * 28 * 28 * 32) as u64 * 4);
-        let d_tf = gpu.alloc((64 * 16 * 64) as u64 * 4);
-        let d_out = gpu.alloc((64 * 28 * 28 * 32) as u64 * 4);
-        let params = kern.params(d_in, d_tf, d_out);
+        let (mut gpu, d) = kern.buffers().alloc(DeviceSpec::rtx2070());
+        let params = kern.params(d[0], d[1], d[2]);
         gpusim::timing::time_kernel(
             &mut gpu,
             &kern.module,

@@ -26,7 +26,7 @@ use bench::report::Report;
 use gpusim::{DeviceSpec, KernelProfile, StallCause};
 use tensor::{allclose, LayoutKind, Tensor4};
 use wino_core::resnet::layer_by_name;
-use wino_core::{conv2d_direct, Algo, Conv, ConvProblem};
+use wino_core::{conv2d_direct, Algo, Conv, ConvProblem, Model, Observe, Target};
 
 struct Args {
     device: DeviceSpec,
@@ -313,12 +313,23 @@ fn main() {
             .find(|a| matches!(a, Algo::OursFused | Algo::CudnnWinograd))
             .unwrap();
         if profile {
-            let t = conv.time_fused_profiled(algo);
-            let p = t.profile.as_ref().expect("profiled run carries a profile");
-            print_profile(algo, p, &mut report, dev_name, &problem);
+            let observe = Observe {
+                profile: true,
+                ..Default::default()
+            };
+            let t = conv.measure(Target::algo(algo), observe).kernel;
+            let p = t.as_ref().and_then(|k| k.profile.as_ref());
+            print_profile(algo, p.expect("profiled"), &mut report, dev_name, &problem);
         }
         if let Some(path) = &trace {
-            let (_, dt) = conv.time_fused_traced(algo);
+            // Device-exact, so every SM gets its own simulated lane.
+            let observe = Observe {
+                trace: true,
+                ..Default::default()
+            };
+            let target = Target::fused(conv.fused_config(algo), Model::DeviceExact);
+            let t = conv.measure(target, observe);
+            let dt = t.trace.expect("traced run carries a trace");
             let tr = wave_trace(algo, &conv.device, &dt);
             std::fs::write(path, tr.render())
                 .unwrap_or_else(|e| panic!("failed to write --trace {path}: {e}"));

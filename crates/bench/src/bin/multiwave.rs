@@ -27,7 +27,7 @@
 use bench::report::{flag_value, Report};
 use bench::{configs, conv_for, Table};
 use gpusim::DeviceSpec;
-use wino_core::Algo;
+use wino_core::{Model, Observe, Target};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -61,7 +61,11 @@ fn main() {
         };
         for (layer, n) in points {
             let conv = conv_for(&layer, n, &dev);
-            let (ow, dv) = conv.time_fused_crosscheck(Algo::OursFused);
+            let time = |model| {
+                let t = conv.measure(Target::fused(conv.ours_config(), model), Observe::default());
+                t.kernel.expect("fused kernel simulates")
+            };
+            let (ow, dv) = (time(Model::OneWave), time(Model::Device));
             let full_wave = dv.blocks_per_sm as u64 * dev.num_sms as u64;
             let partial = dv.total_blocks % full_wave != 0;
             let corr_pct = 100.0 * (ow.time_s - dv.time_s) / ow.time_s;

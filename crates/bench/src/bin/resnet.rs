@@ -17,7 +17,7 @@
 //! * per-layer algorithm choices with their transform/kernel split.
 //!
 //! Every candidate timing runs through the shared sweep engine
-//! (`--jobs/--cache/...`), memoized under `Conv::time_digest`, so the
+//! (`--jobs/--cache/...`), memoized under `Conv::key`, so the
 //! output is byte-identical across job counts and cache states.
 //!
 //! Flags: `--json PATH` (default `BENCH_resnet.json`), `--smoke` (the

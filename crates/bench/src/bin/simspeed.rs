@@ -32,7 +32,7 @@ use bench::json::parse;
 use bench::report::{flag_value, Report};
 use bench::Table;
 use gpusim::DeviceSpec;
-use wino_core::{Algo, Conv, ConvProblem};
+use wino_core::{Algo, Conv, ConvProblem, Observe, Target};
 
 /// The fixed matrix: one mid-size ResNet-like layer, three algorithm
 /// families covering the fused Winograd path (ours + cuDNN-like schedule)
@@ -69,7 +69,8 @@ fn measure(iters: u32) -> Vec<Point> {
             // full-device multi-wave model: `wave_cycles` is the device
             // makespan and `issued` the device-total issue count.
             let counted = conv
-                .time_counted(algo)
+                .measure(Target::algo(algo), Observe::COUNTERS)
+                .kernel
                 .expect("matrix algorithm has no cycle-level kernel");
             let ctr = counted.counters.as_ref().expect("counters requested");
             // Best-of-N plain runs for the wall-clock (simulation is
@@ -95,14 +96,16 @@ fn measure(iters: u32) -> Vec<Point> {
         // Figures 7–9 stays on that path): tracks the single-SM wave loop's
         // throughput separately from the device model.
         let conv = Conv::new(prob, dev.clone());
-        let (counted, _) = conv.time_fused_mainloop_counted(conv.ours_config());
+        let mainloop = Target::mainloop(conv.ours_config());
+        let counted = conv.measure(mainloop, Observe::COUNTERS).kernel;
+        let counted = counted.expect("main loop simulates");
         let ctr = counted.counters.as_ref().expect("counters requested");
         let mut best = f64::INFINITY;
         for _ in 0..iters.max(1) {
             let t0 = Instant::now();
-            let (timing, _) = conv.time_fused_mainloop(conv.ours_config());
+            let timing = conv.measure(mainloop, Observe::default());
             best = best.min(t0.elapsed().as_secs_f64());
-            assert!(timing.wave_cycles > 0);
+            assert!(timing.kernel.is_some_and(|k| k.wave_cycles > 0));
         }
         points.push(Point {
             device: dev.name,

@@ -54,10 +54,10 @@ use bench::Table;
 use gpusim::digest::module_digest;
 use gpusim::{
     time_kernel_device, timing, BatchTimer, DeviceOptions, DeviceSpec, Digest, Gpu, KernelTiming,
-    LaunchDims, ParamBuilder, TimingOptions,
+    LaunchDims, TimingOptions,
 };
-use kernels::filter_transform::emit_filter_transform;
-use kernels::{EmitterParams, FusedConfig, FusedKernel};
+use kernels::filter_transform::{self, emit_filter_transform};
+use kernels::{Buffers, EmitterParams, FusedConfig, FusedKernel};
 use perfmodel::{move_weights, region_move_weights, BottleneckReport};
 use sass::island::{run_islands, IslandConfig, IslandOutcome, Priors, SeedKind};
 use sass::lint::lint;
@@ -102,34 +102,16 @@ struct EvalCtx<'a> {
     dims: LaunchDims,
     params: Vec<u8>,
     opts: TimingOptions,
-    alloc_bytes: [u64; 3],
-    capacity: usize,
+    buffers: Buffers,
     store: Option<&'a Store>,
 }
 
 impl<'a> EvalCtx<'a> {
     fn new(dev: &'a DeviceSpec, kern: &FusedKernel, store: Option<&'a Store>) -> EvalCtx<'a> {
-        let cfg = kern.config;
-        let (c, h, w, n, k) = (
-            cfg.c as u64,
-            cfg.h as u64,
-            cfg.w as u64,
-            cfg.n as u64,
-            cfg.k as u64,
-        );
-        let alloc_bytes = [c * h * w * n * 4, c * 16 * k * 4, k * h * w * n * 4];
-        // Capacity only bounds allocation; it is not part of any digest.
-        let capacity = (alloc_bytes.iter().sum::<u64>() + (1 << 20)).next_power_of_two() as usize;
+        let buffers = kern.buffers();
+        let a = buffers.addrs();
+        let params = kern.params(a[0], a[1], a[2]);
         let dims = kern.launch_dims();
-        let params = {
-            // Fixed addresses: allocation order is deterministic, so build
-            // the parameter block once against a scratch GPU.
-            let mut gpu = Gpu::new(dev.clone(), capacity);
-            let a = gpu.alloc(alloc_bytes[0]);
-            let b = gpu.alloc(alloc_bytes[1]);
-            let o = gpu.alloc(alloc_bytes[2]);
-            kern.params(a, b, o)
-        };
         let opts = TimingOptions {
             region: Some(kern.region),
             ..Default::default()
@@ -141,8 +123,7 @@ impl<'a> EvalCtx<'a> {
             dims,
             params,
             opts,
-            alloc_bytes,
-            capacity,
+            buffers,
             store,
         }
     }
@@ -178,10 +159,7 @@ fn evaluate(
             return Some(t.wave_cycles);
         }
     }
-    let mut gpu = Gpu::new(ctx.dev.clone(), ctx.capacity);
-    for &b in &ctx.alloc_bytes {
-        gpu.alloc(b);
-    }
+    let (mut gpu, _) = ctx.buffers.alloc(ctx.dev.clone());
     let t = timer
         .time(&mut gpu, &cand, perm, ctx.dims, &ctx.params, ctx.opts)
         .expect("candidate timing failed");
@@ -225,10 +203,7 @@ fn profile_priors(
     kern: &FusedKernel,
     regions: &[TuneRegion],
 ) -> (&'static str, Priors) {
-    let mut gpu = Gpu::new(ctx.dev.clone(), ctx.capacity);
-    for &b in &ctx.alloc_bytes {
-        gpu.alloc(b);
-    }
+    let (mut gpu, _) = ctx.buffers.alloc(ctx.dev.clone());
     let popts = TimingOptions {
         profile: true,
         counters: true,
@@ -347,13 +322,9 @@ fn differential_check() {
     let d_tf = gpu.alloc((c * 16 * k) as u64 * 4);
     let d_out = gpu.alloc((k * h * w * n) as u64 * 4);
     let fx = emit_filter_transform(base.c, base.k);
-    let fx_params = ParamBuilder::new().push_ptr(d_filt).push_ptr(d_tf).build();
-    gpu.launch_parallel(
-        &fx,
-        LaunchDims::linear(base.c * base.k / 256, 256),
-        &fx_params,
-    )
-    .expect("filter transform");
+    let fx_dims = filter_transform::launch_dims(base.c, base.k);
+    gpu.launch_parallel(&fx, fx_dims, &filter_transform::params(d_filt, d_tf))
+        .expect("filter transform");
 
     let want = reference(&base, &input, &filter);
     let mut anchor: Option<Vec<f32>> = None;
@@ -545,10 +516,7 @@ fn conv2_run(
         ..Default::default()
     };
     let time_device = |m: &Module| -> KernelTiming {
-        let mut gpu = Gpu::new(dev.clone(), ctx.capacity);
-        for &b in &ctx.alloc_bytes {
-            gpu.alloc(b);
-        }
+        let (mut gpu, _) = ctx.buffers.alloc(dev.clone());
         time_kernel_device(&mut gpu, m, ctx.dims, &ctx.params, dopts).expect("device sim failed")
     };
     let hand_t = time_device(&hand.module);

@@ -20,7 +20,7 @@ pub mod trace;
 use gpusim::DeviceSpec;
 use kernels::FusedConfig;
 use wino_core::resnet::{eval_grid, ResnetLayer};
-use wino_core::{AlgoTiming, Conv, ConvProblem};
+use wino_core::{AlgoTiming, Conv, ConvProblem, Observe, Target};
 
 use crate::simcache::CacheKey;
 use crate::sweep::Sweep;
@@ -46,16 +46,18 @@ pub fn problem_for(layer: &ResnetLayer, n: usize) -> ConvProblem {
     layer.problem(n)
 }
 
-/// Evaluate [`Conv::time`] for every `(conv, algo)` point on the sweep
-/// engine ([`sweep::Sweep::from_args`]: `--jobs/--cache/...` respected) and
-/// return the timings in registration order. Each point is content-addressed
-/// by [`Conv::time_digest`], so cached and fresh results are
+/// Evaluate [`Conv::measure`] (unobserved) for every `(conv, target)` point
+/// on the sweep engine ([`sweep::Sweep::from_args`]: `--jobs/--cache/...`
+/// respected) and return the timings in registration order. Each point is
+/// content-addressed by [`Conv::key`], so cached and fresh results are
 /// indistinguishable bit-for-bit.
-pub fn time_sweep(name: &str, points: Vec<(Conv, Algo)>) -> Vec<AlgoTiming> {
+pub fn measure_sweep(name: &str, points: Vec<(Conv, Target)>) -> Vec<AlgoTiming> {
     let mut sw = Sweep::from_args(name);
-    for (conv, algo) in points {
-        let key = CacheKey::from_digest(&conv.time_digest(algo));
-        sw.point(key, move || simcache::algo_timing_to_json(&conv.time(algo)));
+    for (conv, target) in points {
+        let key = CacheKey::from_digest(&conv.key(target));
+        sw.point(key, move || {
+            simcache::algo_timing_to_json(&conv.measure(target, Observe::default()))
+        });
     }
     sw.run()
         .results
@@ -64,27 +66,28 @@ pub fn time_sweep(name: &str, points: Vec<(Conv, Algo)>) -> Vec<AlgoTiming> {
         .collect()
 }
 
-/// Evaluate [`Conv::time_fused_mainloop`] for every `(conv, cfg)` point on
-/// the sweep engine and return the main-loop region TFLOPS in registration
-/// order (the Figures 7–9 / ablation measurement). Points are
-/// content-addressed by [`Conv::mainloop_digest`].
+/// [`measure_sweep`] of [`Conv::time`] for every `(conv, algo)` point.
+pub fn time_sweep(name: &str, points: Vec<(Conv, Algo)>) -> Vec<AlgoTiming> {
+    let targets = points.into_iter().map(|(c, a)| (c, Target::algo(a)));
+    measure_sweep(name, targets.collect())
+}
+
+/// Main-loop region TFLOPS ([`Target::mainloop`]) for every `(conv, cfg)`
+/// point, in registration order (the Figures 7–9 / ablation measurement).
 pub fn mainloop_sweep(name: &str, points: Vec<(Conv, FusedConfig)>) -> Vec<f64> {
-    let mut sw = Sweep::from_args(name);
-    for (conv, cfg) in points {
-        let key = CacheKey::from_digest(&conv.mainloop_digest(cfg));
-        sw.point(key, move || {
-            let (_, tflops) = conv.time_fused_mainloop(cfg);
-            json::obj(&[("mainloop_tflops", tflops.into())])
-        });
-    }
-    sw.run()
-        .results
+    let rates: Vec<(DeviceSpec, f64)> = points
         .iter()
-        .map(|r| {
-            r.get("mainloop_tflops")
-                .and_then(json::Json::as_f64)
-                .expect("valid mainloop cache record")
-        })
+        .map(|(c, cfg)| (c.device.clone(), cfg.mainloop_flops_per_block()))
+        .collect();
+    let targets = points
+        .into_iter()
+        .map(|(c, cfg)| (c, Target::mainloop(cfg)));
+    let kernels = measure_sweep(name, targets.collect())
+        .into_iter()
+        .map(|t| t.kernel);
+    kernels
+        .zip(rates)
+        .map(|(k, (dev, flops))| k.expect("main loop simulates").region_tflops(&dev, flops))
         .collect()
 }
 

@@ -10,9 +10,10 @@
 //!
 //! Counter collection changes no timing numbers (the cycle results are
 //! bit-identical, asserted by `gpusim/tests/counter_invariants.rs`), but the
-//! counted runs are cached under their own key — the plain timing digest
-//! plus a `"metrics/v1"` tag — so warming the timing cache never pays for
-//! counters and vice versa. Bump the tag when the metric schema changes.
+//! counted runs are cached under their own key — the plain
+//! [`wino_core::Conv::key`] plus a `"metrics/v1"` tag — so warming the
+//! timing cache never pays for counters and vice versa. Bump the tag when
+//! the metric schema changes.
 //!
 //! The committed `baselines/*.json` reports are built from these records and
 //! gated by the `metricsdiff` binary in CI; metric names and the
@@ -21,7 +22,7 @@
 use gpusim::{DeviceSpec, KernelTiming};
 use kernels::FusedConfig;
 use perfmodel::BottleneckReport;
-use wino_core::{Algo, Conv};
+use wino_core::{Algo, Conv, Kernels, Observe, Target};
 
 use crate::json::{obj, Json};
 use crate::simcache::CacheKey;
@@ -95,89 +96,55 @@ fn tagged_key(mut d: gpusim::Digest) -> CacheKey {
     CacheKey::from_digest(&d)
 }
 
-/// Counted-run metrics for every `(conv, algo)` point, on the sweep engine.
-/// Returns records in registration order; `None` for the analytically
-/// modeled FFT algorithms, which run no simulated kernel (their bottleneck
-/// comes from [`analytic_metrics`] where an experiment wants one).
-pub fn conv_metrics_sweep(name: &str, points: Vec<(Conv, Algo)>) -> Vec<Option<Json>> {
-    let simulated: Vec<bool> = points
-        .iter()
-        .map(|(_, a)| !matches!(a, Algo::Fft | Algo::FftTiling))
-        .collect();
+/// Counted-run metrics for every `(conv, target)` point, on the sweep
+/// engine, in registration order; `None` for the analytically modeled FFT
+/// algorithms, which run no simulated kernel (their bottleneck comes from
+/// [`analytic_metrics`] where an experiment wants one). Main-loop targets
+/// (Figures 7–9 / ablation) also record `mainloop_tflops`.
+pub fn metrics_sweep(name: &str, points: Vec<(Conv, Target)>) -> Vec<Option<Json>> {
     let mut sw = Sweep::from_args(name);
-    for ((conv, algo), sim) in points.into_iter().zip(simulated.iter()) {
-        if !sim {
-            continue;
-        }
-        sw.point(tagged_key(conv.time_digest(algo)), move || {
-            let t = conv.time_counted(algo).expect("simulated algo");
-            obj(&kernel_metrics(&t))
-        });
-    }
-    let mut results = sw.run().results.into_iter();
-    simulated
-        .into_iter()
-        .map(|sim| sim.then(|| results.next().expect("one record per simulated point")))
-        .collect()
-}
-
-/// Counted main-loop metrics for every `(conv, cfg)` point (the Figures 7–9
-/// / ablation measurement), with `mainloop_tflops` included in each record.
-pub fn mainloop_metrics_sweep(name: &str, points: Vec<(Conv, FusedConfig)>) -> Vec<Json> {
-    let mut sw = Sweep::from_args(name);
-    for (conv, cfg) in points {
-        sw.point(tagged_key(conv.mainloop_digest(cfg)), move || {
-            let (t, tflops) = conv.time_fused_mainloop_counted(cfg);
+    for (conv, target) in points {
+        sw.point(tagged_key(conv.key(target)), move || {
+            let Some(t) = conv.measure(target, Observe::COUNTERS).kernel else {
+                return Json::Null;
+            };
             let mut m = kernel_metrics(&t);
-            m.push(("mainloop_tflops", tflops.into()));
+            match target.kernels {
+                Kernels::Fused(cfg) if cfg.main_loop_only => {
+                    let tflops = t.region_tflops(&conv.device, cfg.mainloop_flops_per_block());
+                    m.push(("mainloop_tflops", tflops.into()));
+                }
+                _ => {}
+            }
             obj(&m)
         });
     }
-    sw.run().results
+    let results = sw.run().results.into_iter();
+    results.map(|r| (r != Json::Null).then_some(r)).collect()
+}
+
+/// [`metrics_sweep`] of [`Conv::time`] for every `(conv, algo)` point.
+pub fn conv_metrics_sweep(name: &str, points: Vec<(Conv, Algo)>) -> Vec<Option<Json>> {
+    let targets = points.into_iter().map(|(c, a)| (c, Target::algo(a)));
+    metrics_sweep(name, targets.collect())
 }
 
 /// `(device name, config pairs)` for one sweep point — what
-/// [`add_conv_metrics_records`] needs to emit the point's report record.
+/// [`add_metrics_records`] needs to emit the point's report record.
 pub type PointConfig = (String, Vec<(&'static str, Json)>);
 
 /// Run the counted sweep over `points` and append one `kind=metrics` record
-/// per simulated point to `report`; `config_of(index, algo)` names the
-/// point. FFT points are silently skipped (no simulated kernel).
-pub fn add_conv_metrics_records(
+/// per simulated point to `report`; `config_of(index)` names the point.
+/// FFT points are silently skipped (no simulated kernel).
+pub fn add_metrics_records(
     report: &mut crate::report::Report,
     name: &str,
-    points: Vec<(Conv, Algo)>,
-    config_of: impl Fn(usize, Algo) -> PointConfig,
-) {
-    let algos: Vec<Algo> = points.iter().map(|(_, a)| *a).collect();
-    for (i, (algo, rec)) in algos
-        .into_iter()
-        .zip(conv_metrics_sweep(name, points))
-        .enumerate()
-    {
-        let Some(Json::Obj(fields)) = rec else {
-            continue;
-        };
-        let metrics: Vec<(&str, Json)> = fields
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.clone()))
-            .collect();
-        let (device, config) = config_of(i, algo);
-        report.add(&device, &metrics_config(&config), &metrics);
-    }
-}
-
-/// [`add_conv_metrics_records`] for main-loop points (Figures 7–9 /
-/// ablation): every point simulates, so every point gets a record.
-pub fn add_mainloop_metrics_records(
-    report: &mut crate::report::Report,
-    name: &str,
-    points: Vec<(Conv, FusedConfig)>,
+    points: Vec<(Conv, Target)>,
     config_of: impl Fn(usize) -> PointConfig,
 ) {
-    for (i, rec) in mainloop_metrics_sweep(name, points).into_iter().enumerate() {
-        let Json::Obj(fields) = rec else {
-            unreachable!("metrics records are objects")
+    for (i, rec) in metrics_sweep(name, points).into_iter().enumerate() {
+        let Some(Json::Obj(fields)) = rec else {
+            continue;
         };
         let metrics: Vec<(&str, Json)> = fields
             .iter()
@@ -186,6 +153,32 @@ pub fn add_mainloop_metrics_records(
         let (device, config) = config_of(i);
         report.add(&device, &metrics_config(&config), &metrics);
     }
+}
+
+/// [`add_metrics_records`] of [`Conv::time`] points; `config_of(index,
+/// algo)` names the point.
+pub fn add_conv_metrics_records(
+    report: &mut crate::report::Report,
+    name: &str,
+    points: Vec<(Conv, Algo)>,
+    config_of: impl Fn(usize, Algo) -> PointConfig,
+) {
+    let algos: Vec<Algo> = points.iter().map(|(_, a)| *a).collect();
+    let targets = points.into_iter().map(|(c, a)| (c, Target::algo(a)));
+    add_metrics_records(report, name, targets.collect(), |i| config_of(i, algos[i]));
+}
+
+/// [`add_metrics_records`] of [`Target::mainloop`] points.
+pub fn add_mainloop_metrics_records(
+    report: &mut crate::report::Report,
+    name: &str,
+    points: Vec<(Conv, FusedConfig)>,
+    config_of: impl Fn(usize) -> PointConfig,
+) {
+    let targets = points
+        .into_iter()
+        .map(|(c, cfg)| (c, Target::mainloop(cfg)));
+    add_metrics_records(report, name, targets.collect(), config_of);
 }
 
 /// Print metrics records as an aligned table (`convbench --metrics`).

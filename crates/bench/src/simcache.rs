@@ -242,6 +242,7 @@ pub fn algo_timing_from_json(j: &Json) -> Option<AlgoTiming> {
         tflops_effective: j.get("tflops_effective")?.as_f64()?,
         kernel,
         phases,
+        trace: None,
     })
 }
 

@@ -16,15 +16,25 @@
 //! The analytic components (marked "traffic"/"roofline") cover the
 //! memory-bound phases cuDNN runs as separate kernels; DESIGN.md §1
 //! documents the substitution.
+//!
+//! Every timing goes through one path. [`Conv::measure`] simulates a
+//! [`Target`] — a kernel selection ([`Kernels`]) under a timing [`Model`] —
+//! with an optional [`Observe`] set (profile, counters, trace), and
+//! [`Conv::key`] is the content address of its result. Both derive from one
+//! private list of the launches a target runs (module, geometry, timed
+//! region, parameter bytes over the kernels' own buffer layout), so a key
+//! covers exactly what was simulated; `key` never sees `observe`, so no
+//! observation can enter a key.
 
 use gpusim::digest::module_digest;
 use gpusim::{
-    time_kernel_device, DeviceOptions, DeviceSpec, Digest, Gpu, KernelTiming, LaunchDims,
-    ParamBuilder, TimingOptions,
+    time_kernel_device_traced, DevPtr, DeviceOptions, DeviceSpec, DeviceTrace, Digest, Gpu,
+    KernelTiming, LaunchDims, Region, TimingOptions,
 };
-use kernels::filter_transform::emit_filter_transform;
+use kernels::filter_transform::{self, emit_filter_transform};
 use kernels::gemm::{GemmConfig, GemmKernel};
-use kernels::{FusedConfig, FusedKernel};
+use kernels::{Buffers, FusedConfig, FusedKernel};
+use sass::Module;
 use tensor::{LayoutKind, Tensor4};
 
 use crate::fft::{conv2d_fft, conv2d_fft_tiled, fft_size_full};
@@ -96,6 +106,185 @@ pub struct AlgoTiming {
     pub kernel: Option<KernelTiming>,
     /// Phase breakdown: (label, seconds).
     pub phases: Vec<(String, f64)>,
+    /// Per-SM wave timeline of the dominant kernel, present when
+    /// [`Observe::trace`] was set (never cached).
+    pub trace: Option<DeviceTrace>,
+}
+
+/// The kernels a [`Target`] runs.
+#[derive(Clone, Copy, Debug)]
+pub enum Kernels {
+    /// The algorithm's whole pipeline: every launch and analytic phase
+    /// [`Conv::time`] charges.
+    Algo(Algo),
+    /// One fused Winograd kernel launch; `main_loop_only` selects the
+    /// Figures 7–9 main-loop studies. `bk = 64` reports as
+    /// [`Algo::OursFused`], `bk = 32` as [`Algo::CudnnWinograd`] (§3.3).
+    Fused(FusedConfig),
+}
+
+impl Kernels {
+    fn algo(self) -> Algo {
+        match self {
+            Kernels::Algo(a) => a,
+            Kernels::Fused(cfg) if cfg.bk == 64 => Algo::OursFused,
+            Kernels::Fused(_) => Algo::CudnnWinograd,
+        }
+    }
+}
+
+/// The timing model a [`Target`] runs under.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Model {
+    /// Full-device multi-wave simulation (`gpusim::time_kernel_device`).
+    Device,
+    /// The device model with every SM and wave simulated individually
+    /// (`DeviceOptions::exact`), so a trace gets one real lane per SM.
+    DeviceExact,
+    /// One steady-state wave on one SM, extrapolated
+    /// (`gpusim::timing::time_kernel`): the Figures 7–9 main-loop unit and
+    /// the cross-check of the device model.
+    OneWave,
+}
+
+/// What [`Conv::measure`] simulates: a kernel selection under a model.
+#[derive(Clone, Copy, Debug)]
+pub struct Target {
+    pub kernels: Kernels,
+    pub model: Model,
+}
+
+impl Target {
+    /// `algo`'s whole pipeline on the device model — what [`Conv::time`]
+    /// measures.
+    pub fn algo(algo: Algo) -> Target {
+        Target {
+            kernels: Kernels::Algo(algo),
+            model: Model::Device,
+        }
+    }
+
+    /// One fused kernel launch of `cfg` under `model`.
+    pub fn fused(cfg: FusedConfig, model: Model) -> Target {
+        Target {
+            kernels: Kernels::Fused(cfg),
+            model,
+        }
+    }
+
+    /// The main-loop-only build of `cfg` on the one-wave model (Figures
+    /// 7–9, §7.2); its region TFLOPS is
+    /// `kernel.region_tflops(device, cfg.mainloop_flops_per_block())`.
+    pub fn mainloop(mut cfg: FusedConfig) -> Target {
+        cfg.main_loop_only = true;
+        Target::fused(cfg, Model::OneWave)
+    }
+}
+
+/// Observation attached to a measurement's dominant kernel. Off is free; on
+/// changes no timing number, so none of it enters [`Conv::key`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Observe {
+    /// `simprof` stall profile, with the emitter's named regions.
+    pub profile: bool,
+    /// Hardware counters (`gpusim::counters`).
+    pub counters: bool,
+    /// Per-SM wave timeline ([`AlgoTiming::trace`]); needs a device model.
+    pub trace: bool,
+}
+
+impl Observe {
+    /// Counters only.
+    pub const COUNTERS: Observe = Observe {
+        profile: false,
+        counters: true,
+        trace: false,
+    };
+}
+
+/// One step of a target: a simulated launch, or an analytic phase with its
+/// modeled seconds.
+enum Phase {
+    Launch(Launch),
+    Analytic(&'static str, f64),
+}
+
+/// A kernel launch over the target's arena.
+struct Launch {
+    name: &'static str,
+    module: Module,
+    dims: LaunchDims,
+    params: Vec<u8>,
+    /// Timed instruction range (the fused kernel's main loop).
+    region: Option<(u32, u32)>,
+    /// The emitter's named regions, copied into a profile.
+    regions: Vec<Region>,
+}
+
+impl Launch {
+    /// The fused kernel over its `[in, tf, out]` buffers.
+    fn fused(kern: FusedKernel, [input, tf, out]: [DevPtr; 3]) -> Phase {
+        Phase::Launch(Launch {
+            name: "fused_winograd",
+            params: kern.params(input, tf, out),
+            dims: kern.launch_dims(),
+            region: Some(kern.region),
+            regions: kern.regions,
+            module: kern.module,
+        })
+    }
+
+    /// A GEMM over its own `[A, B, C]` layout.
+    fn gemm(name: &'static str, kern: GemmKernel) -> (Buffers, Phase) {
+        let buffers = kern.buffers();
+        let a = buffers.addrs();
+        let launch = Launch {
+            name,
+            params: kern.params(a[0], a[1], a[2]),
+            dims: kern.launch_dims(),
+            region: None,
+            regions: Vec::new(),
+            module: kern.module,
+        };
+        (buffers, Phase::Launch(launch))
+    }
+
+    fn options(&self, observe: Observe) -> TimingOptions {
+        TimingOptions {
+            region: self.region,
+            profile: observe.profile,
+            counters: observe.counters,
+            ..Default::default()
+        }
+    }
+
+    fn simulate(
+        &self,
+        gpu: &mut Gpu,
+        model: Model,
+        observe: Observe,
+    ) -> (KernelTiming, Option<DeviceTrace>) {
+        let base = self.options(observe);
+        let opts = DeviceOptions {
+            base,
+            exact: model == Model::DeviceExact,
+            trace: observe.trace,
+            ..Default::default()
+        };
+        let (m, dims, params) = (&self.module, self.dims, &self.params[..]);
+        let (mut t, trace) = match model {
+            Model::OneWave => {
+                assert!(!observe.trace, "a wave trace needs a device model");
+                let t = gpusim::timing::time_kernel(gpu, m, dims, params, base);
+                (t.expect(self.name), None)
+            }
+            _ => time_kernel_device_traced(gpu, m, dims, params, opts).expect(self.name),
+        };
+        if let Some(prof) = t.profile.as_mut() {
+            prof.regions = self.regions.clone();
+        }
+        (t, trace)
+    }
 }
 
 /// Functional output of [`Conv::run`].
@@ -165,80 +354,174 @@ impl Conv {
         ConvOutput { output }
     }
 
-    /// Estimate time for the algorithm on the bound device (synthetic data).
+    // ---- measurement ------------------------------------------------------------
+
+    /// Estimate time for the algorithm on the bound device (synthetic data):
+    /// [`Conv::measure`] of [`Target::algo`], unobserved.
     pub fn time(&self, algo: Algo) -> AlgoTiming {
+        self.measure(Target::algo(algo), Observe::default())
+    }
+
+    /// The dominant kernel of [`Conv::time`] with hardware counters attached
+    /// (`gpusim::counters`); `None` for the analytic FFT algorithms. The
+    /// timing numbers are those of [`Conv::time`], under the same key.
+    pub fn time_counted(&self, algo: Algo) -> Option<KernelTiming> {
+        self.measure(Target::algo(algo), Observe::COUNTERS).kernel
+    }
+
+    /// Content address of [`Conv::time`]: [`Conv::key`] of [`Target::algo`].
+    pub fn time_digest(&self, algo: Algo) -> Digest {
+        self.key(Target::algo(algo))
+    }
+
+    /// Simulate `target` on the bound device (synthetic data). Every launch
+    /// shares one arena laid out by the kernels' own [`Buffers`]; `phases`
+    /// lists the launches and analytic phases in order, each charged
+    /// [`LAUNCH_OVERHEAD_S`], and `kernel` is the last launch's timing, with
+    /// `observe`'s artifacts attached. Observation changes no number, which
+    /// is why [`Conv::key`] does not take it.
+    pub fn measure(&self, target: Target, observe: Observe) -> AlgoTiming {
+        let (buffers, phases) = self.launches(target.kernels);
+        let (mut gpu, _) = buffers.alloc(self.device.clone());
+        let mut out = Vec::with_capacity(phases.len());
+        let (mut kernel, mut trace) = (None, None);
+        for phase in phases {
+            let (name, s) = match phase {
+                Phase::Analytic(name, s) => (name, s),
+                Phase::Launch(l) => {
+                    let (t, tr) = l.simulate(&mut gpu, target.model, observe);
+                    let s = t.time_s;
+                    (kernel, trace) = (Some(t), tr);
+                    (l.name, s)
+                }
+            };
+            out.push((name.to_string(), s + LAUNCH_OVERHEAD_S));
+        }
+        let time_s: f64 = out.iter().map(|(_, t)| t).sum();
+        AlgoTiming {
+            algo: target.kernels.algo(),
+            time_s,
+            tflops_effective: self.problem.direct_flops() / time_s / 1e12,
+            kernel,
+            phases: out,
+            trace,
+        }
+    }
+
+    /// Content address of [`Conv::measure`] for `target`: model version,
+    /// device, problem, model constants, timing model, the buffer layout,
+    /// and every phase — a launch's program bytes, geometry, parameter bytes
+    /// (hence buffer addresses, which the L2 model indexes by) and timed
+    /// region, an analytic phase's label and seconds. Emission is pure
+    /// codegen, so a key costs microseconds: no arena, no simulation.
+    pub fn key(&self, target: Target) -> Digest {
         let p = &self.problem;
-        let mut phases: Vec<(String, f64)> = Vec::new();
-        let mut kernel: Option<KernelTiming> = None;
-        match algo {
-            Algo::OursFused | Algo::CudnnWinograd => {
-                let (fxt, ft) = self.time_fused(algo);
-                phases.push(("filter_transform".into(), fxt + LAUNCH_OVERHEAD_S));
-                phases.push(("fused_winograd".into(), ft.time_s + LAUNCH_OVERHEAD_S));
-                kernel = Some(ft);
+        let mut d = Digest::new();
+        d.u32(gpusim::TIMING_MODEL_VERSION);
+        self.device.digest_into(&mut d);
+        for v in [p.n, p.c, p.h, p.w, p.k, p.r, p.s, p.pad] {
+            d.u64(v as u64);
+        }
+        d.f64(LAUNCH_OVERHEAD_S).f64(MEM_EFF);
+        d.str(target.kernels.algo().name());
+        d.str(&format!("{:?}", target.model));
+        let (buffers, phases) = self.launches(target.kernels);
+        for b in &buffers.0 {
+            d.u64(*b);
+        }
+        for phase in &phases {
+            match phase {
+                Phase::Analytic(name, s) => {
+                    d.str(name).f64(*s);
+                }
+                Phase::Launch(l) => {
+                    d.str(l.name);
+                    module_digest(&l.module, &mut d);
+                    l.dims.digest_into(&mut d);
+                    d.u64(l.params.len() as u64).bytes(&l.params);
+                    l.options(Observe::default()).digest_into(&mut d);
+                }
             }
-            Algo::ImplicitPrecompGemm | Algo::ImplicitGemm => {
-                let t = self.time_gemm_kernel(algo);
-                phases.push(("implicit_gemm".into(), t.time_s + LAUNCH_OVERHEAD_S));
-                kernel = Some(t);
+        }
+        d
+    }
+
+    /// The arena layout `kernels` runs in, and what it runs, in order.
+    fn launches(&self, kernels: Kernels) -> (Buffers, Vec<Phase>) {
+        let p = &self.problem;
+        let bw = self.device.dram_bw * MEM_EFF;
+        match kernels {
+            Kernels::Fused(cfg) => {
+                let kern = FusedKernel::emit(cfg);
+                let buffers = kern.buffers();
+                let a = buffers.addrs();
+                (buffers, vec![Launch::fused(kern, [a[0], a[1], a[2]])])
             }
-            Algo::Gemm => {
+            Kernels::Algo(algo @ (Algo::OursFused | Algo::CudnnWinograd)) => {
+                let kern = FusedKernel::emit(self.fused_config(algo));
+                // [in, filter, tf, out]: FX reads the filter into tf.
+                let buffers = kern.pipeline_buffers();
+                let a = buffers.addrs();
+                let (c, k) = (p.c as u32, p.k as u32);
+                let fx = Launch {
+                    name: "filter_transform",
+                    module: emit_filter_transform(c, k),
+                    dims: filter_transform::launch_dims(c, k),
+                    params: filter_transform::params(a[1], a[2]),
+                    region: None,
+                    regions: Vec::new(),
+                };
+                let fused = Launch::fused(kern, [a[0], a[2], a[3]]);
+                (buffers, vec![Phase::Launch(fx), fused])
+            }
+            Kernels::Algo(algo @ (Algo::ImplicitPrecompGemm | Algo::ImplicitGemm)) => {
+                let (buffers, gemm) =
+                    Launch::gemm("implicit_gemm", GemmKernel::emit(self.gemm_config(algo)));
+                (buffers, vec![gemm])
+            }
+            Kernels::Algo(Algo::Gemm) => {
                 // Explicit im2col: a memory-bound expansion pass, then GEMM.
                 let col_bytes = (p.c * 9 * p.n * p.h * p.w) as f64 * 4.0;
                 let in_bytes = p.input_len() as f64 * 4.0;
-                phases.push((
-                    "im2col".into(),
-                    (in_bytes + col_bytes) / (self.device.dram_bw * MEM_EFF) + LAUNCH_OVERHEAD_S,
-                ));
-                let t = self.time_gemm_kernel(algo);
-                phases.push(("gemm".into(), t.time_s + LAUNCH_OVERHEAD_S));
-                kernel = Some(t);
+                let im2col = Phase::Analytic("im2col", (in_bytes + col_bytes) / bw);
+                let (buffers, gemm) =
+                    Launch::gemm("gemm", GemmKernel::emit(self.gemm_config(Algo::Gemm)));
+                (buffers, vec![im2col, gemm])
             }
-            Algo::WinogradNonfused => {
+            Kernels::Algo(Algo::WinogradNonfused) => {
                 let plan = NonFusedPipeline::plan(p, Variant::F4x4);
                 // Input transform: read input, write 2.25× expanded data.
-                let bw = self.device.dram_bw * MEM_EFF;
                 let itf_bytes = (p.input_len() + plan.transformed_input_len) as f64 * 4.0;
-                phases.push(("input_transform".into(), itf_bytes / bw + LAUNCH_OVERHEAD_S));
                 // Filter transform (usually amortized; charged anyway).
                 let ftf_bytes = (p.filter_len() + plan.transformed_filter_len) as f64 * 4.0;
-                phases.push((
-                    "filter_transform".into(),
-                    ftf_bytes / bw + LAUNCH_OVERHEAD_S,
-                ));
-                // 36-batched GEMM on the simulator.
-                let t = self.time_nonfused_gemm();
-                phases.push(("batched_gemm".into(), t.time_s + LAUNCH_OVERHEAD_S));
-                kernel = Some(t);
                 // Output transform: read 36·K·tiles, write output.
                 let otf_bytes = (plan.transformed_output_len + p.output_len()) as f64 * 4.0;
-                phases.push((
-                    "output_transform".into(),
-                    otf_bytes / (self.device.dram_bw * MEM_EFF) + LAUNCH_OVERHEAD_S,
-                ));
+                // 36 batches of [K×C] × [C×tiles] with F(4×4,3×3) tiling.
+                let tiles = (p.out_h().div_ceil(4) * p.out_w().div_ceil(4) * p.n) as u32;
+                let n_pad = tiles.div_ceil(128) * 128;
+                let cfg = GemmConfig::new(p.k as u32, n_pad, p.c as u32).batched(36);
+                let (buffers, gemm) = Launch::gemm("batched_gemm", GemmKernel::emit(cfg));
+                let phases = vec![
+                    Phase::Analytic("input_transform", itf_bytes / bw),
+                    Phase::Analytic("filter_transform", ftf_bytes / bw),
+                    gemm,
+                    Phase::Analytic("output_transform", otf_bytes / bw),
+                ];
+                (buffers, phases)
             }
-            Algo::Fft => {
-                phases = self.fft_phases(fft_size_full(p), 1);
-            }
-            Algo::FftTiling => {
+            Kernels::Algo(Algo::Fft) => (Buffers(Vec::new()), self.fft_phases(fft_size_full(p), 1)),
+            Kernels::Algo(Algo::FftTiling) => {
                 let step = 32 - 2;
                 let tiles = p.h.div_ceil(step) * p.w.div_ceil(step);
-                phases = self.fft_phases(32, tiles);
+                (Buffers(Vec::new()), self.fft_phases(32, tiles))
             }
-        }
-        let time_s: f64 = phases.iter().map(|(_, t)| t).sum();
-        AlgoTiming {
-            algo,
-            time_s,
-            tflops_effective: p.direct_flops() / time_s / 1e12,
-            kernel,
-            phases,
         }
     }
 
     // ---- fused Winograd paths ------------------------------------------------
 
-    fn fused_config(&self, algo: Algo) -> FusedConfig {
+    /// The fused configuration `algo` runs (`OursFused` or `CudnnWinograd`).
+    pub fn fused_config(&self, algo: Algo) -> FusedConfig {
         let p = &self.problem;
         match algo {
             Algo::OursFused => {
@@ -247,7 +530,7 @@ impl Conv {
             Algo::CudnnWinograd => {
                 FusedConfig::cudnn_like(p.c as u32, p.h as u32, p.w as u32, p.n as u32, p.k as u32)
             }
-            _ => unreachable!(),
+            _ => panic!("{algo:?} runs no fused kernel"),
         }
     }
 
@@ -266,18 +549,14 @@ impl Conv {
         let p = &self.problem;
         assert_eq!(filter.dims(), [p.k, p.c, 3, 3]);
         let crsk = filter.to_layout(LayoutKind::Crsk);
-        let mut gpu = self.gpu_for((crsk.len() + 16 * p.c * p.k) as u64 * 4 + (1 << 20));
-        let d_filt = gpu.alloc_upload_f32(crsk.as_slice());
-        let d_tf = gpu.alloc((p.c * 16 * p.k) as u64 * 4);
-        let fx = emit_filter_transform(p.c as u32, p.k as u32);
-        let fx_params = ParamBuilder::new().push_ptr(d_filt).push_ptr(d_tf).build();
-        gpu.launch_parallel(
-            &fx,
-            LaunchDims::linear((p.c * p.k / 256) as u32, 256),
-            &fx_params,
-        )
-        .expect("filter transform kernel");
-        gpu.mem.download_f32(d_tf, p.c * 16 * p.k).unwrap()
+        let (c, k) = (p.c as u32, p.k as u32);
+        let (mut gpu, b) = filter_transform::buffers(c, k).alloc(self.device.clone());
+        gpu.mem.upload_f32(b[0], crsk.as_slice()).unwrap();
+        let fx = emit_filter_transform(c, k);
+        let dims = filter_transform::launch_dims(c, k);
+        gpu.launch_parallel(&fx, dims, &filter_transform::params(b[0], b[1]))
+            .expect("filter transform kernel");
+        gpu.mem.download_f32(b[1], p.c * 16 * p.k).unwrap()
     }
 
     /// Fused-path execution from an already-transformed filter (the hoisted
@@ -300,18 +579,15 @@ impl Conv {
         } else {
             input.to_layout(LayoutKind::Chwn)
         };
-        let mut gpu = self
-            .gpu_for((chwn.len() + 16 * p.c * p.k + p.k * p.h * p.w * p.n) as u64 * 4 + (1 << 20));
-        let d_in = gpu.alloc_upload_f32(chwn.as_slice());
-        let d_tf = gpu.alloc_upload_f32(tf);
-        let d_out = gpu.alloc((p.k * p.h * p.w * p.n) as u64 * 4);
-
         let kern = FusedKernel::emit(cfg);
-        let params = kern.params(d_in, d_tf, d_out);
+        let (mut gpu, b) = kern.buffers().alloc(self.device.clone());
+        gpu.mem.upload_f32(b[0], chwn.as_slice()).unwrap();
+        gpu.mem.upload_f32(b[1], tf).unwrap();
+        let params = kern.params(b[0], b[1], b[2]);
         gpu.launch_parallel(&kern.module, kern.launch_dims(), &params)
             .expect("fused winograd kernel");
 
-        let raw = gpu.mem.download_f32(d_out, p.k * p.h * p.w * p.n).unwrap();
+        let raw = gpu.mem.download_f32(b[2], p.k * p.h * p.w * p.n).unwrap();
         if cfg.input_nchw {
             // The NCHW-path kernel writes NCHW directly (K = channel axis).
             Tensor4::from_vec(LayoutKind::Nchw, [p.n, p.k, p.h, p.w], raw)
@@ -329,205 +605,6 @@ impl Conv {
             }
             out
         }
-    }
-
-    fn time_fused(&self, algo: Algo) -> (f64, KernelTiming) {
-        self.time_fused_opts(algo, false, false)
-    }
-
-    /// Fused-kernel timing with the `simprof` per-line stall profile
-    /// attached; the emitter's named regions (setup / prologue / main loop /
-    /// output transform) are copied into the profile so reports can fold
-    /// lines into kernel phases.
-    pub fn time_fused_profiled(&self, algo: Algo) -> KernelTiming {
-        self.time_fused_opts(algo, true, false).1
-    }
-
-    /// Cycle-model timing of the algorithm's dominant kernel with hardware
-    /// counters attached (`t.counters` is `Some`; see `gpusim::counters`).
-    /// `None` for the analytically-modeled FFT algorithms, which run no
-    /// simulated kernel. The timing numbers are bit-identical to the
-    /// uncounted run, so this shares its cache digest with [`Conv::time`]
-    /// (see `gpusim::digest`).
-    pub fn time_counted(&self, algo: Algo) -> Option<KernelTiming> {
-        match algo {
-            Algo::OursFused | Algo::CudnnWinograd => {
-                Some(self.time_fused_opts(algo, false, true).1)
-            }
-            Algo::Gemm | Algo::ImplicitGemm | Algo::ImplicitPrecompGemm => {
-                Some(self.time_gemm_kernel_opts(algo, true))
-            }
-            Algo::WinogradNonfused => Some(self.time_nonfused_gemm_opts(true)),
-            Algo::Fft | Algo::FftTiling => None,
-        }
-    }
-
-    fn time_fused_opts(&self, algo: Algo, profile: bool, counters: bool) -> (f64, KernelTiming) {
-        let p = &self.problem;
-        let cfg = self.fused_config(algo);
-        let kern = FusedKernel::emit(cfg);
-        let mut gpu = self.gpu_for(
-            ((p.c * p.h * p.w * p.n + 16 * p.c * p.k + p.k * p.h * p.w * p.n) * 4) as u64
-                + (1 << 20),
-        );
-        let d_in = gpu.alloc((p.c * p.h * p.w * p.n) as u64 * 4);
-        let d_filt = gpu.alloc((p.c * 9 * p.k) as u64 * 4);
-        let d_tf = gpu.alloc((p.c * 16 * p.k) as u64 * 4);
-        let d_out = gpu.alloc((p.k * p.h * p.w * p.n) as u64 * 4);
-
-        let fx = emit_filter_transform(p.c as u32, p.k as u32);
-        let fx_params = ParamBuilder::new().push_ptr(d_filt).push_ptr(d_tf).build();
-        let fxt = time_kernel_device(
-            &mut gpu,
-            &fx,
-            LaunchDims::linear((p.c * p.k / 256) as u32, 256),
-            &fx_params,
-            DeviceOptions::default(),
-        )
-        .expect("filter transform timing");
-
-        let params = kern.params(d_in, d_tf, d_out);
-        let mut t = time_kernel_device(
-            &mut gpu,
-            &kern.module,
-            kern.launch_dims(),
-            &params,
-            DeviceOptions {
-                base: TimingOptions {
-                    region: Some(kern.region),
-                    profile,
-                    counters,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .expect("fused kernel timing");
-        if let Some(prof) = t.profile.as_mut() {
-            prof.regions = kern.regions.clone();
-        }
-        (fxt.time_s, t)
-    }
-
-    /// Fused-kernel timing with the full-device wave timeline attached:
-    /// per-SM [`gpusim::WaveSpan`]s the `convbench --trace` export renders
-    /// as one Chrome-trace lane per SM. Runs the device model in `exact`
-    /// mode so every SM lane is individually simulated (the default mode
-    /// would trace only one representative SM per dispatch class); the
-    /// timing therefore matches `exact: true`, not the default fast path.
-    pub fn time_fused_traced(&self, algo: Algo) -> (KernelTiming, gpusim::DeviceTrace) {
-        let p = &self.problem;
-        let cfg = self.fused_config(algo);
-        let kern = FusedKernel::emit(cfg);
-        let mut gpu = self.gpu_for(
-            ((p.c * p.h * p.w * p.n + 16 * p.c * p.k + p.k * p.h * p.w * p.n) * 4) as u64
-                + (1 << 20),
-        );
-        let d_in = gpu.alloc((p.c * p.h * p.w * p.n) as u64 * 4);
-        let _d_filt = gpu.alloc((p.c * 9 * p.k) as u64 * 4);
-        let d_tf = gpu.alloc((p.c * 16 * p.k) as u64 * 4);
-        let d_out = gpu.alloc((p.k * p.h * p.w * p.n) as u64 * 4);
-        let params = kern.params(d_in, d_tf, d_out);
-        gpusim::time_kernel_device_traced(
-            &mut gpu,
-            &kern.module,
-            kern.launch_dims(),
-            &params,
-            DeviceOptions {
-                base: TimingOptions {
-                    region: Some(kern.region),
-                    ..Default::default()
-                },
-                exact: true,
-                ..Default::default()
-            },
-        )
-        .expect("fused kernel traced timing")
-    }
-
-    /// Cross-check of the two timing models on this problem's fused kernel:
-    /// `(one_wave, device)`. The retained one-wave analytic path and the
-    /// full-device simulation must agree on grids that are an exact multiple
-    /// of one device wave; on partial-tail grids the difference is the
-    /// one-wave model's overcharge (recorded by the `multiwave` experiment
-    /// binary).
-    pub fn time_fused_crosscheck(&self, algo: Algo) -> (KernelTiming, KernelTiming) {
-        let p = &self.problem;
-        let cfg = self.fused_config(algo);
-        let kern = FusedKernel::emit(cfg);
-        let base = TimingOptions {
-            region: Some(kern.region),
-            ..Default::default()
-        };
-        let alloc = |gpu: &mut Gpu| {
-            let d_in = gpu.alloc((p.c * p.h * p.w * p.n) as u64 * 4);
-            let d_tf = gpu.alloc((p.c * 16 * p.k) as u64 * 4);
-            let d_out = gpu.alloc((p.k * p.h * p.w * p.n) as u64 * 4);
-            kern.params(d_in, d_tf, d_out)
-        };
-        let cap = ((p.c * p.h * p.w * p.n + 16 * p.c * p.k + p.k * p.h * p.w * p.n) * 4) as u64
-            + (1 << 20);
-        let mut gpu = self.gpu_for(cap);
-        let params = alloc(&mut gpu);
-        let one_wave =
-            gpusim::timing::time_kernel(&mut gpu, &kern.module, kern.launch_dims(), &params, base)
-                .expect("one-wave fused timing");
-        let mut gpu = self.gpu_for(cap);
-        let params = alloc(&mut gpu);
-        let device = time_kernel_device(
-            &mut gpu,
-            &kern.module,
-            kern.launch_dims(),
-            &params,
-            DeviceOptions {
-                base,
-                ..Default::default()
-            },
-        )
-        .expect("device fused timing");
-        (one_wave, device)
-    }
-
-    /// Main-loop-only timing of a fused configuration (Figures 7–9, §7.2).
-    pub fn time_fused_mainloop(&self, cfg: FusedConfig) -> (KernelTiming, f64) {
-        self.time_fused_mainloop_opts(cfg, false)
-    }
-
-    /// [`Conv::time_fused_mainloop`] with hardware counters attached.
-    pub fn time_fused_mainloop_counted(&self, cfg: FusedConfig) -> (KernelTiming, f64) {
-        self.time_fused_mainloop_opts(cfg, true)
-    }
-
-    fn time_fused_mainloop_opts(
-        &self,
-        mut cfg: FusedConfig,
-        counters: bool,
-    ) -> (KernelTiming, f64) {
-        let p = &self.problem;
-        cfg.main_loop_only = true;
-        let kern = FusedKernel::emit(cfg);
-        let mut gpu = self.gpu_for(
-            ((p.c * p.h * p.w * p.n + 16 * p.c * p.k + p.k * p.h * p.w * p.n) * 4) as u64
-                + (1 << 20),
-        );
-        let d_in = gpu.alloc((p.c * p.h * p.w * p.n) as u64 * 4);
-        let d_tf = gpu.alloc((p.c * 16 * p.k) as u64 * 4);
-        let d_out = gpu.alloc((p.k * p.h * p.w * p.n) as u64 * 4);
-        let params = kern.params(d_in, d_tf, d_out);
-        let t = gpusim::timing::time_kernel(
-            &mut gpu,
-            &kern.module,
-            kern.launch_dims(),
-            &params,
-            TimingOptions {
-                region: Some(kern.region),
-                counters,
-                ..Default::default()
-            },
-        )
-        .expect("main loop timing");
-        let tflops = t.region_tflops(&self.device, cfg.mainloop_flops_per_block());
-        (t, tflops)
     }
 
     /// The paper's default fused configuration for this problem.
@@ -576,13 +653,16 @@ impl Conv {
                 .copy_from_slice(&cols[row * ncols..(row + 1) * ncols]);
         }
         let kern = GemmKernel::emit(self.gemm_config(algo));
-        let mut gpu = self.gpu_for(((kd * m + kd * n_pad + m * n_pad) as u64) * 4 + (1 << 20));
-        let da = gpu.alloc_upload_f32(crsk.as_slice());
-        let db = gpu.alloc_upload_f32(&b);
-        let dc = gpu.alloc((m * n_pad) as u64 * 4);
-        gpu.launch_parallel(&kern.module, kern.launch_dims(), &kern.params(da, db, dc))
-            .expect("gemm kernel");
-        let c = gpu.mem.download_f32(dc, (m * n_pad) as usize).unwrap();
+        let (mut gpu, d) = kern.buffers().alloc(self.device.clone());
+        gpu.mem.upload_f32(d[0], crsk.as_slice()).unwrap();
+        gpu.mem.upload_f32(d[1], &b).unwrap();
+        gpu.launch_parallel(
+            &kern.module,
+            kern.launch_dims(),
+            &kern.params(d[0], d[1], d[2]),
+        )
+        .expect("gemm kernel");
+        let c = gpu.mem.download_f32(d[2], (m * n_pad) as usize).unwrap();
         // C is K × (N·OH·OW) padded; repack to NCHW.
         let mut out = Tensor4::zeros(LayoutKind::Nchw, [p.n, p.k, p.h, p.w]);
         for k in 0..p.k {
@@ -600,72 +680,11 @@ impl Conv {
         out
     }
 
-    fn time_gemm_kernel(&self, algo: Algo) -> KernelTiming {
-        self.time_gemm_kernel_opts(algo, false)
-    }
-
-    fn time_gemm_kernel_opts(&self, algo: Algo, counters: bool) -> KernelTiming {
-        let (m, n_pad, kd) = self.gemm_dims();
-        let kern = GemmKernel::emit(self.gemm_config(algo));
-        let mut gpu = self.gpu_for(((kd * m + kd * n_pad + m * n_pad) as u64) * 4 + (1 << 20));
-        let da = gpu.alloc((kd * m) as u64 * 4);
-        let db = gpu.alloc((kd * n_pad) as u64 * 4);
-        let dc = gpu.alloc((m * n_pad) as u64 * 4);
-        time_kernel_device(
-            &mut gpu,
-            &kern.module,
-            kern.launch_dims(),
-            &kern.params(da, db, dc),
-            DeviceOptions {
-                base: TimingOptions {
-                    counters,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .expect("gemm timing")
-    }
-
-    fn time_nonfused_gemm(&self) -> KernelTiming {
-        self.time_nonfused_gemm_opts(false)
-    }
-
-    fn time_nonfused_gemm_opts(&self, counters: bool) -> KernelTiming {
-        let p = &self.problem;
-        // 36 batches of [K×C] × [C×tiles] with F(4×4,3×3) tiling.
-        let tiles = (p.out_h().div_ceil(4) * p.out_w().div_ceil(4) * p.n) as u32;
-        let n_pad = tiles.div_ceil(128) * 128;
-        let cfg = GemmConfig::new(p.k as u32, n_pad, p.c as u32).batched(36);
-        let kern = GemmKernel::emit(cfg);
-        let bytes = 36u64
-            * ((p.k * p.c) as u64 + (p.c as u64 * n_pad as u64) + (p.k as u64 * n_pad as u64))
-            * 4;
-        let mut gpu = self.gpu_for(bytes + (1 << 20));
-        let da = gpu.alloc(36 * (p.c * p.k) as u64 * 4);
-        let db = gpu.alloc(36 * p.c as u64 * n_pad as u64 * 4);
-        let dc = gpu.alloc(36 * p.k as u64 * n_pad as u64 * 4);
-        time_kernel_device(
-            &mut gpu,
-            &kern.module,
-            kern.launch_dims(),
-            &kern.params(da, db, dc),
-            DeviceOptions {
-                base: TimingOptions {
-                    counters,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .expect("nonfused gemm timing")
-    }
-
     // ---- FFT analytic model ------------------------------------------------------
 
     /// Roofline phases for FFT-based convolution with transform size `s` and
     /// `tiles` tiles per image (1 = full-image FFT).
-    fn fft_phases(&self, s: usize, tiles: usize) -> Vec<(String, f64)> {
+    fn fft_phases(&self, s: usize, tiles: usize) -> Vec<Phase> {
         let p = &self.problem;
         let dev = &self.device;
         let s2 = (s * s) as f64;
@@ -680,109 +699,26 @@ impl Conv {
         let n_in = (p.n * p.c * tiles) as f64;
         let n_f = (p.k * p.c) as f64;
         let n_out = (p.n * p.k * tiles) as f64;
-        let mut phases = Vec::new();
-        phases.push((
-            "fft_input".into(),
-            roof(n_in * fft2d_flops, n_in * s2 * (4.0 + cplx)) + LAUNCH_OVERHEAD_S,
-        ));
-        phases.push((
-            "fft_filter".into(),
-            roof(n_f * fft2d_flops, n_f * (9.0 * 4.0 + s2 * cplx)) + LAUNCH_OVERHEAD_S,
-        ));
         // Pointwise complex multiply-accumulate over channels — a batched
         // S²-deep CGEMM. With standard tiling each operand streams from DRAM
         // O(1) times; charge two passes (read + accumulate round trips).
         let macs = (p.n * p.k * p.c * tiles) as f64 * s2;
         let traffic = (n_in + n_f + n_out) * s2 * cplx * 2.0;
-        phases.push((
-            "cgemm_pointwise".into(),
-            roof(macs * 8.0, traffic) + LAUNCH_OVERHEAD_S,
-        ));
-        phases.push((
-            "ifft_output".into(),
-            roof(n_out * fft2d_flops, n_out * s2 * (cplx + 4.0)) + LAUNCH_OVERHEAD_S,
-        ));
-        phases
-    }
-
-    fn gpu_for(&self, bytes: u64) -> Gpu {
-        // Headroom for allocation alignment and rounding.
-        let cap = (bytes + bytes / 2 + (1 << 24)) as usize;
-        Gpu::new(self.device.clone(), cap.next_power_of_two())
-    }
-
-    // ---- content digests for the sweep cache -----------------------------------
-
-    /// Everything every timing path depends on besides the kernels: device,
-    /// problem shape, and the analytic-model constants.
-    fn base_digest(&self) -> Digest {
-        let p = &self.problem;
-        let mut d = Digest::new();
-        // Timing-model semantics version: kernel timings moved when the
-        // full-device multi-wave model replaced one-wave extrapolation, so
-        // every Conv-level cache entry must move with them.
-        d.u32(gpusim::TIMING_MODEL_VERSION);
-        self.device.digest_into(&mut d);
-        for v in [p.n, p.c, p.h, p.w, p.k, p.r, p.s, p.pad] {
-            d.u64(v as u64);
-        }
-        d.f64(LAUNCH_OVERHEAD_S).f64(MEM_EFF);
-        d
-    }
-
-    /// Content address of [`Conv::time`] for `algo`: device + problem +
-    /// model constants + the exact bytes and launch geometry of every kernel
-    /// the path simulates. Emission is pure codegen (microseconds), so
-    /// computing the digest is cheap relative to a simulation; a change to a
-    /// kernel emitter changes the program bytes and hence the address, while
-    /// unrelated kernels keep their cache entries.
-    pub fn time_digest(&self, algo: Algo) -> Digest {
-        let p = &self.problem;
-        let mut d = self.base_digest();
-        d.str(algo.name());
-        match algo {
-            Algo::OursFused | Algo::CudnnWinograd => {
-                let fx = emit_filter_transform(p.c as u32, p.k as u32);
-                module_digest(&fx, &mut d);
-                LaunchDims::linear((p.c * p.k / 256) as u32, 256).digest_into(&mut d);
-                let kern = FusedKernel::emit(self.fused_config(algo));
-                module_digest(&kern.module, &mut d);
-                kern.launch_dims().digest_into(&mut d);
-                d.u32(kern.region.0).u32(kern.region.1);
-            }
-            Algo::Gemm | Algo::ImplicitGemm | Algo::ImplicitPrecompGemm => {
-                let kern = GemmKernel::emit(self.gemm_config(algo));
-                module_digest(&kern.module, &mut d);
-                kern.launch_dims().digest_into(&mut d);
-            }
-            Algo::WinogradNonfused => {
-                let tiles = (p.out_h().div_ceil(4) * p.out_w().div_ceil(4) * p.n) as u32;
-                let n_pad = tiles.div_ceil(128) * 128;
-                let cfg = GemmConfig::new(p.k as u32, n_pad, p.c as u32).batched(36);
-                let kern = GemmKernel::emit(cfg);
-                module_digest(&kern.module, &mut d);
-                kern.launch_dims().digest_into(&mut d);
-            }
-            // Purely analytic: device + problem + constants say it all.
-            Algo::Fft | Algo::FftTiling => {}
-        }
-        d
-    }
-
-    /// Content address of [`Conv::time_fused_mainloop`] for `cfg` (the
-    /// Figures 7–9 sweeps): device + problem + constants + the emitted
-    /// main-loop-only kernel's bytes, launch geometry, timed region, and the
-    /// FLOP count the region TFLOPS figure divides by.
-    pub fn mainloop_digest(&self, mut cfg: FusedConfig) -> Digest {
-        cfg.main_loop_only = true;
-        let kern = FusedKernel::emit(cfg);
-        let mut d = self.base_digest();
-        d.str("mainloop");
-        module_digest(&kern.module, &mut d);
-        kern.launch_dims().digest_into(&mut d);
-        d.u32(kern.region.0).u32(kern.region.1);
-        d.f64(cfg.mainloop_flops_per_block());
-        d
+        vec![
+            Phase::Analytic(
+                "fft_input",
+                roof(n_in * fft2d_flops, n_in * s2 * (4.0 + cplx)),
+            ),
+            Phase::Analytic(
+                "fft_filter",
+                roof(n_f * fft2d_flops, n_f * (9.0 * 4.0 + s2 * cplx)),
+            ),
+            Phase::Analytic("cgemm_pointwise", roof(macs * 8.0, traffic)),
+            Phase::Analytic(
+                "ifft_output",
+                roof(n_out * fft2d_flops, n_out * s2 * (cplx + 4.0)),
+            ),
+        ]
     }
 }
 
@@ -879,8 +815,15 @@ mod tests {
             DeviceSpec::rtx2070(),
         );
         assert_ne!(a, turing.time_digest(Algo::OursFused).hex());
-        // The main-loop sweep digest is its own namespace.
-        assert_ne!(a, conv.mainloop_digest(conv.ours_config()).hex());
+        // Other targets of the same kernels have their own keys.
+        assert_ne!(a, conv.key(Target::mainloop(conv.ours_config())).hex());
+        let ours = Target::fused(conv.ours_config(), Model::Device);
+        assert_ne!(a, conv.key(ours).hex());
+        assert_ne!(
+            conv.key(ours).hex(),
+            conv.key(Target::fused(conv.ours_config(), Model::OneWave))
+                .hex()
+        );
     }
 
     #[test]

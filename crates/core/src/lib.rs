@@ -30,7 +30,7 @@ pub mod resnet;
 pub mod transforms;
 pub mod winograd_host;
 
-pub use conv::{Algo, AlgoTiming, Conv, ConvOutput};
+pub use conv::{Algo, AlgoTiming, Conv, ConvOutput, Kernels, Model, Observe, Target};
 pub use memplan::{plan_arena, ArenaPlan, ArenaPolicy, BufferReq};
 pub use netgraph::{AlgoPolicy, DirectTimer, LayerTimer, NetGraph, NetPlan, TransformCache};
 pub use reference::{conv2d_direct, ConvProblem};

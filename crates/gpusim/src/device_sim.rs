@@ -88,10 +88,10 @@ pub struct DeviceOptions {
     /// only where the steady-state assumption is imperfect, so this
     /// participates in digests ([`DeviceOptions::digest_into`]).
     pub exact: bool,
-    /// Record a [`DeviceTrace`] (per-SM wave spans) alongside the timing.
-    /// Observability only — it never changes a single timing number — so
-    /// like `jobs` it is excluded from digests. Prefer the
-    /// [`time_kernel_device_traced`] entry point over setting this by hand.
+    /// Record a [`DeviceTrace`] (per-SM wave spans) alongside the timing,
+    /// returned by [`time_kernel_device_traced`]. Observability only — it
+    /// never changes a single timing number — so like `jobs` it is excluded
+    /// from digests.
     pub trace: bool,
 }
 
@@ -418,9 +418,9 @@ pub fn time_kernel_device(
     time_kernel_device_with_table(gpu, module, dims, params, opts, &table)
 }
 
-/// [`time_kernel_device`] that also records the device timeline: per-SM
-/// [`WaveSpan`]s plus the makespan. Timing numbers are bit-identical to the
-/// untraced call with the same options. Pair with
+/// [`time_kernel_device`] that also returns the device timeline — per-SM
+/// [`WaveSpan`]s plus the makespan — when [`DeviceOptions::trace`] is set.
+/// Timing numbers are bit-identical to the untraced call. Pair with
 /// [`DeviceOptions::exact`] when every SM should get its own real lane —
 /// the default mode simulates one representative SM per dispatch class, so
 /// its trace has at most two lanes.
@@ -430,14 +430,9 @@ pub fn time_kernel_device_traced(
     dims: LaunchDims,
     params: &[u8],
     opts: DeviceOptions,
-) -> Result<(KernelTiming, DeviceTrace), LaunchError> {
-    let opts = DeviceOptions {
-        trace: true,
-        ..opts
-    };
+) -> Result<(KernelTiming, Option<DeviceTrace>), LaunchError> {
     let table: Vec<InstDesc> = decode_module(&module.insts, opts.base.region);
-    let (timing, trace) = run_device(gpu, module, dims, params, opts, &table)?;
-    Ok((timing, trace.expect("trace requested")))
+    run_device(gpu, module, dims, params, opts, &table)
 }
 
 /// [`time_kernel_device`] with a caller-supplied descriptor table (the same

@@ -170,11 +170,6 @@ impl Gpu {
         }
     }
 
-    /// Convenience: 1 GiB arena.
-    pub fn with_default_mem(device: DeviceSpec) -> Self {
-        Gpu::new(device, 1 << 30)
-    }
-
     /// Allocate device memory.
     pub fn alloc(&mut self, bytes: u64) -> DevPtr {
         self.mem.alloc(bytes)

@@ -42,6 +42,21 @@ impl GlobalMemory {
         ptr
     }
 
+    /// The addresses successive [`GlobalMemory::alloc`] calls of `sizes`
+    /// return on a fresh arena. Pure: a caller can know a buffer layout's
+    /// pointers (and so a launch's parameter bytes) without allocating it.
+    pub fn fresh_addrs(sizes: &[u64]) -> Vec<DevPtr> {
+        let mut next = BASE_ADDR;
+        sizes
+            .iter()
+            .map(|&bytes| {
+                let ptr = next;
+                next = (ptr + bytes).div_ceil(ALLOC_ALIGN) * ALLOC_ALIGN;
+                ptr
+            })
+            .collect()
+    }
+
     /// Bytes currently allocated.
     pub fn used(&self) -> u64 {
         self.next - self.base

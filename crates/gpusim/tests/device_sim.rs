@@ -366,10 +366,20 @@ fn traced_timing_is_identical_and_spans_reconcile() {
     let mut gpu = Gpu::new(dev.clone(), 1 << 22);
     let buf = gpu.alloc(1 << 20);
     let params = ParamBuilder::new().push_ptr(buf).build();
-    let (timing, trace) =
-        gpusim::time_kernel_device_traced(&mut gpu, &m, LaunchDims::linear(100, 64), &params, opts)
-            .unwrap();
+    let traced = DeviceOptions {
+        trace: true,
+        ..opts
+    };
+    let (timing, trace) = gpusim::time_kernel_device_traced(
+        &mut gpu,
+        &m,
+        LaunchDims::linear(100, 64),
+        &params,
+        traced,
+    )
+    .unwrap();
     assert_eq!(format!("{timing:?}"), format!("{plain:?}"));
+    let trace = trace.expect("trace requested");
 
     assert!(!trace.truncated);
     assert_eq!(trace.makespan_cycles, timing.wave_cycles);

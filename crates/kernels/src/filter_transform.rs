@@ -9,20 +9,19 @@
 //! `1/2` rows of `G` through FFMA — 12 + 16 = 28 float instructions per
 //! tile, matching the paper's count for the FTF step (§2.1).
 
+use gpusim::{DevPtr, LaunchDims, ParamBuilder};
 use sass::ctrl::Ctrl;
 use sass::isa::{build, MemWidth, Op, SrcB};
 use sass::reg::{Reg, RZ};
 use sass::Module;
 
+use crate::buffers::Buffers;
 use crate::emit::Emitter;
 
 /// Emit the filter-transform kernel for fixed `(C, K)`.
 ///
-/// Launch with 256-thread blocks and `C·K / 256` blocks (the emitter
-/// requires `C·K` to be a multiple of 256, which holds for every layer in
-/// Table 1).
-///
-/// Parameters: `filter_in` pointer (CRSK), `filter_out` pointer (CR'S'K).
+/// Launch with [`launch_dims`] (the emitter requires `C·K` to be a multiple
+/// of 256, which holds for every layer in Table 1) and [`params`].
 pub fn emit_filter_transform(c_dim: u32, k_dim: u32) -> Module {
     assert_eq!(
         (c_dim * k_dim) % 256,
@@ -142,6 +141,26 @@ pub fn emit_filter_transform(c_dim: u32, k_dim: u32) -> Module {
     e.build("winograd_filter_transform", 0, 16)
 }
 
+/// Launch geometry: one thread per `(c, k)` pair, `C·K / 256` blocks of 256.
+pub fn launch_dims(c_dim: u32, k_dim: u32) -> LaunchDims {
+    LaunchDims::linear(c_dim * k_dim / 256, 256)
+}
+
+/// Parameter blob: the CRSK filter pointer, then the transformed-filter
+/// (`C×4×4×K`) output pointer.
+pub fn params(filter_in: DevPtr, filter_out: DevPtr) -> Vec<u8> {
+    ParamBuilder::new()
+        .push_ptr(filter_in)
+        .push_ptr(filter_out)
+        .build()
+}
+
+/// Device buffers `[CRSK filter, transformed filter]`, f32.
+pub fn buffers(c_dim: u32, k_dim: u32) -> Buffers {
+    let (c, k) = (u64::from(c_dim), u64::from(k_dim));
+    Buffers(vec![c * 9 * k * 4, c * 16 * k * 4])
+}
+
 /// Host-side helper: transformed-filter element count for `(C, K)`.
 pub fn transformed_filter_len(c_dim: u32, k_dim: u32) -> usize {
     (c_dim * 16 * k_dim) as usize
@@ -174,7 +193,7 @@ pub fn transform_cache_key(c_dim: u32, k_dim: u32, tile: u32, filter: &[f32]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpusim::{Gpu, LaunchDims, ParamBuilder};
+    use gpusim::Gpu;
     use tensor::XorShiftRng;
 
     /// Host reference: G f Gᵀ for one 3×3 tile.
@@ -216,9 +235,7 @@ mod tests {
         let mut gpu = Gpu::new(gpusim::DeviceSpec::v100(), 1 << 24);
         let fin = gpu.alloc_upload_f32(&filt);
         let fout = gpu.alloc(transformed_filter_len(c_dim, k_dim) as u64 * 4);
-        let params = ParamBuilder::new().push_ptr(fin).push_ptr(fout).build();
-        let blocks = c_dim * k_dim / 256;
-        gpu.launch(&m, LaunchDims::linear(blocks, 256), &params)
+        gpu.launch(&m, launch_dims(c_dim, k_dim), &params(fin, fout))
             .unwrap();
         let got = gpu
             .mem
@@ -248,16 +265,12 @@ mod tests {
         // The FTF step is memory-bound per the paper's roofline (Fig. 2).
         let (c_dim, k_dim) = (256u32, 256u32);
         let m = emit_filter_transform(c_dim, k_dim);
-        let mut gpu = Gpu::new(gpusim::DeviceSpec::v100(), 1 << 26);
-        let fin = gpu.alloc((c_dim * 9 * k_dim) as u64 * 4);
-        let fout = gpu.alloc(transformed_filter_len(c_dim, k_dim) as u64 * 4);
-        let params = ParamBuilder::new().push_ptr(fin).push_ptr(fout).build();
-        let blocks = c_dim * k_dim / 256;
+        let (mut gpu, b) = buffers(c_dim, k_dim).alloc(gpusim::DeviceSpec::v100());
         let t = gpusim::timing::time_kernel(
             &mut gpu,
             &m,
-            LaunchDims::linear(blocks, 256),
-            &params,
+            launch_dims(c_dim, k_dim),
+            &params(b[0], b[1]),
             gpusim::TimingOptions::default(),
         )
         .unwrap();

@@ -15,6 +15,7 @@ use sass::isa::{build, CmpOp, Instruction, MemWidth, Op, PredGuard, SrcB};
 use sass::reg::{Pred, Reg, RZ};
 use sass::Module;
 
+use crate::buffers::Buffers;
 use crate::emit::Emitter;
 
 /// Configuration: problem sizes are compile-time like all our kernels.
@@ -336,6 +337,19 @@ impl GemmKernel {
             .push_ptr(b)
             .push_ptr(c)
             .build()
+    }
+
+    /// Device buffers `[A, B, C]` over all batches, f32 — the pointers
+    /// [`GemmKernel::params`] takes.
+    pub fn buffers(&self) -> Buffers {
+        let c = &self.config;
+        let (m, n, kd, b) = (
+            u64::from(c.m),
+            u64::from(c.n),
+            u64::from(c.kd),
+            u64::from(c.batches),
+        );
+        Buffers(vec![b * kd * m * 4, b * kd * n * 4, b * m * n * 4])
     }
 }
 

@@ -37,8 +37,10 @@ use sass::isa::{build, CmpOp, Instruction, MemWidth, Op, PredGuard, PredSrc, Src
 use sass::reg::{Pred, Reg, RZ};
 use sass::Module;
 
+use crate::buffers::Buffers;
 pub use crate::emit::YieldStrategy;
 use crate::emit::{Emitter, YieldApplier};
+use crate::filter_transform;
 
 /// LDG interleave distance (§6.2, Fig. 8): one LDG every n FFMAs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -736,6 +738,37 @@ impl FusedKernel {
             .push_ptr(tf_filter)
             .push_ptr(output)
             .build()
+    }
+
+    /// Device buffers `[input, transformed filter, output]`, the pointers
+    /// [`FusedKernel::params`] takes. The fp16 path packs two batch elements
+    /// per word in input and output; its transformed filter is duplicated
+    /// `half2`, one word per element, like the fp32 one.
+    pub fn buffers(&self) -> Buffers {
+        let c = &self.config;
+        let elem = if c.fp16 { 2 } else { 4 };
+        let (ch, hw, n, k) = (
+            u64::from(c.c),
+            u64::from(c.h) * u64::from(c.w),
+            u64::from(c.n),
+            u64::from(c.k),
+        );
+        Buffers(vec![ch * hw * n * elem, ch * 16 * k * 4, k * hw * n * elem])
+    }
+
+    /// The FX → fused pipeline's layout `[input, CRSK filter, transformed
+    /// filter, output]`: [`FusedKernel::buffers`] with the filter the
+    /// filter-transform kernel reads inserted before its output. The fused
+    /// kernel's addresses differ from [`FusedKernel::buffers`], and the L2
+    /// model indexes sets by address, so a kernel timed alone is compared
+    /// with a pipeline timing only on this layout.
+    pub fn pipeline_buffers(&self) -> Buffers {
+        let mut b = self.buffers();
+        b.0.insert(
+            1,
+            filter_transform::buffers(self.config.c, self.config.k).0[0],
+        );
+        b
     }
 }
 

@@ -4,8 +4,8 @@
 //! ragged edges (odd H/W), multiple k-blocks and batch groups, both cache
 //! block sizes, and the no-P2R variant.
 
-use gpusim::{DeviceSpec, Gpu, LaunchDims, ParamBuilder};
-use kernels::filter_transform::emit_filter_transform;
+use gpusim::{DeviceSpec, Gpu};
+use kernels::filter_transform::{self, emit_filter_transform};
 use kernels::{FusedConfig, FusedKernel};
 use tensor::XorShiftRng;
 
@@ -96,13 +96,9 @@ fn run_case(cfg: FusedConfig, seed: u64) {
 
     // Phase 1: filter transform.
     let fx = emit_filter_transform(cfg.c, cfg.k);
-    let fx_params = ParamBuilder::new().push_ptr(d_filt).push_ptr(d_tf).build();
-    gpu.launch_parallel(
-        &fx,
-        LaunchDims::linear(cfg.c * cfg.k / 256, 256),
-        &fx_params,
-    )
-    .expect("filter transform");
+    let fx_dims = filter_transform::launch_dims(cfg.c, cfg.k);
+    gpu.launch_parallel(&fx, fx_dims, &filter_transform::params(d_filt, d_tf))
+        .expect("filter transform");
 
     // Phase 2: fused Winograd.
     let kern = FusedKernel::emit(cfg);

@@ -2,7 +2,7 @@
 //! the §4/§5 design claims, checked on the counters instead of end timing.
 
 use gpusim::{DeviceSpec, Gpu, HwCounters, TimingOptions};
-use kernels::filter_transform::emit_filter_transform;
+use kernels::filter_transform::{self, emit_filter_transform};
 use kernels::{FusedConfig, FusedKernel};
 
 fn count(cfg: FusedConfig) -> HwCounters {
@@ -20,16 +20,9 @@ fn count(cfg: FusedConfig) -> HwCounters {
     let d_out = gpu.alloc((k * h * w * n) as u64 * 4);
 
     let fx = emit_filter_transform(cfg.c, cfg.k);
-    let fx_params = gpusim::ParamBuilder::new()
-        .push_ptr(d_filt)
-        .push_ptr(d_tf)
-        .build();
-    gpu.launch(
-        &fx,
-        gpusim::LaunchDims::linear(cfg.c * cfg.k / 256, 256),
-        &fx_params,
-    )
-    .expect("filter transform");
+    let fx_dims = filter_transform::launch_dims(cfg.c, cfg.k);
+    gpu.launch(&fx, fx_dims, &filter_transform::params(d_filt, d_tf))
+        .expect("filter transform");
 
     let kern = FusedKernel::emit(cfg);
     let params = kern.params(d_in, d_tf, d_out);

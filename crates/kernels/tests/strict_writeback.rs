@@ -6,7 +6,7 @@
 //! output diverges from the reference.
 
 use gpusim::{DeviceSpec, Gpu, TimingOptions};
-use kernels::filter_transform::emit_filter_transform;
+use kernels::filter_transform::{self, emit_filter_transform};
 use kernels::gemm::{GemmConfig, GemmKernel};
 use kernels::{FusedConfig, FusedKernel};
 use tensor::XorShiftRng;
@@ -78,16 +78,9 @@ fn strict_case(cfg: FusedConfig, seed: u64) {
     let d_out = gpu.alloc((k * h * w * n) as u64 * 4);
 
     let fx = emit_filter_transform(cfg.c, cfg.k);
-    let fx_params = gpusim::ParamBuilder::new()
-        .push_ptr(d_filt)
-        .push_ptr(d_tf)
-        .build();
-    gpu.launch(
-        &fx,
-        gpusim::LaunchDims::linear(cfg.c * cfg.k / 256, 256),
-        &fx_params,
-    )
-    .expect("filter transform");
+    let fx_dims = filter_transform::launch_dims(cfg.c, cfg.k);
+    gpu.launch(&fx, fx_dims, &filter_transform::params(d_filt, d_tf))
+        .expect("filter transform");
 
     let kern = FusedKernel::emit(cfg);
     let params = kern.params(d_in, d_tf, d_out);
@@ -189,11 +182,8 @@ fn filter_transform_schedule_is_hazard_free() {
         let mut gpu = Gpu::new(DeviceSpec::v100(), 1 << 24);
         let d_in = gpu.alloc_upload_f32(&filt);
         let d_tf = gpu.alloc((c * 16 * k) as u64 * 4);
-        let params = gpusim::ParamBuilder::new()
-            .push_ptr(d_in)
-            .push_ptr(d_tf)
-            .build();
-        let dims = gpusim::LaunchDims::linear(c * k / 256, 256);
+        let params = filter_transform::params(d_in, d_tf);
+        let dims = filter_transform::launch_dims(c, k);
         if strict {
             gpusim::timing::time_kernel(
                 &mut gpu,

@@ -16,8 +16,8 @@
 //!   Winograd-vs-direct tolerance (different summation order, 1e-3), the
 //!   same bar `fused_correctness.rs` holds the hand kernel to.
 
-use gpusim::{DeviceSpec, Gpu, LaunchDims, ParamBuilder};
-use kernels::filter_transform::emit_filter_transform;
+use gpusim::{DeviceSpec, Gpu};
+use kernels::filter_transform::{self, emit_filter_transform};
 use kernels::{EmitterParams, FusedConfig, FusedKernel};
 use sass::tune::Tuner;
 use sass::Instruction;
@@ -96,13 +96,9 @@ fn tier2_variants_lint_clean_and_bit_exact() {
     let d_tf = gpu.alloc((c * 16 * k) as u64 * 4);
     let d_out = gpu.alloc((k * h * w * n) as u64 * 4);
     let fx = emit_filter_transform(base.c, base.k);
-    let fx_params = ParamBuilder::new().push_ptr(d_filt).push_ptr(d_tf).build();
-    gpu.launch_parallel(
-        &fx,
-        LaunchDims::linear(base.c * base.k / 256, 256),
-        &fx_params,
-    )
-    .expect("filter transform");
+    let fx_dims = filter_transform::launch_dims(base.c, base.k);
+    gpu.launch_parallel(&fx, fx_dims, &filter_transform::params(d_filt, d_tf))
+        .expect("filter transform");
 
     let want = reference(c, h, w, n, k, &input, &filter);
     let points = EmitterParams::legal_points();
@@ -163,13 +159,9 @@ fn tuner_candidates_compute_identical_results() {
     let d_tf = gpu.alloc((c * 16 * k) as u64 * 4);
     let d_out = gpu.alloc((k * h * w * n) as u64 * 4);
     let fx = emit_filter_transform(cfg.c, cfg.k);
-    let fx_params = ParamBuilder::new().push_ptr(d_filt).push_ptr(d_tf).build();
-    gpu.launch_parallel(
-        &fx,
-        LaunchDims::linear(cfg.c * cfg.k / 256, 256),
-        &fx_params,
-    )
-    .expect("filter transform");
+    let fx_dims = filter_transform::launch_dims(cfg.c, cfg.k);
+    gpu.launch_parallel(&fx, fx_dims, &filter_transform::params(d_filt, d_tf))
+        .expect("filter transform");
 
     // Baseline: the detuned kernel. Its output anchors the bit-exact
     // comparison and must itself match the direct reference.

@@ -8,7 +8,7 @@
 
 use winograd_gpu::gpusim::DeviceSpec;
 use winograd_gpu::kernels::YieldStrategy;
-use winograd_gpu::wino_core::{Conv, ConvProblem};
+use winograd_gpu::wino_core::{Conv, ConvProblem, Observe, Target};
 
 fn main() {
     // Conv3N64 on the RTX 2070, like the paper's SASS experiments (§6).
@@ -24,7 +24,9 @@ fn main() {
     ] {
         let mut cfg = conv.ours_config();
         cfg.yield_strategy = strat;
-        let (timing, tflops) = conv.time_fused_mainloop(cfg);
+        let timing = conv.measure(Target::mainloop(cfg), Observe::default());
+        let timing = timing.kernel.expect("main loop simulates");
+        let tflops = timing.region_tflops(&conv.device, cfg.mainloop_flops_per_block());
         println!(
             "  {:<24} {:>6.2} TFLOPS   (yield-induced warp switches per wave: {})",
             name, tflops, timing.yield_switch_cycles
