@@ -92,6 +92,13 @@ echo "== resnet smoke =="
 # "Whole-network ResNet").
 ./target/release/resnet --smoke --json "$fresh/resnet.json" > /dev/null
 
+echo "== repository benchmark smoke =="
+# The repository benchmark (benchmark/, declared by BENCHMARK.json) is its
+# own cargo workspace, so `cargo test --workspace` does not reach it. Its
+# tests run every workload at smoke size, traced and plain, and check that
+# each reports exactly the metric names and units BENCHMARK.json declares.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "== serve smoke =="
 # Serving-engine smoke: tiny shapes, short bursty stream, both devices;
 # asserts both phases drain, the warm plan cache beats cold

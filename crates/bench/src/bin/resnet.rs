@@ -23,7 +23,7 @@
 //! Flags: `--json PATH` (default `BENCH_resnet.json`), `--smoke` (the
 //! 4-node smoke graph + invariant asserts, for CI).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use bench::report::{flag_value, Report};
 use bench::{time_sweep, Table};
@@ -32,31 +32,20 @@ use wino_core::netgraph::LayerTimer;
 use wino_core::resnet::BATCH_SIZES;
 use wino_core::{Algo, AlgoPolicy, AlgoTiming, Conv, ConvProblem, NetGraph, NetPlan};
 
-/// Stable lookup key for one timing point.
-fn point_key(dev: &DeviceSpec, p: &ConvProblem, algo: Algo) -> String {
-    format!(
-        "{}|{}x{}x{}x{}x{}|{}",
-        dev.name,
-        p.n,
-        p.c,
-        p.h,
-        p.w,
-        p.k,
-        algo.name()
-    )
-}
+/// One timing point: device name, problem, algorithm.
+type PointKey = (&'static str, ConvProblem, Algo);
 
 /// [`LayerTimer`] backed by the sweep-memoized timing table.
 struct MapTimer<'a> {
-    timings: &'a HashMap<String, AlgoTiming>,
+    timings: &'a HashMap<PointKey, AlgoTiming>,
 }
 
 impl LayerTimer for MapTimer<'_> {
     fn time(&self, conv: &Conv, algo: Algo) -> AlgoTiming {
-        let key = point_key(&conv.device, &conv.problem, algo);
+        let key = (conv.device.name, conv.problem, algo);
         self.timings
             .get(&key)
-            .unwrap_or_else(|| panic!("timing point {key} not enumerated"))
+            .unwrap_or_else(|| panic!("timing point {key:?} not enumerated"))
             .clone()
     }
 }
@@ -80,27 +69,24 @@ fn main() {
         BATCH_SIZES.iter().map(|&n| NetGraph::resnet50(n)).collect()
     };
 
-    // Enumerate every timing point any policy will probe, dedup, and run
+    // Enumerate every timing point any plan will probe, dedup, and run
     // them through the sweep engine in one deterministic registration pass.
-    let mut points: Vec<(Conv, Algo)> = Vec::new();
-    let mut keys: Vec<String> = Vec::new();
+    let mut seen: HashSet<PointKey> = HashSet::new();
+    let (mut keys, mut points) = (Vec::new(), Vec::new());
     for dev in &devices {
         for g in &graphs {
             for policy in POLICIES {
-                for (_, node) in g.conv_nodes() {
-                    for algo in policy.candidates(&node.problem, dev) {
-                        let key = point_key(dev, &node.problem, algo);
-                        if !keys.contains(&key) {
-                            keys.push(key);
-                            points.push((Conv::new(node.problem, dev.clone()), algo));
-                        }
+                for (p, algo) in g.probes(dev, policy) {
+                    if seen.insert((dev.name, p, algo)) {
+                        keys.push((dev.name, p, algo));
+                        points.push((Conv::new(p, dev.clone()), algo));
                     }
                 }
             }
         }
     }
     let results = time_sweep("resnet", points);
-    let timings: HashMap<String, AlgoTiming> = keys.into_iter().zip(results).collect();
+    let timings: HashMap<PointKey, AlgoTiming> = keys.into_iter().zip(results).collect();
     let timer = MapTimer { timings: &timings };
 
     let mut report = Report::to_path("resnet", Some(json_path));

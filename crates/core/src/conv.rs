@@ -499,7 +499,11 @@ impl Conv {
                 // 36 batches of [K×C] × [C×tiles] with F(4×4,3×3) tiling.
                 let tiles = (p.out_h().div_ceil(4) * p.out_w().div_ceil(4) * p.n) as u32;
                 let n_pad = tiles.div_ceil(128) * 128;
-                let cfg = GemmConfig::new(p.k as u32, n_pad, p.c as u32).batched(36);
+                let (m, kd) = (
+                    (p.k as u32).next_multiple_of(64),
+                    (p.c as u32).next_multiple_of(8),
+                );
+                let cfg = GemmConfig::new(m, n_pad, kd).batched(36);
                 let (buffers, gemm) = Launch::gemm("batched_gemm", GemmKernel::emit(cfg));
                 let phases = vec![
                     Phase::Analytic("input_transform", itf_bytes / bw),
@@ -619,12 +623,15 @@ impl Conv {
 
     // ---- GEMM-based paths ------------------------------------------------------
 
+    /// GEMM shape `(M, N, Kd)`: `K × (N·H·W)` over a `C·9`-deep reduction,
+    /// each zero-padded up to the kernel's tile multiple, so every 3×3
+    /// layer has a legal GEMM path.
     fn gemm_dims(&self) -> (u32, u32, u32) {
         let p = &self.problem;
-        let m = p.k as u32;
+        let m = (p.k as u32).next_multiple_of(64);
         let ncols = (p.n * p.h * p.w) as u32;
         let n_pad = ncols.div_ceil(128) * 128;
-        let kd = (p.c * 9) as u32;
+        let kd = ((p.c * 9) as u32).next_multiple_of(8);
         (m, n_pad, kd)
     }
 
@@ -642,19 +649,22 @@ impl Conv {
     fn run_gemm_based(&self, algo: Algo, input: &Tensor4, filter: &Tensor4) -> Tensor4 {
         let p = &self.problem;
         let (m, n_pad, kd) = self.gemm_dims();
-        let ncols = p.n * p.h * p.w;
-        // A (transposed, Kd×M): filter as CRS×K.
+        let (rows, ncols) = (p.c * 9, p.n * p.h * p.w);
+        // A (transposed, Kd×M): filter as CRS×K, zero-padded.
         let crsk = filter.to_layout(LayoutKind::Crsk); // (C,R,S,K) == CRS×K
-                                                       // B (Kd×N): im2col, padded to n_pad columns.
+        let mut a = vec![0.0f32; (kd * m) as usize];
+        // B (Kd×N): im2col, zero-padded.
         let cols = im2col(p, input);
         let mut b = vec![0.0f32; (kd * n_pad) as usize];
-        for row in 0..kd as usize {
+        for row in 0..rows {
+            a[row * m as usize..row * m as usize + p.k]
+                .copy_from_slice(&crsk.as_slice()[row * p.k..(row + 1) * p.k]);
             b[row * n_pad as usize..row * n_pad as usize + ncols]
                 .copy_from_slice(&cols[row * ncols..(row + 1) * ncols]);
         }
         let kern = GemmKernel::emit(self.gemm_config(algo));
         let (mut gpu, d) = kern.buffers().alloc(self.device.clone());
-        gpu.mem.upload_f32(d[0], crsk.as_slice()).unwrap();
+        gpu.mem.upload_f32(d[0], &a).unwrap();
         gpu.mem.upload_f32(d[1], &b).unwrap();
         gpu.launch_parallel(
             &kern.module,

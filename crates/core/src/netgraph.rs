@@ -6,10 +6,12 @@
 //! or without the hoisted filter-transform cache) and plannable end-to-end:
 //!
 //! * **Per-layer algorithm selection** — [`NetGraph::plan`] times every
-//!   breakeven-pruned candidate ([`candidates`], pruning via
-//!   `perfmodel::nonfused_viable`) through a [`LayerTimer`] and picks the
-//!   fastest per layer; [`AlgoPolicy::Baseline`] excludes the paper's
-//!   kernel, yielding the cuDNN-like library a network would otherwise use.
+//!   legal, breakeven-pruned candidate ([`candidates`], pruning via
+//!   `FusedConfig::check` and `perfmodel::nonfused_viable`) through a
+//!   [`LayerTimer`], once per distinct shape ([`NetGraph::probes`]), and
+//!   picks the fastest per layer; [`AlgoPolicy::Baseline`] excludes the
+//!   paper's kernel, yielding the cuDNN-like library a network would
+//!   otherwise use.
 //! * **Memory planning** — every inter-layer activation and per-layer
 //!   workspace becomes a [`BufferReq`] with a live range over the node
 //!   timeline; [`crate::memplan::plan_arena`] packs them, making the fused
@@ -26,7 +28,7 @@
 //! batch size on both devices and writes `BENCH_resnet.json`; the `serve`
 //! crate wraps a graph as a network-shaped request class.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use gpusim::DeviceSpec;
@@ -312,21 +314,43 @@ impl NetGraph {
         cur
     }
 
+    /// The distinct `(problem, algorithm)` pairs [`NetGraph::plan`] times
+    /// on `device` under `policy`, in first-seen order over the conv nodes
+    /// and their candidates.
+    pub fn probes(&self, device: &DeviceSpec, policy: AlgoPolicy) -> Vec<(ConvProblem, Algo)> {
+        let mut seen = HashSet::new();
+        let mut out = Vec::new();
+        for (_, c) in self.conv_nodes() {
+            for algo in policy.candidates(&c.problem, device) {
+                if seen.insert((c.problem, algo)) {
+                    out.push((c.problem, algo));
+                }
+            }
+        }
+        out
+    }
+
     /// Plan the network on `device` under `policy`: select per-layer
     /// algorithms, split transform vs kernel time, and pack the arena under
-    /// every (policy × hoisting) combination.
+    /// every (policy × hoisting) combination. `timer` is called once per
+    /// [`NetGraph::probes`] pair; repeated layers reuse that timing.
     pub fn plan(&self, device: &DeviceSpec, policy: AlgoPolicy, timer: &dyn LayerTimer) -> NetPlan {
+        let timings: HashMap<(ConvProblem, Algo), AlgoTiming> = self
+            .probes(device, policy)
+            .into_iter()
+            .map(|(p, algo)| ((p, algo), timer.time(&Conv::new(p, device.clone()), algo)))
+            .collect();
         let mut choices = Vec::new();
         let mut probe_s = 0.0;
         for (node, c) in self.conv_nodes() {
             let conv = Conv::new(c.problem, device.clone());
             let algos = policy.candidates(&c.problem, device);
             assert!(!algos.is_empty(), "{}: no candidate algorithms", c.name);
-            let mut best: Option<AlgoTiming> = None;
+            let mut best: Option<&AlgoTiming> = None;
             for &algo in &algos {
-                let t = timer.time(&conv, algo);
+                let t = &timings[&(c.problem, algo)];
                 probe_s += t.time_s;
-                if best.as_ref().is_none_or(|b| t.time_s < b.time_s) {
+                if best.is_none_or(|b| t.time_s < b.time_s) {
                     best = Some(t);
                 }
             }
@@ -469,19 +493,17 @@ pub fn transition_time_s(t: &TransitionNode, device: &DeviceSpec) -> f64 {
     bytes / (device.dram_bw * MEM_EFF) + LAUNCH_OVERHEAD_S
 }
 
-/// Candidate algorithms for one layer, mirroring the serve planner's
-/// breakeven pruning: the fused kernels where the emitters' divisibility
-/// constraints hold, implicit precomp GEMM always, and the nonfused F(4×4)
+/// Candidate algorithms for one layer (the serve planner uses the same
+/// set): each fused kernel whose emitter accepts the shape
+/// (`FusedConfig::check`, which also implies the filter transform's
+/// `C·K % 256`), implicit precomp GEMM always, and the nonfused F(4×4)
 /// pipeline only above the device's break-even `K`.
 pub fn candidates(p: &ConvProblem, device: &DeviceSpec) -> Vec<Algo> {
-    let fx_ok = (p.c * p.k).is_multiple_of(256);
-    let mut v = Vec::new();
-    if fx_ok && p.c.is_multiple_of(8) && p.k.is_multiple_of(64) {
-        v.push(Algo::OursFused);
-    }
-    if fx_ok {
-        v.push(Algo::CudnnWinograd);
-    }
+    let conv = Conv::new(*p, device.clone());
+    let mut v: Vec<Algo> = [Algo::OursFused, Algo::CudnnWinograd]
+        .into_iter()
+        .filter(|&a| conv.fused_config(a).check().is_ok())
+        .collect();
     v.push(Algo::ImplicitPrecompGemm);
     if perfmodel::nonfused_viable(device, p.k as f64) {
         v.push(Algo::WinogradNonfused);
@@ -527,6 +549,11 @@ impl AlgoPolicy {
 /// Timing oracle the planner probes candidates through. The default
 /// [`DirectTimer`] simulates inline; `bench` injects a simcache-memoized
 /// table so planning is cheap, warm, and byte-deterministic.
+///
+/// Contract: `time` must be a pure function of `(conv.problem,
+/// conv.device, algo)`. [`NetGraph::plan`] relies on it, calling `time`
+/// once per distinct pair ([`NetGraph::probes`]) and reusing the result
+/// for every later layer of the same shape.
 pub trait LayerTimer {
     fn time(&self, conv: &Conv, algo: Algo) -> AlgoTiming;
 }
@@ -592,8 +619,10 @@ pub struct NetPlan {
     pub choices: Vec<LayerChoice>,
     /// Modeled time of all transition nodes, seconds.
     pub transitions_s: f64,
-    /// Total candidate-probing time (every evaluated algorithm), seconds —
-    /// the cost a serving planner charges for building this plan cold.
+    /// Total candidate-probing time, seconds: every layer's candidates,
+    /// repeated layers included, although the planner times each distinct
+    /// shape once — the modelled cost a serving planner charges for
+    /// building this plan cold.
     pub probe_s: f64,
     /// End-to-end time with filter transforms recomputed per execution
     /// (cold cache / cuDNN-style per-call behaviour), seconds.

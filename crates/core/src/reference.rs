@@ -11,7 +11,7 @@ use tensor::{LayoutKind, Tensor4};
 /// Stride is fixed at 1 — the paper's scope is the 3×3 stride-1 layers of
 /// ResNet/VGG (§2.1) — but filter size and padding are general here so the
 /// test suite can exercise edge cases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ConvProblem {
     /// Batch size.
     pub n: usize,

@@ -222,35 +222,44 @@ impl FusedConfig {
         }
     }
 
-    pub fn validate(&self) {
-        assert!(self.bk == 64 || self.bk == 32, "bk must be 32 or 64");
-        assert!(
+    /// Whether the emitter accepts this configuration: `Err` names the
+    /// first rule it breaks. Planners filter candidates with this;
+    /// [`FusedConfig::validate`] panics on it.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let rule = |ok: bool, why| if ok { Ok(()) } else { Err(why) };
+        rule(self.bk == 64 || self.bk == 32, "bk must be 32 or 64")?;
+        rule(
             self.pipeline_depth == 1 || self.pipeline_depth == 2,
-            "pipeline_depth must be 1 or 2"
-        );
+            "pipeline_depth must be 1 or 2",
+        )?;
         if self.bk == 32 {
-            assert_eq!(
-                self.filter_ldg,
-                FilterLdgWidth::W32,
-                "bk=32 lanes own one k: filter LDG must be 32-bit"
-            );
-            assert_eq!(
-                self.pipeline_depth, 1,
-                "bk=32 stages input LDGs in the fragment registers: no double buffer"
-            );
+            rule(
+                self.filter_ldg == FilterLdgWidth::W32,
+                "bk=32 lanes own one k: filter LDG must be 32-bit",
+            )?;
+            rule(
+                self.pipeline_depth == 1,
+                "bk=32 stages input LDGs in the fragment registers: no double buffer",
+            )?;
         }
         if self.fp16 {
-            assert_eq!(
-                self.n % (2 * BN),
-                0,
-                "fp16: N must be a multiple of 64 (bn = 64, §8.3)"
-            );
-            assert!(!self.input_nchw, "fp16 path supports CHWN input only");
+            rule(
+                self.n.is_multiple_of(2 * BN),
+                "fp16: N must be a multiple of 64 (bn = 64, §8.3)",
+            )?;
+            rule(!self.input_nchw, "fp16 path supports CHWN input only")?;
         }
-        assert_eq!(self.n % BN, 0, "N must be a multiple of 32");
-        assert_eq!(self.k % self.bk, 0, "K must be a multiple of bk");
-        assert_eq!(self.c % BC, 0, "C must be a multiple of 8");
-        assert!(self.h >= 2 && self.w >= 2, "image too small");
+        rule(self.n.is_multiple_of(BN), "N must be a multiple of 32")?;
+        rule(self.k.is_multiple_of(self.bk), "K must be a multiple of bk")?;
+        rule(self.c.is_multiple_of(BC), "C must be a multiple of 8")?;
+        rule(self.h >= 2 && self.w >= 2, "image too small")
+    }
+
+    /// Panics with the first rule [`FusedConfig::check`] finds broken.
+    pub fn validate(&self) {
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
     }
 
     pub fn htiles(&self) -> u32 {

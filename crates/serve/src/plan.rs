@@ -36,10 +36,11 @@ use std::collections::HashMap;
 use gpusim::digest::module_digest;
 use gpusim::{time_kernel_device, BatchTimer, DeviceOptions, DeviceSpec, Digest, TimingOptions};
 use kernels::{EmitterParams, FusedConfig, FusedKernel};
-use perfmodel::{break_even_k, nonfused_viable, BottleneckReport};
+use perfmodel::{break_even_k, BottleneckReport};
 use sass::island::{run_islands, IslandConfig, Priors, SeedKind};
 use sass::tune::TuneRegion;
 use sass::Module;
+use wino_core::netgraph::candidates;
 use wino_core::{Algo, Conv};
 
 use crate::schedstore::ScheduleStore;
@@ -523,24 +524,6 @@ impl Planner {
             .collect()
     }
 
-    /// Candidate algorithms for `class`: the fused kernels plus implicit
-    /// GEMM, with the nonfused F(4×4) pipeline admitted only above the
-    /// device's breakeven `K` (below it, fused F(2×2) provably wins — see
-    /// `perfmodel::break_even_k` — so probing it would waste PROBE_RUNS).
-    pub fn candidates(&self, class: &ShapeClass) -> Vec<Algo> {
-        let fused_ok = class.c.is_multiple_of(8) && class.k.is_multiple_of(64);
-        let mut algos = Vec::new();
-        if fused_ok {
-            algos.push(Algo::OursFused);
-        }
-        algos.push(Algo::CudnnWinograd);
-        algos.push(Algo::ImplicitPrecompGemm);
-        if nonfused_viable(&self.device, f64::from(class.k)) {
-            algos.push(Algo::WinogradNonfused);
-        }
-        algos
-    }
-
     /// Build the plan for `class` without a tuned-schedule store (any
     /// tuning happens in-process).
     pub fn build(&self, class: &ShapeClass) -> Plan {
@@ -553,14 +536,17 @@ impl Planner {
     /// schedule store is supplied, stored v2-tuner winners are replayed
     /// (digest-verified, re-timed) before any in-process search runs.
     pub fn build_with(&self, class: &ShapeClass, sched: Option<&ScheduleStore>) -> Plan {
-        let algos = self.candidates(class);
         let mut variants = Vec::new();
         let mut probe_ns: u64 = 0;
         let mut top_timing: Option<wino_core::AlgoTiming> = None;
         for &n in &self.batch_sizes {
             let conv = Conv::new(class.problem(n), self.device.clone());
             let mut best: Option<wino_core::AlgoTiming> = None;
-            for &algo in &algos {
+            // The network planner's candidates: legal fused kernels, implicit
+            // GEMM, and the nonfused F(4×4) pipeline only above the device's
+            // breakeven `K` (below it, fused F(2×2) provably wins — see
+            // `perfmodel::break_even_k` — so probing it would waste PROBE_RUNS).
+            for algo in candidates(&conv.problem, &self.device) {
                 let t = conv.time(algo);
                 probe_ns += PROBE_RUNS * to_ns(t.time_s);
                 if best.as_ref().is_none_or(|b| t.time_s < b.time_s) {
