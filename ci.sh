@@ -18,6 +18,14 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== examples =="
+# `cargo test` compiles examples/ but runs none of them. Each one asserts
+# its own result: quickstart checks every algorithm against the direct
+# convolution, assembler_demo its cubin round trip and functional launch.
+for example in quickstart resnet_sweep yield_tuning assembler_demo; do
+  cargo run --release --quiet --example "$example" > /dev/null
+done
+
 echo "== metricsdiff against committed baselines =="
 # Perf-regression gate: regenerate the three baseline experiments with
 # hardware counters on and compare metric-for-metric against baselines/.

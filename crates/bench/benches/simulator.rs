@@ -2,7 +2,7 @@
 //! and the cycle-level timing model.
 
 use bench::harness::Harness;
-use gpusim::{DeviceSpec, Gpu, LaunchDims, ParamBuilder, TimingOptions};
+use gpusim::{DeviceSpec, Gpu, LaunchDims, Model, ParamBuilder, TimingOptions};
 use kernels::{FusedConfig, FusedKernel};
 
 fn functional_block_throughput(h: &Harness) {
@@ -30,17 +30,19 @@ fn timing_model_wave(h: &Harness) {
     h.bench("timing_model_one_wave_c64", None, || {
         let (mut gpu, d) = kern.buffers().alloc(DeviceSpec::rtx2070());
         let params = kern.params(d[0], d[1], d[2]);
-        gpusim::timing::time_kernel(
+        gpusim::simulate(
             &mut gpu,
             &kern.module,
             kern.launch_dims(),
             &params,
+            Model::OneWave,
             TimingOptions {
                 region: Some(kern.region),
                 ..Default::default()
             },
         )
         .unwrap()
+        .0
     });
 }
 

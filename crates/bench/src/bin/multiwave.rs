@@ -3,11 +3,11 @@
 //! For every Table 2 `(layer, batch)` point on both devices, times the
 //! paper's fused Winograd kernel under both timing models:
 //!
-//! * the retained one-wave analytic path (`gpusim::timing::time_kernel`):
-//!   one steady-state wave on one SM, extrapolated to
+//! * the retained one-wave analytic path (`gpusim::simulate` under
+//!   `Model::OneWave`): one steady-state wave on one SM, extrapolated to
 //!   `ceil(total / (resident × SMs))` full device waves;
-//! * the full-device multi-wave simulation (`gpusim::time_kernel_device`):
-//!   every block dispatched to its SM, partial tail waves simulated exactly.
+//! * the full-device multi-wave simulation (`Model::Device`): every block
+//!   dispatched to its SM, partial tail waves simulated exactly.
 //!
 //! The recorded divergence is *signed*. Positive `correction_pct` means the
 //! one-wave model overcharged the grid — typically a partial tail billed as

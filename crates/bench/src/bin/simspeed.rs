@@ -1,8 +1,8 @@
 //! `simspeed` — host-side throughput of the timing simulator itself.
 //!
 //! Every experiment binary is bottlenecked on the timing simulator
-//! (`gpusim::time_kernel_device` for end-to-end points, the one-wave
-//! `gpusim::timing::time_kernel` for the main-loop region sweeps); this
+//! (`gpusim::simulate` under `Model::Device` for end-to-end points, under
+//! `Model::OneWave` for the main-loop region sweeps); this
 //! benchmark tracks how fast those loops run on the host, independent of
 //! what the simulated kernels score. It times a fixed kernel matrix (three
 //! algorithm families × both devices, plus a one-wave main-loop point per
@@ -146,7 +146,7 @@ fn main() {
 
     let prob = problem();
     println!(
-        "simspeed: host throughput of time_kernel on {}x{}x{}x{} c={} ({} iters)",
+        "simspeed: host throughput of gpusim::simulate on {}x{}x{}x{} c={} ({} iters)",
         prob.n, prob.c, prob.h, prob.w, prob.k, iters
     );
 

@@ -22,8 +22,9 @@
 //! come from the profiled region stall shares
 //! (`perfmodel::region_move_weights`). Objective: `gpusim::BatchTimer`
 //! one-wave cycles (decode once, re-patch control codes per candidate),
-//! memoized in `simcache` under the `tune/v2` digest tag. Byte-identical
-//! for any `--jobs`.
+//! memoized in `simcache` under the candidate's `gpusim::key`, so a
+//! timing-model version bump invalidates it. Byte-identical for any
+//! `--jobs`.
 //!
 //! Three runs per device, all recorded in `BENCH_tune.json` (schema v2):
 //!
@@ -52,10 +53,7 @@ use bench::report::{flag_value, Report};
 use bench::simcache::{timing_from_json, timing_to_json, CacheKey, SimStore, Store};
 use bench::Table;
 use gpusim::digest::module_digest;
-use gpusim::{
-    time_kernel_device, timing, BatchTimer, DeviceOptions, DeviceSpec, Digest, Gpu, KernelTiming,
-    LaunchDims, TimingOptions,
-};
+use gpusim::{BatchTimer, DeviceSpec, Digest, Gpu, KernelTiming, LaunchDims, Model, TimingOptions};
 use kernels::filter_transform::{self, emit_filter_transform};
 use kernels::{Buffers, EmitterParams, FusedConfig, FusedKernel};
 use perfmodel::{move_weights, region_move_weights, BottleneckReport};
@@ -129,8 +127,8 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
-/// One simulation of `insts` as a module, memoized by content address
-/// under the `tune/v2` tag. Returns one-wave cycles.
+/// One one-wave simulation of `insts` as a module, memoized by its
+/// `gpusim::key`. Returns one-wave cycles.
 fn evaluate(
     insts: &[Instruction],
     perm: &[u32],
@@ -138,30 +136,18 @@ fn evaluate(
     ctx: &EvalCtx,
 ) -> Option<u64> {
     assert!(lint(insts).is_empty(), "illegal candidate reached evaluate");
-    let cand = Module::new(
-        &ctx.base.info.name,
-        ctx.base.info.smem_bytes,
-        ctx.base.info.param_bytes,
-        insts.to_vec(),
-    );
-    let key = {
-        let mut d = Digest::new();
-        ctx.dev.digest_into(&mut d);
-        module_digest(&cand, &mut d);
-        ctx.dims.digest_into(&mut d);
-        d.u64(ctx.params.len() as u64).bytes(&ctx.params);
-        ctx.opts.digest_into(&mut d);
-        d.str("tune/v2");
-        CacheKey::from_digest(&d)
-    };
+    let cand = ctx.base.with_insts(insts.to_vec());
+    let (dims, model) = (ctx.dims, Model::OneWave);
+    let key = gpusim::key(ctx.dev, &cand, dims, &ctx.params, model, ctx.opts);
+    let key = CacheKey::from_digest(&key);
     if let Some(s) = ctx.store {
         if let Some(t) = s.load(&key).as_ref().and_then(timing_from_json) {
             return Some(t.wave_cycles);
         }
     }
     let (mut gpu, _) = ctx.buffers.alloc(ctx.dev.clone());
-    let t = timer
-        .time(&mut gpu, &cand, perm, ctx.dims, &ctx.params, ctx.opts)
+    let (t, _) = timer
+        .time(&mut gpu, &cand, perm, dims, &ctx.params, model, ctx.opts)
         .expect("candidate timing failed");
     if let Some(s) = ctx.store {
         s.store(&key, &timing_to_json(&t));
@@ -183,19 +169,8 @@ fn islands_over(
     })
 }
 
-fn regions_of(kern: &FusedKernel) -> Vec<TuneRegion> {
-    kern.regions
-        .iter()
-        .map(|r| TuneRegion {
-            name: r.name.clone(),
-            start: r.start,
-            end: r.end,
-        })
-        .collect()
-}
-
-/// Profile `kern` once (cold, uncached — profiling options change the
-/// digest anyway) and aim the search: per-region proposal odds from the
+/// Profile `kern` once (cold, uncached — a cached timing carries no
+/// profile) and aim the search: per-region proposal odds from the
 /// stall/issue cycle split, family weights from the classified bottleneck,
 /// per-region family priors from the profiled stall shares.
 fn profile_priors(
@@ -209,8 +184,15 @@ fn profile_priors(
         counters: true,
         ..ctx.opts
     };
-    let mut t = timing::time_kernel(&mut gpu, &kern.module, ctx.dims, &ctx.params, popts)
-        .expect("profile run failed");
+    let (mut t, _) = gpusim::simulate(
+        &mut gpu,
+        &kern.module,
+        ctx.dims,
+        &ctx.params,
+        Model::OneWave,
+        popts,
+    )
+    .expect("profile run failed");
     let names: Vec<String> = regions.iter().map(|r| r.name.clone()).collect();
     let totals = t.profile.as_mut().map(|prof| {
         prof.regions = kern.regions.clone();
@@ -243,15 +225,6 @@ fn digest_of(m: &Module) -> String {
     let mut d = Digest::new();
     module_digest(m, &mut d);
     d.hex()
-}
-
-fn module_with(base: &Module, insts: Vec<Instruction>) -> Module {
-    Module::new(
-        &base.info.name,
-        base.info.smem_bytes,
-        base.info.param_bytes,
-        insts,
-    )
 }
 
 // ---- functional differential check ------------------------------------------
@@ -393,7 +366,7 @@ fn tier2_search(dev: &DeviceSpec, store: Option<&Store>, f: &Flags) -> (Vec<Tier
             let p = points[idx];
             let kern = FusedKernel::emit(p.apply(proxy_config()));
             let ctx = EvalCtx::new(dev, &kern, store);
-            let regions = regions_of(&kern);
+            let regions = kern.tune_regions();
             let (_, priors) = profile_priors(&ctx, &kern, &regions);
             let mut icfg = IslandConfig::new(2, 2, (rung_budget / 2).max(1), f.seed);
             icfg.seeds = vec![SeedKind::Hand, SeedKind::HandGreedy];
@@ -440,7 +413,7 @@ fn recovery_run(dev: &DeviceSpec, store: Option<&Store>, f: &Flags) -> RecoveryR
     let hand = FusedKernel::emit(proxy_config());
     let naive = FusedKernel::emit_detuned(proxy_config());
     let ctx = EvalCtx::new(dev, &hand, store);
-    let regions = regions_of(&hand);
+    let regions = hand.tune_regions();
     let region_names: Vec<String> = regions.iter().map(|r| r.name.clone()).collect();
     // Aim the search by profiling the *detuned* baseline — where the naive
     // schedule burns cycles is where the recovery search must move.
@@ -460,7 +433,7 @@ fn recovery_run(dev: &DeviceSpec, store: Option<&Store>, f: &Flags) -> RecoveryR
         .find(|s| s.seed_kind == SeedKind::Detuned)
         .map(|s| s.start_cost)
         .expect("lineup has a detuned island");
-    let schedule_digest = digest_of(&module_with(&ctx.base, outcome.best_insts.clone()));
+    let schedule_digest = digest_of(&ctx.base.with_insts(outcome.best_insts.clone()));
     RecoveryRun {
         bound,
         naive_cycles,
@@ -495,7 +468,7 @@ fn conv2_run(
     let cfg = conv2_config();
     let hand = FusedKernel::emit(cfg);
     let ctx = EvalCtx::new(dev, &hand, store);
-    let regions = regions_of(&hand);
+    let regions = hand.tune_regions();
     // Profile the *hand* schedule: the search starts there, so the priors
     // should point at whatever stalls the authors left on the table.
     let (_, priors) = profile_priors(&ctx, &hand, &regions);
@@ -506,18 +479,16 @@ fn conv2_run(
     icfg.traj_mode = f.traj;
     let outcome = islands_over(&ctx, &hand.module.insts, &regions, &priors, &icfg);
     let hand_wave_cycles = outcome.per_island[0].start_cost;
-    let best = module_with(&ctx.base, outcome.best_insts.clone());
+    let best = ctx.base.with_insts(outcome.best_insts.clone());
     let schedule_digest = digest_of(&best);
 
     // The claim that matters is multi-wave: time both schedules through the
     // full device model and compare whole-kernel cycles.
-    let dopts = DeviceOptions {
-        base: ctx.opts,
-        ..Default::default()
-    };
     let time_device = |m: &Module| -> KernelTiming {
         let (mut gpu, _) = ctx.buffers.alloc(dev.clone());
-        time_kernel_device(&mut gpu, m, ctx.dims, &ctx.params, dopts).expect("device sim failed")
+        gpusim::simulate(&mut gpu, m, ctx.dims, &ctx.params, Model::Device, ctx.opts)
+            .expect("device sim failed")
+            .0
     };
     let hand_t = time_device(&hand.module);
     let tuned_t = time_device(&best);
@@ -568,7 +539,7 @@ fn smoke(seed: u64, report: &mut Report) {
     let dev = DeviceSpec::v100();
     let hand = FusedKernel::emit(proxy_config());
     let ctx = EvalCtx::new(&dev, &hand, None);
-    let regions = regions_of(&hand);
+    let regions = hand.tune_regions();
     let priors = Priors::default();
     let run = |jobs: usize| {
         let mut icfg = IslandConfig::new(2, 2, 15, seed);

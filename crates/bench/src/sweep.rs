@@ -2,8 +2,8 @@
 //!
 //! Every experiment binary replays one paper figure or table by evaluating a
 //! grid of independent `(device, kernel build, config)` points, each of
-//! which runs the cycle simulator ([`gpusim::timing::time_kernel`]) on its
-//! own private [`gpusim::Gpu`]. Points share nothing, so the engine runs
+//! which runs the cycle simulator ([`gpusim::simulate`]) on its own private
+//! [`gpusim::Gpu`]. Points share nothing, so the engine runs
 //! them on a fixed-size host thread pool (`std::thread::scope`, the same
 //! pattern as [`gpusim::Gpu::launch_parallel`]) and collects results **by
 //! point index, never by completion order** — tables and `--json` records

@@ -11,7 +11,7 @@
 use bench::json::obj;
 use bench::simcache::{timing_from_json, timing_to_json, CacheKey, Store};
 use bench::sweep::{Sweep, SweepOptions};
-use gpusim::{DeviceSpec, Gpu, LaunchDims, TimingOptions};
+use gpusim::{DeviceSpec, Gpu, LaunchDims, Model, TimingOptions};
 use sass::assemble;
 
 const K1: &str = "MOV R0, 0x1;\nEXIT;";
@@ -38,17 +38,12 @@ fn sim_point(sw: &mut Sweep, src: &'static str) {
     let dev = DeviceSpec::rtx2070();
     let module = assemble(src).unwrap();
     let dims = LaunchDims::linear(2, 32);
-    let key = CacheKey::new(gpusim::timing_digest(
-        &dev,
-        &module,
-        dims,
-        &[],
-        TimingOptions::default(),
-    ));
+    let (model, opts) = (Model::OneWave, TimingOptions::default());
+    let key = CacheKey::from_digest(&gpusim::key(&dev, &module, dims, &[], model, opts));
     sw.point(key, move || {
         let mut gpu = Gpu::new(dev.clone(), 1 << 20);
-        let t = gpusim::timing::time_kernel(&mut gpu, &module, dims, &[], TimingOptions::default())
-            .expect("test kernel times");
+        let (t, _) =
+            gpusim::simulate(&mut gpu, &module, dims, &[], model, opts).expect("test kernel times");
         timing_to_json(&t)
     });
 }
@@ -100,14 +95,16 @@ fn kernel_timing_survives_json_round_trip() {
     let dev = DeviceSpec::v100();
     let module = assemble(K1).unwrap();
     let mut gpu = Gpu::new(dev, 1 << 20);
-    let t = gpusim::timing::time_kernel(
+    let t = gpusim::simulate(
         &mut gpu,
         &module,
         LaunchDims::linear(2, 32),
         &[],
+        Model::OneWave,
         TimingOptions::default(),
     )
-    .expect("test kernel times");
+    .expect("test kernel times")
+    .0;
     let j = timing_to_json(&t);
     let back = timing_from_json(&j).expect("timing record parses back");
     assert_eq!(j.render(), timing_to_json(&back).render());

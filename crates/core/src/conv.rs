@@ -27,9 +27,9 @@
 //! observation can enter a key.
 
 use gpusim::digest::module_digest;
+pub use gpusim::Model;
 use gpusim::{
-    time_kernel_device_traced, DevPtr, DeviceOptions, DeviceSpec, DeviceTrace, Digest, Gpu,
-    KernelTiming, LaunchDims, Region, TimingOptions,
+    DevPtr, DeviceSpec, DeviceTrace, Digest, Gpu, KernelTiming, LaunchDims, Region, TimingOptions,
 };
 use kernels::filter_transform::{self, emit_filter_transform};
 use kernels::gemm::{GemmConfig, GemmKernel};
@@ -131,20 +131,6 @@ impl Kernels {
             Kernels::Fused(_) => Algo::CudnnWinograd,
         }
     }
-}
-
-/// The timing model a [`Target`] runs under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Model {
-    /// Full-device multi-wave simulation (`gpusim::time_kernel_device`).
-    Device,
-    /// The device model with every SM and wave simulated individually
-    /// (`DeviceOptions::exact`), so a trace gets one real lane per SM.
-    DeviceExact,
-    /// One steady-state wave on one SM, extrapolated
-    /// (`gpusim::timing::time_kernel`): the Figures 7–9 main-loop unit and
-    /// the cross-check of the device model.
-    OneWave,
 }
 
 /// What [`Conv::measure`] simulates: a kernel selection under a model.
@@ -254,32 +240,23 @@ impl Launch {
             region: self.region,
             profile: observe.profile,
             counters: observe.counters,
+            trace: observe.trace,
             ..Default::default()
         }
     }
 
+    /// [`gpusim::simulate`] this launch; a trace under
+    /// [`Model::OneWave`] panics, since the one-wave model has no device
+    /// timeline.
     fn simulate(
         &self,
         gpu: &mut Gpu,
         model: Model,
         observe: Observe,
     ) -> (KernelTiming, Option<DeviceTrace>) {
-        let base = self.options(observe);
-        let opts = DeviceOptions {
-            base,
-            exact: model == Model::DeviceExact,
-            trace: observe.trace,
-            ..Default::default()
-        };
-        let (m, dims, params) = (&self.module, self.dims, &self.params[..]);
-        let (mut t, trace) = match model {
-            Model::OneWave => {
-                assert!(!observe.trace, "a wave trace needs a device model");
-                let t = gpusim::timing::time_kernel(gpu, m, dims, params, base);
-                (t.expect(self.name), None)
-            }
-            _ => time_kernel_device_traced(gpu, m, dims, params, opts).expect(self.name),
-        };
+        let (m, dims, opts) = (&self.module, self.dims, self.options(observe));
+        let (mut t, trace) =
+            gpusim::simulate(gpu, m, dims, &self.params, model, opts).expect(self.name);
         if let Some(prof) = t.profile.as_mut() {
             prof.regions = self.regions.clone();
         }

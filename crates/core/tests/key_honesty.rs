@@ -3,13 +3,20 @@
 //! The sweep cache (`bench::simcache`) serves a stored result whenever the
 //! [`Conv::key`] of a point matches, so a key that misses an input the
 //! result depends on silently serves stale numbers. This test pins one
-//! `(key, result digest)` pair per `Conv` point family on a small problem
-//! in a committed golden file:
+//! `(key, result digest)` pair per `Conv` point family in a committed
+//! golden file:
 //!
 //! * `time/<ALGO>` — [`Conv::time`] of every algorithm, FFT included;
 //! * `counted/<ALGO>` — the counted re-run (`--metrics`), counters included;
 //! * `mainloop`, `fused/one-wave`, `fused/device` — the single-kernel
 //!   targets of Figures 7–9 and the `multiwave` cross-check.
+//!
+//! The unprefixed lines use a V100 problem whose OURS kernel is one wave
+//! that, on the device model, hits no cache. The `rtx2070/` lines repeat
+//! `time`, `counted/OURS` and `fused` on a problem whose OURS kernel makes
+//! L1 and L2 sector hits and ends in a partial wave, so those model paths
+//! are under the test too (`wide_problem_reaches_the_caches_and_a_partial_wave`
+//! keeps it so).
 //!
 //! A line whose result changed under an unchanged key fails with the
 //! dishonest-key message. A line whose key moved fails as a stale golden:
@@ -30,33 +37,72 @@ fn digest_of(text: &str) -> String {
     d.hex()
 }
 
+/// The problem of the `rtx2070/` lines: OURS runs 64 blocks at one block
+/// per SM on 36 SMs, through the L1 and the L2.
+fn wide() -> Conv {
+    Conv::new(ConvProblem::resnet3x3(32, 8, 16, 64), DeviceSpec::rtx2070())
+}
+
 /// `(label, key, result digest)` for every point family.
 fn points() -> Vec<(String, String, String)> {
-    let conv = Conv::new(ConvProblem::resnet3x3(32, 8, 8, 64), DeviceSpec::v100());
-    let line = |label: String, target: Target, observe: Observe| {
+    let line = |conv: &Conv, label: String, target: Target, observe: Observe| {
         let t: AlgoTiming = conv.measure(target, observe);
         (label, conv.key(target).hex(), digest_of(&format!("{t:?}")))
     };
+    let conv = Conv::new(ConvProblem::resnet3x3(32, 8, 8, 64), DeviceSpec::v100());
     let mut v = Vec::new();
     for algo in Algo::ALL {
         let label = format!("time/{}", algo.name());
-        v.push(line(label, Target::algo(algo), Observe::default()));
+        v.push(line(&conv, label, Target::algo(algo), Observe::default()));
     }
     for algo in [Algo::OursFused, Algo::ImplicitPrecompGemm] {
         let label = format!("counted/{}", algo.name());
-        v.push(line(label, Target::algo(algo), Observe::COUNTERS));
+        v.push(line(&conv, label, Target::algo(algo), Observe::COUNTERS));
     }
     let cfg = conv.ours_config();
-    v.push(line(
-        "mainloop".into(),
-        Target::mainloop(cfg),
-        Observe::default(),
-    ));
+    let mainloop = Target::mainloop(cfg);
+    v.push(line(&conv, "mainloop".into(), mainloop, Observe::default()));
     for model in [Model::OneWave, Model::Device] {
         let label = format!("fused/{model:?}");
-        v.push(line(label, Target::fused(cfg, model), Observe::default()));
+        let target = Target::fused(cfg, model);
+        v.push(line(&conv, label, target, Observe::default()));
+    }
+
+    let wide = wide();
+    for algo in Algo::ALL {
+        let label = format!("rtx2070/time/{}", algo.name());
+        v.push(line(&wide, label, Target::algo(algo), Observe::default()));
+    }
+    let ours = Target::algo(Algo::OursFused);
+    v.push(line(
+        &wide,
+        "rtx2070/counted/OURS".into(),
+        ours,
+        Observe::COUNTERS,
+    ));
+    for model in [Model::OneWave, Model::Device] {
+        let label = format!("rtx2070/fused/{model:?}");
+        let target = Target::fused(wide.ours_config(), model);
+        v.push(line(&wide, label, target, Observe::default()));
     }
     v
+}
+
+/// The `rtx2070/` lines cover what the V100 lines cannot: cache hits and a
+/// partial last wave. If the problem or the model drifts so that they no
+/// longer do, this fails before the golden quietly stops testing them.
+#[test]
+fn wide_problem_reaches_the_caches_and_a_partial_wave() {
+    let conv = wide();
+    let t = conv
+        .time_counted(Algo::OursFused)
+        .expect("OURS runs a kernel");
+    let c = t.counters.as_ref().expect("counters requested");
+    assert!(c.l1_sector_hits > 0, "no L1 sector hits");
+    assert!(c.l2_sector_hits > 0, "no L2 sector hits");
+    let full_wave = u64::from(t.blocks_per_sm) * u64::from(conv.device.num_sms);
+    assert!(t.waves > 1, "one wave only");
+    assert_ne!(t.total_blocks % full_wave, 0, "the last wave is full");
 }
 
 #[test]

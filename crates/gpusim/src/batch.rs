@@ -11,11 +11,12 @@
 //! fields (`InstDesc::repatch_ctrl`).
 //!
 //! `gpusim/tests/batch_identity.rs` pins that this path is result-identical
-//! to a fresh [`time_kernel`] on every candidate shape the tuner produces.
+//! to a fresh [`simulate`] on every candidate shape the tuner produces.
 
 use crate::decode::{decode_module, InstDesc};
+use crate::device_sim::DeviceTrace;
 use crate::launch::{Gpu, LaunchDims, LaunchError};
-use crate::timing::{time_kernel, time_kernel_with_table, KernelTiming, TimingOptions};
+use crate::timing::{simulate, simulate_decoded, KernelTiming, Model, TimingOptions};
 use sass::Module;
 
 /// Reusable decoded-descriptor table for timing many schedule variants of
@@ -51,10 +52,11 @@ impl BatchTimer {
         }
     }
 
-    /// Time `candidate`, whose instruction at position `i` is baseline
-    /// instruction `perm[i]`. Falls back to a fresh decode when the shapes
-    /// don't match (different length — e.g. a candidate from some other
-    /// module), so the call is always safe.
+    /// [`simulate`] `candidate`, whose instruction at position `i` is
+    /// baseline instruction `perm[i]`. Falls back to a fresh decode when the
+    /// shapes don't match (different length — e.g. a candidate from some
+    /// other module), so the call is always safe.
+    #[allow(clippy::too_many_arguments)]
     pub fn time(
         &mut self,
         gpu: &mut Gpu,
@@ -62,11 +64,12 @@ impl BatchTimer {
         perm: &[u32],
         dims: LaunchDims,
         params: &[u8],
+        model: Model,
         opts: TimingOptions,
-    ) -> Result<KernelTiming, LaunchError> {
+    ) -> Result<(KernelTiming, Option<DeviceTrace>), LaunchError> {
         let n = candidate.insts.len();
         if perm.len() != n || self.base.len() != n {
-            return time_kernel(gpu, candidate, dims, params, opts);
+            return simulate(gpu, candidate, dims, params, model, opts);
         }
         self.scratch.clear();
         for (pc, inst) in candidate.insts.iter().enumerate() {
@@ -80,6 +83,6 @@ impl BatchTimer {
             d.repatch_ctrl(inst, pc as u32, opts.region);
             self.scratch.push(d);
         }
-        time_kernel_with_table(gpu, candidate, dims, params, opts, &self.scratch)
+        simulate_decoded(gpu, candidate, dims, params, model, opts, &self.scratch)
     }
 }

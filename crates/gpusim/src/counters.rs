@@ -2,14 +2,15 @@
 //! (our equivalent of an Nsight Compute section set: memory workload,
 //! scheduler statistics, occupancy and pipe utilization).
 //!
-//! When [`crate::TimingOptions::counters`] is set, the cycle loop in
-//! [`crate::timing::time_kernel`] fills an [`HwCounters`] alongside the
-//! ordinary [`crate::KernelTiming`] result, following the same zero-cost
-//! pattern as [`crate::simprof`]: the collector lives in an `Option`, every
+//! When [`crate::TimingOptions::counters`] is set, the cycle loop under
+//! [`crate::simulate`] fills an [`HwCounters`] alongside the ordinary
+//! [`crate::KernelTiming`] result, under every [`crate::Model`] (the device
+//! models sum it over SMs). It follows the same zero-cost pattern as
+//! [`crate::simprof`]: the collector lives in an `Option`, every
 //! instrumentation site is a pure read of state the loop already computes,
 //! and with the flag off the timing numbers are bit-identical (asserted by
 //! `gpusim/tests/counter_invariants.rs`) — which is also why the flag is
-//! excluded from cache digests ([`crate::digest`]).
+//! excluded from cache digests ([`crate::key`]).
 //!
 //! Every counter carries an **exactness invariant** that reconciles it with
 //! the rest of the model ([`HwCounters::validate`] checks the internal ones;

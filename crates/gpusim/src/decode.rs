@@ -1,6 +1,6 @@
 //! Decoded-instruction descriptor table for the timing hot loop.
 //!
-//! [`crate::timing::time_kernel`] simulates every cycle of a wave; anything
+//! [`crate::simulate`] simulates every cycle of a wave; anything
 //! the per-cycle path computes by pattern-matching [`Op`] is paid millions
 //! of times per launch. This module folds all of it into one flat
 //! [`InstDesc`] per PC, built once per launch:

@@ -1,10 +1,12 @@
-//! Full-device, multi-wave, event-driven timing model.
+//! Full-device, multi-wave, event-driven timing model: the
+//! [`Device`](crate::Model::Device) and
+//! [`DeviceExact`](crate::Model::DeviceExact) models of [`crate::simulate`].
 //!
-//! The one-wave path ([`crate::timing::time_kernel`]) times one steady-state
-//! wave on one SM and extrapolates `waves = ceil(total / (resident × S))`.
-//! That arithmetic mistimes every grid whose last wave is partial: a handful
-//! of straggler blocks is charged a full-device wave, and cross-SM tail
-//! imbalance is invisible. This module fixes that by simulating the whole
+//! The one-wave model times one steady-state wave on one SM and
+//! extrapolates `waves = ceil(total / (resident × S))`. That arithmetic
+//! mistimes every grid whose last wave is partial: a handful of straggler
+//! blocks is charged a full-device wave, and cross-SM tail imbalance is
+//! invisible. This module fixes that by simulating the whole
 //! device:
 //!
 //! * a **block dispatcher** places every thread block of the launch on its
@@ -43,9 +45,9 @@
 //! `total mod S` SMs own one extra block), and SMs within a class differ
 //! only in block coordinates, hence memory addresses. By default one
 //! representative SM per class is simulated and its tallies scaled by the
-//! class size. [`DeviceOptions::exact`] disables both shortcuts — every SM,
-//! every wave — and the golden tests pin that the default, the exact mode
-//! and the one-wave model all agree on exact-multiple grids.
+//! class size. The exact model disables both shortcuts — every SM, every
+//! wave — and the golden tests pin that the default, the exact model and
+//! the one-wave model all agree on exact-multiple grids.
 //!
 //! Semantics notes:
 //!
@@ -58,53 +60,18 @@
 //!   fast-forwarded) waves — no grid-ratio scaling.
 //! * Like the one-wave path, this is a timing model: blocks covered by a
 //!   fast-forwarded wave are not executed functionally. Use
-//!   [`Gpu::launch`] / [`Gpu::launch_parallel`] for functional results.
+//!   [`Gpu::launch`](crate::Gpu::launch) or
+//!   [`Gpu::launch_parallel`](crate::Gpu::launch_parallel) for functional
+//!   results.
 
 use crate::counters::HwCounters;
-use crate::decode::{decode_module, InstDesc};
-use crate::device::DeviceSpec;
-use crate::launch::{Gpu, LaunchDims, LaunchError, SharedMem};
-use crate::memory::{ConstBank, GlobalMemory};
+use crate::launch::{LaunchError, SharedMem};
+use crate::memory::GlobalMemory;
 use crate::simprof::KernelProfile;
 use crate::timeq::TimeQueue;
 use crate::timing::{
-    effective_residency, grid_coord, simulate_wave, zero_timing, KernelTiming, SmCarry,
-    TimingOptions, WaveOutput, WaveParams,
+    grid_coord, simulate_wave, KernelTiming, Launch, SmCarry, WaveOutput, WaveParams,
 };
-use sass::Module;
-
-/// Options for a full-device timing run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DeviceOptions {
-    /// The per-wave options (occupancy override, region, strict writeback,
-    /// profile, counters) — same meaning as in the one-wave model.
-    pub base: TimingOptions,
-    /// Worker threads to shard SMs across. `0` uses the host's available
-    /// parallelism. Results are bit-identical for every value.
-    pub jobs: usize,
-    /// Simulate every SM and every wave individually instead of
-    /// fast-forwarding steady-state waves and deduplicating SM dispatch
-    /// classes. Much slower; results legitimately differ from the default
-    /// only where the steady-state assumption is imperfect, so this
-    /// participates in digests ([`DeviceOptions::digest_into`]).
-    pub exact: bool,
-    /// Record a [`DeviceTrace`] (per-SM wave spans) alongside the timing,
-    /// returned by [`time_kernel_device_traced`]. Observability only — it
-    /// never changes a single timing number — so like `jobs` it is excluded
-    /// from digests.
-    pub trace: bool,
-}
-
-impl DeviceOptions {
-    /// Digest the options that change results. `jobs` is deliberately
-    /// excluded: sharding is bit-stable, so a cache entry computed under any
-    /// `jobs` serves all of them. `trace` is excluded for the same reason:
-    /// recording spans changes no result bytes.
-    pub fn digest_into(&self, d: &mut crate::digest::Digest) {
-        self.base.digest_into(d);
-        d.bool(self.exact);
-    }
-}
 
 /// Cap on recorded wave spans per simulated SM; past it the trace sets
 /// `truncated` and keeps timing (mirrors `simprof`'s issue-event cap).
@@ -115,8 +82,8 @@ pub const WAVE_SPAN_CAP: usize = 1 << 20;
 /// SMs start together and run their waves back-to-back).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WaveSpan {
-    /// SM that ran the chunk (a class representative unless
-    /// [`DeviceOptions::exact`] is set).
+    /// SM that ran the chunk (a class representative unless the model is
+    /// [`DeviceExact`](crate::Model::DeviceExact)).
     pub sm: u32,
     /// First wave index the chunk covers.
     pub wave: u64,
@@ -153,15 +120,8 @@ pub struct DeviceTrace {
 
 /// Immutable per-launch context shared by every SM simulation.
 struct Ctx<'a> {
-    device: &'a DeviceSpec,
-    module: &'a Module,
-    table: &'a [InstDesc],
-    dims: LaunchDims,
-    cbank: &'a ConstBank,
-    base: TimingOptions,
+    launch: &'a Launch<'a>,
     exact: bool,
-    trace: bool,
-    resident: u32,
     num_sms: u64,
     /// Dispatch shape: every SM owns `q` blocks, the first `r` SMs one more.
     q: u64,
@@ -178,7 +138,7 @@ impl Ctx<'_> {
     /// curve. Monotone non-increasing in `w`, so a range is share-constant
     /// iff its two endpoints agree.
     fn share_at(&self, w: u64) -> u64 {
-        let need = w.saturating_mul(self.resident as u64);
+        let need = w.saturating_mul(self.launch.resident as u64);
         let mut n = 0;
         if self.q > need {
             n += self.num_sms - self.r;
@@ -194,8 +154,8 @@ impl Ctx<'_> {
         (0..n as u64)
             .map(|i| {
                 grid_coord(
-                    self.dims,
-                    sm + (wave * self.resident as u64 + i) * self.num_sms,
+                    self.launch.dims,
+                    sm + (wave * self.launch.resident as u64 + i) * self.num_sms,
                 )
             })
             .collect()
@@ -304,13 +264,19 @@ struct SmState {
 impl SmState {
     fn new(cx: &Ctx<'_>, sm: u64) -> Self {
         let count = cx.count(sm);
+        let Launch {
+            device,
+            module,
+            resident,
+            ..
+        } = *cx.launch;
         SmState {
             sm,
-            full: count / cx.resident as u64,
-            rem: (count % cx.resident as u64) as u32,
+            full: count / resident as u64,
+            rem: (count % resident as u64) as u32,
             w: 0,
             prev_cycles: None,
-            carry: SmCarry::new(cx.device, cx.module.info.smem_bytes, cx.resident),
+            carry: SmCarry::new(device, module.info.smem_bytes, resident),
             acc: SmAcc::default(),
         }
     }
@@ -323,8 +289,9 @@ impl SmState {
     /// device-time cycles consumed, i.e. this SM's next wave boundary
     /// relative to its current one.
     fn advance(&mut self, cx: &Ctx<'_>, mem: &mut GlobalMemory) -> Result<u64, LaunchError> {
+        let (resident, trace) = (cx.launch.resident, cx.launch.opts.trace);
         let (wave, n, share) = if self.w < self.full {
-            (self.w, cx.resident, cx.share_at(self.w))
+            (self.w, resident, cx.share_at(self.w))
         } else {
             (self.full, self.rem, cx.share_at(self.full))
         };
@@ -332,23 +299,18 @@ impl SmState {
         let out = simulate_wave(
             mem,
             &WaveParams {
-                device: cx.device,
-                module: cx.module,
-                table: cx.table,
-                dims: cx.dims,
-                cbank: cx.cbank,
-                opts: cx.base,
+                launch: cx.launch,
                 coords: &coords,
                 share_sms: share as f64,
             },
             &mut self.carry,
         )?;
         let cycles = out.cycles;
-        if n < cx.resident {
+        if n < resident {
             // Trailing partial wave: always simulated exactly, never
             // fast-forwarded.
             self.rem = 0;
-            if cx.trace {
+            if trace {
                 self.acc.trace_span(WaveSpan {
                     sm: self.sm as u32,
                     wave,
@@ -387,7 +349,7 @@ impl SmState {
             }
         }
         self.prev_cycles = Some(cycles);
-        if cx.trace {
+        if trace {
             self.acc.trace_span(WaveSpan {
                 sm: self.sm as u32,
                 wave,
@@ -404,81 +366,27 @@ impl SmState {
     }
 }
 
-/// Time one kernel launch by simulating the full device. See the module
-/// docs for the model; the signature mirrors
-/// [`crate::timing::time_kernel`].
-pub fn time_kernel_device(
-    gpu: &mut Gpu,
-    module: &Module,
-    dims: LaunchDims,
-    params: &[u8],
-    opts: DeviceOptions,
-) -> Result<KernelTiming, LaunchError> {
-    let table: Vec<InstDesc> = decode_module(&module.insts, opts.base.region);
-    time_kernel_device_with_table(gpu, module, dims, params, opts, &table)
-}
-
-/// [`time_kernel_device`] that also returns the device timeline — per-SM
-/// [`WaveSpan`]s plus the makespan — when [`DeviceOptions::trace`] is set.
-/// Timing numbers are bit-identical to the untraced call. Pair with
-/// [`DeviceOptions::exact`] when every SM should get its own real lane —
-/// the default mode simulates one representative SM per dispatch class, so
-/// its trace has at most two lanes.
-pub fn time_kernel_device_traced(
-    gpu: &mut Gpu,
-    module: &Module,
-    dims: LaunchDims,
-    params: &[u8],
-    opts: DeviceOptions,
+/// Simulate `launch` on the full device (see the module docs), every SM
+/// and every wave individually when `exact`. Returns the device trace when
+/// `launch.opts.trace` is set.
+pub(crate) fn full_device(
+    mem: &mut GlobalMemory,
+    launch: &Launch<'_>,
+    exact: bool,
 ) -> Result<(KernelTiming, Option<DeviceTrace>), LaunchError> {
-    let table: Vec<InstDesc> = decode_module(&module.insts, opts.base.region);
-    run_device(gpu, module, dims, params, opts, &table)
-}
-
-/// [`time_kernel_device`] with a caller-supplied descriptor table (the same
-/// sharing contract as `timing::time_kernel_with_table`).
-pub(crate) fn time_kernel_device_with_table(
-    gpu: &mut Gpu,
-    module: &Module,
-    dims: LaunchDims,
-    params: &[u8],
-    opts: DeviceOptions,
-    table: &[InstDesc],
-) -> Result<KernelTiming, LaunchError> {
-    run_device(gpu, module, dims, params, opts, table).map(|(t, _)| t)
-}
-
-/// Shared body of the device-timing entry points; returns the trace record
-/// when `opts.trace` is set.
-fn run_device(
-    gpu: &mut Gpu,
-    module: &Module,
-    dims: LaunchDims,
-    params: &[u8],
-    opts: DeviceOptions,
-    table: &[InstDesc],
-) -> Result<(KernelTiming, Option<DeviceTrace>), LaunchError> {
-    debug_assert_eq!(table.len(), module.insts.len());
-    let device = gpu.device.clone();
+    let Launch {
+        device,
+        dims,
+        opts,
+        resident,
+        ..
+    } = *launch;
     let total_blocks = dims.num_blocks();
-    let resident = effective_residency(&device, module, dims, &opts.base)?;
-    if total_blocks == 0 {
-        return Ok((zero_timing(0), opts.trace.then(DeviceTrace::default)));
-    }
-
     let num_sms = device.num_sms as u64;
     let busy = total_blocks.min(num_sms) as usize;
-    let cbank = ConstBank::new(dims.block, dims.grid, params);
     let cx = Ctx {
-        device: &device,
-        module,
-        table,
-        dims,
-        cbank: &cbank,
-        base: opts.base,
-        exact: opts.exact,
-        trace: opts.trace,
-        resident,
+        launch,
+        exact,
         num_sms,
         q: total_blocks / num_sms,
         r: total_blocks % num_sms,
@@ -490,10 +398,10 @@ fn run_device(
     // memory addresses) — for the paper's uniformly tiled kernels the same
     // steady-state assumption the wave fast-forward rests on. By default
     // one representative SM per class is simulated and its tallies scaled
-    // by the class size; `exact: true` simulates every SM individually.
+    // by the class size; `exact` simulates every SM individually.
     // Exact-multiple grids have a single class, so the golden one-wave
     // agreement is unaffected by the choice.
-    let plan: Vec<(u64, u64)> = if opts.exact {
+    let plan: Vec<(u64, u64)> = if exact {
         (0..busy as u64).map(|sm| (sm, 1)).collect()
     } else {
         let r = cx.r;
@@ -558,7 +466,7 @@ fn run_device(
     .clamp(1, slots_total);
     if jobs == 1 {
         let mut place = |i: usize, r: Result<SmAcc, LaunchError>| results[i] = Some(r);
-        while step(&mut gpu.mem, &mut place) {}
+        while step(mem, &mut place) {}
     } else {
         // Shard across workers, `bench::sweep`-style. The SAFETY contract of
         // `SharedMem` holds because the paper's kernels write disjoint
@@ -566,7 +474,7 @@ fn run_device(
         // same contract `Gpu::launch_parallel` runs under. Per-SM results
         // are independent of pop interleaving, so the merge below is
         // bit-stable for any worker count.
-        let mem_ptr = &SharedMem(&mut gpu.mem as *mut GlobalMemory);
+        let mem_ptr = &SharedMem(mem as *mut GlobalMemory);
         let slots_mx = std::sync::Mutex::new(&mut results);
         std::thread::scope(|s| {
             for _ in 0..jobs {
@@ -665,7 +573,7 @@ fn run_device(
     let time_s = compute_time.max(dram_time);
     let denom = schedulers as f64 * busy_cycles.max(1) as f64;
     let sol_total = fp_active as f64 / denom;
-    let sol_base = if opts.base.region.is_some() && region_cycles_sum > 0 {
+    let sol_base = if opts.region.is_some() && region_cycles_sum > 0 {
         region_fp_active as f64 / (schedulers as f64 * region_cycles_sum as f64)
     } else {
         sol_total

@@ -1,12 +1,12 @@
 //! Stable content digests of simulation inputs, for the experiment harness's
 //! persistent result cache (`bench::simcache`).
 //!
-//! A timing run is a pure function of `{device spec, assembled program
-//! bytes, launch configuration, parameter bytes, TimingOptions}`: the cycle
-//! model has no randomness and no dependence on host state. Hashing exactly
-//! those inputs therefore yields a *content address* for the result — if the
-//! digest matches, the cached [`crate::KernelTiming`] is the answer the
-//! simulator would produce.
+//! A [`crate::simulate`] call is a pure function of `{device spec,
+//! assembled program bytes, launch configuration, parameter bytes, Model,
+//! TimingOptions}`: the cycle model has no randomness and no dependence on
+//! host state. Hashing exactly those inputs ([`key`]) therefore yields a
+//! *content address* for the result — if the digest matches, the cached
+//! [`crate::KernelTiming`] is the answer the simulator would produce.
 //!
 //! The hash is a fixed, hand-rolled 128-bit FNV-1a variant (two independent
 //! 64-bit streams), NOT `std::hash`: `DefaultHasher` is explicitly not
@@ -18,7 +18,7 @@ use sass::Module;
 
 use crate::device::DeviceSpec;
 use crate::launch::LaunchDims;
-use crate::timing::TimingOptions;
+use crate::timing::{Model, TimingOptions};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -124,16 +124,18 @@ impl LaunchDims {
 impl TimingOptions {
     /// Absorb every option that influences the timing result into `d`.
     ///
-    /// `profile` and `counters` are deliberately excluded: observability
-    /// flags never change the timing numbers — with either flag off the
-    /// cycle loop takes the exact same path and every `KernelTiming` field
-    /// is bit-identical (asserted by `gpusim/tests/profile_invariants.rs`
-    /// and `gpusim/tests/counter_invariants.rs`); the flags only attach the
-    /// per-line profile / counter set to the result. Keeping them out of the
-    /// digest means an instrumented run and a plain run share one cache
-    /// entry, so turning observability on never invalidates a warm cache
-    /// (the cached value stores neither artifact — `bench::simcache`
-    /// restores both as `None`).
+    /// `profile`, `counters` and `trace` are deliberately excluded:
+    /// observability flags never change the timing numbers — with any of
+    /// them off the cycle loop takes the exact same path and every
+    /// `KernelTiming` field is bit-identical (asserted by
+    /// `gpusim/tests/profile_invariants.rs`,
+    /// `gpusim/tests/counter_invariants.rs` and `gpusim/tests/device_sim.rs`);
+    /// the flags only attach a profile, counter set or trace to the result.
+    /// Keeping them out of the digest means an instrumented run and a plain
+    /// run share one cache entry, so turning observability on never
+    /// invalidates a warm cache (the cached value stores none of the
+    /// artifacts — `bench::simcache` restores them as `None`). `jobs` is
+    /// excluded too: the device model is bit-stable under any sharding.
     pub fn digest_into(&self, d: &mut Digest) {
         match self.blocks_per_sm {
             Some(b) => d.bool(true).u32(b),
@@ -164,16 +166,19 @@ pub fn module_digest(module: &Module, d: &mut Digest) {
 ///   `ceil(total/num_sms)`, empty grids cost nothing, `busy_sms` reported).
 pub const TIMING_MODEL_VERSION: u32 = 2;
 
-/// The content address of one [`crate::timing::time_kernel`] call:
-/// `{model version, device, program, launch dims, params, options}` → 32 hex
-/// chars.
-pub fn timing_digest(
+/// The content address of one [`crate::simulate`] call: `{model version,
+/// device, program, launch dims, params, options}`, plus the `exact` flag
+/// of the device models ([`Model::DeviceExact`]). A [`Model::OneWave`] key
+/// carries no model byte, so it stays the key
+/// `gpusim/tests/golden/hotloop_identity.txt` pins.
+pub fn key(
     device: &DeviceSpec,
     module: &Module,
     dims: LaunchDims,
     params: &[u8],
+    model: Model,
     opts: TimingOptions,
-) -> String {
+) -> Digest {
     let mut d = Digest::new();
     d.u32(TIMING_MODEL_VERSION);
     device.digest_into(&mut d);
@@ -181,7 +186,10 @@ pub fn timing_digest(
     dims.digest_into(&mut d);
     d.u64(params.len() as u64).bytes(params);
     opts.digest_into(&mut d);
-    d.hex()
+    if model != Model::OneWave {
+        d.bool(model == Model::DeviceExact);
+    }
+    d
 }
 
 // The sweep engine (`bench::sweep`) runs independent timing simulations on
@@ -212,23 +220,17 @@ mod tests {
         assemble("MOV R0, 0x1;\nEXIT;").unwrap()
     }
 
+    /// The key of `module()` on a V100, 4 × 32 threads, under `model`.
+    fn key_of(m: &Module, params: &[u8], model: Model, opts: TimingOptions) -> String {
+        let dims = LaunchDims::linear(4, 32);
+        key(&DeviceSpec::v100(), m, dims, params, model, opts).hex()
+    }
+
     #[test]
     fn digest_is_stable_and_deterministic() {
         let m = module();
-        let a = timing_digest(
-            &DeviceSpec::v100(),
-            &m,
-            LaunchDims::linear(4, 32),
-            &[1, 2, 3],
-            TimingOptions::default(),
-        );
-        let b = timing_digest(
-            &DeviceSpec::v100(),
-            &m,
-            LaunchDims::linear(4, 32),
-            &[1, 2, 3],
-            TimingOptions::default(),
-        );
+        let a = key_of(&m, &[1, 2, 3], Model::OneWave, TimingOptions::default());
+        let b = key_of(&m, &[1, 2, 3], Model::OneWave, TimingOptions::default());
         assert_eq!(a, b);
         assert_eq!(a.len(), 32);
         assert!(a.bytes().all(|c| c.is_ascii_hexdigit()));
@@ -240,92 +242,62 @@ mod tests {
     #[test]
     fn digest_separates_all_inputs() {
         let m = module();
-        let base = || {
-            timing_digest(
-                &DeviceSpec::v100(),
-                &m,
-                LaunchDims::linear(4, 32),
-                &[],
-                TimingOptions::default(),
-            )
-        };
+        let dims = LaunchDims::linear(4, 32);
+        let one_wave = Model::OneWave;
+        let plain = TimingOptions::default();
+        let base = || key_of(&m, &[], one_wave, plain);
         // Different device.
-        assert_ne!(
-            base(),
-            timing_digest(
-                &DeviceSpec::rtx2070(),
-                &m,
-                LaunchDims::linear(4, 32),
-                &[],
-                TimingOptions::default(),
-            )
-        );
+        let turing = key(&DeviceSpec::rtx2070(), &m, dims, &[], one_wave, plain);
+        assert_ne!(base(), turing.hex());
         // Different program (one immediate changed).
         let m2 = assemble("MOV R0, 0x2;\nEXIT;").unwrap();
-        assert_ne!(
-            base(),
-            timing_digest(
-                &DeviceSpec::v100(),
-                &m2,
-                LaunchDims::linear(4, 32),
-                &[],
-                TimingOptions::default(),
-            )
-        );
+        assert_ne!(base(), key_of(&m2, &[], one_wave, plain));
         // Different launch config.
-        assert_ne!(
-            base(),
-            timing_digest(
-                &DeviceSpec::v100(),
-                &m,
-                LaunchDims::linear(8, 32),
-                &[],
-                TimingOptions::default(),
-            )
-        );
+        let wider = LaunchDims::linear(8, 32);
+        let wider = key(&DeviceSpec::v100(), &m, wider, &[], one_wave, plain);
+        assert_ne!(base(), wider.hex());
         // Different params.
-        assert_ne!(
-            base(),
-            timing_digest(
-                &DeviceSpec::v100(),
-                &m,
-                LaunchDims::linear(4, 32),
-                &[0],
-                TimingOptions::default(),
-            )
-        );
+        assert_ne!(base(), key_of(&m, &[0], one_wave, plain));
         // Different options.
-        assert_ne!(
-            base(),
-            timing_digest(
-                &DeviceSpec::v100(),
-                &m,
-                LaunchDims::linear(4, 32),
-                &[],
-                TimingOptions {
-                    blocks_per_sm: Some(1),
+        let occupancy = TimingOptions {
+            blocks_per_sm: Some(1),
+            ..Default::default()
+        };
+        assert_ne!(base(), key_of(&m, &[], one_wave, occupancy));
+        // Every model has its own key.
+        let models = [Model::OneWave, Model::Device, Model::DeviceExact];
+        let keys: Vec<String> = models
+            .iter()
+            .map(|&md| key_of(&m, &[], md, plain))
+            .collect();
+        assert_ne!(keys[0], keys[1]);
+        assert_ne!(keys[0], keys[2]);
+        assert_ne!(keys[1], keys[2]);
+        // Observability and sharding do NOT change the key (bit-identical
+        // timing): profiled, counted, traced or sharded, under every
+        // model, the cache entry is shared.
+        for (model, want) in models.into_iter().zip(&keys) {
+            for (profile, counters, trace, jobs) in [
+                (true, false, false, 0),
+                (false, true, false, 0),
+                (false, false, true, 0),
+                (false, false, false, 3),
+                (true, true, true, 1),
+            ] {
+                let observed = TimingOptions {
+                    profile,
+                    counters,
+                    trace,
+                    jobs,
                     ..Default::default()
-                },
-            )
-        );
-        // Observability flags do NOT change the key (bit-identical timing):
-        // profiled, counted, or both, the cache entry is shared.
-        for (profile, counters) in [(true, false), (false, true), (true, true)] {
-            assert_eq!(
-                base(),
-                timing_digest(
-                    &DeviceSpec::v100(),
-                    &m,
-                    LaunchDims::linear(4, 32),
-                    &[],
-                    TimingOptions {
-                        profile,
-                        counters,
-                        ..Default::default()
-                    },
-                ),
-                "digest must ignore profile={profile} counters={counters}"
-            );
+                };
+                assert_eq!(
+                    want,
+                    &key_of(&m, &[], model, observed),
+                    "{model:?} key must ignore profile={profile} counters={counters} \
+                     trace={trace} jobs={jobs}"
+                );
+            }
         }
     }
 

@@ -6,10 +6,13 @@
 
 use sass::Module;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
 use crate::device::DeviceSpec;
 use crate::exec::{step, ExecEnv, ExecError, MemTrace, StepEvent, Warp, WARP_SIZE};
 use crate::memory::{ConstBank, DevPtr, GlobalMemory};
-use crate::timing::{global_sectors, smem_phases};
+use crate::timing::{global_sectors, grid_coord, smem_phases};
 
 /// Grid/block shape for a launch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,6 +54,8 @@ pub enum LaunchError {
     BadBlockShape(String),
     /// A warp faulted.
     Exec(ExecError),
+    /// The request has no meaning under the chosen model.
+    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for LaunchError {
@@ -70,6 +75,7 @@ impl std::fmt::Display for LaunchError {
             }
             LaunchError::BadBlockShape(s) => write!(f, "bad block shape: {s}"),
             LaunchError::Exec(e) => write!(f, "execution fault: {e}"),
+            LaunchError::Unsupported(s) => write!(f, "unsupported: {s}"),
         }
     }
 }
@@ -87,7 +93,8 @@ impl std::error::Error for LaunchError {}
 /// smem_extra_phases`, `global_sectors == global_load_sectors +
 /// global_store_sectors`, and on a grid the timed wave fully covers, the
 /// per-access phase and sector analysis agrees exactly with the counters
-/// `time_kernel` collects (asserted by `gpusim/tests/counter_invariants.rs`)
+/// [`crate::simulate`] collects (asserted by
+/// `gpusim/tests/counter_invariants.rs`)
 /// — both paths call the same [`smem_phases`] / [`global_sectors`] analysis.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecCounters {
@@ -212,17 +219,7 @@ impl Gpu {
         dims: LaunchDims,
         params: &[u8],
     ) -> Result<(), LaunchError> {
-        self.validate(module, &dims)?;
-        let cbank = ConstBank::new(dims.block, dims.grid, params);
-        for bz in 0..dims.grid[2] {
-            for by in 0..dims.grid[1] {
-                for bx in 0..dims.grid[0] {
-                    run_block(module, &mut self.mem, &cbank, [bx, by, bz], dims.block)
-                        .map_err(LaunchError::Exec)?;
-                }
-            }
-        }
-        Ok(())
+        self.walk(module, dims, params, 1, None)
     }
 
     /// Run the kernel functionally like [`Gpu::launch`], collecting
@@ -235,29 +232,13 @@ impl Gpu {
         dims: LaunchDims,
         params: &[u8],
     ) -> Result<ExecCounters, LaunchError> {
-        self.validate(module, &dims)?;
-        let cbank = ConstBank::new(dims.block, dims.grid, params);
         let mut counters = ExecCounters::default();
-        for bz in 0..dims.grid[2] {
-            for by in 0..dims.grid[1] {
-                for bx in 0..dims.grid[0] {
-                    run_block_traced(
-                        module,
-                        &mut self.mem,
-                        &cbank,
-                        [bx, by, bz],
-                        dims.block,
-                        &mut |t| counters.record(t),
-                    )
-                    .map_err(LaunchError::Exec)?;
-                    counters.blocks += 1;
-                }
-            }
-        }
+        self.walk(module, dims, params, 1, Some(&mut counters))?;
         Ok(counters)
     }
 
     /// Run the kernel functionally, blocks distributed over host threads.
+    /// A fault reports the same block as [`Gpu::launch`].
     ///
     /// # Safety contract (checked only by convention)
     ///
@@ -272,51 +253,75 @@ impl Gpu {
         dims: LaunchDims,
         params: &[u8],
     ) -> Result<(), LaunchError> {
+        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let threads = if dims.num_blocks() < 4 { 1 } else { threads };
+        self.walk(module, dims, params, threads, None)
+    }
+
+    /// The grid walk under every `launch*` method. Workers claim blocks in
+    /// linear-index order ([`grid_coord`]) and run each to completion with
+    /// [`run_block`]; with `threads < 2` the caller's thread is the only
+    /// worker, and `counters` (which sees every block) needs exactly that.
+    /// A fault reports the lowest-indexed failing block: every lower block
+    /// was claimed earlier and runs to completion, so that is the block a
+    /// sequential walk stops at.
+    fn walk(
+        &mut self,
+        module: &Module,
+        dims: LaunchDims,
+        params: &[u8],
+        threads: usize,
+        counters: Option<&mut ExecCounters>,
+    ) -> Result<(), LaunchError> {
         self.validate(module, &dims)?;
         let cbank = ConstBank::new(dims.block, dims.grid, params);
         let total = dims.num_blocks();
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        if total < 4 || threads < 2 {
-            return self.launch(module, dims, params);
-        }
-
-        let mem_ptr = &SharedMem(&mut self.mem as *mut GlobalMemory);
-
-        let next = std::sync::atomic::AtomicU64::new(0);
-        let err: std::sync::Mutex<Option<ExecError>> = std::sync::Mutex::new(None);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= total || err.lock().unwrap().is_some() {
-                            break;
-                        }
-                        let bx = (i % dims.grid[0] as u64) as u32;
-                        let by = ((i / dims.grid[0] as u64) % dims.grid[1] as u64) as u32;
-                        let bz = (i / (dims.grid[0] as u64 * dims.grid[1] as u64)) as u32;
-                        // SAFETY: see the method-level contract — blocks write
-                        // disjoint regions, matching device semantics.
-                        let mem = unsafe { mem_ptr.get() };
-                        if let Err(e) = run_block(module, mem, &cbank, [bx, by, bz], dims.block) {
-                            *err.lock().unwrap() = Some(e);
-                            break;
-                        }
-                    }
-                });
+        let next = AtomicU64::new(0);
+        let fault: Mutex<Option<(u64, ExecError)>> = Mutex::new(None);
+        let worker = |mem: &mut GlobalMemory, mut counters: Option<&mut ExecCounters>| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= total || fault.lock().unwrap().is_some() {
+                return;
             }
-        });
-        match err.into_inner().unwrap() {
-            Some(e) => Err(LaunchError::Exec(e)),
+            let mut on_trace = |t: &MemTrace| {
+                if let Some(c) = counters.as_deref_mut() {
+                    c.record(t);
+                }
+            };
+            let ctaid = grid_coord(dims, i);
+            if let Err(e) = run_block(module, mem, &cbank, ctaid, dims.block, &mut on_trace) {
+                let mut fault = fault.lock().unwrap();
+                if fault.as_ref().is_none_or(|(first, _)| i < *first) {
+                    *fault = Some((i, e));
+                }
+                return;
+            }
+            if let Some(c) = counters.as_deref_mut() {
+                c.blocks += 1;
+            }
+        };
+        if threads < 2 {
+            worker(&mut self.mem, counters);
+        } else {
+            assert!(counters.is_none(), "counters need a sequential walk");
+            let mem = &SharedMem(&mut self.mem as *mut GlobalMemory);
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    // SAFETY: see the contract on `launch_parallel` — blocks
+                    // write disjoint regions, matching device semantics.
+                    s.spawn(|| worker(unsafe { mem.get() }, None));
+                }
+            });
+        }
+        match fault.into_inner().unwrap() {
+            Some((_, e)) => Err(LaunchError::Exec(e)),
             None => Ok(()),
         }
     }
 }
 
 /// A `Send + Sync` raw handle to [`GlobalMemory`], shared by the parallel
-/// block launcher above and the sharded-SM device simulator
+/// grid walk above and the sharded-SM device simulator
 /// ([`crate::device_sim`]). Both run thread blocks concurrently against one
 /// global memory under the disjoint-writes contract documented on
 /// [`Gpu::launch_parallel`].
@@ -335,20 +340,10 @@ impl SharedMem {
 }
 
 /// Run one thread block to completion (cooperative warp scheduling with
-/// barrier support).
-pub fn run_block(
-    module: &Module,
-    global: &mut GlobalMemory,
-    cbank: &ConstBank,
-    ctaid: [u32; 3],
-    block_dim: [u32; 3],
-) -> Result<(), ExecError> {
-    run_block_traced(module, global, cbank, ctaid, block_dim, &mut |_| {})
-}
-
-/// [`run_block`] with a memory-trace observer: `on_trace` sees every
-/// executed instruction's [`MemTrace`] (the [`ExecCounters`] feed).
-pub fn run_block_traced(
+/// barrier support); `on_trace` sees every executed instruction's
+/// [`MemTrace`] (the [`ExecCounters`] feed, and the one-wave model's L2
+/// warm-up).
+pub(crate) fn run_block(
     module: &Module,
     global: &mut GlobalMemory,
     cbank: &ConstBank,

@@ -20,14 +20,18 @@
 //! * CUDA **occupancy** rules (registers / shared memory / thread limits)
 //!   that reproduce the V100-vs-RTX2070 difference of §7.1.
 //!
-//! Functional execution ([`exec`], [`launch`]) is exact. Timing has two
-//! levels sharing one cycle-level wave loop: [`timing`] times a single wave
-//! of resident blocks on one SM and extrapolates analytically across waves
-//! (the cheap inner-loop model, exact on grids that are a whole multiple of
-//! full waves), while [`device_sim`] dispatches every block of the launch to
-//! its SM and simulates all SMs — event-driven via [`timeq`], sharded across
-//! worker threads with a deterministic merge — so partial last waves and
-//! tail imbalance are timed instead of rounded up.
+//! Functional execution ([`exec`], [`launch`]) is exact: the three
+//! [`Gpu`] launchers share one grid walk. Timing has one entry point,
+//! [`simulate`], and one content address, [`key`], over a [`Model`] and
+//! [`TimingOptions`]; [`BatchTimer`] runs the same body for schedule-tuner
+//! candidates. The models share one cycle-level wave loop:
+//! [`Model::OneWave`] ([`timing`]) times a single wave of resident blocks
+//! on one SM and extrapolates analytically across waves (the cheap
+//! inner-loop model, exact on grids that are a whole multiple of full
+//! waves), while [`Model::Device`] ([`device_sim`]) dispatches every block
+//! of the launch to its SM and simulates all SMs — event-driven via
+//! [`timeq`], sharded across worker threads with a deterministic merge — so
+//! partial last waves and tail imbalance are timed instead of rounded up.
 
 pub mod batch;
 pub mod counters;
@@ -45,13 +49,11 @@ pub mod timing;
 pub use batch::BatchTimer;
 pub use counters::HwCounters;
 pub use device::{Arch, DeviceSpec};
-pub use device_sim::{
-    time_kernel_device, time_kernel_device_traced, DeviceOptions, DeviceTrace, WaveSpan,
-};
-pub use digest::{timing_digest, Digest, TIMING_MODEL_VERSION};
+pub use device_sim::{DeviceTrace, WaveSpan};
+pub use digest::{key, Digest, TIMING_MODEL_VERSION};
 pub use exec::{ExecEnv, ExecError, StepEvent, Warp, WARP_SIZE};
 pub use launch::{ExecCounters, Gpu, LaunchDims, LaunchError};
 pub use memory::{ConstBank, DevPtr, GlobalMemory, MemError, ParamBuilder, PARAM_BASE};
 pub use simprof::{IssueEvent, KernelProfile, LineProfile, Region, StallBreakdown, StallCause};
 pub use timeq::TimeQueue;
-pub use timing::{KernelTiming, TimingOptions};
+pub use timing::{simulate, KernelTiming, Model, TimingOptions};

@@ -2,9 +2,9 @@
 //! model (our equivalent of Nsight Compute's per-SASS-line counters, §7.2 of
 //! the paper).
 //!
-//! When [`crate::TimingOptions::profile`] is set, the cycle loop in
-//! [`crate::timing::time_kernel`] charges every scheduler-cycle of the
-//! simulated wave to exactly one bucket:
+//! When [`crate::TimingOptions::profile`] is set, the cycle loop under
+//! [`crate::simulate`] charges every scheduler-cycle of the simulated wave
+//! to exactly one bucket:
 //!
 //! * **issued** — an instruction left the scheduler; charged to its SASS line;
 //! * a **stall cause** — nothing issued; charged to the line the

@@ -1,19 +1,25 @@
-//! Cycle-level SM timing model.
+//! Cycle-level SM timing model, and the simulator's one timing entry point.
+//!
+//! [`simulate`] times one kernel launch under a [`Model`]:
+//!
+//! * [`Model::OneWave`] times a single steady-state wave on one SM and
+//!   extrapolates across waves arithmetically, bounded below by DRAM
+//!   bandwidth (§3.2–3.4 of DESIGN.md). This is exact on grids that are a
+//!   whole multiple of full waves (every block does identical work in the
+//!   paper's kernels) and is kept as the cheap main-loop model and as a
+//!   cross-check for the device model; grids with a partial last wave are
+//!   mistimed here.
+//! * [`Model::Device`] and [`Model::DeviceExact`] simulate the full device
+//!   ([`crate::device_sim`]), which places every block of the launch on its
+//!   SM and runs the same wave loop per SM.
+//!
+//! [`crate::key`] is the content address of a `simulate` call, and
+//! [`crate::BatchTimer`] runs the same body over a decode-once table.
 //!
 //! One *wave* of resident thread blocks is simulated cycle-by-cycle on one
-//! SM, executing instructions functionally at issue so that register-bank
-//! conflicts, shared-memory bank conflicts and L2/DRAM behaviour come from
-//! exact addresses. The per-wave machinery (`simulate_wave`) is shared
-//! with the full-device model ([`crate::device_sim`]), which places every
-//! block of the launch on its SM and runs this wave loop per SM.
-//!
-//! [`time_kernel`] itself is the retained *one-wave analytic* path: it times
-//! a single steady-state wave and extrapolates across waves arithmetically,
-//! bounded below by DRAM bandwidth (§3.2–3.4 of DESIGN.md). This is exact on
-//! grids that are a whole multiple of full waves (every block does identical
-//! work in the paper's kernels) and is kept as the cheap inner-loop model and
-//! as a cross-check for the device model; grids with a partial last wave are
-//! mistimed here and corrected by [`crate::device_sim::time_kernel_device`].
+//! SM (`simulate_wave`), executing instructions functionally at issue so
+//! that register-bank conflicts, shared-memory bank conflicts and L2/DRAM
+//! behaviour come from exact addresses.
 //!
 //! The model implements the paper's scheduling machinery explicitly:
 //!
@@ -38,8 +44,9 @@ use sass::Module;
 use crate::counters::{CounterCollector, HwCounters};
 use crate::decode::{decode_module, InstDesc, MemKind, PipeKind};
 use crate::device::DeviceSpec;
+use crate::device_sim::{self, DeviceTrace};
 use crate::exec::{step, ExecEnv, StepEvent, Warp, WARP_SIZE};
-use crate::launch::{Gpu, LaunchDims, LaunchError};
+use crate::launch::{run_block, Gpu, LaunchDims, LaunchError};
 use crate::memory::{ConstBank, GlobalMemory};
 use crate::simprof::{Collector, KernelProfile, SchedClass, StallCause};
 use crate::timeq::TimeQueue;
@@ -70,6 +77,27 @@ pub struct TimingOptions {
     /// by default, and zero-cost like `profile`: `KernelTiming` is unchanged
     /// except `counters: None`.
     pub counters: bool,
+    /// Worker threads the device models shard SMs across. `0` uses the
+    /// host's available parallelism; the one-wave model runs on the
+    /// caller's thread. Results are bit-identical for every value.
+    pub jobs: usize,
+    /// Record a [`DeviceTrace`] (per-SM wave spans) alongside the timing.
+    /// Observability only: it never changes a timing number. It needs a
+    /// device model; under [`Model::OneWave`], [`simulate`] rejects it.
+    pub trace: bool,
+}
+
+/// The timing model of a [`simulate`] call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Model {
+    /// Full-device multi-wave simulation ([`crate::device_sim`]).
+    Device,
+    /// The device model with every SM and every wave simulated
+    /// individually, so a trace gets one real lane per SM.
+    DeviceExact,
+    /// One steady-state wave on one SM, extrapolated: the Figures 7–9
+    /// main-loop unit and the cross-check of the device model.
+    OneWave,
 }
 
 /// Result of timing one kernel.
@@ -337,14 +365,23 @@ impl SmCarry {
     }
 }
 
-/// Inputs of one wave simulation on one SM.
-pub(crate) struct WaveParams<'a> {
+/// One launch as both timing models see it: everything but which blocks a
+/// wave runs and the bandwidth share they get.
+pub(crate) struct Launch<'a> {
     pub(crate) device: &'a DeviceSpec,
     pub(crate) module: &'a Module,
+    /// `table[pc]` describes `module.insts[pc]` under `opts.region`.
     pub(crate) table: &'a [InstDesc],
     pub(crate) dims: LaunchDims,
     pub(crate) cbank: &'a ConstBank,
     pub(crate) opts: TimingOptions,
+    /// Resident blocks per SM ([`effective_residency`]).
+    pub(crate) resident: u32,
+}
+
+/// Inputs of one wave simulation on one SM.
+pub(crate) struct WaveParams<'a> {
+    pub(crate) launch: &'a Launch<'a>,
     /// Grid coordinates of the blocks resident in this wave (one entry per
     /// simulated block; decides both addressing and functional effects).
     pub(crate) coords: &'a [[u32; 3]],
@@ -395,12 +432,12 @@ pub(crate) fn grid_coord(dims: LaunchDims, i: u64) -> [u32; 3] {
 
 /// Timing of an empty grid: no blocks, no cycles, no time. Collectors are
 /// omitted — there is no wave to attribute slots to.
-pub(crate) fn zero_timing(total_blocks: u64) -> KernelTiming {
+fn zero_timing() -> KernelTiming {
     KernelTiming {
         wave_cycles: 0,
         waves: 0,
         blocks_per_sm: 0,
-        total_blocks,
+        total_blocks: 0,
         busy_sms: 0,
         time_s: 0.0,
         flops: 0.0,
@@ -424,7 +461,7 @@ pub(crate) fn zero_timing(total_blocks: u64) -> KernelTiming {
 /// (or its override), capped at the blocks the grid can actually deliver to
 /// one SM — a grid smaller than one SM's residency must not be timed as if
 /// every SM ran a full complement.
-pub(crate) fn effective_residency(
+fn effective_residency(
     device: &DeviceSpec,
     module: &Module,
     dims: LaunchDims,
@@ -446,44 +483,76 @@ pub(crate) fn effective_residency(
         .max(1))
 }
 
-/// Time one kernel launch on `gpu`. Executes the simulated wave functionally
-/// (the blocks it simulates really run), then scales to the whole grid.
-pub fn time_kernel(
+/// Time one kernel launch on `gpu` under `model`; the trace is present when
+/// [`TimingOptions::trace`] is set. The blocks a model simulates really
+/// execute against `gpu`'s memory, but this is not a functional launch:
+/// the one-wave model runs one wave and the device model fast-forwards
+/// repeated waves. Use [`Gpu::launch`] for functional output.
+pub fn simulate(
     gpu: &mut Gpu,
     module: &Module,
     dims: LaunchDims,
     params: &[u8],
+    model: Model,
     opts: TimingOptions,
-) -> Result<KernelTiming, LaunchError> {
+) -> Result<(KernelTiming, Option<DeviceTrace>), LaunchError> {
     // Decoded-instruction descriptor table: one flat entry per PC, so the
-    // per-cycle path below never pattern-matches `Op` (see `crate::decode`).
-    let table: Vec<InstDesc> = decode_module(&module.insts, opts.region);
-    time_kernel_with_table(gpu, module, dims, params, opts, &table)
+    // per-cycle path never pattern-matches `Op` (see `crate::decode`).
+    let table = decode_module(&module.insts, opts.region);
+    simulate_decoded(gpu, module, dims, params, model, opts, &table)
 }
 
-/// [`time_kernel`] with a caller-supplied descriptor table, the batch
-/// fast path ([`crate::batch::BatchTimer`]): schedule-tuner candidates share
-/// their baseline's operand analysis and only re-patch control-code fields.
-/// `table[pc]` must describe `module.insts[pc]` under `opts.region`.
-pub(crate) fn time_kernel_with_table(
+/// The body of [`simulate`] over a caller-supplied descriptor table, shared
+/// with [`crate::BatchTimer`]: `table[pc]` must describe `module.insts[pc]`
+/// under `opts.region`.
+pub(crate) fn simulate_decoded(
     gpu: &mut Gpu,
     module: &Module,
     dims: LaunchDims,
     params: &[u8],
+    model: Model,
     opts: TimingOptions,
     table: &[InstDesc],
-) -> Result<KernelTiming, LaunchError> {
+) -> Result<(KernelTiming, Option<DeviceTrace>), LaunchError> {
     debug_assert_eq!(table.len(), module.insts.len());
-    let device = gpu.device.clone();
-    let total_blocks = dims.num_blocks();
-    let resident = effective_residency(&device, module, dims, &opts)?;
-    if total_blocks == 0 {
-        // An empty grid does no work; the old formula still charged it a
-        // full-device wave.
-        return Ok(zero_timing(0));
+    if opts.trace && model == Model::OneWave {
+        return Err(LaunchError::Unsupported(
+            "a wave trace needs a device model",
+        ));
     }
+    let resident = effective_residency(&gpu.device, module, dims, &opts)?;
+    if dims.num_blocks() == 0 {
+        return Ok((zero_timing(), opts.trace.then(DeviceTrace::default)));
+    }
+    let launch = Launch {
+        device: &gpu.device,
+        module,
+        table,
+        dims,
+        cbank: &ConstBank::new(dims.block, dims.grid, params),
+        opts,
+        resident,
+    };
+    match model {
+        Model::OneWave => Ok((one_wave(&mut gpu.mem, &launch)?, None)),
+        Model::Device => device_sim::full_device(&mut gpu.mem, &launch, false),
+        Model::DeviceExact => device_sim::full_device(&mut gpu.mem, &launch, true),
+    }
+}
 
-    let cbank = ConstBank::new(dims.block, dims.grid, params);
+/// The one-wave model: simulate one steady-state wave (whose blocks really
+/// run), then scale to the whole grid.
+fn one_wave(mem: &mut GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming, LaunchError> {
+    let Launch {
+        device,
+        module,
+        dims,
+        cbank,
+        opts,
+        resident,
+        ..
+    } = *launch;
+    let total_blocks = dims.num_blocks();
     // Map resident block index -> actual grid coordinates. Block 0 of the
     // grid serves as an L2 warm-up block (see below), so the timed wave
     // uses blocks 1..=resident when the grid is large enough — a
@@ -494,26 +563,22 @@ pub(crate) fn time_kernel_with_table(
         .map(|b| grid_coord(dims, b + warm as u64))
         .collect();
 
-    let mut carry = SmCarry::new(&device, module.info.smem_bytes, resident);
+    let mut carry = SmCarry::new(device, module.info.smem_bytes, resident);
     if warm {
-        warm_l2(
-            &mut gpu.mem,
-            module,
-            &cbank,
-            [0, 0, 0],
-            dims.block,
-            &mut carry.l2,
-        )?;
+        // Functionally execute block 0, inserting every global-memory sector
+        // it touches into the L2 model.
+        let l2 = &mut carry.l2;
+        run_block(module, mem, cbank, [0, 0, 0], dims.block, &mut |t| {
+            for sec in global_sectors(&t.global_addrs, t.width.max(1)) {
+                l2.access(sec * 32);
+            }
+        })
+        .map_err(LaunchError::Exec)?;
     }
     let wave = simulate_wave(
-        &mut gpu.mem,
+        mem,
         &WaveParams {
-            device: &device,
-            module,
-            table,
-            dims,
-            cbank: &cbank,
-            opts,
+            launch,
             coords: &coords,
             share_sms: device.num_sms as f64,
         },
@@ -577,12 +642,15 @@ pub(crate) fn simulate_wave(
     p: &WaveParams<'_>,
     carry: &mut SmCarry,
 ) -> Result<WaveOutput, LaunchError> {
-    let device = p.device;
-    let module = p.module;
-    let table = p.table;
-    let dims = p.dims;
-    let cbank = p.cbank;
-    let opts = p.opts;
+    let Launch {
+        device,
+        module,
+        table,
+        dims,
+        cbank,
+        opts,
+        ..
+    } = *p.launch;
     let coords = p.coords;
     let tpb = dims.threads_per_block();
     let resident = coords.len() as u32;
@@ -1307,78 +1375,6 @@ pub(crate) fn simulate_wave(
     })
 }
 
-/// Functionally execute one block, inserting every global-memory sector it
-/// touches into the L2 model (steady-state warm-up for the timed wave).
-fn warm_l2(
-    mem: &mut GlobalMemory,
-    module: &Module,
-    cbank: &ConstBank,
-    ctaid: [u32; 3],
-    block_dim: [u32; 3],
-    l2: &mut L2Cache,
-) -> Result<(), LaunchError> {
-    let tpb = block_dim[0] * block_dim[1] * block_dim[2];
-    let num_warps = tpb.div_ceil(WARP_SIZE);
-    let mut smem = vec![0u8; module.info.smem_bytes as usize];
-    let mut warps: Vec<Warp> = (0..num_warps)
-        .map(|w| {
-            let base = w * WARP_SIZE;
-            let lanes = (tpb - base).min(WARP_SIZE);
-            Warp::new(module.info.num_regs.max(1), base, lanes)
-        })
-        .collect();
-    let mut at_barrier = vec![false; num_warps as usize];
-    let mut steps: u64 = 0;
-    const WARM_STEP_LIMIT: u64 = 500_000_000;
-    loop {
-        let mut all_done = true;
-        for w in 0..num_warps as usize {
-            if warps[w].exited || at_barrier[w] {
-                all_done &= warps[w].exited;
-                continue;
-            }
-            all_done = false;
-            loop {
-                steps += 1;
-                if steps > WARM_STEP_LIMIT {
-                    return Err(LaunchError::BadBlockShape(
-                        "warm-up block exceeded the instruction-step limit (infinite loop?)".into(),
-                    ));
-                }
-                let mut env = ExecEnv {
-                    global: &mut *mem,
-                    smem: &mut smem,
-                    cbank,
-                    ctaid,
-                    block_dim,
-                };
-                let (event, trace) =
-                    step(&mut warps[w], module.insts.as_slice(), &mut env, w as u32)
-                        .map_err(LaunchError::Exec)?;
-                for sec in global_sectors(&trace.global_addrs, trace.width.max(1)) {
-                    l2.access(sec * 32);
-                }
-                match event {
-                    StepEvent::Executed => {}
-                    StepEvent::Barrier => {
-                        at_barrier[w] = true;
-                        break;
-                    }
-                    StepEvent::Exited => break,
-                }
-            }
-        }
-        if all_done {
-            return Ok(());
-        }
-        let waiting = at_barrier.iter().filter(|&&b| b).count();
-        let live = warps.iter().filter(|w| !w.exited).count();
-        if live > 0 && waiting == live {
-            at_barrier.iter_mut().for_each(|b| *b = false);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1471,14 +1467,16 @@ mod tests {
         let mut gpu = Gpu::new(DeviceSpec::rtx2070(), 1 << 20);
         // Grid sized to one full wave at the computed occupancy (4 blocks
         // of 256 threads per SM × 36 SMs).
-        let t = time_kernel(
+        let t = simulate(
             &mut gpu,
             &m,
             LaunchDims::linear(144, 256),
             &[],
+            Model::OneWave,
             TimingOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let peak = DeviceSpec::rtx2070().peak_fp32_flops() / 1e12;
         assert!(
             t.tflops > 0.85 * peak && t.tflops <= peak * 1.01,
@@ -1506,14 +1504,16 @@ mod tests {
         };
         let run = |m: &sass::Module| {
             let mut gpu = Gpu::new(DeviceSpec::rtx2070(), 1 << 20);
-            time_kernel(
+            simulate(
                 &mut gpu,
                 m,
                 LaunchDims::linear(36, 256),
                 &[],
+                Model::OneWave,
                 TimingOptions::default(),
             )
             .unwrap()
+            .0
         };
         let clean = run(&build(false, false));
         let conflicted = run(&build(true, false));
@@ -1567,14 +1567,16 @@ mod tests {
         let blocks = 4096u32;
         let buf = gpu.alloc(blocks as u64 * 256 * 16);
         let params = ParamBuilder::new().push_ptr(buf).build();
-        let t = time_kernel(
+        let t = simulate(
             &mut gpu,
             &m,
             LaunchDims::linear(blocks, 256),
             &params,
+            Model::OneWave,
             TimingOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // Each block loads 256 × 16 B = 4 KiB of unique data.
         assert!(
             t.dram_bytes as f64 > 0.8 * blocks as f64 * 4096.0,
@@ -1620,17 +1622,19 @@ LOOP:
             let mut gpu = Gpu::new(DeviceSpec::v100(), 1 << 24);
             let buf = gpu.alloc(1 << 20);
             let params = ParamBuilder::new().push_ptr(buf).build();
-            time_kernel(
+            simulate(
                 &mut gpu,
                 &m,
                 LaunchDims::linear(160, 64),
                 &params,
+                Model::OneWave,
                 TimingOptions {
                     blocks_per_sm: Some(resident),
                     ..Default::default()
                 },
             )
             .unwrap()
+            .0
         };
         let occ1 = run(1);
         let occ2 = run(2);
@@ -1670,11 +1674,12 @@ LOOP:
         let params = ParamBuilder::new().push_ptr(xp).build();
         // Grid of 2 blocks × 32 threads; V100 has 80 SMs so one wave covers
         // everything and both blocks are simulated.
-        time_kernel(
+        simulate(
             &mut gpu,
             &m,
             LaunchDims::linear(2, 32),
             &params,
+            Model::OneWave,
             TimingOptions::default(),
         )
         .unwrap();

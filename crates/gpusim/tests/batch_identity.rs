@@ -1,4 +1,4 @@
-//! `BatchTimer` must be result-identical to a fresh `time_kernel`.
+//! `BatchTimer` must be result-identical to a fresh `gpusim::simulate`.
 //!
 //! The batch path clones baseline `InstDesc`s through the tuner's position
 //! map and re-patches only control-code fields; if any op-derived field
@@ -9,10 +9,9 @@
 //! result (`Debug` rendering, which round-trips every f64 bit) between the
 //! two paths for each.
 
-use gpusim::{timing, BatchTimer, DeviceSpec, Gpu, TimingOptions};
+use gpusim::{BatchTimer, DeviceSpec, Gpu, Model, TimingOptions};
 use kernels::{FusedConfig, FusedKernel};
 use sass::tune::{detune, Tuner};
-use sass::Module;
 
 #[test]
 fn batch_timer_matches_fresh_decode() {
@@ -52,22 +51,18 @@ fn batch_timer_matches_fresh_decode() {
     for dev in [DeviceSpec::v100(), DeviceSpec::rtx2070()] {
         let mut batch = BatchTimer::new(&base);
         for (i, (insts, perm)) in cands.iter().enumerate() {
-            let cand = Module::new(
-                &base.info.name,
-                base.info.smem_bytes,
-                base.info.param_bytes,
-                insts.clone(),
-            );
+            let cand = base.with_insts(insts.clone());
 
             let mut gpu = Gpu::new(dev.clone(), 1 << 22);
             let params = kern.params(gpu.alloc(din), gpu.alloc(dtf), gpu.alloc(dout));
-            let fresh = timing::time_kernel(&mut gpu, &cand, kern.launch_dims(), &params, opts)
+            let dims = kern.launch_dims();
+            let fresh = gpusim::simulate(&mut gpu, &cand, dims, &params, Model::OneWave, opts)
                 .expect("fresh timing failed");
 
             let mut gpu = Gpu::new(dev.clone(), 1 << 22);
             let params = kern.params(gpu.alloc(din), gpu.alloc(dtf), gpu.alloc(dout));
             let batched = batch
-                .time(&mut gpu, &cand, perm, kern.launch_dims(), &params, opts)
+                .time(&mut gpu, &cand, perm, dims, &params, Model::OneWave, opts)
                 .expect("batched timing failed");
 
             assert_eq!(

@@ -2,7 +2,7 @@
 //! must reconcile exactly with the rest of the model, and collection must be
 //! free when off).
 
-use gpusim::{DeviceSpec, Gpu, KernelTiming, LaunchDims, ParamBuilder, TimingOptions};
+use gpusim::{DeviceSpec, Gpu, KernelTiming, LaunchDims, Model, ParamBuilder, TimingOptions};
 use sass::assemble;
 
 /// The three stall-profile kernels from `profile_invariants.rs` plus a
@@ -94,14 +94,16 @@ fn run(
     let mut gpu = Gpu::new(DeviceSpec::v100(), mem);
     let buf = gpu.alloc(1 << 20);
     let params = ParamBuilder::new().push_ptr(buf).build();
-    gpusim::timing::time_kernel(
+    gpusim::simulate(
         &mut gpu,
         m,
         LaunchDims::linear(blocks, threads),
         &params,
+        Model::OneWave,
         opts,
     )
     .unwrap()
+    .0
 }
 
 fn counted(m: &sass::Module, blocks: u32, mem: usize, threads: u32) -> KernelTiming {

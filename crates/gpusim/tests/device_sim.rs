@@ -1,5 +1,6 @@
-//! Contracts of the full-device multi-wave timing model (`gpusim::device_sim`)
-//! against the retained one-wave analytic path:
+//! Contracts of the full-device multi-wave timing model (`gpusim::device_sim`,
+//! `Model::Device` and `Model::DeviceExact`) against the retained one-wave
+//! analytic path (`Model::OneWave`):
 //!
 //! * **golden agreement** — on grids that are an exact multiple of one full
 //!   device wave, the two models must agree bit-for-bit on `time_s` and
@@ -15,8 +16,8 @@
 //!   `HwCounters::wave_cycles` accumulating busy scheduler-cycles over SMs.
 
 use gpusim::{
-    time_kernel_device, timing, DeviceOptions, DeviceSpec, Gpu, KernelTiming, LaunchDims,
-    ParamBuilder, TimingOptions,
+    DeviceSpec, DeviceTrace, Gpu, KernelTiming, LaunchDims, LaunchError, Model, ParamBuilder,
+    TimingOptions,
 };
 use sass::assemble;
 
@@ -65,6 +66,21 @@ LOOP:
     .unwrap()
 }
 
+/// Simulate `blocks × threads` of `m` on a fresh `dev` under `model`.
+fn sim(
+    m: &sass::Module,
+    dev: &DeviceSpec,
+    (blocks, threads): (u32, u32),
+    model: Model,
+    opts: TimingOptions,
+) -> Result<(KernelTiming, Option<DeviceTrace>), LaunchError> {
+    let mut gpu = Gpu::new(dev.clone(), 1 << 22);
+    let buf = gpu.alloc(1 << 20);
+    let params = ParamBuilder::new().push_ptr(buf).build();
+    let dims = LaunchDims::linear(blocks, threads);
+    gpusim::simulate(&mut gpu, m, dims, &params, model, opts)
+}
+
 fn one_wave(
     m: &sass::Module,
     dev: &DeviceSpec,
@@ -72,17 +88,9 @@ fn one_wave(
     threads: u32,
     opts: TimingOptions,
 ) -> KernelTiming {
-    let mut gpu = Gpu::new(dev.clone(), 1 << 22);
-    let buf = gpu.alloc(1 << 20);
-    let params = ParamBuilder::new().push_ptr(buf).build();
-    timing::time_kernel(
-        &mut gpu,
-        m,
-        LaunchDims::linear(blocks, threads),
-        &params,
-        opts,
-    )
-    .unwrap()
+    sim(m, dev, (blocks, threads), Model::OneWave, opts)
+        .unwrap()
+        .0
 }
 
 fn device(
@@ -90,19 +98,10 @@ fn device(
     dev: &DeviceSpec,
     blocks: u32,
     threads: u32,
-    opts: DeviceOptions,
+    model: Model,
+    opts: TimingOptions,
 ) -> KernelTiming {
-    let mut gpu = Gpu::new(dev.clone(), 1 << 22);
-    let buf = gpu.alloc(1 << 20);
-    let params = ParamBuilder::new().push_ptr(buf).build();
-    time_kernel_device(
-        &mut gpu,
-        m,
-        LaunchDims::linear(blocks, threads),
-        &params,
-        opts,
-    )
-    .unwrap()
+    sim(m, dev, (blocks, threads), model, opts).unwrap().0
 }
 
 /// On an exact-multiple grid (RTX2070, 36 SMs, 2 blocks/SM, 144 blocks =
@@ -125,11 +124,8 @@ fn matches_one_wave_on_exact_multiple_grids() {
         &dev,
         144,
         256,
-        DeviceOptions {
-            base,
-            jobs: 1,
-            ..Default::default()
-        },
+        Model::Device,
+        TimingOptions { jobs: 1, ..base },
     );
     assert_eq!(
         dv.time_s.to_bits(),
@@ -160,12 +156,8 @@ fn matches_one_wave_on_exact_multiple_grids() {
         &dev,
         144,
         256,
-        DeviceOptions {
-            base,
-            jobs: 1,
-            exact: true,
-            ..Default::default()
-        },
+        Model::DeviceExact,
+        TimingOptions { jobs: 1, ..base },
     );
     assert_eq!(format!("{exact:?}"), format!("{dv:?}"));
 }
@@ -191,11 +183,8 @@ fn partial_wave_grid_costs_less_than_one_wave_model() {
         &dev,
         180,
         256,
-        DeviceOptions {
-            base,
-            jobs: 1,
-            ..Default::default()
-        },
+        Model::Device,
+        TimingOptions { jobs: 1, ..base },
     );
     assert_eq!(dv.waves, 3);
     assert_eq!(dv.busy_sms, 36);
@@ -212,25 +201,21 @@ fn partial_wave_grid_costs_less_than_one_wave_model() {
 /// Sharding SMs across workers must not change a single bit of the result,
 /// profile and counters included. 100 blocks on 80 SMs gives an uneven
 /// dispatch (20 SMs own two blocks, 60 own one) — the interesting case.
-/// `exact: true` forces every SM to be simulated individually so the
+/// `Model::DeviceExact` forces every SM to be simulated individually so the
 /// worker sharding is genuinely exercised.
 #[test]
 fn bit_stable_under_any_jobs() {
     let m = latency_module();
     let dev = DeviceSpec::v100();
-    let opts = |jobs| DeviceOptions {
-        base: TimingOptions {
-            profile: true,
-            counters: true,
-            ..Default::default()
-        },
+    let opts = |jobs| TimingOptions {
+        profile: true,
+        counters: true,
         jobs,
-        exact: true,
         ..Default::default()
     };
-    let t1 = device(&m, &dev, 100, 64, opts(1));
-    let t2 = device(&m, &dev, 100, 64, opts(2));
-    let t8 = device(&m, &dev, 100, 64, opts(8));
+    let t1 = device(&m, &dev, 100, 64, Model::DeviceExact, opts(1));
+    let t2 = device(&m, &dev, 100, 64, Model::DeviceExact, opts(2));
+    let t8 = device(&m, &dev, 100, 64, Model::DeviceExact, opts(8));
     assert!(t1.profile.is_some() && t1.counters.is_some());
     let r1 = format!("{t1:?}");
     assert_eq!(r1, format!("{t2:?}"), "jobs=2 drifted from jobs=1");
@@ -249,12 +234,10 @@ fn device_counters_reconcile_at_device_totals() {
         &dev,
         100,
         64,
-        DeviceOptions {
-            base: TimingOptions {
-                profile: true,
-                counters: true,
-                ..Default::default()
-            },
+        Model::Device,
+        TimingOptions {
+            profile: true,
+            counters: true,
             ..Default::default()
         },
     );
@@ -326,11 +309,9 @@ fn analytic_path_edge_cases() {
         &dev,
         3,
         256,
-        DeviceOptions {
-            base: TimingOptions {
-                blocks_per_sm: Some(4),
-                ..Default::default()
-            },
+        Model::Device,
+        TimingOptions {
+            blocks_per_sm: Some(4),
             ..Default::default()
         },
     );
@@ -339,7 +320,7 @@ fn analytic_path_edge_cases() {
     assert_eq!(dv.time_s.to_bits(), tiny.time_s.to_bits());
 
     // Empty grid through the device path too.
-    let dz = device(&m, &dev, 0, 256, DeviceOptions::default());
+    let dz = device(&m, &dev, 0, 256, Model::Device, TimingOptions::default());
     assert_eq!(dz.time_s, 0.0);
     assert_eq!(dz.busy_sms, 0);
 }
@@ -347,38 +328,33 @@ fn analytic_path_edge_cases() {
 /// Tracing is pure observability: the traced call returns bit-identical
 /// timing, and the recorded wave spans reconcile with it — per-SM repeats
 /// sum to that SM's wave count, spans on one lane tile its busy time
-/// back-to-back, and the trace makespan is the device makespan.
+/// back-to-back, and the trace makespan is the device makespan. The
+/// one-wave model has no device timeline, so it rejects a trace.
 #[test]
 fn traced_timing_is_identical_and_spans_reconcile() {
     let m = latency_module();
     let dev = DeviceSpec::v100();
     // 100 blocks on 80 SMs, exact mode: 20 SMs run two waves, 60 run one.
-    let opts = DeviceOptions {
-        base: TimingOptions {
-            blocks_per_sm: Some(1),
-            ..Default::default()
-        },
-        exact: true,
+    let opts = TimingOptions {
+        blocks_per_sm: Some(1),
         ..Default::default()
     };
-    let plain = device(&m, &dev, 100, 64, opts);
+    let plain = device(&m, &dev, 100, 64, Model::DeviceExact, opts);
+    assert!(sim(&m, &dev, (100, 64), Model::DeviceExact, opts)
+        .unwrap()
+        .1
+        .is_none());
 
-    let mut gpu = Gpu::new(dev.clone(), 1 << 22);
-    let buf = gpu.alloc(1 << 20);
-    let params = ParamBuilder::new().push_ptr(buf).build();
-    let traced = DeviceOptions {
+    let traced = TimingOptions {
         trace: true,
         ..opts
     };
-    let (timing, trace) = gpusim::time_kernel_device_traced(
-        &mut gpu,
-        &m,
-        LaunchDims::linear(100, 64),
-        &params,
-        traced,
-    )
-    .unwrap();
+    let (timing, trace) = sim(&m, &dev, (100, 64), Model::DeviceExact, traced).unwrap();
     assert_eq!(format!("{timing:?}"), format!("{plain:?}"));
+    assert!(matches!(
+        sim(&m, &dev, (100, 64), Model::OneWave, traced),
+        Err(LaunchError::Unsupported(_))
+    ));
     let trace = trace.expect("trace requested");
 
     assert!(!trace.truncated);

@@ -10,8 +10,8 @@
 //!    hardware counter — via its `Debug` rendering (Rust's `Debug` for `f64`
 //!    prints the shortest round-trippable decimal, so two timings digest
 //!    equal iff they are bit-identical);
-//! 2. the simcache content address (`gpusim::timing_digest`) of the call, so
-//!    warm caches written by earlier revisions still hit.
+//! 2. the simcache content address (`gpusim::key`) of the call, so warm
+//!    caches written by earlier revisions still hit.
 //!
 //! The goldens were originally captured from the pre-optimization
 //! cycle-by-cycle loop and reproduced bit-exactly by the event-driven
@@ -25,7 +25,7 @@
 //! HOTLOOP_GOLDEN_REGEN=1 cargo test -p gpusim --test hotloop_identity
 //! ```
 
-use gpusim::{timing, DeviceSpec, Digest, Gpu, TimingOptions};
+use gpusim::{DeviceSpec, Digest, Gpu, Model, TimingOptions};
 use kernels::gemm::{GemmConfig, GemmKernel};
 use kernels::{FusedConfig, FusedKernel};
 
@@ -106,9 +106,10 @@ fn run_line(case: &Case, dev: &DeviceSpec, profile: bool, counters: bool) -> Str
     };
     let mut gpu = Gpu::new(dev.clone(), case.capacity);
     let params = (case.params)(&mut gpu);
-    let t = timing::time_kernel(&mut gpu, &case.module, case.dims, &params, opts)
-        .expect("timing run failed");
-    let key = gpusim::timing_digest(dev, &case.module, case.dims, &params, opts);
+    let (m, dims, model) = (&case.module, case.dims, Model::OneWave);
+    let (t, _) =
+        gpusim::simulate(&mut gpu, m, dims, &params, model, opts).expect("timing run failed");
+    let key = gpusim::key(dev, m, dims, &params, model, opts).hex();
     let mut d = Digest::new();
     d.str(&format!("{t:?}"));
     format!(

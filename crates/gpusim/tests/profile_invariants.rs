@@ -1,7 +1,9 @@
 //! Invariants of the `simprof` stall-attribution profile (ISSUE: profiling
 //! must reconcile with `KernelTiming`, and must be free when off).
 
-use gpusim::{DeviceSpec, Gpu, KernelTiming, LaunchDims, ParamBuilder, StallCause, TimingOptions};
+use gpusim::{
+    DeviceSpec, Gpu, KernelTiming, LaunchDims, Model, ParamBuilder, StallCause, TimingOptions,
+};
 use sass::assemble;
 
 /// A compute loop (FP32-bound), a latency loop (scoreboard-bound) and a
@@ -69,17 +71,19 @@ fn run(m: &sass::Module, blocks: u32, mem: usize, threads: u32, profile: bool) -
     let mut gpu = Gpu::new(DeviceSpec::v100(), mem);
     let buf = gpu.alloc(1 << 20);
     let params = ParamBuilder::new().push_ptr(buf).build();
-    gpusim::timing::time_kernel(
+    gpusim::simulate(
         &mut gpu,
         m,
         LaunchDims::linear(blocks, threads),
         &params,
+        Model::OneWave,
         TimingOptions {
             profile,
             ..Default::default()
         },
     )
     .unwrap()
+    .0
 }
 
 /// Every scheduler-cycle of the wave lands in exactly one bucket: the

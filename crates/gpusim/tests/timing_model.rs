@@ -2,7 +2,7 @@
 //! costs, L1 capacity carve-out, warm-up behaviour, idle attribution, and
 //! grid-coordinate handling in multi-dimensional launches.
 
-use gpusim::{DeviceSpec, Gpu, LaunchDims, ParamBuilder, TimingOptions};
+use gpusim::{DeviceSpec, Gpu, LaunchDims, Model, ParamBuilder, TimingOptions};
 use sass::assemble;
 
 fn ffma_stream_kernel(yield_every: Option<u32>) -> sass::Module {
@@ -25,14 +25,16 @@ fn ffma_stream_kernel(yield_every: Option<u32>) -> sass::Module {
 
 fn time_module(m: &sass::Module, dev: DeviceSpec, blocks: u32) -> gpusim::KernelTiming {
     let mut gpu = Gpu::new(dev, 1 << 20);
-    gpusim::timing::time_kernel(
+    gpusim::simulate(
         &mut gpu,
         m,
         LaunchDims::linear(blocks, 256),
         &[],
+        Model::OneWave,
         TimingOptions::default(),
     )
     .unwrap()
+    .0
 }
 
 #[test]
@@ -94,14 +96,16 @@ LOOP:
     let mut gpu = Gpu::new(DeviceSpec::v100(), 1 << 24);
     let buf = gpu.alloc(1 << 20);
     let params = ParamBuilder::new().push_ptr(buf).build();
-    let t = gpusim::timing::time_kernel(
+    let t = gpusim::simulate(
         &mut gpu,
         &m,
         LaunchDims::linear(160, 256),
         &params,
+        Model::OneWave,
         TimingOptions::default(),
     )
-    .unwrap();
+    .unwrap()
+    .0;
     // 32 reads of 1 KiB/warp; DRAM traffic must be ~1 read's worth + the
     // store, not 32 reads' worth.
     let unique_bytes = 160u64 * 256 * 4 * 2; // loads + stores
@@ -155,17 +159,19 @@ fn multi_dim_grids_resolve_block_coords() {
 fn occupancy_override_caps_resident_blocks() {
     let m = ffma_stream_kernel(None);
     let mut gpu = Gpu::new(DeviceSpec::v100(), 1 << 20);
-    let t = gpusim::timing::time_kernel(
+    let t = gpusim::simulate(
         &mut gpu,
         &m,
         LaunchDims::linear(160, 256),
         &[],
+        Model::OneWave,
         TimingOptions {
             blocks_per_sm: Some(1),
             ..Default::default()
         },
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert_eq!(t.blocks_per_sm, 1);
     assert_eq!(t.waves, 2);
 }

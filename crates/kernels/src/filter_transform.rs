@@ -193,7 +193,7 @@ pub fn transform_cache_key(c_dim: u32, k_dim: u32, tile: u32, filter: &[f32]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpusim::Gpu;
+    use gpusim::{Gpu, Model};
     use tensor::XorShiftRng;
 
     /// Host reference: G f Gᵀ for one 3×3 tile.
@@ -266,14 +266,16 @@ mod tests {
         let (c_dim, k_dim) = (256u32, 256u32);
         let m = emit_filter_transform(c_dim, k_dim);
         let (mut gpu, b) = buffers(c_dim, k_dim).alloc(gpusim::DeviceSpec::v100());
-        let t = gpusim::timing::time_kernel(
+        let t = gpusim::simulate(
             &mut gpu,
             &m,
             launch_dims(c_dim, k_dim),
             &params(b[0], b[1]),
+            Model::OneWave,
             gpusim::TimingOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // FP32 utilization should be low; traffic should be ≥ in+out bytes.
         assert!(t.sol_pct < 50.0, "sol {}", t.sol_pct);
         let min_bytes = ((c_dim * 9 + c_dim * 16) * k_dim) as u64 * 4;

@@ -418,7 +418,7 @@ fn lds_insts(i: u32, buf: u32) -> Vec<Instruction> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpusim::{DeviceSpec, Gpu};
+    use gpusim::{DeviceSpec, Gpu, Model};
     use tensor::XorShiftRng;
 
     fn host_gemm_tn(m: usize, n: usize, kd: usize, at: &[f32], b: &[f32]) -> Vec<f32> {
@@ -513,14 +513,16 @@ mod tests {
         let da = gpu.alloc((cfg.kd * cfg.m) as u64 * 4);
         let db = gpu.alloc((cfg.kd * cfg.n) as u64 * 4);
         let dc = gpu.alloc((cfg.m * cfg.n) as u64 * 4);
-        let t = gpusim::timing::time_kernel(
+        let t = gpusim::simulate(
             &mut gpu,
             &kern.module,
             kern.launch_dims(),
             &kern.params(da, db, dc),
+            Model::OneWave,
             gpusim::TimingOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let eff = t.tflops / (dev.peak_fp32_flops() / 1e12);
         assert!(eff > 0.55, "GEMM efficiency {eff}");
     }

@@ -706,6 +706,18 @@ impl FusedKernel {
         kern
     }
 
+    /// [`FusedKernel::regions`] as the schedule tuner's region list.
+    pub fn tune_regions(&self) -> Vec<sass::tune::TuneRegion> {
+        self.regions
+            .iter()
+            .map(|r| sass::tune::TuneRegion {
+                name: r.name.clone(),
+                start: r.start,
+                end: r.end,
+            })
+            .collect()
+    }
+
     /// Launch dims, 256 threads per block.
     ///
     /// CHWN: grid (wtiles, htiles, ngroups·kblocks) — one (h,w) tile × 32

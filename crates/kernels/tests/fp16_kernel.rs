@@ -2,7 +2,7 @@
 //! reference (at fp16 tolerance), and the 2× throughput claim on the
 //! timing model.
 
-use gpusim::{DeviceSpec, Gpu, TimingOptions};
+use gpusim::{DeviceSpec, Gpu, Model, TimingOptions};
 use kernels::fp16::{pack_f16_duplicated, pack_f16_pairs, unpack_f16_pairs};
 use kernels::{FusedConfig, FusedKernel};
 use tensor::XorShiftRng;
@@ -165,17 +165,19 @@ fn fp16_doubles_mainloop_throughput() {
         let d_tf = gpu.alloc(1 << 22);
         let d_out = gpu.alloc(1 << 24);
         let params = kern.params(d_in, d_tf, d_out);
-        let t = gpusim::timing::time_kernel(
+        let t = gpusim::simulate(
             &mut gpu,
             &kern.module,
             kern.launch_dims(),
             &params,
+            Model::OneWave,
             TimingOptions {
                 region: Some(kern.region),
                 ..Default::default()
             },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         t.region_tflops(&dev, cfg.mainloop_flops_per_block())
     };
     let tf32 = run(f32cfg);

@@ -1,7 +1,7 @@
 //! Hardware-counter expectations for the generated fused Winograd kernels:
 //! the §4/§5 design claims, checked on the counters instead of end timing.
 
-use gpusim::{DeviceSpec, Gpu, HwCounters, TimingOptions};
+use gpusim::{DeviceSpec, Gpu, HwCounters, Model, TimingOptions};
 use kernels::filter_transform::{self, emit_filter_transform};
 use kernels::{FusedConfig, FusedKernel};
 
@@ -26,17 +26,19 @@ fn count(cfg: FusedConfig) -> HwCounters {
 
     let kern = FusedKernel::emit(cfg);
     let params = kern.params(d_in, d_tf, d_out);
-    let t = gpusim::timing::time_kernel(
+    let t = gpusim::simulate(
         &mut gpu,
         &kern.module,
         kern.launch_dims(),
         &params,
+        Model::OneWave,
         TimingOptions {
             counters: true,
             ..Default::default()
         },
     )
-    .expect("counted fused kernel");
+    .expect("counted fused kernel")
+    .0;
     let c = t.counters.expect("counters requested");
     c.validate().expect("fused kernel counters reconcile");
     c

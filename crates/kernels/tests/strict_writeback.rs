@@ -5,7 +5,7 @@
 //! linter's per-block analysis cannot see — consumers read poison and the
 //! output diverges from the reference.
 
-use gpusim::{DeviceSpec, Gpu, TimingOptions};
+use gpusim::{DeviceSpec, Gpu, Model, TimingOptions};
 use kernels::filter_transform::{self, emit_filter_transform};
 use kernels::gemm::{GemmConfig, GemmKernel};
 use kernels::{FusedConfig, FusedKernel};
@@ -52,9 +52,10 @@ fn reference(
 
 /// Time (and thereby strictly execute) one wave of the fused kernel and
 /// check every output element the simulated blocks produced. The filter
-/// transform runs through the functional launcher — `time_kernel` executes
-/// only one wave, and the fused kernel needs the *complete* transformed
-/// filter (the FX kernel's own strict validation is a separate test below).
+/// transform runs through the functional launcher — a one-wave timing run
+/// executes only one wave, and the fused kernel needs the *complete*
+/// transformed filter (the FX kernel's own strict validation is a separate
+/// test below).
 fn strict_case(cfg: FusedConfig, seed: u64) {
     assert!(!cfg.input_nchw, "this harness feeds CHWN data");
     let (c, h, w, n, k) = (
@@ -84,17 +85,19 @@ fn strict_case(cfg: FusedConfig, seed: u64) {
 
     let kern = FusedKernel::emit(cfg);
     let params = kern.params(d_in, d_tf, d_out);
-    let t = gpusim::timing::time_kernel(
+    let t = gpusim::simulate(
         &mut gpu,
         &kern.module,
         kern.launch_dims(),
         &params,
+        Model::OneWave,
         TimingOptions {
             strict_writeback: true,
             ..Default::default()
         },
     )
-    .expect("strict fused kernel");
+    .expect("strict fused kernel")
+    .0;
 
     // Check the outputs of the blocks the strict wave actually ran (the
     // warm-up block 0 ran un-strictly through the functional path; the
@@ -185,11 +188,12 @@ fn filter_transform_schedule_is_hazard_free() {
         let params = filter_transform::params(d_in, d_tf);
         let dims = filter_transform::launch_dims(c, k);
         if strict {
-            gpusim::timing::time_kernel(
+            gpusim::simulate(
                 &mut gpu,
                 &fx,
                 dims,
                 &params,
+                Model::OneWave,
                 TimingOptions {
                     strict_writeback: true,
                     ..Default::default()
@@ -216,11 +220,12 @@ fn gemm_schedule_is_hazard_free_dynamically() {
     let da = gpu.alloc_upload_f32(&at);
     let db = gpu.alloc_upload_f32(&b);
     let dc = gpu.alloc((m * n) as u64 * 4);
-    gpusim::timing::time_kernel(
+    gpusim::simulate(
         &mut gpu,
         &kern.module,
         kern.launch_dims(),
         &kern.params(da, db, dc),
+        Model::OneWave,
         TimingOptions {
             strict_writeback: true,
             ..Default::default()

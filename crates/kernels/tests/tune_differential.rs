@@ -208,12 +208,7 @@ fn tuner_candidates_compute_identical_results() {
     assert!(sampled.len() >= 6, "too few candidates sampled");
     for (i, insts) in sampled.iter().enumerate() {
         assert!(sass::lint(insts).is_empty(), "candidate {i} fails lint");
-        let cand = sass::Module::new(
-            &naive.module.info.name,
-            naive.module.info.smem_bytes,
-            naive.module.info.param_bytes,
-            insts.clone(),
-        );
+        let cand = naive.module.with_insts(insts.clone());
         // Scrub the output so a candidate that silently skipped stores
         // cannot inherit a previous launch's correct answer.
         gpu.mem

@@ -55,12 +55,8 @@ fn main() -> ExitCode {
             if cmd == "fix" {
                 let n = sass::lint::fix_schedule(&mut module.insts);
                 eprintln!("applied {n} schedule fixes");
-                module = sass::Module::new(
-                    module.info.name.clone(),
-                    module.info.smem_bytes,
-                    module.info.param_bytes,
-                    module.insts,
-                );
+                let insts = std::mem::take(&mut module.insts);
+                module = module.with_insts(insts);
             }
             let remaining = sass::lint(&module.insts);
             for d in &remaining {

@@ -66,6 +66,14 @@ impl Module {
         }
     }
 
+    /// This module's kernel (name, shared memory, parameter block) over
+    /// another instruction stream, e.g. a schedule-tuner candidate;
+    /// `num_regs` is derived afresh.
+    pub fn with_insts(&self, insts: Vec<Instruction>) -> Module {
+        let info = &self.info;
+        Module::new(&info.name, info.smem_bytes, info.param_bytes, insts)
+    }
+
     /// True if any instruction is a block-wide barrier.
     pub fn uses_barriers(&self) -> bool {
         self.insts.iter().any(|i| matches!(i.op, Op::BarSync))

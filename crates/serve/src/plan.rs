@@ -34,11 +34,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use gpusim::digest::module_digest;
-use gpusim::{time_kernel_device, BatchTimer, DeviceOptions, DeviceSpec, Digest, TimingOptions};
+use gpusim::{BatchTimer, DeviceSpec, Digest, Model, TimingOptions};
 use kernels::{EmitterParams, FusedConfig, FusedKernel};
 use perfmodel::{break_even_k, BottleneckReport};
 use sass::island::{run_islands, IslandConfig, Priors, SeedKind};
-use sass::tune::TuneRegion;
 use sass::Module;
 use wino_core::netgraph::candidates;
 use wino_core::{Algo, Conv};
@@ -606,16 +605,16 @@ impl Planner {
             let buffers = hand.buffers();
             let a = buffers.addrs();
             let params = hand.params(a[0], a[1], a[2]);
-            let dopts = DeviceOptions {
-                base: TimingOptions {
-                    region: Some(hand.region),
-                    ..Default::default()
-                },
+            let opts = TimingOptions {
+                region: Some(hand.region),
                 ..Default::default()
             };
             let time_module = |m: &Module| {
                 let (mut gpu, _) = buffers.alloc(self.device.clone());
-                time_kernel_device(&mut gpu, m, hand.launch_dims(), &params, dopts).ok()
+                let dims = hand.launch_dims();
+                gpusim::simulate(&mut gpu, m, dims, &params, Model::Device, opts)
+                    .ok()
+                    .map(|(t, _)| t)
             };
             let (Some(hand_t), Some(tuned_t)) = (time_module(&hand.module), time_module(&tuned))
             else {
@@ -674,29 +673,24 @@ impl Planner {
             let base = base.clone();
             let dev = self.device.clone();
             move |insts: &[sass::Instruction], perm: &[u32]| {
-                let cand = Module::new(
-                    &base.info.name,
-                    base.info.smem_bytes,
-                    base.info.param_bytes,
-                    insts.to_vec(),
-                );
+                let cand = base.with_insts(insts.to_vec());
                 let (mut gpu, _) = buffers_ref.alloc(dev.clone());
                 batch
-                    .time(&mut gpu, &cand, perm, dims, params_ref, opts)
+                    .time(
+                        &mut gpu,
+                        &cand,
+                        perm,
+                        dims,
+                        params_ref,
+                        Model::OneWave,
+                        opts,
+                    )
                     .ok()
-                    .map(|t| t.wave_cycles)
+                    .map(|(t, _)| t.wave_cycles)
             }
         };
 
-        let regions: Vec<TuneRegion> = hand
-            .regions
-            .iter()
-            .map(|r| TuneRegion {
-                name: r.name.clone(),
-                start: r.start,
-                end: r.end,
-            })
-            .collect();
+        let regions = hand.tune_regions();
         let mut icfg = IslandConfig::new(2, 2, (self.tune_budget / 4).max(1), self.tune_seed);
         icfg.seeds = vec![SeedKind::Hand, SeedKind::HandGreedy];
         icfg.jobs = 1;
@@ -716,12 +710,7 @@ impl Planner {
             return; // annealing found nothing better; keep the hand schedule
         }
 
-        let best = Module::new(
-            &base.info.name,
-            base.info.smem_bytes,
-            base.info.param_bytes,
-            outcome.best_insts.clone(),
-        );
+        let best = base.with_insts(outcome.best_insts.clone());
         // Re-time the tuned module through the full device model on the
         // pipeline layout `Conv::time` timed `top.kernel` on, so the gate
         // compares the same program, and fold the kernel-phase delta into
@@ -729,11 +718,9 @@ impl Planner {
         let pipeline = hand.pipeline_buffers();
         let (mut gpu, a) = pipeline.alloc(self.device.clone());
         let params = hand.params(a[0], a[2], a[3]);
-        let dopts = DeviceOptions {
-            base: opts,
-            ..Default::default()
-        };
-        let Ok(tuned_t) = time_kernel_device(&mut gpu, &best, dims, &params, dopts) else {
+        let Ok((tuned_t, _)) =
+            gpusim::simulate(&mut gpu, &best, dims, &params, Model::Device, opts)
+        else {
             return;
         };
         let hand_kernel = top.kernel.as_ref().expect("fused timing has a kernel");
@@ -1021,15 +1008,7 @@ mod tests {
 
         // Manufacture a genuine winner: two islands seeded from the hand
         // schedule (one greedy-tightened) against the real simulator.
-        let regions: Vec<TuneRegion> = hand
-            .regions
-            .iter()
-            .map(|r| TuneRegion {
-                name: r.name.clone(),
-                start: r.start,
-                end: r.end,
-            })
-            .collect();
+        let regions = hand.tune_regions();
         let opts = TimingOptions {
             region: Some(hand.region),
             ..Default::default()
@@ -1052,19 +1031,13 @@ mod tests {
                 let base = hand.module.clone();
                 let dims = hand.launch_dims();
                 move |insts: &[sass::Instruction], perm: &[u32]| {
-                    let cand = Module::new(
-                        &base.info.name,
-                        base.info.smem_bytes,
-                        base.info.param_bytes,
-                        insts.to_vec(),
-                    );
+                    let cand = base.with_insts(insts.to_vec());
                     let (mut gpu, _) = buffers.alloc(dev.clone());
-                    Some(
-                        timer
-                            .time(&mut gpu, &cand, perm, dims, &params, opts)
-                            .unwrap()
-                            .wave_cycles,
-                    )
+                    let model = Model::OneWave;
+                    let (t, _) = timer
+                        .time(&mut gpu, &cand, perm, dims, &params, model, opts)
+                        .unwrap();
+                    Some(t.wave_cycles)
                 }
             },
         );
@@ -1072,12 +1045,7 @@ mod tests {
             outcome.best_cost < outcome.per_island[0].start_cost,
             "greedy-tightened island failed to beat the hand schedule"
         );
-        let best = Module::new(
-            &hand.module.info.name,
-            hand.module.info.smem_bytes,
-            hand.module.info.param_bytes,
-            outcome.best_insts.clone(),
-        );
+        let best = hand.module.with_insts(outcome.best_insts.clone());
         sched.save(
             &planner.device,
             &cfg,
