@@ -5,7 +5,10 @@
 //! is not reachable from the build environment, so `proptest` is off-limits);
 //! every case prints its operands on failure, so a red run is reproducible.
 
-use gpusim::{ConstBank, DeviceSpec, ExecEnv, Gpu, LaunchDims, ParamBuilder, Warp};
+use gpusim::exec::MemTrace;
+use gpusim::{
+    ConstBank, DeviceSpec, ExecEnv, GlobalMemory, Gpu, LaunchDims, ParamBuilder, StepEvent, Warp,
+};
 use sass::isa::{build, Instruction, Op, SrcB};
 use sass::reg::{Reg, RZ};
 use tensor::XorShiftRng;
@@ -14,7 +17,7 @@ use tensor::XorShiftRng;
 fn run_warp(insts: Vec<Instruction>, init: impl FnOnce(&mut Warp)) -> Warp {
     let mut insts = insts;
     insts.push(Instruction::new(Op::Exit));
-    let mut global = gpusim::GlobalMemory::new(1 << 16);
+    let mut global = GlobalMemory::new(1 << 16);
     let mut smem = vec![0u8; 1024];
     let cbank = ConstBank::new([32, 1, 1], [1, 1, 1], &[]);
     let mut warp = Warp::new(32, 0, 32);
@@ -26,8 +29,9 @@ fn run_warp(insts: Vec<Instruction>, init: impl FnOnce(&mut Warp)) -> Warp {
         ctaid: [0, 0, 0],
         block_dim: [32, 1, 1],
     };
+    let mut trace = MemTrace::default();
     loop {
-        let (ev, _) = gpusim::exec::step(&mut warp, &insts, &mut env, 0).unwrap();
+        let ev = gpusim::exec::step(&mut warp, &insts, &mut env, 0, &mut trace).unwrap();
         if ev == gpusim::StepEvent::Exited {
             break;
         }
@@ -256,4 +260,104 @@ fn gmem_round_trip() {
             );
         }
     }
+}
+
+/// `step` clears and refills the caller's `MemTrace`. One warp steps
+/// through a global store, a shared load, a predicated-off load, a branch
+/// and `EXIT` twice: once with a fresh trace per step, once reusing a
+/// single trace that starts out full of junk. Every step's trace must be
+/// the same in both runs: no stale address, width or `is_store` survives.
+#[test]
+fn reused_mem_trace_matches_a_fresh_one() {
+    let m = sass::assemble(
+        r#"
+.kernel trace
+.smem 128
+.params 8
+    --:-:-:Y:1  S2R R0, SR_TID.X;
+    --:-:-:Y:6  MOV R4, c[0x0][0x160];
+    --:-:-:Y:6  MOV R5, c[0x0][0x164];
+    --:-:-:Y:6  IMAD.WIDE.U32 R2, R0, 0x4, R4;
+    --:-:-:Y:6  SHF.L.U32 R7, R0, 0x2, RZ;
+    --:-:-:Y:2  STG.E [R2], R0;
+    --:-:0:-:2  LDS R6, [R7];
+    --:-:-:Y:6  ISETP.GT.U32.AND P0, PT, R0, 0x40, PT;
+    --:-:1:-:2  @P0 LDG.E R8, [R2];
+    --:-:-:Y:5  BRA `(END);
+    --:-:-:Y:1  NOP;
+END:
+    --:-:-:Y:5  EXIT;
+"#,
+    )
+    .unwrap();
+    let run = |reuse: bool| -> Vec<(StepEvent, MemTrace)> {
+        let mut global = GlobalMemory::new(1 << 16);
+        let buf = global.alloc(128);
+        let cbank = ConstBank::new(
+            [32, 1, 1],
+            [1, 1, 1],
+            &ParamBuilder::new().push_ptr(buf).build(),
+        );
+        let mut smem = vec![0u8; 128];
+        let mut env = ExecEnv {
+            global: &mut global,
+            smem: &mut smem,
+            cbank: &cbank,
+            ctaid: [0, 0, 0],
+            block_dim: [32, 1, 1],
+        };
+        let mut warp = Warp::new(16, 0, 32);
+        let mut reused = MemTrace {
+            global_addrs: vec![1, 2, 3],
+            shared_addrs: vec![7; 40],
+            width: 16,
+            is_store: true,
+            exec_mask: 0xff,
+        };
+        let mut steps = Vec::new();
+        loop {
+            let mut fresh = MemTrace::default();
+            let trace = if reuse { &mut reused } else { &mut fresh };
+            let ev = gpusim::exec::step(&mut warp, &m.insts, &mut env, 0, trace).unwrap();
+            steps.push((ev, trace.clone()));
+            if ev == StepEvent::Exited {
+                return steps;
+            }
+        }
+    };
+    let fresh = run(false);
+    assert_eq!(run(true), fresh);
+    // The fresh traces are the ones the program implies:
+    // (global addrs, shared addrs, width, is_store, exec_mask).
+    let shape: Vec<_> = fresh
+        .iter()
+        .map(|(_, t)| {
+            (
+                t.global_addrs.len(),
+                t.shared_addrs.len(),
+                t.width,
+                t.is_store,
+                t.exec_mask,
+            )
+        })
+        .collect();
+    let alu = (0, 0, 0, false, u32::MAX);
+    let control = (0, 0, 0, false, 0);
+    assert_eq!(
+        shape,
+        [
+            alu,
+            alu,
+            alu,
+            alu,
+            alu,
+            (32, 0, 4, true, u32::MAX),  // STG
+            (0, 32, 4, false, u32::MAX), // LDS
+            alu,
+            (0, 0, 4, false, 0), // @P0 LDG, every lane predicated off
+            control,             // BRA
+            control,             // EXIT
+        ]
+    );
+    assert_eq!(fresh.last().unwrap().0, StepEvent::Exited);
 }
