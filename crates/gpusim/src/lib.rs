@@ -29,8 +29,8 @@
 //! on one SM and extrapolates analytically across waves (the cheap
 //! inner-loop model, exact on grids that are a whole multiple of full
 //! waves), while [`Model::Device`] ([`device_sim`]) dispatches every block
-//! of the launch to its SM and simulates all SMs — event-driven via
-//! [`timeq`], sharded across worker threads with a deterministic merge — so
+//! of the launch to its SM and simulates all SMs — sharded across worker
+//! threads that each claim whole SMs, with a deterministic merge — so
 //! partial last waves and tail imbalance are timed instead of rounded up.
 
 pub mod batch;

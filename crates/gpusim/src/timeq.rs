@@ -1,19 +1,12 @@
 //! `timeq` — a deterministic time-ordered event queue.
 //!
-//! Both levels of the simulator schedule work against future cycle counts:
+//! The wave loop ([`crate::timing`]) parks scoreboard completions and
+//! deferred load writebacks at their delivery cycle, and the serving
+//! engine (`serve::engine`) orders its simulated-time events the same way.
 //!
-//! * inside one SM, the wave loop ([`crate::timing`]) parks scoreboard
-//!   completions and deferred load writebacks at their delivery cycle;
-//! * at device level ([`crate::device_sim`]), whole SMs advance in order of
-//!   their next wave boundary — an SM with no pending work is simply never
-//!   enqueued, so idle SMs cost nothing.
-//!
-//! Before the full-device rebuild the wave loop used a raw
-//! `BinaryHeap<Reverse<Event>>`; `std`'s heap is only *weakly* ordered for
-//! equal keys (pop order among ties is unspecified across
-//! implementations), which is fine for one closed loop but not for a
-//! structure shared by two simulation levels that must produce bit-stable
-//! results under resharding. `TimeQueue` therefore pins the full order:
+//! `std`'s `BinaryHeap` is only *weakly* ordered for equal keys (pop order
+//! among ties is unspecified across implementations), and both users must
+//! produce bit-stable results. `TimeQueue` therefore pins the full order:
 //! entries pop by `(time, key)` with FIFO order among exact ties (a
 //! monotonic sequence number), so any two runs that push the same entries
 //! pop them identically.
