@@ -44,12 +44,15 @@ trap 'rm -rf "$fresh"' EXIT
   "$fresh/table2.json" "$fresh/fig7.json" "$fresh/ablation.json"
 
 echo "== simspeed smoke =="
-# Host-throughput sanity check of the timing hot loop: runs the tracked
-# simspeed matrix once and verifies every point produces sane cycle and
-# issue counts. No wall-clock gate — CI machines are too noisy for that;
-# the tracked numbers live in BENCH_simspeed.json (see EXPERIMENTS.md,
-# "Simulator speed").
-./target/release/simspeed --smoke --json "$fresh/simspeed.json" > /dev/null
+# Host-throughput sanity check of the timing hot loop and of functional
+# execution: runs the tracked simspeed matrix once (timing points plus one
+# launch_parallel point per device) and verifies every point produces sane
+# cycle, issue and block counts. The geomean speedup against the committed
+# BENCH_simspeed.json is printed for information only. No wall-clock gate —
+# CI machines are too noisy for that; the tracked numbers live in
+# BENCH_simspeed.json (see EXPERIMENTS.md, "Simulator speed").
+./target/release/simspeed --smoke --baseline BENCH_simspeed.json --json "$fresh/simspeed.json" \
+  | grep "speedup vs baseline"
 
 echo "== multiwave smoke =="
 # Multi-wave timing cross-check: times one Table 2 point per device under

@@ -16,6 +16,11 @@
 //! * `sim_cycles_per_sec` — simulated cycles advanced per host second
 //! * `sim_instr_per_sec`  — instructions issued per host second
 //!
+//! One more point per device tracks functional execution: best-of-N
+//! `wall_ms` of `Gpu::launch_parallel` running every block of the matrix
+//! problem's OURS fused kernel, with `blocks`, `blocks_per_sec` and the
+//! worker `threads` it ran on.
+//!
 //! The committed `BENCH_simspeed.json` at the repo root is this binary's
 //! output (see EXPERIMENTS.md "Simulator speed"); CI runs `--smoke`
 //! to assert the numbers are sane but never gates on wall-clock.
@@ -32,6 +37,7 @@ use bench::json::parse;
 use bench::report::{flag_value, Report};
 use bench::Table;
 use gpusim::DeviceSpec;
+use kernels::FusedKernel;
 use wino_core::{Algo, Conv, ConvProblem, Observe, Target};
 
 /// The fixed matrix: one mid-size ResNet-like layer, three algorithm
@@ -120,6 +126,42 @@ fn measure(iters: u32) -> Vec<Point> {
     points
 }
 
+/// One functional-execution point: `Gpu::launch_parallel` on every block
+/// of the matrix problem's OURS fused kernel.
+struct LaunchPoint {
+    device: &'static str,
+    wall_ms: f64,
+    blocks: u64,
+}
+
+/// Label of the functional points in the table and the JSON.
+const LAUNCH_LABEL: &str = "OURS_launch_parallel";
+
+fn measure_launch(iters: u32) -> Vec<LaunchPoint> {
+    let prob = problem();
+    [DeviceSpec::v100(), DeviceSpec::rtx2070()]
+        .into_iter()
+        .map(|dev| {
+            let kern = FusedKernel::emit(Conv::new(prob, dev.clone()).ours_config());
+            let (mut gpu, b) = kern.buffers().alloc(dev.clone());
+            let params = kern.params(b[0], b[1], b[2]);
+            let dims = kern.launch_dims();
+            let mut best = f64::INFINITY;
+            for _ in 0..iters.max(1) {
+                let t0 = Instant::now();
+                gpu.launch_parallel(&kern.module, dims, &params)
+                    .expect("fused kernel runs");
+                best = best.min(t0.elapsed().as_secs_f64());
+            }
+            LaunchPoint {
+                device: dev.name,
+                wall_ms: best * 1e3,
+                blocks: dims.num_blocks(),
+            }
+        })
+        .collect()
+}
+
 /// Look up `wall_ms` for the same (device, algo) point in a previous
 /// `BENCH_simspeed.json`.
 fn baseline_wall_ms(base: &bench::json::Json, device: &str, algo: &str) -> Option<f64> {
@@ -151,6 +193,8 @@ fn main() {
     );
 
     let points = measure(iters);
+    let launches = measure_launch(iters);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut report = Report::to_path("simspeed", Some(json_path));
     let mut t = Table::new(&[
@@ -218,12 +262,56 @@ fn main() {
         );
     }
     t.print();
+
+    let mut t = Table::new(&["device", "algo", "wall ms", "blocks", "blocks/s", "threads"]);
+    for p in &launches {
+        let blocks_per_sec = p.blocks as f64 / (p.wall_ms / 1e3);
+        if smoke {
+            assert!(p.wall_ms > 0.0 && p.blocks > 0, "empty functional launch");
+        }
+        t.row(vec![
+            p.device.to_string(),
+            LAUNCH_LABEL.to_string(),
+            format!("{:.1}", p.wall_ms),
+            p.blocks.to_string(),
+            format!("{blocks_per_sec:.0}"),
+            threads.to_string(),
+        ]);
+        let mut metrics: Vec<(&str, bench::json::Json)> = vec![
+            ("wall_ms", p.wall_ms.into()),
+            ("blocks", p.blocks.into()),
+            ("blocks_per_sec", blocks_per_sec.into()),
+        ];
+        if let Some(base) = &baseline {
+            if let Some(b) = baseline_wall_ms(base, p.device, LAUNCH_LABEL) {
+                let s = b / p.wall_ms;
+                speedups.push(s);
+                metrics.push(("speedup_vs_baseline", s.into()));
+            }
+        }
+        report.add(
+            p.device,
+            &[
+                ("algo", LAUNCH_LABEL.into()),
+                ("n", prob.n.into()),
+                ("c", prob.c.into()),
+                ("hw", prob.h.into()),
+                ("k", prob.k.into()),
+                ("iters", iters.into()),
+                ("threads", threads.into()),
+            ],
+            &metrics,
+        );
+    }
+    println!();
+    t.print();
     if !speedups.is_empty() {
         let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
         println!("\nspeedup vs baseline: geomean {geomean:.2}x");
     }
     if smoke {
-        println!("\nsmoke OK: {} points, all sane", points.len());
+        let n = points.len() + launches.len();
+        println!("\nsmoke OK: {n} points, all sane");
     }
     report.finish();
 }
