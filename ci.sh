@@ -126,9 +126,17 @@ echo "== servemon smoke =="
 # the events log through servemon's consistency checks. The report JSON is
 # byte-identical with telemetry on or off (pinned by
 # bench/tests/serve_telemetry.rs), so this stage can never change results.
+# Every plan of this warm run must load from the plan directory (0 misses
+# on both devices): the outputs are the same whether a load hits or
+# misses, so only the hit counts show a store that stopped reading back.
 ./target/release/serve --smoke --plan-dir "$fresh/plans" --json "$fresh/serve_tel.json" \
-  --events "$fresh/serve_events.jsonl" --pool-trace "$fresh/serve_pool.json" > /dev/null
+  --events "$fresh/serve_events.jsonl" --pool-trace "$fresh/serve_pool.json" \
+  > /dev/null 2> "$fresh/serve_tel.log"
 cmp "$fresh/serve.json" "$fresh/serve_tel.json"
+if [ "$(grep -c ' / 0 misses / ' "$fresh/serve_tel.log")" != 2 ]; then
+  cat "$fresh/serve_tel.log" >&2
+  exit 1
+fi
 ./target/release/servemon --log "$fresh/serve_events.jsonl" --smoke > /dev/null
 
 echo "== doclinks =="

@@ -9,7 +9,6 @@
 //! [`report::Report`]).
 
 pub mod harness;
-pub mod json;
 pub mod metrics;
 pub mod metricsdiff;
 pub mod report;
@@ -24,6 +23,8 @@ use wino_core::{AlgoTiming, Conv, ConvProblem, Observe, Target};
 
 use crate::simcache::CacheKey;
 use crate::sweep::Sweep;
+/// The workspace's JSON codec, re-exported for the experiment binaries.
+pub use gpusim::json;
 pub use wino_core::Algo;
 
 /// The 16 `(layer, batch)` points used by Tables 2/6 and Figs. 7–13.

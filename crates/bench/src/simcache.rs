@@ -158,27 +158,28 @@ pub fn timing_to_json(t: &KernelTiming) -> Json {
 }
 
 /// Reconstruct a [`KernelTiming`] from [`timing_to_json`] output. Returns
-/// `None` if any field is missing or mistyped (the observability artifacts
-/// `profile` and `counters` are restored as `None` — they are never cached,
-/// which is what lets instrumented and plain runs share a cache key; see
-/// `gpusim::digest`).
+/// `None` if any field is missing or mistyped, or a counter is not an exact
+/// integer (the observability artifacts `profile` and `counters` are
+/// restored as `None` — they are never cached, which is what lets
+/// instrumented and plain runs share a cache key; see `gpusim::digest`).
 pub fn timing_from_json(j: &Json) -> Option<KernelTiming> {
     let f = |k: &str| j.get(k)?.as_f64();
-    let u = |k: &str| Some(f(k)? as u64);
+    let u = |k: &str| j.get(k)?.as_u64();
+    let narrow = |k: &str| u32::try_from(u(k)?).ok();
     let idle = j.get("idle_breakdown")?.as_arr()?;
     if idle.len() != 5 {
         return None;
     }
     let mut idle_breakdown = [0u64; 5];
     for (slot, v) in idle_breakdown.iter_mut().zip(idle) {
-        *slot = v.as_f64()? as u64;
+        *slot = v.as_u64()?;
     }
     Some(KernelTiming {
         wave_cycles: u("wave_cycles")?,
         waves: u("waves")?,
-        blocks_per_sm: u("blocks_per_sm")? as u32,
+        blocks_per_sm: narrow("blocks_per_sm")?,
         total_blocks: u("total_blocks")?,
-        busy_sms: u("busy_sms")? as u32,
+        busy_sms: narrow("busy_sms")?,
         time_s: f("time_s")?,
         flops: f("flops")?,
         tflops: f("tflops")?,
@@ -246,28 +247,22 @@ pub fn algo_timing_from_json(j: &Json) -> Option<AlgoTiming> {
     })
 }
 
-/// [`Store`] as a [`serve::plan::PlanStorage`]: text values ride in a JSON
-/// string under their content address, so serve plans and tuned schedules
-/// share the simcache directory (and its atomic write-and-rename
-/// discipline) with the sweep results. Used by both the `serve` binary
-/// (plan cache + schedule lookup) and the `tune` binary (schedule
-/// publishing), which is what lets "tune once, serve forever" cross
-/// process boundaries.
+/// [`Store`] as a [`serve::plan::PlanStorage`]: serve plans, tuned
+/// schedules and the plan-cache index are ordinary records under their
+/// content address, sharing the simcache directory (and its atomic
+/// write-and-rename discipline) with the sweep results. Used by both the
+/// `serve` binary (plan cache + schedule lookup) and the `tune` binary
+/// (schedule publishing), which is what lets "tune once, serve forever"
+/// cross process boundaries.
 pub struct SimStore(pub Store);
 
 impl serve::plan::PlanStorage for SimStore {
-    fn load(&self, key: &str) -> Option<String> {
-        match self.0.load(&CacheKey::new(key.to_string())) {
-            Some(Json::Str(s)) => Some(s),
-            _ => None,
-        }
+    fn load(&self, key: &str) -> Option<Json> {
+        self.0.load(&CacheKey::new(key.to_string()))
     }
 
-    fn store(&self, key: &str, value: &str) {
-        self.0.store(
-            &CacheKey::new(key.to_string()),
-            &Json::Str(value.to_string()),
-        );
+    fn store(&self, key: &str, value: &Json) {
+        self.0.store(&CacheKey::new(key.to_string()), value);
     }
 
     fn remove(&self, key: &str) {

@@ -32,6 +32,11 @@
 //! of the launch to its SM and simulates all SMs — sharded across worker
 //! threads that each claim whole SMs, with a deterministic merge — so
 //! partial last waves and tail imbalance are timed instead of rounded up.
+//!
+//! Two leaf modules serve persistence for the whole workspace: [`digest`]
+//! content-addresses simulation inputs, and [`json`] is the one JSON codec
+//! that every persisted record (simcache entries, serve plans, tuned
+//! schedules) and every JSON writer goes through.
 
 pub mod batch;
 pub mod counters;
@@ -40,6 +45,7 @@ pub mod device;
 pub mod device_sim;
 pub mod digest;
 pub mod exec;
+pub mod json;
 pub mod launch;
 pub mod memory;
 pub mod simprof;

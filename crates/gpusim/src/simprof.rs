@@ -24,6 +24,8 @@
 
 use sass::Module;
 
+use crate::json::{obj, Json};
+
 /// Scheduler-idle causes, in attribution-priority order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StallCause {
@@ -265,43 +267,48 @@ impl KernelProfile {
     /// than [`ISSUE_EVENT_CAP`] kept — a truncated trace ends mid-wave and
     /// must not be read as the whole schedule.
     pub fn to_chrome_trace(&self) -> String {
+        // Streamed one event at a time: a profile holds up to
+        // ISSUE_EVENT_CAP events, too many to build as one document tree.
         let mut out = String::with_capacity(self.issue_events.len() * 96 + 64);
-        out.push_str(&format!(
-            "{{\"displayTimeUnit\":\"ns\",\"truncated\":{},\"traceEvents\":[",
-            self.issue_events_truncated
-        ));
-        let mut first = true;
-        for ev in &self.issue_events {
+        out.push_str("{\"displayTimeUnit\":\"ns\",\"truncated\":");
+        Json::from(self.issue_events_truncated).render_into(&mut out);
+        out.push_str(",\"traceEvents\":[");
+        let issues = self.issue_events.iter().map(|ev| {
             let name = self
                 .lines
                 .get(ev.pc as usize)
                 .map(|l| l.mnemonic)
                 .unwrap_or("?");
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":1,\
-                 \"args\":{{\"pc\":{},\"scheduler\":{}}}}}",
-                name, ev.warp, ev.cycle, ev.pc, ev.scheduler
-            ));
-        }
+            obj(&[
+                ("name", name.into()),
+                ("ph", "X".into()),
+                ("pid", 0u32.into()),
+                ("tid", ev.warp.into()),
+                ("ts", ev.cycle.into()),
+                ("dur", 1u32.into()),
+                (
+                    "args",
+                    obj(&[("pc", ev.pc.into()), ("scheduler", ev.scheduler.into())]),
+                ),
+            ])
+        });
         // Thread names: warp slot → "warp N".
-        for warp in self
-            .issue_events
-            .iter()
-            .map(|e| e.warp)
-            .collect::<std::collections::BTreeSet<_>>()
-        {
-            if !first {
+        let warps: std::collections::BTreeSet<u32> =
+            self.issue_events.iter().map(|e| e.warp).collect();
+        let names = warps.into_iter().map(|warp| {
+            obj(&[
+                ("name", "thread_name".into()),
+                ("ph", "M".into()),
+                ("pid", 0u32.into()),
+                ("tid", warp.into()),
+                ("args", obj(&[("name", format!("warp {warp}").into())])),
+            ])
+        });
+        for (i, ev) in issues.chain(names).enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{warp},\
-                 \"args\":{{\"name\":\"warp {warp}\"}}}}"
-            ));
+            ev.render_into(&mut out);
         }
         out.push_str("]}");
         out

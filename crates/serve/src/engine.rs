@@ -418,7 +418,7 @@ pub fn run_recorded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{PlanVariant, PLAN_FORMAT_VERSION};
+    use crate::plan::PlanVariant;
 
     fn class(name: &str) -> ShapeClass {
         ShapeClass {
@@ -432,7 +432,6 @@ mod tests {
 
     fn plan(name: &str, service: &[(u32, u64)], build_cost_ns: u64) -> Plan {
         Plan {
-            version: PLAN_FORMAT_VERSION,
             device: "test".into(),
             class: name.into(),
             bound: "compute".into(),

@@ -50,7 +50,7 @@ pub mod traffic;
 pub use engine::{run, run_recorded, EngineConfig, RunStats};
 pub use network::NetworkClass;
 pub use plan::{MemStorage, Plan, PlanCache, PlanStorage, Planner, PLAN_FORMAT_VERSION};
-pub use schedstore::{ScheduleStore, StoredSchedule, SCHED_FORMAT_VERSION};
+pub use schedstore::{ScheduleStore, StoredSchedule};
 pub use telemetry::{
     BurnWindow, JsonlSink, LatencyHistogram, MemSink, MissCause, Telemetry, TelemetryEvent,
     TelemetryOptions, TelemetrySink,

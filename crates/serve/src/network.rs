@@ -17,8 +17,7 @@
 //! * the one-time transform cost plus candidate probing is charged to
 //!   [`Plan::build_cost_ns`], i.e. to the cold path, exactly like a layer
 //!   plan's probe runs;
-//! * the variant's `algo` field is a compact per-layer selection label
-//!   (single token, so the plan text format round-trips).
+//! * the variant's `algo` field is a compact per-layer selection label.
 
 use gpusim::Digest;
 use perfmodel::break_even_k;
@@ -99,9 +98,8 @@ impl NetworkClass {
     }
 }
 
-/// Compact single-token label of a network plan's per-layer selection:
-/// consecutive layers on the same algorithm collapse to `NAMExCOUNT`,
-/// joined with `+` (the plan text format splits fields on spaces).
+/// Compact label of a network plan's per-layer selection: consecutive
+/// layers on the same algorithm collapse to `NAMExCOUNT`, joined with `+`.
 fn selection_label(algos: &[Algo]) -> String {
     let mut parts: Vec<String> = Vec::new();
     let mut i = 0;
@@ -169,7 +167,6 @@ impl Planner {
             });
         }
         Plan {
-            version: PLAN_FORMAT_VERSION,
             device: self.device.name.to_string(),
             class: net.name.clone(),
             bound: "network".into(),
@@ -245,9 +242,9 @@ mod tests {
             assert!(!v.algo.contains(' '), "label must be one token");
         }
         assert!(plan.build_cost_ns > 0, "probing + transforms are charged");
-        // The text format round-trips the network label exactly.
-        let rt = Plan::from_text(&plan.to_text()).unwrap();
-        assert_eq!(rt, plan);
+        // The plan record round-trips the network label exactly.
+        let rt = Plan::from_json(&gpusim::json::parse(&plan.to_json().render()).unwrap());
+        assert_eq!(rt.unwrap(), plan);
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! they simply stop being found and age out of the LRU index.
 //!
 //! **Invariants.**
-//! - [`Plan::to_text`]/[`Plan::from_text`] round-trip exactly (floats are
-//!   stored as bit patterns), so a cached plan re-serializes byte-identically.
+//! - A plan persists as one `gpusim::json` record ([`Plan::to_json`]).
+//!   Decoding ([`Plan::from_json`]) is strict: a record that does not
+//!   decode exactly is a miss, never a partly-filled plan.
 //! - A loaded plan with a tuned schedule is verified: the cubin must decode
 //!   and its module digest must equal the recorded schedule digest, else the
 //!   entry is dropped and rebuilt ([`PlanCache::get`] returns `None`).
@@ -34,6 +35,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use gpusim::digest::module_digest;
+use gpusim::json::{from_hex, obj, parse, to_hex, Json};
 use gpusim::{BatchTimer, DeviceSpec, Digest, Model, TimingOptions};
 use kernels::{EmitterParams, FusedConfig, FusedKernel};
 use perfmodel::{break_even_k, BottleneckReport};
@@ -45,8 +47,9 @@ use wino_core::{Algo, Conv};
 use crate::schedstore::ScheduleStore;
 use crate::traffic::ShapeClass;
 
-/// Bumped whenever the plan text format or its semantics change; part of
-/// the plan key, so old entries are never misread.
+/// Version of what a plan means, bumped whenever its fields or their
+/// semantics change; part of the plan key, so old entries are never
+/// misread.
 ///
 /// v2 added [`Plan::assumed_rps`] — the per-class arrival rate the traffic
 /// model assumed at plan-build time, which the telemetry drift tracker
@@ -107,7 +110,6 @@ pub struct TunedSchedule {
 /// Everything needed to serve one shape class on one device.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Plan {
-    pub version: u32,
     /// Device name (`DeviceSpec::name`).
     pub device: String,
     /// Shape-class name the plan serves.
@@ -156,153 +158,129 @@ impl Plan {
             .expect("plan has variants")
     }
 
-    /// Serialize to the line-based text format. Exact: floats are written as
-    /// IEEE-754 bit patterns, the cubin as hex.
-    pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("plan v{}\n", self.version));
-        s.push_str(&format!("device {}\n", self.device));
-        s.push_str(&format!("class {}\n", self.class));
-        s.push_str(&format!("bound {}\n", self.bound));
-        s.push_str(&format!(
-            "break_even_k_bits {:016x}\n",
-            self.break_even_k.to_bits()
-        ));
-        s.push_str(&format!("build_cost_ns {}\n", self.build_cost_ns));
-        s.push_str(&format!(
-            "assumed_rps_bits {:016x}\n",
-            self.assumed_rps.to_bits()
-        ));
-        for v in &self.variants {
-            s.push_str(&format!(
-                "variant {} {} {} {:016x}\n",
-                v.n,
-                v.algo,
-                v.service_ns,
-                v.tflops.to_bits()
-            ));
-        }
-        if let Some(t) = &self.tuned {
-            s.push_str(&format!(
-                "tuned {} {} {} {} {} {} {}\n",
-                t.n, t.schedule_digest, t.hand_cycles, t.tuned_cycles, t.evals, t.params, t.source
-            ));
-            s.push_str("cubin ");
-            for b in &t.cubin {
-                s.push_str(&format!("{b:02x}"));
-            }
-            s.push('\n');
-        }
-        s
+    /// The plan as a store record; the cubin rides as hex.
+    pub fn to_json(&self) -> Json {
+        let variants = self.variants.iter().map(|v| {
+            obj(&[
+                ("n", v.n.into()),
+                ("algo", v.algo.as_str().into()),
+                ("service_ns", v.service_ns.into()),
+                ("tflops", v.tflops.into()),
+            ])
+        });
+        let tuned = self.tuned.as_ref().map_or(Json::Null, |t| {
+            obj(&[
+                ("n", t.n.into()),
+                ("schedule_digest", t.schedule_digest.as_str().into()),
+                ("hand_cycles", t.hand_cycles.into()),
+                ("tuned_cycles", t.tuned_cycles.into()),
+                ("evals", t.evals.into()),
+                ("params", t.params.as_str().into()),
+                ("source", t.source.as_str().into()),
+                ("cubin", to_hex(&t.cubin).into()),
+            ])
+        });
+        obj(&[
+            ("device", self.device.as_str().into()),
+            ("class", self.class.as_str().into()),
+            ("bound", self.bound.as_str().into()),
+            ("break_even_k", self.break_even_k.into()),
+            ("build_cost_ns", self.build_cost_ns.into()),
+            ("assumed_rps", self.assumed_rps.into()),
+            ("variants", Json::Arr(variants.collect())),
+            ("tuned", tuned),
+        ])
     }
 
-    /// Parse [`Plan::to_text`] output. Returns `None` on any malformation or
-    /// version mismatch — callers treat that as a cache miss.
-    pub fn from_text(text: &str) -> Option<Plan> {
-        let mut lines = text.lines();
-        let header = lines.next()?;
-        let version: u32 = header.strip_prefix("plan v")?.parse().ok()?;
-        if version != PLAN_FORMAT_VERSION {
-            return None;
-        }
-        let mut plan = Plan {
-            version,
-            device: String::new(),
-            class: String::new(),
-            bound: String::new(),
-            break_even_k: 0.0,
-            variants: Vec::new(),
-            build_cost_ns: 0,
-            assumed_rps: 0.0,
-            tuned: None,
+    /// Decode a [`Plan::to_json`] record. `None` on a missing or mistyped
+    /// field, an inexact integer, a `null` float or an empty variant list —
+    /// callers treat that as a cache miss.
+    pub fn from_json(j: &Json) -> Option<Plan> {
+        let variant = |v: &Json| {
+            Some(PlanVariant {
+                n: field_u32(v, "n")?,
+                algo: field_str(v, "algo")?,
+                service_ns: v.get("service_ns")?.as_u64()?,
+                tflops: v.get("tflops")?.as_f64()?,
+            })
         };
-        let mut pending_tuned: Option<TunedSchedule> = None;
-        for line in lines {
-            let (key, rest) = line.split_once(' ')?;
-            match key {
-                "device" => plan.device = rest.to_string(),
-                "class" => plan.class = rest.to_string(),
-                "bound" => plan.bound = rest.to_string(),
-                "break_even_k_bits" => {
-                    plan.break_even_k = f64::from_bits(u64::from_str_radix(rest, 16).ok()?)
-                }
-                "build_cost_ns" => plan.build_cost_ns = rest.parse().ok()?,
-                "assumed_rps_bits" => {
-                    plan.assumed_rps = f64::from_bits(u64::from_str_radix(rest, 16).ok()?)
-                }
-                "variant" => {
-                    let mut it = rest.split(' ');
-                    plan.variants.push(PlanVariant {
-                        n: it.next()?.parse().ok()?,
-                        algo: it.next()?.to_string(),
-                        service_ns: it.next()?.parse().ok()?,
-                        tflops: f64::from_bits(u64::from_str_radix(it.next()?, 16).ok()?),
-                    });
-                }
-                "tuned" => {
-                    let mut it = rest.split(' ');
-                    pending_tuned = Some(TunedSchedule {
-                        n: it.next()?.parse().ok()?,
-                        schedule_digest: it.next()?.to_string(),
-                        cubin: Vec::new(),
-                        hand_cycles: it.next()?.parse().ok()?,
-                        tuned_cycles: it.next()?.parse().ok()?,
-                        evals: it.next()?.parse().ok()?,
-                        params: it.next()?.to_string(),
-                        source: it.next()?.to_string(),
-                    });
-                }
-                "cubin" => {
-                    let t = pending_tuned.as_mut()?;
-                    if rest.len() % 2 != 0 {
-                        return None;
-                    }
-                    t.cubin = (0..rest.len() / 2)
-                        .map(|i| u8::from_str_radix(&rest[2 * i..2 * i + 2], 16).ok())
-                        .collect::<Option<Vec<u8>>>()?;
-                }
-                _ => return None,
-            }
-        }
-        plan.tuned = pending_tuned;
-        if plan.variants.is_empty() {
+        let tuned = |t: &Json| {
+            Some(TunedSchedule {
+                n: field_u32(t, "n")?,
+                schedule_digest: field_str(t, "schedule_digest")?,
+                cubin: from_hex(t.get("cubin")?.as_str()?)?,
+                hand_cycles: t.get("hand_cycles")?.as_u64()?,
+                tuned_cycles: t.get("tuned_cycles")?.as_u64()?,
+                evals: t.get("evals")?.as_u64()?,
+                params: field_str(t, "params")?,
+                source: field_str(t, "source")?,
+            })
+        };
+        let variants = j.get("variants")?.as_arr()?.iter().map(variant);
+        let variants = variants.collect::<Option<Vec<_>>>()?;
+        if variants.is_empty() {
             return None;
         }
-        Some(plan)
+        Some(Plan {
+            device: field_str(j, "device")?,
+            class: field_str(j, "class")?,
+            bound: field_str(j, "bound")?,
+            break_even_k: j.get("break_even_k")?.as_f64()?,
+            variants,
+            build_cost_ns: j.get("build_cost_ns")?.as_u64()?,
+            assumed_rps: j.get("assumed_rps")?.as_f64()?,
+            tuned: match j.get("tuned")? {
+                Json::Null => None,
+                t => Some(tuned(t)?),
+            },
+        })
     }
 
     /// Warm-start verification: a plan without a tuned schedule is trivially
     /// valid; one with a schedule must carry a cubin that decodes back to a
     /// module whose digest matches `schedule_digest`.
     pub fn verify(&self) -> bool {
-        match &self.tuned {
-            None => true,
-            Some(t) => match Module::from_cubin(&t.cubin) {
-                Ok(m) => {
-                    let mut d = Digest::new();
-                    module_digest(&m, &mut d);
-                    d.hex() == t.schedule_digest
-                }
-                Err(_) => false,
-            },
-        }
+        self.tuned
+            .as_ref()
+            .is_none_or(|t| verified_module(&t.cubin, &t.schedule_digest).is_some())
     }
+}
+
+/// String field `k` of a record.
+pub(crate) fn field_str(j: &Json, k: &str) -> Option<String> {
+    Some(j.get(k)?.as_str()?.to_string())
+}
+
+/// Exact `u32` field `k` of a record.
+fn field_u32(j: &Json, k: &str) -> Option<u32> {
+    u32::try_from(j.get(k)?.as_u64()?).ok()
+}
+
+/// Decode `cubin` and check its module digest against `digest`.
+pub(crate) fn verified_module(cubin: &[u8], digest: &str) -> Option<Module> {
+    let m = Module::from_cubin(cubin).ok()?;
+    let mut d = Digest::new();
+    module_digest(&m, &mut d);
+    (d.hex() == digest).then_some(m)
 }
 
 // ---- storage ----------------------------------------------------------------
 
 /// Minimal persistence interface the plan cache needs. Keys are lowercase
-/// hex strings (content addresses); values are plan/index text.
+/// hex strings (content addresses); values are JSON records (plans, tuned
+/// schedules, the LRU index).
 ///
-/// `bench`'s serve binary adapts `simcache::Store` to this trait; the crate
-/// itself ships only [`MemStorage`] so it stays dependency-free.
+/// `bench`'s `simcache::SimStore` is the directory-backed implementation;
+/// the crate itself ships only [`MemStorage`] so it stays dependency-free.
 pub trait PlanStorage {
-    fn load(&self, key: &str) -> Option<String>;
-    fn store(&self, key: &str, value: &str);
+    fn load(&self, key: &str) -> Option<Json>;
+    fn store(&self, key: &str, value: &Json);
     fn remove(&self, key: &str);
 }
 
-/// In-memory [`PlanStorage`] for tests and ephemeral runs.
+/// In-memory [`PlanStorage`] for tests and ephemeral runs. Records are kept
+/// rendered and parsed again on load, so its users run the same codec path
+/// as the directory store.
 #[derive(Default)]
 pub struct MemStorage {
     map: RefCell<HashMap<String, String>>,
@@ -323,14 +301,14 @@ impl MemStorage {
 }
 
 impl PlanStorage for MemStorage {
-    fn load(&self, key: &str) -> Option<String> {
-        self.map.borrow().get(key).cloned()
+    fn load(&self, key: &str) -> Option<Json> {
+        parse(self.map.borrow().get(key)?).ok()
     }
 
-    fn store(&self, key: &str, value: &str) {
+    fn store(&self, key: &str, value: &Json) {
         self.map
             .borrow_mut()
-            .insert(key.to_string(), value.to_string());
+            .insert(key.to_string(), value.render());
     }
 
     fn remove(&self, key: &str) {
@@ -343,7 +321,7 @@ impl PlanStorage for MemStorage {
 pub struct CacheStats {
     /// Plans served from storage (verified).
     pub hits: u64,
-    /// Plans absent, malformed, version-skewed, or failing verification.
+    /// Plans absent, undecodable, or failing verification.
     pub misses: u64,
     /// Plans written.
     pub stores: u64,
@@ -353,9 +331,10 @@ pub struct CacheStats {
 
 /// LRU plan cache for one device, layered on a [`PlanStorage`].
 ///
-/// The recency index is itself persisted (under a reserved per-device key),
-/// so eviction order survives process restarts. Index updates are written
-/// through on every access; the index lists keys oldest-first.
+/// The recency index is itself persisted (under a reserved per-device key,
+/// as a JSON array of plan keys, oldest first), so eviction order survives
+/// process restarts. Index updates are written through on every access; an
+/// index that does not decode (not an array of hex keys) reads as empty.
 pub struct PlanCache<'a> {
     storage: &'a dyn PlanStorage,
     index_key: String,
@@ -375,7 +354,13 @@ impl<'a> PlanCache<'a> {
         };
         let index = storage
             .load(&index_key)
-            .map(|t| t.lines().map(str::to_string).collect())
+            .and_then(|j| {
+                let hex = |k: &&str| !k.is_empty() && k.bytes().all(|c| c.is_ascii_hexdigit());
+                j.as_arr()?
+                    .iter()
+                    .map(|k| Some(k.as_str().filter(hex)?.into()))
+                    .collect()
+            })
             .unwrap_or_default();
         PlanCache {
             storage,
@@ -387,7 +372,8 @@ impl<'a> PlanCache<'a> {
     }
 
     fn write_index(&self) {
-        self.storage.store(&self.index_key, &self.index.join("\n"));
+        self.storage
+            .store(&self.index_key, &Json::from(self.index.clone()));
     }
 
     fn touch(&mut self, key: &str) {
@@ -407,10 +393,10 @@ impl<'a> PlanCache<'a> {
         self.storage
     }
 
-    /// Look up and verify a plan. Any failure (absent, unparsable, wrong
-    /// version, digest mismatch) counts as a miss and drops the stale entry.
+    /// Look up and verify a plan. Any failure (absent, undecodable, digest
+    /// mismatch) counts as a miss and drops the stale entry.
     pub fn get(&mut self, key: &str) -> Option<Plan> {
-        match self.storage.load(key).as_deref().and_then(Plan::from_text) {
+        match self.storage.load(key).as_ref().and_then(Plan::from_json) {
             Some(p) if p.verify() => {
                 self.stats.hits += 1;
                 self.touch(key);
@@ -429,7 +415,7 @@ impl<'a> PlanCache<'a> {
 
     /// Insert a plan, evicting least-recently-used entries past the cap.
     pub fn put(&mut self, key: &str, plan: &Plan) {
-        self.storage.store(key, &plan.to_text());
+        self.storage.store(key, &plan.to_json());
         self.stats.stores += 1;
         self.touch(key);
         while self.cap > 0 && self.index.len() > self.cap {
@@ -569,7 +555,6 @@ impl Planner {
             .to_string();
 
         let mut plan = Plan {
-            version: PLAN_FORMAT_VERSION,
             device: self.device.name.to_string(),
             class: class.name.clone(),
             bound,
@@ -775,7 +760,6 @@ mod tests {
 
     fn plan_fixture() -> Plan {
         Plan {
-            version: PLAN_FORMAT_VERSION,
             device: "V100".into(),
             class: "Conv4".into(),
             bound: "compute".into(),
@@ -801,21 +785,39 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trip() {
+    fn json_round_trip() {
         let p = plan_fixture();
-        let t = p.to_text();
-        assert_eq!(Plan::from_text(&t).unwrap(), p);
+        let t = p.to_json().render();
+        let rt = Plan::from_json(&parse(&t).unwrap()).unwrap();
+        assert_eq!(rt, p);
         // Exact: re-serializing the parse is byte-identical.
-        assert_eq!(Plan::from_text(&t).unwrap().to_text(), t);
+        assert_eq!(rt.to_json().render(), t);
     }
 
+    /// Stores written before plans were JSON records hold each plan and
+    /// index as a JSON string of line-based text, under the same keys
+    /// (`PLAN_FORMAT_VERSION` is unchanged). Such a plan must read as a
+    /// miss that `get` drops, and such an index as an empty one.
     #[test]
-    fn version_skew_is_a_miss() {
-        let t = plan_fixture().to_text().replace(
-            &format!("plan v{PLAN_FORMAT_VERSION}"),
-            &format!("plan v{}", PLAN_FORMAT_VERSION + 1),
+    fn text_format_entry_is_a_miss() {
+        let mem = MemStorage::new();
+        let index_key = PlanCache::new(&mem, "V100", 0).index_key;
+        let text = format!(
+            "plan v{PLAN_FORMAT_VERSION}\ndevice V100\nclass Conv4\nbound compute\n\
+             break_even_k_bits 40602e0000000000\nbuild_cost_ns 9999999\n\
+             assumed_rps_bits 40986a0000000000\nvariant 32 OURS 123456 401d000000000000\n"
         );
-        assert!(Plan::from_text(&t).is_none());
+        mem.store("ee", &Json::Str(text));
+        mem.store(&index_key, &Json::Str("ee".into()));
+        let mut cache = PlanCache::new(&mem, "V100", 0);
+        assert!(cache.keys().is_empty(), "a text index reads as empty");
+        assert!(cache.get("ee").is_none());
+        assert_eq!(cache.stats.misses, 1);
+        assert!(mem.load("ee").is_none(), "stale entry removed");
+        // So does an index naming something other than a content address,
+        // which a directory store could not evict.
+        mem.store(&index_key, &Json::from(vec!["ee", "../escape"]));
+        assert!(PlanCache::new(&mem, "V100", 0).keys().is_empty());
     }
 
     #[test]
@@ -856,7 +858,7 @@ mod tests {
         let mem = MemStorage::new();
         let mut cache = PlanCache::new(&mem, "V100", 0);
         cache.put("ee", &plan_fixture());
-        mem.store("ee", "plan v1\ngarbage");
+        mem.store("ee", &obj(&[("device", "V100".into())]));
         assert!(cache.get("ee").is_none());
         assert_eq!(cache.stats.misses, 1);
         assert!(mem.load("ee").is_none(), "stale entry removed");
@@ -884,7 +886,7 @@ mod tests {
             source: "store".into(),
         });
         assert!(p.verify());
-        let rt = Plan::from_text(&p.to_text()).unwrap();
+        let rt = Plan::from_json(&parse(&p.to_json().render()).unwrap()).unwrap();
         assert_eq!(rt, p);
         assert!(rt.verify());
         // Digest tampering fails verification.
@@ -908,7 +910,6 @@ mod tests {
 
     fn ours_plan(planner: &Planner, class: &ShapeClass) -> Plan {
         Plan {
-            version: PLAN_FORMAT_VERSION,
             device: planner.device.name.to_string(),
             class: class.name.clone(),
             bound: "smem".into(),

@@ -18,18 +18,15 @@
 //! publishing a new tuned schedule automatically invalidates every cached
 //! plan that should now pick it up.
 //!
-//! Entries use the same exact line-based text convention as
-//! `plan`: integers in decimal, the cubin as hex, round-trip byte-exact.
+//! Entries are `gpusim::json` records ([`StoredSchedule::to_json`]), the
+//! cubin as hex, decoded as strictly as plans.
 
-use gpusim::digest::module_digest;
+use gpusim::json::{from_hex, obj, to_hex, Json};
 use gpusim::{DeviceSpec, Digest};
 use kernels::FusedConfig;
 use sass::Module;
 
-use crate::plan::PlanStorage;
-
-/// Bumped whenever the entry text format changes.
-pub const SCHED_FORMAT_VERSION: u32 = 1;
+use crate::plan::{field_str, verified_module, PlanStorage};
 
 /// One persisted autotuner result: the tuned module plus the provenance a
 /// replayer needs to verify and report it.
@@ -51,70 +48,36 @@ pub struct StoredSchedule {
 }
 
 impl StoredSchedule {
-    /// Serialize to the line-based text format.
-    pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("sched v{SCHED_FORMAT_VERSION}\n"));
-        s.push_str(&format!("params {}\n", self.params));
-        s.push_str(&format!("digest {}\n", self.schedule_digest));
-        s.push_str(&format!("hand_cycles {}\n", self.hand_cycles));
-        s.push_str(&format!("tuned_cycles {}\n", self.tuned_cycles));
-        s.push_str(&format!("evals {}\n", self.evals));
-        s.push_str("cubin ");
-        for b in &self.cubin {
-            s.push_str(&format!("{b:02x}"));
-        }
-        s.push('\n');
-        s
+    /// The schedule as a store record; the cubin rides as hex.
+    pub fn to_json(&self) -> Json {
+        obj(&[
+            ("params", self.params.as_str().into()),
+            ("schedule_digest", self.schedule_digest.as_str().into()),
+            ("hand_cycles", self.hand_cycles.into()),
+            ("tuned_cycles", self.tuned_cycles.into()),
+            ("evals", self.evals.into()),
+            ("cubin", to_hex(&self.cubin).into()),
+        ])
     }
 
-    /// Parse [`StoredSchedule::to_text`] output; `None` on any malformation
-    /// or version mismatch (callers treat that as a store miss).
-    pub fn from_text(text: &str) -> Option<StoredSchedule> {
-        let mut lines = text.lines();
-        let version: u32 = lines.next()?.strip_prefix("sched v")?.parse().ok()?;
-        if version != SCHED_FORMAT_VERSION {
-            return None;
-        }
-        let mut sched = StoredSchedule {
-            params: String::new(),
-            schedule_digest: String::new(),
-            cubin: Vec::new(),
-            hand_cycles: 0,
-            tuned_cycles: 0,
-            evals: 0,
-        };
-        for line in lines {
-            let (key, rest) = line.split_once(' ')?;
-            match key {
-                "params" => sched.params = rest.to_string(),
-                "digest" => sched.schedule_digest = rest.to_string(),
-                "hand_cycles" => sched.hand_cycles = rest.parse().ok()?,
-                "tuned_cycles" => sched.tuned_cycles = rest.parse().ok()?,
-                "evals" => sched.evals = rest.parse().ok()?,
-                "cubin" => {
-                    if rest.len() % 2 != 0 {
-                        return None;
-                    }
-                    sched.cubin = (0..rest.len() / 2)
-                        .map(|i| u8::from_str_radix(&rest[2 * i..2 * i + 2], 16).ok())
-                        .collect::<Option<Vec<u8>>>()?;
-                }
-                _ => return None,
-            }
-        }
-        if sched.schedule_digest.is_empty() || sched.cubin.is_empty() {
-            return None;
-        }
-        Some(sched)
+    /// Decode a [`StoredSchedule::to_json`] record; `None` on a missing or
+    /// mistyped field or an inexact integer (callers treat that as a store
+    /// miss).
+    pub fn from_json(j: &Json) -> Option<StoredSchedule> {
+        let u = |k: &str| j.get(k)?.as_u64();
+        Some(StoredSchedule {
+            params: field_str(j, "params")?,
+            schedule_digest: field_str(j, "schedule_digest")?,
+            cubin: from_hex(j.get("cubin")?.as_str()?)?,
+            hand_cycles: u("hand_cycles")?,
+            tuned_cycles: u("tuned_cycles")?,
+            evals: u("evals")?,
+        })
     }
 
     /// Decode the cubin and check it against the recorded digest.
     pub fn module(&self) -> Option<Module> {
-        let m = Module::from_cubin(&self.cubin).ok()?;
-        let mut d = Digest::new();
-        module_digest(&m, &mut d);
-        (d.hex() == self.schedule_digest).then_some(m)
+        verified_module(&self.cubin, &self.schedule_digest)
     }
 }
 
@@ -141,33 +104,34 @@ impl<'a> ScheduleStore<'a> {
         d.hex()
     }
 
-    /// Load and verify the entry for `(device, cfg)`. A present-but-corrupt
-    /// entry (bad text, digest mismatch) is dropped and reported as absent.
+    /// Load and verify the entry for `(device, cfg)`. An entry that does
+    /// not decode or fails digest verification is dropped and reported as
+    /// absent.
     pub fn load(&self, device: &DeviceSpec, cfg: &FusedConfig) -> Option<StoredSchedule> {
         let key = Self::key(device, cfg);
-        let sched = self
+        match self
             .storage
             .load(&key)
-            .as_deref()
-            .and_then(StoredSchedule::from_text);
-        match sched {
+            .as_ref()
+            .and_then(StoredSchedule::from_json)
+        {
             Some(s) if s.module().is_some() => Some(s),
-            Some(_) => {
+            _ => {
                 self.storage.remove(&key);
                 None
             }
-            None => None,
         }
     }
 
     /// Persist `sched` as the tuned schedule for `(device, cfg)`.
     pub fn save(&self, device: &DeviceSpec, cfg: &FusedConfig, sched: &StoredSchedule) {
         self.storage
-            .store(&Self::key(device, cfg), &sched.to_text());
+            .store(&Self::key(device, cfg), &sched.to_json());
     }
 
     /// Fingerprint of the store contents a plan build over `cfgs` would
-    /// consult: the digest of each entry's text (or `none`), in order.
+    /// consult: the digest of each entry's rendered record (or `none`), in
+    /// order.
     /// Folding this into a plan key makes cached plans rebuild whenever a
     /// relevant tuned schedule appears, changes, or disappears.
     pub fn fingerprint(&self, device: &DeviceSpec, cfgs: &[FusedConfig]) -> String {
@@ -175,7 +139,7 @@ impl<'a> ScheduleStore<'a> {
         d.str("tune/sched-fp/v1");
         for cfg in cfgs {
             match self.storage.load(&Self::key(device, cfg)) {
-                Some(text) => d.str(&text),
+                Some(record) => d.str(&record.render()),
                 None => d.str("none"),
             };
         }
@@ -187,6 +151,7 @@ impl<'a> ScheduleStore<'a> {
 mod tests {
     use super::*;
     use crate::plan::MemStorage;
+    use gpusim::digest::module_digest;
     use kernels::FusedKernel;
 
     fn entry() -> (FusedConfig, StoredSchedule) {
@@ -209,12 +174,12 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trip_and_verify() {
+    fn json_round_trip_and_verify() {
         let (_, sched) = entry();
-        let t = sched.to_text();
-        let rt = StoredSchedule::from_text(&t).unwrap();
+        let t = sched.to_json().render();
+        let rt = StoredSchedule::from_json(&gpusim::json::parse(&t).unwrap()).unwrap();
         assert_eq!(rt, sched);
-        assert_eq!(rt.to_text(), t);
+        assert_eq!(rt.to_json().render(), t);
         assert!(rt.module().is_some());
         let mut bad = sched.clone();
         bad.schedule_digest = format!("{:032x}", 0);
@@ -235,11 +200,21 @@ mod tests {
         other.pipeline_depth = 1;
         assert!(store.load(&dev, &other).is_none());
         // Tampered digest: entry is dropped on load.
+        let key = ScheduleStore::key(&dev, &cfg);
         let mut bad = sched.clone();
         bad.schedule_digest = format!("{:032x}", 0);
-        mem.store(&ScheduleStore::key(&dev, &cfg), &bad.to_text());
+        mem.store(&key, &bad.to_json());
         assert!(store.load(&dev, &cfg).is_none());
-        assert!(mem.load(&ScheduleStore::key(&dev, &cfg)).is_none());
+        assert!(mem.load(&key).is_none());
+        // An entry that does not decode — here a JSON string of the older
+        // line-based text — is dropped too, so it stops moving plan keys
+        // through `fingerprint`.
+        mem.store(
+            &key,
+            &Json::Str(format!("sched v1\nparams {}\n", sched.params)),
+        );
+        assert!(store.load(&dev, &cfg).is_none());
+        assert!(mem.load(&key).is_none());
     }
 
     #[test]

@@ -41,13 +41,13 @@
 //!
 //! [`TelemetrySink`] is the export interface: [`Telemetry::drain_into`]
 //! replays the sorted stream into any sink. The crate ships
-//! [`JsonlSink`] (one JSON object per line, parseable by `bench::json` and
-//! replayed by `bench --bin servemon`) and [`MemSink`] (typed events, for
+//! [`JsonlSink`] (one JSON object per line, parseable by `gpusim::json`
+//! and replayed by `bench --bin servemon`) and [`MemSink`] (typed events, for
 //! tests and in-process consumers). The `bench` serve binary adds the
 //! Chrome trace-event export of the device-pool timeline on top of
 //! [`MemSink`].
 
-use std::fmt::Write as _;
+use gpusim::json::Json;
 
 /// Recorder configuration. [`TelemetryOptions::off`] (the default) disables
 /// every hook; [`TelemetryOptions::on`] enables recording with the
@@ -429,117 +429,69 @@ impl TelemetrySink for MemSink {
     }
 }
 
-/// Renders each event as one JSON object per line. `ctx` pairs (e.g.
-/// `device`/`phase`) are prepended to every line so logs from several runs
-/// can share one file; class indices are resolved to names. The output is
-/// plain-ASCII, deterministic, and parseable by `bench::json`.
+/// Renders each event as one JSON object per line through the
+/// `gpusim::json` codec. `ctx` pairs (e.g. `device`/`phase`) are prepended
+/// to every line so logs from several runs can share one file; class
+/// indices are resolved to names. The output is deterministic and
+/// parseable by the same codec.
 pub struct JsonlSink {
     pub out: String,
-    ctx: String,
+    ctx: Vec<(String, Json)>,
     class_names: Vec<String>,
 }
 
 impl JsonlSink {
     pub fn new(ctx: &[(&str, &str)], class_names: &[String]) -> Self {
-        let mut c = String::new();
-        for (k, v) in ctx {
-            push_key(&mut c, k);
-            push_str(&mut c, v);
-            c.push(',');
-        }
         JsonlSink {
             out: String::new(),
-            ctx: c,
+            ctx: ctx
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.into()))
+                .collect(),
             class_names: class_names.to_vec(),
         }
     }
 }
 
-fn push_str(s: &mut String, v: &str) {
-    s.push('"');
-    for ch in v.chars() {
-        match ch {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-fn push_key(s: &mut String, k: &str) {
-    push_str(s, k);
-    s.push(':');
-}
-
-/// Same float convention as `bench::json`: integral values print as
-/// integers, everything else as the shortest round-tripping form.
-fn push_f64(s: &mut String, n: f64) {
-    if !n.is_finite() {
-        s.push_str("null");
-    } else if n == n.trunc() && n.abs() < 9.0e15 {
-        let _ = write!(s, "{}", n as i64);
-    } else {
-        let _ = write!(s, "{n:?}");
-    }
-}
-
 impl TelemetrySink for JsonlSink {
     fn record(&mut self, seq: u64, ev: &TelemetryEvent) {
-        let class_name = |c: usize| self.class_names.get(c).map_or("?", |s| s.as_str());
-        let s = &mut self.out;
-        s.push('{');
-        s.push_str(&self.ctx);
-        push_key(s, "seq");
-        let _ = write!(s, "{seq},");
-        push_key(s, "t");
-        let _ = write!(s, "{},", ev.t());
-        push_key(s, "kind");
-        push_str(s, ev.kind());
-        match *ev {
+        let class_name = |c: usize| Json::from(self.class_names.get(c).map_or("?", |s| s.as_str()));
+        let fields: Vec<(&str, Json)> = match *ev {
             TelemetryEvent::Arrival { id, class, .. } => {
-                let _ = write!(s, ",\"id\":{id},\"class\":");
-                push_str(s, class_name(class));
+                vec![("id", id.into()), ("class", class_name(class))]
             }
             TelemetryEvent::Enqueue {
                 id, class, depth, ..
-            } => {
-                let _ = write!(s, ",\"id\":{id},\"class\":");
-                push_str(s, class_name(class));
-                let _ = write!(s, ",\"depth\":{depth}");
-            }
+            } => vec![
+                ("id", id.into()),
+                ("class", class_name(class)),
+                ("depth", depth.into()),
+            ],
             TelemetryEvent::PlanFetch {
                 class,
                 ready_ns,
                 charge_ns,
                 warm,
                 ..
-            } => {
-                s.push_str(",\"class\":");
-                push_str(s, class_name(class));
-                let _ = write!(
-                    s,
-                    ",\"ready_ns\":{ready_ns},\"charge_ns\":{charge_ns},\"warm\":{warm}"
-                );
-            }
-            TelemetryEvent::PlanReady { class, .. } => {
-                s.push_str(",\"class\":");
-                push_str(s, class_name(class));
-            }
+            } => vec![
+                ("class", class_name(class)),
+                ("ready_ns", ready_ns.into()),
+                ("charge_ns", charge_ns.into()),
+                ("warm", warm.into()),
+            ],
+            TelemetryEvent::PlanReady { class, .. } => vec![("class", class_name(class))],
             TelemetryEvent::BatchFormed {
                 batch,
                 class,
                 count,
                 batch_n,
                 ..
-            } => {
-                let _ = write!(s, ",\"batch\":{batch},\"class\":");
-                push_str(s, class_name(class));
-                let _ = write!(s, ",\"count\":{count},\"batch_n\":{batch_n}");
-            }
+            } => vec![
+                ("batch", batch.into()),
+                ("class", class_name(class)),
+                ("count", count.into()),
+                ("batch_n", batch_n.into()),
+            ],
             TelemetryEvent::Dispatch {
                 batch,
                 class,
@@ -548,14 +500,14 @@ impl TelemetrySink for JsonlSink {
                 batch_n,
                 service_ns,
                 ..
-            } => {
-                let _ = write!(s, ",\"batch\":{batch},\"class\":");
-                push_str(s, class_name(class));
-                let _ = write!(
-                    s,
-                    ",\"device\":{device},\"count\":{count},\"batch_n\":{batch_n},\"service_ns\":{service_ns}"
-                );
-            }
+            } => vec![
+                ("batch", batch.into()),
+                ("class", class_name(class)),
+                ("device", device.into()),
+                ("count", count.into()),
+                ("batch_n", batch_n.into()),
+                ("service_ns", service_ns.into()),
+            ],
             TelemetryEvent::Complete {
                 id,
                 class,
@@ -565,15 +517,15 @@ impl TelemetrySink for JsonlSink {
                 miss,
                 cause,
                 ..
-            } => {
-                let _ = write!(s, ",\"id\":{id},\"class\":");
-                push_str(s, class_name(class));
-                let _ = write!(
-                    s,
-                    ",\"batch\":{batch},\"latency_ns\":{latency_ns},\"wait_ns\":{wait_ns},\"miss\":{miss},\"cause\":"
-                );
-                push_str(s, cause.name());
-            }
+            } => vec![
+                ("id", id.into()),
+                ("class", class_name(class)),
+                ("batch", batch.into()),
+                ("latency_ns", latency_ns.into()),
+                ("wait_ns", wait_ns.into()),
+                ("miss", miss.into()),
+                ("cause", cause.name().into()),
+            ],
             TelemetryEvent::Gauge {
                 ref depths,
                 ref oldest_wait_ns,
@@ -583,26 +535,15 @@ impl TelemetrySink for JsonlSink {
                 plans_ready,
                 plans_building,
                 ..
-            } => {
-                s.push_str(",\"depths\":[");
-                for (i, d) in depths.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{d}");
-                }
-                s.push_str("],\"oldest_wait_ns\":[");
-                for (i, w) in oldest_wait_ns.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{w}");
-                }
-                let _ = write!(
-                    s,
-                    "],\"queued\":{queued},\"busy_devices\":{busy_devices},\"inflight_batches\":{inflight_batches},\"plans_ready\":{plans_ready},\"plans_building\":{plans_building}"
-                );
-            }
+            } => vec![
+                ("depths", depths.clone().into()),
+                ("oldest_wait_ns", oldest_wait_ns.clone().into()),
+                ("queued", queued.into()),
+                ("busy_devices", busy_devices.into()),
+                ("inflight_batches", inflight_batches.into()),
+                ("plans_ready", plans_ready.into()),
+                ("plans_building", plans_building.into()),
+            ],
             TelemetryEvent::Drift {
                 class,
                 observed_rps,
@@ -610,19 +551,26 @@ impl TelemetrySink for JsonlSink {
                 ratio,
                 drifted,
                 ..
-            } => {
-                s.push_str(",\"class\":");
-                push_str(s, class_name(class));
-                s.push_str(",\"observed_rps\":");
-                push_f64(s, observed_rps);
-                s.push_str(",\"assumed_rps\":");
-                push_f64(s, assumed_rps);
-                s.push_str(",\"ratio\":");
-                push_f64(s, ratio);
-                let _ = write!(s, ",\"drifted\":{drifted}");
-            }
-        }
-        s.push_str("}\n");
+            } => vec![
+                ("class", class_name(class)),
+                ("observed_rps", observed_rps.into()),
+                ("assumed_rps", assumed_rps.into()),
+                ("ratio", ratio.into()),
+                ("drifted", drifted.into()),
+            ],
+        };
+        let head = [
+            ("seq", seq.into()),
+            ("t", ev.t().into()),
+            ("kind", ev.kind().into()),
+        ];
+        let line = self.ctx.iter().cloned().chain(
+            head.into_iter()
+                .chain(fields)
+                .map(|(k, v)| (k.to_string(), v)),
+        );
+        Json::Obj(line.collect()).render_into(&mut self.out);
+        self.out.push('\n');
     }
 }
 

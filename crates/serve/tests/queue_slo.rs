@@ -6,7 +6,7 @@
 //! has already budgeted for.
 
 use serve::engine::{run, EngineConfig};
-use serve::plan::{Plan, PlanVariant, PLAN_FORMAT_VERSION};
+use serve::plan::{Plan, PlanVariant};
 use serve::traffic::{Request, ShapeClass};
 use tensor::XorShiftRng;
 
@@ -36,7 +36,6 @@ fn random_plan(rng: &mut XorShiftRng, name: &str) -> Plan {
         })
         .collect();
     Plan {
-        version: PLAN_FORMAT_VERSION,
         device: "prop".into(),
         class: name.into(),
         bound: "compute".into(),

@@ -15,7 +15,7 @@
 //!   split sums to its miss count.
 
 use serve::engine::{run, run_recorded, EngineConfig};
-use serve::plan::{Plan, PlanVariant, PLAN_FORMAT_VERSION};
+use serve::plan::{Plan, PlanVariant};
 use serve::telemetry::{MemSink, Telemetry, TelemetryEvent, TelemetryOptions};
 use serve::traffic::{Request, ShapeClass};
 use serve::LatencyHistogram;
@@ -46,7 +46,6 @@ fn random_plan(rng: &mut XorShiftRng, name: &str) -> Plan {
         })
         .collect();
     Plan {
-        version: PLAN_FORMAT_VERSION,
         device: "prop".into(),
         class: name.into(),
         bound: "compute".into(),
