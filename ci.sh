@@ -74,20 +74,20 @@ python3 -m json.tool "$fresh/trace.json" > /dev/null
 
 echo "== tune smoke =="
 # Autotuner smoke: tiny fixed-seed 2-island search on V100, run twice
-# (--jobs 1 and --jobs 2) inside the binary, asserting byte-identical
-# outcomes across the two, a monotone best-so-far trace, and at least one
-# accepted improving move (every visited candidate passes sass::lint by
-# construction). Deterministic (fixed seed, --no-cache) — the full tracked
+# (--jobs 1 and --jobs 2) inside the binary, asserting equal outcomes
+# across the two (the whole IslandOutcome), a monotone best-so-far trace,
+# and at least one accepted improving move (every visited candidate passes
+# sass::lint by construction). Deterministic (fixed seed, --no-cache) — the full tracked
 # run lives in BENCH_tune.json (see EXPERIMENTS.md, "Autotuner v2").
 ./target/release/tune --smoke --no-cache --json "$fresh/tune.json" > /dev/null
 
-echo "== tune digest verify =="
-# Metricsdiff-style drift gate for the autotuner: re-run the full two-tier
-# search (full recovery gate ≥97% + Conv2-beats-hand gate live) against a
-# copy of the committed BENCH_tune.json and assert every schedule digest of
-# the re-run appears in it. Warm simcache makes this cheap; the search is
-# byte-deterministic for the fixed default seed, so a mismatch means the
-# committed file is stale — regenerate it (EXPERIMENTS.md, "Autotuner v2").
+echo "== tune verify =="
+# Drift gate for the autotuner: re-run the full two-tier search (full
+# recovery gate ≥97% + Conv2-beats-hand gate live) against a copy of the
+# committed BENCH_tune.json and assert the re-run reproduces it byte for
+# byte. Warm simcache makes this cheap; the search is byte-deterministic
+# for the fixed default seed, so a mismatch means the committed file is
+# stale — regenerate it (EXPERIMENTS.md, "Autotuner v2").
 cp BENCH_tune.json "$fresh/tune_full.json"
 ./target/release/tune --verify --json "$fresh/tune_full.json" > /dev/null
 

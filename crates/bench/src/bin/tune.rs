@@ -7,29 +7,32 @@
 //!
 //! **Tier 2 — emitter parameters.** Every legal point of the
 //! `kernels::EmitterParams` grid (`bk` blocking, filter LDG width,
-//! fragment pipelining depth; 5 of 108 grid points are emittable) is
-//! emitted, lint-checked and functionally differential-checked (bit-exact
-//! against the other variants, tolerance-checked against a direct
-//! convolution), then handed to Tier 1 under successive halving: rung `r`
-//! anneals each survivor with a `2^r`-scaled budget and keeps the best
-//! 5 → 3 → 2 → 1.
+//! fragment pipelining depth; the 5 of 8 grid points `FusedConfig::check`
+//! accepts at the proxy shape) is emitted, lint-checked and functionally
+//! differential-checked (bit-exact against the other variants,
+//! tolerance-checked against a direct convolution), then handed to Tier 1
+//! under successive halving: rung `r` anneals each survivor with a
+//! `2^r`-scaled budget and keeps the best 5 → 3 → 2 → 1.
 //!
-//! **Tier 1 — island annealing** (`sass::island`). N independent annealing
-//! chains seeded from the detuned baseline, the hand schedule, and
-//! greedy-tightened variants of both, with ring migration of best
+//! **Tier 1 — island annealing** (`sass::island`, run through
+//! `kernels::search`, which serve's planner shares too). N independent
+//! annealing chains seeded from the detuned baseline, the hand schedule,
+//! and greedy-tightened variants of both, with ring migration of best
 //! candidates at epoch barriers and a per-region × per-move-family
 //! adaptive proposal policy (`sass::tune::AdaptivePolicy`) whose priors
 //! come from the profiled region stall shares
-//! (`perfmodel::region_move_weights`). Objective: `gpusim::BatchTimer`
+//! (`perfmodel::region_move_weights`). Objective: `kernels::search`'s
 //! one-wave cycles (decode once, re-patch control codes per candidate),
 //! memoized in `simcache` under the candidate's `gpusim::key`, so a
-//! timing-model version bump invalidates it. Byte-identical for any
-//! `--jobs`.
+//! timing-model version bump invalidates it. Every evaluated candidate
+//! must lint clean and simulate. Byte-identical for any `--jobs`.
 //!
 //! Three runs per device, all recorded in `BENCH_tune.json` (schema v2):
 //!
 //! 1. *recovery* — full island lineup from the naive baseline on the proxy
 //!    shape; gate: tuned within 3% of the hand schedule (≥97% recovery);
+//!    the winner's trajectory keeps every strict improvement plus every
+//!    16th accepted move;
 //! 2. *tier2* — the successive-halving table and its winning point;
 //! 3. *conv2_n32* — ResNet Conv2 at N=32 (a Table 2 shape), islands seeded
 //!    from the hand schedule; the tuned schedule must strictly beat the
@@ -40,27 +43,27 @@
 //! Flags: `--budget N` (anneal steps per island, default 400), `--islands N`
 //! (default 6), `--epochs N` (migration barriers, default 4), `--jobs N`
 //! (worker threads, default 1 — results are identical for any value),
-//! `--seed S` (default 2020), `--trajectory full|trimmed` (default
-//! trimmed: strict improvements + every 16th accepted move), `--json PATH`
-//! (default `BENCH_tune.json`), `--smoke` (V100 only: 2 islands, tiny
-//! budget, runs twice with `--jobs 1` and `--jobs 2` and asserts
-//! byte-identical outcomes + monotone best-so-far), `--verify` (assert the
-//! schedule digests of this re-run appear in the committed JSON),
+//! `--seed S` (default 2020), `--json PATH` (default `BENCH_tune.json`),
+//! `--smoke` (V100 only: 2 islands, tiny budget, runs twice with
+//! `--jobs 1` and `--jobs 2` and asserts equal outcomes + monotone
+//! best-so-far), `--verify` (assert this re-run reproduces the committed
+//! JSON at `--json PATH` byte for byte before overwriting it),
 //! `--no-cache`, `--cache-dir DIR`.
 
 use bench::json::{obj, Json};
 use bench::report::{flag_value, Report};
 use bench::simcache::{timing_from_json, timing_to_json, CacheKey, SimStore, Store};
 use bench::Table;
-use gpusim::digest::module_digest;
-use gpusim::{BatchTimer, DeviceSpec, Digest, Gpu, KernelTiming, LaunchDims, Model, TimingOptions};
+use gpusim::digest::module_hex;
+use gpusim::{DeviceSpec, Digest, Gpu, KernelTiming};
 use kernels::filter_transform::{self, emit_filter_transform};
-use kernels::{Buffers, EmitterParams, FusedConfig, FusedKernel};
+use kernels::search::{hand_pair, Search, Simulation};
+use kernels::{EmitterParams, FusedConfig, FusedKernel};
 use perfmodel::{move_weights, region_move_weights, BottleneckReport};
-use sass::island::{run_islands, IslandConfig, IslandOutcome, Priors, SeedKind};
+use sass::island::{IslandConfig, IslandOutcome, Priors, SeedKind};
 use sass::lint::lint;
-use sass::tune::{MoveFamily, TrajectoryMode, TuneRegion};
-use sass::{Instruction, Module};
+use sass::tune::MoveFamily;
+use sass::Module;
 use serve::schedstore::{ScheduleStore, StoredSchedule};
 use tensor::XorShiftRng;
 
@@ -86,114 +89,52 @@ struct Flags {
     epochs: u64,
     jobs: usize,
     seed: u64,
-    traj: TrajectoryMode,
 }
 
 // ---- shared evaluation plumbing ---------------------------------------------
 
-/// Everything one shape's objective needs. The decoded [`BatchTimer`] is
-/// cloned per island, so operand analysis happens once per module.
-struct EvalCtx<'a> {
-    dev: &'a DeviceSpec,
-    base: Module,
-    timer: BatchTimer,
-    dims: LaunchDims,
-    params: Vec<u8>,
-    opts: TimingOptions,
-    buffers: Buffers,
-    store: Option<&'a Store>,
-}
-
-impl<'a> EvalCtx<'a> {
-    fn new(dev: &'a DeviceSpec, kern: &FusedKernel, store: Option<&'a Store>) -> EvalCtx<'a> {
-        let buffers = kern.buffers();
-        let a = buffers.addrs();
-        let params = kern.params(a[0], a[1], a[2]);
-        let dims = kern.launch_dims();
-        let opts = TimingOptions {
-            region: Some(kern.region),
-            ..Default::default()
-        };
-        EvalCtx {
-            dev,
-            base: kern.module.clone(),
-            timer: BatchTimer::new(&kern.module),
-            dims,
-            params,
-            opts,
-            buffers,
-            store,
+/// The search's memo: every evaluated candidate must lint clean, and with a
+/// store its one-wave timing is cached under its `gpusim::key`.
+fn memo(
+    store: Option<&Store>,
+) -> impl Fn(&Module, &Digest, &mut Simulation) -> Option<KernelTiming> + Sync + '_ {
+    move |cand, key, sim| {
+        assert!(
+            lint(&cand.insts).is_empty(),
+            "illegal candidate reached the objective"
+        );
+        let Some(store) = store else { return sim() };
+        let key = CacheKey::from_digest(key);
+        if let Some(t) = store.load(&key).as_ref().and_then(timing_from_json) {
+            return Some(t);
         }
+        let t = sim()?;
+        store.store(&key, &timing_to_json(&t));
+        Some(t)
     }
 }
 
-/// One one-wave simulation of `insts` as a module, memoized by its
-/// `gpusim::key`. Returns one-wave cycles.
-fn evaluate(
-    insts: &[Instruction],
-    perm: &[u32],
-    timer: &mut BatchTimer,
-    ctx: &EvalCtx,
-) -> Option<u64> {
-    assert!(lint(insts).is_empty(), "illegal candidate reached evaluate");
-    let cand = ctx.base.with_insts(insts.to_vec());
-    let (dims, model) = (ctx.dims, Model::OneWave);
-    let key = gpusim::key(ctx.dev, &cand, dims, &ctx.params, model, ctx.opts);
-    let key = CacheKey::from_digest(&key);
-    if let Some(s) = ctx.store {
-        if let Some(t) = s.load(&key).as_ref().and_then(timing_from_json) {
-            return Some(t.wave_cycles);
-        }
-    }
-    let (mut gpu, _) = ctx.buffers.alloc(ctx.dev.clone());
-    let (t, _) = timer
-        .time(&mut gpu, &cand, perm, dims, &ctx.params, model, ctx.opts)
-        .expect("candidate timing failed");
-    if let Some(s) = ctx.store {
-        s.store(&key, &timing_to_json(&t));
-    }
-    Some(t.wave_cycles)
-}
-
-/// Run the island search with per-island clones of the context's timer.
-fn islands_over(
-    ctx: &EvalCtx,
-    start: &[Instruction],
-    regions: &[TuneRegion],
+/// Run the island search through the memo, strictly: no candidate
+/// simulation may fail.
+fn islands(
+    search: &Search,
     priors: &Priors,
     icfg: &IslandConfig,
+    store: Option<&Store>,
 ) -> IslandOutcome {
-    run_islands(start, regions, priors, icfg, |_| {
-        let mut timer = ctx.timer.clone();
-        move |insts: &[Instruction], perm: &[u32]| evaluate(insts, perm, &mut timer, ctx)
-    })
+    let outcome = search.islands(priors, icfg, Some(&memo(store)));
+    assert_eq!(outcome.stats.failed, 0, "candidate timing failed");
+    outcome
 }
 
-/// Profile `kern` once (cold, uncached — a cached timing carries no
-/// profile) and aim the search: per-region proposal odds from the
-/// stall/issue cycle split, family weights from the classified bottleneck,
-/// per-region family priors from the profiled stall shares.
-fn profile_priors(
-    ctx: &EvalCtx,
-    kern: &FusedKernel,
-    regions: &[TuneRegion],
-) -> (&'static str, Priors) {
-    let (mut gpu, _) = ctx.buffers.alloc(ctx.dev.clone());
-    let popts = TimingOptions {
-        profile: true,
-        counters: true,
-        ..ctx.opts
-    };
-    let (mut t, _) = gpusim::simulate(
-        &mut gpu,
-        &kern.module,
-        ctx.dims,
-        &ctx.params,
-        Model::OneWave,
-        popts,
-    )
-    .expect("profile run failed");
-    let names: Vec<String> = regions.iter().map(|r| r.name.clone()).collect();
+/// Profile `kern` — the search's kernel or its detuned twin — once (cold,
+/// uncached — a cached timing carries no profile) and aim the search:
+/// per-region proposal odds from the stall/issue cycle split, family
+/// weights from the classified bottleneck, per-region family priors from
+/// the profiled stall shares.
+fn profile_priors(search: &Search, kern: &FusedKernel) -> (&'static str, Priors) {
+    let mut t = search.profile(&kern.module).expect("profile run failed");
+    let names: Vec<String> = kern.regions.iter().map(|r| r.name.clone()).collect();
     let totals = t.profile.as_mut().map(|prof| {
         prof.regions = kern.regions.clone();
         prof.region_totals()
@@ -219,12 +160,6 @@ fn profile_priors(
         priors.region_priors = Some(region_move_weights(&report, &totals, &names));
     }
     (report.bound.name(), priors)
-}
-
-fn digest_of(m: &Module) -> String {
-    let mut d = Digest::new();
-    module_digest(m, &mut d);
-    d.hex()
 }
 
 // ---- functional differential check ------------------------------------------
@@ -301,7 +236,8 @@ fn differential_check() {
 
     let want = reference(&base, &input, &filter);
     let mut anchor: Option<Vec<f32>> = None;
-    for p in EmitterParams::legal_points() {
+    let points = EmitterParams::grid(base).0;
+    for p in &points {
         let kern = FusedKernel::emit(p.apply(base));
         assert!(
             lint(&kern.module.insts).is_empty(),
@@ -328,7 +264,7 @@ fn differential_check() {
     }
     println!(
         "differential: {} legal emitter points, all lint-clean, bit-exact, reference-checked",
-        EmitterParams::legal_points().len()
+        points.len()
     );
 }
 
@@ -347,7 +283,7 @@ struct Tier2Point {
 /// 5 → 3 → 2 → 1 (ties broken toward grid order, so the result is
 /// deterministic).
 fn tier2_search(dev: &DeviceSpec, store: Option<&Store>, f: &Flags) -> (Vec<Tier2Point>, usize) {
-    let points = EmitterParams::legal_points();
+    let points = EmitterParams::grid(proxy_config()).0;
     let b0 = (f.budget / 10).max(4);
     let mut rows: Vec<Tier2Point> = points
         .iter()
@@ -365,13 +301,11 @@ fn tier2_search(dev: &DeviceSpec, store: Option<&Store>, f: &Flags) -> (Vec<Tier
         for &idx in &survivors {
             let p = points[idx];
             let kern = FusedKernel::emit(p.apply(proxy_config()));
-            let ctx = EvalCtx::new(dev, &kern, store);
-            let regions = kern.tune_regions();
-            let (_, priors) = profile_priors(&ctx, &kern, &regions);
-            let mut icfg = IslandConfig::new(2, 2, (rung_budget / 2).max(1), f.seed);
-            icfg.seeds = vec![SeedKind::Hand, SeedKind::HandGreedy];
+            let search = Search::new(dev, &kern);
+            let (_, priors) = profile_priors(&search, &kern);
+            let mut icfg = hand_pair((rung_budget / 2).max(1), f.seed);
             icfg.jobs = f.jobs;
-            let outcome = islands_over(&ctx, &kern.module.insts, &regions, &priors, &icfg);
+            let outcome = islands(&search, &priors, &icfg, store);
             rows[idx].hand_cycles = outcome.per_island[0].start_cost;
             rows[idx].best_cycles = outcome.best_cost;
             rows[idx].evals += outcome.stats.evals;
@@ -412,35 +346,32 @@ impl RecoveryRun {
 fn recovery_run(dev: &DeviceSpec, store: Option<&Store>, f: &Flags) -> RecoveryRun {
     let hand = FusedKernel::emit(proxy_config());
     let naive = FusedKernel::emit_detuned(proxy_config());
-    let ctx = EvalCtx::new(dev, &hand, store);
-    let regions = hand.tune_regions();
-    let region_names: Vec<String> = regions.iter().map(|r| r.name.clone()).collect();
+    let search = Search::new(dev, &hand);
     // Aim the search by profiling the *detuned* baseline — where the naive
     // schedule burns cycles is where the recovery search must move.
-    let (bound, priors) = profile_priors(&ctx, &naive, &regions);
+    let (bound, priors) = profile_priors(&search, &naive);
 
     let ident: Vec<u32> = (0..hand.module.insts.len() as u32).collect();
-    let mut timer = ctx.timer.clone();
-    let hand_cycles = evaluate(&hand.module.insts, &ident, &mut timer, &ctx).unwrap();
+    let hand_cycles = search.objective(Some(&memo(store)))(&hand.module.insts, &ident)
+        .expect("hand timing failed");
 
     let mut icfg = IslandConfig::new(f.islands, f.epochs, (f.budget / f.epochs).max(1), f.seed);
     icfg.jobs = f.jobs;
-    icfg.traj_mode = f.traj;
-    let outcome = islands_over(&ctx, &hand.module.insts, &regions, &priors, &icfg);
+    let outcome = islands(&search, &priors, &icfg, store);
     let naive_cycles = outcome
         .per_island
         .iter()
         .find(|s| s.seed_kind == SeedKind::Detuned)
         .map(|s| s.start_cost)
         .expect("lineup has a detuned island");
-    let schedule_digest = digest_of(&ctx.base.with_insts(outcome.best_insts.clone()));
+    let schedule_digest = module_hex(&hand.module.with_insts(outcome.best_insts.clone()));
     RecoveryRun {
         bound,
         naive_cycles,
         hand_cycles,
         tuned_cycles: outcome.best_cost,
         outcome,
-        region_names,
+        region_names: hand.regions.iter().map(|r| r.name.clone()).collect(),
         schedule_digest,
     }
 }
@@ -467,29 +398,21 @@ fn conv2_run(
 ) -> Conv2Run {
     let cfg = conv2_config();
     let hand = FusedKernel::emit(cfg);
-    let ctx = EvalCtx::new(dev, &hand, store);
-    let regions = hand.tune_regions();
+    let search = Search::new(dev, &hand);
     // Profile the *hand* schedule: the search starts there, so the priors
     // should point at whatever stalls the authors left on the table.
-    let (_, priors) = profile_priors(&ctx, &hand, &regions);
+    let (_, priors) = profile_priors(&search, &hand);
 
-    let mut icfg = IslandConfig::new(2, 2, (f.budget / 2).max(1), f.seed);
-    icfg.seeds = vec![SeedKind::Hand, SeedKind::HandGreedy];
+    let mut icfg = hand_pair((f.budget / 2).max(1), f.seed);
     icfg.jobs = f.jobs;
-    icfg.traj_mode = f.traj;
-    let outcome = islands_over(&ctx, &hand.module.insts, &regions, &priors, &icfg);
+    let outcome = islands(&search, &priors, &icfg, store);
     let hand_wave_cycles = outcome.per_island[0].start_cost;
-    let best = ctx.base.with_insts(outcome.best_insts.clone());
-    let schedule_digest = digest_of(&best);
+    let best = hand.module.with_insts(outcome.best_insts.clone());
+    let schedule_digest = module_hex(&best);
 
     // The claim that matters is multi-wave: time both schedules through the
     // full device model and compare whole-kernel cycles.
-    let time_device = |m: &Module| -> KernelTiming {
-        let (mut gpu, _) = ctx.buffers.alloc(dev.clone());
-        gpusim::simulate(&mut gpu, m, ctx.dims, &ctx.params, Model::Device, ctx.opts)
-            .expect("device sim failed")
-            .0
-    };
+    let time_device = |m: &Module| search.device_time(m).expect("device sim failed");
     let hand_t = time_device(&hand.module);
     let tuned_t = time_device(&best);
     let device_cycles = |t: &KernelTiming| (t.time_s * dev.clock_hz).round() as u64;
@@ -533,71 +456,21 @@ fn conv2_run(
 // ---- smoke ------------------------------------------------------------------
 
 /// Tiny fixed-seed island run on V100, executed twice — `jobs = 1` and
-/// `jobs = 2` — asserting byte-identical outcomes, a monotone best-so-far
-/// trace, and at least one accepted improving move.
+/// `jobs = 2` — asserting equal outcomes (the whole `IslandOutcome`), a
+/// monotone best-so-far trace, and at least one accepted improving move.
 fn smoke(seed: u64, report: &mut Report) {
-    let dev = DeviceSpec::v100();
     let hand = FusedKernel::emit(proxy_config());
-    let ctx = EvalCtx::new(&dev, &hand, None);
-    let regions = hand.tune_regions();
-    let priors = Priors::default();
+    let search = Search::new(&DeviceSpec::v100(), &hand);
     let run = |jobs: usize| {
         let mut icfg = IslandConfig::new(2, 2, 15, seed);
         icfg.seeds = vec![SeedKind::Detuned, SeedKind::Hand];
         icfg.jobs = jobs;
-        islands_over(&ctx, &hand.module.insts, &regions, &priors, &icfg)
+        islands(&search, &Priors::default(), &icfg, None)
     };
     let a = run(1);
     let b = run(2);
 
-    assert_eq!(
-        a.best_cost, b.best_cost,
-        "smoke: best cost differs across --jobs"
-    );
-    assert_eq!(
-        a.best_insts, b.best_insts,
-        "smoke: best stream differs across --jobs"
-    );
-    assert_eq!(
-        a.best_perm, b.best_perm,
-        "smoke: best perm differs across --jobs"
-    );
-    assert_eq!(
-        a.best_trace, b.best_trace,
-        "smoke: best trace differs across --jobs"
-    );
-    assert_eq!(
-        a.winner, b.winner,
-        "smoke: winner island differs across --jobs"
-    );
-    for (x, y) in a.per_island.iter().zip(&b.per_island) {
-        assert_eq!(
-            x.start_cost, y.start_cost,
-            "smoke: island start differs across --jobs"
-        );
-        assert_eq!(
-            x.best_cost, y.best_cost,
-            "smoke: island best differs across --jobs"
-        );
-        assert_eq!(
-            x.migrations_in, y.migrations_in,
-            "smoke: migrations differ across --jobs"
-        );
-        for (s, t) in [
-            (x.stats.proposed, y.stats.proposed),
-            (x.stats.inapplicable, y.stats.inapplicable),
-            (x.stats.illegal, y.stats.illegal),
-            (x.stats.evals, y.stats.evals),
-            (x.stats.failed, y.stats.failed),
-            (x.stats.accepted, y.stats.accepted),
-        ] {
-            assert_eq!(s, t, "smoke: island counters differ across --jobs");
-        }
-        assert_eq!(
-            x.accept_rates, y.accept_rates,
-            "smoke: learned rates differ across --jobs"
-        );
-    }
+    assert!(a == b, "smoke: outcomes differ across --jobs");
     assert!(
         a.best_trace.windows(2).all(|w| w[1] <= w[0]),
         "smoke: best-so-far trace is not monotone: {:?}",
@@ -712,10 +585,6 @@ fn main() {
         epochs: flag_value(&args, "--epochs").map_or(4, |v| v.parse().expect("--epochs N")),
         jobs: flag_value(&args, "--jobs").map_or(1, |v| v.parse().expect("--jobs N")),
         seed: flag_value(&args, "--seed").map_or(2020, |v| v.parse().expect("--seed S")),
-        traj: match flag_value(&args, "--trajectory").as_deref() {
-            Some("full") => TrajectoryMode::Full,
-            _ => TrajectoryMode::default(),
-        },
     };
     let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_tune.json".into());
     let no_cache = args.iter().any(|a| a == "--no-cache");
@@ -731,6 +600,12 @@ fn main() {
         report.finish();
         return;
     }
+    // `--verify` compares the whole re-run with the committed file, which
+    // the run then overwrites: read it first.
+    let committed = verify.then(|| {
+        std::fs::read_to_string(&json_path)
+            .unwrap_or_else(|e| panic!("--verify: cannot read {json_path}: {e}"))
+    });
 
     let cfg = proxy_config();
     println!(
@@ -759,7 +634,6 @@ fn main() {
         "beats hand",
         "stored",
     ]);
-    let mut digests: Vec<(String, String)> = Vec::new();
     let mut any_beats = false;
 
     for dev in &devices {
@@ -810,12 +684,6 @@ fn main() {
             if c2.beats_hand { "yes" } else { "no" }.to_string(),
             if c2.stored { "yes" } else { "no" }.to_string(),
         ]);
-
-        digests.push((
-            format!("{} recovery", dev.name),
-            rec.schedule_digest.clone(),
-        ));
-        digests.push((format!("{} conv2@32", dev.name), c2.schedule_digest.clone()));
 
         report.add(
             dev.name,
@@ -886,12 +754,11 @@ fn main() {
                 (
                     "pruned",
                     Json::Arr(
-                        EmitterParams::enumerate()
+                        EmitterParams::grid(cfg)
+                            .1
                             .iter()
-                            .filter_map(|p| {
-                                p.legality().err().map(|e| {
-                                    obj(&[("params", p.label().into()), ("reason", e.into())])
-                                })
+                            .map(|(p, why)| {
+                                obj(&[("params", p.label().into()), ("reason", (*why).into())])
                             })
                             .collect(),
                     ),
@@ -932,20 +799,20 @@ fn main() {
          under the multi-wave device model"
     );
 
-    if verify {
-        let old = std::fs::read_to_string(&json_path)
-            .unwrap_or_else(|e| panic!("--verify: cannot read {json_path}: {e}"));
-        for (what, d) in &digests {
-            assert!(
-                old.contains(d.as_str()),
-                "--verify: {what} schedule digest {d} not in committed {json_path} — \
-                 the search result drifted; regenerate BENCH_tune.json"
-            );
-        }
-        println!(
-            "verify OK: {} schedule digests match {json_path}",
-            digests.len()
+    if let Some(old) = committed {
+        let new = report.render();
+        let line = old
+            .lines()
+            .zip(new.lines())
+            .take_while(|(a, b)| a == b)
+            .count()
+            + 1;
+        assert!(
+            old == new,
+            "--verify: the re-run drifted from {json_path} at line {line} — the search \
+             result changed; regenerate BENCH_tune.json"
         );
+        println!("verify OK: the re-run reproduces {json_path} byte for byte");
     }
 
     recovery_table.print();

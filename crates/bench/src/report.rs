@@ -38,11 +38,15 @@ impl Report {
         ]));
     }
 
+    /// The collected records as the text [`Report::finish`] writes.
+    pub fn render(&self) -> String {
+        render_records(&self.records)
+    }
+
     /// Write the collected records if a path was given. Call once, last.
     pub fn finish(&self) {
         let Some(path) = &self.path else { return };
-        let body = render_records(&self.records);
-        std::fs::write(path, &body)
+        std::fs::write(path, self.render())
             .unwrap_or_else(|e| panic!("failed to write --json {path}: {e}"));
         eprintln!("[json] wrote {} records to {path}", self.records.len());
     }

@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 
 use bench::json::Json;
 use bench::simcache::{timing_from_json, timing_to_json, CacheKey, SimStore, Store};
-use gpusim::digest::module_digest;
-use gpusim::{DeviceSpec, Digest, Gpu, LaunchDims, Model, TimingOptions};
+use gpusim::digest::module_hex;
+use gpusim::{DeviceSpec, Gpu, LaunchDims, Model, TimingOptions};
 use kernels::{FusedConfig, FusedKernel};
 use sass::{assemble, Module};
 use serve::plan::{Plan, PlanCache, PlanStorage, PlanVariant, TunedSchedule};
@@ -43,12 +43,6 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn digest_of(m: &Module) -> String {
-    let mut d = Digest::new();
-    module_digest(m, &mut d);
-    d.hex()
-}
-
 /// A small real module, so truncating its records at every byte is cheap.
 fn tiny_module() -> Module {
     assemble("MOV R0, 0x1;\nEXIT;").expect("tiny kernel assembles")
@@ -57,7 +51,7 @@ fn tiny_module() -> Module {
 fn schedule(module: &Module) -> StoredSchedule {
     StoredSchedule {
         params: "bk64-bn32-bc8-w64-p2".into(),
-        schedule_digest: digest_of(module),
+        schedule_digest: module_hex(module),
         cubin: module.to_cubin(),
         hand_cycles: 537_563,
         tuned_cycles: 524_042,
@@ -91,7 +85,7 @@ fn tuned_plan(module: &Module) -> Plan {
         assumed_rps: 20_000.0 / 3.0,
         tuned: Some(TunedSchedule {
             n: 32,
-            schedule_digest: digest_of(module),
+            schedule_digest: module_hex(module),
             cubin: module.to_cubin(),
             hand_cycles: 537_563,
             tuned_cycles: 524_042,

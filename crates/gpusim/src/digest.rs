@@ -156,6 +156,14 @@ pub fn module_digest(module: &Module, d: &mut Digest) {
     d.bytes(&module.to_cubin());
 }
 
+/// A module's own digest as hex — the schedule digest plans and stored
+/// schedules record and verify.
+pub fn module_hex(module: &Module) -> String {
+    let mut d = Digest::new();
+    module_digest(module, &mut d);
+    d.hex()
+}
+
 /// Version of the timing-model *semantics* mixed into every timing digest.
 /// Bump it whenever a model change legitimately moves numbers, so results
 /// cached under the old semantics can never be returned for the new ones.

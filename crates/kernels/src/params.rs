@@ -1,13 +1,15 @@
 //! Tier-2 emitter-parameter search space for the fused Winograd kernel.
 //!
 //! The schedule autotuner (`sass::tune`) searches *within* one emitted
-//! kernel; this module enumerates the discrete knobs the emitter itself
-//! exposes — block-level tiling (`bk`/`bn`/`bc`), filter LDG width and
-//! fragment software-pipelining depth — the space the Volta
-//! kernel-generation line of work searches over (see PAPERS.md). Each point
-//! carries an explicit legality verdict with the *reason* a configuration
-//! cannot be emitted, so the search reports what it pruned instead of
-//! silently shrinking the grid.
+//! kernel; this module spans the discrete knobs the emitter itself exposes
+//! — output-channel blocking `bk`, filter LDG width and fragment
+//! software-pipelining depth — following the Volta kernel-generation line
+//! of work (see PAPERS.md), whose search covers only what its generator can
+//! emit. The block tiling `bn`/`bc` is fixed by the block structure (see
+//! [`BN`], [`BC`]), so it is not a knob. Which points the emitter accepts
+//! is [`FusedConfig::check`]'s verdict alone — the same rule set the
+//! network planner filters its candidates with — and every rejection keeps
+//! `check`'s reason, so the search reports what it pruned.
 //!
 //! Every legal point produces the same arithmetic in the same order (the
 //! accumulation chain over channels is fixed by the FFMA emission order,
@@ -22,12 +24,8 @@ use crate::winograd_fused::{FilterLdgWidth, FusedConfig, BC, BN};
 pub struct EmitterParams {
     /// Filters per block: 32 or 64.
     pub bk: u32,
-    /// Input tiles (batches) per block.
-    pub bn: u32,
-    /// Channels per main-loop iteration.
-    pub bc: u32,
-    /// Filter LDG width in bits: 32, 64 or 128.
-    pub ldg_width: u32,
+    /// Filter LDG width.
+    pub filter_ldg: FilterLdgWidth,
     /// Fragment pipelining depth: 1 (single buffer) or 2 (double buffer).
     pub pipeline_depth: u32,
 }
@@ -38,127 +36,62 @@ impl EmitterParams {
     pub fn hand() -> EmitterParams {
         EmitterParams {
             bk: 64,
-            bn: BN,
-            bc: BC,
-            ldg_width: 64,
+            filter_ldg: FilterLdgWidth::W64,
             pipeline_depth: 2,
         }
     }
 
-    /// Compact display label, e.g. `bk64-bn32-bc8-w64-p2`.
+    /// Compact display label, e.g. `bk64-bn32-bc8-w64-p2`. Plans and stored
+    /// schedules record it, so the fixed `bn`/`bc` stay in the string.
     pub fn label(&self) -> String {
         format!(
-            "bk{}-bn{}-bc{}-w{}-p{}",
-            self.bk, self.bn, self.bc, self.ldg_width, self.pipeline_depth
+            "bk{}-bn{BN}-bc{BC}-w{}-p{}",
+            self.bk,
+            self.filter_ldg.bits(),
+            self.pipeline_depth
         )
     }
 
-    /// Why this point cannot be emitted, or `Ok(())` if it can.
-    ///
-    /// The block structure (256 threads = 8 warps of 32 lanes) hard-wires
-    /// two of the nominal tiling knobs:
-    ///
-    /// * `bn` must be 32 — each warp lane owns one batch of the input
-    ///   fragment (Fig. 3); bn=64 would double the accumulator file past
-    ///   the 255-register budget, bn=16 would idle half of every warp;
-    /// * `bc` must be 8 — the warp index (`tid/32` ∈ 0..8) *is* the
-    ///   channel-within-iteration coordinate, and the 32 KiB smem arena is
-    ///   sized as `16·bc·(bn+bk)` words;
-    /// * `bk` ∈ {32, 64} — the two register layouts that exist (Table 5's
-    ///   and the compact ≤126-reg variant);
-    /// * 128-bit filter LDGs would need each lane to own four consecutive
-    ///   k (a different lane→filter mapping and 64 staging registers);
-    ///   64-bit loads need the k-pair mapping, which only bk=64 has;
-    /// * double-buffered fragments need bk=64 — the bk=32 layout stages
-    ///   input LDGs *in* the fragment registers, aliasing any second
-    ///   buffer.
-    pub fn legality(&self) -> Result<(), String> {
-        if self.bn != BN {
-            return Err(format!(
-                "bn={} unsupported: warp lanes map 1:1 to {BN} batches (Fig. 3); \
-                 bn=64 overflows the register file, bn=16 idles half-warps",
-                self.bn
-            ));
-        }
-        if self.bc != BC {
-            return Err(format!(
-                "bc={} unsupported: the warp index is the channel coordinate \
-                 (8 warps) and the smem arena is sized 16·{BC}·(bn+bk) words",
-                self.bc
-            ));
-        }
-        if self.bk != 32 && self.bk != 64 {
-            return Err(format!("bk={} unsupported: no register layout", self.bk));
-        }
-        match (self.bk, self.ldg_width) {
-            (_, 128) => {
-                return Err("128-bit filter LDG needs 4 consecutive k per lane: \
-                     incompatible with both lane→filter mappings"
-                    .into())
-            }
-            (32, 64) => {
-                return Err("bk=32 lanes own a single k: 64-bit filter LDG impossible".into())
-            }
-            _ => {}
-        }
-        if self.pipeline_depth == 2 && self.bk != 64 {
-            return Err("double-buffered fragments need bk=64: the compact layout \
-                 stages input LDGs in the fragment registers"
-                .into());
-        }
-        if self.pipeline_depth != 1 && self.pipeline_depth != 2 {
-            return Err(format!(
-                "pipeline_depth={} unsupported (1 or 2)",
-                self.pipeline_depth
-            ));
-        }
-        Ok(())
-    }
-
-    /// The full candidate grid (legal and illegal points).
-    pub fn enumerate() -> Vec<EmitterParams> {
-        let mut v = Vec::new();
-        for &bk in &[32u32, 64] {
-            for &bn in &[16u32, 32, 64] {
-                for &bc in &[4u32, 8, 16] {
-                    for &ldg_width in &[32u32, 64, 128] {
-                        for &pipeline_depth in &[1u32, 2] {
-                            v.push(EmitterParams {
-                                bk,
-                                bn,
-                                bc,
-                                ldg_width,
-                                pipeline_depth,
-                            });
-                        }
+    /// The 2×2×2 knob grid at `base` (`bk`, then filter LDG width, then
+    /// pipelining depth), split by [`FusedConfig::check`] into the legal
+    /// points and the rejected ones with `check`'s reason, both in grid
+    /// order.
+    pub fn grid(base: FusedConfig) -> (Vec<EmitterParams>, Vec<(EmitterParams, &'static str)>) {
+        let (mut legal, mut rejected) = (Vec::new(), Vec::new());
+        for bk in [32, 64] {
+            for filter_ldg in [FilterLdgWidth::W32, FilterLdgWidth::W64] {
+                for pipeline_depth in [1, 2] {
+                    let p = EmitterParams {
+                        bk,
+                        filter_ldg,
+                        pipeline_depth,
+                    };
+                    match p.set(base).check() {
+                        Ok(()) => legal.push(p),
+                        Err(why) => rejected.push((p, why)),
                     }
                 }
             }
         }
-        v
+        (legal, rejected)
     }
 
-    /// The emittable subset of [`EmitterParams::enumerate`], grid order.
-    pub fn legal_points() -> Vec<EmitterParams> {
-        Self::enumerate()
-            .into_iter()
-            .filter(|p| p.legality().is_ok())
-            .collect()
+    fn set(&self, base: FusedConfig) -> FusedConfig {
+        FusedConfig {
+            bk: self.bk,
+            filter_ldg: self.filter_ldg,
+            pipeline_depth: self.pipeline_depth,
+            ..base
+        }
     }
 
     /// Specialize a problem-shaped base config to this parameter point.
-    /// Panics if the point is illegal.
+    /// Panics if [`FusedConfig::check`] rejects the result.
     pub fn apply(&self, base: FusedConfig) -> FusedConfig {
-        self.legality()
-            .unwrap_or_else(|e| panic!("{}: {e}", self.label()));
-        let mut cfg = base;
-        cfg.bk = self.bk;
-        cfg.filter_ldg = if self.ldg_width == 64 {
-            FilterLdgWidth::W64
-        } else {
-            FilterLdgWidth::W32
-        };
-        cfg.pipeline_depth = self.pipeline_depth;
+        let cfg = self.set(base);
+        if let Err(why) = cfg.check() {
+            panic!("{}: {why}", self.label());
+        }
         cfg
     }
 }
@@ -166,44 +99,65 @@ impl EmitterParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FusedKernel;
+
+    fn base() -> FusedConfig {
+        FusedConfig::ours(32, 4, 4, 32, 64)
+    }
 
     #[test]
-    fn grid_shape_and_legal_subset() {
-        let all = EmitterParams::enumerate();
-        assert_eq!(all.len(), 2 * 3 * 3 * 3 * 2);
-        let legal = EmitterParams::legal_points();
-        // bk=64: {32,64}-bit loads × depth {1,2}; bk=32: one point.
-        assert_eq!(legal.len(), 5);
-        assert!(legal.contains(&EmitterParams::hand()));
+    fn legal_set_is_what_check_accepts_in_grid_order() {
+        let (legal, rejected) = EmitterParams::grid(base());
+        let labels = |v: &[EmitterParams]| v.iter().map(|p| p.label()).collect::<Vec<_>>();
+        assert_eq!(
+            labels(&legal),
+            [
+                "bk32-bn32-bc8-w32-p1",
+                "bk64-bn32-bc8-w32-p1",
+                "bk64-bn32-bc8-w32-p2",
+                "bk64-bn32-bc8-w64-p1",
+                "bk64-bn32-bc8-w64-p2",
+            ]
+        );
+        assert_eq!(
+            labels(&rejected.iter().map(|r| r.0).collect::<Vec<_>>()),
+            [
+                "bk32-bn32-bc8-w32-p2",
+                "bk32-bn32-bc8-w64-p1",
+                "bk32-bn32-bc8-w64-p2",
+            ]
+        );
         for p in &legal {
-            assert_eq!(p.bn, BN);
-            assert_eq!(p.bc, BC);
+            assert!(p.set(base()).check().is_ok());
         }
-        // Every illegal point names its reason.
-        for p in &all {
-            if let Err(e) = p.legality() {
-                assert!(!e.is_empty(), "{} rejected without a reason", p.label());
-            }
+        for (p, why) in &rejected {
+            assert_eq!(p.set(base()).check(), Err(*why));
         }
+        assert!(legal.contains(&EmitterParams::hand()));
     }
 
     #[test]
     fn apply_produces_valid_configs() {
-        for p in EmitterParams::legal_points() {
-            let cfg = p.apply(FusedConfig::ours(32, 4, 4, 32, 64));
-            cfg.validate();
-            assert_eq!(cfg.bk, p.bk);
-            assert_eq!(cfg.pipeline_depth, p.pipeline_depth);
+        for p in EmitterParams::grid(base()).0 {
+            let kern = FusedKernel::emit(p.apply(base()));
+            assert_eq!(kern.config.bk, p.bk);
+            assert_eq!(kern.config.filter_ldg, p.filter_ldg);
+            assert_eq!(kern.config.pipeline_depth, p.pipeline_depth);
         }
     }
 
+    /// `bk` must divide K: at K = 32 only the bk=32 point is legal, and
+    /// every bk=64 point carries `check`'s reason instead of reaching the
+    /// emitter.
     #[test]
-    #[should_panic(expected = "unsupported")]
-    fn apply_rejects_illegal_points() {
-        let p = EmitterParams {
-            bn: 64,
-            ..EmitterParams::hand()
-        };
-        p.apply(FusedConfig::ours(32, 4, 4, 32, 64));
+    fn bk64_is_rejected_when_k_is_32() {
+        let (legal, rejected) = EmitterParams::grid(FusedConfig::ours(32, 4, 4, 32, 32));
+        assert_eq!(legal.len(), 1);
+        assert_eq!(legal[0].bk, 32);
+        let bk64: Vec<_> = rejected.iter().filter(|(p, _)| p.bk == 64).collect();
+        assert_eq!(bk64.len(), 4);
+        for (p, why) in bk64 {
+            assert_eq!(*why, "K must be a multiple of bk", "{}", p.label());
+        }
     }
 }

@@ -84,6 +84,9 @@ impl StsStrategy {
 /// k there); `W32` splits the pair into two LDG.32 (twice the LDG count,
 /// same registers, same bytes — the schedule space the Tier-2 search
 /// probes). bk=32 lanes own a single k, so only `W32` is emittable there.
+/// There is no 128-bit load: it would need each lane to own four
+/// consecutive k, which neither lane→filter mapping gives (and 64 staging
+/// registers).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FilterLdgWidth {
     W32,
@@ -147,9 +150,14 @@ pub struct FusedConfig {
     pub fp16: bool,
 }
 
-/// Input tiles per block (fixed: 32 batches, §3.2).
+/// Input tiles per block (fixed: 32 batches, §3.2). Each warp lane owns
+/// one batch of the input fragment (Fig. 3): 64 would double the
+/// accumulator file past the 255-register budget, 16 would idle half of
+/// every warp.
 pub const BN: u32 = 32;
-/// Channels per main-loop iteration (fixed, §3.2).
+/// Channels per main-loop iteration (fixed, §3.2). The warp index
+/// (`tid/32` ∈ 0..8) *is* the channel-within-iteration coordinate, and the
+/// shared-memory arena is sized `16·BC·(BN+bk)` words.
 pub const BC: u32 = 8;
 
 impl FusedConfig {

@@ -22,9 +22,7 @@
 //! adoption order can feed back into any chain.
 
 use crate::isa::Instruction;
-use crate::tune::{
-    detune, MoveFamily, MoveWeights, TrajPoint, TrajectoryMode, TuneRegion, TuneStats, Tuner,
-};
+use crate::tune::{detune, MoveFamily, MoveWeights, TrajPoint, TuneRegion, TuneStats, Tuner};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -101,7 +99,6 @@ pub struct IslandConfig {
     pub jobs: usize,
     /// Ancestry per island; empty = [`SeedKind::lineup`].
     pub seeds: Vec<SeedKind>,
-    pub traj_mode: TrajectoryMode,
     /// Forwarded to [`Tuner::snapshot_every`] on every island.
     pub snapshot_every: u64,
 }
@@ -115,14 +112,13 @@ impl IslandConfig {
             seed,
             jobs: 1,
             seeds: Vec::new(),
-            traj_mode: TrajectoryMode::default(),
             snapshot_every: 0,
         }
     }
 }
 
 /// Per-island summary (island-index order).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IslandStat {
     pub island: usize,
     pub seed_kind: SeedKind,
@@ -137,7 +133,7 @@ pub struct IslandStat {
 }
 
 /// Result of an island run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IslandOutcome {
     pub best_insts: Vec<Instruction>,
     pub best_perm: Vec<u32>,
@@ -212,7 +208,6 @@ where
                 tuner.region_weights = rw.clone();
             }
             tuner.region_priors = priors.region_priors.clone();
-            tuner.traj_mode = cfg.traj_mode;
             tuner.snapshot_every = cfg.snapshot_every;
             Mutex::new(Island {
                 tuner,

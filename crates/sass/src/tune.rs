@@ -6,7 +6,7 @@
 //! hand-tuned stream to a naive legal baseline ([`detune`]) and then explores
 //! the schedule space with greedy per-region stall tightening followed by
 //! simulated annealing, using an externally supplied objective (the cycle
-//! simulator, via `gpusim::BatchTimer` in the `bench` tuner binary).
+//! simulator, via `kernels::search`).
 //!
 //! Everything a move may produce is gated by a two-level **legality oracle**:
 //!
@@ -458,21 +458,10 @@ impl AdaptivePolicy {
     }
 }
 
-/// Trajectory retention policy (see [`Tuner::trajectory`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrajectoryMode {
-    /// Record every strict best-so-far improvement plus every Nth accepted
-    /// move — enough to plot convergence without tracking-file bloat.
-    Trimmed(u64),
-    /// Record every accepted move.
-    Full,
-}
-
-impl Default for TrajectoryMode {
-    fn default() -> Self {
-        TrajectoryMode::Trimmed(16)
-    }
-}
+/// [`Tuner::trajectory`] keeps every `TRAJ_EVERY`th accepted move besides
+/// every strict improvement — enough to plot convergence without
+/// tracking-file bloat.
+const TRAJ_EVERY: u64 = 16;
 
 /// Apply one move at `pc`, mutating `insts`/`perm` in place. Returns `false`
 /// (stream untouched except for an undone probe) when the move is
@@ -652,7 +641,7 @@ pub struct TuneRegion {
 }
 
 /// One accepted move along the search trajectory.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrajPoint {
     /// Monotone step counter (greedy bundles and anneal steps share it).
     pub step: u64,
@@ -665,7 +654,7 @@ pub struct TrajPoint {
 }
 
 /// Search counters.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TuneStats {
     /// Anneal moves proposed.
     pub proposed: u64,
@@ -711,10 +700,9 @@ pub struct Tuner {
     pub best_perm: Vec<u32>,
     pub best_cost: u64,
     pub stats: TuneStats,
-    /// Accepted moves, retained per [`Tuner::traj_mode`].
+    /// Accepted moves: every strict best-so-far improvement plus every
+    /// 16th accepted move.
     pub trajectory: Vec<TrajPoint>,
-    /// Trajectory retention policy.
-    pub traj_mode: TrajectoryMode,
     /// When nonzero, snapshot the current stream every N accepted moves
     /// (consumed by the differential functional tests).
     pub snapshot_every: u64,
@@ -760,7 +748,6 @@ impl Tuner {
             best_cost: u64::MAX,
             stats: TuneStats::default(),
             trajectory: Vec::new(),
-            traj_mode: TrajectoryMode::default(),
             snapshot_every: 0,
             snapshots: Vec::new(),
             steps: 0,
@@ -798,15 +785,9 @@ impl Tuner {
     /// Record an accepted move. Called after `cur_cost` is updated but
     /// before `note_best`, so `cur_cost < best_cost` identifies a strict
     /// best-so-far improvement — those are always kept; other accepted moves
-    /// are subsampled per [`TrajectoryMode`].
+    /// are subsampled to every `TRAJ_EVERY`th.
     fn record(&mut self, kind: MoveKind, pc: u32, region: usize) {
-        let keep = match self.traj_mode {
-            TrajectoryMode::Full => true,
-            TrajectoryMode::Trimmed(n) => {
-                self.cur_cost < self.best_cost || self.stats.accepted.is_multiple_of(n.max(1))
-            }
-        };
-        if keep {
+        if self.cur_cost < self.best_cost || self.stats.accepted.is_multiple_of(TRAJ_EVERY) {
             self.trajectory.push(TrajPoint {
                 step: self.steps,
                 kind,

@@ -9,7 +9,7 @@
 //! legality gates, migration barriers and policy updates all exercise.
 
 use sass::island::{run_islands, IslandConfig, IslandOutcome, Priors};
-use sass::tune::{TrajectoryMode, TuneRegion};
+use sass::tune::TuneRegion;
 use sass::{assemble, Instruction};
 
 /// A stream with enough independent work that reorders, stall edits, reuse
@@ -76,67 +76,10 @@ fn run(jobs: usize, seed: u64) -> IslandOutcome {
     let hand = hand_stream();
     let mut cfg = IslandConfig::new(4, 3, 40, seed);
     cfg.jobs = jobs;
-    cfg.traj_mode = TrajectoryMode::Full;
-    cfg.snapshot_every = 16;
+    // A snapshot after every accepted move: the comparison sees the
+    // winner's whole stream at each step, not just the retained trajectory.
+    cfg.snapshot_every = 1;
     run_islands(&hand, &regions(), &Priors::default(), &cfg, |_| cost)
-}
-
-fn assert_identical(a: &IslandOutcome, b: &IslandOutcome, what: &str) {
-    assert_eq!(a.best_cost, b.best_cost, "{what}: best_cost");
-    assert_eq!(a.best_insts, b.best_insts, "{what}: best_insts");
-    assert_eq!(a.best_perm, b.best_perm, "{what}: best_perm");
-    assert_eq!(a.winner, b.winner, "{what}: winner");
-    assert_eq!(a.best_trace, b.best_trace, "{what}: best_trace");
-    assert_eq!(a.snapshots, b.snapshots, "{what}: snapshots");
-    assert_eq!(
-        a.trajectory.len(),
-        b.trajectory.len(),
-        "{what}: trajectory length"
-    );
-    for (x, y) in a.trajectory.iter().zip(&b.trajectory) {
-        assert_eq!(
-            (x.step, x.pc, x.region, x.cycles),
-            (y.step, y.pc, y.region, y.cycles),
-            "{what}: trajectory point"
-        );
-    }
-    assert_eq!(
-        a.per_island.len(),
-        b.per_island.len(),
-        "{what}: island count"
-    );
-    for (x, y) in a.per_island.iter().zip(&b.per_island) {
-        assert_eq!(x.island, y.island, "{what}: island index");
-        assert_eq!(x.seed_kind, y.seed_kind, "{what}: seed kind");
-        assert_eq!(x.start_cost, y.start_cost, "{what}: start cost");
-        assert_eq!(x.best_cost, y.best_cost, "{what}: island best");
-        assert_eq!(x.migrations_in, y.migrations_in, "{what}: migrations");
-        assert_eq!(
-            x.accept_rates, y.accept_rates,
-            "{what}: learned acceptance rates"
-        );
-        let xs = &x.stats;
-        let ys = &y.stats;
-        assert_eq!(
-            (
-                xs.proposed,
-                xs.inapplicable,
-                xs.illegal,
-                xs.evals,
-                xs.failed,
-                xs.accepted
-            ),
-            (
-                ys.proposed,
-                ys.inapplicable,
-                ys.illegal,
-                ys.evals,
-                ys.failed,
-                ys.accepted
-            ),
-            "{what}: counters"
-        );
-    }
 }
 
 #[test]
@@ -144,8 +87,8 @@ fn outcome_identical_across_jobs_1_2_8() {
     let a = run(1, 0x5eed_2020);
     let b = run(2, 0x5eed_2020);
     let c = run(8, 0x5eed_2020);
-    assert_identical(&a, &b, "jobs 1 vs 2");
-    assert_identical(&a, &c, "jobs 1 vs 8");
+    assert!(a == b, "jobs 1 vs 2: outcomes differ");
+    assert!(a == c, "jobs 1 vs 8: outcomes differ");
     // And the run did real work: improving moves landed and the search beat
     // the worst island's starting point.
     assert!(a.stats.accepted > 0, "nothing accepted");

@@ -34,12 +34,13 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use gpusim::digest::module_digest;
+use gpusim::digest::module_hex;
 use gpusim::json::{from_hex, obj, parse, to_hex, Json};
-use gpusim::{BatchTimer, DeviceSpec, Digest, Model, TimingOptions};
+use gpusim::{DeviceSpec, Digest};
+use kernels::search::{hand_pair, Search};
 use kernels::{EmitterParams, FusedConfig, FusedKernel};
 use perfmodel::{break_even_k, BottleneckReport};
-use sass::island::{run_islands, IslandConfig, Priors, SeedKind};
+use sass::island::Priors;
 use sass::Module;
 use wino_core::netgraph::candidates;
 use wino_core::{Algo, Conv};
@@ -90,7 +91,7 @@ pub struct TunedSchedule {
     /// Batch size the schedule was tuned at (the control codes are specific
     /// to that emitted module).
     pub n: u32,
-    /// `module_digest` of the tuned module; checked on every cache load.
+    /// `module_hex` of the tuned module; checked on every cache load.
     pub schedule_digest: String,
     /// The assembled tuned module (`Module::to_cubin`).
     pub cubin: Vec<u8>,
@@ -259,9 +260,7 @@ fn field_u32(j: &Json, k: &str) -> Option<u32> {
 /// Decode `cubin` and check its module digest against `digest`.
 pub(crate) fn verified_module(cubin: &[u8], digest: &str) -> Option<Module> {
     let m = Module::from_cubin(cubin).ok()?;
-    let mut d = Digest::new();
-    module_digest(&m, &mut d);
-    (d.hex() == digest).then_some(m)
+    (module_hex(&m) == digest).then_some(m)
 }
 
 // ---- storage ----------------------------------------------------------------
@@ -568,7 +567,7 @@ impl Planner {
             let replayed = sched
                 .map(|s| self.replay_stored(class, s, &mut plan))
                 .unwrap_or(false);
-            if !replayed && self.tune_budget > 0 {
+            if !replayed {
                 self.tune_fused(class, &top, &mut plan);
             }
         }
@@ -587,21 +586,9 @@ impl Planner {
             };
             let tuned = entry.module().expect("load() verified the module");
             let hand = FusedKernel::emit(cfg);
-            let buffers = hand.buffers();
-            let a = buffers.addrs();
-            let params = hand.params(a[0], a[1], a[2]);
-            let opts = TimingOptions {
-                region: Some(hand.region),
-                ..Default::default()
-            };
-            let time_module = |m: &Module| {
-                let (mut gpu, _) = buffers.alloc(self.device.clone());
-                let dims = hand.launch_dims();
-                gpusim::simulate(&mut gpu, m, dims, &params, Model::Device, opts)
-                    .ok()
-                    .map(|(t, _)| t)
-            };
-            let (Some(hand_t), Some(tuned_t)) = (time_module(&hand.module), time_module(&tuned))
+            let search = Search::new(&self.device, &hand);
+            let (Some(hand_t), Some(tuned_t)) =
+                (search.device_time(&hand.module), search.device_time(&tuned))
             else {
                 continue;
             };
@@ -637,55 +624,16 @@ impl Planner {
     /// hand schedule — a small two-island search (hand + greedy-tightened
     /// hand) splitting `tune_budget` anneal steps; adopt the result only if
     /// the device-level re-timing actually improves on the hand kernel.
+    /// A zero `tune_budget` disables it.
     fn tune_fused(&self, class: &ShapeClass, top: &wino_core::AlgoTiming, plan: &mut Plan) {
+        if self.tune_budget == 0 {
+            return;
+        }
         let n = *self.batch_sizes.last().unwrap();
-        let cfg = FusedConfig::ours(class.c, class.hw, class.hw, n, class.k);
-        let hand = FusedKernel::emit(cfg);
-        let buffers = hand.buffers();
-        let a = buffers.addrs();
-        let params = hand.params(a[0], a[1], a[2]);
-        let dims = hand.launch_dims();
-        let opts = TimingOptions {
-            region: Some(hand.region),
-            ..Default::default()
-        };
-
-        let timer = BatchTimer::new(&hand.module);
-        let base = hand.module.clone();
-        let (params_ref, buffers_ref) = (&params, &buffers);
-        let make_objective = |_: usize| {
-            let mut batch = timer.clone();
-            let base = base.clone();
-            let dev = self.device.clone();
-            move |insts: &[sass::Instruction], perm: &[u32]| {
-                let cand = base.with_insts(insts.to_vec());
-                let (mut gpu, _) = buffers_ref.alloc(dev.clone());
-                batch
-                    .time(
-                        &mut gpu,
-                        &cand,
-                        perm,
-                        dims,
-                        params_ref,
-                        Model::OneWave,
-                        opts,
-                    )
-                    .ok()
-                    .map(|(t, _)| t.wave_cycles)
-            }
-        };
-
-        let regions = hand.tune_regions();
-        let mut icfg = IslandConfig::new(2, 2, (self.tune_budget / 4).max(1), self.tune_seed);
-        icfg.seeds = vec![SeedKind::Hand, SeedKind::HandGreedy];
-        icfg.jobs = 1;
-        let outcome = run_islands(
-            &hand.module.insts,
-            &regions,
-            &Priors::default(),
-            &icfg,
-            make_objective,
-        );
+        let hand = FusedKernel::emit(FusedConfig::ours(class.c, class.hw, class.hw, n, class.k));
+        let search = Search::new(&self.device, &hand);
+        let icfg = hand_pair((self.tune_budget / 4).max(1), self.tune_seed);
+        let outcome = search.islands(&Priors::default(), &icfg, None);
         let hand_cycles = outcome.per_island[0].start_cost;
         // Modeled tuning cost: every objective evaluation is one on-device
         // run of roughly a hand-schedule wave.
@@ -695,17 +643,12 @@ impl Planner {
             return; // annealing found nothing better; keep the hand schedule
         }
 
-        let best = base.with_insts(outcome.best_insts.clone());
+        let best = hand.module.with_insts(outcome.best_insts.clone());
         // Re-time the tuned module through the full device model on the
         // pipeline layout `Conv::time` timed `top.kernel` on, so the gate
         // compares the same program, and fold the kernel-phase delta into
         // the largest-batch variant.
-        let pipeline = hand.pipeline_buffers();
-        let (mut gpu, a) = pipeline.alloc(self.device.clone());
-        let params = hand.params(a[0], a[2], a[3]);
-        let Ok((tuned_t, _)) =
-            gpusim::simulate(&mut gpu, &best, dims, &params, Model::Device, opts)
-        else {
+        let Some(tuned_t) = search.pipeline_device_time(&best) else {
             return;
         };
         let hand_kernel = top.kernel.as_ref().expect("fused timing has a kernel");
@@ -715,14 +658,9 @@ impl Planner {
         let v = plan.variants.last_mut().unwrap();
         let saved = to_ns(hand_kernel.time_s) - to_ns(tuned_t.time_s);
         v.service_ns -= saved.min(v.service_ns);
-        let schedule_digest = {
-            let mut d = Digest::new();
-            module_digest(&best, &mut d);
-            d.hex()
-        };
         plan.tuned = Some(TunedSchedule {
             n,
-            schedule_digest,
+            schedule_digest: module_hex(&best),
             cubin: best.to_cubin(),
             hand_cycles,
             tuned_cycles: outcome.best_cost,
@@ -869,15 +807,10 @@ mod tests {
     fn tuned_cubin_round_trip_and_verify() {
         let cfg = FusedConfig::ours(32, 8, 8, 32, 64);
         let kern = FusedKernel::emit(cfg);
-        let digest = {
-            let mut d = Digest::new();
-            module_digest(&kern.module, &mut d);
-            d.hex()
-        };
         let mut p = plan_fixture();
         p.tuned = Some(TunedSchedule {
             n: 32,
-            schedule_digest: digest,
+            schedule_digest: module_hex(&kern.module),
             cubin: kern.module.to_cubin(),
             hand_cycles: 100,
             tuned_cycles: 90,
@@ -897,7 +830,7 @@ mod tests {
 
     /// A fused-legal class cheap enough to simulate in a unit test. (The
     /// probe would pick WINOGRAD_NONFUSED for it, which is exactly why the
-    /// replay tests below drive `replay_stored` directly.)
+    /// tests below drive `replay_stored` and `tune_fused` directly.)
     fn proxy_class() -> ShapeClass {
         ShapeClass {
             name: "SmokeA".into(),
@@ -944,11 +877,7 @@ mod tests {
             &kern.config,
             &StoredSchedule {
                 params: "bk64-bn32-bc8-w64-p2".into(),
-                schedule_digest: {
-                    let mut d = Digest::new();
-                    module_digest(&kern.module, &mut d);
-                    d.hex()
-                },
+                schedule_digest: module_hex(&kern.module),
                 cubin: kern.module.to_cubin(),
                 hand_cycles: 100,
                 tuned_cycles: 90,
@@ -975,11 +904,6 @@ mod tests {
         let sched = ScheduleStore::new(&mem);
         let cfg = FusedConfig::ours(class.c, class.hw, class.hw, 32, class.k);
         let hand = FusedKernel::emit(cfg);
-        let digest_of = |m: &Module| {
-            let mut d = Digest::new();
-            module_digest(m, &mut d);
-            d.hex()
-        };
 
         let mut plan = ours_plan(&planner, &class);
         assert!(
@@ -994,7 +918,7 @@ mod tests {
             &cfg,
             &StoredSchedule {
                 params: EmitterParams::hand().label(),
-                schedule_digest: digest_of(&hand.module),
+                schedule_digest: module_hex(&hand.module),
                 cubin: hand.module.to_cubin(),
                 hand_cycles: 100,
                 tuned_cycles: 1,
@@ -1009,39 +933,8 @@ mod tests {
 
         // Manufacture a genuine winner: two islands seeded from the hand
         // schedule (one greedy-tightened) against the real simulator.
-        let regions = hand.tune_regions();
-        let opts = TimingOptions {
-            region: Some(hand.region),
-            ..Default::default()
-        };
-        let buffers = hand.buffers();
-        let a = buffers.addrs();
-        let params = hand.params(a[0], a[1], a[2]);
-        let timer = BatchTimer::new(&hand.module);
-        let mut icfg = IslandConfig::new(2, 2, 1, 2020);
-        icfg.seeds = vec![SeedKind::Hand, SeedKind::HandGreedy];
-        let outcome = run_islands(
-            &hand.module.insts,
-            &regions,
-            &Priors::default(),
-            &icfg,
-            |_| {
-                let mut timer = timer.clone();
-                let (params, buffers) = (params.clone(), buffers.clone());
-                let dev = planner.device.clone();
-                let base = hand.module.clone();
-                let dims = hand.launch_dims();
-                move |insts: &[sass::Instruction], perm: &[u32]| {
-                    let cand = base.with_insts(insts.to_vec());
-                    let (mut gpu, _) = buffers.alloc(dev.clone());
-                    let model = Model::OneWave;
-                    let (t, _) = timer
-                        .time(&mut gpu, &cand, perm, dims, &params, model, opts)
-                        .unwrap();
-                    Some(t.wave_cycles)
-                }
-            },
-        );
+        let search = Search::new(&planner.device, &hand);
+        let outcome = search.islands(&Priors::default(), &hand_pair(1, 2020), None);
         assert!(
             outcome.best_cost < outcome.per_island[0].start_cost,
             "greedy-tightened island failed to beat the hand schedule"
@@ -1052,7 +945,7 @@ mod tests {
             &cfg,
             &StoredSchedule {
                 params: EmitterParams::hand().label(),
-                schedule_digest: digest_of(&best),
+                schedule_digest: module_hex(&best),
                 cubin: best.to_cubin(),
                 hand_cycles: outcome.per_island[0].start_cost,
                 tuned_cycles: outcome.best_cost,
@@ -1068,7 +961,7 @@ mod tests {
         let tuned = plan.tuned.expect("adopted schedule recorded");
         assert_eq!(tuned.source, "store");
         assert_eq!(tuned.n, 32);
-        assert_eq!(tuned.schedule_digest, digest_of(&best));
+        assert_eq!(tuned.schedule_digest, module_hex(&best));
         assert!(
             tuned.tuned_cycles < tuned.hand_cycles,
             "recorded device-model cycles must show the win"
@@ -1076,6 +969,63 @@ mod tests {
         assert!(
             plan.build_cost_ns > 0,
             "replay must charge its re-time cost"
+        );
+    }
+
+    /// The in-process anneal on the proxy class, with the fused pipeline's
+    /// own timing as the top choice. A zero budget never searches. With a
+    /// budget the search is charged `evals × wave_ns` whichever way the
+    /// gate goes. Against a kernel time no schedule can beat, nothing is
+    /// adopted; against the real one, the tuned schedule wins, verifies and
+    /// cuts the largest variant by exactly hand − tuned device time.
+    #[test]
+    fn anneal_charges_its_search_and_adopts_only_a_device_win() {
+        let class = proxy_class();
+        let mut planner = Planner::new(DeviceSpec::v100(), vec![32]);
+        let top = Conv::new(class.problem(32), planner.device.clone()).time(Algo::OursFused);
+        let mut fresh = ours_plan(&planner, &class);
+        fresh.variants[0].service_ns = to_ns(top.time_s);
+
+        let mut plan = fresh.clone();
+        planner.tune_fused(&class, &top, &mut plan);
+        assert_eq!(plan, fresh, "tune_budget = 0 searched");
+
+        // The same search, run through `Search` directly, prices the charge.
+        planner.tune_budget = 12;
+        let hand = FusedKernel::emit(FusedConfig::ours(class.c, class.hw, class.hw, 32, class.k));
+        let search = Search::new(&planner.device, &hand);
+        let outcome = search.islands(&Priors::default(), &hand_pair(3, planner.tune_seed), None);
+        let wave = outcome.best_cost.max(outcome.per_island[0].start_cost);
+        let charge = outcome.stats.evals * (wave as f64 / planner.device.clock_hz * 1e9) as u64;
+        assert!(charge > 0);
+
+        let mut unbeatable = top.clone();
+        unbeatable.kernel.as_mut().unwrap().time_s = 0.0;
+        let mut rejected = fresh.clone();
+        planner.tune_fused(&class, &unbeatable, &mut rejected);
+        assert_eq!(rejected.build_cost_ns, charge);
+        assert_eq!(
+            (&rejected.variants, &rejected.tuned),
+            (&fresh.variants, &None)
+        );
+
+        planner.tune_fused(&class, &top, &mut plan);
+        assert_eq!(plan.build_cost_ns, charge);
+        let t = plan
+            .tuned
+            .as_ref()
+            .expect("the anneal beats the hand kernel");
+        assert!(plan.verify());
+        assert_eq!(
+            (t.source.as_str(), t.evals),
+            ("anneal", outcome.stats.evals)
+        );
+        let tuned = Module::from_cubin(&t.cubin).unwrap();
+        let tuned_ns = to_ns(search.pipeline_device_time(&tuned).unwrap().time_s);
+        let hand_ns = to_ns(top.kernel.as_ref().unwrap().time_s);
+        assert_eq!(
+            plan.variants[0].service_ns,
+            fresh.variants[0].service_ns - (hand_ns - tuned_ns)
         );
     }
 }

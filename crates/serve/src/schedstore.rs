@@ -35,7 +35,7 @@ pub struct StoredSchedule {
     /// Winning Tier-2 emitter point, `EmitterParams::label` form
     /// (e.g. `bk64-bn32-bc8-w64-p2`).
     pub params: String,
-    /// `module_digest` of the tuned module; checked on every load.
+    /// `module_hex` of the tuned module; checked on every load.
     pub schedule_digest: String,
     /// The assembled tuned module (`Module::to_cubin`).
     pub cubin: Vec<u8>,
@@ -151,20 +151,15 @@ impl<'a> ScheduleStore<'a> {
 mod tests {
     use super::*;
     use crate::plan::MemStorage;
-    use gpusim::digest::module_digest;
+    use gpusim::digest::module_hex;
     use kernels::FusedKernel;
 
     fn entry() -> (FusedConfig, StoredSchedule) {
         let cfg = FusedConfig::ours(32, 8, 8, 32, 64);
         let kern = FusedKernel::emit(cfg);
-        let digest = {
-            let mut d = Digest::new();
-            module_digest(&kern.module, &mut d);
-            d.hex()
-        };
         let sched = StoredSchedule {
             params: "bk64-bn32-bc8-w64-p2".into(),
-            schedule_digest: digest,
+            schedule_digest: module_hex(&kern.module),
             cubin: kern.module.to_cubin(),
             hand_cycles: 31018,
             tuned_cycles: 30269,
