@@ -43,6 +43,18 @@ trap 'rm -rf "$fresh"' EXIT
 ./target/release/metricsdiff --baseline baselines \
   "$fresh/table2.json" "$fresh/fig7.json" "$fresh/ablation.json"
 
+echo "== analytic experiments =="
+# The closed-form experiments (roofline, break-even, kernel parameters,
+# workspace) compute their points inline, without the sweep cache, in
+# milliseconds. Run each end to end and check its --json report parses;
+# fig14 runs without --metrics, which would simulate.
+for b in fig2 breakeven table7; do
+  ./target/release/$b --metrics --json "$fresh/$b.json" > /dev/null
+  python3 -m json.tool "$fresh/$b.json" > /dev/null
+done
+./target/release/fig14 --json "$fresh/fig14.json" > /dev/null
+python3 -m json.tool "$fresh/fig14.json" > /dev/null
+
 echo "== simspeed smoke =="
 # Host-throughput sanity check of the timing hot loop and of functional
 # execution: runs the tracked simspeed matrix once (timing points plus one

@@ -1,10 +1,7 @@
 //! §8.1: the fused-F(2×2) vs non-fused-F(4×4) break-even analysis.
 //! Paper: crossover at K = 129 (V100) and K = 127 (RTX 2070).
 
-use bench::analytic_key;
-use bench::json::{obj, Json};
 use bench::report::Report;
-use bench::sweep::Sweep;
 use gpusim::DeviceSpec;
 use perfmodel::{break_even_k, fused_f2_time, nonfused_f4_time};
 
@@ -13,43 +10,9 @@ const KS: [u32; 4] = [64, 128, 256, 512];
 fn main() {
     println!("Section 8.1: fused F(2x2,3x3) vs non-fused F(4x4,3x3) break-even\n");
     let devices = [DeviceSpec::v100(), DeviceSpec::rtx2070()];
-    let mut sw = Sweep::from_args("breakeven");
-    for dev in &devices {
-        let dev = dev.clone();
-        let key = analytic_key(&dev, "breakeven");
-        sw.point(key, move || {
-            let rows = KS
-                .iter()
-                .map(|&kk| {
-                    obj(&[
-                        (
-                            "fused_us",
-                            (fused_f2_time(&dev, 32.0, kk as f64, 28.0, 28.0, kk as f64) * 1e6)
-                                .into(),
-                        ),
-                        (
-                            "nonfused_us",
-                            (nonfused_f4_time(&dev, 32.0, kk as f64, 28.0, 28.0, kk as f64) * 1e6)
-                                .into(),
-                        ),
-                    ])
-                })
-                .collect();
-            obj(&[
-                ("break_even_k", break_even_k(&dev).into()),
-                ("rows", Json::Arr(rows)),
-            ])
-        });
-    }
-    let mut results = sw.run().results.into_iter();
-
     let mut report = Report::from_args("breakeven");
     for dev in devices {
-        let r = results.next().unwrap();
-        let k = r
-            .get("break_even_k")
-            .and_then(|v| v.as_f64())
-            .expect("valid break-even record");
+        let k = break_even_k(&dev);
         println!(
             "{:8}: break-even K = {:.0}  (paper: {})",
             dev.name,
@@ -62,10 +25,9 @@ fn main() {
             &[("k", k.into())],
         );
         println!("  K       fused(us)  nonfused(us)  winner");
-        let rows = r.get("rows").and_then(|v| v.as_arr()).expect("rows");
-        for (&kk, row) in KS.iter().zip(rows) {
-            let f = row.get("fused_us").and_then(|v| v.as_f64()).unwrap();
-            let nf = row.get("nonfused_us").and_then(|v| v.as_f64()).unwrap();
+        for kk in KS {
+            let f = fused_f2_time(&dev, 32.0, kk as f64, 28.0, 28.0, kk as f64) * 1e6;
+            let nf = nonfused_f4_time(&dev, 32.0, kk as f64, 28.0, 28.0, kk as f64) * 1e6;
             println!(
                 "  {:<7} {:>9.1} {:>13.1}  {}",
                 kk,

@@ -2,10 +2,8 @@
 //! Paper highlights: ours needs 0.25-16 MB (transformed filter only); FFT
 //! variants need hundreds of MB to > 1.6 GB on Conv5.
 
-use bench::json::obj;
 use bench::report::Report;
-use bench::sweep::Sweep;
-use bench::{analytic_key, configs, label, Table};
+use bench::{configs, label, Table};
 use gpusim::DeviceSpec;
 use wino_core::{Algo, Conv};
 
@@ -20,24 +18,6 @@ fn main() {
         Algo::WinogradNonfused,
         Algo::OursFused,
     ];
-    let mut sw = Sweep::from_args("fig14");
-    for (layer, n) in configs() {
-        for a in algos {
-            let conv = Conv::new(layer.problem(n), DeviceSpec::v100());
-            let key = analytic_key(
-                &conv.device,
-                &format!("fig14/{}/{}/{}", layer.name, n, a.name()),
-            );
-            sw.point(key, move || {
-                obj(&[(
-                    "workspace_mb",
-                    (conv.workspace_bytes(a) as f64 / 1e6).into(),
-                )])
-            });
-        }
-    }
-    let mut results = sw.run().results.into_iter();
-
     let mut report = Report::from_args("fig14");
     let mut headers = vec!["layer"];
     for a in &algos {
@@ -45,13 +25,10 @@ fn main() {
     }
     let mut t = Table::new(&headers);
     for (layer, n) in configs() {
+        let conv = Conv::new(layer.problem(n), DeviceSpec::v100());
         let mut row = vec![label(&layer, n)];
         for a in algos {
-            let r = results.next().unwrap();
-            let mb = r
-                .get("workspace_mb")
-                .and_then(|v| v.as_f64())
-                .expect("valid workspace record");
+            let mb = conv.workspace_bytes(a) as f64 / 1e6;
             row.push(format!("{mb:.1}"));
             report.add(
                 "V100",

@@ -1,9 +1,6 @@
 //! Figure 2: roofline model of the Winograd steps on V100.
 
-use bench::analytic_key;
-use bench::json::obj;
 use bench::report::Report;
-use bench::sweep::Sweep;
 use gpusim::DeviceSpec;
 use perfmodel::roofline::{
     attainable_tflops, attainable_tflops_vs, direct_conv_intensity, gemm_intensity, l2_bandwidth,
@@ -21,22 +18,6 @@ fn main() {
         ("batched GEMM (bk=64)", gemm_intensity(64.0)),
         ("direct conv (bk=64)", direct_conv_intensity(64.0)),
     ]);
-    let mut sw = Sweep::from_args("fig2");
-    for &(name, i) in &steps {
-        let dev = dev.clone();
-        let key = analytic_key(&dev, &format!("fig2/{name}/{}", i.to_bits()));
-        sw.point(key, move || {
-            obj(&[
-                ("dram_roof_tflops", attainable_tflops(&dev, i).into()),
-                (
-                    "l2_roof_tflops",
-                    attainable_tflops_vs(&dev, i, l2_bandwidth(&dev)).into(),
-                ),
-            ])
-        });
-    }
-    let mut results = sw.run().results.into_iter();
-
     let mut report = Report::from_args("fig2");
     println!(
         "Figure 2: V100 global-memory roofline (peak {:.1} TFLOPS, DRAM {:.0} GB/s, L2 {:.1} TB/s)",
@@ -51,14 +32,8 @@ fn main() {
         "kernel/step", "ops:byte", "DRAM-roof TF", "L2-roof TF"
     );
     for (name, i) in steps {
-        let r = results.next().unwrap();
-        let roof = |k: &str| {
-            r.get(k)
-                .and_then(|v| v.as_f64())
-                .expect("valid roof record")
-        };
-        let dram_roof = roof("dram_roof_tflops");
-        let l2_roof = roof("l2_roof_tflops");
+        let dram_roof = attainable_tflops(&dev, i);
+        let l2_roof = attainable_tflops_vs(&dev, i, l2_bandwidth(&dev));
         println!(
             "{:<28} {:>10.3} {:>14.2} {:>14.2}",
             name, i, dram_roof, l2_roof

@@ -1,117 +1,55 @@
 //! Table 7: parameters of our implementation vs cuDNN 7.6.1's Winograd,
 //! with the §7.1 occupancy consequence on both devices.
 
-use bench::json::{obj, Json};
 use bench::report::Report;
-use bench::simcache::CacheKey;
-use bench::sweep::Sweep;
 use bench::Table;
 use gpusim::DeviceSpec;
 use kernels::{FusedConfig, FusedKernel};
-use perfmodel::kernel_table;
+use perfmodel::{kernel_table, KernelParams};
+
+/// One kernel's cell in a table row.
+type Cell = fn(&KernelParams) -> String;
 
 fn main() {
     println!("Table 7: kernel parameters\n");
     let devices = [DeviceSpec::v100(), DeviceSpec::rtx2070()];
     let [ours, cudnn] = kernel_table();
-    let mut sw = Sweep::from_args("table7");
-    for (which, p) in [("ours", ours), ("cudnn", cudnn)] {
-        let devices = devices.clone();
-        let mut d = gpusim::Digest::new();
-        for dev in &devices {
-            dev.digest_into(&mut d);
-        }
-        d.str("table7")
-            .str(which)
-            .u64(bench::ANALYTIC_MODEL_VERSION);
-        sw.point(CacheKey::from_digest(&d), move || {
-            obj(&[
-                ("bk", p.bk.into()),
-                ("bn", p.bn.into()),
-                ("bc", p.bc.into()),
-                ("threads_per_block", p.threads_per_block.into()),
-                ("smem_per_block", p.smem_per_block.into()),
-                ("regs_per_thread", p.regs_per_thread.into()),
-                ("regs_per_block", p.regs_per_block().into()),
-                ("blocks_per_sm_v100", p.blocks_per_sm(&devices[0]).into()),
-                ("blocks_per_sm_rtx2070", p.blocks_per_sm(&devices[1]).into()),
-            ])
-        });
-    }
-    let results = sw.run().results;
-    let g = |r: &Json, k: &str| -> u64 {
-        r.get(k)
-            .and_then(|v| v.as_f64())
-            .expect("valid kernel-parameter record") as u64
-    };
-    let (r_ours, r_cudnn) = (&results[0], &results[1]);
 
     let mut report = Report::from_args("table7");
     let mut t = Table::new(&["Parameters", "Ours", "cuDNN's"]);
-    t.row(vec![
-        "(bk, bn, bc)".into(),
-        format!(
-            "({},{},{})",
-            g(r_ours, "bk"),
-            g(r_ours, "bn"),
-            g(r_ours, "bc")
-        ),
-        format!(
-            "({},{},{})",
-            g(r_cudnn, "bk"),
-            g(r_cudnn, "bn"),
-            g(r_cudnn, "bc")
-        ),
-    ]);
-    t.row(vec![
-        "Threads per block".into(),
-        g(r_ours, "threads_per_block").to_string(),
-        g(r_cudnn, "threads_per_block").to_string(),
-    ]);
-    t.row(vec![
-        "SMEM per block".into(),
-        format!("{}KB", g(r_ours, "smem_per_block") / 1024),
-        format!("{}KB", g(r_cudnn, "smem_per_block") / 1024),
-    ]);
-    t.row(vec![
-        "Registers per thread".into(),
-        g(r_ours, "regs_per_thread").to_string(),
-        g(r_cudnn, "regs_per_thread").to_string(),
-    ]);
-    t.row(vec![
-        "Registers per block".into(),
-        g(r_ours, "regs_per_block").to_string(),
-        g(r_cudnn, "regs_per_block").to_string(),
-    ]);
-    for (dev, key) in [
-        (&devices[0], "blocks_per_sm_v100"),
-        (&devices[1], "blocks_per_sm_rtx2070"),
-    ] {
-        t.row(vec![
-            format!("Blocks/SM on {}", dev.name),
-            g(r_ours, key).to_string(),
-            g(r_cudnn, key).to_string(),
-        ]);
+    let cells: [(&str, Cell); 5] = [
+        ("(bk, bn, bc)", |p| format!("({},{},{})", p.bk, p.bn, p.bc)),
+        ("Threads per block", |p| p.threads_per_block.to_string()),
+        ("SMEM per block", |p| {
+            format!("{}KB", p.smem_per_block / 1024)
+        }),
+        ("Registers per thread", |p| p.regs_per_thread.to_string()),
+        ("Registers per block", |p| p.regs_per_block().to_string()),
+    ];
+    for (name, cell) in cells {
+        t.row(vec![name.into(), cell(&ours), cell(&cudnn)]);
+    }
+    for dev in &devices {
+        let cell = |p: &KernelParams| p.blocks_per_sm(dev).to_string();
+        let name = format!("Blocks/SM on {}", dev.name);
+        t.row(vec![name, cell(&ours), cell(&cudnn)]);
     }
     t.print();
 
-    for (which, r) in [("ours", r_ours), ("cudnn", r_cudnn)] {
-        for (dev, key) in [
-            (&devices[0], "blocks_per_sm_v100"),
-            (&devices[1], "blocks_per_sm_rtx2070"),
-        ] {
+    for (which, p) in [("ours", &ours), ("cudnn", &cudnn)] {
+        for dev in &devices {
             report.add(
                 dev.name,
                 &[("kernel", which.into())],
                 &[
-                    ("bk", g(r, "bk").into()),
-                    ("bn", g(r, "bn").into()),
-                    ("bc", g(r, "bc").into()),
-                    ("threads_per_block", g(r, "threads_per_block").into()),
-                    ("smem_per_block", g(r, "smem_per_block").into()),
-                    ("regs_per_thread", g(r, "regs_per_thread").into()),
-                    ("regs_per_block", g(r, "regs_per_block").into()),
-                    ("blocks_per_sm", g(r, key).into()),
+                    ("bk", p.bk.into()),
+                    ("bn", p.bn.into()),
+                    ("bc", p.bc.into()),
+                    ("threads_per_block", p.threads_per_block.into()),
+                    ("smem_per_block", p.smem_per_block.into()),
+                    ("regs_per_thread", p.regs_per_thread.into()),
+                    ("regs_per_block", p.regs_per_block().into()),
+                    ("blocks_per_sm", p.blocks_per_sm(dev).into()),
                 ],
             );
             // `--metrics`: each kernel's batched-GEMM step classified at the
@@ -122,7 +60,7 @@ fn main() {
                     &bench::metrics::metrics_config(&[("kernel", which.into())]),
                     &bench::metrics::analytic_metrics(
                         dev,
-                        perfmodel::roofline::gemm_intensity(g(r, "bk") as f64),
+                        perfmodel::roofline::gemm_intensity(p.bk as f64),
                     ),
                 );
             }

@@ -76,9 +76,9 @@ fn proxy_config() -> FusedConfig {
 }
 
 /// The beat-the-hand-schedule shape: ResNet Conv2 at N=32, a Table 2
-/// point. Exactly the config serve's `Planner` consults in the schedule
-/// store for the Conv2 class at its smallest batch, so the published
-/// winner is what plan building replays.
+/// point. Its hand kernel is exactly the launch serve's `Planner` looks
+/// up in the schedule store for the Conv2 class at its smallest batch, so
+/// the published winner is what plan building replays.
 fn conv2_config() -> FusedConfig {
     FusedConfig::ours(64, 56, 56, 32, 64)
 }
@@ -396,8 +396,7 @@ fn conv2_run(
     publish: Option<&SimStore>,
     f: &Flags,
 ) -> Conv2Run {
-    let cfg = conv2_config();
-    let hand = FusedKernel::emit(cfg);
+    let hand = FusedKernel::emit(conv2_config());
     let search = Search::new(dev, &hand);
     // Profile the *hand* schedule: the search starts there, so the priors
     // should point at whatever stalls the authors left on the table.
@@ -426,8 +425,7 @@ fn conv2_run(
     if beats_hand {
         if let Some(sim) = publish {
             ScheduleStore::new(sim).save(
-                dev,
-                &cfg,
+                &search,
                 &StoredSchedule {
                     params: params_label.clone(),
                     schedule_digest: schedule_digest.clone(),

@@ -19,7 +19,7 @@ pub mod trace;
 use gpusim::DeviceSpec;
 use kernels::FusedConfig;
 use wino_core::resnet::{eval_grid, ResnetLayer};
-use wino_core::{AlgoTiming, Conv, ConvProblem, Observe, Target};
+use wino_core::{AlgoTiming, Conv, Observe, Target};
 
 use crate::simcache::CacheKey;
 use crate::sweep::Sweep;
@@ -40,11 +40,6 @@ pub fn label(layer: &ResnetLayer, n: usize) -> String {
 /// Conv bound to a device for a grid point.
 pub fn conv_for(layer: &ResnetLayer, n: usize, dev: &DeviceSpec) -> Conv {
     Conv::new(layer.problem(n), dev.clone())
-}
-
-/// A convolution problem for one grid point.
-pub fn problem_for(layer: &ResnetLayer, n: usize) -> ConvProblem {
-    layer.problem(n)
 }
 
 /// Evaluate [`Conv::measure`] (unobserved) for every `(conv, target)` point
@@ -90,26 +85,6 @@ pub fn mainloop_sweep(name: &str, points: Vec<(Conv, FusedConfig)>) -> Vec<f64> 
         .zip(rates)
         .map(|(k, (dev, flops))| k.expect("main loop simulates").region_tflops(&dev, flops))
         .collect()
-}
-
-/// Version tag mixed into the cache keys of *analytic* experiment points
-/// (roofline/workspace/break-even formulas with no simulated kernel whose
-/// bytes could be hashed). Bump when any analytic model formula changes so
-/// stale cache entries invalidate.
-///
-/// * v1 — PRs 1–5.
-/// * v2 — full-device multi-wave timing model (`gpusim::device_sim`): the
-///   simulated-kernel phases analytic points are compared against moved, so
-///   the analytic entries move in lockstep.
-pub const ANALYTIC_MODEL_VERSION: u64 = 2;
-
-/// Cache key for an analytic point: device + a caller-chosen label that
-/// encodes every remaining input + [`ANALYTIC_MODEL_VERSION`].
-pub fn analytic_key(dev: &DeviceSpec, label: &str) -> CacheKey {
-    let mut d = gpusim::Digest::new();
-    dev.digest_into(&mut d);
-    d.str(label).u64(ANALYTIC_MODEL_VERSION);
-    CacheKey::from_digest(&d)
 }
 
 /// Render a simple aligned table.

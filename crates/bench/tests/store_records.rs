@@ -16,6 +16,7 @@ use bench::json::Json;
 use bench::simcache::{timing_from_json, timing_to_json, CacheKey, SimStore, Store};
 use gpusim::digest::module_hex;
 use gpusim::{DeviceSpec, Gpu, LaunchDims, Model, TimingOptions};
+use kernels::search::Search;
 use kernels::{FusedConfig, FusedKernel};
 use sass::{assemble, Module};
 use serve::plan::{Plan, PlanCache, PlanStorage, PlanVariant, TunedSchedule};
@@ -162,13 +163,13 @@ fn assert_truncations_miss(dir: &Path, key: &str, record: &Json, mut hit: impl F
 fn records_survive_a_fresh_store_on_the_same_dir() {
     let dir = tmpdir("warm");
     let dev = DeviceSpec::v100();
-    let cfg = FusedConfig::ours(32, 8, 8, 32, 64);
-    let module = FusedKernel::emit(cfg).module;
-    let (plan, sched) = (tuned_plan(&module), schedule(&module));
+    let hand = FusedKernel::emit(FusedConfig::ours(32, 8, 8, 32, 64));
+    let search = Search::new(&dev, &hand);
+    let (plan, sched) = (tuned_plan(&hand.module), schedule(&hand.module));
     {
         let store = SimStore(Store::new(&dir));
         PlanCache::new(&store, dev.name, 0).put(PLAN_KEY, &plan);
-        ScheduleStore::new(&store).save(&dev, &cfg, &sched);
+        ScheduleStore::new(&store).save(&search, &sched);
     }
     let fresh = SimStore(Store::new(&dir));
     let mut cache = PlanCache::new(&fresh, dev.name, 0);
@@ -179,7 +180,7 @@ fn records_survive_a_fresh_store_on_the_same_dir() {
     assert_eq!(back, plan);
     assert!(back.verify());
     assert_eq!((cache.stats.hits, cache.stats.misses), (1, 0));
-    assert_eq!(ScheduleStore::new(&fresh).load(&dev, &cfg), Some(sched));
+    assert_eq!(ScheduleStore::new(&fresh).load(&search), Some(sched));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -212,19 +213,19 @@ fn corrupt_plan_records_are_misses() {
 
 #[test]
 fn corrupt_schedule_records_are_misses() {
-    let dev = DeviceSpec::v100();
-    let cfg = FusedConfig::ours(32, 8, 8, 32, 64);
-    let key = ScheduleStore::key(&dev, &cfg);
+    let hand = FusedKernel::emit(FusedConfig::ours(32, 8, 8, 32, 64));
+    let search = Search::new(&DeviceSpec::v100(), &hand);
+    let key = ScheduleStore::key(&search);
     let sched = schedule(&tiny_module());
     let record = sched.to_json();
     let mem = MemStorage::new();
     let store = ScheduleStore::new(&mem);
     mem.store(&key, &record);
-    assert_eq!(store.load(&dev, &cfg), Some(sched));
+    assert_eq!(store.load(&search), Some(sched));
     for (label, bad) in corruptions(&record, "schedule") {
         assert_eq!(StoredSchedule::from_json(&bad), None, "{label}");
         mem.store(&key, &bad);
-        assert_eq!(store.load(&dev, &cfg), None, "{label}");
+        assert_eq!(store.load(&search), None, "{label}");
         assert!(mem.load(&key).is_none(), "{label}: entry kept");
     }
 
@@ -232,8 +233,8 @@ fn corrupt_schedule_records_are_misses() {
     let sim = SimStore(Store::new(&dir));
     let store = ScheduleStore::new(&sim);
     sim.store(&key, &record);
-    assert!(store.load(&dev, &cfg).is_some());
-    assert_truncations_miss(&dir, &key, &record, || store.load(&dev, &cfg).is_some());
+    assert!(store.load(&search).is_some());
+    assert_truncations_miss(&dir, &key, &record, || store.load(&search).is_some());
     std::fs::remove_dir_all(&dir).ok();
 }
 

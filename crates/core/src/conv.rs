@@ -26,7 +26,6 @@
 //! covers exactly what was simulated; `key` never sees `observe`, so no
 //! observation can enter a key.
 
-use gpusim::digest::module_digest;
 pub use gpusim::Model;
 use gpusim::{
     DevPtr, DeviceSpec, DeviceTrace, Digest, Gpu, KernelTiming, LaunchDims, Region, TimingOptions,
@@ -385,40 +384,37 @@ impl Conv {
         }
     }
 
-    /// Content address of [`Conv::measure`] for `target`: model version,
-    /// device, problem, model constants, timing model, the buffer layout,
-    /// and every phase — a launch's program bytes, geometry, parameter bytes
-    /// (hence buffer addresses, which the L2 model indexes by) and timed
-    /// region, an analytic phase's label and seconds. Emission is pure
-    /// codegen, so a key costs microseconds: no arena, no simulation.
+    /// Content address of [`Conv::measure`] for `target`: one
+    /// [`gpusim::key`] per launch (device, model, program bytes, geometry,
+    /// parameter bytes — hence buffer addresses, which the L2 model indexes
+    /// by — and timed region), plus what only this layer knows: the
+    /// problem, the model constants, the algorithm, the buffer layout, each
+    /// launch's label and each analytic phase's label and seconds. A key
+    /// emits every kernel the target runs but allocates no arena and
+    /// simulates nothing, so it costs milliseconds, not microseconds: about
+    /// 2 ms for the OURS pipeline of a Table 1 layer on a 2-vCPU Xeon,
+    /// nearly all of it emitting the fused kernel.
     pub fn key(&self, target: Target) -> Digest {
         let p = &self.problem;
         let mut d = Digest::new();
-        d.u32(gpusim::TIMING_MODEL_VERSION);
-        self.device.digest_into(&mut d);
         for v in [p.n, p.c, p.h, p.w, p.k, p.r, p.s, p.pad] {
             d.u64(v as u64);
         }
         d.f64(LAUNCH_OVERHEAD_S).f64(MEM_EFF);
         d.str(target.kernels.algo().name());
-        d.str(&format!("{:?}", target.model));
         let (buffers, phases) = self.launches(target.kernels);
         for b in &buffers.0 {
             d.u64(*b);
         }
         for phase in &phases {
             match phase {
-                Phase::Analytic(name, s) => {
-                    d.str(name).f64(*s);
-                }
+                Phase::Analytic(name, s) => d.str(name).f64(*s),
                 Phase::Launch(l) => {
-                    d.str(l.name);
-                    module_digest(&l.module, &mut d);
-                    l.dims.digest_into(&mut d);
-                    d.u64(l.params.len() as u64).bytes(&l.params);
-                    l.options(Observe::default()).digest_into(&mut d);
+                    let (m, opts) = (&l.module, l.options(Observe::default()));
+                    let key = gpusim::key(&self.device, m, l.dims, &l.params, target.model, opts);
+                    d.str(l.name).digest(&key)
                 }
-            }
+            };
         }
         d
     }

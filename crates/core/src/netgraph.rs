@@ -192,17 +192,6 @@ impl NetGraph {
             .conv_named("SmokeB.1", 64)
     }
 
-    /// Channel count of the current (last) node's output — what the next
-    /// appended layer will consume.
-    pub fn out_channels(&self) -> usize {
-        self.cur_c
-    }
-
-    /// Spatial size of the current (last) node's output.
-    pub fn out_hw(&self) -> usize {
-        self.cur_hw
-    }
-
     /// NCHW dims of the network's input tensor.
     pub fn input_dims(&self) -> [usize; 4] {
         match self.nodes.first() {

@@ -32,9 +32,6 @@
 //! [`crate::launch::ExecCounters`], for kernels run outside the timing model;
 //! on a grid the timed wave fully covers, the shared counters agree exactly.
 
-/// Shared-memory access width buckets: 32-bit, 64-bit, 128-bit.
-pub const SMEM_WIDTHS: [&str; 3] = ["32-bit", "64-bit", "128-bit"];
-
 /// Per-launch hardware counters of one simulated wave (unscaled: counts are
 /// for the `blocks_per_sm` resident blocks the wave executes, like the
 /// per-SM counters hardware profilers report).

@@ -7,23 +7,33 @@
 //! host state. Hashing exactly those inputs ([`key`]) therefore yields a
 //! *content address* for the result — if the digest matches, the cached
 //! [`crate::KernelTiming`] is the answer the simulator would produce.
+//! [`key`] is the one recipe for that address and the one place the
+//! timing-model version enters a digest; every other persisted key in the
+//! workspace (`Conv::key`, tuned schedules, plans) folds in the `key`s of
+//! the launches it stands for.
 //!
-//! The hash is a fixed, hand-rolled 128-bit FNV-1a variant (two independent
-//! 64-bit streams), NOT `std::hash`: `DefaultHasher` is explicitly not
-//! stable across releases, and cache keys must survive toolchain upgrades
-//! and round-trip through filenames. Digests are rendered as 32 lowercase
-//! hex characters.
+//! The hash is a fixed, hand-rolled 128-bit FNV-1a variant: two 64-bit
+//! streams with different offset bases and different multipliers, NOT
+//! `std::hash`: `DefaultHasher` is explicitly not stable across releases,
+//! and cache keys must survive toolchain upgrades and round-trip through
+//! filenames. Both multipliers are odd, so multiplying is a bijection on
+//! `u64` and no byte's influence ever leaves a stream. An even multiplier
+//! would shift the whole state left one bit per byte, so the stream would
+//! depend only on the last 64 bytes absorbed. Digests are rendered as 32
+//! lowercase hex characters.
 
 use sass::Module;
 
-use crate::device::DeviceSpec;
+use crate::device::{Arch, DeviceSpec};
 use crate::launch::LaunchDims;
 use crate::timing::{Model, TimingOptions};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// Second stream: same prime, different offset basis (FNV-1a of "gpusim").
+/// Second stream: its own offset basis (FNV-1a of "gpusim") and its own odd
+/// multiplier (the 64-bit golden ratio).
 const FNV_OFFSET_B: u64 = 0xa68c_c2c8_7d12_89f1;
+const MUL_B: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// An incremental 128-bit content hash with a stable definition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,7 +60,7 @@ impl Digest {
     pub fn bytes(&mut self, data: &[u8]) -> &mut Self {
         for &byte in data {
             self.a = (self.a ^ byte as u64).wrapping_mul(FNV_PRIME);
-            self.b = (self.b ^ byte as u64).wrapping_mul(FNV_PRIME.rotate_left(1));
+            self.b = (self.b ^ byte as u64).wrapping_mul(MUL_B);
         }
         self
     }
@@ -78,95 +88,28 @@ impl Digest {
         self.bytes(&v.to_bits().to_le_bytes())
     }
 
+    /// Absorb another digest (a sub-key, such as one launch's [`key`]).
+    pub fn digest(&mut self, d: &Digest) -> &mut Self {
+        self.u64(d.a).u64(d.b)
+    }
+
     /// Render as 32 lowercase hex characters.
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.a, self.b)
     }
 }
 
-impl DeviceSpec {
-    /// Absorb every field that influences simulation into `d`.
-    pub fn digest_into(&self, d: &mut Digest) {
-        d.str(self.name)
-            .str(match self.arch {
-                crate::device::Arch::Volta => "volta",
-                crate::device::Arch::Turing => "turing",
-            })
-            .u32(self.num_sms)
-            .f64(self.clock_hz)
-            .u32(self.fp32_lanes_per_sm)
-            .u32(self.schedulers_per_sm)
-            .u32(self.regs_per_sm)
-            .u32(self.max_regs_per_thread)
-            .u32(self.smem_per_sm)
-            .u32(self.max_threads_per_sm)
-            .u32(self.max_blocks_per_sm)
-            .f64(self.dram_bw)
-            .f64(self.l2_bw)
-            .u64(self.l2_bytes)
-            .u32(self.l2_hit_latency)
-            .u32(self.l2_miss_latency)
-            .u32(self.smem_latency)
-            .u32(self.l1_smem_combined)
-            .u32(self.l1_latency);
-    }
-}
-
-impl LaunchDims {
-    /// Absorb the grid/block shape into `d`.
-    pub fn digest_into(&self, d: &mut Digest) {
-        for v in self.grid.iter().chain(self.block.iter()) {
-            d.u32(*v);
-        }
-    }
-}
-
-impl TimingOptions {
-    /// Absorb every option that influences the timing result into `d`.
-    ///
-    /// `profile`, `counters` and `trace` are deliberately excluded:
-    /// observability flags never change the timing numbers — with any of
-    /// them off the cycle loop takes the exact same path and every
-    /// `KernelTiming` field is bit-identical (asserted by
-    /// `gpusim/tests/profile_invariants.rs`,
-    /// `gpusim/tests/counter_invariants.rs` and `gpusim/tests/device_sim.rs`);
-    /// the flags only attach a profile, counter set or trace to the result.
-    /// Keeping them out of the digest means an instrumented run and a plain
-    /// run share one cache entry, so turning observability on never
-    /// invalidates a warm cache (the cached value stores none of the
-    /// artifacts — `bench::simcache` restores them as `None`). `jobs` is
-    /// excluded too: the device model is bit-stable under any sharding.
-    pub fn digest_into(&self, d: &mut Digest) {
-        match self.blocks_per_sm {
-            Some(b) => d.bool(true).u32(b),
-            None => d.bool(false),
-        };
-        match self.region {
-            Some((a, b)) => d.bool(true).u32(a).u32(b),
-            None => d.bool(false),
-        };
-        d.bool(self.strict_writeback);
-    }
-}
-
-/// Absorb an assembled module: the exact program bytes (via
-/// [`Module::to_cubin`], which encodes every instruction and control code)
-/// — the same bytes the hardware would execute.
-pub fn module_digest(module: &Module, d: &mut Digest) {
-    d.bytes(&module.to_cubin());
-}
-
-/// A module's own digest as hex — the schedule digest plans and stored
-/// schedules record and verify.
+/// A module's own digest as hex: of the exact program bytes
+/// ([`Module::to_cubin`] encodes every instruction and control code). It is
+/// the schedule digest plans and stored schedules record and verify.
 pub fn module_hex(module: &Module) -> String {
-    let mut d = Digest::new();
-    module_digest(module, &mut d);
-    d.hex()
+    Digest::new().bytes(&module.to_cubin()).hex()
 }
 
-/// Version of the timing-model *semantics* mixed into every timing digest.
-/// Bump it whenever a model change legitimately moves numbers, so results
-/// cached under the old semantics can never be returned for the new ones.
+/// Version of the timing-model *semantics*, mixed into [`key`] and nowhere
+/// else. Bump it whenever a model change legitimately moves numbers, so
+/// results cached under the old semantics can never be returned for the new
+/// ones.
 ///
 /// * v1 — one-wave simulation + wave arithmetic (PRs 1–5).
 /// * v2 — full-device multi-wave simulation ([`crate::device_sim`]); the
@@ -174,11 +117,22 @@ pub fn module_hex(module: &Module) -> String {
 ///   `ceil(total/num_sms)`, empty grids cost nothing, `busy_sms` reported).
 pub const TIMING_MODEL_VERSION: u32 = 2;
 
-/// The content address of one [`crate::simulate`] call: `{model version,
-/// device, program, launch dims, params, options}`, plus the `exact` flag
-/// of the device models ([`Model::DeviceExact`]). A [`Model::OneWave`] key
-/// carries no model byte, so it stays the key
-/// `gpusim/tests/golden/hotloop_identity.txt` pins.
+/// The content address of one [`crate::simulate`] call: the model version,
+/// every device field that influences simulation, the exact program bytes,
+/// the launch dims, the parameter bytes, the timing options and the model.
+///
+/// Of the options, `profile`, `counters` and `trace` are deliberately
+/// excluded: observability flags never change the timing numbers — with any
+/// of them off the cycle loop takes the exact same path and every
+/// `KernelTiming` field is bit-identical (asserted by
+/// `gpusim/tests/profile_invariants.rs`,
+/// `gpusim/tests/counter_invariants.rs` and `gpusim/tests/device_sim.rs`);
+/// the flags only attach a profile, counter set or trace to the result.
+/// Keeping them out of the digest means an instrumented run and a plain run
+/// share one cache entry, so turning observability on never invalidates a
+/// warm cache (the cached value stores none of the artifacts —
+/// `bench::simcache` restores them as `None`). `jobs` is excluded too: the
+/// device model is bit-stable under any sharding.
 pub fn key(
     device: &DeviceSpec,
     module: &Module,
@@ -189,14 +143,44 @@ pub fn key(
 ) -> Digest {
     let mut d = Digest::new();
     d.u32(TIMING_MODEL_VERSION);
-    device.digest_into(&mut d);
-    module_digest(module, &mut d);
-    dims.digest_into(&mut d);
-    d.u64(params.len() as u64).bytes(params);
-    opts.digest_into(&mut d);
-    if model != Model::OneWave {
-        d.bool(model == Model::DeviceExact);
+    let arch = match device.arch {
+        Arch::Volta => "volta",
+        Arch::Turing => "turing",
+    };
+    d.str(device.name)
+        .str(arch)
+        .u32(device.num_sms)
+        .f64(device.clock_hz)
+        .u32(device.fp32_lanes_per_sm)
+        .u32(device.schedulers_per_sm)
+        .u32(device.regs_per_sm)
+        .u32(device.max_regs_per_thread)
+        .u32(device.smem_per_sm)
+        .u32(device.max_threads_per_sm)
+        .u32(device.max_blocks_per_sm)
+        .f64(device.dram_bw)
+        .f64(device.l2_bw)
+        .u64(device.l2_bytes)
+        .u32(device.l2_hit_latency)
+        .u32(device.l2_miss_latency)
+        .u32(device.smem_latency)
+        .u32(device.l1_smem_combined)
+        .u32(device.l1_latency);
+    d.bytes(&module.to_cubin());
+    for v in dims.grid.iter().chain(dims.block.iter()) {
+        d.u32(*v);
     }
+    d.u64(params.len() as u64).bytes(params);
+    match opts.blocks_per_sm {
+        Some(b) => d.bool(true).u32(b),
+        None => d.bool(false),
+    };
+    match opts.region {
+        Some((a, b)) => d.bool(true).u32(a).u32(b),
+        None => d.bool(false),
+    };
+    d.bool(opts.strict_writeback);
+    d.bytes(&[model as u8]);
     d
 }
 
@@ -245,6 +229,28 @@ mod tests {
         // The empty digest is a fixed constant — a change here means every
         // existing cache entry silently invalidates. Bump knowingly.
         assert_eq!(Digest::new().hex(), "cbf29ce484222325a68cc2c87d1289f1");
+        // So is the digest of a fixed input: the hash definition itself
+        // cannot drift silently.
+        let mut d = Digest::new();
+        d.str("gpusim").u64(2020).f64(-0.5);
+        assert_eq!(d.hex(), "c5b43a885ee6c606f5c27ee2a897c376");
+    }
+
+    /// Both streams depend on every byte absorbed, not just on a suffix:
+    /// two inputs that differ only in their first byte, followed by the
+    /// same 64-byte tail, differ in both halves of the digest. (A stream
+    /// with an even multiplier forgets all but the last 64 bytes.)
+    #[test]
+    fn both_halves_see_the_first_byte() {
+        let tail = [0x5a; 64];
+        let halves = |first: u8| {
+            let hex = Digest::new().bytes(&[first]).bytes(&tail).hex();
+            (hex[..16].to_string(), hex[16..].to_string())
+        };
+        let (a0, b0) = halves(0);
+        let (a1, b1) = halves(1);
+        assert_ne!(a0, a1, "high half");
+        assert_ne!(b0, b1, "low half");
     }
 
     #[test]

@@ -1026,7 +1026,15 @@ mod tests {
                 Instruction::new(mov(Reg(1), 100u32)),
                 Instruction::new(iadd3(Reg(2), Reg(1), 28u32, Reg(1))), // 228
                 Instruction::new(imad(Reg(3), Reg(1), 3u32, Reg(2))),   // 528
-                Instruction::new(isub(Reg(4), Reg(3), Reg(1))),         // 428
+                Instruction::new(Op::Iadd3 {
+                    d: Reg(4),
+                    a: Reg(3),
+                    neg_a: false,
+                    b: Reg(1).into(),
+                    neg_b: true,
+                    c: RZ,
+                    neg_c: false,
+                }), // 528 - 100 = 428
                 Instruction::new(shl(Reg(5), Reg(1), 4)),               // 1600
                 Instruction::new(shr(Reg(6), Reg(5), 2)),               // 400
                 Instruction::new(and(Reg(7), Reg(1), 0x6cu32)),         // 0x64 & 0x6c = 0x64

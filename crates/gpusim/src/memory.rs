@@ -211,12 +211,6 @@ impl ParamBuilder {
         self
     }
 
-    /// Byte offset the *next* pushed value would land at, relative to
-    /// `PARAM_BASE`. Useful for writing kernels against fixed offsets.
-    pub fn next_offset(&self) -> usize {
-        self.bytes.len()
-    }
-
     pub fn build(self) -> Vec<u8> {
         self.bytes
     }

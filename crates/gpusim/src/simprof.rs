@@ -154,12 +154,6 @@ pub struct KernelProfile {
 pub const ISSUE_EVENT_CAP: usize = 1_000_000;
 
 impl KernelProfile {
-    /// Attach named regions (builder style, used by the `kernels` layer).
-    pub fn with_regions(mut self, regions: Vec<Region>) -> Self {
-        self.regions = regions;
-        self
-    }
-
     /// The region containing `pc`, if any. Inner (later-emitted) regions win
     /// on overlap so `main_loop` can sit inside a whole-kernel region.
     pub fn region_of(&self, pc: u32) -> Option<&Region> {

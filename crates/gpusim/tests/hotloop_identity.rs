@@ -18,8 +18,10 @@
 //! rewrite. They were regenerated once for `TIMING_MODEL_VERSION = 2` (the
 //! multi-wave device model): the retained one-wave path now caps residency
 //! at `ceil(total/num_sms)`, reports `busy_sms`, and mixes the model version
-//! into the cache key, so both digests legitimately moved. Regenerate only
-//! when an intentional model change lands:
+//! into the cache key, so both digests legitimately moved. They moved once
+//! more, with every other numeric column unchanged, when `Digest`'s second
+//! stream got an odd multiplier and `gpusim::key` began hashing every model
+//! the same way. Regenerate only when an intentional model change lands:
 //!
 //! ```text
 //! HOTLOOP_GOLDEN_REGEN=1 cargo test -p gpusim --test hotloop_identity

@@ -48,12 +48,6 @@ impl Emitter {
         self.insts.last_mut().unwrap()
     }
 
-    /// Append a guarded op.
-    pub fn op_if(&mut self, guard: PredGuard, op: Op) -> &mut Instruction {
-        self.insts.push(Instruction::new(op).with_guard(guard));
-        self.insts.last_mut().unwrap()
-    }
-
     /// Create an unbound label.
     pub fn label(&mut self) -> Label {
         self.labels.push(None);

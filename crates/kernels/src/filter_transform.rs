@@ -182,7 +182,6 @@ pub fn transform_cache_key(c_dim: u32, k_dim: u32, tile: u32, filter: &[f32]) ->
         "filter must be the CRSK array for (C, K)"
     );
     let mut d = gpusim::Digest::new();
-    d.str("kernels/filter-transform-cache/v1");
     d.u32(tile).u32(c_dim).u32(k_dim);
     for &v in filter {
         d.u32(v.to_bits());

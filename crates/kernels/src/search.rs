@@ -12,9 +12,15 @@
 //! * the island search from the hand stream ([`Search::islands`], usually
 //!   shaped by [`hand_pair`]);
 //! * the device-model re-time of a tuned or stored schedule, on the
-//!   kernel's own layout ([`Search::device_time`]) or on the FX → fused
-//!   pipeline's ([`Search::pipeline_device_time`], the layout `Conv::time`
-//!   times the fused kernel on).
+//!   kernel's own layout ([`Search::device_time`], addressed by
+//!   [`Search::key`]) or on the FX → fused pipeline's
+//!   ([`Search::pipeline_device_time`], the layout `Conv::time` times the
+//!   fused kernel on).
+//!
+//! The key of the hand module is also what a tuned schedule is stored
+//! under (`serve::schedstore`): a schedule reorders one emitted program,
+//! so it is addressed by that program's launch, not by the config that
+//! emitted it.
 //!
 //! A simulation that fails is `None`, never a panic: the tuner counts it
 //! in `TuneStats::failed`, and each caller decides how strict to be. The
@@ -129,10 +135,22 @@ impl<'k> Search<'k> {
         self.run(&self.buffers, m, &self.params, Model::OneWave, opts)
     }
 
+    /// The kernel the search runs on; its module is the hand stream.
+    pub fn kernel(&self) -> &'k FusedKernel {
+        self.kern
+    }
+
     /// Re-time `m` through the full device model on the kernel's own
     /// buffers.
     pub fn device_time(&self, m: &Module) -> Option<KernelTiming> {
         self.run(&self.buffers, m, &self.params, Model::Device, self.opts)
+    }
+
+    /// The address of [`Search::device_time`] of `m`: the [`gpusim::key`]
+    /// of that simulation.
+    pub fn key(&self, m: &Module) -> Digest {
+        let (dims, opts) = (self.dims, self.opts);
+        gpusim::key(&self.device, m, dims, &self.params, Model::Device, opts)
     }
 
     /// Re-time `m` through the full device model on the FX → fused

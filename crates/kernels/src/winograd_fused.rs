@@ -301,13 +301,6 @@ impl FusedConfig {
         let per_iter = 16.0 * self.bk as f64 * bn_eff as f64 * BC as f64 * 2.0;
         per_iter * (self.c / BC) as f64
     }
-
-    /// EWMM FLOPs of the whole problem — the quantity behind the paper's
-    /// main-loop TFLOPS plots.
-    pub fn wino_flops(&self) -> f64 {
-        self.mainloop_flops_per_block()
-            * (self.htiles() * self.wtiles() * self.ngroups() * self.kblocks()) as f64
-    }
 }
 
 /// Fig. 3 lane arrangement: filter-fragment word offset for a lane.

@@ -692,7 +692,15 @@ mod tests {
     #[test]
     fn round_trip_integer_ops() {
         rt(Instruction::new(build::iadd3(Reg(0), Reg(1), 5u32, Reg(2))));
-        rt(Instruction::new(build::isub(Reg(0), Reg(1), Reg(2))));
+        rt(Instruction::new(Op::Iadd3 {
+            d: Reg(0),
+            a: Reg(1),
+            neg_a: false,
+            b: Reg(2).into(),
+            neg_b: true,
+            c: RZ,
+            neg_c: false,
+        }));
         rt(Instruction::new(build::imad(
             Reg(0),
             Reg(1),

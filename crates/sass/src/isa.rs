@@ -88,14 +88,6 @@ impl SrcB {
     pub fn imm_f32(v: f32) -> Self {
         SrcB::Imm(v.to_bits())
     }
-
-    /// The register, if this operand is one (used for bank-conflict checks).
-    pub fn as_reg(&self) -> Option<Reg> {
-        match self {
-            SrcB::Reg(r) => Some(*r),
-            _ => None,
-        }
-    }
 }
 
 /// Memory access width in bits.
@@ -656,17 +648,6 @@ pub mod build {
             b: b.into(),
             neg_b: false,
             c,
-            neg_c: false,
-        }
-    }
-    pub fn isub(d: Reg, a: Reg, b: impl Into<SrcB>) -> Op {
-        Op::Iadd3 {
-            d,
-            a,
-            neg_a: false,
-            b: b.into(),
-            neg_b: true,
-            c: RZ,
             neg_c: false,
         }
     }

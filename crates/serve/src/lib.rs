@@ -21,10 +21,6 @@
 //! - [`plan`] decides *how*: per-shape algorithm choice, batch-size
 //!   variants, tuned schedules — built once, persisted in an LRU
 //!   [`PlanCache`], replayed on warm starts.
-//! - [`network`] lifts requests from one layer to one *network*: a
-//!   [`NetworkClass`] lowers to the core `NetGraph` runtime and is planned
-//!   whole — per-layer selection, hoisted filter transforms — then served
-//!   through the same engine as any layer class.
 //! - [`engine`] plays the stream against a device pool and reports
 //!   p50/p99/p99.9 latency, an exact latency histogram, throughput, SLO
 //!   misses, and time-to-first-dispatch.
@@ -40,7 +36,6 @@
 //! `docs/SERVING.md` for the operational story.
 
 pub mod engine;
-pub mod network;
 pub mod plan;
 pub mod queue;
 pub mod schedstore;
@@ -48,7 +43,6 @@ pub mod telemetry;
 pub mod traffic;
 
 pub use engine::{run, run_recorded, EngineConfig, RunStats};
-pub use network::NetworkClass;
 pub use plan::{MemStorage, Plan, PlanCache, PlanStorage, Planner, PLAN_FORMAT_VERSION};
 pub use schedstore::{ScheduleStore, StoredSchedule};
 pub use telemetry::{

@@ -15,11 +15,17 @@
 //! eviction on any [`PlanStorage`] backend. The `bench` serve binary backs
 //! it with `simcache`'s content-addressed store; tests use [`MemStorage`].
 //!
-//! **Keying.** [`Planner::plan_key`] content-addresses a plan by everything
-//! that determines its bytes: plan format version, timing-model version,
-//! device, class shape, batch set, and tune budget/seed. Any model or
-//! emitter change moves the address, so stale plans are never replayed —
-//! they simply stop being found and age out of the LRU index.
+//! **Keying.** [`Planner::plan_key_with`] content-addresses a plan by what
+//! its build measures: the `Conv::key` of every probe the build times (one
+//! per batch size × candidate algorithm, each folding in the
+//! `gpusim::key` of every launch: device, program bytes, geometry,
+//! parameters, timing-model version), the stored tuned-schedule records the
+//! build would replay (themselves keyed by the emitted hand program, see
+//! `schedstore`), the tune budget and seed, the assumed arrival rate, the
+//! class name, and [`PLAN_FORMAT_VERSION`] for the planner logic no content
+//! key can see. An emitter or model change moves a probe's program bytes
+//! or model version, hence the plan address, so stale plans are never
+//! replayed — they simply stop being found and age out of the LRU index.
 //!
 //! **Invariants.**
 //! - A plan persists as one `gpusim::json` record ([`Plan::to_json`]).
@@ -43,14 +49,19 @@ use perfmodel::{break_even_k, BottleneckReport};
 use sass::island::Priors;
 use sass::Module;
 use wino_core::netgraph::candidates;
-use wino_core::{Algo, Conv};
+use wino_core::{Algo, Conv, Target};
 
 use crate::schedstore::ScheduleStore;
 use crate::traffic::ShapeClass;
 
-/// Version of what a plan means, bumped whenever its fields or their
-/// semantics change; part of the plan key, so old entries are never
-/// misread.
+/// Version of what a plan means — the one version in a plan key. The probe
+/// keys cover every program a build times and the schedule records cover
+/// what it replays; this covers what no content key can see: what the
+/// planner computes from those measurements (candidate choice, costs,
+/// replay and adopt gates, the record's fields) and what the in-process
+/// anneal computes. Bump it when either changes; the plan-key golden
+/// (`bench/tests/plan_keys.rs`) fails when a plan record changes under an
+/// unchanged key.
 ///
 /// v2 added [`Plan::assumed_rps`] — the per-class arrival rate the traffic
 /// model assumed at plan-build time, which the telemetry drift tracker
@@ -348,7 +359,7 @@ impl<'a> PlanCache<'a> {
     pub fn new(storage: &'a dyn PlanStorage, device: &str, cap: usize) -> Self {
         let index_key = {
             let mut d = Digest::new();
-            d.str("serve/plan-index/v1").str(device);
+            d.str("plan-index").str(device);
             d.hex()
         };
         let index = storage
@@ -473,39 +484,48 @@ impl Planner {
         self.plan_key_with(class, None)
     }
 
-    /// Content address of the plan this planner would build for `class`,
-    /// folding in the fingerprint of every stored tuned schedule the build
-    /// would consult — so publishing a new schedule rebuilds cached plans.
+    /// Content address of the plan this planner would build for `class`:
+    /// every probe's `Conv::key`, and every stored tuned-schedule record the
+    /// build would consult — so publishing a new schedule rebuilds cached
+    /// plans.
     pub fn plan_key_with(&self, class: &ShapeClass, sched: Option<&ScheduleStore>) -> String {
         let mut d = Digest::new();
-        d.str("serve/plan/v2");
-        d.u32(PLAN_FORMAT_VERSION).u32(gpusim::TIMING_MODEL_VERSION);
-        self.device.digest_into(&mut d);
-        d.str(&class.name);
-        for v in [class.hw, class.c, class.k] {
-            d.u32(v);
-        }
-        for &n in &self.batch_sizes {
-            d.u32(n);
+        d.str("plan").u32(PLAN_FORMAT_VERSION).str(&class.name);
+        for (conv, algos) in self.probes(class) {
+            for algo in algos {
+                d.digest(&conv.key(Target::algo(algo)));
+            }
         }
         d.u64(self.tune_budget).u64(self.tune_seed);
         // The mix assumption is part of the plan's content (it lands in
         // `assumed_rps`), so it must move the address too.
         d.u64(self.assumed_rps(class).to_bits());
-        match sched {
-            Some(s) => d.str(&s.fingerprint(&self.device, &self.fused_cfgs(class))),
-            None => d.str("sched:none"),
+        let Some(sched) = sched else {
+            return d.str("sched:none").hex();
         };
+        for &n in &self.batch_sizes {
+            let hand = hand_kernel(class, n);
+            match sched.load(&Search::new(&self.device, &hand)) {
+                Some(entry) => d.str(&entry.to_json().render()),
+                None => d.str("none"),
+            };
+        }
         d.hex()
     }
 
-    /// The fused configs a build would consult in the schedule store: one
-    /// per supported batch size, ascending.
-    fn fused_cfgs(&self, class: &ShapeClass) -> Vec<FusedConfig> {
-        self.batch_sizes
-            .iter()
-            .map(|&n| FusedConfig::ours(class.c, class.hw, class.hw, n, class.k))
-            .collect()
+    /// What a build of `class` probes: for each supported batch size,
+    /// ascending, its `Conv` and the network planner's candidates for it —
+    /// legal fused kernels, implicit GEMM, and the nonfused F(4×4) pipeline
+    /// only above the device's breakeven `K` (below it, fused F(2×2)
+    /// provably wins — see `perfmodel::break_even_k` — so probing it would
+    /// waste PROBE_RUNS).
+    fn probes(&self, class: &ShapeClass) -> Vec<(Conv, Vec<Algo>)> {
+        let probe = |&n: &u32| {
+            let conv = Conv::new(class.problem(n), self.device.clone());
+            let algos = candidates(&conv.problem, &self.device);
+            (conv, algos)
+        };
+        self.batch_sizes.iter().map(probe).collect()
     }
 
     /// Build the plan for `class` without a tuned-schedule store (any
@@ -515,22 +535,17 @@ impl Planner {
     }
 
     /// Build the plan for `class`. Deterministic; cost is dominated by one
-    /// multi-wave simulation per (batch size × candidate) plus
-    /// `tune_budget` one-wave simulations when tuning is on. When a
-    /// schedule store is supplied, stored v2-tuner winners are replayed
-    /// (digest-verified, re-timed) before any in-process search runs.
+    /// multi-wave simulation per probe plus `tune_budget` one-wave
+    /// simulations when tuning is on. When a schedule store is supplied,
+    /// stored v2-tuner winners are replayed (digest-verified, re-timed)
+    /// before any in-process search runs.
     pub fn build_with(&self, class: &ShapeClass, sched: Option<&ScheduleStore>) -> Plan {
         let mut variants = Vec::new();
         let mut probe_ns: u64 = 0;
         let mut top_timing: Option<wino_core::AlgoTiming> = None;
-        for &n in &self.batch_sizes {
-            let conv = Conv::new(class.problem(n), self.device.clone());
+        for (conv, algos) in self.probes(class) {
             let mut best: Option<wino_core::AlgoTiming> = None;
-            // The network planner's candidates: legal fused kernels, implicit
-            // GEMM, and the nonfused F(4×4) pipeline only above the device's
-            // breakeven `K` (below it, fused F(2×2) provably wins — see
-            // `perfmodel::break_even_k` — so probing it would waste PROBE_RUNS).
-            for algo in candidates(&conv.problem, &self.device) {
+            for algo in algos {
                 let t = conv.time(algo);
                 probe_ns += PROBE_RUNS * to_ns(t.time_s);
                 if best.as_ref().is_none_or(|b| t.time_s < b.time_s) {
@@ -539,7 +554,7 @@ impl Planner {
             }
             let best = best.expect("at least one candidate");
             variants.push(PlanVariant {
-                n,
+                n: conv.problem.n as u32,
                 algo: best.algo.name().to_string(),
                 service_ns: to_ns(best.time_s),
                 tflops: best.tflops_effective,
@@ -580,13 +595,12 @@ impl Planner {
     /// Returns `true` if a schedule was adopted.
     fn replay_stored(&self, class: &ShapeClass, sched: &ScheduleStore, plan: &mut Plan) -> bool {
         for &n in self.batch_sizes.iter().rev() {
-            let cfg = FusedConfig::ours(class.c, class.hw, class.hw, n, class.k);
-            let Some(entry) = sched.load(&self.device, &cfg) else {
+            let hand = hand_kernel(class, n);
+            let search = Search::new(&self.device, &hand);
+            let Some(entry) = sched.load(&search) else {
                 continue;
             };
             let tuned = entry.module().expect("load() verified the module");
-            let hand = FusedKernel::emit(cfg);
-            let search = Search::new(&self.device, &hand);
             let (Some(hand_t), Some(tuned_t)) =
                 (search.device_time(&hand.module), search.device_time(&tuned))
             else {
@@ -630,7 +644,7 @@ impl Planner {
             return;
         }
         let n = *self.batch_sizes.last().unwrap();
-        let hand = FusedKernel::emit(FusedConfig::ours(class.c, class.hw, class.hw, n, class.k));
+        let hand = hand_kernel(class, n);
         let search = Search::new(&self.device, &hand);
         let icfg = hand_pair((self.tune_budget / 4).max(1), self.tune_seed);
         let outcome = search.islands(&Priors::default(), &icfg, None);
@@ -684,6 +698,12 @@ impl Planner {
         cache.put(&key, &plan);
         (plan, false)
     }
+}
+
+/// The hand-scheduled OURS kernel for `class` at batch `n`: what a stored
+/// schedule is keyed by and the in-process anneal starts from.
+fn hand_kernel(class: &ShapeClass, n: u32) -> FusedKernel {
+    FusedKernel::emit(FusedConfig::ours(class.c, class.hw, class.hw, n, class.k))
 }
 
 /// Seconds → integer nanoseconds (round to nearest, min 1).
@@ -871,10 +891,9 @@ mod tests {
         let key_empty = planner.plan_key_with(&class, Some(&ScheduleStore::new(&mem)));
         assert_ne!(key_none, key_empty);
 
-        let kern = FusedKernel::emit(FusedConfig::ours(class.c, class.hw, class.hw, 32, class.k));
+        let kern = hand_kernel(&class, 32);
         ScheduleStore::new(&mem).save(
-            &planner.device,
-            &kern.config,
+            &Search::new(&planner.device, &kern),
             &StoredSchedule {
                 params: "bk64-bn32-bc8-w64-p2".into(),
                 schedule_digest: module_hex(&kern.module),
@@ -902,8 +921,8 @@ mod tests {
         let planner = Planner::new(DeviceSpec::v100(), vec![32]);
         let mem = MemStorage::new();
         let sched = ScheduleStore::new(&mem);
-        let cfg = FusedConfig::ours(class.c, class.hw, class.hw, 32, class.k);
-        let hand = FusedKernel::emit(cfg);
+        let hand = hand_kernel(&class, 32);
+        let search = Search::new(&planner.device, &hand);
 
         let mut plan = ours_plan(&planner, &class);
         assert!(
@@ -914,8 +933,7 @@ mod tests {
         // The hand schedule itself, stored with forged "better" cycles:
         // the re-time ties the hand baseline, so the gate must reject it.
         sched.save(
-            &planner.device,
-            &cfg,
+            &search,
             &StoredSchedule {
                 params: EmitterParams::hand().label(),
                 schedule_digest: module_hex(&hand.module),
@@ -933,7 +951,6 @@ mod tests {
 
         // Manufacture a genuine winner: two islands seeded from the hand
         // schedule (one greedy-tightened) against the real simulator.
-        let search = Search::new(&planner.device, &hand);
         let outcome = search.islands(&Priors::default(), &hand_pair(1, 2020), None);
         assert!(
             outcome.best_cost < outcome.per_island[0].start_cost,
@@ -941,8 +958,7 @@ mod tests {
         );
         let best = hand.module.with_insts(outcome.best_insts.clone());
         sched.save(
-            &planner.device,
-            &cfg,
+            &search,
             &StoredSchedule {
                 params: EmitterParams::hand().label(),
                 schedule_digest: module_hex(&best),
@@ -992,7 +1008,7 @@ mod tests {
 
         // The same search, run through `Search` directly, prices the charge.
         planner.tune_budget = 12;
-        let hand = FusedKernel::emit(FusedConfig::ours(class.c, class.hw, class.hw, 32, class.k));
+        let hand = hand_kernel(&class, 32);
         let search = Search::new(&planner.device, &hand);
         let outcome = search.islands(&Priors::default(), &hand_pair(3, planner.tune_seed), None);
         let wave = outcome.best_cost.max(outcome.per_island[0].start_cost);

@@ -5,25 +5,29 @@
 //! runs island-model annealing on each survivor. Its winners are worth
 //! keeping — a serve-time [`crate::plan::Planner`] should *replay* them,
 //! not re-search. This module is the handoff point: the tuner
-//! [`ScheduleStore::save`]s one [`StoredSchedule`] per
-//! `(device, FusedConfig)` into any [`PlanStorage`] backend, and plan
-//! building [`ScheduleStore::load`]s it back, digest-verified.
+//! [`ScheduleStore::save`]s one [`StoredSchedule`] per launch it tuned into
+//! any [`PlanStorage`] backend, and plan building [`ScheduleStore::load`]s
+//! it back, digest-verified.
 //!
-//! **Keying.** [`ScheduleStore::key`] content-addresses an entry by the
-//! timing-model version, the device, and the *complete* `FusedConfig`
-//! (including the Tier-2 knobs `bk`, `filter_ldg`, `pipeline_depth`), so a
-//! schedule tuned for one emitted module can never be replayed against a
-//! different one. Plans fold [`ScheduleStore::fingerprint`] — a digest of
-//! the stored entries a build would consult — into their own plan key, so
-//! publishing a new tuned schedule automatically invalidates every cached
-//! plan that should now pick it up.
+//! **Keying.** A tuned schedule is a reordering of one emitted program, so
+//! [`ScheduleStore::key`] addresses it by that program's launch: the
+//! [`Search::key`] of the freshly emitted hand kernel the [`Search`] runs
+//! on (device, program bytes, launch geometry, parameter bytes, timed
+//! region and timing-model version, all through `gpusim::key`), under the
+//! domain string `schedule`. Both `save` and `load` take that `Search`. An
+//! emitter change that alters the hand program therefore moves the address
+//! even when the `FusedConfig` is unchanged, and a schedule of the old
+//! emission is never replayed against the new one. Plans fold each stored
+//! record a build would consult into their own key
+//! ([`crate::plan::Planner::plan_key_with`]), so publishing a new tuned
+//! schedule invalidates every cached plan that should now pick it up.
 //!
 //! Entries are `gpusim::json` records ([`StoredSchedule::to_json`]), the
 //! cubin as hex, decoded as strictly as plans.
 
 use gpusim::json::{from_hex, obj, to_hex, Json};
-use gpusim::{DeviceSpec, Digest};
-use kernels::FusedConfig;
+use gpusim::Digest;
+use kernels::search::Search;
 use sass::Module;
 
 use crate::plan::{field_str, verified_module, PlanStorage};
@@ -91,24 +95,20 @@ impl<'a> ScheduleStore<'a> {
         ScheduleStore { storage }
     }
 
-    /// Content address of the schedule for `cfg` on `device`.
-    ///
-    /// The full config is digested through its `Debug` form so *every*
-    /// emitter knob participates — adding a knob to `FusedConfig` moves all
-    /// addresses, which is exactly the staleness behavior we want.
-    pub fn key(device: &DeviceSpec, cfg: &FusedConfig) -> String {
+    /// Content address of the schedule for the launch `search` re-times:
+    /// the [`Search::key`] of its hand module.
+    pub fn key(search: &Search) -> String {
+        let hand = &search.kernel().module;
         let mut d = Digest::new();
-        d.str("tune/sched/v2").u32(gpusim::TIMING_MODEL_VERSION);
-        device.digest_into(&mut d);
-        d.str(&format!("{cfg:?}"));
+        d.str("schedule").digest(&search.key(hand));
         d.hex()
     }
 
-    /// Load and verify the entry for `(device, cfg)`. An entry that does
+    /// Load and verify the entry for `search`'s launch. An entry that does
     /// not decode or fails digest verification is dropped and reported as
     /// absent.
-    pub fn load(&self, device: &DeviceSpec, cfg: &FusedConfig) -> Option<StoredSchedule> {
-        let key = Self::key(device, cfg);
+    pub fn load(&self, search: &Search) -> Option<StoredSchedule> {
+        let key = Self::key(search);
         match self
             .storage
             .load(&key)
@@ -123,27 +123,9 @@ impl<'a> ScheduleStore<'a> {
         }
     }
 
-    /// Persist `sched` as the tuned schedule for `(device, cfg)`.
-    pub fn save(&self, device: &DeviceSpec, cfg: &FusedConfig, sched: &StoredSchedule) {
-        self.storage
-            .store(&Self::key(device, cfg), &sched.to_json());
-    }
-
-    /// Fingerprint of the store contents a plan build over `cfgs` would
-    /// consult: the digest of each entry's rendered record (or `none`), in
-    /// order.
-    /// Folding this into a plan key makes cached plans rebuild whenever a
-    /// relevant tuned schedule appears, changes, or disappears.
-    pub fn fingerprint(&self, device: &DeviceSpec, cfgs: &[FusedConfig]) -> String {
-        let mut d = Digest::new();
-        d.str("tune/sched-fp/v1");
-        for cfg in cfgs {
-            match self.storage.load(&Self::key(device, cfg)) {
-                Some(record) => d.str(&record.render()),
-                None => d.str("none"),
-            };
-        }
-        d.hex()
+    /// Persist `sched` as the tuned schedule for `search`'s launch.
+    pub fn save(&self, search: &Search, sched: &StoredSchedule) {
+        self.storage.store(&Self::key(search), &sched.to_json());
     }
 }
 
@@ -152,25 +134,27 @@ mod tests {
     use super::*;
     use crate::plan::MemStorage;
     use gpusim::digest::module_hex;
-    use kernels::FusedKernel;
+    use gpusim::DeviceSpec;
+    use kernels::{FusedConfig, FusedKernel};
 
-    fn entry() -> (FusedConfig, StoredSchedule) {
-        let cfg = FusedConfig::ours(32, 8, 8, 32, 64);
-        let kern = FusedKernel::emit(cfg);
-        let sched = StoredSchedule {
+    fn cfg() -> FusedConfig {
+        FusedConfig::ours(32, 8, 8, 32, 64)
+    }
+
+    fn entry(kern: &FusedKernel) -> StoredSchedule {
+        StoredSchedule {
             params: "bk64-bn32-bc8-w64-p2".into(),
             schedule_digest: module_hex(&kern.module),
             cubin: kern.module.to_cubin(),
             hand_cycles: 31018,
             tuned_cycles: 30269,
             evals: 400,
-        };
-        (cfg, sched)
+        }
     }
 
     #[test]
     fn json_round_trip_and_verify() {
-        let (_, sched) = entry();
+        let sched = entry(&FusedKernel::emit(cfg()));
         let t = sched.to_json().render();
         let rt = StoredSchedule::from_json(&gpusim::json::parse(&t).unwrap()).unwrap();
         assert_eq!(rt, sched);
@@ -184,45 +168,62 @@ mod tests {
     #[test]
     fn store_load_and_corruption() {
         let mem = MemStorage::new();
-        let dev = gpusim::DeviceSpec::v100();
-        let (cfg, sched) = entry();
+        let dev = DeviceSpec::v100();
+        let hand = FusedKernel::emit(cfg());
+        let search = Search::new(&dev, &hand);
+        let sched = entry(&hand);
         let store = ScheduleStore::new(&mem);
-        assert!(store.load(&dev, &cfg).is_none());
-        store.save(&dev, &cfg, &sched);
-        assert_eq!(store.load(&dev, &cfg).unwrap(), sched);
+        assert!(store.load(&search).is_none());
+        store.save(&search, &sched);
+        assert_eq!(store.load(&search).unwrap(), sched);
         // A different config is a different address.
-        let mut other = cfg;
+        let mut other = cfg();
         other.pipeline_depth = 1;
-        assert!(store.load(&dev, &other).is_none());
+        let other = FusedKernel::emit(other);
+        assert!(store.load(&Search::new(&dev, &other)).is_none());
+        // So is the same launch on another device.
+        let turing = DeviceSpec::rtx2070();
+        assert!(store.load(&Search::new(&turing, &hand)).is_none());
         // Tampered digest: entry is dropped on load.
-        let key = ScheduleStore::key(&dev, &cfg);
+        let key = ScheduleStore::key(&search);
         let mut bad = sched.clone();
         bad.schedule_digest = format!("{:032x}", 0);
         mem.store(&key, &bad.to_json());
-        assert!(store.load(&dev, &cfg).is_none());
+        assert!(store.load(&search).is_none());
         assert!(mem.load(&key).is_none());
         // An entry that does not decode — here a JSON string of the older
-        // line-based text — is dropped too, so it stops moving plan keys
-        // through `fingerprint`.
+        // line-based text — is dropped too, so it stops moving plan keys.
         mem.store(
             &key,
             &Json::Str(format!("sched v1\nparams {}\n", sched.params)),
         );
-        assert!(store.load(&dev, &cfg).is_none());
+        assert!(store.load(&search).is_none());
         assert!(mem.load(&key).is_none());
     }
 
+    /// A schedule is keyed by the program it reorders, not by the config
+    /// that emitted it. A fresh emission of the same config finds it; the
+    /// same config whose module differs in one control code — standing in
+    /// for an emitter change — misses it, so a schedule of the old emission
+    /// is never replayed against the new one.
     #[test]
-    fn fingerprint_tracks_store_contents() {
+    fn an_emitter_change_misses_the_stored_schedule() {
         let mem = MemStorage::new();
-        let dev = gpusim::DeviceSpec::v100();
-        let (cfg, sched) = entry();
+        let dev = DeviceSpec::v100();
         let store = ScheduleStore::new(&mem);
-        let empty = store.fingerprint(&dev, &[cfg]);
-        store.save(&dev, &cfg, &sched);
-        let full = store.fingerprint(&dev, &[cfg]);
-        assert_ne!(empty, full);
-        // Deterministic for fixed contents.
-        assert_eq!(store.fingerprint(&dev, &[cfg]), full);
+        let hand = FusedKernel::emit(cfg());
+        let sched = entry(&hand);
+        store.save(&Search::new(&dev, &hand), &sched);
+
+        let fresh = FusedKernel::emit(cfg());
+        assert_eq!(store.load(&Search::new(&dev, &fresh)), Some(sched));
+
+        let mut changed = FusedKernel::emit(cfg());
+        let mut insts = changed.module.insts.clone();
+        let last = insts.last_mut().unwrap();
+        last.ctrl.stall = (last.ctrl.stall + 1) % 16;
+        changed.module = changed.module.with_insts(insts);
+        assert_ne!(module_hex(&changed.module), module_hex(&hand.module));
+        assert!(store.load(&Search::new(&dev, &changed)).is_none());
     }
 }

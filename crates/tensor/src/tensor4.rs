@@ -146,11 +146,6 @@ impl Tensor4 {
         }
         out
     }
-
-    /// Consume into the raw buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
 }
 
 #[cfg(test)]
