@@ -57,10 +57,12 @@ python3 -m json.tool "$fresh/fig14.json" > /dev/null
 
 echo "== simspeed smoke =="
 # Host-throughput sanity check of the timing hot loop and of functional
-# execution: runs the tracked simspeed matrix once (timing points plus one
-# launch_parallel point per device) and verifies every point produces sane
-# cycle, issue and block counts. The geomean speedup against the committed
-# BENCH_simspeed.json is printed for information only. No wall-clock gate —
+# execution: runs the tracked simspeed matrix once (timing points plus two
+# launch_parallel points per device, the OURS and the cuDNN-like WINOGRAD
+# fused kernels) and verifies every point produces sane cycle, issue and
+# block counts. The geomean speedups against the committed
+# BENCH_simspeed.json, over all points and over the launch_parallel points,
+# are printed for information only. No wall-clock gate —
 # CI machines are too noisy for that; the tracked numbers live in
 # BENCH_simspeed.json (see EXPERIMENTS.md, "Simulator speed").
 ./target/release/simspeed --smoke --baseline BENCH_simspeed.json --json "$fresh/simspeed.json" \

@@ -16,10 +16,11 @@
 //! * `sim_cycles_per_sec` — simulated cycles advanced per host second
 //! * `sim_instr_per_sec`  — instructions issued per host second
 //!
-//! One more point per device tracks functional execution: best-of-N
+//! Two more points per device track functional execution: best-of-N
 //! `wall_ms` of `Gpu::launch_parallel` running every block of the matrix
-//! problem's OURS fused kernel, with `blocks`, `blocks_per_sec` and the
-//! worker `threads` it ran on.
+//! problem's OURS fused kernel and of its cuDNN-like (NCHW) fused kernel,
+//! the one that dominates a functional network request, with `blocks`,
+//! `blocks_per_sec` and the worker `threads` it ran on.
 //!
 //! The committed `BENCH_simspeed.json` at the repo root is this binary's
 //! output (see EXPERIMENTS.md "Simulator speed"); CI runs `--smoke`
@@ -28,7 +29,8 @@
 //! Flags: `--iters N` (default 3), `--json PATH` (default
 //! `BENCH_simspeed.json`), `--smoke` (1 iteration + sanity asserts),
 //! `--baseline PATH` (adds `speedup_vs_baseline` per point and prints the
-//! geomean). `--cache`/`--no-cache` are accepted for flag parity with the
+//! geomean, over all points and over the functional ones).
+//! `--cache`/`--no-cache` are accepted for flag parity with the
 //! other binaries and ignored: simspeed always simulates cold.
 
 use std::time::Instant;
@@ -126,23 +128,25 @@ fn measure(iters: u32) -> Vec<Point> {
     points
 }
 
+/// The fused kernels of the functional points: ours and the cuDNN-like
+/// one.
+const LAUNCH_ALGOS: [Algo; 2] = [Algo::OursFused, Algo::CudnnWinograd];
+
 /// One functional-execution point: `Gpu::launch_parallel` on every block
-/// of the matrix problem's OURS fused kernel.
+/// of one of the matrix problem's fused kernels.
 struct LaunchPoint {
     device: &'static str,
+    label: String,
     wall_ms: f64,
     blocks: u64,
 }
 
-/// Label of the functional points in the table and the JSON.
-const LAUNCH_LABEL: &str = "OURS_launch_parallel";
-
 fn measure_launch(iters: u32) -> Vec<LaunchPoint> {
     let prob = problem();
-    [DeviceSpec::v100(), DeviceSpec::rtx2070()]
-        .into_iter()
-        .map(|dev| {
-            let kern = FusedKernel::emit(Conv::new(prob, dev.clone()).ours_config());
+    let mut points = Vec::new();
+    for dev in [DeviceSpec::v100(), DeviceSpec::rtx2070()] {
+        for algo in LAUNCH_ALGOS {
+            let kern = FusedKernel::emit(Conv::new(prob, dev.clone()).fused_config(algo));
             let (mut gpu, b) = kern.buffers().alloc(dev.clone());
             let params = kern.params(b[0], b[1], b[2]);
             let dims = kern.launch_dims();
@@ -153,13 +157,20 @@ fn measure_launch(iters: u32) -> Vec<LaunchPoint> {
                     .expect("fused kernel runs");
                 best = best.min(t0.elapsed().as_secs_f64());
             }
-            LaunchPoint {
+            points.push(LaunchPoint {
                 device: dev.name,
+                label: format!("{}_launch_parallel", algo.name()),
                 wall_ms: best * 1e3,
                 blocks: dims.num_blocks(),
-            }
-        })
-        .collect()
+            });
+        }
+    }
+    points
+}
+
+/// Geometric mean.
+fn geomean(xs: &[f64]) -> f64 {
+    (xs.iter().map(|s| s.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 /// Look up `wall_ms` for the same (device, algo) point in a previous
@@ -264,6 +275,7 @@ fn main() {
     t.print();
 
     let mut t = Table::new(&["device", "algo", "wall ms", "blocks", "blocks/s", "threads"]);
+    let mut launch_speedups = Vec::new();
     for p in &launches {
         let blocks_per_sec = p.blocks as f64 / (p.wall_ms / 1e3);
         if smoke {
@@ -271,7 +283,7 @@ fn main() {
         }
         t.row(vec![
             p.device.to_string(),
-            LAUNCH_LABEL.to_string(),
+            p.label.clone(),
             format!("{:.1}", p.wall_ms),
             p.blocks.to_string(),
             format!("{blocks_per_sec:.0}"),
@@ -283,16 +295,17 @@ fn main() {
             ("blocks_per_sec", blocks_per_sec.into()),
         ];
         if let Some(base) = &baseline {
-            if let Some(b) = baseline_wall_ms(base, p.device, LAUNCH_LABEL) {
+            if let Some(b) = baseline_wall_ms(base, p.device, &p.label) {
                 let s = b / p.wall_ms;
                 speedups.push(s);
+                launch_speedups.push(s);
                 metrics.push(("speedup_vs_baseline", s.into()));
             }
         }
         report.add(
             p.device,
             &[
-                ("algo", LAUNCH_LABEL.into()),
+                ("algo", p.label.as_str().into()),
                 ("n", prob.n.into()),
                 ("c", prob.c.into()),
                 ("hw", prob.h.into()),
@@ -306,8 +319,12 @@ fn main() {
     println!();
     t.print();
     if !speedups.is_empty() {
-        let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
-        println!("\nspeedup vs baseline: geomean {geomean:.2}x");
+        println!("\nspeedup vs baseline: geomean {:.2}x", geomean(&speedups));
+    }
+    if !launch_speedups.is_empty() {
+        let n = launch_speedups.len();
+        let g = geomean(&launch_speedups);
+        println!("speedup vs baseline, {n} launch_parallel points: geomean {g:.2}x");
     }
     if smoke {
         let n = points.len() + launches.len();

@@ -10,14 +10,46 @@
 //! contexts per warp; the context with the smallest PC runs next, and
 //! contexts at equal PCs merge (a simple reconvergence rule that is exact
 //! for the structured control flow our kernels use).
+//!
+//! Every data instruction has one implementation, over whole 32-lane
+//! register rows, whatever its lane mask:
+//!
+//! * **Rows in, one masked row out.** Each source resolves once per
+//!   instruction to a row (a register read in place, `RZ` as zeros, an
+//!   immediate or constant-bank word broadcast), the op computes all 32
+//!   lanes, and the result lands through one masked row store: lanes in the
+//!   executing mask (divergence context ∧ guard) take the new value, the rest
+//!   keep theirs. Computing an inactive lane has no side effect (integer ops
+//!   wrap, float ops do not trap), so active lanes are bit-identical to
+//!   lane-by-lane execution. Every source row is read before any destination
+//!   is written, so a destination may alias any source.
+//! * **Predicates are lane masks.** `Warp::preds[p]` holds predicate `Pp` of
+//!   every lane as one bit; a guard is `ctx.mask & (p ^ neg)`.
+//! * **Memory is bounds-checked once per warp access, over active lanes
+//!   only.** A shared access compares every lane's address against the
+//!   shared-memory size in one lane-mask compare and keeps the active
+//!   lanes; a global access takes one arena window spanning the active
+//!   lanes ([`GlobalMemory::window_mut`]), and only when that fails searches
+//!   for the faulting lane. Either way the [`ExecError`] names the lowest
+//!   faulting active lane. An inactive lane's address is never checked, so
+//!   a guarded-off padding load with a wild address is legal. Each active
+//!   lane then moves one 4, 8 or 16 B chunk; stores go in lane order, so on
+//!   overlapping addresses the last lane wins. A faulting access changes no
+//!   register or memory.
 
 use sass::isa::*;
 use sass::reg::{Pred, Reg};
 
-use crate::memory::{ConstBank, GlobalMemory, MemError};
+use crate::memory::{ConstBank, GlobalMemory};
 
 /// Maximum lanes per warp.
 pub const WARP_SIZE: u32 = 32;
+
+/// One register's 32 lane values: the unit every data instruction works on.
+type Row = [u32; WARP_SIZE as usize];
+
+/// The row `RZ` reads.
+const ZERO_ROW: Row = [0; WARP_SIZE as usize];
 
 /// One divergence context.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,9 +64,10 @@ pub struct WarpCtx {
 #[derive(Clone, Debug)]
 pub struct Warp {
     /// Register file: `regs[r][lane]`.
-    pub regs: Vec<[u32; WARP_SIZE as usize]>,
-    /// Predicate file: `preds[p][lane]`, p in 0..7.
-    pub preds: [[bool; WARP_SIZE as usize]; 7],
+    pub regs: Vec<Row>,
+    /// Predicate file: bit `lane` of `preds[p]` is `Pp` of that lane, p in
+    /// 0..7.
+    pub preds: [u32; 7],
     /// Divergence contexts (invariant: non-empty unless exited; disjoint
     /// masks).
     pub ctxs: Vec<WarpCtx>,
@@ -48,49 +81,77 @@ impl Warp {
     /// Fresh warp: `num_regs` registers, all zero, one context at PC 0.
     pub fn new(num_regs: u16, base_tid: u32, lanes: u32) -> Self {
         assert!((1..=WARP_SIZE).contains(&lanes));
-        let mask = if lanes == 32 {
-            u32::MAX
-        } else {
-            (1u32 << lanes) - 1
-        };
         Warp {
-            regs: vec![[0u32; 32]; num_regs as usize],
-            preds: [[false; 32]; 7],
-            ctxs: vec![WarpCtx { mask, pc: 0 }],
+            regs: vec![ZERO_ROW; num_regs as usize],
+            preds: [0; 7],
+            ctxs: vec![WarpCtx {
+                mask: u32::MAX >> (WARP_SIZE - lanes),
+                pc: 0,
+            }],
             base_tid,
             exited: false,
         }
     }
 
+    /// A register source's row, read in place (`RZ` reads zeros).
     #[inline]
-    fn read_reg(&self, r: Reg, lane: usize) -> u32 {
+    fn reg(&self, r: Reg) -> &Row {
         if r.is_rz() {
-            0
+            &ZERO_ROW
         } else {
-            self.regs[r.0 as usize][lane]
+            &self.regs[r.0 as usize]
         }
     }
 
+    /// The `B` operand's row: a register read in place, or an immediate or
+    /// constant-bank word broadcast into `splat`.
     #[inline]
-    fn write_reg(&mut self, r: Reg, lane: usize, v: u32) {
-        if !r.is_rz() {
-            self.regs[r.0 as usize][lane] = v;
+    fn src_b<'a>(&'a self, b: SrcB, cbank: &ConstBank, splat: &'a mut Row) -> &'a Row {
+        match b {
+            SrcB::Reg(r) => self.reg(r),
+            SrcB::Imm(v) => {
+                *splat = [v; 32];
+                splat
+            }
+            SrcB::Const(off) => {
+                *splat = [cbank.read_u32(off); 32];
+                splat
+            }
         }
     }
 
+    /// The lanes where predicate source `p` (negated if `neg`) holds; `PT`
+    /// holds on every lane.
     #[inline]
-    fn read_pred(&self, p: Pred, lane: usize) -> bool {
-        if p.is_pt() {
-            true
+    fn pred(&self, p: Pred, neg: bool) -> u32 {
+        let v = if p.is_pt() {
+            u32::MAX
         } else {
-            self.preds[p.0 as usize][lane]
+            self.preds[p.0 as usize]
+        };
+        if neg {
+            !v
+        } else {
+            v
         }
     }
 
+    /// The masked row store: lanes in `mask` take `v`, the others keep their
+    /// value; writes to `RZ` are discarded.
     #[inline]
-    fn write_pred(&mut self, p: Pred, lane: usize, v: bool) {
+    fn store(&mut self, d: Reg, v: &Row, mask: u32) {
+        if !d.is_rz() {
+            blend(&mut self.regs[d.0 as usize], v, mask);
+        }
+    }
+
+    /// The masked predicate store: `Pp` of the lanes in `mask` becomes their
+    /// bit of `v`; writes to `PT` are discarded.
+    #[inline]
+    fn set_pred(&mut self, p: Pred, v: u32, mask: u32) {
         if !p.is_pt() {
-            self.preds[p.0 as usize][lane] = v;
+            let old = &mut self.preds[p.0 as usize];
+            *old = (*old & !mask) | (v & mask);
         }
     }
 
@@ -169,22 +230,14 @@ fn f(bits: u32) -> f32 {
     f32::from_bits(bits)
 }
 
+/// The sign mask a float negation flag XORs in: `0x8000_0000` for one
+/// f32, `0x8000_8000` for both halves of a half2 word.
 #[inline]
-fn neg_f(bits: u32, neg: bool) -> u32 {
+fn sign(neg: bool, bits: u32) -> u32 {
     if neg {
-        bits ^ 0x8000_0000
-    } else {
         bits
-    }
-}
-
-/// Negate both halves of a half2 word.
-#[inline]
-fn neg_f2(bits: u32, neg: bool) -> u32 {
-    if neg {
-        bits ^ 0x8000_8000
     } else {
-        bits
+        0
     }
 }
 
@@ -197,33 +250,212 @@ fn neg_i(v: u32, neg: bool) -> u32 {
     }
 }
 
-fn lop3(a: u32, b: u32, c: u32, lut: u8) -> u32 {
-    let mut r = 0u32;
-    if lut & 0x01 != 0 {
-        r |= !a & !b & !c;
+/// `LOP3.LUT` over rows: bit `i` of `lut` is the output for inputs
+/// `(a, b, c)` equal to the bits of `i`, `a` the most significant, so the
+/// result ORs the minterm of every set bit.
+fn lop3(a: &Row, b: &Row, c: &Row, lut: u8) -> Row {
+    let mut out = ZERO_ROW;
+    for i in 0..8 {
+        if lut >> i & 1 != 0 {
+            // XOR with all ones complements an input whose bit in `i` is 0.
+            let flip = |bit: u32| if i >> bit & 1 != 0 { 0 } else { u32::MAX };
+            let (fa, fb, fc) = (flip(2), flip(1), flip(0));
+            for lane in 0..32 {
+                out[lane] |= (a[lane] ^ fa) & (b[lane] ^ fb) & (c[lane] ^ fc);
+            }
+        }
     }
-    if lut & 0x02 != 0 {
-        r |= !a & !b & c;
+    out
+}
+
+/// The lane mask of `cmp` over the lane values `a(lane)` and `b(lane)`.
+#[inline(always)]
+fn compare<T: PartialOrd>(cmp: CmpOp, a: impl Fn(usize) -> T, b: impl Fn(usize) -> T) -> u32 {
+    match cmp {
+        CmpOp::Lt => lane_mask(|l| a(l) < b(l)),
+        CmpOp::Le => lane_mask(|l| a(l) <= b(l)),
+        CmpOp::Gt => lane_mask(|l| a(l) > b(l)),
+        CmpOp::Ge => lane_mask(|l| a(l) >= b(l)),
+        CmpOp::Eq => lane_mask(|l| a(l) == b(l)),
+        CmpOp::Ne => lane_mask(|l| a(l) != b(l)),
     }
-    if lut & 0x04 != 0 {
-        r |= !a & b & !c;
+}
+
+/// The lanes of `mask` in `dst` take their value in `v`.
+#[inline]
+fn blend(dst: &mut Row, v: &Row, mask: u32) {
+    if mask == u32::MAX {
+        *dst = *v;
+    } else {
+        for lane in 0..32 {
+            if mask & 1 << lane != 0 {
+                dst[lane] = v[lane];
+            }
+        }
     }
-    if lut & 0x08 != 0 {
-        r |= !a & b & c;
+}
+
+/// `f` over three source rows, lane by lane.
+#[inline(always)]
+fn zip3(a: &Row, b: &Row, c: &Row, f: impl Fn(u32, u32, u32) -> u32) -> Row {
+    let mut out = ZERO_ROW;
+    for lane in 0..32 {
+        out[lane] = f(a[lane], b[lane], c[lane]);
     }
-    if lut & 0x10 != 0 {
-        r |= a & !b & !c;
+    out
+}
+
+/// `f` over two source rows, lane by lane.
+#[inline(always)]
+fn zip2(a: &Row, b: &Row, f: impl Fn(u32, u32) -> u32) -> Row {
+    zip3(a, b, &ZERO_ROW, |a, b, _| f(a, b))
+}
+
+/// The lane mask of `f(lane)`.
+#[inline(always)]
+fn lane_mask(f: impl Fn(usize) -> bool) -> u32 {
+    let mut mask = 0;
+    for lane in 0..32 {
+        mask |= (f(lane) as u32) << lane;
     }
-    if lut & 0x20 != 0 {
-        r |= a & !b & c;
+    mask
+}
+
+/// `f` on each lane of `mask`, in ascending order (a full mask runs a
+/// plain `0..32` loop).
+#[inline(always)]
+fn for_lanes(mask: u32, mut f: impl FnMut(usize)) {
+    if mask == u32::MAX {
+        for lane in 0..32 {
+            f(lane);
+        }
+    } else {
+        let mut rest = mask;
+        while rest != 0 {
+            f(rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
     }
-    if lut & 0x40 != 0 {
-        r |= a & b & !c;
+}
+
+/// Append the `mask` lanes of `row`, in lane order, to `out` as one slice.
+#[inline]
+fn push_active<T: Copy + Default>(out: &mut Vec<T>, row: &[T; 32], mask: u32) {
+    if mask == u32::MAX {
+        out.extend_from_slice(row);
+    } else {
+        let (mut packed, mut n) = ([T::default(); 32], 0);
+        for_lanes(mask, |lane| {
+            packed[n] = row[lane];
+            n += 1;
+        });
+        out.extend_from_slice(&packed[..n]);
     }
-    if lut & 0x80 != 0 {
-        r |= a & b & c;
+}
+
+/// One warp memory access of `N` words per lane: `LD` into the rows from
+/// `data` on, or `ST` from them. Every lane's address is resolved (an
+/// inactive lane's is never checked or touched) and the active lanes'
+/// addresses are appended to `trace`. Then one check covers the active
+/// lanes: a lane-mask compare against the shared-memory size, or one global
+/// arena window spanning them. A failed check names the lowest faulting
+/// active lane and moves nothing; otherwise each active lane moves its one
+/// chunk, stores in lane order.
+#[allow(clippy::too_many_arguments)]
+fn access<const N: usize>(
+    warp: &mut Warp,
+    env: &mut ExecEnv<'_>,
+    trace: &mut MemTrace,
+    space: MemSpace,
+    addr: Addr,
+    data: Reg,
+    mask: u32,
+    store: bool,
+) -> Result<(), String> {
+    let width = 4 * N;
+    trace.width = width as u32;
+    let base = warp.reg(addr.base);
+    let mut offs = [0usize; 32];
+    let mem: &mut [u8] = match space {
+        MemSpace::Shared => {
+            let mut a = ZERO_ROW;
+            for lane in 0..32 {
+                a[lane] = base[lane].wrapping_add(addr.offset as u32);
+                offs[lane] = a[lane] as usize;
+            }
+            push_active(&mut trace.shared_addrs, &a, mask);
+            let size = env.smem.len();
+            // `a + width > size` per lane, as `a > size - width` in u32.
+            let fault = match size.checked_sub(width) {
+                Some(last) => {
+                    let last = u32::try_from(last).unwrap_or(u32::MAX);
+                    lane_mask(|l| a[l] > last) & mask
+                }
+                None => mask,
+            };
+            if fault != 0 {
+                let lane = fault.trailing_zeros() as usize;
+                let what = if store { "store" } else { "load" };
+                return Err(format!(
+                    "lane {lane}: shared {what} at {:#x} past smem size {size:#x}",
+                    a[lane]
+                ));
+            }
+            &mut *env.smem
+        }
+        MemSpace::Global => {
+            let high = warp.reg(addr.base.offset(1));
+            let mut a = [0u64; 32];
+            for lane in 0..32 {
+                let pair = base[lane] as u64 | (high[lane] as u64) << 32;
+                a[lane] = pair.wrapping_add(addr.offset as i64 as u64);
+            }
+            push_active(&mut trace.global_addrs, &a, mask);
+            if mask == 0 {
+                return Ok(());
+            }
+            let (mut lo, mut hi) = (u64::MAX, 0);
+            for_lanes(mask, |l| (lo, hi) = (lo.min(a[l]), hi.max(a[l])));
+            match env.global.window_mut(lo, hi.saturating_add(width as u64)) {
+                Some(window) => {
+                    for lane in 0..32 {
+                        offs[lane] = a[lane].wrapping_sub(lo) as usize;
+                    }
+                    window
+                }
+                None => {
+                    let (lane, e) = (0..32)
+                        .filter(|&l| mask >> l & 1 != 0)
+                        .find_map(|l| Some((l, env.global.read(a[l], width).err()?)))
+                        .expect("an active lane faults");
+                    return Err(format!("lane {lane}: {e}"));
+                }
+            }
+        }
+    };
+    let mut rows = [ZERO_ROW; N];
+    if store {
+        for (i, row) in rows.iter_mut().enumerate() {
+            *row = *warp.reg(data.offset(i as u8));
+        }
+        for_lanes(mask, |lane| {
+            let (words, _) = mem[offs[lane]..offs[lane] + width].as_chunks_mut::<4>();
+            for i in 0..N {
+                words[i] = rows[i][lane].to_le_bytes();
+            }
+        });
+    } else {
+        for_lanes(mask, |lane| {
+            let (words, _) = mem[offs[lane]..offs[lane] + width].as_chunks::<4>();
+            for i in 0..N {
+                rows[i][lane] = u32::from_le_bytes(words[i]);
+            }
+        });
+        for (i, row) in rows.iter().enumerate() {
+            warp.store(data.offset(i as u8), row, mask);
+        }
     }
-    r
+    Ok(())
 }
 
 /// Execute one instruction step for `warp` and return the event. `trace`
@@ -262,31 +494,16 @@ pub fn step(
         }
     };
 
+    let ctaid = env.ctaid;
     let fail = |msg: String| ExecError {
-        ctaid: env.ctaid,
+        ctaid,
         warp: warp_idx,
         pc,
         inst: sass::disasm::inst_text(inst),
         msg,
     };
 
-    // Per-lane guard evaluation. Unpredicated instructions (@PT, the common
-    // case) execute every context lane.
-    let mut exec_mask = 0u32;
-    if inst.guard.pred.is_pt() {
-        if !inst.guard.neg {
-            exec_mask = ctx.mask;
-        }
-    } else {
-        for lane in 0..32 {
-            if ctx.mask & (1 << lane) != 0 {
-                let p = warp.read_pred(inst.guard.pred, lane);
-                if p != inst.guard.neg {
-                    exec_mask |= 1 << lane;
-                }
-            }
-        }
-    }
+    let exec_mask = ctx.mask & warp.pred(inst.guard.pred, inst.guard.neg);
 
     // Control flow first (it rewrites contexts).
     match inst.op {
@@ -342,47 +559,13 @@ pub fn step(
         _ => {}
     }
 
-    // Data instructions: execute lane-by-lane under exec_mask.
+    // Data instructions: whole rows under exec_mask.
     trace.exec_mask = exec_mask;
     let cbank = env.cbank;
-    let bd = env.block_dim;
-    let ctaid = env.ctaid;
-
-    // Resolve SrcB for a lane.
-    macro_rules! srcb {
-        ($b:expr, $lane:expr) => {
-            match $b {
-                SrcB::Reg(r) => warp.read_reg(r, $lane),
-                SrcB::Imm(v) => v,
-                SrcB::Const(off) => cbank.read_u32(off),
-            }
-        };
-    }
-
-    // Full-warp row fast paths: when every lane executes and the destination
-    // is a real register, operate on whole 32-lane register rows. Source
-    // rows are copied to the stack first (sources may alias the
-    // destination; per-lane order then matches the general path exactly),
-    // which hoists all bounds checks and lets the lane loop vectorize. Lane
-    // arithmetic is identical to the general path, so results stay
-    // bit-identical.
-    let full = exec_mask == u32::MAX;
-    let row = |warp: &Warp, r: Reg| -> [u32; 32] {
-        if r.is_rz() {
-            [0u32; 32]
-        } else {
-            warp.regs[r.0 as usize]
-        }
-    };
-    let row_b = |warp: &Warp, b: SrcB| -> [u32; 32] {
-        match b {
-            SrcB::Reg(r) => row(warp, r),
-            SrcB::Imm(v) => [v; 32],
-            SrcB::Const(off) => [cbank.read_u32(off); 32],
-        }
-    };
-
-    match inst.op {
+    let mut splat = ZERO_ROW;
+    let half2 = sass::half::unpack_half2;
+    let pack2 = sass::half::pack_half2;
+    let out = match inst.op {
         Op::Ffma {
             d,
             a,
@@ -391,37 +574,9 @@ pub fn step(
             neg_b,
             neg_c,
         } => {
-            if full && !d.is_rz() {
-                // Source rows are read in place (only an immediate or
-                // constant `b` is materialised), and the result row is
-                // stored after every source has been read, so `d` may alias
-                // any of them.
-                let zero = [0u32; 32];
-                let src = |r: Reg| {
-                    if r.is_rz() {
-                        &zero
-                    } else {
-                        &warp.regs[r.0 as usize]
-                    }
-                };
-                let b_row;
-                let rb = match b {
-                    SrcB::Reg(r) => src(r),
-                    other => {
-                        b_row = row_b(warp, other);
-                        &b_row
-                    }
-                };
-                let out = ffma_rows(src(a), rb, src(c), neg_b, neg_c);
-                warp.regs[d.0 as usize] = out;
-            } else {
-                for lane in lanes(exec_mask) {
-                    let va = f(warp.read_reg(a, lane));
-                    let vb = f(neg_f(srcb!(b, lane), neg_b));
-                    let vc = f(neg_f(warp.read_reg(c, lane), neg_c));
-                    warp.write_reg(d, lane, va.mul_add(vb, vc).to_bits());
-                }
-            }
+            let rb = warp.src_b(b, cbank, &mut splat);
+            let out = ffma_rows(warp.reg(a), rb, warp.reg(c), neg_b, neg_c);
+            Some((d, out))
         }
         Op::Fadd {
             d,
@@ -430,51 +585,28 @@ pub fn step(
             b,
             neg_b,
         } => {
-            if full && !d.is_rz() {
-                let ra = row(warp, a);
-                let rb = row_b(warp, b);
-                let rd = &mut warp.regs[d.0 as usize];
-                for lane in 0..32 {
-                    let va = f(neg_f(ra[lane], neg_a));
-                    let vb = f(neg_f(rb[lane], neg_b));
-                    rd[lane] = (va + vb).to_bits();
-                }
-            } else {
-                for lane in lanes(exec_mask) {
-                    let va = f(neg_f(warp.read_reg(a, lane), neg_a));
-                    let vb = f(neg_f(srcb!(b, lane), neg_b));
-                    warp.write_reg(d, lane, (va + vb).to_bits());
-                }
-            }
+            let (sa, sb) = (sign(neg_a, 1 << 31), sign(neg_b, 1 << 31));
+            let rb = warp.src_b(b, cbank, &mut splat);
+            let out = zip2(warp.reg(a), rb, |a, b| (f(a ^ sa) + f(b ^ sb)).to_bits());
+            Some((d, out))
         }
         Op::Fmul { d, a, b, neg_b } => {
-            if full && !d.is_rz() {
-                let ra = row(warp, a);
-                let rb = row_b(warp, b);
-                let rd = &mut warp.regs[d.0 as usize];
-                for lane in 0..32 {
-                    let va = f(ra[lane]);
-                    let vb = f(neg_f(rb[lane], neg_b));
-                    rd[lane] = (va * vb).to_bits();
-                }
-            } else {
-                for lane in lanes(exec_mask) {
-                    let va = f(warp.read_reg(a, lane));
-                    let vb = f(neg_f(srcb!(b, lane), neg_b));
-                    warp.write_reg(d, lane, (va * vb).to_bits());
-                }
-            }
+            let sb = sign(neg_b, 1 << 31);
+            let rb = warp.src_b(b, cbank, &mut splat);
+            Some((
+                d,
+                zip2(warp.reg(a), rb, |a, b| (f(a) * f(b ^ sb)).to_bits()),
+            ))
         }
         Op::Hfma2 { d, a, b, c } => {
             // Paired fp16 FMA: compute in f32, round each half to f16
             // (the hardware's fp16 accumulate behaviour, §8.3).
-            for lane in lanes(exec_mask) {
-                let (a0, a1) = sass::half::unpack_half2(warp.read_reg(a, lane));
-                let (b0, b1) = sass::half::unpack_half2(srcb!(b, lane));
-                let (c0, c1) = sass::half::unpack_half2(warp.read_reg(c, lane));
-                let v = sass::half::pack_half2(a0.mul_add(b0, c0), a1.mul_add(b1, c1));
-                warp.write_reg(d, lane, v);
-            }
+            let rb = warp.src_b(b, cbank, &mut splat);
+            let out = zip3(warp.reg(a), rb, warp.reg(c), |a, b, c| {
+                let ((a0, a1), (b0, b1), (c0, c1)) = (half2(a), half2(b), half2(c));
+                pack2(a0.mul_add(b0, c0), a1.mul_add(b1, c1))
+            });
+            Some((d, out))
         }
         Op::Hadd2 {
             d,
@@ -483,18 +615,21 @@ pub fn step(
             b,
             neg_b,
         } => {
-            for lane in lanes(exec_mask) {
-                let (a0, a1) = sass::half::unpack_half2(neg_f2(warp.read_reg(a, lane), neg_a));
-                let (b0, b1) = sass::half::unpack_half2(neg_f2(srcb!(b, lane), neg_b));
-                warp.write_reg(d, lane, sass::half::pack_half2(a0 + b0, a1 + b1));
-            }
+            let (sa, sb) = (sign(neg_a, 0x8000_8000), sign(neg_b, 0x8000_8000));
+            let rb = warp.src_b(b, cbank, &mut splat);
+            let out = zip2(warp.reg(a), rb, |a, b| {
+                let ((a0, a1), (b0, b1)) = (half2(a ^ sa), half2(b ^ sb));
+                pack2(a0 + b0, a1 + b1)
+            });
+            Some((d, out))
         }
         Op::Hmul2 { d, a, b } => {
-            for lane in lanes(exec_mask) {
-                let (a0, a1) = sass::half::unpack_half2(warp.read_reg(a, lane));
-                let (b0, b1) = sass::half::unpack_half2(srcb!(b, lane));
-                warp.write_reg(d, lane, sass::half::pack_half2(a0 * b0, a1 * b1));
-            }
+            let rb = warp.src_b(b, cbank, &mut splat);
+            let out = zip2(warp.reg(a), rb, |a, b| {
+                let ((a0, a1), (b0, b1)) = (half2(a), half2(b));
+                pack2(a0 * b0, a1 * b1)
+            });
+            Some((d, out))
         }
         Op::Fsetp {
             p,
@@ -503,13 +638,11 @@ pub fn step(
             b,
             combine,
         } => {
-            for lane in lanes(exec_mask) {
-                let va = f(warp.read_reg(a, lane));
-                let vb = f(srcb!(b, lane));
-                let base = cmp.eval_f32(va, vb);
-                let comb = warp.read_pred(combine.pred, lane) != combine.neg;
-                warp.write_pred(p, lane, base && comb);
-            }
+            let (ra, rb) = (warp.reg(a), warp.src_b(b, cbank, &mut splat));
+            let v = compare(cmp, |l| f(ra[l]), |l| f(rb[l]));
+            let v = v & warp.pred(combine.pred, combine.neg);
+            warp.set_pred(p, v, exec_mask);
+            None
         }
         Op::Iadd3 {
             d,
@@ -520,55 +653,45 @@ pub fn step(
             c,
             neg_c,
         } => {
-            for lane in lanes(exec_mask) {
-                let va = neg_i(warp.read_reg(a, lane), neg_a);
-                let vb = neg_i(srcb!(b, lane), neg_b);
-                let vc = neg_i(warp.read_reg(c, lane), neg_c);
-                warp.write_reg(d, lane, va.wrapping_add(vb).wrapping_add(vc));
-            }
+            let rb = warp.src_b(b, cbank, &mut splat);
+            let out = zip3(warp.reg(a), rb, warp.reg(c), |a, b, c| {
+                let (a, b, c) = (neg_i(a, neg_a), neg_i(b, neg_b), neg_i(c, neg_c));
+                a.wrapping_add(b).wrapping_add(c)
+            });
+            Some((d, out))
         }
         Op::Imad { d, a, b, c } => {
-            for lane in lanes(exec_mask) {
-                let v = warp
-                    .read_reg(a, lane)
-                    .wrapping_mul(srcb!(b, lane))
-                    .wrapping_add(warp.read_reg(c, lane));
-                warp.write_reg(d, lane, v);
-            }
+            let rb = warp.src_b(b, cbank, &mut splat);
+            let out = zip3(warp.reg(a), rb, warp.reg(c), |a, b, c| {
+                a.wrapping_mul(b).wrapping_add(c)
+            });
+            Some((d, out))
         }
         Op::ImadHi { d, a, b, c } => {
-            for lane in lanes(exec_mask) {
-                let prod = warp.read_reg(a, lane) as u64 * srcb!(b, lane) as u64;
-                let v = ((prod >> 32) as u32).wrapping_add(warp.read_reg(c, lane));
-                warp.write_reg(d, lane, v);
-            }
+            let rb = warp.src_b(b, cbank, &mut splat);
+            let out = zip3(warp.reg(a), rb, warp.reg(c), |a, b, c| {
+                (((a as u64 * b as u64) >> 32) as u32).wrapping_add(c)
+            });
+            Some((d, out))
         }
         Op::ImadWide { d, a, b, c } => {
-            for lane in lanes(exec_mask) {
-                let clo = warp.read_reg(c, lane) as u64;
-                let chi = warp.read_reg(c.offset(1), lane) as u64;
-                let prod = warp.read_reg(a, lane) as u64 * srcb!(b, lane) as u64;
-                let sum = prod.wrapping_add(clo | (chi << 32));
-                warp.write_reg(d, lane, sum as u32);
-                warp.write_reg(d.offset(1), lane, (sum >> 32) as u32);
+            let (ra, rb) = (warp.reg(a), warp.src_b(b, cbank, &mut splat));
+            let (clo, chi) = (warp.reg(c), warp.reg(c.offset(1)));
+            let mut sum = [0u64; 32];
+            for lane in 0..32 {
+                let c = clo[lane] as u64 | (chi[lane] as u64) << 32;
+                sum[lane] = (ra[lane] as u64 * rb[lane] as u64).wrapping_add(c);
             }
+            warp.store(d, &sum.map(|s| s as u32), exec_mask);
+            Some((d.offset(1), sum.map(|s| (s >> 32) as u32)))
         }
         Op::Lea { d, a, b, shift } => {
-            for lane in lanes(exec_mask) {
-                let v = srcb!(b, lane).wrapping_add(warp.read_reg(a, lane) << shift);
-                warp.write_reg(d, lane, v);
-            }
+            let rb = warp.src_b(b, cbank, &mut splat);
+            Some((d, zip2(warp.reg(a), rb, |a, b| b.wrapping_add(a << shift))))
         }
         Op::Lop3 { d, a, b, c, lut } => {
-            for lane in lanes(exec_mask) {
-                let v = lop3(
-                    warp.read_reg(a, lane),
-                    srcb!(b, lane),
-                    warp.read_reg(c, lane),
-                    lut,
-                );
-                warp.write_reg(d, lane, v);
-            }
+            let rb = warp.src_b(b, cbank, &mut splat);
+            Some((d, lop3(warp.reg(a), rb, warp.reg(c), lut)))
         }
         Op::Shf {
             d,
@@ -578,44 +701,25 @@ pub fn step(
             right,
             u32_mode,
         } => {
-            for lane in lanes(exec_mask) {
-                let n = srcb!(shift, lane) & 63;
-                let vlo = warp.read_reg(lo, lane);
-                let vhi = warp.read_reg(hi, lane);
-                let v = if u32_mode {
-                    let n = n & 31;
-                    if right {
-                        vlo >> n
-                    } else {
-                        vlo << n
-                    }
-                } else {
-                    let wide = (vhi as u64) << 32 | vlo as u64;
-                    if right {
-                        (wide >> n) as u32
-                    } else {
-                        ((wide << n) >> 32) as u32
-                    }
-                };
-                warp.write_reg(d, lane, v);
-            }
+            let (rl, rh) = (warp.reg(lo), warp.reg(hi));
+            let rs = warp.src_b(shift, cbank, &mut splat);
+            let wide = |lo: u32, hi: u32| (hi as u64) << 32 | lo as u64;
+            let out = match (u32_mode, right) {
+                (true, true) => zip2(rl, rs, |lo, n| lo >> (n & 31)),
+                (true, false) => zip2(rl, rs, |lo, n| lo << (n & 31)),
+                (false, true) => zip3(rl, rs, rh, |lo, n, hi| (wide(lo, hi) >> (n & 63)) as u32),
+                (false, false) => zip3(rl, rs, rh, |lo, n, hi| {
+                    (wide(lo, hi) << (n & 63) >> 32) as u32
+                }),
+            };
+            Some((d, out))
         }
-        Op::Mov { d, b } => {
-            for lane in lanes(exec_mask) {
-                let v = srcb!(b, lane);
-                warp.write_reg(d, lane, v);
-            }
-        }
+        Op::Mov { d, b } => Some((d, *warp.src_b(b, cbank, &mut splat))),
         Op::Sel { d, a, b, p } => {
-            for lane in lanes(exec_mask) {
-                let sel = warp.read_pred(p.pred, lane) != p.neg;
-                let v = if sel {
-                    warp.read_reg(a, lane)
-                } else {
-                    srcb!(b, lane)
-                };
-                warp.write_reg(d, lane, v);
-            }
+            let sel = warp.pred(p.pred, p.neg);
+            let mut out = *warp.src_b(b, cbank, &mut splat);
+            blend(&mut out, warp.reg(a), sel);
+            Some((d, out))
         }
         Op::Isetp {
             p,
@@ -625,230 +729,82 @@ pub fn step(
             b,
             combine,
         } => {
-            for lane in lanes(exec_mask) {
-                let va = warp.read_reg(a, lane);
-                let vb = srcb!(b, lane);
-                let base = if unsigned {
-                    cmp.eval_i64(va as i64, vb as i64)
-                } else {
-                    cmp.eval_i64(va as i32 as i64, vb as i32 as i64)
-                };
-                let comb = warp.read_pred(combine.pred, lane) != combine.neg;
-                warp.write_pred(p, lane, base && comb);
-            }
+            let (ra, rb) = (warp.reg(a), warp.src_b(b, cbank, &mut splat));
+            let v = if unsigned {
+                compare(cmp, |l| ra[l], |l| rb[l])
+            } else {
+                compare(cmp, |l| ra[l] as i32, |l| rb[l] as i32)
+            };
+            let v = v & warp.pred(combine.pred, combine.neg);
+            warp.set_pred(p, v, exec_mask);
+            None
         }
         Op::P2r { d, a, mask } => {
-            for lane in lanes(exec_mask) {
-                let mut bits = 0u32;
-                for i in 0..7 {
-                    if warp.preds[i][lane] {
-                        bits |= 1 << i;
-                    }
-                }
-                let v = (warp.read_reg(a, lane) & !mask) | (bits & mask);
-                warp.write_reg(d, lane, v);
-            }
+            let preds = warp.preds;
+            let bits: Row =
+                std::array::from_fn(|l| (0..7).fold(0, |bits, i| bits | (preds[i] >> l & 1) << i));
+            Some((
+                d,
+                zip2(warp.reg(a), &bits, |a, bits| (a & !mask) | (bits & mask)),
+            ))
         }
         Op::R2p { a, mask } => {
-            for lane in lanes(exec_mask) {
-                let v = warp.read_reg(a, lane);
-                for i in 0..7u32 {
-                    if mask & (1 << i) != 0 {
-                        warp.preds[i as usize][lane] = v & (1 << i) != 0;
-                    }
-                }
-            }
+            let ra = *warp.reg(a);
+            for_lanes(mask & 0x7f, |i| {
+                let v = lane_mask(|l| ra[l] >> i & 1 != 0);
+                warp.set_pred(Pred(i as u8), v, exec_mask);
+            });
+            None
         }
         Op::S2r { d, sr } => {
-            for lane in lanes(exec_mask) {
-                let linear = warp.base_tid + lane as u32;
-                let v = match sr {
-                    SpecialReg::TidX => linear % bd[0],
-                    SpecialReg::TidY => (linear / bd[0]) % bd[1],
-                    SpecialReg::TidZ => linear / (bd[0] * bd[1]),
+            let bd = env.block_dim;
+            let mut out = ZERO_ROW;
+            for (lane, v) in out.iter_mut().enumerate() {
+                let tid = warp.base_tid + lane as u32;
+                *v = match sr {
+                    SpecialReg::TidX => tid % bd[0],
+                    SpecialReg::TidY => (tid / bd[0]) % bd[1],
+                    SpecialReg::TidZ => tid / (bd[0] * bd[1]),
                     SpecialReg::CtaidX => ctaid[0],
                     SpecialReg::CtaidY => ctaid[1],
                     SpecialReg::CtaidZ => ctaid[2],
                     SpecialReg::LaneId => lane as u32,
-                    SpecialReg::WarpId => linear / WARP_SIZE,
+                    SpecialReg::WarpId => tid / WARP_SIZE,
                 };
-                warp.write_reg(d, lane, v);
             }
+            Some((d, out))
         }
         Op::Ld {
             space,
             width,
-            d,
+            d: data,
             addr,
-        } => {
-            trace.width = width.bytes();
-            match space {
-                MemSpace::Global => {
-                    for lane in lanes(exec_mask) {
-                        let lo = warp.read_reg(addr.base, lane) as u64;
-                        let hi = warp.read_reg(addr.base.offset(1), lane) as u64;
-                        let a = (lo | (hi << 32)).wrapping_add(addr.offset as i64 as u64);
-                        trace.global_addrs.push(a);
-                        // Widest access is 16 bytes; stage through a stack
-                        // buffer so the per-lane path never heap-allocates.
-                        let mut buf = [0u8; 16];
-                        let n = width.bytes() as usize;
-                        buf[..n].copy_from_slice(
-                            env.global
-                                .read(a, n)
-                                .map_err(|e: MemError| fail(format!("lane {lane}: {e}")))?,
-                        );
-                        for i in 0..width.regs() {
-                            let off = i as usize * 4;
-                            warp.write_reg(
-                                d.offset(i),
-                                lane,
-                                u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()),
-                            );
-                        }
-                    }
-                }
-                MemSpace::Shared => {
-                    if full {
-                        // Row path: resolve and bounds-check all lane
-                        // addresses up front (addresses come from the
-                        // pre-copied base row, so a destination overlapping
-                        // the address register reads the same values the
-                        // lane-order path would), then fill each destination
-                        // row with one tight pass over the lanes.
-                        let base = row(warp, addr.base);
-                        let mut addrs = [0u32; 32];
-                        for (lane, slot) in addrs.iter_mut().enumerate() {
-                            let a = base[lane].wrapping_add(addr.offset as u32);
-                            trace.shared_addrs.push(a);
-                            if a as usize + width.bytes() as usize > env.smem.len() {
-                                return Err(fail(format!(
-                                    "lane {lane}: shared load at {a:#x} past smem size {:#x}",
-                                    env.smem.len()
-                                )));
-                            }
-                            *slot = a;
-                        }
-                        for i in 0..width.regs() {
-                            let di = d.offset(i);
-                            if di.is_rz() {
-                                continue;
-                            }
-                            let rd = &mut warp.regs[di.0 as usize];
-                            for lane in 0..32 {
-                                let off = addrs[lane] as usize + i as usize * 4;
-                                rd[lane] =
-                                    u32::from_le_bytes(env.smem[off..off + 4].try_into().unwrap());
-                            }
-                        }
-                    } else {
-                        for lane in lanes(exec_mask) {
-                            let a = warp
-                                .read_reg(addr.base, lane)
-                                .wrapping_add(addr.offset as u32);
-                            trace.shared_addrs.push(a);
-                            let end = a as usize + width.bytes() as usize;
-                            if end > env.smem.len() {
-                                return Err(fail(format!(
-                                    "lane {lane}: shared load at {a:#x} past smem size {:#x}",
-                                    env.smem.len()
-                                )));
-                            }
-                            for i in 0..width.regs() {
-                                let off = a as usize + i as usize * 4;
-                                let v =
-                                    u32::from_le_bytes(env.smem[off..off + 4].try_into().unwrap());
-                                warp.write_reg(d.offset(i), lane, v);
-                            }
-                        }
-                    }
-                }
-            }
         }
-        Op::St {
+        | Op::St {
             space,
             width,
             addr,
-            src,
+            src: data,
         } => {
-            trace.width = width.bytes();
-            trace.is_store = true;
-            match space {
-                MemSpace::Global => {
-                    for lane in lanes(exec_mask) {
-                        let lo = warp.read_reg(addr.base, lane) as u64;
-                        let hi = warp.read_reg(addr.base.offset(1), lane) as u64;
-                        let a = (lo | (hi << 32)).wrapping_add(addr.offset as i64 as u64);
-                        trace.global_addrs.push(a);
-                        let mut buf = [0u8; 16];
-                        for i in 0..width.regs() {
-                            buf[i as usize * 4..i as usize * 4 + 4]
-                                .copy_from_slice(&warp.read_reg(src.offset(i), lane).to_le_bytes());
-                        }
-                        env.global
-                            .write(a, &buf[..width.bytes() as usize])
-                            .map_err(|e| fail(format!("lane {lane}: {e}")))?;
-                    }
-                }
-                MemSpace::Shared => {
-                    if full {
-                        // Stores only read registers, so staging the source
-                        // rows is purely a bounds-check hoist. Writes stay
-                        // lane-major like the general path, so overlapping
-                        // lane addresses resolve identically.
-                        let base = row(warp, addr.base);
-                        let mut rows = [[0u32; 32]; 4];
-                        for (i, r) in rows.iter_mut().take(width.regs() as usize).enumerate() {
-                            *r = row(warp, src.offset(i as u8));
-                        }
-                        for (lane, &b) in base.iter().enumerate() {
-                            let a = b.wrapping_add(addr.offset as u32);
-                            trace.shared_addrs.push(a);
-                            if a as usize + width.bytes() as usize > env.smem.len() {
-                                return Err(fail(format!(
-                                    "lane {lane}: shared store at {a:#x} past smem size {:#x}",
-                                    env.smem.len()
-                                )));
-                            }
-                            for (i, r) in rows.iter().take(width.regs() as usize).enumerate() {
-                                let off = a as usize + i * 4;
-                                env.smem[off..off + 4].copy_from_slice(&r[lane].to_le_bytes());
-                            }
-                        }
-                    } else {
-                        for lane in lanes(exec_mask) {
-                            let a = warp
-                                .read_reg(addr.base, lane)
-                                .wrapping_add(addr.offset as u32);
-                            trace.shared_addrs.push(a);
-                            let end = a as usize + width.bytes() as usize;
-                            if end > env.smem.len() {
-                                return Err(fail(format!(
-                                    "lane {lane}: shared store at {a:#x} past smem size {:#x}",
-                                    env.smem.len()
-                                )));
-                            }
-                            for i in 0..width.regs() {
-                                let off = a as usize + i as usize * 4;
-                                env.smem[off..off + 4].copy_from_slice(
-                                    &warp.read_reg(src.offset(i), lane).to_le_bytes(),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+            let store = matches!(inst.op, Op::St { .. });
+            trace.is_store = store;
+            let run = match width {
+                MemWidth::B32 => access::<1>,
+                MemWidth::B64 => access::<2>,
+                MemWidth::B128 => access::<4>,
+            };
+            run(warp, env, trace, space, addr, data, exec_mask, store).map_err(fail)?;
+            None
         }
-        Op::Nop => {}
+        Op::Nop => None,
         Op::Exit | Op::Bra { .. } | Op::BarSync => unreachable!("handled above"),
+    };
+    if let Some((d, row)) = out {
+        warp.store(d, &row, exec_mask);
     }
 
     advance_ctx(warp, pc);
     Ok(StepEvent::Executed)
-}
-
-fn lanes(mask: u32) -> impl Iterator<Item = usize> {
-    (0..32).filter(move |l| mask & (1 << l) != 0)
 }
 
 /// 32-lane FFMA row kernel: `ra * (±rb) + (±rc)` per lane, fused
@@ -857,34 +813,18 @@ fn lanes(mask: u32) -> impl Iterator<Item = usize> {
 /// libm's `fmaf` per lane; both are IEEE correctly-rounded, so the result
 /// bits are identical on every path.
 #[inline]
-fn ffma_rows(
-    ra: &[u32; 32],
-    rb: &[u32; 32],
-    rc: &[u32; 32],
-    neg_b: bool,
-    neg_c: bool,
-) -> [u32; 32] {
+fn ffma_rows(ra: &Row, rb: &Row, rc: &Row, neg_b: bool, neg_c: bool) -> Row {
     #[inline(always)]
-    fn rows(ra: &[u32; 32], rb: &[u32; 32], rc: &[u32; 32], neg_b: bool, neg_c: bool) -> [u32; 32] {
-        let mut rd = [0u32; 32];
-        for lane in 0..32 {
-            let va = f(ra[lane]);
-            let vb = f(neg_f(rb[lane], neg_b));
-            let vc = f(neg_f(rc[lane], neg_c));
-            rd[lane] = va.mul_add(vb, vc).to_bits();
-        }
-        rd
+    fn rows(ra: &Row, rb: &Row, rc: &Row, neg_b: bool, neg_c: bool) -> Row {
+        let (sb, sc) = (sign(neg_b, 1 << 31), sign(neg_c, 1 << 31));
+        zip3(ra, rb, rc, |a, b, c| {
+            f(a).mul_add(f(b ^ sb), f(c ^ sc)).to_bits()
+        })
     }
     #[cfg(target_arch = "x86_64")]
     {
         #[target_feature(enable = "fma")]
-        unsafe fn rows_hw(
-            ra: &[u32; 32],
-            rb: &[u32; 32],
-            rc: &[u32; 32],
-            neg_b: bool,
-            neg_c: bool,
-        ) -> [u32; 32] {
+        unsafe fn rows_hw(ra: &Row, rb: &Row, rc: &Row, neg_b: bool, neg_c: bool) -> Row {
             rows(ra, rb, rc, neg_b, neg_c)
         }
         if std::arch::is_x86_feature_detected!("fma") {

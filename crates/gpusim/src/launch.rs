@@ -285,19 +285,21 @@ impl Gpu {
         let next = AtomicU64::new(0);
         let fault: Mutex<Option<(u64, ExecError)>> = Mutex::new(None);
         let worker = |mem: &mut GlobalMemory, mut counters: Option<&mut ExecCounters>| {
+            let counting = counters.is_some();
             let mut sectors = Vec::new();
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= total || fault.lock().unwrap().is_some() {
                     return;
                 }
-                let mut on_trace = |t: &MemTrace| {
+                let mut count = |t: &MemTrace| {
                     if let Some(c) = counters.as_deref_mut() {
                         c.record(t, &mut sectors);
                     }
                 };
+                let on_trace = counting.then_some(&mut count as &mut dyn FnMut(&MemTrace));
                 let ctaid = grid_coord(dims, i);
-                if let Err(e) = run_block(module, mem, &cbank, ctaid, dims.block, &mut on_trace) {
+                if let Err(e) = run_block(module, mem, &cbank, ctaid, dims.block, on_trace) {
                     let mut fault = fault.lock().unwrap();
                     if fault.as_ref().is_none_or(|(first, _)| i < *first) {
                         *fault = Some((i, e));
@@ -356,16 +358,16 @@ impl SharedMem {
 }
 
 /// Run one thread block to completion (cooperative warp scheduling with
-/// barrier support); `on_trace` sees every executed instruction's
-/// [`MemTrace`] (the [`ExecCounters`] feed, and the one-wave model's L2
-/// warm-up).
+/// barrier support); `on_trace`, when given, sees every executed
+/// instruction's [`MemTrace`] (the [`ExecCounters`] feed, and the one-wave
+/// model's L2 warm-up).
 pub(crate) fn run_block(
     module: &Module,
     global: &mut GlobalMemory,
     cbank: &ConstBank,
     ctaid: [u32; 3],
     block_dim: [u32; 3],
-    on_trace: &mut dyn FnMut(&MemTrace),
+    mut on_trace: Option<&mut dyn FnMut(&MemTrace)>,
 ) -> Result<(), ExecError> {
     let tpb = block_dim[0] * block_dim[1] * block_dim[2];
     let num_warps = tpb.div_ceil(WARP_SIZE);
@@ -405,7 +407,9 @@ pub(crate) fn run_block(
                     w as u32,
                     &mut trace,
                 )?;
-                on_trace(&trace);
+                if let Some(on_trace) = on_trace.as_deref_mut() {
+                    on_trace(&trace);
+                }
                 steps += 1;
                 if steps > STEP_LIMIT {
                     return Err(ExecError {

@@ -86,6 +86,15 @@ impl GlobalMemory {
         Ok(())
     }
 
+    /// The bytes `[lo, end)` as one mutable window, if the arena holds
+    /// them all: a warp access checks its span once, then moves each lane's
+    /// chunk within the window.
+    pub fn window_mut(&mut self, lo: u64, end: u64) -> Option<&mut [u8]> {
+        let start = lo.checked_sub(self.base)? as usize;
+        let end = end.checked_sub(self.base)? as usize;
+        self.data.get_mut(start..end)
+    }
+
     /// Read one 32-bit word.
     pub fn read_u32(&self, addr: u64) -> Result<u32, MemError> {
         Ok(u32::from_le_bytes(self.read(addr, 4)?.try_into().unwrap()))

@@ -683,12 +683,20 @@ fn one_wave(mem: &mut GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming,
         // it touches into the L2 model.
         let l2 = &mut carry.l2;
         let mut sectors = Vec::new();
-        run_block(module, mem, cbank, [0, 0, 0], dims.block, &mut |t| {
+        let mut warm_l2 = |t: &MemTrace| {
             global_sectors_into(&t.global_addrs, t.width.max(1), &mut sectors);
             for &sec in &sectors {
                 l2.access(sec * 32);
             }
-        })
+        };
+        run_block(
+            module,
+            mem,
+            cbank,
+            [0, 0, 0],
+            dims.block,
+            Some(&mut warm_l2),
+        )
         .map_err(LaunchError::Exec)?;
     }
     let wave = simulate_wave(

@@ -101,7 +101,9 @@ impl Module {
         v
     }
 
-    /// Deserialize from the binary container format.
+    /// Deserialize from the binary container format. The header's
+    /// `num_regs` must cover every register the code names (declaring more
+    /// is legal: it only lowers occupancy).
     pub fn from_cubin(bytes: &[u8]) -> Result<Module, ModuleError> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], ModuleError> {
@@ -126,10 +128,22 @@ impl Module {
         let smem_bytes = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
         let param_bytes = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
         let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mut insts = Vec::with_capacity(count);
-        for _ in 0..count {
-            let w = u128::from_le_bytes(take(&mut pos, 16)?.try_into().unwrap());
-            insts.push(decode(w).map_err(ModuleError::Decode)?);
+        // Check the code is there before sizing a vector by the header.
+        let code = take(
+            &mut pos,
+            count.checked_mul(16).ok_or(ModuleError::Truncated)?,
+        )?;
+        let insts = code
+            .chunks_exact(16)
+            .map(|w| decode(u128::from_le_bytes(w.try_into().unwrap())))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(ModuleError::Decode)?;
+        let needed = max_reg_used(&insts).map_or(0, |m| m as u16 + 1);
+        if num_regs < needed {
+            return Err(ModuleError::TooFewRegisters {
+                declared: num_regs,
+                needed,
+            });
         }
         Ok(Module {
             info: KernelInfo {
@@ -151,6 +165,11 @@ pub enum ModuleError {
     BadName,
     Truncated,
     Decode(DecodeError),
+    /// The header declares fewer registers than the code names.
+    TooFewRegisters {
+        declared: u16,
+        needed: u16,
+    },
 }
 
 impl std::fmt::Display for ModuleError {
@@ -161,6 +180,10 @@ impl std::fmt::Display for ModuleError {
             ModuleError::BadName => write!(f, "kernel name is not UTF-8"),
             ModuleError::Truncated => write!(f, "truncated module"),
             ModuleError::Decode(e) => write!(f, "instruction decode: {e}"),
+            ModuleError::TooFewRegisters { declared, needed } => write!(
+                f,
+                "header declares {declared} registers, code needs {needed}"
+            ),
         }
     }
 }
@@ -207,6 +230,38 @@ mod tests {
         assert_eq!(Module::from_cubin(b"nope"), Err(ModuleError::BadMagic));
         let mut bytes = sample().to_cubin();
         bytes.truncate(bytes.len() - 1);
+        assert_eq!(Module::from_cubin(&bytes), Err(ModuleError::Truncated));
+    }
+
+    /// Byte offset of `num_regs` in a cubin of `sample()` ("axpy").
+    const NUM_REGS_AT: usize = 8 + 4;
+
+    #[test]
+    fn rejects_under_declared_registers() {
+        let mut m = sample();
+        m.insts.push(Instruction::new(mov(Reg(100), 1u32)));
+        let mut bytes = m.to_cubin();
+        bytes[NUM_REGS_AT..NUM_REGS_AT + 2].copy_from_slice(&4u16.to_le_bytes());
+        assert_eq!(
+            Module::from_cubin(&bytes),
+            Err(ModuleError::TooFewRegisters {
+                declared: 4,
+                needed: 101
+            })
+        );
+        // Declaring more than the code needs only lowers occupancy.
+        bytes[NUM_REGS_AT..NUM_REGS_AT + 2].copy_from_slice(&200u16.to_le_bytes());
+        assert_eq!(Module::from_cubin(&bytes).unwrap().info.num_regs, 200);
+    }
+
+    #[test]
+    fn huge_instruction_count_is_truncated_not_allocated() {
+        // A 30-byte cubin whose header claims 2^32 - 1 instructions.
+        let mut bytes = Module::new("huge", 0, 0, vec![]).to_cubin();
+        let n = bytes.len();
+        bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 4]);
+        assert_eq!(bytes.len(), 30);
         assert_eq!(Module::from_cubin(&bytes), Err(ModuleError::Truncated));
     }
 

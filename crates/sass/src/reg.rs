@@ -15,6 +15,7 @@ pub const RZ: Reg = Reg(255);
 
 impl Reg {
     /// True for the zero register.
+    #[inline]
     pub fn is_rz(self) -> bool {
         self.0 == 255
     }
@@ -34,6 +35,7 @@ impl Reg {
     /// (e.g. `LDG.128 R4` writes `R4..R7`). Saturates at `R254`; a vector
     /// operand that would run past the register file is invalid and is
     /// rejected by the launch-time checks in `gpusim`.
+    #[inline]
     pub fn offset(self, i: u8) -> Reg {
         if self.is_rz() {
             RZ
@@ -73,6 +75,7 @@ pub const PT: Pred = Pred(7);
 
 impl Pred {
     /// True for the constant-true predicate.
+    #[inline]
     pub fn is_pt(self) -> bool {
         self.0 == 7
     }
