@@ -1,6 +1,7 @@
 //! `bench` — the experiment harness: one binary per table and figure of the
-//! paper's evaluation (see DESIGN.md §2.6 for the index), plus
-//! micro-benchmarks of the host-side hot paths.
+//! paper's evaluation (see DESIGN.md §2.6 for the index), plus the tracked
+//! host-speed and whole-system runs (`simspeed`, `multiwave`, `tune`,
+//! `resnet`, `serve`).
 //!
 //! Every binary prints the same rows/series the paper reports, with the
 //! published values alongside for comparison; EXPERIMENTS.md records the
@@ -8,7 +9,6 @@
 //! binary additionally writes the measured numbers as JSON records (see
 //! [`report::Report`]).
 
-pub mod harness;
 pub mod metrics;
 pub mod metricsdiff;
 pub mod report;

@@ -20,21 +20,22 @@
 //! * the L2/DRAM **bandwidth share** charged inside a wave is
 //!   `1/busy_sms(wave)` of the device, not `1/S`, so the tail waves of an
 //!   uneven grid see their true (larger) share;
-//! * SMs are **sharded across worker threads**: each worker claims the next
-//!   planned SM from one atomic counter and runs all of that SM's waves,
-//!   and results merge in SM-index order. Per-SM simulations are mutually
-//!   independent (the share curve is precomputed from the dispatch alone),
-//!   so `KernelTiming`, `HwCounters` and stall profiles are bit-stable
-//!   under any `jobs` value, and at most `jobs` SM states (each with its
-//!   own L2 image) are alive at once.
+//! * SMs are **sharded across worker threads** on the functional
+//!   launchers' walk ([`crate::launch`]): each worker claims the next
+//!   planned SM from one atomic counter and runs all of that SM's waves
+//!   against the shared word arena, and results merge in SM-index order.
+//!   Per-SM simulations are mutually independent (the share curve is
+//!   precomputed from the dispatch alone), so `KernelTiming`, `HwCounters`
+//!   and stall profiles are bit-stable under any `jobs` value, and at most
+//!   `jobs` SM states (each with its own L2 image) are alive at once.
 //!
 //! **Steady-state fast-forward.** The paper's kernels run thousands of
 //! identical blocks; simulating every wave of every SM would cost hundreds
 //! of times the one-wave model. Once two consecutive full waves of an SM
 //! agree on cycle count to within 1/128, the following full waves with the
 //! same bandwidth share are charged at the last simulated wave's cost and
-//! their counter/profile deltas are scaled in
-//! ([`HwCounters::add_scaled`]); each share transition and the final
+//! their tallies are scaled in (one scaled add, `Tally::add_scaled`, that
+//! also folds SMs into the device); each share transition and the final
 //! partial wave are always simulated exactly.
 //!
 //! The same steady-state assumption applies **across SMs**: round-robin
@@ -61,15 +62,9 @@
 //!   [`Gpu::launch_parallel`](crate::Gpu::launch_parallel) for functional
 //!   results.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::counters::HwCounters;
-use crate::launch::{host_threads, LaunchError, SharedMem};
+use crate::launch::{claim_walk, LaunchError};
 use crate::memory::GlobalMemory;
-use crate::simprof::KernelProfile;
-use crate::timing::{
-    grid_coord, simulate_wave, KernelTiming, Launch, SmCarry, WaveOutput, WaveParams,
-};
+use crate::timing::{grid_coord, simulate_wave, KernelTiming, Launch, SmCarry, Tally, WaveParams};
 
 /// Cap on recorded wave spans per simulated SM; past it the trace sets
 /// `truncated` and keeps timing (mirrors `simprof`'s issue-event cap).
@@ -163,21 +158,7 @@ impl Ctx<'_> {
 /// Per-SM accumulation across its waves.
 #[derive(Default)]
 struct SmAcc {
-    /// Busy cycles on this SM (sum of its wave cycles).
-    cycles: u64,
-    waves: u64,
-    issued: u64,
-    fp_active: u64,
-    flops: u64,
-    dram_bytes: u64,
-    reg_conflicts: u64,
-    smem_conflict_cycles: u64,
-    yield_switches: u64,
-    idle_attr: [u64; 5],
-    region_cycles: u64,
-    region_fp_active: u64,
-    profile: Option<KernelProfile>,
-    counters: Option<HwCounters>,
+    tally: Tally,
     /// Wave spans recorded when tracing (empty otherwise).
     spans: Vec<WaveSpan>,
     spans_truncated: bool,
@@ -190,56 +171,6 @@ impl SmAcc {
             self.spans.push(span);
         } else {
             self.spans_truncated = true;
-        }
-    }
-}
-
-impl SmAcc {
-    /// Fold `k` copies of one simulated wave in (`k > 1` when the wave
-    /// stands for itself plus fast-forwarded repeats).
-    fn add(&mut self, out: WaveOutput, k: u64) {
-        self.cycles += k * out.cycles;
-        self.waves += k;
-        self.issued += k * out.issued;
-        self.fp_active += k * out.fp_active;
-        self.flops += k * out.flops;
-        self.dram_bytes += k * out.dram_bytes;
-        self.reg_conflicts += k * out.reg_conflicts;
-        self.smem_conflict_cycles += k * out.smem_conflict_cycles;
-        self.yield_switches += k * out.yield_switches;
-        for i in 0..5 {
-            self.idle_attr[i] += k * out.idle_attr[i];
-        }
-        self.region_cycles += k * out.region_cycles();
-        self.region_fp_active += k * out.region_fp_active;
-        let cycles = out.cycles;
-        if let Some(col) = out.prof {
-            let p = col.finish(cycles);
-            match &mut self.profile {
-                Some(mp) => mp.add_scaled(&p, k),
-                None => {
-                    let mut p0 = p;
-                    if k > 1 {
-                        let once = p0.clone();
-                        p0.add_scaled(&once, k - 1);
-                    }
-                    self.profile = Some(p0);
-                }
-            }
-        }
-        if let Some(col) = out.ctr {
-            let c = col.finish(cycles);
-            match &mut self.counters {
-                Some(mc) => mc.add_scaled(&c, k),
-                None => {
-                    let mut c0 = c;
-                    if k > 1 {
-                        let once = c0.clone();
-                        c0.add_scaled(&once, k - 1);
-                    }
-                    self.counters = Some(c0);
-                }
-            }
         }
     }
 }
@@ -279,7 +210,7 @@ impl SmState {
     }
 
     /// Simulate SM `sm`'s waves to completion.
-    fn run(cx: &Ctx<'_>, sm: u64, mem: &mut GlobalMemory) -> Result<SmAcc, LaunchError> {
+    fn run(cx: &Ctx<'_>, sm: u64, mem: &GlobalMemory) -> Result<SmAcc, LaunchError> {
         let mut st = SmState::new(cx, sm);
         while st.w < st.full || st.rem > 0 {
             st.advance(cx, mem)?;
@@ -288,7 +219,7 @@ impl SmState {
     }
 
     /// Simulate this SM's next wave (or fast-forward chunk).
-    fn advance(&mut self, cx: &Ctx<'_>, mem: &mut GlobalMemory) -> Result<(), LaunchError> {
+    fn advance(&mut self, cx: &Ctx<'_>, mem: &GlobalMemory) -> Result<(), LaunchError> {
         let (resident, trace) = (cx.launch.resident, cx.launch.opts.trace);
         let (wave, n, share) = if self.w < self.full {
             (self.w, resident, cx.share_at(self.w))
@@ -314,14 +245,14 @@ impl SmState {
                 self.acc.trace_span(WaveSpan {
                     sm: self.sm as u32,
                     wave,
-                    start_cycle: self.acc.cycles,
+                    start_cycle: self.acc.tally.cycles,
                     cycles,
                     repeats: 1,
                     blocks: n,
                     share_sms: share,
                 });
             }
-            self.acc.add(out, 1);
+            self.acc.tally.add_scaled(out, 1);
             return Ok(());
         }
         // Steady-state fast-forward: this wave plus every following full
@@ -353,14 +284,14 @@ impl SmState {
             self.acc.trace_span(WaveSpan {
                 sm: self.sm as u32,
                 wave,
-                start_cycle: self.acc.cycles,
+                start_cycle: self.acc.tally.cycles,
                 cycles,
                 repeats: k,
                 blocks: n,
                 share_sms: share,
             });
         }
-        self.acc.add(out, k);
+        self.acc.tally.add_scaled(out, k);
         self.w += k;
         Ok(())
     }
@@ -370,7 +301,7 @@ impl SmState {
 /// and every wave individually when `exact`. Returns the device trace when
 /// `launch.opts.trace` is set.
 pub(crate) fn full_device(
-    mem: &mut GlobalMemory,
+    mem: &GlobalMemory,
     launch: &Launch<'_>,
     exact: bool,
 ) -> Result<(KernelTiming, Option<DeviceTrace>), LaunchError> {
@@ -417,125 +348,43 @@ pub(crate) fn full_device(
         v
     };
 
-    // Workers claim planned SMs in plan order and run each to completion.
-    // The counter publishes no data (results come back through `join`), so
-    // `Relaxed` suffices: `fetch_add` alone hands every index out once.
-    let next = AtomicUsize::new(0);
-    let worker = |mem: &mut GlobalMemory| {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&(sm, _)) = plan.get(i) else {
-                return done;
-            };
-            done.push((i, SmState::run(&cx, sm, mem)));
-        }
-    };
-    let jobs = match opts.jobs {
-        0 => host_threads(),
-        n => n,
-    }
-    .clamp(1, plan.len());
-    let mut results = if jobs == 1 {
-        worker(mem)
-    } else {
-        // The SAFETY contract of `SharedMem` holds because the paper's
-        // kernels write disjoint regions per block and never read another
-        // block's output — the same contract `Gpu::launch_parallel` runs
-        // under. Per-SM results are independent of which worker runs them,
-        // so the merge below is bit-stable for any worker count.
-        let mem_ptr = &SharedMem(mem as *mut GlobalMemory);
-        std::thread::scope(|s| {
-            let workers: Vec<_> = (0..jobs)
-                // SAFETY: disjoint-block-writes contract, see above.
-                .map(|_| s.spawn(|| worker(unsafe { mem_ptr.get() })))
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("SM worker panicked"))
-                .collect()
-        })
-    };
+    // Workers claim planned SMs in plan order and run each to completion;
+    // per-SM results are independent of which worker runs them, so the
+    // merge below is bit-stable for any worker count.
+    let done = claim_walk(plan.len() as u64, opts.jobs, Vec::new, |done, i| {
+        done.push((i, SmState::run(&cx, plan[i as usize].0, mem)?));
+        Ok(())
+    })?;
+    let mut results: Vec<(u64, SmAcc)> = done.into_iter().flatten().collect();
     results.sort_unstable_by_key(|&(i, _)| i);
 
-    // Deterministic merge, in SM-index order.
+    // Deterministic merge, in SM-index order: one scaled add per class
+    // (`dev.cycles` sums busy cycles, `dev.region_cycles` region cycles),
+    // and the device-only maxima beside it.
     let schedulers = device.schedulers_per_sm as usize;
-    let mut makespan = 0u64;
-    let mut busy_cycles = 0u64;
-    let mut waves = 0u64;
-    let mut issued = 0u64;
-    let mut fp_active = 0u64;
-    let mut flops = 0u64;
-    let mut dram_bytes = 0u64;
-    let mut reg_conflicts = 0u64;
-    let mut smem_conflict_cycles = 0u64;
-    let mut yield_switches = 0u64;
-    let mut idle_attr = [0u64; 5];
-    let mut region_cycles_max = 0u64;
-    let mut region_cycles_sum = 0u64;
-    let mut region_fp_active = 0u64;
-    let mut profile: Option<KernelProfile> = None;
-    let mut counters: Option<HwCounters> = None;
+    let mut dev = Tally::default();
+    let (mut makespan, mut waves, mut region_cycles_max) = (0u64, 0u64, 0u64);
     let mut trace = opts.trace.then(DeviceTrace::default);
     for ((_, acc), &(_, k)) in results.into_iter().zip(plan.iter()) {
-        let acc = acc?;
         if let Some(tr) = &mut trace {
             // Plan order is SM-index order, so spans land lane-sorted.
             tr.spans.extend_from_slice(&acc.spans);
             tr.truncated |= acc.spans_truncated;
         }
-        makespan = makespan.max(acc.cycles);
-        busy_cycles += k * acc.cycles;
-        waves = waves.max(acc.waves);
-        issued += k * acc.issued;
-        fp_active += k * acc.fp_active;
-        flops += k * acc.flops;
-        dram_bytes += k * acc.dram_bytes;
-        reg_conflicts += k * acc.reg_conflicts;
-        smem_conflict_cycles += k * acc.smem_conflict_cycles;
-        yield_switches += k * acc.yield_switches;
-        for (tot, d) in idle_attr.iter_mut().zip(acc.idle_attr) {
-            *tot += k * d;
-        }
-        region_cycles_max = region_cycles_max.max(acc.region_cycles);
-        region_cycles_sum += k * acc.region_cycles;
-        region_fp_active += k * acc.region_fp_active;
-        if let Some(p) = acc.profile {
-            match &mut profile {
-                Some(mp) => mp.add_scaled(&p, k),
-                None => {
-                    let mut p0 = p;
-                    if k > 1 {
-                        let once = p0.clone();
-                        p0.add_scaled(&once, k - 1);
-                    }
-                    profile = Some(p0);
-                }
-            }
-        }
-        if let Some(c) = acc.counters {
-            match &mut counters {
-                Some(mc) => mc.add_scaled(&c, k),
-                None => {
-                    let mut c0 = c;
-                    if k > 1 {
-                        let once = c0.clone();
-                        c0.add_scaled(&once, k - 1);
-                    }
-                    counters = Some(c0);
-                }
-            }
-        }
+        makespan = makespan.max(acc.tally.cycles);
+        waves = waves.max(acc.tally.waves);
+        region_cycles_max = region_cycles_max.max(acc.tally.region_cycles);
+        dev.add_scaled(acc.tally, k);
     }
 
     let wave_cycles = makespan.max(1);
     let compute_time = wave_cycles as f64 / device.clock_hz;
-    let dram_time = dram_bytes as f64 / device.dram_bw;
+    let dram_time = dev.dram_bytes as f64 / device.dram_bw;
     let time_s = compute_time.max(dram_time);
-    let denom = schedulers as f64 * busy_cycles.max(1) as f64;
-    let sol_total = fp_active as f64 / denom;
-    let sol_base = if opts.region.is_some() && region_cycles_sum > 0 {
-        region_fp_active as f64 / (schedulers as f64 * region_cycles_sum as f64)
+    let denom = schedulers as f64 * dev.cycles.max(1) as f64;
+    let sol_total = dev.fp_active as f64 / denom;
+    let sol_base = if opts.region.is_some() && dev.region_cycles > 0 {
+        dev.region_fp_active as f64 / (schedulers as f64 * dev.region_cycles as f64)
     } else {
         sol_total
     };
@@ -550,20 +399,20 @@ pub(crate) fn full_device(
         total_blocks,
         busy_sms: busy as u32,
         time_s,
-        flops: flops as f64,
-        tflops: flops as f64 / time_s / 1e12,
+        flops: dev.flops as f64,
+        tflops: dev.flops as f64 / time_s / 1e12,
         sol_pct: 100.0 * sol_base,
         sol_total_pct: 100.0 * sol_total,
-        issue_util_pct: 100.0 * issued as f64 / denom,
-        dram_bytes,
+        issue_util_pct: 100.0 * dev.issued as f64 / denom,
+        dram_bytes: dev.dram_bytes,
         dram_time_s: dram_time,
         region_cycles: region_cycles_max,
-        reg_bank_conflict_cycles: reg_conflicts,
-        smem_conflict_cycles,
-        yield_switch_cycles: yield_switches,
-        idle_breakdown: idle_attr,
-        profile,
-        counters,
+        reg_bank_conflict_cycles: dev.reg_conflicts,
+        smem_conflict_cycles: dev.smem_conflict_cycles,
+        yield_switch_cycles: dev.yield_switches,
+        idle_breakdown: dev.idle_attr,
+        profile: dev.profile,
+        counters: dev.counters,
     };
     Ok((timing, trace))
 }

@@ -25,22 +25,30 @@
 //!   is written, so a destination may alias any source.
 //! * **Predicates are lane masks.** `Warp::preds[p]` holds predicate `Pp` of
 //!   every lane as one bit; a guard is `ctx.mask & (p ^ neg)`.
-//! * **Memory is bounds-checked once per warp access, over active lanes
-//!   only.** A shared access compares every lane's address against the
-//!   shared-memory size in one lane-mask compare and keeps the active
-//!   lanes; a global access takes one arena window spanning the active
-//!   lanes ([`GlobalMemory::window_mut`]), and only when that fails searches
-//!   for the faulting lane. Either way the [`ExecError`] names the lowest
-//!   faulting active lane. An inactive lane's address is never checked, so
-//!   a guarded-off padding load with a wild address is legal. Each active
-//!   lane then moves one 4, 8 or 16 B chunk; stores go in lane order, so on
-//!   overlapping addresses the last lane wins. A faulting access changes no
-//!   register or memory.
+//! * **Memory is checked once per warp access, over active lanes only.**
+//!   An access of `w` bytes per lane must sit at a multiple of `w`, as on
+//!   the hardware, or it faults with `misaligned address` before any bounds
+//!   check. A shared access checks every lane in lane-mask compares; a
+//!   global access takes one window of the word arena spanning the active
+//!   lanes, and searches lane by lane only when that fails. Either way the
+//!   [`ExecError`] names the lowest faulting active lane. An inactive lane's
+//!   address is never checked, so a guarded-off padding load with a wild
+//!   address is legal. Each active lane then moves one 4, 8 or 16 B chunk;
+//!   stores go in lane order, so on overlapping addresses the last lane
+//!   wins. A faulting access changes no register or memory. Global words
+//!   move by relaxed atomics, so blocks on other host threads may share the
+//!   arena ([`crate::memory`]).
+//! * **Float results carry canonical NaNs**: `0x7fff_ffff` from FFMA, FADD
+//!   and FMUL, `0x7fff` per NaN half from HFMA2, HADD2 and HMUL2, as on
+//!   NVIDIA hardware. Rust leaves a computed NaN's bits unspecified, so
+//!   without the rule they would depend on how the simulator was compiled.
 
 use sass::isa::*;
 use sass::reg::{Pred, Reg};
 
-use crate::memory::{ConstBank, GlobalMemory};
+use std::sync::atomic::Ordering::Relaxed;
+
+use crate::memory::{ConstBank, GlobalMemory, MemError};
 
 /// Maximum lanes per warp.
 pub const WARP_SIZE: u32 = 32;
@@ -178,7 +186,8 @@ pub enum StepEvent {
 
 /// Execution environment for one block.
 pub struct ExecEnv<'a> {
-    pub global: &'a mut GlobalMemory,
+    /// The global arena, shared with every other block of the launch.
+    pub global: &'a GlobalMemory,
     pub smem: &'a mut [u8],
     pub cbank: &'a ConstBank,
     pub ctaid: [u32; 3],
@@ -295,6 +304,25 @@ fn blend(dst: &mut Row, v: &Row, mask: u32) {
     }
 }
 
+/// An f32 result's bits, with a NaN canonical as NVIDIA hardware returns
+/// it: `0x7fff_ffff`. Applied per lane inside the op, so it vectorizes with
+/// the arithmetic.
+#[inline(always)]
+fn canonical(v: f32) -> u32 {
+    if v.is_nan() {
+        0x7fff_ffff
+    } else {
+        v.to_bits()
+    }
+}
+
+/// A half2 result word with each NaN half canonical: `0x7fff`.
+#[inline(always)]
+fn canonical_half2(w: u32) -> u32 {
+    let half = |h: u32| if h & 0x7fff > 0x7c00 { 0x7fff } else { h };
+    half(w & 0xffff) | half(w >> 16) << 16
+}
+
 /// `f` over three source rows, lane by lane.
 #[inline(always)]
 fn zip3(a: &Row, b: &Row, c: &Row, f: impl Fn(u32, u32, u32) -> u32) -> Row {
@@ -357,10 +385,11 @@ fn push_active<T: Copy + Default>(out: &mut Vec<T>, row: &[T; 32], mask: u32) {
 /// `data` on, or `ST` from them. Every lane's address is resolved (an
 /// inactive lane's is never checked or touched) and the active lanes'
 /// addresses are appended to `trace`. Then one check covers the active
-/// lanes: a lane-mask compare against the shared-memory size, or one global
-/// arena window spanning them. A failed check names the lowest faulting
-/// active lane and moves nothing; otherwise each active lane moves its one
-/// chunk, stores in lane order.
+/// lanes: lane-mask compares against the width and the shared-memory size,
+/// or one global arena window spanning them. A failed check names the
+/// lowest faulting active lane, misalignment before bounds, and moves
+/// nothing; otherwise each active lane moves its one chunk, stores in lane
+/// order.
 #[allow(clippy::too_many_arguments)]
 fn access<const N: usize>(
     warp: &mut Warp,
@@ -376,7 +405,13 @@ fn access<const N: usize>(
     trace.width = width as u32;
     let base = warp.reg(addr.base);
     let mut offs = [0usize; 32];
-    let mem: &mut [u8] = match space {
+    let mut rows = [ZERO_ROW; N];
+    if store {
+        for (i, row) in rows.iter_mut().enumerate() {
+            *row = *warp.reg(data.offset(i as u8));
+        }
+    }
+    match space {
         MemSpace::Shared => {
             let mut a = ZERO_ROW;
             for lane in 0..32 {
@@ -385,23 +420,47 @@ fn access<const N: usize>(
             }
             push_active(&mut trace.shared_addrs, &a, mask);
             let size = env.smem.len();
-            // `a + width > size` per lane, as `a > size - width` in u32.
+            // A lane faults off its width's alignment or past the end:
+            // `a + width > size`, as `a > size - width` in u32.
             let fault = match size.checked_sub(width) {
                 Some(last) => {
                     let last = u32::try_from(last).unwrap_or(u32::MAX);
-                    lane_mask(|l| a[l] > last) & mask
+                    lane_mask(|l| !a[l].is_multiple_of(width as u32) || a[l] > last) & mask
                 }
                 None => mask,
             };
             if fault != 0 {
                 let lane = fault.trailing_zeros() as usize;
                 let what = if store { "store" } else { "load" };
-                return Err(format!(
-                    "lane {lane}: shared {what} at {:#x} past smem size {size:#x}",
-                    a[lane]
-                ));
+                return Err(if a[lane].is_multiple_of(width as u32) {
+                    format!(
+                        "lane {lane}: shared {what} at {:#x} past smem size {size:#x}",
+                        a[lane]
+                    )
+                } else {
+                    let e = MemError::Misaligned {
+                        addr: a[lane] as u64,
+                        len: width,
+                    };
+                    format!("lane {lane}: {e}")
+                });
             }
-            &mut *env.smem
+            let smem = &mut *env.smem;
+            if store {
+                for_lanes(mask, |lane| {
+                    let (words, _) = smem[offs[lane]..offs[lane] + width].as_chunks_mut::<4>();
+                    for i in 0..N {
+                        words[i] = rows[i][lane].to_le_bytes();
+                    }
+                });
+            } else {
+                for_lanes(mask, |lane| {
+                    let (words, _) = smem[offs[lane]..offs[lane] + width].as_chunks::<4>();
+                    for i in 0..N {
+                        rows[i][lane] = u32::from_le_bytes(words[i]);
+                    }
+                });
+            }
         }
         MemSpace::Global => {
             let high = warp.reg(addr.base.offset(1));
@@ -414,43 +473,41 @@ fn access<const N: usize>(
             if mask == 0 {
                 return Ok(());
             }
-            let (mut lo, mut hi) = (u64::MAX, 0);
-            for_lanes(mask, |l| (lo, hi) = (lo.min(a[l]), hi.max(a[l])));
-            match env.global.window_mut(lo, hi.saturating_add(width as u64)) {
-                Some(window) => {
-                    for lane in 0..32 {
-                        offs[lane] = a[lane].wrapping_sub(lo) as usize;
+            // The OR of the addresses has a low bit set iff some lane's has.
+            let (mut lo, mut hi, mut any) = (u64::MAX, 0, 0);
+            for_lanes(mask, |l| {
+                (lo, hi, any) = (lo.min(a[l]), hi.max(a[l]), any | a[l])
+            });
+            let window = any
+                .is_multiple_of(width as u64)
+                .then(|| env.global.window(lo, hi.saturating_add(width as u64)))
+                .flatten();
+            let Some(words) = window else {
+                let (lane, e) = (0..32)
+                    .filter(|&l| mask >> l & 1 != 0)
+                    .find_map(|l| Some((l, env.global.check(a[l], width).err()?)))
+                    .expect("an active lane faults");
+                return Err(format!("lane {lane}: {e}"));
+            };
+            for lane in 0..32 {
+                offs[lane] = (a[lane].wrapping_sub(lo) / 4) as usize;
+            }
+            if store {
+                for_lanes(mask, |lane| {
+                    for (i, word) in words[offs[lane]..offs[lane] + N].iter().enumerate() {
+                        word.store(rows[i][lane], Relaxed);
                     }
-                    window
-                }
-                None => {
-                    let (lane, e) = (0..32)
-                        .filter(|&l| mask >> l & 1 != 0)
-                        .find_map(|l| Some((l, env.global.read(a[l], width).err()?)))
-                        .expect("an active lane faults");
-                    return Err(format!("lane {lane}: {e}"));
-                }
+                });
+            } else {
+                for_lanes(mask, |lane| {
+                    for (i, word) in words[offs[lane]..offs[lane] + N].iter().enumerate() {
+                        rows[i][lane] = word.load(Relaxed);
+                    }
+                });
             }
         }
-    };
-    let mut rows = [ZERO_ROW; N];
-    if store {
-        for (i, row) in rows.iter_mut().enumerate() {
-            *row = *warp.reg(data.offset(i as u8));
-        }
-        for_lanes(mask, |lane| {
-            let (words, _) = mem[offs[lane]..offs[lane] + width].as_chunks_mut::<4>();
-            for i in 0..N {
-                words[i] = rows[i][lane].to_le_bytes();
-            }
-        });
-    } else {
-        for_lanes(mask, |lane| {
-            let (words, _) = mem[offs[lane]..offs[lane] + width].as_chunks::<4>();
-            for i in 0..N {
-                rows[i][lane] = u32::from_le_bytes(words[i]);
-            }
-        });
+    }
+    if !store {
         for (i, row) in rows.iter().enumerate() {
             warp.store(data.offset(i as u8), row, mask);
         }
@@ -587,16 +644,13 @@ pub fn step(
         } => {
             let (sa, sb) = (sign(neg_a, 1 << 31), sign(neg_b, 1 << 31));
             let rb = warp.src_b(b, cbank, &mut splat);
-            let out = zip2(warp.reg(a), rb, |a, b| (f(a ^ sa) + f(b ^ sb)).to_bits());
+            let out = zip2(warp.reg(a), rb, |a, b| canonical(f(a ^ sa) + f(b ^ sb)));
             Some((d, out))
         }
         Op::Fmul { d, a, b, neg_b } => {
             let sb = sign(neg_b, 1 << 31);
             let rb = warp.src_b(b, cbank, &mut splat);
-            Some((
-                d,
-                zip2(warp.reg(a), rb, |a, b| (f(a) * f(b ^ sb)).to_bits()),
-            ))
+            Some((d, zip2(warp.reg(a), rb, |a, b| canonical(f(a) * f(b ^ sb)))))
         }
         Op::Hfma2 { d, a, b, c } => {
             // Paired fp16 FMA: compute in f32, round each half to f16
@@ -604,7 +658,7 @@ pub fn step(
             let rb = warp.src_b(b, cbank, &mut splat);
             let out = zip3(warp.reg(a), rb, warp.reg(c), |a, b, c| {
                 let ((a0, a1), (b0, b1), (c0, c1)) = (half2(a), half2(b), half2(c));
-                pack2(a0.mul_add(b0, c0), a1.mul_add(b1, c1))
+                canonical_half2(pack2(a0.mul_add(b0, c0), a1.mul_add(b1, c1)))
             });
             Some((d, out))
         }
@@ -619,7 +673,7 @@ pub fn step(
             let rb = warp.src_b(b, cbank, &mut splat);
             let out = zip2(warp.reg(a), rb, |a, b| {
                 let ((a0, a1), (b0, b1)) = (half2(a ^ sa), half2(b ^ sb));
-                pack2(a0 + b0, a1 + b1)
+                canonical_half2(pack2(a0 + b0, a1 + b1))
             });
             Some((d, out))
         }
@@ -627,7 +681,7 @@ pub fn step(
             let rb = warp.src_b(b, cbank, &mut splat);
             let out = zip2(warp.reg(a), rb, |a, b| {
                 let ((a0, a1), (b0, b1)) = (half2(a), half2(b));
-                pack2(a0 * b0, a1 * b1)
+                canonical_half2(pack2(a0 * b0, a1 * b1))
             });
             Some((d, out))
         }
@@ -808,17 +862,19 @@ pub fn step(
 }
 
 /// 32-lane FFMA row kernel: `ra * (±rb) + (±rc)` per lane, fused
-/// rounding. On x86-64 with FMA support this compiles with the FMA target
-/// feature enabled, so `mul_add` inlines to `vfmadd` instead of calling
-/// libm's `fmaf` per lane; both are IEEE correctly-rounded, so the result
-/// bits are identical on every path.
+/// rounding, canonical NaNs. On x86-64 with FMA support this compiles with
+/// the FMA target feature enabled, so `mul_add` inlines to `vfmadd` instead
+/// of calling libm's `fmaf` per lane; both are IEEE correctly-rounded and
+/// NaNs are canonical, so the result bits are identical on every path.
+/// This runtime dispatch is one of the crate's two `unsafe` sites.
 #[inline]
+#[allow(unsafe_code)]
 fn ffma_rows(ra: &Row, rb: &Row, rc: &Row, neg_b: bool, neg_c: bool) -> Row {
     #[inline(always)]
     fn rows(ra: &Row, rb: &Row, rc: &Row, neg_b: bool, neg_c: bool) -> Row {
         let (sb, sc) = (sign(neg_b, 1 << 31), sign(neg_c, 1 << 31));
         zip3(ra, rb, rc, |a, b, c| {
-            f(a).mul_add(f(b ^ sb), f(c ^ sc)).to_bits()
+            canonical(f(a).mul_add(f(b ^ sb), f(c ^ sc)))
         })
     }
     #[cfg(target_arch = "x86_64")]
@@ -886,7 +942,7 @@ mod tests {
     use sass::reg::{Pred, Reg, RZ};
 
     fn env_fixture<'a>(
-        global: &'a mut GlobalMemory,
+        global: &'a GlobalMemory,
         smem: &'a mut [u8],
         cbank: &'a ConstBank,
     ) -> ExecEnv<'a> {
@@ -916,7 +972,7 @@ mod tests {
         let mut warp = Warp::new(64, 0, 32);
         setup(&mut warp, &mut global);
         let mut env = ExecEnv {
-            global: &mut global,
+            global: &global,
             smem: &mut smem,
             cbank: &cbank,
             ctaid: [3, 2, 1],
@@ -957,6 +1013,41 @@ mod tests {
         assert_eq!(f32::from_bits(w.regs[4][0]), 22.0);
         assert_eq!(f32::from_bits(w.regs[5][7]), 12.0);
         assert_eq!(f32::from_bits(w.regs[6][31]), -22.0);
+    }
+
+    /// FADD of +inf and -inf, and FFMA on a NaN operand with a payload,
+    /// return the one canonical f32 NaN; HADD2 with one NaN half returns
+    /// `0x7fff` in that half and the sum in the other.
+    #[test]
+    fn float_ops_return_canonical_nans() {
+        let (w, _) = run_insts(
+            vec![
+                Instruction::new(mov(Reg(1), f32::INFINITY)),
+                Instruction::new(mov(Reg(2), 0xff80_0000u32)), // -inf
+                Instruction::new(mov(Reg(3), 0x7fc0_0001u32)), // NaN, payload 1
+                Instruction::new(mov(Reg(4), 2.0f32)),
+                Instruction::new(fadd(Reg(5), Reg(1), Reg(2))),
+                Instruction::new(ffma(Reg(6), Reg(4), Reg(3), Reg(4))),
+                Instruction::new(ffma(Reg(7), Reg(3), Reg(4), Reg(4))),
+                // Low half: 1.0 + 2.0; high half: -NaN (payload) + 1.0.
+                Instruction::new(mov(Reg(8), 0xfe01_3c00u32)),
+                Instruction::new(mov(Reg(9), 0x3c00_4000u32)),
+                Instruction::new(Op::Hadd2 {
+                    d: Reg(10),
+                    a: Reg(8),
+                    neg_a: false,
+                    b: SrcB::Reg(Reg(9)),
+                    neg_b: false,
+                }),
+            ],
+            |_, _| {},
+        );
+        for lane in [0, 17, 31] {
+            assert_eq!(w.regs[5][lane], 0x7fff_ffff, "FADD +inf + -inf");
+            assert_eq!(w.regs[6][lane], 0x7fff_ffff, "FFMA, NaN b");
+            assert_eq!(w.regs[7][lane], 0x7fff_ffff, "FFMA, NaN a");
+            assert_eq!(w.regs[10][lane], 0x7fff_4200, "HADD2, NaN high half");
+        }
     }
 
     #[test]
@@ -1125,7 +1216,7 @@ mod tests {
 
     #[test]
     fn global_memory_round_trip_and_predication() {
-        let (w, g) = run_insts(
+        let (w, mut g) = run_insts(
             vec![
                 // R2:R3 = base pointer from params? use direct setup value.
                 Instruction::new(s2r(Reg(1), SpecialReg::LaneId)),
@@ -1238,11 +1329,11 @@ mod tests {
             Instruction::new(ldg(MemWidth::B32, Reg(4), Reg(2), 0)),
             Instruction::new(Op::Exit),
         ];
-        let mut global = GlobalMemory::new(1024);
+        let global = GlobalMemory::new(1024);
         let mut smem = vec![0u8; 0];
         let cbank = ConstBank::new([32, 1, 1], [1, 1, 1], &[]);
         let mut warp = Warp::new(16, 0, 32);
-        let mut env = env_fixture(&mut global, &mut smem, &cbank);
+        let mut env = env_fixture(&global, &mut smem, &cbank);
         let mut trace = MemTrace::default();
         let mut res = Ok(StepEvent::Executed);
         for _ in 0..4 {
@@ -1260,7 +1351,7 @@ mod tests {
 
     #[test]
     fn partial_warp_masks_inactive_lanes() {
-        let mut global = GlobalMemory::new(1024);
+        let global = GlobalMemory::new(1024);
         let mut smem = vec![0u8; 256];
         let cbank = ConstBank::new([8, 1, 1], [1, 1, 1], &[]);
         // Block of 8 threads: only lanes 0-7 active.
@@ -1269,7 +1360,7 @@ mod tests {
             Instruction::new(mov(Reg(1), 5u32)),
             Instruction::new(Op::Exit),
         ];
-        let mut env = env_fixture(&mut global, &mut smem, &cbank);
+        let mut env = env_fixture(&global, &mut smem, &cbank);
         let mut trace = MemTrace::default();
         loop {
             if step(&mut warp, &insts, &mut env, 0, &mut trace).unwrap() == StepEvent::Exited {

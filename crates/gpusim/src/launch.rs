@@ -1,13 +1,16 @@
 //! Functional grid launch: run every thread block of a kernel to completion.
 //!
 //! Blocks are independent (CUDA semantics); within a block, warps are
-//! co-scheduled cooperatively and `BAR.SYNC` is honoured. The parallel
-//! launcher distributes blocks across host threads with `std::thread::scope`.
+//! co-scheduled cooperatively and `BAR.SYNC` is honoured. The three
+//! [`Gpu`] launchers are one walk (`claim_walk`): workers claim block
+//! indices from one atomic counter and run each block against the shared
+//! word arena ([`crate::memory`]), so blocks on different host threads share
+//! global memory without `unsafe`. The device model's SM workers
+//! ([`crate::device_sim`]) run on the same walk.
 
 use sass::Module;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::device::DeviceSpec;
 use crate::exec::{step, ExecEnv, ExecError, MemTrace, StepEvent, Warp, WARP_SIZE};
@@ -87,7 +90,8 @@ impl std::error::Error for LaunchError {}
 /// the timing model never sees the addresses (e.g. the transform kernels the
 /// harness executes only functionally). Counts cover the *whole grid*, one
 /// entry per executed memory instruction with at least one active lane
-/// (fully predicated-off accesses leave no trace on this path).
+/// (fully predicated-off accesses leave no trace on this path). Every field
+/// is a sum, so the per-worker counts of a parallel walk merge exactly.
 ///
 /// Exactness invariants: `smem_phases == smem_ideal_phases +
 /// smem_extra_phases`, `global_sectors == global_load_sectors +
@@ -142,6 +146,19 @@ impl ExecCounters {
                 self.global_load_sectors += sectors;
             }
         }
+    }
+
+    /// Add another worker's counts.
+    fn merge(&mut self, o: &ExecCounters) {
+        self.blocks += o.blocks;
+        self.smem_accesses += o.smem_accesses;
+        self.smem_phases += o.smem_phases;
+        self.smem_ideal_phases += o.smem_ideal_phases;
+        self.smem_extra_phases += o.smem_extra_phases;
+        self.global_accesses += o.global_accesses;
+        self.global_sectors += o.global_sectors;
+        self.global_load_sectors += o.global_load_sectors;
+        self.global_store_sectors += o.global_store_sectors;
     }
 
     /// Check the documented internal identities.
@@ -222,138 +239,138 @@ impl Gpu {
         dims: LaunchDims,
         params: &[u8],
     ) -> Result<(), LaunchError> {
-        self.walk(module, dims, params, 1, None)
+        self.walk(module, dims, params, 1, false).map(drop)
     }
 
-    /// Run the kernel functionally like [`Gpu::launch`], collecting
-    /// [`ExecCounters`] from every block's memory traces. Sequential over
-    /// blocks (the counters are a whole-grid aggregate; determinism matters
-    /// more than wall-clock on this opt-in path).
+    /// Run the kernel functionally like [`Gpu::launch_parallel`], collecting
+    /// [`ExecCounters`] from every block's memory traces. Each worker counts
+    /// its own blocks and the sums merge, so the counts equal a sequential
+    /// walk's.
     pub fn launch_counted(
         &mut self,
         module: &Module,
         dims: LaunchDims,
         params: &[u8],
     ) -> Result<ExecCounters, LaunchError> {
-        let mut counters = ExecCounters::default();
-        self.walk(module, dims, params, 1, Some(&mut counters))?;
-        Ok(counters)
+        self.walk(module, dims, params, 0, true)
     }
 
     /// Run the kernel functionally, blocks distributed over host threads.
-    /// A fault reports the same block as [`Gpu::launch`].
-    ///
-    /// # Safety contract (checked only by convention)
-    ///
-    /// Like on a real GPU, concurrent blocks share global memory without
-    /// synchronization. This launcher requires the kernel's blocks to write
-    /// disjoint memory (true of every kernel in this workspace); racy kernels
-    /// get arbitrary-interleaving results, matching GPU semantics, though the
-    /// host data race is technically UB. Use [`Gpu::launch`] when in doubt.
+    /// A fault reports the same block as [`Gpu::launch`]. Blocks share
+    /// global memory without synchronization, as on a GPU: a kernel whose
+    /// blocks write disjoint words (every kernel in this workspace) computes
+    /// what [`Gpu::launch`] computes, and a racy one leaves one of the racing
+    /// values in each word.
     pub fn launch_parallel(
         &mut self,
         module: &Module,
         dims: LaunchDims,
         params: &[u8],
     ) -> Result<(), LaunchError> {
-        let threads = if dims.num_blocks() < 4 {
-            1
-        } else {
-            host_threads()
-        };
-        self.walk(module, dims, params, threads, None)
+        self.walk(module, dims, params, 0, false).map(drop)
     }
 
-    /// The grid walk under every `launch*` method. Workers claim blocks in
-    /// linear-index order ([`grid_coord`]) and run each to completion with
-    /// [`run_block`]; with `threads < 2` the caller's thread is the only
-    /// worker, and `counters` (which sees every block) needs exactly that.
-    /// A fault reports the lowest-indexed failing block: every lower block
-    /// was claimed earlier and runs to completion, so that is the block a
-    /// sequential walk stops at.
+    /// The grid walk under every `launch*` method: [`claim_walk`] over the
+    /// blocks in linear-index order ([`grid_coord`]), each run to
+    /// completion with [`run_block`], and the workers' counters merged
+    /// (the memory traces feed them only when `count` is set). A fault
+    /// reports the lowest-indexed failing block, the one a sequential walk
+    /// stops at.
     fn walk(
         &mut self,
         module: &Module,
         dims: LaunchDims,
         params: &[u8],
-        threads: usize,
-        counters: Option<&mut ExecCounters>,
-    ) -> Result<(), LaunchError> {
+        workers: usize,
+        count: bool,
+    ) -> Result<ExecCounters, LaunchError> {
         self.validate(module, &dims)?;
         let cbank = ConstBank::new(dims.block, dims.grid, params);
-        let total = dims.num_blocks();
-        let next = AtomicU64::new(0);
-        let fault: Mutex<Option<(u64, ExecError)>> = Mutex::new(None);
-        let worker = |mem: &mut GlobalMemory, mut counters: Option<&mut ExecCounters>| {
-            let counting = counters.is_some();
-            let mut sectors = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total || fault.lock().unwrap().is_some() {
-                    return;
-                }
-                let mut count = |t: &MemTrace| {
-                    if let Some(c) = counters.as_deref_mut() {
-                        c.record(t, &mut sectors);
-                    }
-                };
-                let on_trace = counting.then_some(&mut count as &mut dyn FnMut(&MemTrace));
-                let ctaid = grid_coord(dims, i);
-                if let Err(e) = run_block(module, mem, &cbank, ctaid, dims.block, on_trace) {
-                    let mut fault = fault.lock().unwrap();
-                    if fault.as_ref().is_none_or(|(first, _)| i < *first) {
-                        *fault = Some((i, e));
-                    }
-                    return;
-                }
-                if let Some(c) = counters.as_deref_mut() {
-                    c.blocks += 1;
-                }
-            }
-        };
-        if threads < 2 {
-            worker(&mut self.mem, counters);
-        } else {
-            assert!(counters.is_none(), "counters need a sequential walk");
-            let mem = &SharedMem(&mut self.mem as *mut GlobalMemory);
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    // SAFETY: see the contract on `launch_parallel` — blocks
-                    // write disjoint regions, matching device semantics.
-                    s.spawn(|| worker(unsafe { mem.get() }, None));
-                }
-            });
+        let mem = &self.mem;
+        let states = claim_walk(
+            dims.num_blocks(),
+            workers,
+            || (ExecCounters::default(), Vec::new()),
+            |(counters, sectors), i| {
+                let mut record = |t: &MemTrace| counters.record(t, sectors);
+                let on_trace = count.then_some(&mut record as &mut dyn FnMut(&MemTrace));
+                run_block(
+                    module,
+                    mem,
+                    &cbank,
+                    grid_coord(dims, i),
+                    dims.block,
+                    on_trace,
+                )?;
+                counters.blocks += 1;
+                Ok(())
+            },
+        )
+        .map_err(LaunchError::Exec)?;
+        let mut total = ExecCounters::default();
+        for (counters, _) in &states {
+            total.merge(counters);
         }
-        match fault.into_inner().unwrap() {
-            Some((_, e)) => Err(LaunchError::Exec(e)),
-            None => Ok(()),
-        }
+        Ok(total)
     }
 }
 
-/// Worker threads for the parallel launcher and the device simulator when
-/// the caller leaves the count to the host: its available parallelism, or
-/// one thread on a host that cannot report it.
-pub(crate) fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// A `Send + Sync` raw handle to [`GlobalMemory`], shared by the parallel
-/// grid walk above and the sharded-SM device simulator
-/// ([`crate::device_sim`]). Both run thread blocks concurrently against one
-/// global memory under the disjoint-writes contract documented on
-/// [`Gpu::launch_parallel`].
-pub(crate) struct SharedMem(pub(crate) *mut GlobalMemory);
-unsafe impl Sync for SharedMem {}
-unsafe impl Send for SharedMem {}
-
-impl SharedMem {
-    /// # Safety
-    /// Callers must uphold the disjoint-block-writes contract: concurrent
-    /// users may not write overlapping regions or read another's writes.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get(&self) -> &mut GlobalMemory {
-        unsafe { &mut *self.0 }
+/// The one parallel walk, under the functional launchers and the device
+/// model's SM shards: `workers` threads (`0` leaves the count to the host's
+/// available parallelism; never more than `n`, and the caller's thread
+/// alone when that comes to fewer than two) each claim the next index below
+/// `n` from one atomic counter and run `work(&mut state, i)` on it, with a
+/// `state` of their own from `init`. Every worker's state comes back, in no
+/// particular order.
+///
+/// An error ends the walk above its index: an index is skipped only once a
+/// lower one has failed. Indices are claimed in ascending order, so every
+/// index below the lowest failing one runs (and succeeds), the lowest
+/// failing one runs too, and its error is the one returned: the index a
+/// sequential walk stops at. The counters publish no data (results come
+/// back through `join`), so `Relaxed` suffices; a stale read of the failed
+/// bound only runs an index that is then discarded.
+pub(crate) fn claim_walk<S: Send, E: Send>(
+    n: u64,
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, u64) -> Result<(), E> + Sync,
+) -> Result<Vec<S>, E> {
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(1, |w| w.get()),
+        w => w,
+    };
+    let workers = (workers as u64).min(n);
+    let next = AtomicU64::new(0);
+    let failed = AtomicU64::new(u64::MAX);
+    let worker = || {
+        let mut state = init();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n || i > failed.load(Ordering::Relaxed) {
+                return (state, None);
+            }
+            if let Err(e) = work(&mut state, i) {
+                failed.fetch_min(i, Ordering::Relaxed);
+                return (state, Some((i, e)));
+            }
+        }
+    };
+    let outcomes: Vec<_> = if workers < 2 {
+        vec![worker()]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("walk worker panicked"))
+                .collect()
+        })
+    };
+    let (states, errors): (Vec<S>, Vec<_>) = outcomes.into_iter().unzip();
+    match errors.into_iter().flatten().min_by_key(|&(i, _)| i) {
+        Some((_, e)) => Err(e),
+        None => Ok(states),
     }
 }
 
@@ -363,7 +380,7 @@ impl SharedMem {
 /// model's L2 warm-up).
 pub(crate) fn run_block(
     module: &Module,
-    global: &mut GlobalMemory,
+    global: &GlobalMemory,
     cbank: &ConstBank,
     ctaid: [u32; 3],
     block_dim: [u32; 3],
@@ -592,6 +609,61 @@ DONE:
             )
             .unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Every block stores its `ctaid.x` to one word: a racy kernel. The
+    /// parallel walk runs it without error and leaves one stored value.
+    #[test]
+    fn racy_blocks_leave_one_stored_value() {
+        let m = assemble(
+            r#"
+.kernel racy
+.params 8
+    --:-:-:Y:1  S2R R0, SR_CTAID.X;
+    --:-:-:Y:6  MOV R2, c[0x0][0x160];
+    --:-:-:Y:6  MOV R3, c[0x0][0x164];
+    --:-:-:Y:2  STG.E [R2], R0;
+    --:-:-:Y:5  EXIT;
+"#,
+        )
+        .unwrap();
+        let blocks = 256;
+        let mut gpu = Gpu::new(DeviceSpec::v100(), 1 << 16);
+        let out = gpu.alloc(4);
+        let params = ParamBuilder::new().push_ptr(out).build();
+        let dims = LaunchDims::linear(blocks, 64);
+        for workers in [0, 2, 4] {
+            gpu.mem.write_u32(out, u32::MAX).unwrap();
+            match workers {
+                0 => gpu.launch_parallel(&m, dims, &params).map(drop),
+                n => gpu.walk(&m, dims, &params, n, false).map(drop),
+            }
+            .unwrap();
+            let v = gpu.mem.read_u32(out).unwrap();
+            assert!(v < blocks, "{workers} workers left {v:#x}");
+        }
+    }
+
+    /// Per-worker counters merge into exactly the one-worker count, however
+    /// many workers split the grid.
+    #[test]
+    fn counted_walk_merges_workers_exactly() {
+        let blocks = 64u32;
+        let mut gpu = Gpu::new(DeviceSpec::v100(), 1 << 20);
+        let x: Vec<f32> = (0..blocks * 64).map(|i| (i % 5) as f32).collect();
+        let xp = gpu.alloc_upload_f32(&x);
+        let op = gpu.alloc(blocks as u64 * 4);
+        let params = ParamBuilder::new().push_ptr(xp).push_ptr(op).build();
+        let (m, dims) = (reduce_module(), LaunchDims::linear(blocks, 64));
+        let one = gpu.walk(&m, dims, &params, 1, true).unwrap();
+        assert_eq!(one.blocks, blocks as u64);
+        assert!(one.smem_accesses > 0 && one.global_accesses > 0, "{one:?}");
+        one.validate().unwrap();
+        for workers in [2, 3, 8] {
+            let got = gpu.walk(&m, dims, &params, workers, true).unwrap();
+            assert_eq!(got, one, "{workers} workers");
+        }
+        assert_eq!(gpu.launch_counted(&m, dims, &params).unwrap(), one);
     }
 
     #[test]

@@ -21,17 +21,19 @@
 //!   that reproduce the V100-vs-RTX2070 difference of §7.1.
 //!
 //! Functional execution ([`exec`], [`launch`]) is exact: the three
-//! [`Gpu`] launchers share one grid walk. Timing has one entry point,
-//! [`simulate`], and one content address, [`key`], over a [`Model`] and
-//! [`TimingOptions`]; [`BatchTimer`] runs the same body for schedule-tuner
-//! candidates. The models share one cycle-level wave loop:
+//! [`Gpu`] launchers share one grid walk, whose worker threads share the
+//! global-memory arena of atomic words ([`memory`]). Timing has one entry
+//! point, [`simulate`], and one content address, [`key`], over a [`Model`]
+//! and [`TimingOptions`]; [`BatchTimer`] runs the same body for
+//! schedule-tuner candidates. The models share one cycle-level wave loop:
 //! [`Model::OneWave`] ([`timing`]) times a single wave of resident blocks
 //! on one SM and extrapolates analytically across waves (the cheap
 //! inner-loop model, exact on grids that are a whole multiple of full
 //! waves), while [`Model::Device`] ([`device_sim`]) dispatches every block
 //! of the launch to its SM and simulates all SMs — sharded across worker
-//! threads that each claim whole SMs, with a deterministic merge — so
-//! partial last waves and tail imbalance are timed instead of rounded up.
+//! threads that each claim whole SMs on the same walk, with a
+//! deterministic merge — so partial last waves and tail imbalance are
+//! timed instead of rounded up.
 //!
 //! Two leaf modules serve persistence for the whole workspace: [`digest`]
 //! content-addresses simulation inputs, and [`json`] is the one JSON codec

@@ -1,16 +1,29 @@
 //! Global-memory arena, constant bank and kernel-parameter layout.
+//!
+//! The arena is one array of `AtomicU32` words. Kernels share it as a
+//! `&GlobalMemory` and move words with relaxed atomic loads and stores
+//! (plain moves on x86-64), so blocks on different host threads share it
+//! soundly: disjoint writes see what a sequential walk sees, and a racy
+//! kernel leaves one of the racing values, never a data race. `Relaxed`
+//! suffices because the host reads results only after the walk joins its
+//! threads, which orders every store before the read. The host's uploads
+//! and downloads take `&mut self` and copy plain words. An access of `w`
+//! bytes must sit at a multiple of `w`, as on the hardware, or it faults
+//! with [`MemError::Misaligned`] before any bounds check.
+
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A device pointer: a byte address into the global-memory arena.
 pub type DevPtr = u64;
 
-/// Flat global-memory arena with a bump allocator.
+/// Flat global-memory arena of 32-bit words with a bump allocator.
 ///
 /// Addresses start at a nonzero base so that a null pointer dereference in a
 /// kernel faults instead of silently reading buffer 0.
 #[derive(Debug)]
 pub struct GlobalMemory {
     base: u64,
-    data: Vec<u8>,
+    words: Box<[AtomicU32]>,
     next: u64,
 }
 
@@ -19,13 +32,25 @@ const ALLOC_ALIGN: u64 = 256;
 const BASE_ADDR: u64 = 0x1000_0000;
 
 impl GlobalMemory {
-    /// Arena with the given capacity in bytes.
+    /// Arena with the given capacity in bytes, rounded up to whole words.
+    /// The words come zeroed from the allocator, so capacity that no kernel
+    /// or upload touches never becomes resident memory.
     pub fn new(capacity: usize) -> Self {
+        let words = Box::<[AtomicU32]>::new_zeroed_slice(capacity.div_ceil(4));
+        // SAFETY: `AtomicU32` has the in-memory representation of `u32`,
+        // and all-zero bytes are a valid `u32`.
+        #[allow(unsafe_code)]
+        let words = unsafe { words.assume_init() };
         GlobalMemory {
             base: BASE_ADDR,
-            data: vec![0u8; capacity],
+            words,
             next: BASE_ADDR,
         }
+    }
+
+    /// Capacity in bytes.
+    fn capacity(&self) -> u64 {
+        self.words.len() as u64 * 4
     }
 
     /// Allocate `bytes`, zero-initialized, 256-byte aligned.
@@ -33,9 +58,9 @@ impl GlobalMemory {
         let ptr = self.next;
         let end = ptr + bytes;
         assert!(
-            (end - self.base) as usize <= self.data.len(),
+            end - self.base <= self.capacity(),
             "device OOM: arena {} bytes, requested up to {}",
-            self.data.len(),
+            self.capacity(),
             end - self.base,
         );
         self.next = end.div_ceil(ALLOC_ALIGN) * ALLOC_ALIGN;
@@ -62,80 +87,70 @@ impl GlobalMemory {
         self.next - self.base
     }
 
-    fn index(&self, addr: u64, len: usize) -> Result<usize, MemError> {
-        if addr < self.base {
-            return Err(MemError::OutOfBounds { addr, len });
+    /// The word index of `len` bytes at `addr`, an address that must be a
+    /// multiple of `align` (a power of two, at least 4): the alignment
+    /// fault comes first, then the bounds check.
+    fn index(&self, addr: u64, len: usize, align: u64) -> Result<usize, MemError> {
+        if !addr.is_multiple_of(align) {
+            return Err(MemError::Misaligned { addr, len });
         }
-        let off = (addr - self.base) as usize;
-        if off + len > self.data.len() {
-            return Err(MemError::OutOfBounds { addr, len });
+        match addr.checked_sub(self.base) {
+            Some(off) if off.saturating_add(len as u64) <= self.capacity() => Ok(off as usize / 4),
+            _ => Err(MemError::OutOfBounds { addr, len }),
         }
-        Ok(off)
     }
 
-    /// Read `len` bytes at `addr`.
-    pub fn read(&self, addr: u64, len: usize) -> Result<&[u8], MemError> {
-        let off = self.index(addr, len)?;
-        Ok(&self.data[off..off + len])
+    /// The fault, if any, of one lane's `width`-byte access at `addr`.
+    pub(crate) fn check(&self, addr: u64, width: usize) -> Result<(), MemError> {
+        self.index(addr, width, width as u64).map(drop)
     }
 
-    /// Write bytes at `addr`.
-    pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
-        let off = self.index(addr, bytes.len())?;
-        self.data[off..off + bytes.len()].copy_from_slice(bytes);
-        Ok(())
-    }
-
-    /// The bytes `[lo, end)` as one mutable window, if the arena holds
-    /// them all: a warp access checks its span once, then moves each lane's
-    /// chunk within the window.
-    pub fn window_mut(&mut self, lo: u64, end: u64) -> Option<&mut [u8]> {
-        let start = lo.checked_sub(self.base)? as usize;
-        let end = end.checked_sub(self.base)? as usize;
-        self.data.get_mut(start..end)
+    /// The words of `[lo, end)` as one window, if the arena holds them all
+    /// (`lo` and `end` multiples of 4): a warp access checks its span once,
+    /// then moves each lane's words within the window.
+    pub(crate) fn window(&self, lo: u64, end: u64) -> Option<&[AtomicU32]> {
+        let start = lo.checked_sub(self.base)? / 4;
+        let end = end.checked_sub(self.base)? / 4;
+        self.words.get(start as usize..end as usize)
     }
 
     /// Read one 32-bit word.
     pub fn read_u32(&self, addr: u64) -> Result<u32, MemError> {
-        Ok(u32::from_le_bytes(self.read(addr, 4)?.try_into().unwrap()))
+        Ok(self.words[self.index(addr, 4, 4)?].load(Ordering::Relaxed))
     }
 
     /// Write one 32-bit word.
     pub fn write_u32(&mut self, addr: u64, v: u32) -> Result<(), MemError> {
-        self.write(addr, &v.to_le_bytes())
+        let i = self.index(addr, 4, 4)?;
+        *self.words[i].get_mut() = v;
+        Ok(())
     }
 
     /// Upload an `f32` slice to `addr`.
     pub fn upload_f32(&mut self, addr: u64, data: &[f32]) -> Result<(), MemError> {
-        let off = self.index(addr, data.len() * 4)?;
-        for (i, &v) in data.iter().enumerate() {
-            self.data[off + i * 4..off + i * 4 + 4].copy_from_slice(&v.to_le_bytes());
+        let i = self.index(addr, data.len() * 4, 4)?;
+        for (word, v) in self.words[i..i + data.len()].iter_mut().zip(data) {
+            *word.get_mut() = v.to_bits();
         }
         Ok(())
     }
 
     /// Download `len` `f32`s from `addr`.
-    pub fn download_f32(&self, addr: u64, len: usize) -> Result<Vec<f32>, MemError> {
-        let off = self.index(addr, len * 4)?;
-        Ok((0..len)
-            .map(|i| {
-                f32::from_le_bytes(self.data[off + i * 4..off + i * 4 + 4].try_into().unwrap())
-            })
+    pub fn download_f32(&mut self, addr: u64, len: usize) -> Result<Vec<f32>, MemError> {
+        let i = self.index(addr, len * 4, 4)?;
+        Ok(self.words[i..i + len]
+            .iter_mut()
+            .map(|word| f32::from_bits(*word.get_mut()))
             .collect())
-    }
-
-    /// Zero a byte range.
-    pub fn memset_zero(&mut self, addr: u64, len: usize) -> Result<(), MemError> {
-        let off = self.index(addr, len)?;
-        self.data[off..off + len].fill(0);
-        Ok(())
     }
 }
 
-/// Memory access errors, reported with the faulting address.
+/// Memory access errors, reported with the faulting address: bytes outside
+/// the arena, or an address that is not a multiple of the access width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MemError {
     OutOfBounds { addr: u64, len: usize },
+    Misaligned { addr: u64, len: usize },
 }
 
 impl std::fmt::Display for MemError {
@@ -143,6 +158,9 @@ impl std::fmt::Display for MemError {
         match self {
             MemError::OutOfBounds { addr, len } => {
                 write!(f, "out-of-bounds access: {len} bytes at {addr:#x}")
+            }
+            MemError::Misaligned { addr, len } => {
+                write!(f, "misaligned address: {len} bytes at {addr:#x}")
             }
         }
     }
@@ -287,11 +305,30 @@ mod tests {
     }
 
     #[test]
-    fn memset_zero_works() {
+    fn misaligned_access_faults_before_bounds() {
         let mut m = GlobalMemory::new(4096);
         let p = m.alloc(16);
-        m.upload_f32(p, &[1.0; 4]).unwrap();
-        m.memset_zero(p, 16).unwrap();
-        assert_eq!(m.download_f32(p, 4).unwrap(), vec![0.0; 4]);
+        let err = m.read_u32(p + 2).unwrap_err();
+        assert_eq!(
+            err,
+            MemError::Misaligned {
+                addr: p + 2,
+                len: 4
+            }
+        );
+        assert!(err.to_string().starts_with("misaligned address"), "{err}");
+        assert!(matches!(
+            m.write_u32(1, 0),
+            Err(MemError::Misaligned { .. })
+        ));
+        assert!(m.check(p + 8, 8).is_ok());
+        assert!(
+            m.check(p + 8, 16).is_err(),
+            "16 B accesses need 16 B alignment"
+        );
+        assert!(matches!(
+            m.check(BASE_ADDR + 4096, 16),
+            Err(MemError::OutOfBounds { .. })
+        ));
     }
 }

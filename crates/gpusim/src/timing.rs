@@ -100,8 +100,10 @@ pub enum Model {
     OneWave,
 }
 
-/// Result of timing one kernel.
-#[derive(Clone, Debug)]
+/// Result of timing one kernel. The default is an empty grid's: no blocks,
+/// no cycles, no time, and no collectors (there is no wave to attribute
+/// slots to).
+#[derive(Clone, Debug, Default)]
 pub struct KernelTiming {
     /// Cycles for one wave of resident blocks on one SM.
     pub wave_cycles: u64,
@@ -505,32 +507,68 @@ pub(crate) struct WaveParams<'a> {
     pub(crate) share_sms: f64,
 }
 
-/// Raw per-wave tallies. `cycles` is the loop's final cycle count without
-/// the `max(1)` clamp so callers can sum or compare waves exactly; the
-/// profile/counter collectors come back unfinished for the same reason.
-pub(crate) struct WaveOutput {
+/// The summable tallies of simulated waves: one wave's, one SM's or the
+/// device's. One scaled add folds a wave into its SM (`k` counts the
+/// fast-forwarded repeats it stands for) and an SM into the device (`k`
+/// counts the SMs of its class).
+///
+/// A wave's `cycles` is the loop's final cycle count (at least 1: every
+/// wave issues), and its collectors are finished at it, so waves sum and
+/// compare exactly.
+#[derive(Default)]
+pub(crate) struct Tally {
+    /// Busy cycles (the sum of wave cycles).
     pub(crate) cycles: u64,
-    pub(crate) fp_active: u64,
+    pub(crate) waves: u64,
     pub(crate) issued: u64,
+    pub(crate) fp_active: u64,
     pub(crate) flops: u64,
     pub(crate) dram_bytes: u64,
     pub(crate) reg_conflicts: u64,
     pub(crate) smem_conflict_cycles: u64,
     pub(crate) yield_switches: u64,
     pub(crate) idle_attr: [u64; 5],
-    pub(crate) region_first: Option<u64>,
-    pub(crate) region_last: u64,
+    /// Cycles spanned by the accounting region (0 if none).
+    pub(crate) region_cycles: u64,
     pub(crate) region_fp_active: u64,
-    pub(crate) prof: Option<Collector>,
-    pub(crate) ctr: Option<CounterCollector>,
+    pub(crate) profile: Option<KernelProfile>,
+    pub(crate) counters: Option<HwCounters>,
 }
 
-impl WaveOutput {
-    /// Cycles spanned by the accounting region in this wave (0 if none).
-    pub(crate) fn region_cycles(&self) -> u64 {
-        match self.region_first {
-            Some(f) => self.region_last.saturating_sub(f).max(1),
-            None => 0,
+impl Tally {
+    /// Fold `k` copies of `t` in.
+    pub(crate) fn add_scaled(&mut self, t: Tally, k: u64) {
+        self.cycles += k * t.cycles;
+        self.waves += k * t.waves;
+        self.issued += k * t.issued;
+        self.fp_active += k * t.fp_active;
+        self.flops += k * t.flops;
+        self.dram_bytes += k * t.dram_bytes;
+        self.reg_conflicts += k * t.reg_conflicts;
+        self.smem_conflict_cycles += k * t.smem_conflict_cycles;
+        self.yield_switches += k * t.yield_switches;
+        for (sum, d) in self.idle_attr.iter_mut().zip(t.idle_attr) {
+            *sum += k * d;
+        }
+        self.region_cycles += k * t.region_cycles;
+        self.region_fp_active += k * t.region_fp_active;
+        add_scaled_into(&mut self.profile, t.profile, k, KernelProfile::add_scaled);
+        add_scaled_into(&mut self.counters, t.counters, k, HwCounters::add_scaled);
+    }
+}
+
+/// `sum += k · x` for a collector that may be absent; the first `x` starts
+/// the sum as itself plus `k - 1` more copies.
+fn add_scaled_into<T: Clone>(sum: &mut Option<T>, x: Option<T>, k: u64, add: fn(&mut T, &T, u64)) {
+    let Some(x) = x else { return };
+    match sum {
+        Some(sum) => add(sum, &x, k),
+        None => {
+            let once = (k > 1).then(|| x.clone());
+            let sum = sum.insert(x);
+            if let Some(once) = once {
+                add(sum, &once, k - 1);
+            }
         }
     }
 }
@@ -542,33 +580,6 @@ pub(crate) fn grid_coord(dims: LaunchDims, i: u64) -> [u32; 3] {
         ((i / dims.grid[0] as u64) % dims.grid[1] as u64) as u32,
         (i / (dims.grid[0] as u64 * dims.grid[1] as u64)) as u32,
     ]
-}
-
-/// Timing of an empty grid: no blocks, no cycles, no time. Collectors are
-/// omitted — there is no wave to attribute slots to.
-fn zero_timing() -> KernelTiming {
-    KernelTiming {
-        wave_cycles: 0,
-        waves: 0,
-        blocks_per_sm: 0,
-        total_blocks: 0,
-        busy_sms: 0,
-        time_s: 0.0,
-        flops: 0.0,
-        tflops: 0.0,
-        sol_pct: 0.0,
-        sol_total_pct: 0.0,
-        issue_util_pct: 0.0,
-        dram_bytes: 0,
-        dram_time_s: 0.0,
-        region_cycles: 0,
-        reg_bank_conflict_cycles: 0,
-        smem_conflict_cycles: 0,
-        yield_switch_cycles: 0,
-        idle_breakdown: [0; 5],
-        profile: None,
-        counters: None,
-    }
 }
 
 /// Occupancy-checked effective residency for a launch: the occupancy bound
@@ -636,7 +647,10 @@ pub(crate) fn simulate_decoded(
     }
     let resident = effective_residency(&gpu.device, module, dims, &opts)?;
     if dims.num_blocks() == 0 {
-        return Ok((zero_timing(), opts.trace.then(DeviceTrace::default)));
+        return Ok((
+            KernelTiming::default(),
+            opts.trace.then(DeviceTrace::default),
+        ));
     }
     let launch = Launch {
         device: &gpu.device,
@@ -648,15 +662,15 @@ pub(crate) fn simulate_decoded(
         resident,
     };
     match model {
-        Model::OneWave => Ok((one_wave(&mut gpu.mem, &launch)?, None)),
-        Model::Device => device_sim::full_device(&mut gpu.mem, &launch, false),
-        Model::DeviceExact => device_sim::full_device(&mut gpu.mem, &launch, true),
+        Model::OneWave => Ok((one_wave(&gpu.mem, &launch)?, None)),
+        Model::Device => device_sim::full_device(&gpu.mem, &launch, false),
+        Model::DeviceExact => device_sim::full_device(&gpu.mem, &launch, true),
     }
 }
 
 /// The one-wave model: simulate one steady-state wave (whose blocks really
 /// run), then scale to the whole grid.
-fn one_wave(mem: &mut GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming, LaunchError> {
+fn one_wave(mem: &GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming, LaunchError> {
     let Launch {
         device,
         module,
@@ -724,7 +738,7 @@ fn one_wave(mem: &mut GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming,
     let dram_time = dram_total as f64 / device.dram_bw;
     let time_s = compute_time.max(dram_time);
 
-    let region_cycles = wave.region_cycles();
+    let region_cycles = wave.region_cycles;
     let sol_total = wave.fp_active as f64 / (schedulers as f64 * wave_cycles as f64);
     let sol_base = if opts.region.is_some() && region_cycles > 0 {
         wave.region_fp_active as f64 / (schedulers as f64 * region_cycles as f64)
@@ -751,8 +765,8 @@ fn one_wave(mem: &mut GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming,
         smem_conflict_cycles: wave.smem_conflict_cycles,
         yield_switch_cycles: wave.yield_switches,
         idle_breakdown: wave.idle_attr,
-        profile: wave.prof.map(|p| p.finish(wave_cycles)),
-        counters: wave.ctr.map(|cc| cc.finish(wave_cycles)),
+        profile: wave.profile,
+        counters: wave.counters,
     })
 }
 
@@ -762,10 +776,10 @@ fn one_wave(mem: &mut GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming,
 /// ([`crate::device_sim`]), which calls it per SM per wave with the
 /// memory-system state carried between waves in `carry`.
 pub(crate) fn simulate_wave(
-    mem: &mut GlobalMemory,
+    mem: &GlobalMemory,
     p: &WaveParams<'_>,
     carry: &mut SmCarry,
-) -> Result<WaveOutput, LaunchError> {
+) -> Result<Tally, LaunchError> {
     let Launch {
         device,
         module,
@@ -1031,7 +1045,7 @@ pub(crate) fn simulate_wave(
             let event = {
                 let slot = &mut slots[chosen];
                 let mut env = ExecEnv {
-                    global: &mut *mem,
+                    global: mem,
                     smem: &mut smems[block],
                     cbank,
                     ctaid,
@@ -1429,21 +1443,21 @@ pub(crate) fn simulate_wave(
     // Residual backend backlog carried to the SM's next wave (one-wave
     // callers discard it).
     carry.mem_q = (mem_q - cycle as f64).max(0.0);
-    Ok(WaveOutput {
+    Ok(Tally {
         cycles: cycle,
-        fp_active,
+        waves: 1,
         issued,
+        fp_active,
         flops: flops_wave,
         dram_bytes: dram_bytes_wave,
         reg_conflicts,
         smem_conflict_cycles,
         yield_switches,
         idle_attr,
-        region_first,
-        region_last,
+        region_cycles: region_first.map_or(0, |f| region_last.saturating_sub(f).max(1)),
         region_fp_active,
-        prof,
-        ctr,
+        profile: prof.map(|p| p.finish(cycle)),
+        counters: ctr.map(|c| c.finish(cycle)),
     })
 }
 

@@ -9,14 +9,14 @@
 //! predicates, divergence mask), one random data instruction (every data
 //! op, `RZ`/immediate/constant operands, destinations aliasing sources, all
 //! widths in both memory spaces) and memory contents, with inactive lanes
-//! holding wild addresses and some active lanes past the end. Both sides
-//! then run the instruction on their own copy of the state, and the
-//! registers, predicates, divergence contexts, shared and global memory and
-//! the `MemTrace` must match exactly. Two exceptions: a faulting access
-//! ends the launch, so there only the `ExecError` text is compared; and
-//! Rust leaves the sign and payload of a NaN that float arithmetic
-//! produces unspecified (vector and scalar code may pick either operand's
-//! NaN), so a float op's NaN results compare equal whatever their bits.
+//! holding wild addresses and some active lanes past the end or off their
+//! access width's alignment. Both sides then run the instruction on their
+//! own copy of the state, and the registers (NaN bits included: both sides
+//! return the hardware's canonical NaNs), predicates, divergence contexts,
+//! shared and global memory and the `MemTrace` must match exactly. A
+//! faulting access ends the launch, so there only the `ExecError` text is
+//! compared; [`misaligned_accesses_fault_and_move_nothing`] pins that a
+//! fault moves nothing on either side.
 //!
 //! Randomized with the workspace's deterministic `XorShiftRng`; a failure
 //! prints its case number and instruction.
@@ -32,6 +32,8 @@ const CASES: u32 = 12_000;
 const NUM_REGS: u8 = 16;
 const SMEM: usize = 1024;
 const GLOBAL: usize = 4096;
+/// The address of the first allocation on a fresh arena.
+const GLOBAL_BASE: u64 = 0x1000_0000;
 
 // ---- the oracle: one lane at a time -------------------------------------
 
@@ -61,6 +63,27 @@ fn write_pred(w: &mut Warp, p: Pred, lane: usize, v: bool) {
     }
 }
 
+/// NVIDIA's canonical NaN for an f32 result.
+fn canon_f32(v: u32) -> u32 {
+    if f32::from_bits(v).is_nan() {
+        0x7fff_ffff
+    } else {
+        v
+    }
+}
+
+/// NVIDIA's canonical NaN for each f16 half of a half2 result.
+fn canon_half2(v: u32) -> u32 {
+    let half = |h: u32| {
+        if h & 0x7c00 == 0x7c00 && h & 0x3ff != 0 {
+            0x7fff
+        } else {
+            h
+        }
+    };
+    half(v & 0xffff) | half(v >> 16) << 16
+}
+
 fn neg_f(bits: u32, neg: bool, sign: u32) -> u32 {
     if neg {
         bits ^ sign
@@ -88,12 +111,57 @@ fn lop3(a: u32, b: u32, c: u32, lut: u8) -> u32 {
     r
 }
 
+/// The oracle's view of one block: [`ExecEnv`] with the arena borrowed for
+/// writing, since the oracle stores through the host's word API.
+struct Env<'a> {
+    global: &'a mut GlobalMemory,
+    smem: &'a mut [u8],
+    cbank: &'a ConstBank,
+    ctaid: [u32; 3],
+    block_dim: [u32; 3],
+}
+
+/// The byte address lane `lane` of a memory instruction accesses.
+fn lane_addr(w: &Warp, space: MemSpace, addr: Addr, lane: usize) -> u64 {
+    match space {
+        MemSpace::Global => {
+            let lo = read_reg(w, addr.base, lane) as u64;
+            let hi = read_reg(w, addr.base.offset(1), lane) as u64;
+            (lo | (hi << 32)).wrapping_add(addr.offset as i64 as u64)
+        }
+        MemSpace::Shared => read_reg(w, addr.base, lane).wrapping_add(addr.offset as u32) as u64,
+    }
+}
+
+/// Why one lane's `width`-byte access at `a` faults, if it does: an
+/// address off its width's alignment first, then one out of bounds.
+fn lane_fault(env: &Env<'_>, space: MemSpace, a: u64, width: u64, store: bool) -> Option<String> {
+    if !a.is_multiple_of(width) {
+        return Some(format!("misaligned address: {width} bytes at {a:#x}"));
+    }
+    match space {
+        MemSpace::Global => (0..width / 4)
+            .any(|i| env.global.read_u32(a + 4 * i).is_err())
+            .then(|| format!("out-of-bounds access: {width} bytes at {a:#x}")),
+        MemSpace::Shared => (a + width > env.smem.len() as u64).then(|| {
+            let what = if store { "store" } else { "load" };
+            format!(
+                "shared {what} at {a:#x} past smem size {:#x}",
+                env.smem.len()
+            )
+        }),
+    }
+}
+
 /// Execute the single data instruction the warp's one context is at, lane
-/// by lane, and advance that context: the executor's former semantics.
+/// by lane, and advance that context: the executor's former semantics,
+/// with canonical NaNs and word-aligned memory. A memory instruction
+/// checks every active lane before any lane moves, so a fault (the lowest
+/// faulting lane's) changes nothing.
 fn oracle(
     w: &mut Warp,
     inst: &Instruction,
-    env: &mut ExecEnv<'_>,
+    env: &mut Env<'_>,
     trace: &mut MemTrace,
 ) -> Result<(), ExecError> {
     *trace = MemTrace::default();
@@ -109,6 +177,21 @@ fn oracle(
         .filter(|&l| ctx.mask >> l & 1 != 0 && read_pred(w, inst.guard.pred, l) != inst.guard.neg)
         .collect();
     trace.exec_mask = lanes.iter().fold(0, |m, &l| m | 1 << l);
+    if let Op::Ld {
+        space, width, addr, ..
+    }
+    | Op::St {
+        space, width, addr, ..
+    } = inst.op
+    {
+        let store = matches!(inst.op, Op::St { .. });
+        for &lane in &lanes {
+            let a = lane_addr(w, space, addr, lane);
+            if let Some(e) = lane_fault(env, space, a, width.bytes() as u64, store) {
+                return Err(fail(format!("lane {lane}: {e}")));
+            }
+        }
+    }
     let cbank = env.cbank;
     let srcb = |w: &Warp, b: SrcB, lane: usize| match b {
         SrcB::Reg(r) => read_reg(w, r, lane),
@@ -131,7 +214,7 @@ fn oracle(
                 let va = f(read_reg(w, a, lane));
                 let vb = f(neg_f(srcb(w, b, lane), neg_b, 1 << 31));
                 let vc = f(neg_f(read_reg(w, c, lane), neg_c, 1 << 31));
-                write_reg(w, d, lane, va.mul_add(vb, vc).to_bits());
+                write_reg(w, d, lane, canon_f32(va.mul_add(vb, vc).to_bits()));
             }
             Op::Fadd {
                 d,
@@ -142,18 +225,19 @@ fn oracle(
             } => {
                 let va = f(neg_f(read_reg(w, a, lane), neg_a, 1 << 31));
                 let vb = f(neg_f(srcb(w, b, lane), neg_b, 1 << 31));
-                write_reg(w, d, lane, (va + vb).to_bits());
+                write_reg(w, d, lane, canon_f32((va + vb).to_bits()));
             }
             Op::Fmul { d, a, b, neg_b } => {
                 let va = f(read_reg(w, a, lane));
                 let vb = f(neg_f(srcb(w, b, lane), neg_b, 1 << 31));
-                write_reg(w, d, lane, (va * vb).to_bits());
+                write_reg(w, d, lane, canon_f32((va * vb).to_bits()));
             }
             Op::Hfma2 { d, a, b, c } => {
                 let (a0, a1) = h2(read_reg(w, a, lane));
                 let (b0, b1) = h2(srcb(w, b, lane));
                 let (c0, c1) = h2(read_reg(w, c, lane));
-                write_reg(w, d, lane, p2(a0.mul_add(b0, c0), a1.mul_add(b1, c1)));
+                let v = p2(a0.mul_add(b0, c0), a1.mul_add(b1, c1));
+                write_reg(w, d, lane, canon_half2(v));
             }
             Op::Hadd2 {
                 d,
@@ -164,12 +248,12 @@ fn oracle(
             } => {
                 let (a0, a1) = h2(neg_f(read_reg(w, a, lane), neg_a, 0x8000_8000));
                 let (b0, b1) = h2(neg_f(srcb(w, b, lane), neg_b, 0x8000_8000));
-                write_reg(w, d, lane, p2(a0 + b0, a1 + b1));
+                write_reg(w, d, lane, canon_half2(p2(a0 + b0, a1 + b1)));
             }
             Op::Hmul2 { d, a, b } => {
                 let (a0, a1) = h2(read_reg(w, a, lane));
                 let (b0, b1) = h2(srcb(w, b, lane));
-                write_reg(w, d, lane, p2(a0 * b0, a1 * b1));
+                write_reg(w, d, lane, canon_half2(p2(a0 * b0, a1 * b1)));
             }
             Op::Fsetp {
                 p,
@@ -310,18 +394,11 @@ fn oracle(
                 d,
                 addr,
             } => {
-                let lo = read_reg(w, addr.base, lane) as u64;
-                let hi = read_reg(w, addr.base.offset(1), lane) as u64;
-                let a = (lo | (hi << 32)).wrapping_add(addr.offset as i64 as u64);
+                let a = lane_addr(w, MemSpace::Global, addr, lane);
                 trace.global_addrs.push(a);
-                let bytes = env
-                    .global
-                    .read(a, width.bytes() as usize)
-                    .map_err(|e| fail(format!("lane {lane}: {e}")))?
-                    .to_vec();
-                for (i, word) in bytes.chunks_exact(4).enumerate() {
-                    let v = u32::from_le_bytes(word.try_into().unwrap());
-                    write_reg(w, d.offset(i as u8), lane, v);
+                for i in 0..width.regs() {
+                    let v = env.global.read_u32(a + 4 * i as u64).unwrap();
+                    write_reg(w, d.offset(i), lane, v);
                 }
             }
             Op::Ld {
@@ -330,14 +407,8 @@ fn oracle(
                 d,
                 addr,
             } => {
-                let a = read_reg(w, addr.base, lane).wrapping_add(addr.offset as u32);
+                let a = lane_addr(w, MemSpace::Shared, addr, lane) as u32;
                 trace.shared_addrs.push(a);
-                if a as usize + width.bytes() as usize > env.smem.len() {
-                    return Err(fail(format!(
-                        "lane {lane}: shared load at {a:#x} past smem size {:#x}",
-                        env.smem.len()
-                    )));
-                }
                 for i in 0..width.regs() {
                     let off = a as usize + i as usize * 4;
                     let v = u32::from_le_bytes(env.smem[off..off + 4].try_into().unwrap());
@@ -350,16 +421,12 @@ fn oracle(
                 addr,
                 src,
             } => {
-                let lo = read_reg(w, addr.base, lane) as u64;
-                let hi = read_reg(w, addr.base.offset(1), lane) as u64;
-                let a = (lo | (hi << 32)).wrapping_add(addr.offset as i64 as u64);
+                let a = lane_addr(w, MemSpace::Global, addr, lane);
                 trace.global_addrs.push(a);
-                let bytes: Vec<u8> = (0..width.regs())
-                    .flat_map(|i| read_reg(w, src.offset(i), lane).to_le_bytes())
-                    .collect();
-                env.global
-                    .write(a, &bytes)
-                    .map_err(|e| fail(format!("lane {lane}: {e}")))?;
+                for i in 0..width.regs() {
+                    let v = read_reg(w, src.offset(i), lane);
+                    env.global.write_u32(a + 4 * i as u64, v).unwrap();
+                }
             }
             Op::St {
                 space: MemSpace::Shared,
@@ -367,14 +434,8 @@ fn oracle(
                 addr,
                 src,
             } => {
-                let a = read_reg(w, addr.base, lane).wrapping_add(addr.offset as u32);
+                let a = lane_addr(w, MemSpace::Shared, addr, lane) as u32;
                 trace.shared_addrs.push(a);
-                if a as usize + width.bytes() as usize > env.smem.len() {
-                    return Err(fail(format!(
-                        "lane {lane}: shared store at {a:#x} past smem size {:#x}",
-                        env.smem.len()
-                    )));
-                }
                 for i in 0..width.regs() {
                     let off = a as usize + i as usize * 4;
                     let v = read_reg(w, src.offset(i), lane);
@@ -617,8 +678,9 @@ fn mask(rng: &mut XorShiftRng) -> u32 {
 }
 
 /// Point the memory operand's base register(s) at `space` for the lanes in
-/// `exec`: most land in bounds (on a few shared slots, so stores collide),
-/// some active ones past the end; inactive lanes keep wild values.
+/// `exec`: most land in bounds on multiples of the access width (on a few
+/// shared slots, so stores collide), some active ones past the end or off
+/// the width's alignment; inactive lanes keep wild values.
 fn aim(rng: &mut XorShiftRng, w: &mut Warp, op: &Op, exec: u32, global_base: u64) {
     let (space, width, addr) = match *op {
         Op::Ld {
@@ -632,7 +694,7 @@ fn aim(rng: &mut XorShiftRng, w: &mut Warp, op: &Op, exec: u32, global_base: u64
     if addr.base.is_rz() {
         return;
     }
-    let past_end = rng.gen_index(4) == 0;
+    let bad = rng.gen_index(4) == 0;
     for lane in (0..32).filter(|l| exec >> l & 1 != 0) {
         let (size, origin) = match space {
             MemSpace::Global => (GLOBAL as u64, global_base),
@@ -640,14 +702,15 @@ fn aim(rng: &mut XorShiftRng, w: &mut Warp, op: &Op, exec: u32, global_base: u64
         };
         let off = match space {
             MemSpace::Shared if coin(rng) => 16 * rng.gen_index(4) as u64,
-            _ => rng.gen_index((size - width) as usize + 1) as u64,
+            _ => width * rng.gen_index((size / width) as usize) as u64,
         };
         let mut a = origin + off;
-        if past_end && rng.gen_index(8) == 0 {
-            a = match rng.gen_index(3) {
+        if bad && rng.gen_index(8) == 0 {
+            a = match rng.gen_index(4) {
                 0 => origin + size - width + 1 + rng.gen_index(64) as u64,
                 1 => 0,
-                _ => origin.wrapping_sub(4),
+                2 => origin.wrapping_sub(4),
+                _ => a + 1 + rng.gen_index(width as usize - 1) as u64,
             };
         }
         let a = a.wrapping_sub(addr.offset as i64 as u64);
@@ -658,14 +721,84 @@ fn aim(rng: &mut XorShiftRng, w: &mut Warp, op: &Op, exec: u32, global_base: u64
     }
 }
 
+/// A fresh arena holding `words` in its one allocation at `GLOBAL_BASE`.
+fn arena(words: &[u32]) -> GlobalMemory {
+    let mut g = GlobalMemory::new(GLOBAL);
+    assert_eq!(g.alloc(GLOBAL as u64), GLOBAL_BASE);
+    let words: Vec<f32> = words.iter().map(|&v| f32::from_bits(v)).collect();
+    g.upload_f32(GLOBAL_BASE, &words).unwrap();
+    g
+}
+
+/// The words of the arena's one allocation.
+fn arena_words(g: &mut GlobalMemory) -> Vec<u32> {
+    let words = g.download_f32(GLOBAL_BASE, GLOBAL / 4).unwrap();
+    words.iter().map(|v| v.to_bits()).collect()
+}
+
+/// What one side left behind: the error text, or the state.
+type Outcome = (
+    Option<String>,
+    Vec<[u32; 32]>,
+    [u32; 7],
+    Vec<WarpCtx>,
+    Vec<u8>,
+    Vec<u32>,
+    MemTrace,
+);
+
+/// Run `inst` on a copy of the state, through the oracle or through `step`.
+#[allow(clippy::too_many_arguments)]
+fn run(
+    exec_oracle: bool,
+    inst: &Instruction,
+    warp: &Warp,
+    global: &[u32],
+    smem: &[u8],
+    cbank: &ConstBank,
+    ctaid: [u32; 3],
+    block_dim: [u32; 3],
+) -> Outcome {
+    let (mut w, mut g, mut s) = (warp.clone(), arena(global), smem.to_vec());
+    let mut trace = MemTrace {
+        global_addrs: vec![7; 3],
+        shared_addrs: vec![9],
+        width: 16,
+        is_store: true,
+        exec_mask: 1,
+    };
+    let res = if exec_oracle {
+        let mut env = Env {
+            global: &mut g,
+            smem: &mut s,
+            cbank,
+            ctaid,
+            block_dim,
+        };
+        oracle(&mut w, inst, &mut env, &mut trace)
+    } else {
+        let mut env = ExecEnv {
+            global: &g,
+            smem: &mut s,
+            cbank,
+            ctaid,
+            block_dim,
+        };
+        step(&mut w, std::slice::from_ref(inst), &mut env, 0, &mut trace)
+            .map(|ev| assert_eq!(ev, StepEvent::Executed))
+    };
+    let err = res.err().map(|e| e.to_string());
+    let mem = arena_words(&mut g);
+    (err, w.regs, w.preds, w.ctxs, s, mem, trace)
+}
+
 #[test]
 fn row_executor_matches_the_lane_by_lane_oracle() {
     let mut rng = XorShiftRng::new(0x0e8e_c0de);
     let params: Vec<u8> = (0..0x40).map(|_| rng.next_u32() as u8).collect();
     let block_dim = [48, 3, 2];
     let cbank = ConstBank::new(block_dim, [5, 6, 7], &params);
-    let mut faults = 0;
-    let mut partial = 0;
+    let (mut faults, mut misaligned, mut moves, mut partial) = (0, 0, 0, 0);
     for case in 0..CASES {
         let mut warp = Warp::new(NUM_REGS as u16, 32 * rng.gen_index(9) as u32, 32);
         for row in warp.regs.iter_mut() {
@@ -689,99 +822,126 @@ fn row_executor_matches_the_lane_by_lane_oracle() {
         let exec = warp.ctxs[0].mask & if guard.neg { !guard_mask } else { guard_mask };
         partial += (exec != u32::MAX) as u32;
 
-        let mut global = GlobalMemory::new(GLOBAL);
-        let global_base = global.alloc(GLOBAL as u64);
-        let bytes: Vec<f32> = (0..GLOBAL / 4)
-            .map(|_| f32::from_bits(rng.next_u32()))
-            .collect();
-        global.upload_f32(global_base, &bytes).unwrap();
-        aim(&mut rng, &mut warp, &inst.op, exec, global_base);
+        let global: Vec<u32> = (0..GLOBAL / 4).map(|_| rng.next_u32()).collect();
+        aim(&mut rng, &mut warp, &inst.op, exec, GLOBAL_BASE);
         let smem: Vec<u8> = (0..SMEM).map(|_| rng.next_u32() as u8).collect();
         let ctaid = [rng.gen_index(5) as u32, 1, 2];
 
-        let insts = [inst];
-        let run = |exec_oracle: bool| {
-            let (mut w, mut g, mut s) = (warp.clone(), global_clone(&global), smem.clone());
-            let mut env = ExecEnv {
-                global: &mut g,
-                smem: &mut s,
-                cbank: &cbank,
+        let side = |exec_oracle| {
+            run(
+                exec_oracle,
+                &inst,
+                &warp,
+                &global,
+                &smem,
+                &cbank,
                 ctaid,
                 block_dim,
-            };
-            let mut trace = MemTrace {
-                global_addrs: vec![7; 3],
-                shared_addrs: vec![9],
-                width: 16,
-                is_store: true,
-                exec_mask: 1,
-            };
-            let res = if exec_oracle {
-                oracle(&mut w, &inst, &mut env, &mut trace)
-            } else {
-                step(&mut w, &insts, &mut env, 0, &mut trace)
-                    .map(|ev| assert_eq!(ev, StepEvent::Executed))
-            };
-            let err = res.err().map(|e| e.to_string());
-            let mem = g.read(global_base, GLOBAL).unwrap().to_vec();
-            (err, w.regs, w.preds, w.ctxs, s, mem, trace)
+            )
         };
-        let want = run(true);
-        let got = run(false);
+        let (want, got) = (side(true), side(false));
         let what = format!("case {case}: {}", sass::disasm::inst_text(&inst));
         assert_eq!(got.0, want.0, "{what}: error");
-        if want.0.is_some() {
+        if let Some(err) = &want.0 {
             faults += 1;
+            misaligned += err.contains("misaligned") as u32;
             continue;
         }
-        let (regs, want_regs) = (nan_free(&inst.op, got.1), nan_free(&inst.op, want.1));
-        assert_eq!(regs, want_regs, "{what}: registers");
+        let moved = !got.6.global_addrs.is_empty() || !got.6.shared_addrs.is_empty();
+        moves += moved as u32;
+        assert_eq!(got.1, want.1, "{what}: registers");
         assert_eq!(got.2, want.2, "{what}: predicates");
         assert_eq!(got.3, want.3, "{what}: contexts");
         assert!(got.4 == want.4, "{what}: shared memory");
         assert!(got.5 == want.5, "{what}: global memory");
         assert_eq!(got.6, want.6, "{what}: trace");
     }
-    // The draw covers both outcomes and both mask shapes.
+    // The draw covers both outcomes, both kinds of fault, the move path and
+    // both mask shapes.
     assert!(faults > CASES / 100, "only {faults} faulting cases");
+    assert!(
+        misaligned > CASES / 400,
+        "only {misaligned} misaligned faults"
+    );
+    assert!(moves > CASES / 20, "only {moves} data-moving cases");
     assert!(partial > CASES / 3, "only {partial} partial-mask cases");
 }
 
-/// The register file with the NaN results of a float op canonical: each
-/// NaN f32 (FFMA/FADD/FMUL) or NaN f16 half (HFMA2/HADD2/HMUL2) of the
-/// destination row becomes the default quiet NaN.
-fn nan_free(op: &Op, mut regs: Vec<[u32; 32]>) -> Vec<[u32; 32]> {
-    let canon: fn(u32) -> u32 = match op {
-        Op::Ffma { .. } | Op::Fadd { .. } | Op::Fmul { .. } => |v| {
-            if f32::from_bits(v).is_nan() {
-                0x7fc0_0000
-            } else {
-                v
-            }
-        },
-        Op::Hfma2 { .. } | Op::Hadd2 { .. } | Op::Hmul2 { .. } => |v| {
-            let half = |h: u32| {
-                if h & 0x7c00 == 0x7c00 && h & 0x3ff != 0 {
-                    0x7e00
-                } else {
-                    h
+/// A misaligned LDG, STG, LDS or STS faults alike in `step` and in the
+/// oracle: the error names the lowest faulting active lane, and no
+/// register, predicate or memory byte changes. A misaligned inactive lane
+/// below it is never checked.
+#[test]
+fn misaligned_accesses_fault_and_move_nothing() {
+    let cbank = ConstBank::new([32, 1, 1], [1, 1, 1], &[]);
+    let global: Vec<u32> = (0..GLOBAL as u32 / 4).collect();
+    let smem: Vec<u8> = (0..SMEM).map(|i| i as u8).collect();
+    for space in [MemSpace::Global, MemSpace::Shared] {
+        for width in [MemWidth::B32, MemWidth::B64, MemWidth::B128] {
+            for store in [false, true] {
+                let (base, data) = (Reg(2), Reg(8));
+                let addr = Addr::new(base, 0);
+                let op = match store {
+                    false => Op::Ld {
+                        space,
+                        width,
+                        d: data,
+                        addr,
+                    },
+                    true => Op::St {
+                        space,
+                        width,
+                        addr,
+                        src: data,
+                    },
+                };
+                let inst = Instruction::new(op);
+                let bytes = width.bytes() as u64;
+                let origin = match space {
+                    MemSpace::Global => GLOBAL_BASE,
+                    MemSpace::Shared => 0,
+                };
+                // Lanes 5 and 9 sit off their alignment by a whole word
+                // where the width allows it; lane 2 does too, but is inactive.
+                let skew = if bytes == 4 { 2 } else { 4 };
+                let mut warp = Warp::new(NUM_REGS as u16, 0, 32);
+                warp.ctxs[0].mask = !(1 << 2);
+                for lane in 0..32 {
+                    let off = [2, 5, 9].contains(&lane) as u64 * skew;
+                    let a = origin + bytes * lane as u64 + off;
+                    warp.regs[2][lane] = a as u32;
+                    warp.regs[3][lane] = (a >> 32) as u32;
+                    for r in 8..12 {
+                        warp.regs[r][lane] = 0xdead_0000 | (r * 32 + lane) as u32;
+                    }
                 }
-            };
-            half(v & 0xffff) | half(v >> 16) << 16
-        },
-        _ => return regs,
-    };
-    if let Some((d, _)) = op.dst_regs().filter(|(d, _)| !d.is_rz()) {
-        regs[d.0 as usize].iter_mut().for_each(|v| *v = canon(*v));
+                let fault = origin + bytes * 5 + skew;
+                let want_err = format!("lane 5: misaligned address: {bytes} bytes at {fault:#x}");
+                for exec_oracle in [true, false] {
+                    let (err, regs, preds, ctxs, s, g, _) = run(
+                        exec_oracle,
+                        &inst,
+                        &warp,
+                        &global,
+                        &smem,
+                        &cbank,
+                        [0; 3],
+                        [32, 1, 1],
+                    );
+                    let what = format!(
+                        "{} ({}): ",
+                        sass::disasm::inst_text(&inst),
+                        if exec_oracle { "oracle" } else { "step" }
+                    );
+                    let err = err.unwrap_or_else(|| panic!("{what}no fault"));
+                    assert!(err.ends_with(&want_err), "{what}{err}");
+                    assert!(regs == warp.regs, "{what}registers changed");
+                    assert_eq!(preds, warp.preds, "{what}predicates changed");
+                    assert_eq!(ctxs, warp.ctxs, "{what}contexts changed");
+                    assert!(s == smem, "{what}shared memory changed");
+                    assert!(g == global, "{what}global memory changed");
+                }
+            }
+        }
     }
-    regs
-}
-
-/// A byte-identical copy of an arena (same base, same allocation).
-fn global_clone(g: &GlobalMemory) -> GlobalMemory {
-    let mut copy = GlobalMemory::new(GLOBAL);
-    let base = copy.alloc(GLOBAL as u64);
-    let bytes = g.read(base, GLOBAL).unwrap();
-    copy.write(base, bytes).unwrap();
-    copy
 }

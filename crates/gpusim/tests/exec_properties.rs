@@ -17,13 +17,13 @@ use tensor::XorShiftRng;
 fn run_warp(insts: Vec<Instruction>, init: impl FnOnce(&mut Warp)) -> Warp {
     let mut insts = insts;
     insts.push(Instruction::new(Op::Exit));
-    let mut global = GlobalMemory::new(1 << 16);
+    let global = GlobalMemory::new(1 << 16);
     let mut smem = vec![0u8; 1024];
     let cbank = ConstBank::new([32, 1, 1], [1, 1, 1], &[]);
     let mut warp = Warp::new(32, 0, 32);
     init(&mut warp);
     let mut env = ExecEnv {
-        global: &mut global,
+        global: &global,
         smem: &mut smem,
         cbank: &cbank,
         ctaid: [0, 0, 0],
@@ -65,12 +65,18 @@ fn ffma_matches_host_fma() {
                 }
             },
         );
+        // A NaN result is the hardware's one canonical NaN.
         let want = a.mul_add(b, c);
+        let want = if want.is_nan() {
+            0x7fff_ffff
+        } else {
+            want.to_bits()
+        };
         for lane in [0usize, 13, 31] {
-            let got = f32::from_bits(w.regs[3][lane]);
-            assert!(
-                got == want || (got.is_nan() && want.is_nan()),
-                "case {case} lane {lane}: fma({a}, {b}, {c}) = {got} vs {want}"
+            let got = w.regs[3][lane];
+            assert_eq!(
+                got, want,
+                "case {case} lane {lane}: fma({a}, {b}, {c}) = {got:#x} vs {want:#x}"
             );
         }
     }
@@ -300,7 +306,7 @@ END:
         );
         let mut smem = vec![0u8; 128];
         let mut env = ExecEnv {
-            global: &mut global,
+            global: &global,
             smem: &mut smem,
             cbank: &cbank,
             ctaid: [0, 0, 0],
