@@ -16,6 +16,8 @@ echo "== cargo build --release =="
 cargo build --release --workspace
 
 echo "== cargo test =="
+# Includes the docs-link check: bench/tests/binaries.rs runs `doclinks`
+# from the repository root.
 cargo test -q --workspace
 
 echo "== examples =="
@@ -126,9 +128,10 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 
 echo "== serve smoke =="
 # Serving-engine smoke: tiny shapes, short bursty stream, both devices;
-# asserts both phases drain, the warm plan cache beats cold
-# time-to-first-dispatch for every class, and every plan round-trips its
-# warm-start verification. Byte-determinism across --jobs and cache state
+# asserts both phases drain, a warm plan costs less than every cold build,
+# warm time-to-first-dispatch is never later than cold and strictly sooner
+# for every class whose cold build outlasts it, and every plan round-trips
+# its warm-start verification. Byte-determinism across --jobs and cache state
 # is pinned by bench/tests/serve_determinism.rs; the full tracked run
 # lives in BENCH_serve.json (see EXPERIMENTS.md, "Serving engine").
 ./target/release/serve --smoke --plan-dir "$fresh/plans" --json "$fresh/serve.json" > /dev/null
@@ -152,10 +155,5 @@ if [ "$(grep -c ' / 0 misses / ' "$fresh/serve_tel.log")" != 2 ]; then
   exit 1
 fi
 ./target/release/servemon --log "$fresh/serve_events.jsonl" --smoke > /dev/null
-
-echo "== doclinks =="
-# Docs-link gate: every relative link (and heading anchor) in README.md,
-# EXPERIMENTS.md and docs/** must resolve.
-./target/release/doclinks
 
 echo "CI green."

@@ -3,13 +3,14 @@
 //!  * cache block size bk=64 vs bk=32 with everything else equal (§3.3);
 //!  * yield/LDG/STS strategy deltas on V100 (complementing Figs. 7-9).
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
 use bench::{mainloop_sweep, Table};
 use gpusim::DeviceSpec;
 use kernels::{LdgStrategy, StsStrategy, YieldStrategy};
 use wino_core::{Conv, ConvProblem};
 
 fn main() {
+    check_args("ablation", &[REPORT_FLAGS, SWEEP_FLAGS]);
     let dev = DeviceSpec::rtx2070();
     println!(
         "Ablation study (simulated {}, Conv3N64: C=K=128, 28x28, N=64)\n",

@@ -1,13 +1,14 @@
 //! §8.1: the fused-F(2×2) vs non-fused-F(4×4) break-even analysis.
 //! Paper: crossover at K = 129 (V100) and K = 127 (RTX 2070).
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS};
 use gpusim::DeviceSpec;
 use perfmodel::{break_even_k, fused_f2_time, nonfused_f4_time};
 
 const KS: [u32; 4] = [64, 128, 256, 512];
 
 fn main() {
+    check_args("breakeven", &[REPORT_FLAGS]);
     println!("Section 8.1: fused F(2x2,3x3) vs non-fused F(4x4,3x3) break-even\n");
     let devices = [DeviceSpec::v100(), DeviceSpec::rtx2070()];
     let mut report = Report::from_args("breakeven");

@@ -22,7 +22,7 @@
 //! instead of extrapolated. `--json PATH` writes the measured numbers as
 //! JSON records.
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
 use gpusim::{DeviceSpec, KernelProfile, StallCause};
 use tensor::{allclose, LayoutKind, Tensor4};
 use wino_core::resnet::layer_by_name;
@@ -39,6 +39,21 @@ struct Args {
     trace: Option<String>,
 }
 
+/// The flags [`parse_args`] reads, beside `--json`, `--metrics` and the
+/// sweep engine's.
+const CONVBENCH_FLAGS: &[&str] = &[
+    "--device NAME",
+    "--algo NAME",
+    "--layer NAME",
+    "--n N",
+    "--c C",
+    "--hw HW",
+    "--k K",
+    "--verify",
+    "--profile",
+    "--trace PATH",
+];
+
 fn parse_args() -> Result<Args, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut device = DeviceSpec::rtx2070();
@@ -49,24 +64,21 @@ fn parse_args() -> Result<Args, String> {
     let mut metrics = false;
     let mut json = None;
     let mut trace = None;
-    let mut i = 0;
-    let value = |args: &[String], i: usize| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{} needs a value", args[i]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
+    // `check_args` has rejected unknown flags and missing values, so this
+    // loop only reads values.
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().expect("checked by check_args").as_str();
+        match flag.as_str() {
             "--device" => {
-                device = match value(&args, i)?.as_str() {
+                device = match value() {
                     "v100" => DeviceSpec::v100(),
                     "rtx2070" => DeviceSpec::rtx2070(),
                     other => return Err(format!("unknown device {other}")),
                 };
-                i += 2;
             }
             "--algo" => {
-                algos = match value(&args, i)?.as_str() {
+                algos = match value() {
                     "ours" => vec![Algo::OursFused],
                     "winograd" => vec![Algo::CudnnWinograd],
                     "gemm" => vec![Algo::Gemm],
@@ -78,59 +90,28 @@ fn parse_args() -> Result<Args, String> {
                     "all" => Algo::ALL.to_vec(),
                     other => return Err(format!("unknown algo {other}")),
                 };
-                i += 2;
             }
             "--layer" => {
-                let l = layer_by_name(&value(&args, i)?).ok_or("unknown layer")?;
+                let l = layer_by_name(value()).ok_or("unknown layer")?;
                 c = l.c;
                 k = l.c;
                 hw = l.hw;
-                i += 2;
             }
-            "--n" => {
-                n = value(&args, i)?.parse().map_err(|e| format!("--n: {e}"))?;
-                i += 2;
-            }
-            "--c" => {
-                c = value(&args, i)?.parse().map_err(|e| format!("--c: {e}"))?;
-                i += 2;
-            }
-            "--hw" => {
-                hw = value(&args, i)?.parse().map_err(|e| format!("--hw: {e}"))?;
-                i += 2;
-            }
-            "--k" => {
-                k = value(&args, i)?.parse().map_err(|e| format!("--k: {e}"))?;
-                i += 2;
-            }
-            "--verify" => {
-                verify = true;
-                i += 1;
-            }
-            "--profile" => {
-                profile = true;
-                i += 1;
-            }
-            "--metrics" => {
-                metrics = true;
-                i += 1;
-            }
-            "--json" => {
-                json = Some(value(&args, i)?);
-                i += 2;
-            }
-            "--trace" => {
-                trace = Some(value(&args, i)?);
-                i += 2;
-            }
-            // Sweep-engine flags, parsed by `SweepOptions::from_args` inside
-            // `time_sweep`; accepted here so the strict parser passes them.
+            "--n" => n = value().parse().map_err(|e| format!("--n: {e}"))?,
+            "--c" => c = value().parse().map_err(|e| format!("--c: {e}"))?,
+            "--hw" => hw = value().parse().map_err(|e| format!("--hw: {e}"))?,
+            "--k" => k = value().parse().map_err(|e| format!("--k: {e}"))?,
+            "--verify" => verify = true,
+            "--profile" => profile = true,
+            "--metrics" => metrics = true,
+            "--json" => json = Some(value().to_string()),
+            "--trace" => trace = Some(value().to_string()),
+            // Sweep-engine flags, read by `SweepOptions::from_args` inside
+            // `time_sweep`: skip the values of those that take one.
             "--jobs" | "--cache-dir" => {
-                value(&args, i)?;
-                i += 2;
+                value();
             }
-            "--cache" | "--no-cache" | "--selfcheck" => i += 1,
-            other => return Err(format!("unknown flag {other}")),
+            _ => {}
         }
     }
     // The GPU kernels carry the paper's alignment constraints (§8.3);
@@ -179,6 +160,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() {
+    check_args("convbench", &[CONVBENCH_FLAGS, REPORT_FLAGS, SWEEP_FLAGS]);
     let Args {
         device,
         algos,

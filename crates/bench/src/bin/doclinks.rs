@@ -15,6 +15,7 @@
 //! Flags: `--root DIR` (repo root, default `.`), `--verbose` (print every
 //! checked link). Exit code 0 = all links resolve, 1 = at least one broken.
 
+use bench::report::check_args;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -122,6 +123,7 @@ fn collect_md(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 fn main() {
+    check_args("doclinks", &[&["--root DIR", "--verbose"]]);
     let args: Vec<String> = std::env::args().collect();
     let root = bench::report::flag_value(&args, "--root").unwrap_or_else(|| ".".to_string());
     let verbose = args.iter().any(|a| a == "--verbose");

@@ -1,12 +1,13 @@
 //! Figure 10: Speed-of-Light (FP32-pipe utilization) on RTX 2070, whole
 //! kernel ("Total") and main loop. Paper: main loop 87.5-93%, total ≥ ~80%.
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
 use bench::{configs, label, time_sweep, Table};
 use gpusim::DeviceSpec;
 use wino_core::{Algo, Conv};
 
 fn main() {
+    check_args("fig10", &[REPORT_FLAGS, SWEEP_FLAGS]);
     run(DeviceSpec::rtx2070(), "Figure 10", "RTX 2070", "fig10");
 }
 

@@ -1,11 +1,12 @@
 //! Figure 11: Speed-of-Light on V100 (see fig10).
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
 use bench::{configs, label, time_sweep, Table};
 use gpusim::DeviceSpec;
 use wino_core::{Algo, Conv};
 
 fn main() {
+    check_args("fig11", &[REPORT_FLAGS, SWEEP_FLAGS]);
     let dev = DeviceSpec::v100();
     println!("Figure 11: Speed of Light (simulated V100)");
     println!("Paper: main loop up to ~93%, total ~75-95%\n");

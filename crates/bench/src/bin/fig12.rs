@@ -2,7 +2,7 @@
 //! RTX 2070. Paper highlights: ≥1.56× over everything on Conv2; faster than
 //! all but WINOGRAD_NONFUSED on Conv5 (where F(4×4)'s 4× reduction wins).
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
 use bench::{configs, label, time_sweep, x, Table};
 use gpusim::DeviceSpec;
 use wino_core::{Algo, Conv};
@@ -13,6 +13,7 @@ fn main() {
 
 #[allow(dead_code)] // `main` above is unused when included from fig13.rs
 pub fn run(dev: DeviceSpec, fig: &str, experiment: &str) {
+    check_args(experiment, &[REPORT_FLAGS, SWEEP_FLAGS]);
     println!(
         "{fig}: speedup of ours over all other algorithms (simulated {})\n",
         dev.name

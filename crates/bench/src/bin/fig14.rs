@@ -2,12 +2,13 @@
 //! Paper highlights: ours needs 0.25-16 MB (transformed filter only); FFT
 //! variants need hundreds of MB to > 1.6 GB on Conv5.
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
 use bench::{configs, label, Table};
 use gpusim::DeviceSpec;
 use wino_core::{Algo, Conv};
 
 fn main() {
+    check_args("fig14", &[REPORT_FLAGS, SWEEP_FLAGS]);
     println!("Figure 14: workspace (MB) per algorithm\n");
     let algos = [
         Algo::Fft,

@@ -1,6 +1,6 @@
 //! Figure 2: roofline model of the Winograd steps on V100.
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS};
 use gpusim::DeviceSpec;
 use perfmodel::roofline::{
     attainable_tflops, attainable_tflops_vs, direct_conv_intensity, gemm_intensity, l2_bandwidth,
@@ -8,6 +8,7 @@ use perfmodel::roofline::{
 };
 
 fn main() {
+    check_args("fig2", &[REPORT_FLAGS]);
     let dev = DeviceSpec::v100();
     let mut steps: Vec<(&str, f64)> = WINOGRAD_STEPS
         .iter()

@@ -2,12 +2,13 @@
 //! (RTX 2070). Paper: "Natural" (never clearing the yield flag) achieves
 //! 1.09× over NVCC's every-8 and 1.11× over cuDNN's every-7 heuristic.
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
 use bench::{configs, conv_for, label, mainloop_sweep, Table};
 use gpusim::DeviceSpec;
 use kernels::YieldStrategy;
 
 fn main() {
+    check_args("fig7", &[REPORT_FLAGS, SWEEP_FLAGS]);
     println!("Figure 7: main-loop TFLOPS by yield strategy (simulated RTX 2070)");
     println!("Paper: Natural ~1.09-1.11x over NVCC/cuDNN heuristics\n");
     let dev = DeviceSpec::rtx2070();

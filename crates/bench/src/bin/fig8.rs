@@ -2,12 +2,13 @@
 //! (RTX 2070). Paper: LDG8 (one LDG per 8 FFMAs) beats cuDNN's LDG2 by up
 //! to 1.24×.
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
 use bench::{configs, conv_for, label, mainloop_sweep, Table};
 use gpusim::DeviceSpec;
 use kernels::LdgStrategy;
 
 fn main() {
+    check_args("fig8", &[REPORT_FLAGS, SWEEP_FLAGS]);
     println!("Figure 8: main-loop TFLOPS by LDG interleave (simulated RTX 2070)");
     println!("Paper: LDG8 up to 1.24x over LDG2\n");
     let dev = DeviceSpec::rtx2070();

@@ -1,12 +1,13 @@
 //! Figure 9: main-loop throughput under different STS scheduling strategies
 //! (RTX 2070). Paper: STS6 is ~2% over STS2.
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
 use bench::{configs, conv_for, label, mainloop_sweep, Table};
 use gpusim::DeviceSpec;
 use kernels::StsStrategy;
 
 fn main() {
+    check_args("fig9", &[REPORT_FLAGS, SWEEP_FLAGS]);
     println!("Figure 9: main-loop TFLOPS by STS interleave (simulated RTX 2070)");
     println!("Paper: STS6 ~2% over STS2\n");
     let dev = DeviceSpec::rtx2070();

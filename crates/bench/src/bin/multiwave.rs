@@ -24,12 +24,13 @@
 //! Flags: `--json PATH` (default `BENCH_multiwave.json`), `--smoke` (two
 //! points + sanity asserts, for CI).
 
-use bench::report::{flag_value, Report};
+use bench::report::{check_args, flag_value, Report};
 use bench::{configs, conv_for, Table};
 use gpusim::DeviceSpec;
 use wino_core::{Model, Observe, Target};
 
 fn main() {
+    check_args("multiwave", &[&["--smoke", "--json PATH"]]);
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_multiwave.json".into());

@@ -14,7 +14,10 @@
 //!   allocation, with and without transform hoisting — the fused kernel's
 //!   no-workspace advantage as a single arena number (Fig. 14 at network
 //!   scale);
-//! * per-layer algorithm choices with their transform/kernel split.
+//! * per-layer algorithm choices with their transform/kernel split;
+//! * how many candidate probes each plan ran and how many its lower bounds
+//!   pruned (stdout only; every point is still swept, and its bound
+//!   asserted against its time).
 //!
 //! Every candidate timing runs through the shared sweep engine
 //! (`--jobs/--cache/...`), memoized under `Conv::key`, so the
@@ -25,7 +28,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use bench::report::{flag_value, Report};
+use bench::report::{check_args, flag_value, Report, SWEEP_FLAGS};
 use bench::{time_sweep, Table};
 use gpusim::DeviceSpec;
 use wino_core::netgraph::LayerTimer;
@@ -57,6 +60,7 @@ const POLICIES: [AlgoPolicy; 3] = [
 ];
 
 fn main() {
+    check_args("resnet", &[&["--smoke", "--json PATH"], SWEEP_FLAGS]);
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_resnet.json".into());
@@ -85,7 +89,20 @@ fn main() {
             }
         }
     }
+    // The planner skips candidates on their lower bounds, so check the
+    // bound against every point the sweep times.
+    let bounds: Vec<f64> = points
+        .iter()
+        .map(|(conv, algo)| conv.time_lower_bound(*algo))
+        .collect();
     let results = time_sweep("resnet", points);
+    for ((key, bound), t) in keys.iter().zip(&bounds).zip(&results) {
+        assert!(
+            *bound <= t.time_s,
+            "{key:?}: lower bound {bound} s above the device time {} s",
+            t.time_s
+        );
+    }
     let timings: HashMap<PointKey, AlgoTiming> = keys.into_iter().zip(results).collect();
     let timer = MapTimer { timings: &timings };
 
@@ -101,6 +118,7 @@ fn main() {
         "noreuse MB",
         "unhoist MB",
         "TFLOPS",
+        "probes run/pruned",
     ]);
 
     let mb = |b: u64| format!("{:.2}", b as f64 / (1024.0 * 1024.0));
@@ -133,6 +151,11 @@ fn main() {
                     mb(plan.arena_noreuse.plan.peak_bytes),
                     mb(plan.arena_reuse_unhoisted.plan.peak_bytes),
                     format!("{:.2}", plan.tflops_steady(g)),
+                    format!(
+                        "{}/{}",
+                        g.probes(dev, policy).len() - plan.pruned.len(),
+                        plan.pruned.len()
+                    ),
                 ]);
                 report.add(
                     dev.name,

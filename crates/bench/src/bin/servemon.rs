@@ -31,7 +31,7 @@
 //! this to keep the writer and the reader honest against each other.
 
 use bench::json::{parse, Json};
-use bench::report::flag_value;
+use bench::report::{check_args, flag_value};
 use bench::Table;
 use std::collections::{HashMap, HashSet};
 
@@ -101,6 +101,16 @@ fn us(ns: u64) -> f64 {
 }
 
 fn main() {
+    check_args(
+        "servemon",
+        &[&[
+            "--log PATH",
+            "--window-ms MS",
+            "--top N",
+            "--slo-target F",
+            "--smoke",
+        ]],
+    );
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

@@ -36,7 +36,7 @@
 use std::time::Instant;
 
 use bench::json::parse;
-use bench::report::{flag_value, Report};
+use bench::report::{check_args, flag_value, Report};
 use bench::Table;
 use gpusim::DeviceSpec;
 use kernels::FusedKernel;
@@ -183,6 +183,10 @@ fn baseline_wall_ms(base: &bench::json::Json, device: &str, algo: &str) -> Optio
 }
 
 fn main() {
+    check_args(
+        "simspeed",
+        &[&["--smoke", "--iters N", "--json PATH", "--baseline PATH"]],
+    );
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let iters: u32 = if smoke {

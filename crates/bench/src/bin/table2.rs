@@ -4,13 +4,14 @@
 //! Paper values: 0.81×–1.67×, average 1.4× — far below the theoretical
 //! 2.25× multiplication reduction.
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
 use bench::{conv_for, time_sweep, x, Table};
 use gpusim::DeviceSpec;
 use wino_core::resnet::{BATCH_SIZES, RESNET_LAYERS};
 use wino_core::Algo;
 
 fn main() {
+    check_args("table2", &[REPORT_FLAGS, SWEEP_FLAGS]);
     println!("Table 2: cuDNN-like Winograd vs GEMM-based convolution (simulated V100)");
     println!("Paper: 0.81x-1.67x, average 1.4x\n");
     let dev = DeviceSpec::v100();

@@ -5,13 +5,14 @@
 //! Conv5 speedups are the largest (bk=64 halves input overfetch, §7.1), and
 //! RTX2070 speedups exceed V100's (cuDNN gets 2 blocks/SM on V100 only).
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
 use bench::{conv_for, time_sweep, x, Table};
 use gpusim::DeviceSpec;
 use wino_core::resnet::{BATCH_SIZES, RESNET_LAYERS};
 use wino_core::Algo;
 
 fn main() {
+    check_args("table6", &[REPORT_FLAGS, SWEEP_FLAGS]);
     println!("Table 6: speedup over the cuDNN-like fused Winograd convolution");
     println!("Paper: RTX2070 1.65x-2.65x (avg 1.95x); V100 1.23x-2.13x (avg 1.5x)\n");
     let devices = [DeviceSpec::rtx2070(), DeviceSpec::v100()];

@@ -1,7 +1,7 @@
 //! Table 7: parameters of our implementation vs cuDNN 7.6.1's Winograd,
 //! with the §7.1 occupancy consequence on both devices.
 
-use bench::report::Report;
+use bench::report::{check_args, Report, REPORT_FLAGS};
 use bench::Table;
 use gpusim::DeviceSpec;
 use kernels::{FusedConfig, FusedKernel};
@@ -11,6 +11,7 @@ use perfmodel::{kernel_table, KernelParams};
 type Cell = fn(&KernelParams) -> String;
 
 fn main() {
+    check_args("table7", &[REPORT_FLAGS]);
     println!("Table 7: kernel parameters\n");
     let devices = [DeviceSpec::v100(), DeviceSpec::rtx2070()];
     let [ours, cudnn] = kernel_table();

@@ -51,7 +51,7 @@
 //! `--no-cache`, `--cache-dir DIR`.
 
 use bench::json::{obj, Json};
-use bench::report::{flag_value, Report};
+use bench::report::{check_args, flag_value, Report};
 use bench::simcache::{timing_from_json, timing_to_json, CacheKey, SimStore, Store};
 use bench::Table;
 use gpusim::digest::module_hex;
@@ -573,7 +573,22 @@ fn u64s_json(v: &[u64]) -> Json {
     Json::Arr(v.iter().map(|&x| x.into()).collect())
 }
 
+/// Every flag `main` reads.
+const TUNE_FLAGS: &[&str] = &[
+    "--smoke",
+    "--verify",
+    "--budget N",
+    "--islands N",
+    "--epochs N",
+    "--jobs N",
+    "--seed S",
+    "--json PATH",
+    "--no-cache",
+    "--cache-dir DIR",
+];
+
 fn main() {
+    check_args("tune", &[TUNE_FLAGS]);
     let args: Vec<String> = std::env::args().collect();
     let smoke_mode = args.iter().any(|a| a == "--smoke");
     let verify = args.iter().any(|a| a == "--verify");

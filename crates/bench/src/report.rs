@@ -67,6 +67,76 @@ fn render_records(records: &[Json]) -> String {
     s
 }
 
+/// `--json PATH` and `--metrics`: the flags every experiment binary takes.
+pub const REPORT_FLAGS: &[&str] = &["--json PATH", "--metrics"];
+
+/// The sweep engine's flags, read by [`crate::sweep::SweepOptions::from_args`].
+pub const SWEEP_FLAGS: &[&str] = &[
+    "--jobs N",
+    "--cache",
+    "--no-cache",
+    "--cache-dir DIR",
+    "--selfcheck",
+];
+
+/// What a command line asks a binary to do.
+#[derive(Debug, PartialEq, Eq)]
+enum Cli {
+    Run,
+    Help,
+    /// A bad command line, and why.
+    Bad(String),
+}
+
+/// What [`check_args`] makes of `args` (program name excluded).
+fn parse_cli(args: &[String], flags: &[&[&str]]) -> Cli {
+    let specs = flags.iter().flat_map(|group| group.iter());
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == "--help" || a == "-h" {
+            return Cli::Help;
+        }
+        if !a.starts_with('-') {
+            return Cli::Bad(format!("unexpected argument {a}"));
+        }
+        match specs
+            .clone()
+            .find(|s| s.split(' ').next() == Some(a.as_str()))
+        {
+            None => return Cli::Bad(format!("unknown flag {a}")),
+            Some(s) if s.contains(' ') && it.next().is_none() => {
+                return Cli::Bad(format!("{a} needs a value"))
+            }
+            Some(_) => {}
+        }
+    }
+    Cli::Run
+}
+
+/// Check the process arguments against `bin`'s flag specs, each `--flag`
+/// or `--flag VALUE`, before it does any work. `--help` or `-h` prints the
+/// usage to stdout and exits 0; an unknown flag, a flag without its value
+/// or an operand prints what is wrong and the usage to stderr and exits 2.
+/// Neither writes a file.
+pub fn check_args(bin: &str, flags: &[&[&str]]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut usage = format!("usage: {bin}");
+    for spec in flags.iter().flat_map(|group| group.iter()) {
+        usage += &format!(" [{spec}]");
+    }
+    match parse_cli(&args, flags) {
+        Cli::Run => {}
+        Cli::Help => {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Cli::Bad(why) => {
+            eprintln!("{bin}: {why}\n{usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Extract `--json <path>` from the process arguments, if present.
 pub fn json_arg() -> Option<String> {
     flag_value(&std::env::args().collect::<Vec<_>>(), "--json")
@@ -115,6 +185,28 @@ mod tests {
                 .as_f64(),
             Some(2.0)
         );
+    }
+
+    #[test]
+    fn cli_rejects_unknown_flags_and_answers_help() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let flags: &[&[&str]] = &[REPORT_FLAGS, &["--smoke"]];
+        let check = |v: &[&str]| parse_cli(&args(v), flags);
+        assert_eq!(check(&[]), Cli::Run);
+        assert_eq!(
+            check(&["--smoke", "--json", "out.json", "--metrics"]),
+            Cli::Run
+        );
+        assert_eq!(check(&["--smoke", "--help"]), Cli::Help);
+        assert_eq!(check(&["-h"]), Cli::Help);
+        assert_eq!(check(&["--bogus"]), Cli::Bad("unknown flag --bogus".into()));
+        assert_eq!(check(&["--json"]), Cli::Bad("--json needs a value".into()));
+        assert_eq!(
+            check(&["stray"]),
+            Cli::Bad("unexpected argument stray".into())
+        );
+        // A flag's value may look like a flag.
+        assert_eq!(check(&["--json", "--smoke"]), Cli::Run);
     }
 
     #[test]

@@ -194,6 +194,16 @@ enum Phase {
     Analytic(&'static str, f64),
 }
 
+/// One step of an algorithm's pipeline before any kernel is emitted: what
+/// [`Conv::launches`] emits and [`Conv::time_lower_bound`] bounds.
+enum Step {
+    Analytic(&'static str, f64),
+    /// The filter-transform kernel, then the fused kernel, over the
+    /// pipeline's `[in, filter, tf, out]` arena.
+    FusedPipeline(FusedConfig),
+    Gemm(&'static str, GemmConfig),
+}
+
 /// A kernel launch over the target's arena.
 struct Launch {
     name: &'static str,
@@ -338,6 +348,71 @@ impl Conv {
         self.measure(Target::algo(algo), Observe::default())
     }
 
+    /// A lower bound on [`Conv::time`]`(algo).time_s`, from the kernel
+    /// configurations alone: no kernel is emitted and nothing simulated, so
+    /// it costs microseconds. It sums, over the pipeline's phases in
+    /// [`Conv::time`]'s order, each phase plus [`LAUNCH_OVERHEAD_S`]:
+    ///
+    /// * an analytic phase's exact seconds;
+    /// * for a simulated launch of `B` blocks, each issuing at least `F`
+    ///   FP32-pipe warp instructions, `⌈B / num_sms⌉ · max(0, IF /
+    ///   schedulers_per_sm − (I − 1))` cycles at `clock_hz`, where `I` is
+    ///   [`gpusim::FP32_ISSUE_CYCLES`] (2). `F` is what the configuration
+    ///   fixes: [`FusedConfig::ffma_per_block`] for a fused kernel,
+    ///   [`GemmConfig::ffma_per_block`] for a GEMM tile, and 0 for the
+    ///   filter transform.
+    ///
+    /// Proof that the launch term never exceeds the launch's simulated
+    /// `time_s`, from the wave loop's pipe rule (`gpusim::timing`):
+    ///
+    /// 1. An FP32 issue at cycle `c` sets its scheduler's pipe busy until
+    ///    `c + I` or later, and the issue gate admits no FP32 instruction
+    ///    on a busy pipe. The last of a scheduler's `n` FP32 issues in a
+    ///    wave therefore comes at cycle `I(n − 1)` or later, and a wave
+    ///    counts the cycle of its last issue, so it lasts at least
+    ///    `In − (I − 1)` cycles.
+    /// 2. A wave of `b ≥ 1` blocks issues at least `bF` FP32 instructions
+    ///    over `schedulers_per_sm` schedulers, so its busiest scheduler has
+    ///    `n ≥ bF / schedulers_per_sm` and the wave lasts at least
+    ///    `IbF / schedulers_per_sm − (I − 1) ≥ b · (IF / schedulers_per_sm
+    ///    − (I − 1))` cycles.
+    /// 3. An SM runs its waves back to back, so its busy cycles are at least
+    ///    its block count times that per-block term. Round-robin dispatch
+    ///    gives the busiest SM `⌈B / num_sms⌉` blocks, and the device
+    ///    makespan is at least the busiest SM's busy cycles.
+    /// 4. The device model's shortcuts keep both facts: a fast-forwarded
+    ///    wave is charged a simulated full wave's cycles, and the
+    ///    representative of an SM class stands for SMs with the same block
+    ///    count, the busiest class included.
+    /// 5. A launch's `time_s` is `max(makespan / clock_hz, DRAM time)`.
+    ///
+    /// Every cycle term is exact in `f64` (a multiple of
+    /// `I / schedulers_per_sm` far below 2⁵³), and rounded division and
+    /// addition are monotone, so the phase-by-phase inequality survives the
+    /// same-order sum: the bound holds bit for bit, and equals the time of
+    /// the all-analytic FFT algorithms.
+    pub fn time_lower_bound(&self, algo: Algo) -> f64 {
+        let dev = &self.device;
+        let issue = gpusim::FP32_ISSUE_CYCLES as f64;
+        let launch = |dims: LaunchDims, fp32_per_block: f64| {
+            let per_block = issue * fp32_per_block / dev.schedulers_per_sm as f64 - (issue - 1.0);
+            dims.num_blocks().div_ceil(dev.num_sms as u64) as f64 * per_block.max(0.0)
+                / dev.clock_hz
+        };
+        let mut phases = Vec::new();
+        for step in self.steps(algo) {
+            match step {
+                Step::Analytic(_, s) => phases.push(s),
+                Step::Gemm(_, cfg) => phases.push(launch(cfg.launch_dims(), cfg.ffma_per_block())),
+                Step::FusedPipeline(cfg) => {
+                    phases.push(launch(filter_transform::launch_dims(cfg.c, cfg.k), 0.0));
+                    phases.push(launch(cfg.launch_dims(), cfg.ffma_per_block()));
+                }
+            }
+        }
+        phases.iter().map(|s| s + LAUNCH_OVERHEAD_S).sum()
+    }
+
     /// The dominant kernel of [`Conv::time`] with hardware counters attached
     /// (`gpusim::counters`); `None` for the analytic FFT algorithms. The
     /// timing numbers are those of [`Conv::time`], under the same key.
@@ -421,8 +496,6 @@ impl Conv {
 
     /// The arena layout `kernels` runs in, and what it runs, in order.
     fn launches(&self, kernels: Kernels) -> (Buffers, Vec<Phase>) {
-        let p = &self.problem;
-        let bw = self.device.dram_bw * MEM_EFF;
         match kernels {
             Kernels::Fused(cfg) => {
                 let kern = FusedKernel::emit(cfg);
@@ -430,38 +503,63 @@ impl Conv {
                 let a = buffers.addrs();
                 (buffers, vec![Launch::fused(kern, [a[0], a[1], a[2]])])
             }
-            Kernels::Algo(algo @ (Algo::OursFused | Algo::CudnnWinograd)) => {
-                let kern = FusedKernel::emit(self.fused_config(algo));
-                // [in, filter, tf, out]: FX reads the filter into tf.
-                let buffers = kern.pipeline_buffers();
-                let a = buffers.addrs();
-                let (c, k) = (p.c as u32, p.k as u32);
-                let fx = Launch {
-                    name: "filter_transform",
-                    module: emit_filter_transform(c, k),
-                    dims: filter_transform::launch_dims(c, k),
-                    params: filter_transform::params(a[1], a[2]),
-                    region: None,
-                    regions: Vec::new(),
-                };
-                let fused = Launch::fused(kern, [a[0], a[2], a[3]]);
-                (buffers, vec![Phase::Launch(fx), fused])
+            Kernels::Algo(algo) => {
+                let mut buffers = Buffers(Vec::new());
+                let mut phases = Vec::new();
+                for step in self.steps(algo) {
+                    match step {
+                        Step::Analytic(name, s) => phases.push(Phase::Analytic(name, s)),
+                        Step::Gemm(name, cfg) => {
+                            let (b, gemm) = Launch::gemm(name, GemmKernel::emit(cfg));
+                            buffers = b;
+                            phases.push(gemm);
+                        }
+                        Step::FusedPipeline(cfg) => {
+                            let kern = FusedKernel::emit(cfg);
+                            // [in, filter, tf, out]: FX reads the filter into tf.
+                            buffers = kern.pipeline_buffers();
+                            let a = buffers.addrs();
+                            let (c, k) = (cfg.c, cfg.k);
+                            phases.push(Phase::Launch(Launch {
+                                name: "filter_transform",
+                                module: emit_filter_transform(c, k),
+                                dims: filter_transform::launch_dims(c, k),
+                                params: filter_transform::params(a[1], a[2]),
+                                region: None,
+                                regions: Vec::new(),
+                            }));
+                            phases.push(Launch::fused(kern, [a[0], a[2], a[3]]));
+                        }
+                    }
+                }
+                (buffers, phases)
             }
-            Kernels::Algo(algo @ (Algo::ImplicitPrecompGemm | Algo::ImplicitGemm)) => {
-                let (buffers, gemm) =
-                    Launch::gemm("implicit_gemm", GemmKernel::emit(self.gemm_config(algo)));
-                (buffers, vec![gemm])
+        }
+    }
+
+    /// What `algo` runs, in order, as kernel configurations and analytic
+    /// phases: the one description [`Conv::launches`] emits and
+    /// [`Conv::time_lower_bound`] bounds without emitting.
+    fn steps(&self, algo: Algo) -> Vec<Step> {
+        let p = &self.problem;
+        let bw = self.device.dram_bw * MEM_EFF;
+        match algo {
+            Algo::OursFused | Algo::CudnnWinograd => {
+                vec![Step::FusedPipeline(self.fused_config(algo))]
             }
-            Kernels::Algo(Algo::Gemm) => {
+            Algo::ImplicitPrecompGemm | Algo::ImplicitGemm => {
+                vec![Step::Gemm("implicit_gemm", self.gemm_config(algo))]
+            }
+            Algo::Gemm => {
                 // Explicit im2col: a memory-bound expansion pass, then GEMM.
                 let col_bytes = (p.c * 9 * p.n * p.h * p.w) as f64 * 4.0;
                 let in_bytes = p.input_len() as f64 * 4.0;
-                let im2col = Phase::Analytic("im2col", (in_bytes + col_bytes) / bw);
-                let (buffers, gemm) =
-                    Launch::gemm("gemm", GemmKernel::emit(self.gemm_config(Algo::Gemm)));
-                (buffers, vec![im2col, gemm])
+                vec![
+                    Step::Analytic("im2col", (in_bytes + col_bytes) / bw),
+                    Step::Gemm("gemm", self.gemm_config(Algo::Gemm)),
+                ]
             }
-            Kernels::Algo(Algo::WinogradNonfused) => {
+            Algo::WinogradNonfused => {
                 let plan = NonFusedPipeline::plan(p, Variant::F4x4);
                 // Input transform: read input, write 2.25× expanded data.
                 let itf_bytes = (p.input_len() + plan.transformed_input_len) as f64 * 4.0;
@@ -476,21 +574,18 @@ impl Conv {
                     (p.k as u32).next_multiple_of(64),
                     (p.c as u32).next_multiple_of(8),
                 );
-                let cfg = GemmConfig::new(m, n_pad, kd).batched(36);
-                let (buffers, gemm) = Launch::gemm("batched_gemm", GemmKernel::emit(cfg));
-                let phases = vec![
-                    Phase::Analytic("input_transform", itf_bytes / bw),
-                    Phase::Analytic("filter_transform", ftf_bytes / bw),
-                    gemm,
-                    Phase::Analytic("output_transform", otf_bytes / bw),
-                ];
-                (buffers, phases)
+                vec![
+                    Step::Analytic("input_transform", itf_bytes / bw),
+                    Step::Analytic("filter_transform", ftf_bytes / bw),
+                    Step::Gemm("batched_gemm", GemmConfig::new(m, n_pad, kd).batched(36)),
+                    Step::Analytic("output_transform", otf_bytes / bw),
+                ]
             }
-            Kernels::Algo(Algo::Fft) => (Buffers(Vec::new()), self.fft_phases(fft_size_full(p), 1)),
-            Kernels::Algo(Algo::FftTiling) => {
+            Algo::Fft => self.fft_phases(fft_size_full(p), 1),
+            Algo::FftTiling => {
                 let step = 32 - 2;
                 let tiles = p.h.div_ceil(step) * p.w.div_ceil(step);
-                (Buffers(Vec::new()), self.fft_phases(32, tiles))
+                self.fft_phases(32, tiles)
             }
         }
     }
@@ -667,7 +762,7 @@ impl Conv {
 
     /// Roofline phases for FFT-based convolution with transform size `s` and
     /// `tiles` tiles per image (1 = full-image FFT).
-    fn fft_phases(&self, s: usize, tiles: usize) -> Vec<Phase> {
+    fn fft_phases(&self, s: usize, tiles: usize) -> Vec<Step> {
         let p = &self.problem;
         let dev = &self.device;
         let s2 = (s * s) as f64;
@@ -688,16 +783,16 @@ impl Conv {
         let macs = (p.n * p.k * p.c * tiles) as f64 * s2;
         let traffic = (n_in + n_f + n_out) * s2 * cplx * 2.0;
         vec![
-            Phase::Analytic(
+            Step::Analytic(
                 "fft_input",
                 roof(n_in * fft2d_flops, n_in * s2 * (4.0 + cplx)),
             ),
-            Phase::Analytic(
+            Step::Analytic(
                 "fft_filter",
                 roof(n_f * fft2d_flops, n_f * (9.0 * 4.0 + s2 * cplx)),
             ),
-            Phase::Analytic("cgemm_pointwise", roof(macs * 8.0, traffic)),
-            Phase::Analytic(
+            Step::Analytic("cgemm_pointwise", roof(macs * 8.0, traffic)),
+            Step::Analytic(
                 "ifft_output",
                 roof(n_out * fft2d_flops, n_out * s2 * (cplx + 4.0)),
             ),

@@ -5,13 +5,15 @@
 //! realistic tensor shapes, runnable functionally (any algorithm mix, with
 //! or without the hoisted filter-transform cache) and plannable end-to-end:
 //!
-//! * **Per-layer algorithm selection** — [`NetGraph::plan`] times every
-//!   legal, breakeven-pruned candidate ([`candidates`], pruning via
-//!   `FusedConfig::check` and `perfmodel::nonfused_viable`) through a
-//!   [`LayerTimer`], once per distinct shape ([`NetGraph::probes`]), and
-//!   picks the fastest per layer; [`AlgoPolicy::Baseline`] excludes the
-//!   paper's kernel, yielding the cuDNN-like library a network would
-//!   otherwise use.
+//! * **Per-layer algorithm selection** — [`NetGraph::plan`] picks the
+//!   fastest legal, breakeven-pruned candidate per layer ([`candidates`],
+//!   pruning via `FusedConfig::check` and `perfmodel::nonfused_viable`),
+//!   once per distinct shape ([`NetGraph::probes`]). [`select`] times the
+//!   candidates through a [`LayerTimer`] in ascending
+//!   [`Conv::time_lower_bound`] order and skips those whose bound exceeds
+//!   the best time already measured, recording each in
+//!   [`NetPlan::pruned`]. [`AlgoPolicy::Baseline`] excludes the paper's
+//!   kernel, yielding the cuDNN-like library a network would otherwise use.
 //! * **Memory planning** — every inter-layer activation and per-layer
 //!   workspace becomes a [`BufferReq`] with a live range over the node
 //!   timeline; [`crate::memplan::plan_arena`] packs them, making the fused
@@ -303,9 +305,10 @@ impl NetGraph {
         cur
     }
 
-    /// The distinct `(problem, algorithm)` pairs [`NetGraph::plan`] times
-    /// on `device` under `policy`, in first-seen order over the conv nodes
-    /// and their candidates.
+    /// The distinct `(problem, algorithm)` pairs [`NetGraph::plan`] may
+    /// time on `device` under `policy`, in first-seen order over the conv
+    /// nodes and their candidates. The plan times each at most once: those
+    /// [`select`] does not prune, and [`NetPlan::pruned`] lists the rest.
     pub fn probes(&self, device: &DeviceSpec, policy: AlgoPolicy) -> Vec<(ConvProblem, Algo)> {
         let mut seen = HashSet::new();
         let mut out = Vec::new();
@@ -321,29 +324,29 @@ impl NetGraph {
 
     /// Plan the network on `device` under `policy`: select per-layer
     /// algorithms, split transform vs kernel time, and pack the arena under
-    /// every (policy × hoisting) combination. `timer` is called once per
-    /// [`NetGraph::probes`] pair; repeated layers reuse that timing.
+    /// every (policy × hoisting) combination. Each distinct shape's
+    /// candidates go through [`select`] once, which calls `timer` at most
+    /// once per [`NetGraph::probes`] pair; repeated layers reuse the result.
     pub fn plan(&self, device: &DeviceSpec, policy: AlgoPolicy, timer: &dyn LayerTimer) -> NetPlan {
-        let timings: HashMap<(ConvProblem, Algo), AlgoTiming> = self
-            .probes(device, policy)
-            .into_iter()
-            .map(|(p, algo)| ((p, algo), timer.time(&Conv::new(p, device.clone()), algo)))
-            .collect();
+        let mut selections: HashMap<ConvProblem, Selection> = HashMap::new();
+        let mut pruned = Vec::new();
+        for (_, c) in self.conv_nodes() {
+            selections.entry(c.problem).or_insert_with(|| {
+                let conv = Conv::new(c.problem, device.clone());
+                let sel = select(&conv, &policy.candidates(&c.problem, device), timer);
+                pruned.extend_from_slice(&sel.pruned);
+                sel
+            });
+        }
         let mut choices = Vec::new();
         let mut probe_s = 0.0;
         for (node, c) in self.conv_nodes() {
             let conv = Conv::new(c.problem, device.clone());
-            let algos = policy.candidates(&c.problem, device);
-            assert!(!algos.is_empty(), "{}: no candidate algorithms", c.name);
-            let mut best: Option<&AlgoTiming> = None;
-            for &algo in &algos {
-                let t = &timings[&(c.problem, algo)];
-                probe_s += t.time_s;
-                if best.is_none_or(|b| t.time_s < b.time_s) {
-                    best = Some(t);
-                }
+            let sel = &selections[&c.problem];
+            for t in &sel.probed_s {
+                probe_s += t;
             }
-            let timing = best.expect("non-empty candidate set");
+            let timing = &sel.best;
             let transform_s: f64 = timing
                 .phases
                 .iter()
@@ -405,6 +408,7 @@ impl NetGraph {
             arena_noreuse: ArenaCase::new(reqs_hoisted, ArenaPolicy::NoReuse),
             arena_reuse_unhoisted: ArenaCase::new(reqs_unhoisted, ArenaPolicy::Reuse),
             choices,
+            pruned,
         }
     }
 
@@ -539,12 +543,86 @@ impl AlgoPolicy {
 /// [`DirectTimer`] simulates inline; `bench` injects a simcache-memoized
 /// table so planning is cheap, warm, and byte-deterministic.
 ///
-/// Contract: `time` must be a pure function of `(conv.problem,
-/// conv.device, algo)`. [`NetGraph::plan`] relies on it, calling `time`
-/// once per distinct pair ([`NetGraph::probes`]) and reusing the result
-/// for every later layer of the same shape.
+/// Contract:
+/// * `time` is a pure function of `(conv.problem, conv.device, algo)`.
+///   [`NetGraph::plan`] calls it at most once per distinct pair
+///   ([`NetGraph::probes`]) and reuses the result for every later layer of
+///   the same shape.
+/// * `time(conv, algo).time_s` is never less than
+///   [`Conv::time_lower_bound`]`(algo)`. [`select`] skips a candidate whose
+///   bound exceeds a time already measured, which is sound only under this
+///   rule. Every timer outside tests delegates to [`Conv::time`], for which
+///   the bound is proved.
 pub trait LayerTimer {
     fn time(&self, conv: &Conv, algo: Algo) -> AlgoTiming;
+}
+
+/// A candidate [`select`] skipped without timing it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Pruned {
+    pub problem: ConvProblem,
+    pub algo: Algo,
+    /// [`Conv::time_lower_bound`] of the candidate, seconds.
+    pub bound_s: f64,
+    /// The best time measured when the candidate came up, seconds: the
+    /// incumbent its bound exceeded.
+    pub incumbent_s: f64,
+}
+
+/// One shape's algorithm choice, and what it cost to make.
+#[derive(Debug)]
+pub struct Selection {
+    /// The fastest candidate, the earliest in candidate order on a tie.
+    pub best: AlgoTiming,
+    /// Seconds of every probe that ran, in candidate order.
+    pub probed_s: Vec<f64>,
+    /// The candidates skipped, in the order they came up.
+    pub pruned: Vec<Pruned>,
+}
+
+/// Pick `conv`'s fastest algorithm among `algos` (in candidate order),
+/// timing through `timer` only the candidates that can still win. The
+/// candidates are visited in ascending [`Conv::time_lower_bound`] order,
+/// ties in candidate order, and one whose bound exceeds the best time
+/// already measured is skipped: under the [`LayerTimer`] contract its time
+/// does too, so it could neither win nor tie. The winner, the least time
+/// and then the earliest candidate, is therefore exactly the one probing
+/// every candidate would pick. [`NetGraph::plan`] and the serving planner
+/// both choose through this.
+pub fn select(conv: &Conv, algos: &[Algo], timer: &dyn LayerTimer) -> Selection {
+    let mut order: Vec<(usize, f64)> = algos
+        .iter()
+        .map(|&a| conv.time_lower_bound(a))
+        .enumerate()
+        .collect();
+    order.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let mut best: Option<(usize, AlgoTiming)> = None;
+    let (mut probed, mut pruned) = (Vec::new(), Vec::new());
+    for (i, bound_s) in order {
+        let algo = algos[i];
+        if let Some((_, b)) = best.as_ref().filter(|(_, b)| bound_s > b.time_s) {
+            pruned.push(Pruned {
+                problem: conv.problem,
+                algo,
+                bound_s,
+                incumbent_s: b.time_s,
+            });
+            continue;
+        }
+        let t = timer.time(conv, algo);
+        probed.push((i, t.time_s));
+        let wins =
+            |(j, b): &(usize, AlgoTiming)| t.time_s < b.time_s || (t.time_s == b.time_s && i < *j);
+        if best.as_ref().is_none_or(wins) {
+            best = Some((i, t));
+        }
+    }
+    probed.sort_by_key(|&(i, _)| i);
+    Selection {
+        best: best.expect("no candidate algorithms").1,
+        probed_s: probed.into_iter().map(|(_, t)| t).collect(),
+        pruned,
+    }
 }
 
 /// [`LayerTimer`] that runs [`Conv::time`] inline.
@@ -608,10 +686,11 @@ pub struct NetPlan {
     pub choices: Vec<LayerChoice>,
     /// Modeled time of all transition nodes, seconds.
     pub transitions_s: f64,
-    /// Total candidate-probing time, seconds: every layer's candidates,
-    /// repeated layers included, although the planner times each distinct
-    /// shape once — the modelled cost a serving planner charges for
-    /// building this plan cold.
+    /// Total candidate-probing time, seconds: for every layer, the probes
+    /// of its shape that ran, repeated layers included, although the
+    /// planner times each distinct shape once. A pruned candidate costs
+    /// nothing. This is the modelled cost a pruning planner pays on the
+    /// device to build this plan cold.
     pub probe_s: f64,
     /// End-to-end time with filter transforms recomputed per execution
     /// (cold cache / cuDNN-style per-call behaviour), seconds.
@@ -629,6 +708,10 @@ pub struct NetPlan {
     /// Linear-scan reuse with per-execution transform workspace — what the
     /// arena costs without the hoisting cache.
     pub arena_reuse_unhoisted: ArenaCase,
+    /// Every `(shape, algorithm)` candidate the planner skipped, with the
+    /// bound and incumbent that ruled it out, shape by shape in first-seen
+    /// order.
+    pub pruned: Vec<Pruned>,
 }
 
 impl NetPlan {

@@ -64,4 +64,4 @@ pub use launch::{ExecCounters, Gpu, LaunchDims, LaunchError};
 pub use memory::{ConstBank, DevPtr, GlobalMemory, MemError, ParamBuilder, PARAM_BASE};
 pub use simprof::{IssueEvent, KernelProfile, LineProfile, Region, StallBreakdown, StallCause};
 pub use timeq::TimeQueue;
-pub use timing::{simulate, KernelTiming, Model, TimingOptions};
+pub use timing::{simulate, KernelTiming, Model, TimingOptions, FP32_ISSUE_CYCLES};

@@ -29,9 +29,10 @@
 //! * the **yield flag** steers the scheduler's warp choice: when set it
 //!   stays on the same warp, when clear it switches, paying one dead cycle
 //!   and invalidating the operand reuse cache (§5.1.4);
-//! * the FP32 pipe takes 2 cycles per warp instruction (16 lanes/scheduler)
-//!   plus 1 for a register-bank conflict — three distinct source registers
-//!   with the same index parity, unless `.reuse` covers one (§5.2.2);
+//! * the FP32 pipe takes [`FP32_ISSUE_CYCLES`] = 2 cycles per warp
+//!   instruction (16 lanes/scheduler) plus 1 for a register-bank conflict —
+//!   three distinct source registers with the same index parity, unless
+//!   `.reuse` covers one (§5.2.2);
 //! * `LDS`/`STS` occupy the MIO pipe for a number of phases derived from
 //!   exact bank-conflict analysis (32 banks × 4 B; wide accesses are served
 //!   in 64-bit/128-bit phases);
@@ -50,6 +51,13 @@ use crate::launch::{run_block, Gpu, LaunchDims, LaunchError};
 use crate::memory::{ConstBank, GlobalMemory};
 use crate::simprof::{Collector, KernelProfile, SchedClass, StallCause};
 use crate::timeq::TimeQueue;
+
+/// Cycles an FP32-pipe warp instruction holds its scheduler's pipe (16
+/// lanes per scheduler), before any register-bank conflict cycle; the issue
+/// gate admits no FP32 instruction while the pipe is held. Analytic lower
+/// bounds on a launch's time (`wino_core::Conv::time_lower_bound`) rest on
+/// this figure.
+pub const FP32_ISSUE_CYCLES: u64 = 2;
 
 /// Options for a timing run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -1108,7 +1116,7 @@ pub(crate) fn simulate_wave(
             // Account cost per pipe.
             match desc.pipe {
                 PipeKind::Fp32 => {
-                    let mut occ = 2u64;
+                    let mut occ = FP32_ISSUE_CYCLES;
                     let conflict = desc.bank_conflict(&slots[chosen].reuse_cache);
                     if conflict {
                         occ += 1;
@@ -1135,9 +1143,9 @@ pub(crate) fn simulate_wave(
                         }
                     }
                     fp_busy[s] = cycle + occ;
-                    fp_active += 2; // useful cycles only
+                    fp_active += FP32_ISSUE_CYCLES; // useful cycles only
                     if in_region {
-                        region_fp_active += 2;
+                        region_fp_active += FP32_ISSUE_CYCLES;
                     }
                     flops_wave += desc.flops_x32;
                 }

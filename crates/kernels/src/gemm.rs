@@ -62,6 +62,17 @@ impl GemmConfig {
     pub fn flops(&self) -> f64 {
         2.0 * self.m as f64 * self.n as f64 * self.kd as f64 * self.batches as f64
     }
+
+    /// One block per 64×128 tile of `C`, per batch, 256 threads each.
+    pub fn launch_dims(&self) -> gpusim::LaunchDims {
+        gpusim::LaunchDims::new([self.n / 128, self.m / 64, self.batches], [256, 1, 1])
+    }
+
+    /// FFMA warp instructions one block issues: a 64×128 tile over a
+    /// `Kd`-deep reduction is 8192·Kd FMAs, 32 lanes per instruction.
+    pub fn ffma_per_block(&self) -> f64 {
+        256.0 * self.kd as f64
+    }
 }
 
 /// The emitted GEMM kernel plus launch metadata.
@@ -326,9 +337,9 @@ impl GemmKernel {
         }
     }
 
+    /// Launch dims of the emitted kernel: [`GemmConfig::launch_dims`].
     pub fn launch_dims(&self) -> gpusim::LaunchDims {
-        let c = &self.config;
-        gpusim::LaunchDims::new([c.n / 128, c.m / 64, c.batches], [256, 1, 1])
+        self.config.launch_dims()
     }
 
     pub fn params(&self, a: u64, b: u64, c: u64) -> Vec<u8> {

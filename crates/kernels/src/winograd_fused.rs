@@ -301,6 +301,37 @@ impl FusedConfig {
         let per_iter = 16.0 * self.bk as f64 * bn_eff as f64 * BC as f64 * 2.0;
         per_iter * (self.c / BC) as f64
     }
+
+    /// FP32-pipe warp instructions one block issues in the main loop: 32
+    /// lanes of 2 FLOPs per FFMA, or of 4 per HFMA2 on the fp16 path, so
+    /// both precisions issue 16·bk·BN·C / 32.
+    pub fn ffma_per_block(&self) -> f64 {
+        let flops_per_inst = if self.fp16 { 128.0 } else { 64.0 };
+        self.mainloop_flops_per_block() / flops_per_inst
+    }
+
+    /// Launch dims, 256 threads per block; a function of the configuration
+    /// alone, so a grid is known without emitting the kernel.
+    ///
+    /// CHWN: grid (wtiles, htiles, ngroups·kblocks) — one (h,w) tile × 32
+    /// batches per block. NCHW: grid (⌈wtiles/8⌉, ⌈htiles/4⌉, N·kblocks) —
+    /// an 8×4 spatial tile patch of one image per block (§8.4).
+    pub fn launch_dims(&self) -> gpusim::LaunchDims {
+        let grid = if self.input_nchw {
+            [
+                self.wtiles().div_ceil(8),
+                self.htiles().div_ceil(4),
+                self.n * self.kblocks(),
+            ]
+        } else {
+            [
+                self.wtiles(),
+                self.htiles(),
+                self.ngroups() * self.kblocks(),
+            ]
+        };
+        gpusim::LaunchDims::new(grid, [256, 1, 1])
+    }
 }
 
 /// Fig. 3 lane arrangement: filter-fragment word offset for a lane.
@@ -719,28 +750,9 @@ impl FusedKernel {
             .collect()
     }
 
-    /// Launch dims, 256 threads per block.
-    ///
-    /// CHWN: grid (wtiles, htiles, ngroups·kblocks) — one (h,w) tile × 32
-    /// batches per block. NCHW: grid (⌈wtiles/8⌉, ⌈htiles/4⌉, N·kblocks) —
-    /// an 8×4 spatial tile patch of one image per block (§8.4).
+    /// Launch dims of the emitted kernel: [`FusedConfig::launch_dims`].
     pub fn launch_dims(&self) -> gpusim::LaunchDims {
-        let c = &self.config;
-        if c.input_nchw {
-            gpusim::LaunchDims::new(
-                [
-                    c.wtiles().div_ceil(8),
-                    c.htiles().div_ceil(4),
-                    c.n * c.kblocks(),
-                ],
-                [256, 1, 1],
-            )
-        } else {
-            gpusim::LaunchDims::new(
-                [c.wtiles(), c.htiles(), c.ngroups() * c.kblocks()],
-                [256, 1, 1],
-            )
-        }
+        self.config.launch_dims()
     }
 
     /// Build the parameter blob. `input` is the raw CHWN input pointer,

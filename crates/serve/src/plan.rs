@@ -10,7 +10,8 @@
 //! serve forever").
 //!
 //! Plans are built by [`Planner::build`] (expensive: one multi-wave
-//! simulation per probed algorithm per batch size, plus optional annealing)
+//! simulation per candidate algorithm per batch size that its lower bound
+//! does not prune, plus optional annealing)
 //! and cached through [`PlanCache`], which layers LRU bookkeeping and
 //! eviction on any [`PlanStorage`] backend. The `bench` serve binary backs
 //! it with `simcache`'s content-addressed store; tests use [`MemStorage`].
@@ -48,8 +49,8 @@ use kernels::{EmitterParams, FusedConfig, FusedKernel};
 use perfmodel::{break_even_k, BottleneckReport};
 use sass::island::Priors;
 use sass::Module;
-use wino_core::netgraph::candidates;
-use wino_core::{Algo, Conv, Target};
+use wino_core::netgraph::{candidates, select};
+use wino_core::{Algo, Conv, DirectTimer, Target};
 
 use crate::schedstore::ScheduleStore;
 use crate::traffic::ShapeClass;
@@ -71,9 +72,13 @@ use crate::traffic::ShapeClass;
 /// winning Tier-2 emitter point and whether the schedule was replayed from
 /// the v2 autotuner's store (`store`) or found by in-process annealing
 /// (`anneal`).
-pub const PLAN_FORMAT_VERSION: u32 = 3;
+///
+/// v4 builds through `wino_core::netgraph::select`, which skips a candidate
+/// whose `Conv::time_lower_bound` exceeds the best time already measured,
+/// so [`Plan::build_cost_ns`] charges only the probes that ran.
+pub const PLAN_FORMAT_VERSION: u32 = 4;
 
-/// On-device runs charged per probed algorithm when modeling cold plan
+/// On-device runs charged per probe that runs when modeling cold plan
 /// construction (cuDNN-style "find" runs each candidate a few times).
 pub const PROBE_RUNS: u64 = 3;
 
@@ -134,8 +139,9 @@ pub struct Plan {
     pub break_even_k: f64,
     /// Per-batch-size choices, ascending in `n`.
     pub variants: Vec<PlanVariant>,
-    /// Modeled on-device cost of building this plan cold (probe runs +
-    /// tuning evaluations), nanoseconds of simulated time.
+    /// Modeled on-device cost of building this plan cold (runs of the
+    /// probes the lower bound did not prune + tuning evaluations),
+    /// nanoseconds of simulated time.
     pub build_cost_ns: u64,
     /// Arrival rate (requests/second) the traffic model assumed for this
     /// class when the plan was built; `0.0` means unknown and disables the
@@ -513,12 +519,14 @@ impl Planner {
         d.hex()
     }
 
-    /// What a build of `class` probes: for each supported batch size,
+    /// What a build of `class` may probe: for each supported batch size,
     /// ascending, its `Conv` and the network planner's candidates for it —
     /// legal fused kernels, implicit GEMM, and the nonfused F(4×4) pipeline
     /// only above the device's breakeven `K` (below it, fused F(2×2)
     /// provably wins — see `perfmodel::break_even_k` — so probing it would
-    /// waste PROBE_RUNS).
+    /// waste PROBE_RUNS). The build then skips every candidate whose lower
+    /// bound exceeds a time already measured; the key still covers them
+    /// all, since their bounds come from the same configurations.
     fn probes(&self, class: &ShapeClass) -> Vec<(Conv, Vec<Algo>)> {
         let probe = |&n: &u32| {
             let conv = Conv::new(class.problem(n), self.device.clone());
@@ -535,24 +543,20 @@ impl Planner {
     }
 
     /// Build the plan for `class`. Deterministic; cost is dominated by one
-    /// multi-wave simulation per probe plus `tune_budget` one-wave
-    /// simulations when tuning is on. When a schedule store is supplied,
-    /// stored v2-tuner winners are replayed (digest-verified, re-timed)
-    /// before any in-process search runs.
+    /// multi-wave simulation per probe that `select` runs, plus
+    /// `tune_budget` one-wave simulations when tuning is on. When a
+    /// schedule store is supplied, stored v2-tuner winners are replayed
+    /// (digest-verified, re-timed) before any in-process search runs.
     pub fn build_with(&self, class: &ShapeClass, sched: Option<&ScheduleStore>) -> Plan {
         let mut variants = Vec::new();
         let mut probe_ns: u64 = 0;
         let mut top_timing: Option<wino_core::AlgoTiming> = None;
         for (conv, algos) in self.probes(class) {
-            let mut best: Option<wino_core::AlgoTiming> = None;
-            for algo in algos {
-                let t = conv.time(algo);
-                probe_ns += PROBE_RUNS * to_ns(t.time_s);
-                if best.as_ref().is_none_or(|b| t.time_s < b.time_s) {
-                    best = Some(t);
-                }
+            let sel = select(&conv, &algos, &DirectTimer);
+            for &t in &sel.probed_s {
+                probe_ns += PROBE_RUNS * to_ns(t);
             }
-            let best = best.expect("at least one candidate");
+            let best = sel.best;
             variants.push(PlanVariant {
                 n: conv.problem.n as u32,
                 algo: best.algo.name().to_string(),
@@ -876,6 +880,54 @@ mod tests {
             build_cost_ns: 0,
             assumed_rps: 0.0,
             tuned: None,
+        }
+    }
+
+    /// A pruned build picks, per batch size, the algorithm and service time
+    /// an exhaustive loop over every candidate picks (least time, earliest
+    /// candidate on a tie). It charges `PROBE_RUNS` runs of exactly the
+    /// candidates whose bound is at most every time measured before them in
+    /// (bound, candidate) order. On both devices the smoke classes prune
+    /// something, so the charge falls below the exhaustive one.
+    #[test]
+    fn pruned_build_matches_exhaustive_probing() {
+        for dev in [DeviceSpec::v100(), DeviceSpec::rtx2070()] {
+            let planner = Planner::new(dev.clone(), vec![32]);
+            for class in ShapeClass::smoke_mix() {
+                let plan = planner.build(&class);
+                let conv = Conv::new(class.problem(32), dev.clone());
+                let timed: Vec<_> = candidates(&conv.problem, &dev)
+                    .into_iter()
+                    .map(|a| (conv.time_lower_bound(a), conv.time(a)))
+                    .collect();
+                let (mut best, mut all_ns, mut ran_ns) = (&timed[0].1, 0, 0);
+                for (i, (bound, t)) in timed.iter().enumerate() {
+                    all_ns += PROBE_RUNS * to_ns(t.time_s);
+                    let incumbent = timed
+                        .iter()
+                        .enumerate()
+                        .filter(|(j, (b, _))| (*b, *j) < (*bound, i))
+                        .map(|(_, (_, u))| u.time_s)
+                        .fold(f64::INFINITY, f64::min);
+                    if *bound <= incumbent {
+                        ran_ns += PROBE_RUNS * to_ns(t.time_s);
+                    }
+                    if t.time_s < best.time_s {
+                        best = t;
+                    }
+                }
+                let v = &plan.variants[0];
+                let what = format!("{}/{}", dev.name, class.name);
+                assert_eq!(v.algo, best.algo.name(), "{what}");
+                assert_eq!(v.service_ns, to_ns(best.time_s), "{what}");
+                assert_eq!(
+                    v.tflops.to_bits(),
+                    best.tflops_effective.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(plan.build_cost_ns, ran_ns, "{what}");
+                assert!(ran_ns < all_ns, "{what}: nothing pruned");
+            }
         }
     }
 

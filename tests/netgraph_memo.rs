@@ -1,16 +1,24 @@
 //! Whole-network planning probes each distinct layer shape once: ResNet-50's
 //! 16 conv nodes have 4 distinct shapes, so `NetGraph::plan` makes 14
 //! timer calls instead of 57. The timer here is a counting fake (no
-//! simulation); `crates/core/tests/netgraph_probes.rs` holds the full
-//! bit-identity suite.
+//! simulation) whose times sit far enough above every lower bound that
+//! nothing is pruned; `crates/core/tests/netgraph_probes.rs` holds the full
+//! bit-identity and pruning suite.
 
 use std::cell::Cell;
 
 use winograd_gpu::gpusim::DeviceSpec;
 use winograd_gpu::wino_core::{Algo, AlgoPolicy, AlgoTiming, Conv, LayerTimer, NetGraph};
 
-/// Answers every probe with a time proportional to the layer's FLOPs and
-/// counts the calls.
+/// The fake's time: the candidate's lower bound plus one microsecond per
+/// 10 MFLOP of the layer (740 µs for every ResNet-50 layer at N = 32). It
+/// keeps the `LayerTimer` contract, and since no bound on a shape exceeds
+/// another by that much, no candidate is pruned.
+fn fake_time(conv: &Conv, algo: Algo) -> f64 {
+    conv.time_lower_bound(algo) + conv.problem.direct_flops() / 1e13
+}
+
+/// Answers every probe with [`fake_time`] and counts the calls.
 #[derive(Default)]
 struct CountingTimer {
     calls: Cell<usize>,
@@ -19,7 +27,7 @@ struct CountingTimer {
 impl LayerTimer for CountingTimer {
     fn time(&self, conv: &Conv, algo: Algo) -> AlgoTiming {
         self.calls.set(self.calls.get() + 1);
-        let time_s = conv.problem.direct_flops() / 1e13;
+        let time_s = fake_time(conv, algo);
         AlgoTiming {
             algo,
             time_s,
@@ -44,6 +52,7 @@ fn resnet50_plan_times_each_distinct_layer_once() {
         "one call per distinct (shape, algorithm)"
     );
     assert_eq!(g.probes(&dev, AlgoPolicy::Auto).len(), 14);
+    assert!(plan.pruned.is_empty(), "{:?}", plan.pruned);
     // probe_s still charges every node's candidates: 57 of them.
     let per_node: usize = g
         .conv_nodes()
@@ -52,9 +61,10 @@ fn resnet50_plan_times_each_distinct_layer_once() {
     assert_eq!(per_node, 57);
     let charged: f64 = g
         .conv_nodes()
-        .map(|(_, c)| {
-            let n = AlgoPolicy::Auto.candidates(&c.problem, &dev).len();
-            n as f64 * c.problem.direct_flops() / 1e13
+        .flat_map(|(_, c)| {
+            let conv = Conv::new(c.problem, dev.clone());
+            let algos = AlgoPolicy::Auto.candidates(&c.problem, &dev);
+            algos.into_iter().map(move |a| fake_time(&conv, a))
         })
         .sum();
     assert!((plan.probe_s - charged).abs() <= 1e-12 * charged);
