@@ -16,8 +16,10 @@ echo "== cargo build --release =="
 cargo build --release --workspace
 
 echo "== cargo test =="
-# Includes the docs-link check: bench/tests/binaries.rs runs `doclinks`
-# from the repository root.
+# Includes the docs-link check and the closed-form experiments:
+# bench/tests/binaries.rs runs `doclinks` from the repository root, and
+# `fig2`, `breakeven`, `table7` and `fig14` end to end, parsing each
+# --json report.
 cargo test -q --workspace
 
 echo "== examples =="
@@ -44,18 +46,6 @@ trap 'rm -rf "$fresh"' EXIT
 ./target/release/ablation --metrics --json "$fresh/ablation.json" > /dev/null
 ./target/release/metricsdiff --baseline baselines \
   "$fresh/table2.json" "$fresh/fig7.json" "$fresh/ablation.json"
-
-echo "== analytic experiments =="
-# The closed-form experiments (roofline, break-even, kernel parameters,
-# workspace) compute their points inline, without the sweep cache, in
-# milliseconds. Run each end to end and check its --json report parses;
-# fig14 runs without --metrics, which would simulate.
-for b in fig2 breakeven table7; do
-  ./target/release/$b --metrics --json "$fresh/$b.json" > /dev/null
-  python3 -m json.tool "$fresh/$b.json" > /dev/null
-done
-./target/release/fig14 --json "$fresh/fig14.json" > /dev/null
-python3 -m json.tool "$fresh/fig14.json" > /dev/null
 
 echo "== simspeed smoke =="
 # Host-throughput sanity check of the timing hot loop and of functional

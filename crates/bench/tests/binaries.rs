@@ -1,5 +1,5 @@
-//! Command-line behaviour shared by every `bench` binary, and the docs-link
-//! check, run as tier-1 tests.
+//! Command-line behaviour shared by every `bench` binary, the closed-form
+//! experiments end to end, and the docs-link check, run as tier-1 tests.
 //!
 //! Every binary checks its arguments before any work, through
 //! `bench::report::check_args` (`metricsdiff` through its own `run_cli`,
@@ -8,6 +8,8 @@
 
 use std::path::Path;
 use std::process::Command;
+
+use gpusim::json::{parse, Json};
 
 #[test]
 fn unknown_flag_and_help_exit_before_any_work() {
@@ -32,6 +34,52 @@ fn unknown_flag_and_help_exit_before_any_work() {
     let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     std::fs::remove_dir_all(&dir).unwrap();
     assert!(left.is_empty(), "wrote {left:?}");
+}
+
+/// The closed-form experiments (roofline, break-even, kernel parameters,
+/// workspace) compute their points inline, without the sweep cache, in
+/// milliseconds. Each runs end to end in a temp dir and writes a `--json`
+/// report of records that parses; `fig14` runs without `--metrics`, which
+/// would simulate.
+#[test]
+fn analytic_experiments_write_parseable_reports() {
+    let dir = std::env::temp_dir().join(format!("bench_analytic_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (bin, metrics) in [
+        (env!("CARGO_BIN_EXE_fig2"), true),
+        (env!("CARGO_BIN_EXE_breakeven"), true),
+        (env!("CARGO_BIN_EXE_table7"), true),
+        (env!("CARGO_BIN_EXE_fig14"), false),
+    ] {
+        let name = Path::new(bin).file_name().unwrap().to_string_lossy();
+        let report = dir.join(format!("{name}.json"));
+        let mut cmd = Command::new(bin);
+        if metrics {
+            cmd.arg("--metrics");
+        }
+        let out = cmd
+            .arg("--json")
+            .arg(&report)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&report).unwrap();
+        let records = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let records = records.as_arr().expect("an array of records");
+        assert!(!records.is_empty(), "{name} wrote no records");
+        for r in records {
+            assert!(
+                matches!(r.get("metrics"), Some(Json::Obj(_))),
+                "{name}: {r:?}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Every relative link and heading anchor in README.md, EXPERIMENTS.md and

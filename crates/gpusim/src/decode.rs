@@ -24,6 +24,9 @@
 use sass::isa::{Instruction, MemSpace, Op};
 use sass::reg::Reg;
 
+use crate::exec::Effects;
+use crate::slice::timing_slice;
+
 /// Classification for pipe assignment.
 #[derive(PartialEq, Eq, Clone, Copy, Debug)]
 pub(crate) enum PipeKind {
@@ -54,8 +57,9 @@ pub(crate) struct InstDesc {
     pub mem: MemKind,
     /// FP32 FLOPs of the whole warp (per-lane FLOPs × 32).
     pub flops_x32: u64,
-    /// Issue-to-next-issue stall from the control code, floored at 1.
-    pub stall_cycles: u64,
+    /// Issue-to-next-issue stall from the control code, floored at 1 (a
+    /// byte keeps the descriptor at 96 bytes).
+    pub stall_cycles: u8,
     pub yield_flag: bool,
     pub reuse: u8,
     pub wait_mask: u8,
@@ -66,6 +70,10 @@ pub(crate) struct InstDesc {
     /// `(first dst reg, reg count)` of a load that participates in strict
     /// writeback (an `Op::Ld` with a real destination and a write barrier).
     pub strict_ld: Option<(u8, u8)>,
+    /// What a timing run carries out of the instruction: [`Effects::All`]
+    /// inside the module's timing slice ([`crate::slice`]). Op-derived, so a
+    /// dependence-legal reorder (a schedule-tuner candidate) keeps it.
+    pub effects: Effects,
     /// `Op::src_regs()` occurrences, in order (RZ already excluded).
     srcs: [(u8, Reg); MAX_SRCS],
     nsrcs: u8,
@@ -82,6 +90,17 @@ pub(crate) struct InstDesc {
     /// Static screen: with fewer than three distinct sources in either bank
     /// the access can never conflict, whatever the reuse cache holds.
     maybe_conflict: bool,
+}
+
+/// The issue-to-next-issue stall of `inst`, floored at 1. The control
+/// field is 4-bit, and the wave loop releases stalls on a 16-cycle wheel.
+fn stall_cycles(inst: &Instruction) -> u8 {
+    let stall = inst.ctrl.stall;
+    assert!(
+        stall < 16,
+        "stall count {stall} exceeds the 4-bit control field"
+    );
+    stall.max(1)
 }
 
 fn pipe_of(op: &Op) -> PipeKind {
@@ -125,7 +144,12 @@ fn flops_of(op: &Op) -> u64 {
 }
 
 impl InstDesc {
-    pub fn decode(inst: &Instruction, pc: u32, region: Option<(u32, u32)>) -> Self {
+    pub fn decode(
+        inst: &Instruction,
+        pc: u32,
+        region: Option<(u32, u32)>,
+        effects: Effects,
+    ) -> Self {
         let op = &inst.op;
         let occurrences = op.src_regs();
         assert!(
@@ -175,7 +199,7 @@ impl InstDesc {
             pipe: pipe_of(op),
             mem,
             flops_x32: flops_of(op) * 32,
-            stall_cycles: inst.ctrl.stall.max(1) as u64,
+            stall_cycles: stall_cycles(inst),
             yield_flag: inst.ctrl.yield_flag,
             reuse: inst.ctrl.reuse,
             wait_mask: inst.ctrl.wait_mask,
@@ -183,6 +207,7 @@ impl InstDesc {
             read_bar: inst.ctrl.read_bar,
             in_region: region.is_none_or(|(a, b)| pc >= a && pc < b),
             strict_ld,
+            effects,
             srcs,
             nsrcs: occurrences.len() as u8,
             reuse_latch,
@@ -209,7 +234,7 @@ impl InstDesc {
     /// and only this part recomputed. `inst.op` must match the op this
     /// descriptor was decoded from.
     pub fn repatch_ctrl(&mut self, inst: &Instruction, pc: u32, region: Option<(u32, u32)>) {
-        self.stall_cycles = inst.ctrl.stall.max(1) as u64;
+        self.stall_cycles = stall_cycles(inst);
         self.yield_flag = inst.ctrl.yield_flag;
         self.reuse = inst.ctrl.reuse;
         self.wait_mask = inst.ctrl.wait_mask;
@@ -263,8 +288,9 @@ impl InstDesc {
 pub(crate) fn decode_module(insts: &[Instruction], region: Option<(u32, u32)>) -> Vec<InstDesc> {
     insts
         .iter()
+        .zip(timing_slice(insts))
         .enumerate()
-        .map(|(pc, inst)| InstDesc::decode(inst, pc as u32, region))
+        .map(|(pc, (inst, effects))| InstDesc::decode(inst, pc as u32, region, effects))
         .collect()
 }
 
@@ -317,11 +343,14 @@ mod tests {
 
     #[test]
     fn descriptor_matches_direct_computation() {
+        // Every timing run and every schedule-tuner chain holds a table of
+        // these, one per instruction.
+        assert!(std::mem::size_of::<InstDesc>() <= 96);
         let m = sample_module();
         let table = decode_module(&m.insts, Some((3, 7)));
         for (pc, (inst, d)) in m.insts.iter().zip(&table).enumerate() {
             assert_eq!(d.flops_x32, flops_of(&inst.op) * 32, "pc {pc}");
-            assert_eq!(d.stall_cycles, inst.ctrl.stall.max(1) as u64, "pc {pc}");
+            assert_eq!(d.stall_cycles, inst.ctrl.stall.max(1), "pc {pc}");
             assert_eq!(d.yield_flag, inst.ctrl.yield_flag, "pc {pc}");
             assert_eq!(d.wait_mask, inst.ctrl.wait_mask, "pc {pc}");
             assert_eq!(d.write_bar, inst.ctrl.write_bar, "pc {pc}");

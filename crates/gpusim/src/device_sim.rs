@@ -57,7 +57,8 @@
 //! * `flops`/`dram_bytes` are exact sums over all simulated (and
 //!   fast-forwarded) waves — no grid-ratio scaling.
 //! * Like the one-wave path, this is a timing model: blocks covered by a
-//!   fast-forwarded wave are not executed functionally. Use
+//!   fast-forwarded wave are not executed at all, and simulated blocks
+//!   execute only their timing slice ([`crate::slice`]). Use
 //!   [`Gpu::launch`](crate::Gpu::launch) or
 //!   [`Gpu::launch_parallel`](crate::Gpu::launch_parallel) for functional
 //!   results.

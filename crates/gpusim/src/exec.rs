@@ -2,9 +2,11 @@
 //!
 //! This module gives every ISA instruction its semantics. It is used both by
 //! the functional grid launcher (correctness runs) and by the cycle-level SM
-//! model in [`crate::timing`], which executes instructions functionally at
-//! issue time so that memory addresses — and therefore bank conflicts and
-//! cache behaviour — are exact rather than statistical.
+//! model in [`crate::timing`], which executes instructions at issue time so
+//! that memory addresses — and therefore bank conflicts and cache
+//! behaviour — are exact rather than statistical. The launcher runs every
+//! instruction with [`Effects::All`]; the timing model runs those outside
+//! its timing slice ([`crate::slice`]) with [`Effects::NoData`].
 //!
 //! Divergence is handled SIMT-style with a set of `(mask, pc)` execution
 //! contexts per warp; the context with the smallest PC runs next, and
@@ -170,6 +172,20 @@ impl Warp {
             ctxs => ctxs.iter().copied().min_by_key(|c| c.pc),
         }
     }
+}
+
+/// How much of an instruction [`step`] carries out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Effects {
+    /// Everything: the functional semantics. The functional launchers run
+    /// every instruction this way.
+    All,
+    /// What steers the warp and where it touches memory, and no data:
+    /// control flow runs in full, a memory access computes, checks and
+    /// traces its addresses but moves nothing, and any other instruction
+    /// only advances the PC. The timing model runs the instructions outside
+    /// its timing slice ([`crate::slice`]) this way.
+    NoData,
 }
 
 /// What a single step did — the caller (block runner or timing model)
@@ -388,8 +404,8 @@ fn push_active<T: Copy + Default>(out: &mut Vec<T>, row: &[T; 32], mask: u32) {
 /// lanes: lane-mask compares against the width and the shared-memory size,
 /// or one global arena window spanning them. A failed check names the
 /// lowest faulting active lane, misalignment before bounds, and moves
-/// nothing; otherwise each active lane moves its one chunk, stores in lane
-/// order.
+/// nothing; otherwise, when `moves` is set, each active lane moves its one
+/// chunk, stores in lane order.
 #[allow(clippy::too_many_arguments)]
 fn access<const N: usize>(
     warp: &mut Warp,
@@ -400,13 +416,14 @@ fn access<const N: usize>(
     data: Reg,
     mask: u32,
     store: bool,
+    moves: bool,
 ) -> Result<(), String> {
     let width = 4 * N;
     trace.width = width as u32;
     let base = warp.reg(addr.base);
     let mut offs = [0usize; 32];
     let mut rows = [ZERO_ROW; N];
-    if store {
+    if store && moves {
         for (i, row) in rows.iter_mut().enumerate() {
             *row = *warp.reg(data.offset(i as u8));
         }
@@ -444,6 +461,9 @@ fn access<const N: usize>(
                     };
                     format!("lane {lane}: {e}")
                 });
+            }
+            if !moves {
+                return Ok(());
             }
             let smem = &mut *env.smem;
             if store {
@@ -489,6 +509,9 @@ fn access<const N: usize>(
                     .expect("an active lane faults");
                 return Err(format!("lane {lane}: {e}"));
             };
+            if !moves {
+                return Ok(());
+            }
             for lane in 0..32 {
                 offs[lane] = (a[lane].wrapping_sub(lo) / 4) as usize;
             }
@@ -515,15 +538,16 @@ fn access<const N: usize>(
     Ok(())
 }
 
-/// Execute one instruction step for `warp` and return the event. `trace`
-/// is cleared and then filled with the step's memory behaviour (empty for
-/// anything but a memory instruction).
+/// Execute one instruction step for `warp`, carrying out the `effects` of
+/// it, and return the event. `trace` is cleared and then filled with the
+/// step's memory behaviour (empty for anything but a memory instruction).
 pub fn step(
     warp: &mut Warp,
     insts: &[Instruction],
     env: &mut ExecEnv<'_>,
     warp_idx: u32,
     trace: &mut MemTrace,
+    effects: Effects,
 ) -> Result<StepEvent, ExecError> {
     trace.global_addrs.clear();
     trace.shared_addrs.clear();
@@ -618,6 +642,11 @@ pub fn step(
 
     // Data instructions: whole rows under exec_mask.
     trace.exec_mask = exec_mask;
+    let moves = effects == Effects::All;
+    if !moves && !matches!(inst.op, Op::Ld { .. } | Op::St { .. }) {
+        advance_ctx(warp, pc);
+        return Ok(StepEvent::Executed);
+    }
     let cbank = env.cbank;
     let mut splat = ZERO_ROW;
     let half2 = sass::half::unpack_half2;
@@ -847,7 +876,7 @@ pub fn step(
                 MemWidth::B64 => access::<2>,
                 MemWidth::B128 => access::<4>,
             };
-            run(warp, env, trace, space, addr, data, exec_mask, store).map_err(fail)?;
+            run(warp, env, trace, space, addr, data, exec_mask, store, moves).map_err(fail)?;
             None
         }
         Op::Nop => None,
@@ -980,7 +1009,7 @@ mod tests {
         };
         let mut trace = MemTrace::default();
         for _ in 0..10_000 {
-            match step(&mut warp, &insts, &mut env, 0, &mut trace).unwrap() {
+            match step(&mut warp, &insts, &mut env, 0, &mut trace, Effects::All).unwrap() {
                 StepEvent::Exited => break,
                 StepEvent::Barrier => panic!("unexpected barrier"),
                 StepEvent::Executed => {}
@@ -1337,7 +1366,7 @@ mod tests {
         let mut trace = MemTrace::default();
         let mut res = Ok(StepEvent::Executed);
         for _ in 0..4 {
-            res = step(&mut warp, &insts, &mut env, 5, &mut trace);
+            res = step(&mut warp, &insts, &mut env, 5, &mut trace, Effects::All);
             if res.is_err() {
                 break;
             }
@@ -1363,7 +1392,9 @@ mod tests {
         let mut env = env_fixture(&global, &mut smem, &cbank);
         let mut trace = MemTrace::default();
         loop {
-            if step(&mut warp, &insts, &mut env, 0, &mut trace).unwrap() == StepEvent::Exited {
+            if step(&mut warp, &insts, &mut env, 0, &mut trace, Effects::All).unwrap()
+                == StepEvent::Exited
+            {
                 break;
             }
         }

@@ -12,8 +12,9 @@ use sass::Module;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::decode::InstDesc;
 use crate::device::DeviceSpec;
-use crate::exec::{step, ExecEnv, ExecError, MemTrace, StepEvent, Warp, WARP_SIZE};
+use crate::exec::{step, Effects, ExecEnv, ExecError, MemTrace, StepEvent, Warp, WARP_SIZE};
 use crate::memory::{ConstBank, DevPtr, GlobalMemory};
 use crate::timing::{global_sectors_into, grid_coord, smem_phases};
 
@@ -301,6 +302,7 @@ impl Gpu {
                     grid_coord(dims, i),
                     dims.block,
                     on_trace,
+                    None,
                 )?;
                 counters.blocks += 1;
                 Ok(())
@@ -377,7 +379,8 @@ pub(crate) fn claim_walk<S: Send, E: Send>(
 /// Run one thread block to completion (cooperative warp scheduling with
 /// barrier support); `on_trace`, when given, sees every executed
 /// instruction's [`MemTrace`] (the [`ExecCounters`] feed, and the one-wave
-/// model's L2 warm-up).
+/// model's L2 warm-up). Every instruction runs in full unless `table` gives
+/// the [`Effects`] of each PC (the warm-up block's timing slice).
 pub(crate) fn run_block(
     module: &Module,
     global: &GlobalMemory,
@@ -385,6 +388,7 @@ pub(crate) fn run_block(
     ctaid: [u32; 3],
     block_dim: [u32; 3],
     mut on_trace: Option<&mut dyn FnMut(&MemTrace)>,
+    table: Option<&[InstDesc]>,
 ) -> Result<(), ExecError> {
     let tpb = block_dim[0] * block_dim[1] * block_dim[2];
     let num_warps = tpb.div_ceil(WARP_SIZE);
@@ -417,12 +421,16 @@ pub(crate) fn run_block(
                     ctaid,
                     block_dim,
                 };
+                let effects = table
+                    .and_then(|t| t.get(warps[w].current_ctx()?.pc as usize))
+                    .map_or(Effects::All, |d| d.effects);
                 let event = step(
                     &mut warps[w],
                     module.insts.as_slice(),
                     &mut env,
                     w as u32,
                     &mut trace,
+                    effects,
                 )?;
                 if let Some(on_trace) = on_trace.as_deref_mut() {
                     on_trace(&trace);

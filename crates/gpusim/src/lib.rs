@@ -25,7 +25,9 @@
 //! global-memory arena of atomic words ([`memory`]). Timing has one entry
 //! point, [`simulate`], and one content address, [`key`], over a [`Model`]
 //! and [`TimingOptions`]; [`BatchTimer`] runs the same body for
-//! schedule-tuner candidates. The models share one cycle-level wave loop:
+//! schedule-tuner candidates. A timing run executes each block's timing
+//! slice ([`slice`](mod@slice)), the instructions that decide addresses and control
+//! flow. The models share one cycle-level wave loop:
 //! [`Model::OneWave`] ([`timing`]) times a single wave of resident blocks
 //! on one SM and extrapolates analytically across waves (the cheap
 //! inner-loop model, exact on grids that are a whole multiple of full
@@ -51,6 +53,7 @@ pub mod json;
 pub mod launch;
 pub mod memory;
 pub mod simprof;
+pub mod slice;
 pub mod timeq;
 pub mod timing;
 
@@ -59,7 +62,7 @@ pub use counters::HwCounters;
 pub use device::{Arch, DeviceSpec};
 pub use device_sim::{DeviceTrace, WaveSpan};
 pub use digest::{key, Digest, TIMING_MODEL_VERSION};
-pub use exec::{ExecEnv, ExecError, StepEvent, Warp, WARP_SIZE};
+pub use exec::{Effects, ExecEnv, ExecError, StepEvent, Warp, WARP_SIZE};
 pub use launch::{ExecCounters, Gpu, LaunchDims, LaunchError};
 pub use memory::{ConstBank, DevPtr, GlobalMemory, MemError, ParamBuilder, PARAM_BASE};
 pub use simprof::{IssueEvent, KernelProfile, LineProfile, Region, StallBreakdown, StallCause};

@@ -17,9 +17,14 @@
 //! [`crate::BatchTimer`] runs the same body over a decode-once table.
 //!
 //! One *wave* of resident thread blocks is simulated cycle-by-cycle on one
-//! SM (`simulate_wave`), executing instructions functionally at issue so
-//! that register-bank conflicts, shared-memory bank conflicts and L2/DRAM
-//! behaviour come from exact addresses.
+//! SM (`simulate_wave`), executing instructions at issue so that
+//! register-bank conflicts, shared-memory bank conflicts and L2/DRAM
+//! behaviour come from exact addresses. A block executes only its timing
+//! slice ([`crate::slice`]): the instructions whose data can reach an
+//! address, a guard or a branch. The rest only advance the PC, and a
+//! memory access outside the slice computes, checks and traces its
+//! addresses but moves no data; [`TimingOptions::strict_writeback`] runs
+//! every instruction in full.
 //!
 //! The model implements the paper's scheduling machinery explicitly:
 //!
@@ -46,7 +51,7 @@ use crate::counters::{CounterCollector, HwCounters};
 use crate::decode::{decode_module, InstDesc, MemKind, PipeKind};
 use crate::device::DeviceSpec;
 use crate::device_sim::{self, DeviceTrace};
-use crate::exec::{step, ExecEnv, MemTrace, StepEvent, Warp, WARP_SIZE};
+use crate::exec::{step, Effects, ExecEnv, MemTrace, StepEvent, Warp, WARP_SIZE};
 use crate::launch::{run_block, Gpu, LaunchDims, LaunchError};
 use crate::memory::{ConstBank, GlobalMemory};
 use crate::simprof::{Collector, KernelProfile, SchedClass, StallCause};
@@ -67,8 +72,8 @@ pub struct TimingOptions {
     pub blocks_per_sm: Option<u32>,
     /// Simulate only instruction indices in `[start, end)` as the region of
     /// interest for cycle/FLOP accounting (the paper reports "main loop"
-    /// numbers separately from whole-kernel numbers). Everything still
-    /// executes; only the accounting window changes.
+    /// numbers separately from whole-kernel numbers). What executes does
+    /// not change; only the accounting window does.
     pub region: Option<(u32, u32)>,
     /// Strict load writeback: memory loads deposit a poison bit pattern at
     /// issue and only deliver their real data when the scoreboard signals.
@@ -350,93 +355,190 @@ struct WarpSlot {
     reuse_cache: [Option<Reg>; 4],
 }
 
-/// The state of one warp that the scheduler scan reads every cycle, kept
-/// in a dense per-warp array apart from the bulky [`WarpSlot`] (whose
-/// register and predicate files would otherwise share its cache lines).
+/// The state of one warp the issue logic reads, kept in a dense per-warp
+/// array apart from the bulky [`WarpSlot`] (whose register and predicate
+/// files would otherwise share its cache lines).
 #[derive(Clone, Copy)]
 struct WarpSched {
-    ready_at: u64,
     /// Current PC, refreshed only after this warp steps; `None` once no
     /// context remains.
     pc: Option<u32>,
-    /// Wait mask and pipe of `table[pc]`, cached with `pc`; `None` when
-    /// `pc` is `None` or out of range (never schedulable).
-    next: Option<(u8, PipeKind)>,
-    /// Bit `b` set iff `sb_pending[b] > 0` — the scheduler's wait check is
-    /// one AND against the instruction's wait mask.
+    /// Wait mask of `table[pc]`, cached with `pc`.
+    wait_mask: u8,
+    /// Bit `b` set iff `sb_pending[b] > 0`.
     pending_mask: u8,
-    exited: bool,
-    at_barrier: bool,
     /// Yield flag of the last issued instruction.
     last_yield: bool,
     sb_pending: [u32; 6],
 }
 
-impl WarpSched {
-    fn new(table: &[InstDesc], pc: Option<u32>) -> Self {
-        let mut w = WarpSched {
-            ready_at: 0,
-            pc: None,
-            next: None,
-            pending_mask: 0,
-            exited: false,
-            at_barrier: false,
-            last_yield: true,
-            sb_pending: [0; 6],
+/// Warps a wave can hold: one bit each in the [`Gates`] masks. The
+/// hardware limit is 64 (2,048 threads) on both devices.
+const MAX_WAVE_WARPS: usize = 64;
+
+/// The issue gate of one SM's warps as bitmasks, bit `w` for warp `w`: one
+/// mask per check, kept current as each warp's state changes. A
+/// scheduler's eligible warps, its round-robin winner and the blocker of
+/// an idle slot then come from a few bit operations over its own warps
+/// ([`Gates::classify`]), however many it holds.
+struct Gates {
+    warps: Vec<WarpSched>,
+    exited: u64,
+    barrier: u64,
+    /// Stall count not yet elapsed at cycle `now`.
+    stalled: u64,
+    /// `release[c % 16]`: the stalled warps whose stall count elapses at
+    /// cycle `c`. Stall counts are 4-bit, so every pending release falls in
+    /// `now + 1..=now + 15`.
+    release: [u64; 16],
+    now: u64,
+    /// The PC is outside the program: nothing to schedule.
+    no_next: u64,
+    /// The next instruction waits on a pending scoreboard.
+    scoreboard: u64,
+    /// The next instruction issues to the FP32, INT or MIO pipe.
+    pipe: [u64; 3],
+}
+
+impl Gates {
+    fn new(table: &[InstDesc], pcs: impl Iterator<Item = Option<u32>>) -> Self {
+        let mut g = Gates {
+            warps: Vec::new(),
+            exited: 0,
+            barrier: 0,
+            stalled: 0,
+            release: [0; 16],
+            now: 0,
+            no_next: 0,
+            scoreboard: 0,
+            pipe: [0; 3],
         };
-        w.set_pc(table, pc);
-        w
+        for (w, pc) in pcs.enumerate() {
+            g.warps.push(WarpSched {
+                pc: None,
+                wait_mask: 0,
+                pending_mask: 0,
+                last_yield: true,
+                sb_pending: [0; 6],
+            });
+            g.set_pc(w, table, pc);
+        }
+        g
     }
 
-    fn set_pc(&mut self, table: &[InstDesc], pc: Option<u32>) {
-        self.pc = pc;
-        self.next = pc
-            .and_then(|pc| table.get(pc as usize))
-            .map(|d| (d.wait_mask, d.pipe));
+    /// Point warp `w` at `pc` and refresh its next-instruction masks.
+    fn set_pc(&mut self, w: usize, table: &[InstDesc], pc: Option<u32>) {
+        let bit = 1u64 << w;
+        let next = pc.and_then(|pc| table.get(pc as usize));
+        let ws = &mut self.warps[w];
+        ws.pc = pc;
+        ws.wait_mask = next.map_or(0, |d| d.wait_mask);
+        set_bit(&mut self.no_next, bit, next.is_none());
+        let pipe = next.map(|d| d.pipe);
+        for (mask, kind) in self
+            .pipe
+            .iter_mut()
+            .zip([PipeKind::Fp32, PipeKind::Int, PipeKind::Mio])
+        {
+            set_bit(mask, bit, pipe == Some(kind));
+        }
+        self.refresh_scoreboard(w);
     }
 
-    /// `Ok` when the warp can issue at `cycle`; otherwise what blocks it,
-    /// or `None` when it is out of the running (exited, or no schedulable
-    /// instruction). Checks run in blocker-priority order.
-    #[inline]
-    fn gate(&self, cycle: u64, busy: PipesBusy) -> Result<(), Option<StallCause>> {
-        if self.exited {
-            return Err(None);
-        }
-        if self.at_barrier {
-            return Err(Some(StallCause::Barrier));
-        }
-        if self.ready_at > cycle {
-            return Err(Some(StallCause::StallCount));
-        }
-        let Some((wait_mask, pipe)) = self.next else {
-            return Err(None);
-        };
-        // Scoreboard waits: one mask test against the pending bits.
-        if wait_mask & self.pending_mask != 0 {
-            return Err(Some(StallCause::Scoreboard));
-        }
-        // Structural hazards.
-        match pipe {
-            PipeKind::Fp32 if busy.fp => Err(Some(StallCause::PipeBusy)),
-            PipeKind::Int if busy.int => Err(Some(StallCause::PipeBusy)),
-            PipeKind::Mio if busy.mio => Err(Some(StallCause::MioQueue)),
-            _ => Ok(()),
-        }
+    fn refresh_scoreboard(&mut self, w: usize) {
+        let ws = &self.warps[w];
+        set_bit(
+            &mut self.scoreboard,
+            1 << w,
+            ws.wait_mask & ws.pending_mask != 0,
+        );
     }
 
-    /// Adjust `sb_pending[b]` and keep `pending_mask` in sync.
-    fn sb_add(&mut self, b: u8) {
-        self.sb_pending[b as usize] += 1;
-        self.pending_mask |= 1 << b;
+    /// Count a pending scoreboard signal of warp `w`.
+    fn sb_add(&mut self, w: usize, b: u8) {
+        let ws = &mut self.warps[w];
+        ws.sb_pending[b as usize] += 1;
+        ws.pending_mask |= 1 << b;
+        self.refresh_scoreboard(w);
     }
 
-    fn sb_release(&mut self, b: u8) {
-        let p = &mut self.sb_pending[b as usize];
+    fn sb_release(&mut self, w: usize, b: u8) {
+        let ws = &mut self.warps[w];
+        let p = &mut ws.sb_pending[b as usize];
         *p = p.saturating_sub(1);
         if *p == 0 {
-            self.pending_mask &= !(1 << b);
+            ws.pending_mask &= !(1 << b);
         }
+        self.refresh_scoreboard(w);
+    }
+
+    /// Warp `w`, issuing at cycle `now`, may not issue again for `stall`
+    /// cycles.
+    fn stall(&mut self, w: usize, stall: u64) {
+        debug_assert!((1..16).contains(&stall));
+        self.stalled |= 1 << w;
+        self.release[((self.now + stall) % 16) as usize] |= 1 << w;
+    }
+
+    /// Move to `cycle`, releasing every stall that has elapsed.
+    fn advance(&mut self, cycle: u64) {
+        if cycle - self.now >= 16 {
+            self.stalled = 0;
+            self.release = [0; 16];
+        } else {
+            for c in self.now + 1..=cycle {
+                let slot = &mut self.release[(c % 16) as usize];
+                self.stalled &= !*slot;
+                *slot = 0;
+            }
+        }
+        self.now = cycle;
+    }
+
+    /// The first cycle after `now` at which a stalled warp that is neither
+    /// exited nor at a barrier may issue again.
+    fn next_release(&self) -> Option<u64> {
+        let waiting = self.stalled & !self.exited & !self.barrier;
+        if waiting == 0 {
+            return None;
+        }
+        (self.now + 1..self.now + 16).find(|&c| self.release[(c % 16) as usize] & waiting != 0)
+    }
+
+    /// Gate the warps in `mine` (one scheduler's) with its pipes as `busy`:
+    /// the warps that can issue, and per [`StallCause`] the warps whose
+    /// first failing check it is. The checks run in blocker-priority order:
+    /// exited (out of the running), barrier, stall count, no instruction
+    /// (out of the running), scoreboard, then the instruction's pipe.
+    #[inline]
+    fn classify(&self, mine: u64, busy: PipesBusy) -> (u64, [u64; 5]) {
+        let live = mine & !self.exited;
+        let barrier = live & self.barrier;
+        let rest = live & !self.barrier;
+        let stalled = rest & self.stalled;
+        let rest = rest & !self.stalled & !self.no_next;
+        let scoreboard = rest & self.scoreboard;
+        let rest = rest & !self.scoreboard;
+        let held = |busy: bool, pipe: u64| if busy { pipe } else { 0 };
+        let pipe_busy = rest & (held(busy.fp, self.pipe[0]) | held(busy.int, self.pipe[1]));
+        let mio = rest & held(busy.mio, self.pipe[2]);
+        let mut blocked = [0; 5];
+        blocked[StallCause::Barrier as usize] = barrier;
+        blocked[StallCause::Scoreboard as usize] = scoreboard;
+        blocked[StallCause::MioQueue as usize] = mio;
+        blocked[StallCause::StallCount as usize] = stalled;
+        blocked[StallCause::PipeBusy as usize] = pipe_busy;
+        (rest & !pipe_busy & !mio, blocked)
+    }
+}
+
+/// Set or clear `bit` in `mask`.
+#[inline]
+fn set_bit(mask: &mut u64, bit: u64, on: bool) {
+    if on {
+        *mask |= bit;
+    } else {
+        *mask &= !bit;
     }
 }
 
@@ -609,18 +711,28 @@ fn effective_residency(
         )));
     }
     let per_sm_blocks = dims.num_blocks().div_ceil(device.num_sms as u64);
-    Ok(opts
+    let resident = opts
         .blocks_per_sm
         .unwrap_or(occupancy)
         .min(per_sm_blocks.min(u32::MAX as u64) as u32)
-        .max(1))
+        .max(1);
+    let warps = resident as u64 * tpb.div_ceil(WARP_SIZE) as u64;
+    if warps > MAX_WAVE_WARPS as u64 {
+        return Err(LaunchError::BadBlockShape(format!(
+            "{resident} resident blocks of {tpb} threads are {warps} warps; an SM holds at most {MAX_WAVE_WARPS}"
+        )));
+    }
+    Ok(resident)
 }
 
 /// Time one kernel launch on `gpu` under `model`; the trace is present when
-/// [`TimingOptions::trace`] is set. The blocks a model simulates really
-/// execute against `gpu`'s memory, but this is not a functional launch:
-/// the one-wave model runs one wave and the device model fast-forwards
-/// repeated waves. Use [`Gpu::launch`] for functional output.
+/// [`TimingOptions::trace`] is set. This is not a functional launch: the
+/// one-wave model runs one wave and the device model fast-forwards
+/// repeated waves, and the blocks a model simulates execute against
+/// `gpu`'s memory only their address-and-control slice
+/// ([`crate::slice`]), so their loads and stores move no data the slice
+/// does not need. Only [`TimingOptions::strict_writeback`] moves all of
+/// it. Use [`Gpu::launch`] for functional output.
 pub fn simulate(
     gpu: &mut Gpu,
     module: &Module,
@@ -701,8 +813,8 @@ fn one_wave(mem: &GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming, Lau
 
     let mut carry = SmCarry::new(device, module.info.smem_bytes, resident);
     if warm {
-        // Functionally execute block 0, inserting every global-memory sector
-        // it touches into the L2 model.
+        // Execute block 0, inserting every global-memory sector it touches
+        // into the L2 model.
         let l2 = &mut carry.l2;
         let mut sectors = Vec::new();
         let mut warm_l2 = |t: &MemTrace| {
@@ -711,6 +823,9 @@ fn one_wave(mem: &GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming, Lau
                 l2.access(sec * 32);
             }
         };
+        // It runs the timed wave's slice: its addresses are those of full
+        // execution.
+        let slice = (!opts.strict_writeback).then_some(launch.table);
         run_block(
             module,
             mem,
@@ -718,6 +833,7 @@ fn one_wave(mem: &GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming, Lau
             [0, 0, 0],
             dims.block,
             Some(&mut warm_l2),
+            slice,
         )
         .map_err(LaunchError::Exec)?;
     }
@@ -779,7 +895,7 @@ fn one_wave(mem: &GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming, Lau
 }
 
 /// Simulate one wave of `p.coords.len()` blocks cycle-by-cycle on one SM,
-/// executing each issued instruction functionally against `mem`. Shared by
+/// executing each issued instruction's timing slice against `mem`. Shared by
 /// the one-wave analytic path above and the full-device model
 /// ([`crate::device_sim`]), which calls it per SM per wave with the
 /// memory-system state carried between waves in `carry`.
@@ -820,14 +936,23 @@ pub(crate) fn simulate_wave(
             }
         })
         .collect();
-    let mut sched: Vec<WarpSched> = slots
-        .iter()
-        .map(|slot| WarpSched::new(table, slot.warp.current_ctx().map(|c| c.pc)))
-        .collect();
+    let mut gates = Gates::new(
+        table,
+        slots
+            .iter()
+            .map(|slot| slot.warp.current_ctx().map(|c| c.pc)),
+    );
 
     // Warp `w` belongs to scheduler `w % schedulers`, round-robin like
-    // hardware; each scheduler scans its warps in ascending order.
+    // hardware; `mine[s]` holds scheduler `s`'s warps.
     let schedulers = device.schedulers_per_sm as usize;
+    let mine: Vec<u64> = (0..schedulers)
+        .map(|s| {
+            (s..num_warps)
+                .step_by(schedulers)
+                .fold(0, |m, w| m | 1 << w)
+        })
+        .collect();
 
     let mut events: TimeQueue<(usize, u8), Writeback> = TimeQueue::new();
     let l2 = &mut carry.l2;
@@ -885,7 +1010,6 @@ pub(crate) fn simulate_wave(
     let mut trace = MemTrace::default();
     let mut guard_iter: u64 = 0;
     let max_cycles: u64 = 5_000_000_000;
-    let profiling = prof.is_some();
 
     while live_warps > 0 {
         guard_iter += 1;
@@ -894,6 +1018,7 @@ pub(crate) fn simulate_wave(
                 "timing simulation did not converge".into(),
             ));
         }
+        gates.advance(cycle);
         // Deliver due scoreboard completions.
         while events.peek_time().is_some_and(|t| t <= cycle) {
             let (_, (warp, barrier), wb) = events.pop().unwrap();
@@ -907,7 +1032,7 @@ pub(crate) fn simulate_wave(
                     }
                 }
             }
-            sched[warp].sb_release(barrier);
+            gates.sb_release(warp, barrier);
         }
 
         let mut issued_any = false;
@@ -928,88 +1053,48 @@ pub(crate) fn simulate_wave(
             // Yield policy: the last warp stays on the scheduler while it is
             // eligible if its last instruction had the yield flag set;
             // otherwise the round-robin winner (the first eligible warp
-            // after it) issues. A scan is needed only to find that winner,
-            // to count eligibles for the counters, or to classify an idle
-            // slot: it walks the scheduler's warps in round-robin order and
-            // stops at the winner unless it is counting.
+            // after it, wrapping around) issues.
             let prev = last_warp[s];
             let busy = PipesBusy {
                 fp: fp_busy[s] > cycle,
                 int: int_busy[s] > cycle,
                 mio: mio_busy > cycle + 3,
             };
-            let stay = prev.filter(|&p| sched[p].last_yield && sched[p].gate(cycle, busy).is_ok());
-            let counting = ctr.is_some();
-            let mut eligible = 0usize;
-            let mut winner = None;
-            // Blocker flags: barrier, sb, mio, stall, empty.
-            let mut blockers = [false; 5];
-            // Profiling: per `StallCause`, the lowest blocked warp and the
-            // line it would issue next.
-            let mut first_blocked: [Option<(usize, u32)>; 5] = [None; 5];
-            if stay.is_none() || counting {
-                let mut visit = |w: usize| {
-                    let ws = &sched[w];
-                    match ws.gate(cycle, busy) {
-                        Ok(()) => {
-                            eligible += 1;
-                            winner.get_or_insert(w);
-                            return !counting;
-                        }
-                        Err(Some(cause)) => {
-                            if cause != StallCause::PipeBusy {
-                                blockers[cause as usize] = true;
-                            }
-                            if let (true, Some(pc)) = (profiling, ws.pc) {
-                                let first = &mut first_blocked[cause as usize];
-                                if first.is_none_or(|(fw, _)| w < fw) {
-                                    *first = Some((w, pc));
-                                }
-                            }
-                        }
-                        Err(None) => {}
-                    }
-                    false
-                };
-                // This scheduler's warps from `start` on, then those before.
-                let start = match prev {
-                    Some(p) if p + 1 < num_warps => p + 1,
-                    _ => 0,
-                };
-                let mut split = s;
-                while split < start {
-                    split += schedulers;
-                }
-                'scan: for (from, to) in [(split, num_warps), (s, split)] {
-                    let mut w = from;
-                    while w < to {
-                        if visit(w) {
-                            break 'scan;
-                        }
-                        w += schedulers;
-                    }
-                }
-            }
+            let (eligible, blocked) = gates.classify(mine[s], busy);
             if let Some(cc) = ctr.as_mut() {
-                cc.eligible[s] = eligible;
+                cc.eligible[s] = eligible.count_ones() as usize;
             }
-            let Some(chosen) = stay.or(winner) else {
+            let stay = prev.filter(|&p| gates.warps[p].last_yield && eligible >> p & 1 != 0);
+            let winner = || {
+                let after = match prev {
+                    Some(p) if p + 1 < num_warps => eligible & u64::MAX << (p + 1),
+                    _ => eligible,
+                };
+                let pick = if after != 0 { after } else { eligible };
+                (pick != 0).then(|| pick.trailing_zeros() as usize)
+            };
+            let Some(chosen) = stay.or_else(winner) else {
                 if fp_busy[s] <= cycle {
                     // Attribute the idle issue slot to the highest-priority
-                    // blocker observed; remember the bucket so a skipped
-                    // recovery window can bulk-charge its remaining cycles.
-                    let idx = blockers.iter().position(|&b| b).unwrap_or(4);
+                    // blocker (a busy FP32 or INT pipe is none); remember the
+                    // bucket so a skipped recovery window can bulk-charge
+                    // its remaining cycles.
+                    let idx = blocked[..4].iter().position(|&b| b != 0).unwrap_or(4);
                     idle_attr[idx] += 1;
                     idle_idx[s] = Some(idx);
                 }
                 if let Some(p) = prof.as_mut() {
-                    // Charge the slot to the highest-priority blocked line;
-                    // no blocked warp at all leaves the slot `Empty`.
-                    if let Some((cause, (_, pc))) = StallCause::ALL
+                    // Charge the slot to the line the lowest warp of the
+                    // highest-priority cause would issue next; no blocked
+                    // warp at all leaves the slot `Empty`.
+                    let cause = StallCause::ALL
                         .into_iter()
-                        .find_map(|c| first_blocked[c as usize].map(|f| (c, f)))
-                    {
-                        p.class[s] = SchedClass::Blocked(cause, pc);
+                        .find(|&c| blocked[c as usize] != 0);
+                    if let Some(cause) = cause {
+                        let w = blocked[cause as usize].trailing_zeros() as usize;
+                        if let Some(pc) = gates.warps[w].pc {
+                            p.class[s] = SchedClass::Blocked(cause, pc);
+                        }
                     }
                 }
                 continue;
@@ -1024,10 +1109,10 @@ pub(crate) fn simulate_wave(
             }
             last_warp[s] = Some(chosen);
 
-            // Issue: execute functionally.
+            // Issue: execute.
             let block = slots[chosen].block;
             let ctaid = coords[block];
-            let pc = sched[chosen].pc.unwrap();
+            let pc = gates.warps[chosen].pc.expect("an eligible warp has a PC");
             let desc = &table[pc as usize];
             if opts.strict_writeback {
                 // Direct poison detection: reading a register whose load has
@@ -1059,12 +1144,19 @@ pub(crate) fn simulate_wave(
                     ctaid,
                     block_dim: dims.block,
                 };
+                // Strict writeback validates data, so it runs everything.
+                let effects = if opts.strict_writeback {
+                    Effects::All
+                } else {
+                    desc.effects
+                };
                 step(
                     &mut slot.warp,
                     &module.insts,
                     &mut env,
                     (chosen % warps_per_block) as u32,
                     &mut trace,
+                    effects,
                 )
                 .map_err(LaunchError::Exec)?
             };
@@ -1185,11 +1277,11 @@ pub(crate) fn simulate_wave(
                             mio_busy = start + phases.max(1);
                             let done = mio_busy + device.smem_latency as u64;
                             if let Some(b) = desc.write_bar {
-                                sched[chosen].sb_add(b);
+                                gates.sb_add(chosen, b);
                                 events.push(done, (chosen, b), wb.take());
                             }
                             if let Some(b) = desc.read_bar {
-                                sched[chosen].sb_add(b);
+                                gates.sb_add(chosen, b);
                                 events.push(mio_busy + 2, (chosen, b), None);
                             }
                         }
@@ -1260,17 +1352,17 @@ pub(crate) fn simulate_wave(
                             if trace.is_store {
                                 // Stores: sources are read at MIO entry.
                                 if let Some(b) = desc.read_bar {
-                                    sched[chosen].sb_add(b);
+                                    gates.sb_add(chosen, b);
                                     events.push(mio_busy + 2, (chosen, b), None);
                                 }
                             } else {
                                 let done = (mio_busy + worst).max(backend_done);
                                 if let Some(b) = desc.write_bar {
-                                    sched[chosen].sb_add(b);
+                                    gates.sb_add(chosen, b);
                                     events.push(done, (chosen, b), wb.take());
                                 }
                                 if let Some(b) = desc.read_bar {
-                                    sched[chosen].sb_add(b);
+                                    gates.sb_add(chosen, b);
                                     events.push(mio_busy + 2, (chosen, b), None);
                                 }
                             }
@@ -1303,15 +1395,14 @@ pub(crate) fn simulate_wave(
                     slot.reuse_cache[sl] = None;
                 }
             }
-            let ws = &mut sched[chosen];
-            ws.ready_at = cycle + desc.stall_cycles;
-            ws.last_yield = desc.yield_flag;
-            ws.set_pc(table, slot.warp.current_ctx().map(|c| c.pc));
+            gates.stall(chosen, desc.stall_cycles.into());
+            gates.warps[chosen].last_yield = desc.yield_flag;
+            gates.set_pc(chosen, table, slot.warp.current_ctx().map(|c| c.pc));
 
             match event {
-                StepEvent::Barrier => ws.at_barrier = true,
+                StepEvent::Barrier => gates.barrier |= 1 << chosen,
                 StepEvent::Exited => {
-                    ws.exited = true;
+                    gates.exited |= 1 << chosen;
                     live_warps -= 1;
                 }
                 StepEvent::Executed => {}
@@ -1319,24 +1410,15 @@ pub(crate) fn simulate_wave(
             if event != StepEvent::Executed {
                 // An arrival or an exit releases the block's barrier once
                 // every live warp of the block waits at it. Warps of a block
-                // occupy a contiguous slot range by construction, so the
-                // check touches only that range.
-                let block_range =
-                    block * warps_per_block..((block + 1) * warps_per_block).min(num_warps);
-                let block_warps = &mut sched[block_range];
-                let (mut waiting, mut live_block) = (0, 0);
-                for w2 in block_warps.iter() {
-                    if !w2.exited {
-                        live_block += 1;
-                        if w2.at_barrier {
-                            waiting += 1;
-                        }
-                    }
-                }
-                if live_block > 0 && waiting == live_block {
-                    for w2 in block_warps {
-                        w2.at_barrier = false;
-                    }
+                // occupy a contiguous slot range by construction.
+                let (lo, hi) = (
+                    block * warps_per_block,
+                    ((block + 1) * warps_per_block).min(num_warps),
+                );
+                let block_warps = (u64::MAX >> (64 - (hi - lo))) << lo;
+                let live_block = block_warps & !gates.exited;
+                if live_block != 0 && live_block & !gates.barrier == 0 {
+                    gates.barrier &= !block_warps;
                 }
             }
         }
@@ -1379,10 +1461,8 @@ pub(crate) fn simulate_wave(
             if mio_busy > cycle + 3 {
                 next = next.min(mio_busy - 3);
             }
-            for ws in &sched {
-                if !ws.exited && !ws.at_barrier && ws.ready_at > cycle {
-                    next = next.min(ws.ready_at);
-                }
+            if let Some(t) = gates.next_release() {
+                next = next.min(t);
             }
             if let Some(t) = events.peek_time() {
                 next = next.min(t);
@@ -1417,10 +1497,8 @@ pub(crate) fn simulate_wave(
             if mio_busy > cycle {
                 next = next.min(mio_busy);
             }
-            for ws in &sched {
-                if !ws.exited && !ws.at_barrier && ws.ready_at > cycle {
-                    next = next.min(ws.ready_at);
-                }
+            if let Some(t) = gates.next_release() {
+                next = next.min(t);
             }
             if let Some(t) = events.peek_time() {
                 next = next.min(t);
@@ -1748,7 +1826,31 @@ LOOP:
         );
     }
 
-    /// The functional result produced during a timing run matches launch().
+    /// The issue gate's warp masks hold 64 warps, the hardware limit; a
+    /// residency override past it is rejected, not mistimed.
+    #[test]
+    fn residency_override_is_capped_at_64_warps() {
+        let m = assemble(".kernel nop\nEXIT;\n").unwrap();
+        let mut gpu = Gpu::new(DeviceSpec::rtx2070(), 1 << 16);
+        let mut run = |blocks_per_sm| {
+            let opts = TimingOptions {
+                blocks_per_sm: Some(blocks_per_sm),
+                ..Default::default()
+            };
+            let dims = LaunchDims::linear(36 * 3, 1024);
+            simulate(&mut gpu, &m, dims, &[], Model::OneWave, opts)
+        };
+        assert!(run(2).is_ok());
+        let err = run(3).unwrap_err();
+        assert!(
+            matches!(&err, LaunchError::BadBlockShape(msg) if msg.contains("96 warps")),
+            "{err}"
+        );
+    }
+
+    /// A strict-writeback timing run executes every instruction, so the
+    /// blocks it simulates leave their results in memory; a default run,
+    /// which executes only the timing slice, times the kernel identically.
     #[test]
     fn timing_run_is_functionally_correct() {
         let m = assemble(
@@ -1774,15 +1876,19 @@ LOOP:
         let params = ParamBuilder::new().push_ptr(xp).build();
         // Grid of 2 blocks × 32 threads; V100 has 80 SMs so one wave covers
         // everything and both blocks are simulated.
-        simulate(
-            &mut gpu,
-            &m,
-            LaunchDims::linear(2, 32),
-            &params,
-            Model::OneWave,
-            TimingOptions::default(),
-        )
-        .unwrap();
+        let mut run = |strict_writeback| {
+            let opts = TimingOptions {
+                strict_writeback,
+                ..Default::default()
+            };
+            let dims = LaunchDims::linear(2, 32);
+            simulate(&mut gpu, &m, dims, &params, Model::OneWave, opts)
+                .unwrap()
+                .0
+        };
+        let default = run(false);
+        let strict = run(true);
+        assert_eq!(format!("{default:?}"), format!("{strict:?}"));
         let out = gpu.mem.download_f32(xp, 64).unwrap();
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, (i * i) as f32);

@@ -21,7 +21,7 @@
 //! Randomized with the workspace's deterministic `XorShiftRng`; a failure
 //! prints its case number and instruction.
 
-use gpusim::exec::{step, MemTrace, StepEvent, WarpCtx};
+use gpusim::exec::{step, Effects, MemTrace, StepEvent, WarpCtx};
 use gpusim::{ConstBank, ExecEnv, ExecError, GlobalMemory, Warp};
 use sass::isa::*;
 use sass::reg::{Pred, Reg, PT, RZ};
@@ -784,8 +784,15 @@ fn run(
             ctaid,
             block_dim,
         };
-        step(&mut w, std::slice::from_ref(inst), &mut env, 0, &mut trace)
-            .map(|ev| assert_eq!(ev, StepEvent::Executed))
+        step(
+            &mut w,
+            std::slice::from_ref(inst),
+            &mut env,
+            0,
+            &mut trace,
+            Effects::All,
+        )
+        .map(|ev| assert_eq!(ev, StepEvent::Executed))
     };
     let err = res.err().map(|e| e.to_string());
     let mem = arena_words(&mut g);

@@ -31,7 +31,15 @@ fn run_warp(insts: Vec<Instruction>, init: impl FnOnce(&mut Warp)) -> Warp {
     };
     let mut trace = MemTrace::default();
     loop {
-        let ev = gpusim::exec::step(&mut warp, &insts, &mut env, 0, &mut trace).unwrap();
+        let ev = gpusim::exec::step(
+            &mut warp,
+            &insts,
+            &mut env,
+            0,
+            &mut trace,
+            gpusim::Effects::All,
+        )
+        .unwrap();
         if ev == gpusim::StepEvent::Exited {
             break;
         }
@@ -324,7 +332,15 @@ END:
         loop {
             let mut fresh = MemTrace::default();
             let trace = if reuse { &mut reused } else { &mut fresh };
-            let ev = gpusim::exec::step(&mut warp, &m.insts, &mut env, 0, trace).unwrap();
+            let ev = gpusim::exec::step(
+                &mut warp,
+                &m.insts,
+                &mut env,
+                0,
+                trace,
+                gpusim::Effects::All,
+            )
+            .unwrap();
             steps.push((ev, trace.clone()));
             if ev == StepEvent::Exited {
                 return steps;
