@@ -4,10 +4,10 @@
 //!  * yield/LDG/STS strategy deltas on V100 (complementing Figs. 7-9).
 
 use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
-use bench::{mainloop_sweep, Table};
+use bench::{Point, Table};
 use gpusim::DeviceSpec;
 use kernels::{LdgStrategy, StsStrategy, YieldStrategy};
-use wino_core::{Conv, ConvProblem};
+use wino_core::{Conv, ConvProblem, Target};
 
 fn main() {
     check_args("ablation", &[REPORT_FLAGS, SWEEP_FLAGS]);
@@ -20,111 +20,72 @@ fn main() {
     let conv = Conv::new(p, dev.clone());
 
     let base = conv.ours_config();
-    let variants = {
-        let mut v_no_p2r = base;
-        v_no_p2r.use_p2r = false;
-        let mut v_bk32 = base;
-        v_bk32.bk = 32;
-        v_bk32.filter_ldg = kernels::FilterLdgWidth::W32;
-        v_bk32.pipeline_depth = 1;
-        v_bk32.smem_override = Some(48 * 1024);
-        let mut v_yield = base;
-        v_yield.yield_strategy = YieldStrategy::Cudnn;
-        let mut v_ldg2 = base;
-        v_ldg2.ldg = LdgStrategy::Ldg2;
-        let mut v_sts2 = base;
-        v_sts2.sts = StsStrategy::Sts2;
-        // §8.4 port: same kernel, NCHW input partitioning — quantifies what
-        // the §4.2 CHWN layout choice buys.
-        let v_nchw = kernels::FusedConfig::ours_nchw(128, 28, 28, 64, 128);
-        // §8.3 fp16 port: bn = 64, half2 arithmetic — two element-FLOPs per
-        // lane-instruction on the same FP32 pipe.
-        let v_fp16 = kernels::FusedConfig::ours_fp16(128, 28, 28, 128, 128);
-        [
-            base, v_no_p2r, v_bk32, v_yield, v_ldg2, v_sts2, v_nchw, v_fp16,
-        ]
-    };
-    let points = variants
+    let mut v_no_p2r = base;
+    v_no_p2r.use_p2r = false;
+    let mut v_bk32 = base;
+    v_bk32.bk = 32;
+    v_bk32.filter_ldg = kernels::FilterLdgWidth::W32;
+    v_bk32.pipeline_depth = 1;
+    v_bk32.smem_override = Some(48 * 1024);
+    let mut v_yield = base;
+    v_yield.yield_strategy = YieldStrategy::Cudnn;
+    let mut v_ldg2 = base;
+    v_ldg2.ldg = LdgStrategy::Ldg2;
+    let mut v_sts2 = base;
+    v_sts2.sts = StsStrategy::Sts2;
+    // §8.4 port: same kernel, NCHW input partitioning — quantifies what
+    // the §4.2 CHWN layout choice buys.
+    let v_nchw = kernels::FusedConfig::ours_nchw(128, 28, 28, 64, 128);
+    // §8.3 fp16 port: bn = 64, half2 arithmetic — two element-FLOPs per
+    // lane-instruction on the same FP32 pipe.
+    let v_fp16 = kernels::FusedConfig::ours_fp16(128, 28, 28, 128, 128);
+    let variants = [
+        ("base (bk=64, P2R, Natural, LDG8, STS6)", "base", base),
+        ("no P2R (recompute masks in loop)", "no_p2r", v_no_p2r),
+        ("bk=32 (halved cache block)", "bk32", v_bk32),
+        ("yield every 7 (cuDNN)", "yield_cudnn", v_yield),
+        ("LDG2", "ldg2", v_ldg2),
+        ("STS2", "sts2", v_sts2),
+        ("NCHW input port (§8.4)", "nchw_port", v_nchw),
+        ("fp16 port, bn=64 (§8.3)", "fp16_port", v_fp16),
+    ];
+    let points: Vec<Point> = variants
         .iter()
-        .map(|&cfg| (Conv::new(p, dev.clone()), cfg))
-        .collect();
-    let mut tf_it = mainloop_sweep("ablation", points).into_iter();
-
-    let mut report = Report::from_args("ablation");
-    let mut t = Table::new(&["variant", "main-loop TFLOPS", "vs base"]);
-    let base_tf = tf_it.next().unwrap();
-    t.row(vec![
-        "base (bk=64, P2R, Natural, LDG8, STS6)".into(),
-        format!("{base_tf:.2}"),
-        "1.000x".into(),
-    ]);
-    let mut record = |variant: &str, tf: f64| {
-        report.add(
-            dev.name,
-            &[
+        .map(|&(_, key, cfg)| Point {
+            conv: conv.clone(),
+            target: Target::mainloop(cfg),
+            config: vec![
                 ("layer", "Conv3".into()),
                 ("n", 64usize.into()),
-                ("variant", variant.into()),
+                ("variant", key.into()),
             ],
+        })
+        .collect();
+    let mut report = Report::from_args("ablation");
+    let timings = report.measure(&points);
+    let tflops: Vec<f64> = points
+        .iter()
+        .zip(&timings)
+        .map(|(p, t)| p.mainloop_tflops(t).expect("main loop simulates"))
+        .collect();
+
+    let mut t = Table::new(&["variant", "main-loop TFLOPS", "vs base"]);
+    let base_tf = tflops[0];
+    for (((title, _, _), p), tf) in variants.iter().zip(&points).zip(tflops) {
+        t.row(vec![
+            title.to_string(),
+            format!("{tf:.2}"),
+            format!("{:.3}x", tf / base_tf),
+        ]);
+        report.add(
+            dev.name,
+            &p.config,
             &[
                 ("mainloop_tflops", tf.into()),
                 ("vs_base", (tf / base_tf).into()),
             ],
         );
-    };
-    record("base", base_tf);
-
-    let rows = [
-        ("no P2R (recompute masks in loop)", "no_p2r"),
-        ("bk=32 (halved cache block)", "bk32"),
-        ("yield every 7 (cuDNN)", "yield_cudnn"),
-        ("LDG2", "ldg2"),
-        ("STS2", "sts2"),
-        ("NCHW input port (§8.4)", "nchw_port"),
-        ("fp16 port, bn=64 (§8.3)", "fp16_port"),
-    ];
-    for (title, key) in rows {
-        let tf = tf_it.next().unwrap();
-        t.row(vec![
-            title.into(),
-            format!("{tf:.2}"),
-            format!("{:.3}x", tf / base_tf),
-        ]);
-        record(key, tf);
     }
-
     t.print();
-
-    if bench::metrics::wanted() {
-        let keys = [
-            "base",
-            "no_p2r",
-            "bk32",
-            "yield_cudnn",
-            "ldg2",
-            "sts2",
-            "nchw_port",
-            "fp16_port",
-        ];
-        let points = variants
-            .iter()
-            .map(|&cfg| (Conv::new(p, dev.clone()), cfg))
-            .collect();
-        bench::metrics::add_mainloop_metrics_records(
-            &mut report,
-            "ablation-metrics",
-            points,
-            |i| {
-                (
-                    dev.name.to_string(),
-                    vec![
-                        ("layer", "Conv3".into()),
-                        ("n", 64usize.into()),
-                        ("variant", keys[i].into()),
-                    ],
-                )
-            },
-        );
-    }
     report.finish();
 }

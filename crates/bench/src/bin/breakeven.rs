@@ -1,8 +1,10 @@
 //! §8.1: the fused-F(2×2) vs non-fused-F(4×4) break-even analysis.
 //! Paper: crossover at K = 129 (V100) and K = 127 (RTX 2070).
 
+use bench::metrics::analytic_metrics;
 use bench::report::{check_args, Report, REPORT_FLAGS};
 use gpusim::DeviceSpec;
+use perfmodel::roofline::gemm_intensity;
 use perfmodel::{break_even_k, fused_f2_time, nonfused_f4_time};
 
 const KS: [u32; 4] = [64, 128, 256, 512];
@@ -51,17 +53,9 @@ fn main() {
         // `--metrics`: roofline classification of the two contenders' batched
         // GEMM steps — fused F(2x2) runs at bk=64 intensity, the non-fused
         // F(4x4) pipeline at the bk=32 intensity cuDNN ships (§3.3).
-        if bench::metrics::wanted() {
-            for (kernel, bk) in [("fused_f2", 64.0), ("nonfused_f4", 32.0)] {
-                report.add(
-                    dev.name,
-                    &bench::metrics::metrics_config(&[("kernel", kernel.into())]),
-                    &bench::metrics::analytic_metrics(
-                        &dev,
-                        perfmodel::roofline::gemm_intensity(bk),
-                    ),
-                );
-            }
+        for (kernel, bk) in [("fused_f2", 64.0), ("nonfused_f4", 32.0)] {
+            let metrics = analytic_metrics(&dev, gemm_intensity(bk));
+            report.add_metrics(dev.name, &[("kernel", kernel.into())], &metrics);
         }
     }
     report.finish();

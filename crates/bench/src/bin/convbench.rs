@@ -6,7 +6,7 @@
 //!            precomp|nonfused|fft|fft-tiling|all] [--n N] [--c C] [--hw HW]
 //!            [--k K] [--layer Conv2|Conv3|Conv4|Conv5] [--verify]
 //!            [--profile] [--metrics] [--json PATH] [--trace PATH]
-//!            [--jobs N] [--cache|--no-cache] [--cache-dir PATH] [--selfcheck]
+//!            [--jobs N] [--no-cache] [--cache-dir PATH] [--selfcheck]
 //! ```
 //!
 //! `--profile` runs the fused kernel through the cycle simulator with
@@ -23,6 +23,7 @@
 //! JSON records.
 
 use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
+use bench::Point;
 use gpusim::{DeviceSpec, KernelProfile, StallCause};
 use tensor::{allclose, LayoutKind, Tensor4};
 use wino_core::resnet::layer_by_name;
@@ -34,8 +35,6 @@ struct Args {
     problem: ConvProblem,
     verify: bool,
     profile: bool,
-    metrics: bool,
-    json: Option<String>,
     trace: Option<String>,
 }
 
@@ -61,8 +60,6 @@ fn parse_args() -> Result<Args, String> {
     let (mut n, mut c, mut hw, mut k) = (32usize, 64usize, 56usize, 64usize);
     let mut verify = false;
     let mut profile = false;
-    let mut metrics = false;
-    let mut json = None;
     let mut trace = None;
     // `check_args` has rejected unknown flags and missing values, so this
     // loop only reads values.
@@ -103,12 +100,10 @@ fn parse_args() -> Result<Args, String> {
             "--k" => k = value().parse().map_err(|e| format!("--k: {e}"))?,
             "--verify" => verify = true,
             "--profile" => profile = true,
-            "--metrics" => metrics = true,
-            "--json" => json = Some(value().to_string()),
             "--trace" => trace = Some(value().to_string()),
-            // Sweep-engine flags, read by `SweepOptions::from_args` inside
-            // `time_sweep`: skip the values of those that take one.
-            "--jobs" | "--cache-dir" => {
+            // The report's and the sweep engine's flags, read by
+            // `Report::from_args`: skip the values of those that take one.
+            "--json" | "--jobs" | "--cache-dir" => {
                 value();
             }
             _ => {}
@@ -153,8 +148,6 @@ fn parse_args() -> Result<Args, String> {
         problem: ConvProblem::resnet3x3(n, c, hw, k),
         verify,
         profile,
-        metrics,
-        json,
         trace,
     })
 }
@@ -167,8 +160,6 @@ fn main() {
         problem,
         verify,
         profile,
-        metrics,
-        json,
         trace,
     } = match parse_args() {
         Ok(x) => x,
@@ -178,18 +169,28 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut report = Report::to_path("convbench", json);
     let dev_name = device.name;
     println!(
         "{}  N={} C={} HxW={}x{} K={}",
         device.name, problem.n, problem.c, problem.h, problem.w, problem.k
     );
-    let points = algos
-        .iter()
-        .map(|&a| (Conv::new(problem, device.clone()), a))
-        .collect();
-    let timings = bench::time_sweep("convbench", points);
     let conv = Conv::new(problem, device);
+    let points: Vec<Point> = algos
+        .iter()
+        .map(|&a| Point {
+            conv: conv.clone(),
+            target: Target::algo(a),
+            config: vec![
+                ("algo", a.name().into()),
+                ("n", problem.n.into()),
+                ("c", problem.c.into()),
+                ("hw", problem.h.into()),
+                ("k", problem.k.into()),
+            ],
+        })
+        .collect();
+    let mut report = Report::from_args("convbench");
+    let timings = report.measure(&points);
 
     let reference = if verify {
         let input = Tensor4::random(
@@ -210,7 +211,7 @@ fn main() {
         "{:<24} {:>10} {:>9} {:>11} {:>9}",
         "algorithm", "time (us)", "eff TF", "wkspc (MB)", "verify"
     );
-    for (&algo, t) in algos.iter().zip(&timings) {
+    for ((&algo, p), t) in algos.iter().zip(&points).zip(&timings) {
         let v = match &reference {
             Some((input, filter, want)) => {
                 let got = conv.run(algo, input, filter);
@@ -233,13 +234,7 @@ fn main() {
         );
         report.add(
             dev_name,
-            &[
-                ("algo", algo.name().into()),
-                ("n", problem.n.into()),
-                ("c", problem.c.into()),
-                ("hw", problem.h.into()),
-                ("k", problem.k.into()),
-            ],
+            &p.config,
             &[
                 ("time_us", (t.time_s * 1e6).into()),
                 ("tflops_effective", t.tflops_effective.into()),
@@ -249,50 +244,21 @@ fn main() {
         );
     }
 
-    if metrics {
-        let points: Vec<(Conv, Algo)> = algos
-            .iter()
-            .map(|&a| (Conv::new(problem, conv.device.clone()), a))
-            .collect();
-        let records = bench::metrics::conv_metrics_sweep("convbench-metrics", points);
+    if let Some(records) = report.counted() {
         println!("\n== hardware counters & bottleneck classification ==");
-        let rows: Vec<(String, bench::json::Json)> = algos
-            .iter()
-            .zip(&records)
-            .filter_map(|(&a, r)| r.clone().map(|m| (a.name().to_string(), m)))
-            .collect();
-        bench::metrics::print_metrics_table(&rows);
-        for (&algo, rec) in algos.iter().zip(&records) {
-            let Some(m) = rec else {
+        bench::metrics::print_metrics_table(records);
+        for (&algo, t) in algos.iter().zip(&timings) {
+            if t.kernel.is_none() {
                 println!("{:<24} (analytic model, no simulated kernel)", algo.name());
-                continue;
-            };
-            let bench::json::Json::Obj(fields) = m else {
-                unreachable!("metrics records are objects")
-            };
-            let owned: Vec<(&str, bench::json::Json)> = fields
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.clone()))
-                .collect();
-            report.add(
-                dev_name,
-                &bench::metrics::metrics_config(&[
-                    ("algo", algo.name().into()),
-                    ("n", problem.n.into()),
-                    ("c", problem.c.into()),
-                    ("hw", problem.h.into()),
-                    ("k", problem.k.into()),
-                ]),
-                &owned,
-            );
+            }
         }
     }
 
     if profile || trace.is_some() {
-        let algo = algos
+        let (&algo, point) = algos
             .iter()
-            .copied()
-            .find(|a| matches!(a, Algo::OursFused | Algo::CudnnWinograd))
+            .zip(&points)
+            .find(|(a, _)| matches!(a, Algo::OursFused | Algo::CudnnWinograd))
             .unwrap();
         if profile {
             let observe = Observe {
@@ -301,7 +267,9 @@ fn main() {
             };
             let t = conv.measure(Target::algo(algo), observe).kernel;
             let p = t.as_ref().and_then(|k| k.profile.as_ref());
-            print_profile(algo, p.expect("profiled"), &mut report, dev_name, &problem);
+            let mut config = point.config.clone();
+            config.push(("kind", "profile".into()));
+            print_profile(algo, p.expect("profiled"), &mut report, dev_name, &config);
         }
         if let Some(path) = &trace {
             // Device-exact, so every SM gets its own simulated lane.
@@ -369,13 +337,14 @@ fn wave_trace(algo: Algo, dev: &DeviceSpec, dt: &gpusim::DeviceTrace) -> bench::
 }
 
 /// Print per-region totals and the top hot lines with stall attribution,
-/// ending with the reconciliation identity against `wave_cycles`.
+/// ending with the reconciliation identity against `wave_cycles`, and
+/// record the stall totals under `config`.
 fn print_profile(
     algo: Algo,
     p: &KernelProfile,
     report: &mut Report,
     dev_name: &str,
-    problem: &ConvProblem,
+    config: &[(&str, bench::json::Json)],
 ) {
     let slots = p.schedulers as u64 * p.wave_cycles;
     let issue: u64 = p.lines.iter().map(|l| l.issue_cycles).sum();
@@ -481,16 +450,5 @@ fn print_profile(
     for c in StallCause::ALL {
         metrics.push((c.name(), by_cause[c as usize].into()));
     }
-    report.add(
-        dev_name,
-        &[
-            ("algo", algo.name().into()),
-            ("n", problem.n.into()),
-            ("c", problem.c.into()),
-            ("hw", problem.h.into()),
-            ("k", problem.k.into()),
-            ("kind", "profile".into()),
-        ],
-        &metrics,
-    );
+    report.add(dev_name, config, &metrics);
 }

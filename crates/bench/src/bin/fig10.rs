@@ -2,31 +2,40 @@
 //! kernel ("Total") and main loop. Paper: main loop 87.5-93%, total ≥ ~80%.
 
 use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
-use bench::{configs, label, time_sweep, Table};
+use bench::{Point, Table};
 use gpusim::DeviceSpec;
-use wino_core::{Algo, Conv};
+use wino_core::resnet::eval_grid;
+use wino_core::Algo;
 
 fn main() {
     check_args("fig10", &[REPORT_FLAGS, SWEEP_FLAGS]);
-    run(DeviceSpec::rtx2070(), "Figure 10", "RTX 2070", "fig10");
+    run(
+        DeviceSpec::rtx2070(),
+        "Figure 10",
+        "RTX 2070",
+        "fig10",
+        "total above ~80% for large batch",
+    );
 }
 
-pub fn run(dev: DeviceSpec, fig: &str, name: &str, experiment: &str) {
+/// Print and report `experiment`'s Speed-of-Light table on `dev`; `paper`
+/// is the published whole-kernel range.
+pub fn run(dev: DeviceSpec, fig: &str, name: &str, experiment: &str, paper: &str) {
     println!("{fig}: Speed of Light (simulated {name})");
-    println!("Paper: main loop up to ~93%, total above ~80% for large batch\n");
-    let points = configs()
-        .into_iter()
-        .map(|(layer, n)| (Conv::new(layer.problem(n), dev.clone()), Algo::OursFused))
+    println!("Paper: main loop up to ~93%, {paper}\n");
+    let grid = eval_grid();
+    let points: Vec<Point> = grid
+        .iter()
+        .map(|(layer, n)| Point::layer(layer, *n, &dev, Algo::OursFused))
         .collect();
-    let mut timings = time_sweep(experiment, points).into_iter();
-
     let mut report = Report::from_args(experiment);
+    let timings = report.measure(&points);
+
     let mut t = Table::new(&["layer", "Total %", "Main loop %"]);
-    for (layer, n) in configs() {
-        let timing = timings.next().unwrap();
+    for ((layer, n), timing) in grid.into_iter().zip(timings) {
         let k = timing.kernel.expect("fused kernel timing");
         t.row(vec![
-            label(&layer, n),
+            layer.label(n),
             format!("{:.1}", k.sol_total_pct),
             format!("{:.1}", k.sol_pct),
         ]);
@@ -40,29 +49,5 @@ pub fn run(dev: DeviceSpec, fig: &str, name: &str, experiment: &str) {
         );
     }
     t.print();
-
-    if bench::metrics::wanted() {
-        let points = configs()
-            .into_iter()
-            .map(|(layer, n)| (Conv::new(layer.problem(n), dev.clone()), Algo::OursFused))
-            .collect();
-        let cfgs = configs();
-        bench::metrics::add_conv_metrics_records(
-            &mut report,
-            &format!("{experiment}-metrics"),
-            points,
-            |i, a| {
-                let (layer, n) = &cfgs[i];
-                (
-                    dev.name.to_string(),
-                    vec![
-                        ("layer", layer.name.into()),
-                        ("n", (*n).into()),
-                        ("algo", a.name().into()),
-                    ],
-                )
-            },
-        );
-    }
     report.finish();
 }

@@ -3,9 +3,10 @@
 //! all but WINOGRAD_NONFUSED on Conv5 (where F(4×4)'s 4× reduction wins).
 
 use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
-use bench::{configs, label, time_sweep, x, Table};
+use bench::{x, Point, Table};
 use gpusim::DeviceSpec;
-use wino_core::{Algo, Conv};
+use wino_core::resnet::eval_grid;
+use wino_core::Algo;
 
 fn main() {
     run(DeviceSpec::rtx2070(), "Figure 12", "fig12");
@@ -27,33 +28,30 @@ pub fn run(dev: DeviceSpec, fig: &str, experiment: &str) {
         Algo::WinogradNonfused,
     ];
     let mut points = Vec::new();
-    for (layer, n) in configs() {
-        points.push((Conv::new(layer.problem(n), dev.clone()), Algo::OursFused));
-        for a in algos {
-            points.push((Conv::new(layer.problem(n), dev.clone()), a));
+    for (layer, n) in eval_grid() {
+        for algo in std::iter::once(Algo::OursFused).chain(algos) {
+            points.push(Point::layer(&layer, n, &dev, algo));
         }
     }
-    let mut timings = time_sweep(experiment, points).into_iter();
-
     let mut report = Report::from_args(experiment);
+    let timings = report.measure(&points);
+    let mut measured = points.iter().zip(&timings);
+
     let mut headers = vec!["layer"];
     for a in &algos {
         headers.push(a.name());
     }
     let mut t = Table::new(&headers);
-    for (layer, n) in configs() {
-        let ours = timings.next().unwrap().time_s;
-        let mut row = vec![label(&layer, n)];
-        for a in algos {
-            let other = timings.next().unwrap().time_s;
+    for (layer, n) in eval_grid() {
+        let ours = measured.next().unwrap().1.time_s;
+        let mut row = vec![layer.label(n)];
+        for _ in algos {
+            let (p, timing) = measured.next().unwrap();
+            let other = timing.time_s;
             row.push(x(other / ours));
             report.add(
                 dev.name,
-                &[
-                    ("layer", layer.name.into()),
-                    ("n", n.into()),
-                    ("algo", a.name().into()),
-                ],
+                &p.config,
                 &[
                     ("ours_us", (ours * 1e6).into()),
                     ("other_us", (other * 1e6).into()),
@@ -64,33 +62,5 @@ pub fn run(dev: DeviceSpec, fig: &str, experiment: &str) {
         t.row(row);
     }
     t.print();
-
-    // FFT points drop out inside the sweep (analytic model, no kernel).
-    if bench::metrics::wanted() {
-        let mut points = Vec::new();
-        let mut cfgs = Vec::new();
-        for (layer, n) in configs() {
-            for a in std::iter::once(Algo::OursFused).chain(algos) {
-                points.push((Conv::new(layer.problem(n), dev.clone()), a));
-                cfgs.push((layer.name, n));
-            }
-        }
-        bench::metrics::add_conv_metrics_records(
-            &mut report,
-            &format!("{experiment}-metrics"),
-            points,
-            |i, a| {
-                let (layer, n) = cfgs[i];
-                (
-                    dev.name.to_string(),
-                    vec![
-                        ("layer", layer.into()),
-                        ("n", n.into()),
-                        ("algo", a.name().into()),
-                    ],
-                )
-            },
-        );
-    }
     report.finish();
 }

@@ -3,13 +3,15 @@
 //! variants need hundreds of MB to > 1.6 GB on Conv5.
 
 use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
-use bench::{configs, label, Table};
+use bench::{Point, Table};
 use gpusim::DeviceSpec;
-use wino_core::{Algo, Conv};
+use wino_core::resnet::eval_grid;
+use wino_core::Algo;
 
 fn main() {
     check_args("fig14", &[REPORT_FLAGS, SWEEP_FLAGS]);
     println!("Figure 14: workspace (MB) per algorithm\n");
+    let dev = DeviceSpec::v100();
     let algos = [
         Algo::Fft,
         Algo::FftTiling,
@@ -25,21 +27,17 @@ fn main() {
         headers.push(a.name());
     }
     let mut t = Table::new(&headers);
-    for (layer, n) in configs() {
-        let conv = Conv::new(layer.problem(n), DeviceSpec::v100());
-        let mut row = vec![label(&layer, n)];
-        for a in algos {
-            let mb = conv.workspace_bytes(a) as f64 / 1e6;
+    let mut ours = Vec::new();
+    for (layer, n) in eval_grid() {
+        let mut row = vec![layer.label(n)];
+        for algo in algos {
+            let p = Point::layer(&layer, n, &dev, algo);
+            let mb = p.conv.workspace_bytes(algo) as f64 / 1e6;
             row.push(format!("{mb:.1}"));
-            report.add(
-                "V100",
-                &[
-                    ("layer", layer.name.into()),
-                    ("n", n.into()),
-                    ("algo", a.name().into()),
-                ],
-                &[("workspace_mb", mb.into())],
-            );
+            report.add(dev.name, &p.config, &[("workspace_mb", mb.into())]);
+            if algo == Algo::OursFused {
+                ours.push(p);
+            }
         }
         t.row(row);
     }
@@ -47,28 +45,6 @@ fn main() {
 
     // `--metrics`: counter-based classification of our kernel per config
     // (the other columns are workspace formulas with no simulated kernel).
-    if bench::metrics::wanted() {
-        let points = configs()
-            .into_iter()
-            .map(|(layer, n)| {
-                (
-                    Conv::new(layer.problem(n), DeviceSpec::v100()),
-                    Algo::OursFused,
-                )
-            })
-            .collect();
-        let cfgs = configs();
-        bench::metrics::add_conv_metrics_records(&mut report, "fig14-metrics", points, |i, a| {
-            let (layer, n) = &cfgs[i];
-            (
-                "V100".to_string(),
-                vec![
-                    ("layer", layer.name.into()),
-                    ("n", (*n).into()),
-                    ("algo", a.name().into()),
-                ],
-            )
-        });
-    }
+    report.count(&ours);
     report.finish();
 }

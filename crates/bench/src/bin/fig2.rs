@@ -1,5 +1,6 @@
 //! Figure 2: roofline model of the Winograd steps on V100.
 
+use bench::metrics::analytic_metrics;
 use bench::report::{check_args, Report, REPORT_FLAGS};
 use gpusim::DeviceSpec;
 use perfmodel::roofline::{
@@ -49,13 +50,11 @@ fn main() {
             ],
         );
         // `--metrics`: classify each step straight off the roofline.
-        if bench::metrics::wanted() {
-            report.add(
-                dev.name,
-                &bench::metrics::metrics_config(&[("step", name.into())]),
-                &bench::metrics::analytic_metrics(&dev, i),
-            );
-        }
+        report.add_metrics(
+            dev.name,
+            &[("step", name.into())],
+            &analytic_metrics(&dev, i),
+        );
     }
     println!(
         "\nbk=64 raises the GEMM step's intensity by {:.0}% over bk=32 (paper: +33%)",

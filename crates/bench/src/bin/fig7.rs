@@ -3,9 +3,11 @@
 //! 1.09× over NVCC's every-8 and 1.11× over cuDNN's every-7 heuristic.
 
 use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
-use bench::{configs, conv_for, label, mainloop_sweep, Table};
+use bench::{Point, Table};
 use gpusim::DeviceSpec;
 use kernels::YieldStrategy;
+use wino_core::resnet::eval_grid;
+use wino_core::{Conv, Target};
 
 fn main() {
     check_args("fig7", &[REPORT_FLAGS, SWEEP_FLAGS]);
@@ -18,34 +20,36 @@ fn main() {
         ("natural", YieldStrategy::Natural),
     ];
     let mut points = Vec::new();
-    for (layer, n) in configs() {
-        for (_, strat) in strategies {
-            let conv = conv_for(&layer, n, &dev);
+    for (layer, n) in eval_grid() {
+        for (name, strat) in strategies {
+            let conv = Conv::new(layer.problem(n), dev.clone());
             let mut cfg = conv.ours_config();
             cfg.yield_strategy = strat;
-            points.push((conv, cfg));
-        }
-    }
-    let mut tflops_it = mainloop_sweep("fig7", points).into_iter();
-
-    let mut report = Report::from_args("fig7");
-    let mut t = Table::new(&["layer", "cuDNN", "NVCC", "Natural"]);
-    let mut sums = [0.0f64; 3];
-    for (layer, n) in configs() {
-        let mut row = vec![label(&layer, n)];
-        for (i, (name, _)) in strategies.iter().enumerate() {
-            let tflops = tflops_it.next().unwrap();
-            sums[i] += tflops;
-            row.push(format!("{tflops:.2}"));
-            report.add(
-                dev.name,
-                &[
+            points.push(Point {
+                conv,
+                target: Target::mainloop(cfg),
+                config: vec![
                     ("layer", layer.name.into()),
                     ("n", n.into()),
-                    ("yield", (*name).into()),
+                    ("yield", name.into()),
                 ],
-                &[("mainloop_tflops", tflops.into())],
-            );
+            });
+        }
+    }
+    let mut report = Report::from_args("fig7");
+    let timings = report.measure(&points);
+    let mut measured = points.iter().zip(&timings);
+
+    let mut t = Table::new(&["layer", "cuDNN", "NVCC", "Natural"]);
+    let mut sums = [0.0f64; 3];
+    for (layer, n) in eval_grid() {
+        let mut row = vec![layer.label(n)];
+        for sum in &mut sums {
+            let (p, timing) = measured.next().unwrap();
+            let tflops = p.mainloop_tflops(timing).expect("main loop simulates");
+            *sum += tflops;
+            row.push(format!("{tflops:.2}"));
+            report.add(dev.name, &p.config, &[("mainloop_tflops", tflops.into())]);
         }
         t.row(row);
     }
@@ -55,30 +59,5 @@ fn main() {
         sums[2] / sums[0],
         sums[2] / sums[1]
     );
-
-    if bench::metrics::wanted() {
-        let mut points = Vec::new();
-        let mut cfgs = Vec::new();
-        for (layer, n) in configs() {
-            for (name, strat) in strategies {
-                let conv = conv_for(&layer, n, &dev);
-                let mut cfg = conv.ours_config();
-                cfg.yield_strategy = strat;
-                points.push((conv, cfg));
-                cfgs.push((layer.name, n, name));
-            }
-        }
-        bench::metrics::add_mainloop_metrics_records(&mut report, "fig7-metrics", points, |i| {
-            let (layer, n, strat) = cfgs[i];
-            (
-                dev.name.to_string(),
-                vec![
-                    ("layer", layer.into()),
-                    ("n", n.into()),
-                    ("yield", strat.into()),
-                ],
-            )
-        });
-    }
     report.finish();
 }

@@ -25,9 +25,10 @@
 //! points + sanity asserts, for CI).
 
 use bench::report::{check_args, flag_value, Report};
-use bench::{configs, conv_for, Table};
+use bench::Table;
 use gpusim::DeviceSpec;
-use wino_core::{Model, Observe, Target};
+use wino_core::resnet::eval_grid;
+use wino_core::{Conv, Model, Observe, Target};
 
 fn main() {
     check_args("multiwave", &[&["--smoke", "--json PATH"]]);
@@ -53,7 +54,7 @@ fn main() {
     let mut overcharged = 0usize;
     let mut undercharged = 0usize;
     for dev in [DeviceSpec::v100(), DeviceSpec::rtx2070()] {
-        let grid = configs();
+        let grid = eval_grid();
         let points: Vec<_> = if smoke {
             // One partial-tail point is enough to smoke the machinery.
             grid.into_iter().take(1).collect()
@@ -61,7 +62,7 @@ fn main() {
             grid
         };
         for (layer, n) in points {
-            let conv = conv_for(&layer, n, &dev);
+            let conv = Conv::new(layer.problem(n), dev.clone());
             let time = |model| {
                 let t = conv.measure(Target::fused(conv.ours_config(), model), Observe::default());
                 t.kernel.expect("fused kernel simulates")

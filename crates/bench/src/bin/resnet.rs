@@ -20,7 +20,7 @@
 //!   asserted against its time).
 //!
 //! Every candidate timing runs through the shared sweep engine
-//! (`--jobs/--cache/...`), memoized under `Conv::key`, so the
+//! (`--jobs/--no-cache/...`), memoized under `Conv::key`, so the
 //! output is byte-identical across job counts and cache states.
 //!
 //! Flags: `--json PATH` (default `BENCH_resnet.json`), `--smoke` (the
@@ -29,11 +29,11 @@
 use std::collections::{HashMap, HashSet};
 
 use bench::report::{check_args, flag_value, Report, SWEEP_FLAGS};
-use bench::{time_sweep, Table};
+use bench::{Point, Table};
 use gpusim::DeviceSpec;
 use wino_core::netgraph::LayerTimer;
 use wino_core::resnet::BATCH_SIZES;
-use wino_core::{Algo, AlgoPolicy, AlgoTiming, Conv, ConvProblem, NetGraph, NetPlan};
+use wino_core::{Algo, AlgoPolicy, AlgoTiming, Conv, ConvProblem, NetGraph, NetPlan, Target};
 
 /// One timing point: device name, problem, algorithm.
 type PointKey = (&'static str, ConvProblem, Algo);
@@ -75,27 +75,30 @@ fn main() {
 
     // Enumerate every timing point any plan will probe, dedup, and run
     // them through the sweep engine in one deterministic registration pass.
+    // The planner skips candidates on their lower bounds, so check the
+    // bound against every point the sweep times.
     let mut seen: HashSet<PointKey> = HashSet::new();
-    let (mut keys, mut points) = (Vec::new(), Vec::new());
+    let (mut keys, mut points, mut bounds) = (Vec::new(), Vec::new(), Vec::new());
     for dev in &devices {
         for g in &graphs {
             for policy in POLICIES {
                 for (p, algo) in g.probes(dev, policy) {
                     if seen.insert((dev.name, p, algo)) {
+                        let conv = Conv::new(p, dev.clone());
                         keys.push((dev.name, p, algo));
-                        points.push((Conv::new(p, dev.clone()), algo));
+                        bounds.push(conv.time_lower_bound(algo));
+                        points.push(Point {
+                            conv,
+                            target: Target::algo(algo),
+                            config: Vec::new(),
+                        });
                     }
                 }
             }
         }
     }
-    // The planner skips candidates on their lower bounds, so check the
-    // bound against every point the sweep times.
-    let bounds: Vec<f64> = points
-        .iter()
-        .map(|(conv, algo)| conv.time_lower_bound(*algo))
-        .collect();
-    let results = time_sweep("resnet", points);
+    let mut report = Report::to_path("resnet", Some(json_path));
+    let results = report.measure(&points);
     for ((key, bound), t) in keys.iter().zip(&bounds).zip(&results) {
         assert!(
             *bound <= t.time_s,
@@ -106,7 +109,6 @@ fn main() {
     let timings: HashMap<PointKey, AlgoTiming> = keys.into_iter().zip(results).collect();
     let timer = MapTimer { timings: &timings };
 
-    let mut report = Report::to_path("resnet", Some(json_path));
     let mut t = Table::new(&[
         "device",
         "batch",

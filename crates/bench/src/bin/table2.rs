@@ -5,7 +5,7 @@
 //! 2.25× multiplication reduction.
 
 use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
-use bench::{conv_for, time_sweep, x, Table};
+use bench::{x, Point, Table};
 use gpusim::DeviceSpec;
 use wino_core::resnet::{BATCH_SIZES, RESNET_LAYERS};
 use wino_core::Algo;
@@ -18,13 +18,14 @@ fn main() {
     let mut points = Vec::new();
     for n in BATCH_SIZES {
         for layer in RESNET_LAYERS {
-            points.push((conv_for(&layer, n, &dev), Algo::CudnnWinograd));
-            points.push((conv_for(&layer, n, &dev), Algo::ImplicitPrecompGemm));
+            for algo in [Algo::CudnnWinograd, Algo::ImplicitPrecompGemm] {
+                points.push(Point::layer(&layer, n, &dev, algo));
+            }
         }
     }
-    let mut timings = time_sweep("table2", points).into_iter();
-
     let mut report = Report::from_args("table2");
+    let mut timings = report.measure(&points).into_iter();
+
     let mut t = Table::new(&["N", "Conv2", "Conv3", "Conv4", "Conv5"]);
     let mut all = Vec::new();
     for n in BATCH_SIZES {
@@ -55,29 +56,5 @@ fn main() {
         &[("aggregate", "average".into())],
         &[("speedup", avg.into())],
     );
-
-    if bench::metrics::wanted() {
-        let mut points = Vec::new();
-        let mut cfgs = Vec::new();
-        for n in BATCH_SIZES {
-            for layer in RESNET_LAYERS {
-                for a in [Algo::CudnnWinograd, Algo::ImplicitPrecompGemm] {
-                    points.push((conv_for(&layer, n, &dev), a));
-                    cfgs.push((layer.name, n));
-                }
-            }
-        }
-        bench::metrics::add_conv_metrics_records(&mut report, "table2-metrics", points, |i, a| {
-            let (layer, n) = cfgs[i];
-            (
-                dev.name.to_string(),
-                vec![
-                    ("layer", layer.into()),
-                    ("n", n.into()),
-                    ("algo", a.name().into()),
-                ],
-            )
-        });
-    }
     report.finish();
 }

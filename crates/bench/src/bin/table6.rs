@@ -6,7 +6,7 @@
 //! RTX2070 speedups exceed V100's (cuDNN gets 2 blocks/SM on V100 only).
 
 use bench::report::{check_args, Report, REPORT_FLAGS, SWEEP_FLAGS};
-use bench::{conv_for, time_sweep, x, Table};
+use bench::{x, Point, Table};
 use gpusim::DeviceSpec;
 use wino_core::resnet::{BATCH_SIZES, RESNET_LAYERS};
 use wino_core::Algo;
@@ -20,14 +20,14 @@ fn main() {
     for dev in &devices {
         for n in BATCH_SIZES {
             for layer in RESNET_LAYERS {
-                points.push((conv_for(&layer, n, dev), Algo::OursFused));
-                points.push((conv_for(&layer, n, dev), Algo::CudnnWinograd));
+                for algo in [Algo::OursFused, Algo::CudnnWinograd] {
+                    points.push(Point::layer(&layer, n, dev, algo));
+                }
             }
         }
     }
-    let mut timings = time_sweep("table6", points).into_iter();
-
     let mut report = Report::from_args("table6");
+    let mut timings = report.measure(&points).into_iter();
     for dev in devices {
         println!("{}:", dev.name);
         let mut t = Table::new(&["N", "Conv2", "Conv3", "Conv4", "Conv5"]);
@@ -60,32 +60,6 @@ fn main() {
             &[("aggregate", "average".into())],
             &[("speedup", avg.into())],
         );
-    }
-
-    if bench::metrics::wanted() {
-        let mut points = Vec::new();
-        let mut cfgs = Vec::new();
-        for dev in [DeviceSpec::rtx2070(), DeviceSpec::v100()] {
-            for n in BATCH_SIZES {
-                for layer in RESNET_LAYERS {
-                    for a in [Algo::OursFused, Algo::CudnnWinograd] {
-                        points.push((conv_for(&layer, n, &dev), a));
-                        cfgs.push((dev.name, layer.name, n));
-                    }
-                }
-            }
-        }
-        bench::metrics::add_conv_metrics_records(&mut report, "table6-metrics", points, |i, a| {
-            let (dev_name, layer, n) = cfgs[i];
-            (
-                dev_name.to_string(),
-                vec![
-                    ("layer", layer.into()),
-                    ("n", n.into()),
-                    ("algo", a.name().into()),
-                ],
-            )
-        });
     }
     report.finish();
 }

@@ -1,10 +1,12 @@
 //! Table 7: parameters of our implementation vs cuDNN 7.6.1's Winograd,
 //! with the §7.1 occupancy consequence on both devices.
 
+use bench::metrics::analytic_metrics;
 use bench::report::{check_args, Report, REPORT_FLAGS};
 use bench::Table;
 use gpusim::DeviceSpec;
 use kernels::{FusedConfig, FusedKernel};
+use perfmodel::roofline::gemm_intensity;
 use perfmodel::{kernel_table, KernelParams};
 
 /// One kernel's cell in a table row.
@@ -55,16 +57,8 @@ fn main() {
             );
             // `--metrics`: each kernel's batched-GEMM step classified at the
             // intensity its bk implies (§3.3: bk=64 → 10.67, bk=32 → 8).
-            if bench::metrics::wanted() {
-                report.add(
-                    dev.name,
-                    &bench::metrics::metrics_config(&[("kernel", which.into())]),
-                    &bench::metrics::analytic_metrics(
-                        dev,
-                        perfmodel::roofline::gemm_intensity(p.bk as f64),
-                    ),
-                );
-            }
+            let metrics = analytic_metrics(dev, gemm_intensity(p.bk as f64));
+            report.add_metrics(dev.name, &[("kernel", which.into())], &metrics);
         }
     }
     report.finish();

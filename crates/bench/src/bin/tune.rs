@@ -65,7 +65,8 @@ use sass::lint::lint;
 use sass::tune::MoveFamily;
 use sass::Module;
 use serve::schedstore::{ScheduleStore, StoredSchedule};
-use tensor::XorShiftRng;
+use tensor::{LayoutKind, Tensor4, XorShiftRng};
+use wino_core::{conv2d_direct, ConvProblem};
 
 /// Proxy problem for the Tier-2 search and the recovery gate: one fused
 /// tile grid, small enough that thousands of cycle-level simulations stay
@@ -164,51 +165,11 @@ fn profile_priors(search: &Search, kern: &FusedKernel) -> (&'static str, Priors)
 
 // ---- functional differential check ------------------------------------------
 
-/// Direct convolution reference (3×3, pad 1, stride 1), CHWN/CRSK/KHWN.
-fn reference(cfg: &FusedConfig, input: &[f32], filter: &[f32]) -> Vec<f32> {
-    let (c_d, h_d, w_d, n_d, k_d) = (
-        cfg.c as usize,
-        cfg.h as usize,
-        cfg.w as usize,
-        cfg.n as usize,
-        cfg.k as usize,
-    );
-    let mut out = vec![0.0f32; k_d * h_d * w_d * n_d];
-    for k in 0..k_d {
-        for y in 0..h_d {
-            for x in 0..w_d {
-                for n in 0..n_d {
-                    let mut acc = 0.0f32;
-                    for c in 0..c_d {
-                        for r in 0..3 {
-                            let iy = y as isize + r as isize - 1;
-                            if iy < 0 || iy >= h_d as isize {
-                                continue;
-                            }
-                            for s in 0..3 {
-                                let ix = x as isize + s as isize - 1;
-                                if ix < 0 || ix >= w_d as isize {
-                                    continue;
-                                }
-                                let iv =
-                                    input[((c * h_d + iy as usize) * w_d + ix as usize) * n_d + n];
-                                let fv = filter[((c * 3 + r) * 3 + s) * k_d + k];
-                                acc += iv * fv;
-                            }
-                        }
-                    }
-                    out[((k * h_d + y) * w_d + x) * n_d + n] = acc;
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Functional gate on the Tier-2 grid at the proxy shape: every legal
 /// point must emit lint-clean and compute output bit-exact against every
-/// other point (and within the usual Winograd tolerance of a direct
-/// convolution). Device-independent, so it runs once per invocation.
+/// other point (and within the usual Winograd tolerance of the workspace's
+/// direct convolution, `wino_core::conv2d_direct`). Device-independent, so
+/// it runs once per invocation.
 fn differential_check() {
     let base = proxy_config();
     let (c, h, w, n, k) = (
@@ -219,14 +180,16 @@ fn differential_check() {
         base.k as usize,
     );
     let mut rng = XorShiftRng::new(0x7157);
-    let input: Vec<f32> = (0..c * h * w * n)
-        .map(|_| rng.gen_range(-1.0, 1.0))
-        .collect();
-    let filter: Vec<f32> = (0..c * 9 * k).map(|_| rng.gen_range(-1.0, 1.0)).collect();
+    let mut random = |kind, dims: [usize; 4]| {
+        let data = (0..dims.iter().product()).map(|_| rng.gen_range(-1.0, 1.0));
+        Tensor4::from_vec(kind, dims, data.collect())
+    };
+    let input = random(LayoutKind::Chwn, [c, h, w, n]);
+    let filter = random(LayoutKind::Crsk, [c, 3, 3, k]);
 
     let mut gpu = Gpu::new(DeviceSpec::v100(), 1 << 26);
-    let d_in = gpu.alloc_upload_f32(&input);
-    let d_filt = gpu.alloc_upload_f32(&filter);
+    let d_in = gpu.alloc_upload_f32(input.as_slice());
+    let d_filt = gpu.alloc_upload_f32(filter.as_slice());
     let d_tf = gpu.alloc((c * 16 * k) as u64 * 4);
     let d_out = gpu.alloc((k * h * w * n) as u64 * 4);
     let fx = emit_filter_transform(base.c, base.k);
@@ -234,7 +197,24 @@ fn differential_check() {
     gpu.launch_parallel(&fx, fx_dims, &filter_transform::params(d_filt, d_tf))
         .expect("filter transform");
 
-    let want = reference(&base, &input, &filter);
+    // The workspace's reference runs NCHW/KCRS. Its NCHW output, read with
+    // K as the C axis, converts to CHWN: the kernel's KHWN order.
+    let problem = ConvProblem {
+        n,
+        c,
+        h,
+        w,
+        k,
+        r: 3,
+        s: 3,
+        pad: 1,
+    };
+    let want = conv2d_direct(
+        &problem,
+        &input.to_layout(LayoutKind::Nchw),
+        &filter.to_layout(LayoutKind::Kcrs),
+    )
+    .to_layout(LayoutKind::Chwn);
     let mut anchor: Option<Vec<f32>> = None;
     let points = EmitterParams::grid(base).0;
     for p in &points {
@@ -251,7 +231,7 @@ fn differential_check() {
         gpu.launch_parallel(&kern.module, kern.launch_dims(), &params)
             .unwrap_or_else(|e| panic!("{}: failed to execute: {e}", p.label()));
         let got = gpu.mem.download_f32(d_out, k * h * w * n).unwrap();
-        let rep = tensor::compare(&want, &got, 1e-3, 1e-3);
+        let rep = tensor::compare(want.as_slice(), &got, 1e-3, 1e-3);
         assert!(rep.num_bad == 0, "{} vs direct reference: {rep}", p.label());
         match &anchor {
             None => anchor = Some(got),

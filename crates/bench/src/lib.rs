@@ -8,6 +8,14 @@
 //! paper-vs-measured discussion. Passing `--json <path>` to any experiment
 //! binary additionally writes the measured numbers as JSON records (see
 //! [`report::Report`]).
+//!
+//! A binary that simulates declares its grid once, as a list of [`Point`]s,
+//! and hands it to the one measuring call, [`report::Report::measure`]: the
+//! cached timing sweep named after the experiment ([`sweep`], flags
+//! `--jobs`, `--no-cache`, `--cache-dir` and `--selfcheck`) and, under
+//! `--metrics`, the counted sweep `<experiment>-metrics` over the same list,
+//! whose `kind=metrics` records ([`metrics`]) the report writes after the
+//! binary's own.
 
 pub mod metrics;
 pub mod metricsdiff;
@@ -17,74 +25,49 @@ pub mod sweep;
 pub mod trace;
 
 use gpusim::DeviceSpec;
-use kernels::FusedConfig;
-use wino_core::resnet::{eval_grid, ResnetLayer};
-use wino_core::{AlgoTiming, Conv, Observe, Target};
+use wino_core::resnet::ResnetLayer;
+use wino_core::{AlgoTiming, Conv, Kernels, Target};
 
-use crate::simcache::CacheKey;
-use crate::sweep::Sweep;
 /// The workspace's JSON codec, re-exported for the experiment binaries.
 pub use gpusim::json;
 pub use wino_core::Algo;
 
-/// The 16 `(layer, batch)` points used by Tables 2/6 and Figs. 7–13.
-pub fn configs() -> Vec<(ResnetLayer, usize)> {
-    eval_grid()
+use crate::json::Json;
+
+/// One grid point of an experiment: a convolution, what of it to measure,
+/// and the config its `kind=metrics` record is filed under.
+#[derive(Clone)]
+pub struct Point {
+    pub conv: Conv,
+    pub target: Target,
+    pub config: Vec<(&'static str, Json)>,
 }
 
-/// `ConvxNn` label.
-pub fn label(layer: &ResnetLayer, n: usize) -> String {
-    layer.label(n)
-}
-
-/// Conv bound to a device for a grid point.
-pub fn conv_for(layer: &ResnetLayer, n: usize, dev: &DeviceSpec) -> Conv {
-    Conv::new(layer.problem(n), dev.clone())
-}
-
-/// Evaluate [`Conv::measure`] (unobserved) for every `(conv, target)` point
-/// on the sweep engine ([`sweep::Sweep::from_args`]: `--jobs/--cache/...`
-/// respected) and return the timings in registration order. Each point is
-/// content-addressed by [`Conv::key`], so cached and fresh results are
-/// indistinguishable bit-for-bit.
-pub fn measure_sweep(name: &str, points: Vec<(Conv, Target)>) -> Vec<AlgoTiming> {
-    let mut sw = Sweep::from_args(name);
-    for (conv, target) in points {
-        let key = CacheKey::from_digest(&conv.key(target));
-        sw.point(key, move || {
-            simcache::algo_timing_to_json(&conv.measure(target, Observe::default()))
-        });
+impl Point {
+    /// `algo`'s whole pipeline on `layer` at batch `n` on `dev`, filed under
+    /// `{layer, n, algo}`.
+    pub fn layer(layer: &ResnetLayer, n: usize, dev: &DeviceSpec, algo: Algo) -> Point {
+        Point {
+            conv: Conv::new(layer.problem(n), dev.clone()),
+            target: Target::algo(algo),
+            config: vec![
+                ("layer", layer.name.into()),
+                ("n", n.into()),
+                ("algo", algo.name().into()),
+            ],
+        }
     }
-    sw.run()
-        .results
-        .iter()
-        .map(|r| simcache::algo_timing_from_json(r).expect("valid algo-timing cache record"))
-        .collect()
-}
 
-/// [`measure_sweep`] of [`Conv::time`] for every `(conv, algo)` point.
-pub fn time_sweep(name: &str, points: Vec<(Conv, Algo)>) -> Vec<AlgoTiming> {
-    let targets = points.into_iter().map(|(c, a)| (c, Target::algo(a)));
-    measure_sweep(name, targets.collect())
-}
-
-/// Main-loop region TFLOPS ([`Target::mainloop`]) for every `(conv, cfg)`
-/// point, in registration order (the Figures 7–9 / ablation measurement).
-pub fn mainloop_sweep(name: &str, points: Vec<(Conv, FusedConfig)>) -> Vec<f64> {
-    let rates: Vec<(DeviceSpec, f64)> = points
-        .iter()
-        .map(|(c, cfg)| (c.device.clone(), cfg.mainloop_flops_per_block()))
-        .collect();
-    let targets = points
-        .into_iter()
-        .map(|(c, cfg)| (c, Target::mainloop(cfg)));
-    let kernels = measure_sweep(name, targets.collect())
-        .into_iter()
-        .map(|t| t.kernel);
-    kernels
-        .zip(rates)
-        .map(|(k, (dev, flops))| k.expect("main loop simulates").region_tflops(&dev, flops))
-        .collect()
+    /// Main-loop region TFLOPS of `t`, this point's timing, when the point
+    /// is a [`Target::mainloop`] build (the Figures 7–9 / ablation
+    /// measurement); `None` otherwise.
+    pub fn mainloop_tflops(&self, t: &AlgoTiming) -> Option<f64> {
+        let Kernels::Fused(cfg) = self.target.kernels else {
+            return None;
+        };
+        let k = t.kernel.as_ref().filter(|_| cfg.main_loop_only)?;
+        Some(k.region_tflops(&self.conv.device, cfg.mainloop_flops_per_block()))
+    }
 }
 
 /// Render a simple aligned table.
@@ -152,7 +135,7 @@ mod tests {
 
     #[test]
     fn sixteen_configs() {
-        assert_eq!(configs().len(), 16);
+        assert_eq!(wino_core::resnet::eval_grid().len(), 16);
     }
 
     #[test]

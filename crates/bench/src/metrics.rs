@@ -1,12 +1,16 @@
 //! `metrics` — the `--metrics` hardware-counter layer shared by every
 //! experiment binary.
 //!
-//! Passing `--metrics` to an experiment re-times each point's dominant
-//! simulated kernel with [`gpusim::TimingOptions::counters`] on, classifies
-//! the run with [`perfmodel::BottleneckReport`], and appends one extra
-//! `--json` record per point with `config.kind == "metrics"` (the same
-//! marker scheme the stall profile uses with `"profile"`). `convbench
-//! --metrics` additionally prints the classification as a table.
+//! Under `--metrics`, [`crate::report::Report::measure`] re-times each grid
+//! point's dominant simulated kernel with
+//! [`gpusim::TimingOptions::counters`] on, classifies the run with
+//! [`perfmodel::BottleneckReport`], and queues one extra `--json` record per
+//! point with `config.kind == "metrics"` (the same marker scheme the stall
+//! profile uses with `"profile"`); the report writes them after the binary's
+//! own records. The analytic binaries file their roofline classification
+//! ([`analytic_metrics`]) through [`crate::report::Report::add_metrics`]
+//! instead. `convbench --metrics` additionally prints the classification as
+//! a table.
 //!
 //! Counter collection changes no timing numbers (the cycle results are
 //! bit-identical, asserted by `gpusim/tests/counter_invariants.rs`), but the
@@ -20,22 +24,15 @@
 //! [`perfmodel::Bound::name`] strings are therefore schema surface.
 
 use gpusim::{DeviceSpec, KernelTiming};
-use kernels::FusedConfig;
 use perfmodel::BottleneckReport;
-use wino_core::{Algo, Conv, Kernels, Observe, Target};
+use wino_core::Observe;
 
 use crate::json::{obj, Json};
 use crate::simcache::CacheKey;
-use crate::sweep::Sweep;
-use crate::Table;
+use crate::{Point, Table};
 
 /// Named metric list — what one `--json` metrics record holds.
 pub type Metrics = Vec<(&'static str, Json)>;
-
-/// Was `--metrics` passed on the command line?
-pub fn wanted() -> bool {
-    std::env::args().any(|a| a == "--metrics")
-}
 
 /// The metrics record for one counted kernel run: bottleneck classification
 /// first, then the counter-derived rates. Requires `t.counters` (panics
@@ -83,107 +80,34 @@ pub fn analytic_metrics(dev: &DeviceSpec, intensity: f64) -> Metrics {
     ]
 }
 
-/// Tag a config with the `kind=metrics` marker that distinguishes metrics
-/// records from the timing records of the same grid point.
-pub fn metrics_config<'a>(base: &[(&'a str, Json)]) -> Vec<(&'a str, Json)> {
-    let mut c = base.to_vec();
-    c.push(("kind", "metrics".into()));
-    c
-}
-
-fn tagged_key(mut d: gpusim::Digest) -> CacheKey {
+/// Cache key of `p`'s counted run: its [`wino_core::Conv::key`] plus the
+/// `metrics/v1` tag.
+pub(crate) fn counted_key(p: &Point) -> CacheKey {
+    let mut d = p.conv.key(p.target);
     d.str("metrics/v1");
     CacheKey::from_digest(&d)
 }
 
-/// Counted-run metrics for every `(conv, target)` point, on the sweep
-/// engine, in registration order; `None` for the analytically modeled FFT
-/// algorithms, which run no simulated kernel (their bottleneck comes from
-/// [`analytic_metrics`] where an experiment wants one). Main-loop targets
-/// (Figures 7–9 / ablation) also record `mainloop_tflops`.
-pub fn metrics_sweep(name: &str, points: Vec<(Conv, Target)>) -> Vec<Option<Json>> {
-    let mut sw = Sweep::from_args(name);
-    for (conv, target) in points {
-        sw.point(tagged_key(conv.key(target)), move || {
-            let Some(t) = conv.measure(target, Observe::COUNTERS).kernel else {
-                return Json::Null;
-            };
-            let mut m = kernel_metrics(&t);
-            match target.kernels {
-                Kernels::Fused(cfg) if cfg.main_loop_only => {
-                    let tflops = t.region_tflops(&conv.device, cfg.mainloop_flops_per_block());
-                    m.push(("mainloop_tflops", tflops.into()));
-                }
-                _ => {}
-            }
-            obj(&m)
-        });
+/// The metrics of `p`'s counted run: [`kernel_metrics`], plus
+/// `mainloop_tflops` for a main-loop point (Figures 7–9, the ablation);
+/// `Json::Null` for the analytically modeled FFT algorithms, which run no
+/// simulated kernel (their bottleneck comes from [`analytic_metrics`] where
+/// an experiment wants one).
+pub(crate) fn counted(p: &Point) -> Json {
+    let t = p.conv.measure(p.target, Observe::COUNTERS);
+    let Some(k) = &t.kernel else {
+        return Json::Null;
+    };
+    let mut m = kernel_metrics(k);
+    if let Some(tflops) = p.mainloop_tflops(&t) {
+        m.push(("mainloop_tflops", tflops.into()));
     }
-    let results = sw.run().results.into_iter();
-    results.map(|r| (r != Json::Null).then_some(r)).collect()
+    obj(&m)
 }
 
-/// [`metrics_sweep`] of [`Conv::time`] for every `(conv, algo)` point.
-pub fn conv_metrics_sweep(name: &str, points: Vec<(Conv, Algo)>) -> Vec<Option<Json>> {
-    let targets = points.into_iter().map(|(c, a)| (c, Target::algo(a)));
-    metrics_sweep(name, targets.collect())
-}
-
-/// `(device name, config pairs)` for one sweep point — what
-/// [`add_metrics_records`] needs to emit the point's report record.
-pub type PointConfig = (String, Vec<(&'static str, Json)>);
-
-/// Run the counted sweep over `points` and append one `kind=metrics` record
-/// per simulated point to `report`; `config_of(index)` names the point.
-/// FFT points are silently skipped (no simulated kernel).
-pub fn add_metrics_records(
-    report: &mut crate::report::Report,
-    name: &str,
-    points: Vec<(Conv, Target)>,
-    config_of: impl Fn(usize) -> PointConfig,
-) {
-    for (i, rec) in metrics_sweep(name, points).into_iter().enumerate() {
-        let Some(Json::Obj(fields)) = rec else {
-            continue;
-        };
-        let metrics: Vec<(&str, Json)> = fields
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.clone()))
-            .collect();
-        let (device, config) = config_of(i);
-        report.add(&device, &metrics_config(&config), &metrics);
-    }
-}
-
-/// [`add_metrics_records`] of [`Conv::time`] points; `config_of(index,
-/// algo)` names the point.
-pub fn add_conv_metrics_records(
-    report: &mut crate::report::Report,
-    name: &str,
-    points: Vec<(Conv, Algo)>,
-    config_of: impl Fn(usize, Algo) -> PointConfig,
-) {
-    let algos: Vec<Algo> = points.iter().map(|(_, a)| *a).collect();
-    let targets = points.into_iter().map(|(c, a)| (c, Target::algo(a)));
-    add_metrics_records(report, name, targets.collect(), |i| config_of(i, algos[i]));
-}
-
-/// [`add_metrics_records`] of [`Target::mainloop`] points.
-pub fn add_mainloop_metrics_records(
-    report: &mut crate::report::Report,
-    name: &str,
-    points: Vec<(Conv, FusedConfig)>,
-    config_of: impl Fn(usize) -> PointConfig,
-) {
-    let targets = points
-        .into_iter()
-        .map(|(c, cfg)| (c, Target::mainloop(cfg)));
-    add_metrics_records(report, name, targets.collect(), config_of);
-}
-
-/// Print metrics records as an aligned table (`convbench --metrics`).
-/// `rows` pairs a point label with the record built by [`kernel_metrics`].
-pub fn print_metrics_table(rows: &[(String, Json)]) {
+/// Print `kind=metrics` report records as an aligned table, one row per
+/// record labelled by its config's `algo` (`convbench --metrics`).
+pub fn print_metrics_table(records: &[Json]) {
     let pct = |m: &Json, k: &str| {
         m.get(k)
             .and_then(Json::as_f64)
@@ -200,11 +124,13 @@ pub fn print_metrics_table(rows: &[(String, Json)]) {
         "l2hit%",
         "dram MB",
     ]);
-    for (label, m) in rows {
+    for r in records {
+        let label = r.get("config").and_then(|c| c.get("algo"));
+        let m = r.get("metrics").expect("a report record");
         let dram_mb = m.get("dram_read_mb").and_then(Json::as_f64).unwrap_or(0.0)
             + m.get("dram_write_mb").and_then(Json::as_f64).unwrap_or(0.0);
         t.row(vec![
-            label.clone(),
+            label.and_then(Json::as_str).unwrap_or("-").to_string(),
             m.get("bound")
                 .and_then(Json::as_str)
                 .unwrap_or("-")
@@ -224,8 +150,7 @@ pub fn print_metrics_table(rows: &[(String, Json)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpusim::DeviceSpec;
-    use wino_core::ConvProblem;
+    use wino_core::{Algo, Conv, ConvProblem};
 
     fn small_conv() -> Conv {
         // Same small problem the conv.rs unit tests use — fast to simulate.
@@ -264,11 +189,5 @@ mod tests {
             Some("dram"),
             "transform intensity sits under the ridge"
         );
-    }
-
-    #[test]
-    fn metrics_config_appends_kind() {
-        let c = metrics_config(&[("layer", "Conv2".into())]);
-        assert_eq!(obj(&c).get("kind").and_then(Json::as_str), Some("metrics"));
     }
 }

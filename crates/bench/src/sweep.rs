@@ -15,13 +15,16 @@
 //! one kernel re-simulates only the affected points and a warm rerun is
 //! near-instant.
 //!
-//! Flags understood by every binary that calls [`Sweep::from_args`]:
+//! The experiment binaries reach the engine through one call,
+//! [`crate::report::Report::measure`], which runs the timing sweep named
+//! after the experiment and, under `--metrics`, the counted sweep
+//! `<experiment>-metrics` over the same points. Flags understood by every
+//! binary that runs a sweep ([`SweepOptions::from_args`]):
 //!
 //! | flag | effect |
 //! |---|---|
 //! | `--jobs N` | worker threads (default: available parallelism) |
 //! | `--no-cache` | neither read nor write the cache |
-//! | `--cache` | force caching on (the default) |
 //! | `--cache-dir PATH` | cache location (default `target/simcache/`) |
 //! | `--selfcheck` | run every miss twice, assert identical result JSON |
 //!
@@ -73,9 +76,9 @@ impl Default for SweepOptions {
 }
 
 impl SweepOptions {
-    /// Parse `--jobs/--cache/--no-cache/--cache-dir/--selfcheck` from the
-    /// process arguments; unrelated flags are ignored (each binary owns its
-    /// own argument parsing).
+    /// Parse `--jobs/--no-cache/--cache-dir/--selfcheck` from the process
+    /// arguments; unrelated flags are ignored (each binary owns its own
+    /// argument parsing).
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         let mut o = SweepOptions::default();
@@ -87,9 +90,6 @@ impl SweepOptions {
         }
         if args.iter().any(|a| a == "--no-cache") {
             o.cache = false;
-        }
-        if args.iter().any(|a| a == "--cache") {
-            o.cache = true;
         }
         if let Some(dir) = flag_value(&args, "--cache-dir") {
             o.cache_dir = dir.into();

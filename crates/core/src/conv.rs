@@ -280,6 +280,7 @@ pub struct ConvOutput {
 }
 
 /// A convolution bound to a device.
+#[derive(Clone)]
 pub struct Conv {
     pub problem: ConvProblem,
     pub device: DeviceSpec,

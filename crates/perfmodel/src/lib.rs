@@ -21,6 +21,6 @@ pub mod tunehint;
 
 pub use bottleneck::{BottleneckReport, Bound, BOUND_THRESHOLD};
 pub use breakeven::{break_even_k, fused_f2_time, nonfused_f4_time, nonfused_viable};
-pub use occupancy::{kernel_table, KernelParams, LaunchShape};
+pub use occupancy::{kernel_table, KernelParams};
 pub use roofline::{attainable_tflops, RooflinePoint, WINOGRAD_STEPS};
 pub use tunehint::{move_weights, region_move_weights};

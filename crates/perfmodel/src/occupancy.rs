@@ -56,52 +56,6 @@ pub fn kernel_table() -> [KernelParams; 2] {
     [OURS, CUDNN]
 }
 
-/// How a grid of `total_blocks` lands on a device: the analytic wave count
-/// with the partial-tail edge cases handled the way the full-device
-/// simulator ([`gpusim::device_sim`]) resolves them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LaunchShape {
-    /// Full-or-partial device waves: `ceil(total / (blocks_per_sm × SMs))`,
-    /// 0 for an empty grid.
-    pub waves: u64,
-    /// SMs that receive at least one block: `min(total, SMs)`.
-    pub busy_sms: u32,
-    /// Residency actually reachable: the occupancy limit capped at
-    /// `ceil(total / SMs)` — a grid smaller than one SM's residency never
-    /// fills it.
-    pub blocks_per_sm: u32,
-}
-
-impl LaunchShape {
-    /// Shape of `total_blocks` blocks at `occupancy` resident blocks/SM on
-    /// `dev`. `occupancy == 0` (a kernel that does not fit) yields the empty
-    /// shape.
-    pub fn of(dev: &DeviceSpec, occupancy: u32, total_blocks: u64) -> Self {
-        let sms = dev.num_sms as u64;
-        if occupancy == 0 || total_blocks == 0 {
-            return LaunchShape {
-                waves: 0,
-                busy_sms: 0,
-                blocks_per_sm: 0,
-            };
-        }
-        let resident = (occupancy as u64).min(total_blocks.div_ceil(sms)).max(1);
-        LaunchShape {
-            waves: total_blocks.div_ceil(resident * sms),
-            busy_sms: total_blocks.min(sms) as u32,
-            blocks_per_sm: resident as u32,
-        }
-    }
-
-    /// True when the last wave is not a full device wave — the grids the
-    /// one-wave analytic model overcharges and the device simulator times
-    /// exactly.
-    pub fn has_partial_tail(&self, dev: &DeviceSpec, total_blocks: u64) -> bool {
-        self.waves > 0
-            && !total_blocks.is_multiple_of(self.blocks_per_sm as u64 * dev.num_sms as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,41 +64,6 @@ mod tests {
     fn table7_register_totals() {
         assert_eq!(OURS.regs_per_block(), 64768);
         assert_eq!(CUDNN.regs_per_block(), 32256);
-    }
-
-    #[test]
-    fn launch_shape_edges() {
-        let v100 = DeviceSpec::v100(); // 80 SMs
-
-        // Empty grid: no waves, nothing busy.
-        let empty = LaunchShape::of(&v100, 2, 0);
-        assert_eq!(empty.waves, 0);
-        assert_eq!(empty.busy_sms, 0);
-
-        // Grid smaller than one SM's residency: residency is capped, the
-        // grid still costs exactly one wave on 3 SMs (not a full-device
-        // wave's worth of resident blocks).
-        let tiny = LaunchShape::of(&v100, 4, 3);
-        assert_eq!(tiny.blocks_per_sm, 1);
-        assert_eq!(tiny.waves, 1);
-        assert_eq!(tiny.busy_sms, 3);
-
-        // Exact multiple: two clean waves, every SM busy.
-        let full = LaunchShape::of(&v100, 2, 320);
-        assert_eq!(full.waves, 2);
-        assert_eq!(full.busy_sms, 80);
-        assert_eq!(full.blocks_per_sm, 2);
-        assert!(!full.has_partial_tail(&v100, 320));
-
-        // Partial tail: 330 blocks rounds up to a third wave.
-        let partial = LaunchShape::of(&v100, 2, 330);
-        assert_eq!(partial.waves, 3);
-        assert!(partial.has_partial_tail(&v100, 330));
-
-        // A kernel that does not fit at all.
-        let none = LaunchShape::of(&v100, 0, 128);
-        assert_eq!(none.waves, 0);
-        assert_eq!(none.busy_sms, 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ const AXPY: &str = r#"
     --:-:-:Y:5   EXIT;
 "#;
 
-fn main() {
+pub fn main() {
     // Assemble.
     let module = assemble(AXPY).expect("assembly failed");
     println!(

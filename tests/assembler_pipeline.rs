@@ -1,10 +1,22 @@
 //! Integration of the assembler toolchain with the simulator: text source →
 //! module → cubin bytes → reload → execute, plus the generated-kernel path
-//! (emitter → disassembly → reassembly → identical execution).
+//! (emitter → disassembly → reassembly → identical execution), and the
+//! `assembler_demo` example.
 
 use winograd_gpu::gpusim::{DeviceSpec, Gpu, LaunchDims, ParamBuilder};
 use winograd_gpu::kernels::{FusedConfig, FusedKernel};
 use winograd_gpu::sass::{assemble, disassemble, Module};
+
+#[path = "../examples/assembler_demo.rs"]
+mod assembler_demo;
+
+/// The `assembler_demo` example asserts its own cubin round trip and
+/// functional launch, in milliseconds, so it runs here rather than only in
+/// `ci.sh`'s examples stage.
+#[test]
+fn assembler_demo_example_runs() {
+    assembler_demo::main();
+}
 
 #[test]
 fn text_to_cubin_to_execution() {
