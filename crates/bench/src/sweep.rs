@@ -135,11 +135,6 @@ impl Sweep {
         }
     }
 
-    /// Engine for `name` configured from the command line.
-    pub fn from_args(name: &str) -> Self {
-        Sweep::new(name, SweepOptions::from_args())
-    }
-
     /// Register one grid point. `key` must content-address everything `f`
     /// depends on (see [`gpusim::digest`]); `f` must be deterministic. The
     /// closure is `Fn`, not `FnOnce`, so `--selfcheck` can evaluate it

@@ -2,7 +2,11 @@
 //!
 //! The wave loop ([`crate::timing`]) parks scoreboard completions and
 //! deferred load writebacks at their delivery cycle, and the serving
-//! engine (`serve::engine`) orders its simulated-time events the same way.
+//! engine (`serve::engine`) parks device completions and plan readiness
+//! the same way. The engine keeps per-request events out of the queue: it
+//! reads arrivals and SLO deadline pokes from sequences that are already
+//! sorted, so its queue holds one entry per launch in flight and per plan
+//! being fetched.
 //!
 //! `std`'s `BinaryHeap` is only *weakly* ordered for equal keys (pop order
 //! among ties is unspecified across implementations), and both users must

@@ -10,16 +10,27 @@
 //! `(seed, config)` and lets the determinism test demand byte-identical
 //! JSON across `--jobs 1/2/8`.
 //!
-//! **Event loop.** A [`gpusim::TimeQueue`] (deterministic `(time, key,
-//! FIFO)` min-queue — the same structure the SM simulator schedules with)
-//! carries four event kinds: request arrival, plan becoming ready, a
-//! request's SLO deadline margin expiring, and a device finishing a launch
-//! group. All events at one instant are applied before any dispatch
-//! decision, so co-timed events cannot reorder outcomes. After each
-//! instant the engine greedily matches *due* classes (see
+//! **Event loop.** The loop visits every instant at which something
+//! happens: a request arrives, a plan becomes ready, a request's SLO
+//! deadline margin expires (a *deadline poke*), or a device finishes a
+//! launch group. No per-request event enters a heap. Arrivals are read
+//! through a cursor over the request slice, which is sorted by arrival as
+//! [`crate::traffic::generate`] returns it (an unsorted slice is stably
+//! sorted first). Each class keeps its deadline pokes in a FIFO, already
+//! sorted because a poke is the arrival plus the class's constant margin
+//! `slo − worst_service`. Only device completions and plan readiness wait
+//! in a [`gpusim::TimeQueue`] (deterministic `(time, key, FIFO)`
+//! min-queue): one entry per launch in flight and per plan being fetched.
+//! Within an instant, events apply in one fixed order: finished devices,
+//! then ready plans, then arrivals in slice order, then deadline pokes. A
+//! zero-cost plan fetched by an arrival is ready before the instant's next
+//! arrival applies. All events at one instant are applied before any
+//! dispatch decision, so co-timed events cannot reorder outcomes. After
+//! each instant the engine greedily matches *due* classes (see
 //! [`crate::queue`]) to free devices — most urgent deadline first, class
 //! index as the tie-break, lowest free device index — until either runs
-//! out.
+//! out. A zero-service launch frees its device at the instant it starts,
+//! and the loop visits that instant again.
 //!
 //! **Plan lifecycle.** The first arrival of a class starts plan
 //! acquisition; the class cannot dispatch until `first_arrival +
@@ -28,6 +39,9 @@
 //! lookup. `time_to_first_dispatch` per class measures exactly this gap
 //! (plus any queueing), which is how the report shows a warm plan cache
 //! paying off.
+
+use std::borrow::Cow;
+use std::collections::VecDeque;
 
 use gpusim::TimeQueue;
 
@@ -106,24 +120,22 @@ pub struct RunStats {
     pub classes: Vec<ClassStats>,
 }
 
+/// The events that wait in the queue; arrivals and deadline pokes are read
+/// from the request slice and the per-class poke FIFOs instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Event {
-    Arrival(usize),
     PlanReady(usize),
-    Deadline(usize),
     DeviceFree(usize),
 }
 
-/// Event-key ordering at equal timestamps: free devices and ready plans
-/// first, then arrivals, then deadline pokes. (Outcome-neutral because
-/// dispatch runs only after the instant drains; kept stable for
-/// reproducible traces.)
+/// Event-key ordering at equal timestamps: free devices, then ready plans.
+/// Both apply before the instant's arrivals, and deadline pokes come last.
+/// (Outcome-neutral because dispatch runs only after the instant drains;
+/// kept stable for reproducible traces.)
 fn key(e: &Event) -> u32 {
     match e {
         Event::DeviceFree(_) => 0,
         Event::PlanReady(_) => 1,
-        Event::Arrival(_) => 2,
-        Event::Deadline(_) => 3,
     }
 }
 
@@ -137,9 +149,11 @@ fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
     Some(sorted[rank - 1])
 }
 
-/// Play `requests` (sorted by arrival) against `plans` (parallel to
-/// `classes`) on a pool of devices. Deterministic. Equivalent to
-/// [`run_recorded`] with a disabled recorder.
+/// Play `requests` against `plans` (parallel to `classes`) on a pool of
+/// devices, in `(arrival_ns, index)` order: a sorted slice, as
+/// [`crate::traffic::generate`] returns it, is read in place, and any other
+/// is stably sorted first. Deterministic. Equivalent to [`run_recorded`]
+/// with a disabled recorder.
 pub fn run(
     cfg: &EngineConfig,
     classes: &[ShapeClass],
@@ -172,10 +186,24 @@ pub fn run_recorded(
         .map(|p| p.variants.iter().map(|v| v.n).collect())
         .collect();
 
+    let worst: Vec<u64> = plans.iter().map(Plan::worst_service_ns).collect();
+    // A request's deadline poke fires this long after its arrival.
+    let margin: Vec<u64> = worst
+        .iter()
+        .map(|&w| cfg.slo_ns.saturating_sub(w))
+        .collect();
+    // Arrivals in `(arrival_ns, index)` order: the slice itself when it is
+    // sorted, as `generate` returns it, else a stably sorted copy.
+    let arrivals: Cow<[Request]> = if requests.is_sorted_by_key(|r| r.arrival_ns) {
+        Cow::Borrowed(requests)
+    } else {
+        let mut sorted = requests.to_vec();
+        sorted.sort_by_key(|r| r.arrival_ns);
+        Cow::Owned(sorted)
+    };
+    let mut next_arrival = 0;
+    let mut pokes: Vec<VecDeque<u64>> = vec![VecDeque::new(); classes.len()];
     let mut events: TimeQueue<u32, Event> = TimeQueue::new();
-    for (i, r) in requests.iter().enumerate() {
-        events.push(r.arrival_ns, key(&Event::Arrival(i)), Event::Arrival(i));
-    }
 
     let mut queues: Vec<ClassQueue> = classes.iter().map(|_| ClassQueue::new()).collect();
     // Plan readiness: None until the first arrival starts acquisition.
@@ -192,7 +220,17 @@ pub fn run_recorded(
     let mut records: Vec<BatchRecord> = Vec::new();
 
     let mut completed: u64 = 0;
-    while let Some((now, _, ev)) = events.pop() {
+    loop {
+        // The next instant: the earliest queued event, arrival or poke.
+        let arrival = arrivals.get(next_arrival).map(|r| r.arrival_ns);
+        let poke = pokes.iter().filter_map(|p| p.front().copied()).min();
+        let Some(now) = [events.peek_time(), arrival, poke]
+            .into_iter()
+            .flatten()
+            .min()
+        else {
+            break;
+        };
         // Gauge samples due strictly before this instant's events apply:
         // between event instants the engine state is constant, so one
         // snapshot serves every tick in `(prev_instant, now]`. A device
@@ -213,52 +251,50 @@ pub fn run_recorded(
                 .filter(|r| r.is_some_and(|t| t >= now))
                 .count() as u32,
         });
-        let mut apply = |ev: Event,
-                         events: &mut TimeQueue<u32, Event>,
-                         queues: &mut [ClassQueue],
-                         device_free: &mut [u64],
-                         tel: &mut Telemetry| {
-            match ev {
-                Event::Arrival(i) => {
-                    let r = requests[i];
-                    let c = r.class;
-                    class_requests[c] += 1;
-                    queues[c].push(r);
-                    tel.on_arrival(now, r.id, c, queues[c].len() as u32);
-                    if first_arrival[c].is_none() {
-                        first_arrival[c] = Some(now);
-                        // Start plan acquisition; the class is undispatchable
-                        // until it lands.
-                        let charge = if cfg.warm {
-                            PLAN_LOOKUP_NS
-                        } else {
-                            plans[c].build_cost_ns
-                        };
-                        plan_charge[c] = charge;
-                        let ready = now + charge;
-                        plan_ready[c] = Some(ready);
-                        events.push(ready, key(&Event::PlanReady(c)), Event::PlanReady(c));
-                        tel.on_plan_fetch(now, c, ready, charge, cfg.warm);
-                    }
-                    // Deadline poke for this request's SLO margin.
-                    let deadline =
-                        r.arrival_ns + cfg.slo_ns.saturating_sub(plans[c].worst_service_ns());
-                    events.push(deadline, key(&Event::Deadline(c)), Event::Deadline(c));
-                }
+        // Drain every event at this instant before deciding anything:
+        // queued events before each arrival, so a plan that an arrival
+        // fetches at zero cost is ready before the next arrival applies.
+        loop {
+            if events.peek_time() == Some(now) {
                 // Pure wake-ups: state already carries everything; the
                 // dispatch scan below reacts.
-                Event::PlanReady(c) => tel.on_plan_ready(now, c),
-                Event::Deadline(_) => {}
-                Event::DeviceFree(d) => {
-                    debug_assert!(device_free[d] <= now);
+                match events.pop().unwrap().2 {
+                    Event::PlanReady(c) => tel.on_plan_ready(now, c),
+                    Event::DeviceFree(d) => debug_assert!(device_free[d] <= now),
                 }
+                continue;
             }
-        };
-        apply(ev, &mut events, &mut queues, &mut device_free, tel);
-        // Drain every event at this instant before deciding anything.
-        while events.peek_time() == Some(now) {
-            let (_, _, ev) = events.pop().unwrap();
-            apply(ev, &mut events, &mut queues, &mut device_free, tel);
+            let Some(&r) = arrivals.get(next_arrival).filter(|r| r.arrival_ns == now) else {
+                break;
+            };
+            next_arrival += 1;
+            let c = r.class;
+            class_requests[c] += 1;
+            queues[c].push(r);
+            tel.on_arrival(now, r.id, c, queues[c].len() as u32);
+            if first_arrival[c].is_none() {
+                first_arrival[c] = Some(now);
+                // Start plan acquisition; the class is undispatchable
+                // until it lands.
+                let charge = if cfg.warm {
+                    PLAN_LOOKUP_NS
+                } else {
+                    plans[c].build_cost_ns
+                };
+                plan_charge[c] = charge;
+                let ready = now + charge;
+                plan_ready[c] = Some(ready);
+                events.push(ready, key(&Event::PlanReady(c)), Event::PlanReady(c));
+                tel.on_plan_fetch(now, c, ready, charge, cfg.warm);
+            }
+            // Deadline poke for this request's SLO margin.
+            pokes[c].push_back(r.arrival_ns + margin[c]);
+        }
+        // Pokes are pure wake-ups too: visiting the instant is their effect.
+        for p in &mut pokes {
+            while p.front() == Some(&now) {
+                p.pop_front();
+            }
         }
 
         // Greedy dispatch: most urgent due class to the lowest free device.
@@ -266,18 +302,11 @@ pub fn run_recorded(
             let due = (0..classes.len())
                 .filter(|&c| {
                     plan_ready[c].is_some_and(|t| t <= now)
-                        && queues[c].due(
-                            now,
-                            cfg.slo_ns,
-                            plans[c].worst_service_ns(),
-                            plans[c].max_batch(),
-                        )
+                        && queues[c].due(now, cfg.slo_ns, worst[c], plans[c].max_batch())
                 })
                 .min_by_key(|&c| {
                     (
-                        queues[c]
-                            .latest_safe_start(cfg.slo_ns, plans[c].worst_service_ns())
-                            .unwrap(),
+                        queues[c].latest_safe_start(cfg.slo_ns, worst[c]).unwrap(),
                         c,
                     )
                 });
@@ -294,7 +323,6 @@ pub fn run_recorded(
             );
             first_dispatch[c].get_or_insert(now);
             let batch_id = tel.on_dispatch(now, c, dev, group.len() as u32, n, service);
-            let worst = plans[c].worst_service_ns();
             for r in &group {
                 let lat = completion - r.arrival_ns;
                 latencies.push(lat);
@@ -311,7 +339,7 @@ pub fn run_recorded(
                     let cause = if !miss {
                         MissCause::None
                     } else {
-                        let lss = r.arrival_ns + cfg.slo_ns.saturating_sub(worst);
+                        let lss = r.arrival_ns + margin[c];
                         if plan_ready[c].unwrap() > lss {
                             MissCause::PlanBuild
                         } else if now > lss {

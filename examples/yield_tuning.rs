@@ -10,7 +10,7 @@ use winograd_gpu::gpusim::DeviceSpec;
 use winograd_gpu::kernels::YieldStrategy;
 use winograd_gpu::wino_core::{Conv, ConvProblem, Observe, Target};
 
-fn main() {
+pub fn main() {
     // Conv3N64 on the RTX 2070, like the paper's SASS experiments (§6).
     let problem = ConvProblem::resnet3x3(64, 128, 28, 128);
     let conv = Conv::new(problem, DeviceSpec::rtx2070());

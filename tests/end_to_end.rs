@@ -1,10 +1,13 @@
 //! Cross-crate integration: every algorithm in the public API produces the
 //! direct-convolution result, workspace queries are consistent, and the
-//! timing pipeline runs end to end.
+//! timing pipeline runs end to end, as does the `yield_tuning` example.
 
 use winograd_gpu::gpusim::DeviceSpec;
 use winograd_gpu::tensor::{allclose, LayoutKind, Tensor4};
 use winograd_gpu::wino_core::{conv2d_direct, Algo, Conv, ConvProblem};
+
+#[path = "../examples/yield_tuning.rs"]
+mod yield_tuning;
 
 fn fixture(p: &ConvProblem) -> (Tensor4, Tensor4, Tensor4) {
     let input = Tensor4::random(LayoutKind::Nchw, [p.n, p.c, p.h, p.w], -1.0, 1.0, 11);
@@ -117,4 +120,11 @@ fn conv5_prefers_nonfused_winograd() {
         ours2 < nf2,
         "Conv2: fused {ours2} should beat non-fused {nf2}"
     );
+}
+
+/// The `yield_tuning` example (a one-layer Figure 7) runs in a fraction of
+/// a second, so it runs here rather than in `ci.sh`'s examples stage.
+#[test]
+fn yield_tuning_example_runs() {
+    yield_tuning::main();
 }
