@@ -25,17 +25,19 @@ cargo test -q --workspace
 echo "== examples =="
 # Each example asserts its own result: quickstart checks every algorithm
 # against the direct convolution. `cargo test` compiles examples/ and runs
-# assembler_demo and yield_tuning (tests/assembler_pipeline.rs and
-# tests/end_to_end.rs call their `main`; each takes under a second).
-# quickstart takes about two minutes in the dev profile, so it runs here,
-# in release, with resnet_sweep, which is not yet moved.
-for example in quickstart resnet_sweep; do
+# assembler_demo, yield_tuning and resnet_sweep (tests/assembler_pipeline.rs
+# and tests/end_to_end.rs call their `main`; resnet_sweep, the slowest,
+# takes a few seconds in the dev profile). quickstart takes about two
+# minutes in the dev profile, so it alone runs here, in release.
+for example in quickstart; do
   cargo run --release --quiet --example "$example" > /dev/null
 done
 
 echo "== metricsdiff against committed baselines =="
 # Perf-regression gate: regenerate the three baseline experiments with
-# hardware counters on and compare metric-for-metric against baselines/.
+# hardware counters on (one counted simulation per point; the metrics are
+# recomputed from the counters on every run, never cached) and compare
+# metric-for-metric against baselines/.
 # Tolerances: 2% relative by default; 5% on the classifier-pressure
 # metrics (headroom_pct, *_pressure, eligible_warps_avg) — see
 # crates/bench/src/metricsdiff.rs. The simulator is deterministic, so a

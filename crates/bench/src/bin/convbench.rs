@@ -11,10 +11,11 @@
 //!
 //! `--profile` runs the fused kernel through the cycle simulator with
 //! per-instruction stall attribution on, and prints the top hot lines with
-//! their stall breakdown plus per-region totals. `--metrics` re-times each
-//! algorithm's dominant kernel with hardware counters on, prints the
-//! bottleneck classification table and appends `kind=metrics` records to the
-//! `--json` report (see `bench::metrics`). `--trace PATH` writes the fused
+//! their stall breakdown plus per-region totals. `--metrics` times each
+//! algorithm with hardware counters on (in the same sweep, so each point
+//! simulates at most once), prints the dominant kernels' bottleneck
+//! classification table and appends `kind=metrics` records to the `--json`
+//! report (see `bench::metrics`). `--trace PATH` writes the fused
 //! kernel's full-device multi-wave timeline as Chrome trace-event JSON
 //! (load in Perfetto or `chrome://tracing`): one lane per SM, each wave a
 //! complete event, wave hand-offs as instants — the `exact`-mode device

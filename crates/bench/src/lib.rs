@@ -10,12 +10,12 @@
 //! [`report::Report`]).
 //!
 //! A binary that simulates declares its grid once, as a list of [`Point`]s,
-//! and hands it to the one measuring call, [`report::Report::measure`]: the
-//! cached timing sweep named after the experiment ([`sweep`], flags
-//! `--jobs`, `--no-cache`, `--cache-dir` and `--selfcheck`) and, under
-//! `--metrics`, the counted sweep `<experiment>-metrics` over the same list,
-//! whose `kind=metrics` records ([`metrics`]) the report writes after the
-//! binary's own.
+//! and hands it to the one measuring call, [`report::Report::measure`]: one
+//! cached sweep named after the experiment ([`sweep`], flags `--jobs`,
+//! `--no-cache`, `--cache-dir` and `--selfcheck`) that simulates each point
+//! at most once. Under `--metrics` it counts, and the report builds each
+//! point's `kind=metrics` record ([`metrics`]) from the timing the sweep
+//! returned, and writes them after the binary's own records.
 
 pub mod metrics;
 pub mod metricsdiff;

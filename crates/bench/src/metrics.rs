@@ -1,23 +1,24 @@
 //! `metrics` — the `--metrics` hardware-counter layer shared by every
 //! experiment binary.
 //!
-//! Under `--metrics`, [`crate::report::Report::measure`] re-times each grid
-//! point's dominant simulated kernel with
-//! [`gpusim::TimingOptions::counters`] on, classifies the run with
-//! [`perfmodel::BottleneckReport`], and queues one extra `--json` record per
-//! point with `config.kind == "metrics"` (the same marker scheme the stall
-//! profile uses with `"profile"`); the report writes them after the binary's
-//! own records. The analytic binaries file their roofline classification
-//! ([`analytic_metrics`]) through [`crate::report::Report::add_metrics`]
-//! instead. `convbench --metrics` additionally prints the classification as
-//! a table.
+//! Under `--metrics`, [`crate::report::Report::measure`] times each grid
+//! point with [`gpusim::TimingOptions::counters`] on, in its one sweep, and
+//! queues one extra `--json` record per point that simulates a kernel, with
+//! `config.kind == "metrics"` (the same marker scheme the stall profile uses
+//! with `"profile"`): [`kernel_metrics`] of the timing the sweep returned,
+//! classified by [`perfmodel::BottleneckReport`]. The report writes them
+//! after the binary's own records. The analytic binaries file their roofline
+//! classification ([`analytic_metrics`]) through
+//! [`crate::report::Report::add_metrics`] instead. `convbench --metrics`
+//! additionally prints the classification as a table.
 //!
 //! Counter collection changes no timing numbers (the cycle results are
-//! bit-identical, asserted by `gpusim/tests/counter_invariants.rs`), but the
-//! counted runs are cached under their own key — the plain
-//! [`wino_core::Conv::key`] plus a `"metrics/v1"` tag — so warming the
-//! timing cache never pays for counters and vice versa. Bump the tag when
-//! the metric schema changes.
+//! bit-identical, asserted by `gpusim/tests/counter_invariants.rs`), so a
+//! counted run is cached under the plain [`wino_core::Conv::key`], its
+//! counters kept in the timing record ([`crate::simcache`]). The metrics
+//! themselves are never cached: they are a pure view of a counted timing,
+//! recomputed on every run, so a change to this module or to the classifier
+//! shows on the next run without invalidating anything.
 //!
 //! The committed `baselines/*.json` reports are built from these records and
 //! gated by the `metricsdiff` binary in CI; metric names and the
@@ -25,25 +26,20 @@
 
 use gpusim::{DeviceSpec, KernelTiming};
 use perfmodel::BottleneckReport;
-use wino_core::Observe;
+use wino_core::AlgoTiming;
 
 use crate::json::{obj, Json};
-use crate::simcache::CacheKey;
 use crate::{Point, Table};
 
 /// Named metric list — what one `--json` metrics record holds.
 pub type Metrics = Vec<(&'static str, Json)>;
 
 /// The metrics record for one counted kernel run: bottleneck classification
-/// first, then the counter-derived rates. Requires `t.counters` (panics
-/// otherwise — counted timings always carry them).
-pub fn kernel_metrics(t: &KernelTiming) -> Metrics {
+/// first, then the counter-derived rates; `None` for an uncounted timing.
+pub fn kernel_metrics(t: &KernelTiming) -> Option<Metrics> {
+    let c = t.counters.as_ref()?;
     let b = BottleneckReport::classify(t);
-    let c = t
-        .counters
-        .as_ref()
-        .expect("kernel_metrics needs a counted timing");
-    vec![
+    Some(vec![
         ("bound", b.bound.name().into()),
         ("headroom_pct", b.headroom_pct.into()),
         ("compute_pressure", b.compute_pressure.into()),
@@ -63,7 +59,7 @@ pub fn kernel_metrics(t: &KernelTiming) -> Metrics {
         ("l2_hit_pct", c.l2_hit_pct().into()),
         ("dram_read_mb", (c.dram_read_bytes as f64 / 1e6).into()),
         ("dram_write_mb", (c.dram_write_bytes as f64 / 1e6).into()),
-    ]
+    ])
 }
 
 /// The metrics record for an analytic (roofline-only) phase: classification
@@ -80,29 +76,17 @@ pub fn analytic_metrics(dev: &DeviceSpec, intensity: f64) -> Metrics {
     ]
 }
 
-/// Cache key of `p`'s counted run: its [`wino_core::Conv::key`] plus the
-/// `metrics/v1` tag.
-pub(crate) fn counted_key(p: &Point) -> CacheKey {
-    let mut d = p.conv.key(p.target);
-    d.str("metrics/v1");
-    CacheKey::from_digest(&d)
-}
-
-/// The metrics of `p`'s counted run: [`kernel_metrics`], plus
+/// The metrics of `p`, measured as `t`: [`kernel_metrics`], plus
 /// `mainloop_tflops` for a main-loop point (Figures 7–9, the ablation);
-/// `Json::Null` for the analytically modeled FFT algorithms, which run no
-/// simulated kernel (their bottleneck comes from [`analytic_metrics`] where
-/// an experiment wants one).
-pub(crate) fn counted(p: &Point) -> Json {
-    let t = p.conv.measure(p.target, Observe::COUNTERS);
-    let Some(k) = &t.kernel else {
-        return Json::Null;
-    };
-    let mut m = kernel_metrics(k);
-    if let Some(tflops) = p.mainloop_tflops(&t) {
+/// `None` for an uncounted timing and for the analytically modeled FFT
+/// algorithms, which run no simulated kernel (their bottleneck comes from
+/// [`analytic_metrics`] where an experiment wants one).
+pub(crate) fn point_metrics(p: &Point, t: &AlgoTiming) -> Option<Json> {
+    let mut m = kernel_metrics(t.kernel.as_ref()?)?;
+    if let Some(tflops) = p.mainloop_tflops(t) {
         m.push(("mainloop_tflops", tflops.into()));
     }
-    obj(&m)
+    Some(obj(&m))
 }
 
 /// Print `kind=metrics` report records as an aligned table, one row per
@@ -163,7 +147,7 @@ mod tests {
         let t = small_conv()
             .time_counted(Algo::OursFused)
             .expect("simulated");
-        let m = kernel_metrics(&t);
+        let m = kernel_metrics(&t).expect("a counted timing has metrics");
         let names: Vec<&str> = m.iter().map(|(k, _)| *k).collect();
         for want in [
             "bound",
@@ -179,6 +163,12 @@ mod tests {
         }
         let o = obj(&m);
         assert!(o.get("bound").and_then(Json::as_str).is_some());
+        // The same timing without its counters has none.
+        let plain = KernelTiming {
+            counters: None,
+            ..t
+        };
+        assert!(kernel_metrics(&plain).is_none());
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! Every experiment binary accepts `--json <path>` and, when given, writes
 //! the numbers behind its printed table as a JSON array of
 //! `{experiment, device, config, metrics}` records. [`Report::measure`]
-//! times a binary's grid of [`Point`]s on the sweep engine named after the
-//! experiment; under `--metrics` it also runs the counted sweep
-//! `<experiment>-metrics` over the same points and queues one
-//! `kind=metrics` record per simulated point ([`crate::metrics`]), which
-//! [`Report::finish`] writes after the records the binary added. A report
-//! reads `--metrics` and the sweep engine's flags from the command line
-//! when it is opened.
+//! times a binary's grid of [`Point`]s in one sweep named after the
+//! experiment. Under `--metrics` that sweep counts (a stored timing without
+//! counters is a miss, simulated counted and overwritten), and the report
+//! queues one `kind=metrics` record per simulated point, built from the
+//! timing the sweep returned ([`crate::metrics`]); [`Report::finish`]
+//! writes them after the records the binary added. A report reads
+//! `--metrics` and the sweep engine's flags from the command line when it
+//! is opened.
 
 use wino_core::{AlgoTiming, Observe};
 
@@ -23,7 +24,7 @@ pub struct Report {
     experiment: String,
     records: Vec<Json>,
     /// `Some` under `--metrics`: the `kind=metrics` records of the points
-    /// [`Report::count`] ran, written after `records`.
+    /// [`Report::measure`] timed, written after `records`.
     counted: Option<Vec<Json>>,
     /// The sweep engine's options, from the command line.
     sweep: SweepOptions,
@@ -78,48 +79,41 @@ impl Report {
         }
     }
 
-    /// Time every point on the sweep engine named after the experiment
-    /// (each content-addressed by [`wino_core::Conv::key`], so cached and
-    /// fresh results are indistinguishable bit for bit), then [`count`]
-    /// them. Returns the timings in point order.
-    ///
-    /// [`count`]: Report::count
+    /// Time every point in one sweep named after the experiment, each
+    /// content-addressed by [`wino_core::Conv::key`], so cached and fresh
+    /// results are indistinguishable bit for bit. Returns the timings in
+    /// point order. A stored record that does not decode is a miss. Under
+    /// `--metrics` the points are measured with [`Observe::COUNTERS`], a
+    /// stored timing whose kernel lacks counters is a miss too, and each
+    /// simulated point's `kind=metrics` record is queued.
     pub fn measure(&mut self, points: &[Point]) -> Vec<AlgoTiming> {
-        let mut sweep = Sweep::new(&self.experiment, self.sweep.clone());
+        let counted = self.counted.is_some();
+        let observe = if counted {
+            Observe::COUNTERS
+        } else {
+            Observe::default()
+        };
+        let mut sweep = Sweep::new(&self.experiment, self.sweep.clone()).check(move |r| {
+            algo_timing_from_json(r)
+                .is_some_and(|t| !counted || t.kernel.is_none_or(|k| k.counters.is_some()))
+        });
         for p in points {
             let (conv, target) = (p.conv.clone(), p.target);
             sweep.point(CacheKey::from_digest(&conv.key(target)), move || {
-                algo_timing_to_json(&conv.measure(target, Observe::default()))
+                algo_timing_to_json(&conv.measure(target, observe))
             });
         }
-        let results = sweep.run().results;
-        self.count(points);
-        let timing = |r| algo_timing_from_json(r).expect("valid algo-timing cache record");
-        results.iter().map(timing).collect()
-    }
-
-    /// Under `--metrics`, run the counted sweep `<experiment>-metrics` over
-    /// `points` and queue one `kind=metrics` record per point that simulates
-    /// a kernel (the analytic FFT algorithms do not); otherwise nothing.
-    /// [`Report::measure`] calls it; a binary that times nothing calls it
-    /// alone.
-    pub fn count(&mut self, points: &[Point]) {
-        let Some(mut queue) = self.counted.take() else {
-            return;
-        };
-        let name = format!("{}-metrics", self.experiment);
-        let mut sweep = Sweep::new(&name, self.sweep.clone());
-        for p in points {
-            let p = p.clone();
-            sweep.point(metrics::counted_key(&p), move || metrics::counted(&p));
-        }
-        let results = sweep.run().results;
-        for (p, m) in points.iter().zip(results) {
-            if m != Json::Null {
-                queue.push(self.record(p.conv.device.name, with_metrics_kind(&p.config), m));
+        let timing = |r| algo_timing_from_json(r).expect("the sweep admits timing records only");
+        let timings: Vec<AlgoTiming> = sweep.run().results.iter().map(timing).collect();
+        if let Some(mut queue) = self.counted.take() {
+            for (p, t) in points.iter().zip(&timings) {
+                if let Some(m) = metrics::point_metrics(p, t) {
+                    queue.push(self.record(p.conv.device.name, with_metrics_kind(&p.config), m));
+                }
             }
+            self.counted = Some(queue);
         }
-        self.counted = Some(queue);
+        timings
     }
 
     /// The queued `kind=metrics` records; `None` without `--metrics`.
@@ -250,6 +244,7 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
 mod tests {
     use super::*;
     use crate::json::parse;
+    use crate::Algo;
 
     #[test]
     fn records_round_trip() {
@@ -311,63 +306,145 @@ mod tests {
         );
     }
 
-    /// The measuring call returns its points' timings in order; under
-    /// `--metrics` it also runs the counted sweep and files one
-    /// `kind=metrics` record per simulated point after the binary's own
-    /// records, and without it runs no counted sweep.
-    #[test]
-    fn measure_times_points_and_files_their_metrics_records() {
+    /// OURS and FFT on the metrics tests' small problem: one simulated
+    /// point, fast to simulate, and one analytic point.
+    fn two_points() -> Vec<Point> {
         use gpusim::DeviceSpec;
-        use wino_core::{Algo, Conv, ConvProblem, Target};
+        use wino_core::{Conv, ConvProblem, Target};
 
-        // The metrics tests' small problem: fast to simulate.
         let conv = Conv::new(ConvProblem::resnet3x3(32, 8, 8, 64), DeviceSpec::v100());
-        let points: Vec<Point> = [Algo::OursFused, Algo::Fft]
+        [Algo::OursFused, Algo::Fft]
             .into_iter()
             .map(|a| Point {
                 conv: conv.clone(),
                 target: Target::algo(a),
                 config: vec![("algo", a.name().into()), ("n", 32usize.into())],
             })
-            .collect();
+            .collect()
+    }
+
+    /// A quiet report caching into `dir`, with or without `--metrics`.
+    fn report_in(dir: &std::path::Path, metrics: bool) -> Report {
+        let mut r = Report::to_path("unit", None);
+        r.counted = metrics.then(Vec::new);
+        r.sweep.cache = true;
+        r.sweep.cache_dir = dir.to_path_buf();
+        r.sweep.quiet = true;
+        r
+    }
+
+    /// The cache file of `p` in `dir`.
+    fn entry(dir: &std::path::Path, p: &Point) -> std::path::PathBuf {
+        let key = CacheKey::from_digest(&p.conv.key(p.target));
+        dir.join(format!("{}.json", key.as_str()))
+    }
+
+    /// Rewrite the stored `time_s` of `p`'s entry to `s`, so a run that
+    /// returns `s` for `p` hit the entry and one that does not re-ran it.
+    fn stamp(dir: &std::path::Path, p: &Point, s: f64) {
+        let path = entry(dir, p);
+        let mut j = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let Json::Obj(fields) = &mut j else {
+            panic!("a timing record is an object")
+        };
+        fields.iter_mut().find(|(k, _)| k == "time_s").unwrap().1 = Json::Num(s);
+        std::fs::write(&path, j.render()).unwrap();
+    }
+
+    /// The measuring call runs one sweep and returns its points' timings in
+    /// order. A plain run stores plain timings. A `--metrics` run over them
+    /// re-simulates the OURS point counted, overwriting its entry, hits the
+    /// analytic FFT point, and files one `kind=metrics` record for the OURS
+    /// point after the binary's own records. A plain run then reads both
+    /// entries as they are. Each point keeps one cache entry throughout.
+    #[test]
+    fn measure_times_points_and_files_their_metrics_records() {
+        let points = two_points();
         let dir = std::env::temp_dir().join(format!("report-measure-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let cached = || std::fs::read_dir(&dir).map_or(0, |d| d.count());
-
-        // Without `--metrics`, then with it over the same cache: the
-        // counted sweep stores its own two entries next to the timings.
-        for (metrics, files) in [(false, 2), (true, 4)] {
-            let mut r = Report::to_path("unit", None);
-            r.counted = metrics.then(Vec::new);
-            r.sweep.cache = true;
-            r.sweep.cache_dir = dir.clone();
-            r.sweep.quiet = true;
-            let timings = r.measure(&points);
-            let algos: Vec<Algo> = timings.iter().map(|t| t.algo).collect();
-            assert_eq!(algos, [Algo::OursFused, Algo::Fft]);
-            assert_eq!(cached(), files, "--metrics {metrics}");
-            r.add("V100", &[("aggregate", "unit".into())], &[]);
-
+        let configs = |r: &Report| -> Vec<String> {
             let back = parse(&r.render()).unwrap();
             let recs = back.as_arr().unwrap();
-            let field = |i: usize, k: &str| recs[i].get(k).unwrap();
-            let configs: Vec<String> = (0..recs.len())
-                .map(|i| field(i, "config").render())
-                .collect();
-            if metrics {
-                assert_eq!(
-                    configs,
-                    [
-                        r#"{"aggregate":"unit"}"#,
-                        r#"{"algo":"OURS","n":32,"kind":"metrics"}"#
-                    ]
-                );
-                assert_eq!(field(1, "device").as_str(), Some("V100"));
-                assert!(field(1, "metrics").get("bound").is_some());
-            } else {
-                assert_eq!(configs, [r#"{"aggregate":"unit"}"#]);
-                assert!(r.counted().is_none());
-            }
+            recs.iter()
+                .map(|r| r.get("config").unwrap().render())
+                .collect()
+        };
+
+        let mut r = report_in(&dir, false);
+        let plain = r.measure(&points);
+        let algos: Vec<Algo> = plain.iter().map(|t| t.algo).collect();
+        assert_eq!(algos, [Algo::OursFused, Algo::Fft]);
+        assert_eq!(cached(), 2);
+        r.add("V100", &[("aggregate", "unit".into())], &[]);
+        assert_eq!(configs(&r), [r#"{"aggregate":"unit"}"#]);
+        assert!(r.counted().is_none());
+        let ours = plain[0].kernel.as_ref().expect("OURS simulates");
+        assert!(ours.counters.is_none());
+        assert!(metrics::kernel_metrics(ours).is_none());
+
+        const STAMP: f64 = 1.0;
+        for p in &points {
+            stamp(&dir, p, STAMP);
+        }
+        let mut r = report_in(&dir, true);
+        let counted = r.measure(&points);
+        assert_eq!(counted[0].time_s, plain[0].time_s, "OURS re-simulated");
+        assert!(counted[0].kernel.as_ref().unwrap().counters.is_some());
+        assert_eq!(counted[1].time_s, STAMP, "FFT hit");
+        assert_eq!(cached(), 2);
+        r.add("V100", &[("aggregate", "unit".into())], &[]);
+        assert_eq!(
+            configs(&r),
+            [
+                r#"{"aggregate":"unit"}"#,
+                r#"{"algo":"OURS","n":32,"kind":"metrics"}"#
+            ]
+        );
+        let back = parse(&r.render()).unwrap();
+        let metrics_record = &back.as_arr().unwrap()[1];
+        assert_eq!(metrics_record.get("device").unwrap().as_str(), Some("V100"));
+        assert!(metrics_record
+            .get("metrics")
+            .unwrap()
+            .get("bound")
+            .is_some());
+
+        stamp(&dir, &points[0], STAMP);
+        let warm = report_in(&dir, false).measure(&points);
+        assert!(warm.iter().all(|t| t.time_s == STAMP), "both hit");
+        assert!(warm[0].kernel.as_ref().unwrap().counters.is_some());
+        assert_eq!(cached(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A stored entry that parses but does not decode is a miss: the point
+    /// is simulated again, and its file holds the good record again.
+    #[test]
+    fn undecodable_entries_are_rerun_and_overwritten() {
+        let points = two_points();
+        let dir = std::env::temp_dir().join(format!("report-corrupt-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let render = |ts: &[AlgoTiming]| -> Vec<String> {
+            ts.iter().map(|t| algo_timing_to_json(t).render()).collect()
+        };
+        let fresh = render(&report_in(&dir, false).measure(&points));
+        let good: Vec<String> = points
+            .iter()
+            .map(|p| std::fs::read_to_string(entry(&dir, p)).unwrap())
+            .collect();
+
+        std::fs::write(entry(&dir, &points[0]), "{}").unwrap();
+        let mut dropped = parse(&good[1]).unwrap();
+        let Json::Obj(fields) = &mut dropped else {
+            panic!("a timing record is an object")
+        };
+        fields.retain(|(k, _)| k != "algo");
+        std::fs::write(entry(&dir, &points[1]), dropped.render()).unwrap();
+
+        assert_eq!(render(&report_in(&dir, false).measure(&points)), fresh);
+        for (p, want) in points.iter().zip(&good) {
+            assert_eq!(&std::fs::read_to_string(entry(&dir, p)).unwrap(), want);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

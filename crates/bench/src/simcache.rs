@@ -13,7 +13,8 @@
 //!   only the affected points' digests — everything else still hits;
 //! * the cache needs no invalidation logic, no manifest and no locking
 //!   beyond atomic file replacement (write-to-temp + rename), because a key
-//!   can only ever map to one value.
+//!   can only ever map to one timing, with or without the hardware counters
+//!   that observed it ([`timing_to_json`]).
 //!
 //! The default location is `target/simcache/`; every experiment binary
 //! accepts `--cache-dir PATH` to relocate it and `--no-cache` to bypass it
@@ -21,7 +22,7 @@
 
 use std::path::{Path, PathBuf};
 
-use gpusim::KernelTiming;
+use gpusim::{HwCounters, KernelTiming};
 use wino_core::{Algo, AlgoTiming};
 
 use crate::json::{obj, parse, Json};
@@ -127,9 +128,11 @@ impl Store {
 
 /// Serialize a [`KernelTiming`] to a JSON object. The per-line stall
 /// profile is intentionally dropped: it is an observability artifact, large,
-/// and never consulted by the experiment tables.
+/// and never consulted by the experiment tables. The hardware counters of a
+/// counted run are kept, as exact integers under `counters`; a plain run's
+/// record has no `counters` key.
 pub fn timing_to_json(t: &KernelTiming) -> Json {
-    obj(&[
+    let mut fields = vec![
         ("wave_cycles", t.wave_cycles.into()),
         ("waves", t.waves.into()),
         ("blocks_per_sm", t.blocks_per_sm.into()),
@@ -154,14 +157,18 @@ pub fn timing_to_json(t: &KernelTiming) -> Json {
             "idle_breakdown",
             Json::Arr(t.idle_breakdown.iter().map(|&v| v.into()).collect()),
         ),
-    ])
+    ];
+    if let Some(c) = &t.counters {
+        fields.push(("counters", counters_to_json(c)));
+    }
+    obj(&fields)
 }
 
 /// Reconstruct a [`KernelTiming`] from [`timing_to_json`] output. Returns
 /// `None` if any field is missing or mistyped, or a counter is not an exact
-/// integer (the observability artifacts `profile` and `counters` are
-/// restored as `None` — they are never cached, which is what lets
-/// instrumented and plain runs share a cache key; see `gpusim::digest`).
+/// integer, in the timing or in its `counters`. The stall profile is
+/// restored as `None`, and so are the counters of a plain record (see
+/// `gpusim::digest` for why a plain and a counted run share one key).
 pub fn timing_from_json(j: &Json) -> Option<KernelTiming> {
     let f = |k: &str| j.get(k)?.as_f64();
     let u = |k: &str| j.get(k)?.as_u64();
@@ -174,6 +181,10 @@ pub fn timing_from_json(j: &Json) -> Option<KernelTiming> {
     for (slot, v) in idle_breakdown.iter_mut().zip(idle) {
         *slot = v.as_u64()?;
     }
+    let counters = match j.get("counters") {
+        Some(c) => Some(counters_from_json(c)?),
+        None => None,
+    };
     Some(KernelTiming {
         wave_cycles: u("wave_cycles")?,
         waves: u("waves")?,
@@ -194,8 +205,51 @@ pub fn timing_from_json(j: &Json) -> Option<KernelTiming> {
         yield_switch_cycles: u("yield_switch_cycles")?,
         idle_breakdown,
         profile: None,
-        counters: None,
+        counters,
     })
+}
+
+/// [`HwCounters`] as a JSON object: the three gauges, then every counter of
+/// [`HwCounters::words_mut`], a one-word counter as a number and an array
+/// as a list.
+fn counters_to_json(c: &HwCounters) -> Json {
+    let mut fields = vec![
+        ("schedulers", c.schedulers.into()),
+        ("resident_warps", c.resident_warps.into()),
+        ("max_warps_per_sm", c.max_warps_per_sm.into()),
+    ];
+    for (name, words) in c.clone().words_mut() {
+        let value = match words {
+            [w] => (*w).into(),
+            _ => Json::Arr(words.iter().map(|&w| w.into()).collect()),
+        };
+        fields.push((name, value));
+    }
+    obj(&fields)
+}
+
+/// Reconstruct [`counters_to_json`] output; `None` unless every counter is
+/// there as an exact integer and every list has its length.
+fn counters_from_json(j: &Json) -> Option<HwCounters> {
+    let narrow = |k: &str| u32::try_from(j.get(k)?.as_u64()?).ok();
+    let mut c = HwCounters {
+        schedulers: narrow("schedulers")?,
+        resident_warps: narrow("resident_warps")?,
+        max_warps_per_sm: narrow("max_warps_per_sm")?,
+        ..HwCounters::default()
+    };
+    for (name, words) in c.words_mut() {
+        match (j.get(name)?, words) {
+            (v, [w]) => *w = v.as_u64()?,
+            (Json::Arr(vs), words) if vs.len() == words.len() => {
+                for (w, v) in words.iter_mut().zip(vs) {
+                    *w = v.as_u64()?;
+                }
+            }
+            _ => return None,
+        }
+    }
+    Some(c)
 }
 
 /// Serialize a whole [`AlgoTiming`] (the [`wino_core::Conv::time`] result):

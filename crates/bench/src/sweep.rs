@@ -16,10 +16,10 @@
 //! near-instant.
 //!
 //! The experiment binaries reach the engine through one call,
-//! [`crate::report::Report::measure`], which runs the timing sweep named
-//! after the experiment and, under `--metrics`, the counted sweep
-//! `<experiment>-metrics` over the same points. Flags understood by every
-//! binary that runs a sweep ([`SweepOptions::from_args`]):
+//! [`crate::report::Report::measure`], which runs one sweep named after the
+//! experiment; a stored value that fails the sweep's [`Sweep::check`] is a
+//! miss. Flags understood by every binary that runs a sweep
+//! ([`SweepOptions::from_args`]):
 //!
 //! | flag | effect |
 //! |---|---|
@@ -110,8 +110,6 @@ pub struct SweepOutcome {
     pub hits: usize,
     /// Points simulated (and stored, when caching is on).
     pub misses: usize,
-    /// Wall-clock of the whole run.
-    pub elapsed_s: f64,
 }
 
 struct Point {
@@ -124,6 +122,8 @@ pub struct Sweep {
     name: String,
     opts: SweepOptions,
     points: Vec<Point>,
+    /// What a stored value must pass to count as a hit.
+    check: Box<dyn Fn(&Json) -> bool>,
 }
 
 impl Sweep {
@@ -132,7 +132,16 @@ impl Sweep {
             name: name.to_string(),
             opts,
             points: Vec::new(),
+            check: Box::new(|_| true),
         }
+    }
+
+    /// Count a stored value as a hit only if `check` accepts it (by default
+    /// every stored value that parses is a hit). A refused value is a miss:
+    /// the point runs again and its entry is overwritten.
+    pub fn check(mut self, check: impl Fn(&Json) -> bool + 'static) -> Self {
+        self.check = Box::new(check);
+        self
     }
 
     /// Register one grid point. `key` must content-address everything `f`
@@ -146,15 +155,6 @@ impl Sweep {
         });
     }
 
-    /// Number of registered points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Evaluate every point — cache lookups first, then misses on the
     /// thread pool — and return results in registration order.
     pub fn run(self) -> SweepOutcome {
@@ -165,7 +165,8 @@ impl Sweep {
         let mut slots: Vec<Option<Json>> = Vec::with_capacity(n);
         let mut misses: Vec<usize> = Vec::new();
         for (i, p) in self.points.iter().enumerate() {
-            match store.as_ref().and_then(|s| s.load(&p.key)) {
+            let stored = store.as_ref().and_then(|s| s.load(&p.key));
+            match stored.filter(|v| (self.check)(v)) {
                 Some(v) => slots.push(Some(v)),
                 None => {
                     slots.push(None);
@@ -215,7 +216,6 @@ impl Sweep {
             .into_iter()
             .map(|s| s.expect("every sweep point produced a result"))
             .collect();
-        let elapsed_s = t0.elapsed().as_secs_f64();
         if !self.opts.quiet {
             eprintln!(
                 "[sweep] {}: {} points ({} cached, {} simulated) in {:.2}s  (jobs={}, cache={})",
@@ -223,7 +223,7 @@ impl Sweep {
                 n,
                 hits,
                 misses.len(),
-                elapsed_s,
+                t0.elapsed().as_secs_f64(),
                 self.opts.jobs,
                 match &store {
                     Some(s) => s.dir().display().to_string(),
@@ -235,7 +235,6 @@ impl Sweep {
             results,
             hits,
             misses: misses.len(),
-            elapsed_s,
         }
     }
 }
@@ -296,5 +295,30 @@ mod tests {
         let cold_json: Vec<String> = cold.results.iter().map(|r| r.render()).collect();
         assert_eq!(warm_json, cold_json);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_refused_stored_value_is_rerun_and_overwritten() {
+        let o = SweepOptions {
+            cache_dir: std::env::temp_dir().join(format!("sweep-check-{}", std::process::id())),
+            ..opts(true, 1)
+        };
+        std::fs::remove_dir_all(&o.cache_dir).ok();
+        let run = |v: u64| {
+            let mut sw = Sweep::new("unit-check", o.clone());
+            sw.point(key(200), move || obj(&[("v", v.into())]));
+            sw.check(|r| r.get("v").and_then(Json::as_u64) == Some(2))
+                .run()
+        };
+        // Stored as 1 by a run whose own value the check would refuse.
+        let first = run(1);
+        assert_eq!((first.hits, first.misses), (0, 1));
+        let refused = run(2);
+        assert_eq!((refused.hits, refused.misses), (0, 1));
+        // The rerun's 2 overwrote the 1, and now passes as a hit.
+        let warm = run(3);
+        assert_eq!((warm.hits, warm.misses), (1, 0));
+        assert_eq!(warm.results[0].get("v").and_then(Json::as_u64), Some(2));
+        std::fs::remove_dir_all(&o.cache_dir).ok();
     }
 }

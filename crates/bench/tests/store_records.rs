@@ -8,14 +8,15 @@
 //! * Strict decoding: every corruption of a record — a field dropped or
 //!   retyped, an integer made negative, fractional or larger than 2^53, a
 //!   float made `null`, a list emptied, the text truncated at any byte —
-//!   reads as a miss, with no panic and no silently coerced value.
+//!   reads as a miss, with no panic and no silently coerced value. That
+//!   holds inside a counted timing's hardware counters too.
 
 use std::path::{Path, PathBuf};
 
 use bench::json::Json;
 use bench::simcache::{timing_from_json, timing_to_json, CacheKey, SimStore, Store};
 use gpusim::digest::module_hex;
-use gpusim::{DeviceSpec, Gpu, LaunchDims, Model, TimingOptions};
+use gpusim::{DeviceSpec, Gpu, KernelTiming, LaunchDims, Model, TimingOptions};
 use kernels::search::Search;
 use kernels::{FusedConfig, FusedKernel};
 use sass::{assemble, Module};
@@ -238,36 +239,60 @@ fn corrupt_schedule_records_are_misses() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A plain one-wave timing and a counted one on the device model, whose
+/// counters are merged over SMs and fast-forwarded waves: each record reads
+/// as a miss under every corruption, inside `counters` too, and every
+/// truncation. Only dropping `counters` whole leaves a valid record, the
+/// plain one of the same run.
 #[test]
 fn corrupt_timing_records_are_misses() {
     let dev = DeviceSpec::rtx2070();
     let module = tiny_module();
-    let (dims, model, opts) = (
-        LaunchDims::linear(2, 32),
-        Model::OneWave,
-        TimingOptions::default(),
-    );
-    let mut gpu = Gpu::new(dev, 1 << 20);
-    let (t, _) = gpusim::simulate(&mut gpu, &module, dims, &[], model, opts).expect("kernel times");
-    let record = timing_to_json(&t);
-    let back = timing_from_json(&record).expect("the intact record decodes");
-    assert_eq!(timing_to_json(&back), record);
-    for (label, bad) in corruptions(&record, "timing") {
-        assert!(timing_from_json(&bad).is_none(), "{label}");
-    }
+    let time = |blocks: u32, model: Model, counters: bool| {
+        let opts = TimingOptions {
+            counters,
+            ..TimingOptions::default()
+        };
+        let mut gpu = Gpu::new(dev.clone(), 1 << 20);
+        let dims = LaunchDims::linear(blocks, 32);
+        let (t, _) =
+            gpusim::simulate(&mut gpu, &module, dims, &[], model, opts).expect("kernel times");
+        t
+    };
+    let plain = time(2, Model::OneWave, false);
+    let counted = time(4 * dev.num_sms, Model::Device, true);
+    assert!(counted.counters.is_some());
 
     let dir = tmpdir("timing");
     let store = Store::new(&dir);
     let key = CacheKey::new(PLAN_KEY.into());
-    store.store(&key, &record);
-    let hit = || {
-        store
-            .load(&key)
-            .as_ref()
-            .and_then(timing_from_json)
-            .is_some()
-    };
-    assert!(hit());
-    assert_truncations_miss(&dir, PLAN_KEY, &record, hit);
+    for t in [plain, counted] {
+        let record = timing_to_json(&t);
+        let back = timing_from_json(&record).expect("the intact record decodes");
+        assert_eq!(timing_to_json(&back), record);
+        let uncounted = KernelTiming {
+            counters: None,
+            ..t.clone()
+        };
+        for (label, bad) in corruptions(&record, "timing") {
+            if label == "counters dropped" {
+                let back = timing_from_json(&bad).expect("a plain record decodes");
+                assert_eq!(timing_to_json(&back), timing_to_json(&uncounted));
+            } else {
+                assert!(timing_from_json(&bad).is_none(), "{label}");
+            }
+        }
+
+        store.store(&key, &record);
+        let hit = || {
+            store
+                .load(&key)
+                .as_ref()
+                .and_then(timing_from_json)
+                .is_some()
+        };
+        assert!(hit());
+        assert_truncations_miss(&dir, PLAN_KEY, &record, hit);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

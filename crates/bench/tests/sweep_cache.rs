@@ -6,12 +6,13 @@
 //!   JSON);
 //! * a warm rerun hits every point and reproduces the cold run bit-for-bit;
 //! * changing one kernel's program invalidates exactly that point;
-//! * `KernelTiming` survives the JSON round trip (store → load → equal).
+//! * `KernelTiming` survives the JSON round trip (store → load → equal),
+//!   with or without its hardware counters.
 
 use bench::json::obj;
 use bench::simcache::{timing_from_json, timing_to_json, CacheKey, Store};
 use bench::sweep::{Sweep, SweepOptions};
-use gpusim::{DeviceSpec, Gpu, LaunchDims, Model, TimingOptions};
+use gpusim::{DeviceSpec, Gpu, KernelTiming, LaunchDims, Model, ParamBuilder, TimingOptions};
 use sass::assemble;
 
 const K1: &str = "MOV R0, 0x1;\nEXIT;";
@@ -90,28 +91,77 @@ fn changing_one_kernel_invalidates_only_that_point() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A kernel that reaches every counter family: global loads and stores,
+/// shared memory, the FP32 pipe.
+const MIXED: &str = r#"
+.kernel mixed
+.params 16
+.smem 1024
+    --:-:-:Y:1  S2R R0, SR_TID.X;
+    --:-:-:Y:1  S2R R1, SR_CTAID.X;
+    --:-:-:Y:6  MOV R10, c[0x0][0x160];
+    --:-:-:Y:6  MOV R11, c[0x0][0x164];
+    --:-:-:Y:6  IMAD R2, R1, 0x20, R0;
+    --:-:-:Y:6  IMAD.WIDE.U32 R2, R2, 0x4, R10;
+    --:-:-:Y:6  IMAD R6, R0, 0x4, RZ;
+    --:-:0:-:2  LDG.E R4, [R2];
+    01:-:-:Y:2  STS [R6], R4;
+    --:-:1:-:2  LDS R5, [R6];
+    02:-:-:Y:4  FFMA R5, R5, R5, R4;
+    --:-:-:Y:2  STG.E [R2], R5;
+    --:-:-:Y:5  EXIT;
+"#;
+
 #[test]
 fn kernel_timing_survives_json_round_trip() {
     let dev = DeviceSpec::v100();
-    let module = assemble(K1).unwrap();
-    let mut gpu = Gpu::new(dev, 1 << 20);
-    let t = gpusim::simulate(
-        &mut gpu,
-        &module,
-        LaunchDims::linear(2, 32),
-        &[],
-        Model::OneWave,
-        TimingOptions::default(),
-    )
-    .expect("test kernel times")
-    .0;
+    let module = assemble(MIXED).unwrap();
+    let time = |counters: bool| {
+        let mut gpu = Gpu::new(dev.clone(), 1 << 20);
+        let buf = gpu.alloc(1 << 16);
+        let params = ParamBuilder::new().push_ptr(buf).build();
+        let opts = TimingOptions {
+            counters,
+            ..TimingOptions::default()
+        };
+        let dims = LaunchDims::linear(3 * dev.num_sms, 32);
+        gpusim::simulate(&mut gpu, &module, dims, &params, Model::Device, opts)
+            .expect("test kernel times")
+            .0
+    };
+
+    let t = time(false);
     let j = timing_to_json(&t);
+    assert!(
+        j.get("counters").is_none(),
+        "a plain record has no counters"
+    );
     let back = timing_from_json(&j).expect("timing record parses back");
     assert_eq!(j.render(), timing_to_json(&back).render());
     assert_eq!(t.time_s, back.time_s);
     assert_eq!(t.wave_cycles, back.wave_cycles);
     assert_eq!(t.idle_breakdown, back.idle_breakdown);
     assert!(back.profile.is_none());
+    assert!(back.counters.is_none());
+
+    // A counted record round-trips byte for byte, and so do its counters,
+    // merged over SMs; without them it is the plain record.
+    let counted = time(true);
+    let j = timing_to_json(&counted);
+    let back = timing_from_json(&j).expect("counted record parses back");
+    assert_eq!(j.render(), timing_to_json(&back).render());
+    let c = back.counters.clone().expect("counters restored");
+    assert_eq!(Some(&c), counted.counters.as_ref());
+    c.validate().unwrap();
+    assert!(c.global_sectors > 0 && c.smem_accesses > 0 && c.fp_issues > 0);
+    let uncounted = KernelTiming {
+        counters: None,
+        ..back
+    };
+    assert_eq!(
+        timing_to_json(&uncounted).render(),
+        timing_to_json(&t).render()
+    );
 }
 
 #[test]

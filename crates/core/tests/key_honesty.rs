@@ -7,7 +7,9 @@
 //! golden file:
 //!
 //! * `time/<ALGO>` — [`Conv::time`] of every algorithm, FFT included;
-//! * `counted/<ALGO>` — the counted re-run (`--metrics`), counters included;
+//! * `counted/<ALGO>` — the same measurement with counters on, as a
+//!   `--metrics` run caches it: under the key of `time/<ALGO>`, with the
+//!   counters inside the result, so the counters are pinned too;
 //! * `mainloop`, `fused/one-wave`, `fused/device` — the single-kernel
 //!   targets of Figures 7–9 and the `multiwave` cross-check.
 //!

@@ -123,37 +123,48 @@ impl HwCounters {
     /// `Σ eligible_hist = schedulers × wave_cycles` exact.
     pub fn add_scaled(&mut self, other: &HwCounters, k: u64) {
         debug_assert_eq!(self.schedulers, other.schedulers);
-        self.wave_cycles += k * other.wave_cycles;
-        self.issued += k * other.issued;
-        for i in 0..4 {
-            self.issued_by_pipe[i] += k * other.issued_by_pipe[i];
-            self.reuse_hits[i] += k * other.reuse_hits[i];
-            self.reuse_misses[i] += k * other.reuse_misses[i];
-        }
-        for i in 0..9 {
-            self.eligible_hist[i] += k * other.eligible_hist[i];
-        }
         self.resident_warps = self.resident_warps.max(other.resident_warps);
         self.max_warps_per_sm = self.max_warps_per_sm.max(other.max_warps_per_sm);
-        self.fp_issues += k * other.fp_issues;
-        self.fp_pipe_busy_cycles += k * other.fp_pipe_busy_cycles;
-        self.reg_bank_conflicts += k * other.reg_bank_conflicts;
-        self.smem_accesses += k * other.smem_accesses;
-        for i in 0..3 {
-            self.smem_accesses_by_width[i] += k * other.smem_accesses_by_width[i];
+        let mut other = other.clone();
+        for ((_, sum), (_, add)) in self.words_mut().into_iter().zip(other.words_mut()) {
+            for (s, a) in sum.iter_mut().zip(add.iter()) {
+                *s += k * a;
+            }
         }
-        self.smem_phases += k * other.smem_phases;
-        self.smem_ideal_phases += k * other.smem_ideal_phases;
-        self.smem_extra_phases += k * other.smem_extra_phases;
-        self.smem_mio_cycles += k * other.smem_mio_cycles;
-        self.global_accesses += k * other.global_accesses;
-        self.global_sectors += k * other.global_sectors;
-        self.l1_sector_hits += k * other.l1_sector_hits;
-        self.l2_sector_hits += k * other.l2_sector_hits;
-        self.l2_sector_misses += k * other.l2_sector_misses;
-        self.global_mio_cycles += k * other.global_mio_cycles;
-        self.dram_read_bytes += k * other.dram_read_bytes;
-        self.dram_write_bytes += k * other.dram_write_bytes;
+    }
+
+    /// Every counter but the three gauges (`schedulers`, `resident_warps`,
+    /// `max_warps_per_sm`, which do not add), by name, as its words: the one
+    /// list that [`HwCounters::add_scaled`] merges and the result cache
+    /// (`bench::simcache`) stores, so no counter can be merged but not
+    /// cached, or cached but not merged.
+    pub fn words_mut(&mut self) -> [(&'static str, &mut [u64]); 23] {
+        use std::slice::from_mut as one;
+        [
+            ("wave_cycles", one(&mut self.wave_cycles)),
+            ("issued", one(&mut self.issued)),
+            ("issued_by_pipe", &mut self.issued_by_pipe),
+            ("eligible_hist", &mut self.eligible_hist),
+            ("fp_issues", one(&mut self.fp_issues)),
+            ("fp_pipe_busy_cycles", one(&mut self.fp_pipe_busy_cycles)),
+            ("reg_bank_conflicts", one(&mut self.reg_bank_conflicts)),
+            ("reuse_hits", &mut self.reuse_hits),
+            ("reuse_misses", &mut self.reuse_misses),
+            ("smem_accesses", one(&mut self.smem_accesses)),
+            ("smem_accesses_by_width", &mut self.smem_accesses_by_width),
+            ("smem_phases", one(&mut self.smem_phases)),
+            ("smem_ideal_phases", one(&mut self.smem_ideal_phases)),
+            ("smem_extra_phases", one(&mut self.smem_extra_phases)),
+            ("smem_mio_cycles", one(&mut self.smem_mio_cycles)),
+            ("global_accesses", one(&mut self.global_accesses)),
+            ("global_sectors", one(&mut self.global_sectors)),
+            ("l1_sector_hits", one(&mut self.l1_sector_hits)),
+            ("l2_sector_hits", one(&mut self.l2_sector_hits)),
+            ("l2_sector_misses", one(&mut self.l2_sector_misses)),
+            ("global_mio_cycles", one(&mut self.global_mio_cycles)),
+            ("dram_read_bytes", one(&mut self.dram_read_bytes)),
+            ("dram_write_bytes", one(&mut self.dram_write_bytes)),
+        ]
     }
 
     // ---- derived metrics (the numbers profilers print) -----------------------
@@ -387,6 +398,31 @@ mod tests {
         assert!((c.l2_hit_pct() - 100.0 * 2.0 / 3.0).abs() < 1e-9);
         assert!((c.eligible_warps_avg() - 0.7).abs() < 1e-9);
         assert!((c.reuse_hit_pct() - 12.5).abs() < 1e-9);
+    }
+
+    /// Zeroing the gauges and every listed word leaves nothing: a counter
+    /// missing from `words_mut` would be neither merged nor cached.
+    #[test]
+    fn word_list_holds_every_counter_but_the_gauges() {
+        let mut c = sample();
+        c.dram_write_bytes = 32; // the one counter `sample` leaves at 0
+        (c.schedulers, c.resident_warps, c.max_warps_per_sm) = (0, 0, 0);
+        for (_, words) in c.words_mut() {
+            words.fill(0);
+        }
+        assert_eq!(c, HwCounters::default());
+    }
+
+    #[test]
+    fn add_scaled_adds_every_word_and_keeps_the_gauges() {
+        let mut sum = sample();
+        sum.add_scaled(&sample(), 2);
+        let mut want = sample();
+        for (_, words) in want.words_mut() {
+            words.iter_mut().for_each(|w| *w *= 3);
+        }
+        assert_eq!(sum, want);
+        sum.validate().unwrap();
     }
 
     #[test]

@@ -130,9 +130,10 @@ pub const TIMING_MODEL_VERSION: u32 = 2;
 /// the flags only attach a profile, counter set or trace to the result.
 /// Keeping them out of the digest means an instrumented run and a plain run
 /// share one cache entry, so turning observability on never invalidates a
-/// warm cache (the cached value stores none of the artifacts —
-/// `bench::simcache` restores them as `None`). `jobs` is excluded too: the
-/// device model is bit-stable under any sharding.
+/// warm cache. `bench::simcache` stores no profile or trace, and restores
+/// them as `None`; it keeps a counted run's counters, and a run that needs
+/// counters re-simulates an entry that has none. `jobs` is excluded too:
+/// the device model is bit-stable under any sharding.
 pub fn key(
     device: &DeviceSpec,
     module: &Module,

@@ -10,7 +10,7 @@ use winograd_gpu::gpusim::DeviceSpec;
 use winograd_gpu::wino_core::resnet::RESNET_LAYERS;
 use winograd_gpu::wino_core::{Algo, Conv};
 
-fn main() {
+pub fn main() {
     let batch = 32;
     for dev in [DeviceSpec::rtx2070(), DeviceSpec::v100()] {
         println!(

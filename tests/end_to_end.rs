@@ -1,11 +1,14 @@
 //! Cross-crate integration: every algorithm in the public API produces the
 //! direct-convolution result, workspace queries are consistent, and the
-//! timing pipeline runs end to end, as does the `yield_tuning` example.
+//! timing pipeline runs end to end, as do the `yield_tuning` and
+//! `resnet_sweep` examples.
 
 use winograd_gpu::gpusim::DeviceSpec;
 use winograd_gpu::tensor::{allclose, LayoutKind, Tensor4};
 use winograd_gpu::wino_core::{conv2d_direct, Algo, Conv, ConvProblem};
 
+#[path = "../examples/resnet_sweep.rs"]
+mod resnet_sweep;
 #[path = "../examples/yield_tuning.rs"]
 mod yield_tuning;
 
@@ -127,4 +130,12 @@ fn conv5_prefers_nonfused_winograd() {
 #[test]
 fn yield_tuning_example_runs() {
     yield_tuning::main();
+}
+
+/// The `resnet_sweep` example (OURS against the cuDNN-like kernel on every
+/// Table 1 layer, both devices) takes seconds, so it runs here rather than
+/// in `ci.sh`'s examples stage.
+#[test]
+fn resnet_sweep_example_runs() {
+    resnet_sweep::main();
 }
