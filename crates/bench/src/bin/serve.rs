@@ -507,13 +507,11 @@ fn pool_trace(outcomes: &[DeviceOutcome], pool: usize) -> ChromeTrace {
             for lane in 0..pool as u64 {
                 tr.thread_name(pid, lane, &format!("device {lane}"));
             }
-            let mut sink = serve::MemSink::default();
-            tel.drain_into(&mut sink);
             // Completions only carry their batch id; recover the lane from
             // the batch's dispatch record.
             let mut batch_lane: HashMap<u64, u64> = HashMap::new();
             let class_name = |c: usize| tel.class_names().get(c).map_or("?", |s| s.as_str());
-            for (_, ev) in &sink.events {
+            for (_, ev) in tel.timeline() {
                 match *ev {
                     TelemetryEvent::Dispatch {
                         t,

@@ -26,9 +26,10 @@
 //!
 //! `--smoke` additionally asserts the stream's internal consistency —
 //! timestamps sorted, every arrival enqueued, every completion preceded by
-//! its batch dispatch, gauge `queued` equal to the sum of per-class depths
-//! — and prints `[servemon] smoke OK`; CI replays the smoke-run log through
-//! this to keep the writer and the reader honest against each other.
+//! its batch dispatch, gauge `queued` equal to the sum of per-class depths,
+//! no event later than the group's last completion — and prints
+//! `[servemon] smoke OK`; CI replays the smoke-run log through this to keep
+//! the writer and the reader honest against each other.
 
 use bench::json::{parse, Json};
 use bench::report::{check_args, flag_value};
@@ -260,6 +261,14 @@ fn summarize(g: &Group, args: &Args) {
             arrivals,
             enqueued.len() as u64,
             "{}/{}: every arrival enqueued",
+            g.device,
+            g.phase
+        );
+        // Timestamps are sorted, so the last line is the latest event.
+        assert_eq!(
+            Some(prev_t),
+            completions.last().map(|&(t, _, _)| t),
+            "{}/{}: the stream ends at its last completion",
             g.device,
             g.phase
         );

@@ -35,7 +35,9 @@
 //! of the launch to its SM and simulates all SMs — sharded across worker
 //! threads that each claim whole SMs on the same walk, with a
 //! deterministic merge — so partial last waves and tail imbalance are
-//! timed instead of rounded up.
+//! timed instead of rounded up. The wave loop parks scoreboard completions
+//! in a crate-private time-ordered queue (`timeq`) that pops exact ties in
+//! push order, so every timing is bit-stable.
 //!
 //! Two leaf modules serve persistence for the whole workspace: [`digest`]
 //! content-addresses simulation inputs, and [`json`] is the one JSON codec
@@ -54,7 +56,7 @@ pub mod launch;
 pub mod memory;
 pub mod simprof;
 pub mod slice;
-pub mod timeq;
+pub(crate) mod timeq;
 pub mod timing;
 
 pub use batch::BatchTimer;
@@ -66,5 +68,4 @@ pub use exec::{Effects, ExecEnv, ExecError, StepEvent, Warp, WARP_SIZE};
 pub use launch::{ExecCounters, Gpu, LaunchDims, LaunchError};
 pub use memory::{ConstBank, DevPtr, GlobalMemory, MemError, ParamBuilder, PARAM_BASE};
 pub use simprof::{IssueEvent, KernelProfile, LineProfile, Region, StallBreakdown, StallCause};
-pub use timeq::TimeQueue;
 pub use timing::{simulate, KernelTiming, Model, TimingOptions, FP32_ISSUE_CYCLES};

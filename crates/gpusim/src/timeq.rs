@@ -1,24 +1,18 @@
 //! `timeq` — a deterministic time-ordered event queue.
 //!
 //! The wave loop ([`crate::timing`]) parks scoreboard completions and
-//! deferred load writebacks at their delivery cycle, and the serving
-//! engine (`serve::engine`) parks device completions and plan readiness
-//! the same way. The engine keeps per-request events out of the queue: it
-//! reads arrivals and SLO deadline pokes from sequences that are already
-//! sorted, so its queue holds one entry per launch in flight and per plan
-//! being fetched.
-//!
-//! `std`'s `BinaryHeap` is only *weakly* ordered for equal keys (pop order
-//! among ties is unspecified across implementations), and both users must
-//! produce bit-stable results. `TimeQueue` therefore pins the full order:
-//! entries pop by `(time, key)` with FIFO order among exact ties (a
-//! monotonic sequence number), so any two runs that push the same entries
-//! pop them identically.
+//! deferred load writebacks at their delivery cycle. `std`'s `BinaryHeap`
+//! is only *weakly* ordered for equal keys (pop order among ties is
+//! unspecified across implementations), and the loop must produce
+//! bit-stable results. `TimeQueue` therefore pins the full order: entries
+//! pop by `(time, key)` with FIFO order among exact ties (a monotonic
+//! sequence number), so any two runs that push the same entries pop them
+//! identically.
 
 /// A min-queue of `(time, key) -> value` with deterministic pop order:
 /// ascending `time`, then ascending `key`, then insertion order.
 #[derive(Debug)]
-pub struct TimeQueue<K: Ord + Copy, V> {
+pub(crate) struct TimeQueue<K: Ord + Copy, V> {
     heap: Vec<Entry<K, V>>,
     seq: u64,
 }
@@ -37,35 +31,21 @@ impl<K: Ord + Copy, V> Entry<K, V> {
     }
 }
 
-impl<K: Ord + Copy, V> Default for TimeQueue<K, V> {
-    fn default() -> Self {
-        TimeQueue::new()
-    }
-}
-
 impl<K: Ord + Copy, V> TimeQueue<K, V> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TimeQueue {
             heap: Vec::new(),
             seq: 0,
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Earliest scheduled time, if any entry is queued.
-    pub fn peek_time(&self) -> Option<u64> {
+    pub(crate) fn peek_time(&self) -> Option<u64> {
         self.heap.first().map(|e| e.time)
     }
 
     /// Schedule `value` under `key` at `time`.
-    pub fn push(&mut self, time: u64, key: K, value: V) {
+    pub(crate) fn push(&mut self, time: u64, key: K, value: V) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Entry {
@@ -78,7 +58,7 @@ impl<K: Ord + Copy, V> TimeQueue<K, V> {
     }
 
     /// Remove and return the earliest entry.
-    pub fn pop(&mut self) -> Option<(u64, K, V)> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, K, V)> {
         if self.heap.is_empty() {
             return None;
         }

@@ -10,27 +10,27 @@
 //! `(seed, config)` and lets the determinism test demand byte-identical
 //! JSON across `--jobs 1/2/8`.
 //!
-//! **Event loop.** The loop visits every instant at which something
-//! happens: a request arrives, a plan becomes ready, a request's SLO
-//! deadline margin expires (a *deadline poke*), or a device finishes a
-//! launch group. No per-request event enters a heap. Arrivals are read
-//! through a cursor over the request slice, which is sorted by arrival as
+//! **Main loop.** The loop visits only the instants at which the
+//! engine's state can change. Each next instant is the least of these
+//! values that lie strictly after the current one: the next arrival, each
+//! `device_free`, each `plan_ready`, and each non-empty queue's latest safe
+//! start (see [`crate::queue`]). Everything that can change the state
+//! later is one of them, so no event queue keeps copies; the loop ends when
+//! none is left, at the last completion. Arrivals are read through a
+//! cursor over the request slice, which is sorted by arrival as
 //! [`crate::traffic::generate`] returns it (an unsorted slice is stably
-//! sorted first). Each class keeps its deadline pokes in a FIFO, already
-//! sorted because a poke is the arrival plus the class's constant margin
-//! `slo − worst_service`. Only device completions and plan readiness wait
-//! in a [`gpusim::TimeQueue`] (deterministic `(time, key, FIFO)`
-//! min-queue): one entry per launch in flight and per plan being fetched.
-//! Within an instant, events apply in one fixed order: finished devices,
-//! then ready plans, then arrivals in slice order, then deadline pokes. A
-//! zero-cost plan fetched by an arrival is ready before the instant's next
-//! arrival applies. All events at one instant are applied before any
-//! dispatch decision, so co-timed events cannot reorder outcomes. After
-//! each instant the engine greedily matches *due* classes (see
-//! [`crate::queue`]) to free devices — most urgent deadline first, class
-//! index as the tie-break, lowest free device index — until either runs
-//! out. A zero-service launch frees its device at the instant it starts,
-//! and the loop visits that instant again.
+//! sorted first). Within an instant, the plans that land then are reported
+//! first, in the order they were fetched, and then the instant's arrivals
+//! apply in slice order; a plan that an arrival fetches at zero cost lands
+//! at once and is reported right after that arrival. All of an instant's
+//! changes apply before any dispatch decision, so co-timed events cannot
+//! reorder outcomes. After each instant the engine greedily matches *due*
+//! classes to free devices — most urgent deadline first, class index as
+//! the tie-break, lowest free device index — until either runs out. A
+//! zero-service launch frees its device at the instant it starts, so the
+//! same scan can place another group on it. The test-only `oracle` module
+//! keeps the heap loop this replaced as the reference, and its test holds
+//! the two equal over generated scenarios.
 //!
 //! **Plan lifecycle.** The first arrival of a class starts plan
 //! acquisition; the class cannot dispatch until `first_arrival +
@@ -41,9 +41,6 @@
 //! paying off.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
-
-use gpusim::TimeQueue;
 
 use crate::plan::{Plan, PLAN_LOOKUP_NS};
 use crate::queue::{batch_n, ClassQueue};
@@ -120,25 +117,6 @@ pub struct RunStats {
     pub classes: Vec<ClassStats>,
 }
 
-/// The events that wait in the queue; arrivals and deadline pokes are read
-/// from the request slice and the per-class poke FIFOs instead.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Event {
-    PlanReady(usize),
-    DeviceFree(usize),
-}
-
-/// Event-key ordering at equal timestamps: free devices, then ready plans.
-/// Both apply before the instant's arrivals, and deadline pokes come last.
-/// (Outcome-neutral because dispatch runs only after the instant drains;
-/// kept stable for reproducible traces.)
-fn key(e: &Event) -> u32 {
-    match e {
-        Event::DeviceFree(_) => 0,
-        Event::PlanReady(_) => 1,
-    }
-}
-
 /// Nearest-rank percentile of a sorted slice; `None` on an empty slice so
 /// callers decide how "no data" reads (the report uses 0).
 fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
@@ -152,8 +130,9 @@ fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
 /// Play `requests` against `plans` (parallel to `classes`) on a pool of
 /// devices, in `(arrival_ns, index)` order: a sorted slice, as
 /// [`crate::traffic::generate`] returns it, is read in place, and any other
-/// is stably sorted first. Deterministic. Equivalent to [`run_recorded`]
-/// with a disabled recorder.
+/// is stably sorted first. The run ends at the last completion
+/// ([`RunStats::makespan_ns`]). Deterministic. Equivalent to
+/// [`run_recorded`] with a disabled recorder.
 pub fn run(
     cfg: &EngineConfig,
     classes: &[ShapeClass],
@@ -167,7 +146,8 @@ pub fn run(
 /// hook is a no-op and the result is identical to [`run`] — the off path
 /// costs nothing and changes nothing (the telemetry determinism tests pin
 /// this). When enabled, `tel` comes back holding the full event stream,
-/// per-request spans, gauge series, and burn-rate windows.
+/// per-request spans, gauge series, and burn-rate windows, all ending at
+/// the makespan.
 pub fn run_recorded(
     cfg: &EngineConfig,
     classes: &[ShapeClass],
@@ -187,11 +167,6 @@ pub fn run_recorded(
         .collect();
 
     let worst: Vec<u64> = plans.iter().map(Plan::worst_service_ns).collect();
-    // A request's deadline poke fires this long after its arrival.
-    let margin: Vec<u64> = worst
-        .iter()
-        .map(|&w| cfg.slo_ns.saturating_sub(w))
-        .collect();
     // Arrivals in `(arrival_ns, index)` order: the slice itself when it is
     // sorted, as `generate` returns it, else a stably sorted copy.
     let arrivals: Cow<[Request]> = if requests.is_sorted_by_key(|r| r.arrival_ns) {
@@ -202,12 +177,12 @@ pub fn run_recorded(
         Cow::Owned(sorted)
     };
     let mut next_arrival = 0;
-    let mut pokes: Vec<VecDeque<u64>> = vec![VecDeque::new(); classes.len()];
-    let mut events: TimeQueue<u32, Event> = TimeQueue::new();
 
     let mut queues: Vec<ClassQueue> = classes.iter().map(|_| ClassQueue::new()).collect();
     // Plan readiness: None until the first arrival starts acquisition.
     let mut plan_ready: Vec<Option<u64>> = vec![None; classes.len()];
+    // Classes in the order their plans were fetched.
+    let mut fetched: Vec<usize> = Vec::with_capacity(classes.len());
     let mut plan_charge: Vec<u64> = vec![0; classes.len()];
     let mut first_arrival: Vec<Option<u64>> = vec![None; classes.len()];
     let mut first_dispatch: Vec<Option<u64>> = vec![None; classes.len()];
@@ -220,22 +195,14 @@ pub fn run_recorded(
     let mut records: Vec<BatchRecord> = Vec::new();
 
     let mut completed: u64 = 0;
-    loop {
-        // The next instant: the earliest queued event, arrival or poke.
-        let arrival = arrivals.get(next_arrival).map(|r| r.arrival_ns);
-        let poke = pokes.iter().filter_map(|p| p.front().copied()).min();
-        let Some(now) = [events.peek_time(), arrival, poke]
-            .into_iter()
-            .flatten()
-            .min()
-        else {
-            break;
-        };
-        // Gauge samples due strictly before this instant's events apply:
-        // between event instants the engine state is constant, so one
-        // snapshot serves every tick in `(prev_instant, now]`. A device
-        // whose completion lands exactly at `now` still counts as busy —
-        // the sample reads the state that held *up to* the instant.
+    // Before the first arrival the pool is idle and no plan is fetched.
+    let mut instant = arrivals.first().map(|r| r.arrival_ns);
+    while let Some(now) = instant {
+        // Gauge samples due strictly before this instant's changes apply:
+        // between instants the engine state is constant, so one snapshot
+        // serves every tick in `(prev_instant, now]`. A device whose
+        // completion lands exactly at `now` still counts as busy — the
+        // sample reads the state that held *up to* the instant.
         tel.sample_until(now, || GaugeSnapshot {
             depths: queues.iter().map(|q| q.len() as u32).collect(),
             oldest_wait_ns: queues.iter().map(|q| q.oldest_wait_ns(now)).collect(),
@@ -251,22 +218,14 @@ pub fn run_recorded(
                 .filter(|r| r.is_some_and(|t| t >= now))
                 .count() as u32,
         });
-        // Drain every event at this instant before deciding anything:
-        // queued events before each arrival, so a plan that an arrival
-        // fetches at zero cost is ready before the next arrival applies.
-        loop {
-            if events.peek_time() == Some(now) {
-                // Pure wake-ups: state already carries everything; the
-                // dispatch scan below reacts.
-                match events.pop().unwrap().2 {
-                    Event::PlanReady(c) => tel.on_plan_ready(now, c),
-                    Event::DeviceFree(d) => debug_assert!(device_free[d] <= now),
-                }
-                continue;
+        // Plans that land now, in fetch order, before the instant's
+        // arrivals.
+        for &c in &fetched {
+            if plan_ready[c] == Some(now) {
+                tel.on_plan_ready(now, c);
             }
-            let Some(&r) = arrivals.get(next_arrival).filter(|r| r.arrival_ns == now) else {
-                break;
-            };
+        }
+        while let Some(&r) = arrivals.get(next_arrival).filter(|r| r.arrival_ns == now) {
             next_arrival += 1;
             let c = r.class;
             class_requests[c] += 1;
@@ -284,16 +243,12 @@ pub fn run_recorded(
                 plan_charge[c] = charge;
                 let ready = now + charge;
                 plan_ready[c] = Some(ready);
-                events.push(ready, key(&Event::PlanReady(c)), Event::PlanReady(c));
+                fetched.push(c);
                 tel.on_plan_fetch(now, c, ready, charge, cfg.warm);
-            }
-            // Deadline poke for this request's SLO margin.
-            pokes[c].push_back(r.arrival_ns + margin[c]);
-        }
-        // Pokes are pure wake-ups too: visiting the instant is their effect.
-        for p in &mut pokes {
-            while p.front() == Some(&now) {
-                p.pop_front();
+                // A zero-cost plan lands before the instant's next arrival.
+                if charge == 0 {
+                    tel.on_plan_ready(now, c);
+                }
             }
         }
 
@@ -316,11 +271,6 @@ pub fn run_recorded(
             let service = plans[c].variant_for(n as usize).service_ns;
             let completion = now + service;
             device_free[dev] = completion;
-            events.push(
-                completion,
-                key(&Event::DeviceFree(dev)),
-                Event::DeviceFree(dev),
-            );
             first_dispatch[c].get_or_insert(now);
             let batch_id = tel.on_dispatch(now, c, dev, group.len() as u32, n, service);
             for r in &group {
@@ -339,7 +289,7 @@ pub fn run_recorded(
                     let cause = if !miss {
                         MissCause::None
                     } else {
-                        let lss = r.arrival_ns + margin[c];
+                        let lss = r.arrival_ns + cfg.slo_ns.saturating_sub(worst[c]);
                         if plan_ready[c].unwrap() > lss {
                             MissCause::PlanBuild
                         } else if now > lss {
@@ -371,6 +321,24 @@ pub fn run_recorded(
                 device: dev,
             });
         }
+
+        // The next instant: the earliest later one at which an arrival
+        // lands, a device frees, a plan lands or a queue's oldest request
+        // reaches its latest safe start. Nothing else changes the state.
+        instant = arrivals
+            .get(next_arrival)
+            .map(|r| r.arrival_ns)
+            .into_iter()
+            .chain(device_free.iter().copied())
+            .chain(plan_ready.iter().flatten().copied())
+            .chain(
+                queues
+                    .iter()
+                    .zip(&worst)
+                    .filter_map(|(q, &w)| q.latest_safe_start(cfg.slo_ns, w)),
+            )
+            .filter(|&t| t > now)
+            .min();
     }
     assert_eq!(
         completed,
@@ -442,6 +410,9 @@ pub fn run_recorded(
             .collect(),
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -591,6 +562,23 @@ mod tests {
         assert_eq!(s.completed, 10);
         assert!(s.slo_misses > 0);
         assert_eq!(s.max_ns, 100_000);
+    }
+
+    #[test]
+    fn zero_service_launch_frees_its_device_at_once() {
+        // Both classes are due on arrival; A wins the tie on class index,
+        // serves in zero time, and B starts on the same device at once.
+        let classes = vec![class("A"), class("B")];
+        let plans = vec![plan("A", &[(1, 0)], 0), plan("B", &[(1, 100)], 0)];
+        let requests = reqs(&[(0, 0), (1, 0)]);
+        let cfg = EngineConfig {
+            slo_ns: 0,
+            pool: 1,
+            warm: false,
+        };
+        let s = run(&cfg, &classes, &plans, &requests);
+        assert_eq!((s.completed, s.batches), (2, 2));
+        assert_eq!((s.makespan_ns, s.max_ns, s.slo_misses), (100, 100, 1));
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub use engine::{run, run_recorded, EngineConfig, RunStats};
 pub use plan::{MemStorage, Plan, PlanCache, PlanStorage, Planner, PLAN_FORMAT_VERSION};
 pub use schedstore::{ScheduleStore, StoredSchedule};
 pub use telemetry::{
-    BurnWindow, JsonlSink, LatencyHistogram, MemSink, MissCause, Telemetry, TelemetryEvent,
-    TelemetryOptions, TelemetrySink,
+    BurnWindow, LatencyHistogram, MissCause, Telemetry, TelemetryEvent, TelemetryOptions,
 };
 pub use traffic::{generate, Request, ShapeClass, TrafficConfig};

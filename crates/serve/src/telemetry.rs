@@ -37,15 +37,13 @@
 //!   makes the JSON-lines log and the Chrome pool trace byte-identical
 //!   under any `--jobs` value (pinned by `bench/tests/serve_telemetry.rs`).
 //!
-//! # Sinks
+//! # Export
 //!
-//! [`TelemetrySink`] is the export interface: [`Telemetry::drain_into`]
-//! replays the sorted stream into any sink. The crate ships
-//! [`JsonlSink`] (one JSON object per line, parseable by `gpusim::json`
-//! and replayed by `bench --bin servemon`) and [`MemSink`] (typed events, for
-//! tests and in-process consumers). The `bench` serve binary adds the
-//! Chrome trace-event export of the device-pool timeline on top of
-//! [`MemSink`].
+//! [`Telemetry::timeline`] yields the stream in export order, each event
+//! with its sequence number. [`Telemetry::to_jsonl`] renders it as one
+//! JSON object per line, parseable by `gpusim::json` and replayed by
+//! `bench --bin servemon`; the `bench` serve binary builds its Chrome
+//! trace-event export of the device-pool timeline from the same iterator.
 
 use gpusim::json::Json;
 
@@ -406,174 +404,6 @@ impl LatencyHistogram {
     }
 }
 
-// ---- sinks ------------------------------------------------------------------
-
-/// Export interface: [`Telemetry::drain_into`] replays the recorded stream
-/// — sorted by `(timestamp, sequence)` — into one of these.
-pub trait TelemetrySink {
-    /// One event, in export order. `seq` is the record sequence number (the
-    /// deterministic tie-break the export sort used).
-    fn record(&mut self, seq: u64, ev: &TelemetryEvent);
-}
-
-/// Collects typed events in export order; the in-process sink tests and the
-/// Chrome-trace exporter consume.
-#[derive(Default)]
-pub struct MemSink {
-    pub events: Vec<(u64, TelemetryEvent)>,
-}
-
-impl TelemetrySink for MemSink {
-    fn record(&mut self, seq: u64, ev: &TelemetryEvent) {
-        self.events.push((seq, ev.clone()));
-    }
-}
-
-/// Renders each event as one JSON object per line through the
-/// `gpusim::json` codec. `ctx` pairs (e.g. `device`/`phase`) are prepended
-/// to every line so logs from several runs can share one file; class
-/// indices are resolved to names. The output is deterministic and
-/// parseable by the same codec.
-pub struct JsonlSink {
-    pub out: String,
-    ctx: Vec<(String, Json)>,
-    class_names: Vec<String>,
-}
-
-impl JsonlSink {
-    pub fn new(ctx: &[(&str, &str)], class_names: &[String]) -> Self {
-        JsonlSink {
-            out: String::new(),
-            ctx: ctx
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v.into()))
-                .collect(),
-            class_names: class_names.to_vec(),
-        }
-    }
-}
-
-impl TelemetrySink for JsonlSink {
-    fn record(&mut self, seq: u64, ev: &TelemetryEvent) {
-        let class_name = |c: usize| Json::from(self.class_names.get(c).map_or("?", |s| s.as_str()));
-        let fields: Vec<(&str, Json)> = match *ev {
-            TelemetryEvent::Arrival { id, class, .. } => {
-                vec![("id", id.into()), ("class", class_name(class))]
-            }
-            TelemetryEvent::Enqueue {
-                id, class, depth, ..
-            } => vec![
-                ("id", id.into()),
-                ("class", class_name(class)),
-                ("depth", depth.into()),
-            ],
-            TelemetryEvent::PlanFetch {
-                class,
-                ready_ns,
-                charge_ns,
-                warm,
-                ..
-            } => vec![
-                ("class", class_name(class)),
-                ("ready_ns", ready_ns.into()),
-                ("charge_ns", charge_ns.into()),
-                ("warm", warm.into()),
-            ],
-            TelemetryEvent::PlanReady { class, .. } => vec![("class", class_name(class))],
-            TelemetryEvent::BatchFormed {
-                batch,
-                class,
-                count,
-                batch_n,
-                ..
-            } => vec![
-                ("batch", batch.into()),
-                ("class", class_name(class)),
-                ("count", count.into()),
-                ("batch_n", batch_n.into()),
-            ],
-            TelemetryEvent::Dispatch {
-                batch,
-                class,
-                device,
-                count,
-                batch_n,
-                service_ns,
-                ..
-            } => vec![
-                ("batch", batch.into()),
-                ("class", class_name(class)),
-                ("device", device.into()),
-                ("count", count.into()),
-                ("batch_n", batch_n.into()),
-                ("service_ns", service_ns.into()),
-            ],
-            TelemetryEvent::Complete {
-                id,
-                class,
-                batch,
-                latency_ns,
-                wait_ns,
-                miss,
-                cause,
-                ..
-            } => vec![
-                ("id", id.into()),
-                ("class", class_name(class)),
-                ("batch", batch.into()),
-                ("latency_ns", latency_ns.into()),
-                ("wait_ns", wait_ns.into()),
-                ("miss", miss.into()),
-                ("cause", cause.name().into()),
-            ],
-            TelemetryEvent::Gauge {
-                ref depths,
-                ref oldest_wait_ns,
-                queued,
-                busy_devices,
-                inflight_batches,
-                plans_ready,
-                plans_building,
-                ..
-            } => vec![
-                ("depths", depths.clone().into()),
-                ("oldest_wait_ns", oldest_wait_ns.clone().into()),
-                ("queued", queued.into()),
-                ("busy_devices", busy_devices.into()),
-                ("inflight_batches", inflight_batches.into()),
-                ("plans_ready", plans_ready.into()),
-                ("plans_building", plans_building.into()),
-            ],
-            TelemetryEvent::Drift {
-                class,
-                observed_rps,
-                assumed_rps,
-                ratio,
-                drifted,
-                ..
-            } => vec![
-                ("class", class_name(class)),
-                ("observed_rps", observed_rps.into()),
-                ("assumed_rps", assumed_rps.into()),
-                ("ratio", ratio.into()),
-                ("drifted", drifted.into()),
-            ],
-        };
-        let head = [
-            ("seq", seq.into()),
-            ("t", ev.t().into()),
-            ("kind", ev.kind().into()),
-        ];
-        let line = self.ctx.iter().cloned().chain(
-            head.into_iter()
-                .chain(fields)
-                .map(|(k, v)| (k.to_string(), v)),
-        );
-        Json::Obj(line.collect()).render_into(&mut self.out);
-        self.out.push('\n');
-    }
-}
-
 // ---- recorder ---------------------------------------------------------------
 
 /// Per-class drift-tracker state.
@@ -591,7 +421,7 @@ struct DriftState {
 /// [`Telemetry::off`]), pass to
 /// [`engine::run_recorded`](crate::engine::run_recorded), then read
 /// [`Telemetry::events`], [`Telemetry::spans`], [`Telemetry::burn_series`]
-/// or export through [`Telemetry::drain_into`]. A recorder is single-use:
+/// or export through [`Telemetry::timeline`]. A recorder is single-use:
 /// the engine asserts it is fresh.
 pub struct Telemetry {
     pub opts: TelemetryOptions,
@@ -645,7 +475,7 @@ impl Telemetry {
     }
 
     /// Recorded events in *record* order (completions sit at their dispatch
-    /// position); use [`Telemetry::drain_into`] for timeline order.
+    /// position); use [`Telemetry::timeline`] for timeline order.
     pub fn events(&self) -> &[TelemetryEvent] {
         &self.events
     }
@@ -671,23 +501,142 @@ impl Telemetry {
         &self.class_names
     }
 
-    /// Replay the stream into `sink`, sorted by `(timestamp, sequence)`.
-    /// The sequence is the record index, so the order is a pure function of
-    /// the run — byte-identical exports under any `--jobs`.
-    pub fn drain_into(&self, sink: &mut dyn TelemetrySink) {
+    /// The stream sorted by `(timestamp, sequence)`, each event with its
+    /// sequence number. The sequence is the record index, so the order is a
+    /// pure function of the run — byte-identical exports under any
+    /// `--jobs`.
+    pub fn timeline(&self) -> impl Iterator<Item = (u64, &TelemetryEvent)> {
         let mut order: Vec<usize> = (0..self.events.len()).collect();
         order.sort_by_key(|&i| (self.events[i].t(), i));
-        for i in order {
-            sink.record(i as u64, &self.events[i]);
-        }
+        order.into_iter().map(|i| (i as u64, &self.events[i]))
     }
 
-    /// Render the full stream as JSON lines with `ctx` fields prepended to
-    /// every line.
+    /// Render the [`timeline`](Self::timeline) as JSON lines through the
+    /// `gpusim::json` codec, one object per event, with `ctx` pairs (e.g.
+    /// `device`/`phase`) prepended to every line so logs from several runs
+    /// can share one file, and class indices resolved to names. The output
+    /// is deterministic and parseable by the same codec.
     pub fn to_jsonl(&self, ctx: &[(&str, &str)]) -> String {
-        let mut sink = JsonlSink::new(ctx, &self.class_names);
-        self.drain_into(&mut sink);
-        sink.out
+        let class_name = |c: usize| Json::from(self.class_names.get(c).map_or("?", |s| s.as_str()));
+        let mut out = String::new();
+        for (seq, ev) in self.timeline() {
+            let fields: Vec<(&str, Json)> = match *ev {
+                TelemetryEvent::Arrival { id, class, .. } => {
+                    vec![("id", id.into()), ("class", class_name(class))]
+                }
+                TelemetryEvent::Enqueue {
+                    id, class, depth, ..
+                } => vec![
+                    ("id", id.into()),
+                    ("class", class_name(class)),
+                    ("depth", depth.into()),
+                ],
+                TelemetryEvent::PlanFetch {
+                    class,
+                    ready_ns,
+                    charge_ns,
+                    warm,
+                    ..
+                } => vec![
+                    ("class", class_name(class)),
+                    ("ready_ns", ready_ns.into()),
+                    ("charge_ns", charge_ns.into()),
+                    ("warm", warm.into()),
+                ],
+                TelemetryEvent::PlanReady { class, .. } => vec![("class", class_name(class))],
+                TelemetryEvent::BatchFormed {
+                    batch,
+                    class,
+                    count,
+                    batch_n,
+                    ..
+                } => vec![
+                    ("batch", batch.into()),
+                    ("class", class_name(class)),
+                    ("count", count.into()),
+                    ("batch_n", batch_n.into()),
+                ],
+                TelemetryEvent::Dispatch {
+                    batch,
+                    class,
+                    device,
+                    count,
+                    batch_n,
+                    service_ns,
+                    ..
+                } => vec![
+                    ("batch", batch.into()),
+                    ("class", class_name(class)),
+                    ("device", device.into()),
+                    ("count", count.into()),
+                    ("batch_n", batch_n.into()),
+                    ("service_ns", service_ns.into()),
+                ],
+                TelemetryEvent::Complete {
+                    id,
+                    class,
+                    batch,
+                    latency_ns,
+                    wait_ns,
+                    miss,
+                    cause,
+                    ..
+                } => vec![
+                    ("id", id.into()),
+                    ("class", class_name(class)),
+                    ("batch", batch.into()),
+                    ("latency_ns", latency_ns.into()),
+                    ("wait_ns", wait_ns.into()),
+                    ("miss", miss.into()),
+                    ("cause", cause.name().into()),
+                ],
+                TelemetryEvent::Gauge {
+                    ref depths,
+                    ref oldest_wait_ns,
+                    queued,
+                    busy_devices,
+                    inflight_batches,
+                    plans_ready,
+                    plans_building,
+                    ..
+                } => vec![
+                    ("depths", depths.clone().into()),
+                    ("oldest_wait_ns", oldest_wait_ns.clone().into()),
+                    ("queued", queued.into()),
+                    ("busy_devices", busy_devices.into()),
+                    ("inflight_batches", inflight_batches.into()),
+                    ("plans_ready", plans_ready.into()),
+                    ("plans_building", plans_building.into()),
+                ],
+                TelemetryEvent::Drift {
+                    class,
+                    observed_rps,
+                    assumed_rps,
+                    ratio,
+                    drifted,
+                    ..
+                } => vec![
+                    ("class", class_name(class)),
+                    ("observed_rps", observed_rps.into()),
+                    ("assumed_rps", assumed_rps.into()),
+                    ("ratio", ratio.into()),
+                    ("drifted", drifted.into()),
+                ],
+            };
+            let head = [
+                ("seq", seq.into()),
+                ("t", ev.t().into()),
+                ("kind", ev.kind().into()),
+            ];
+            let line = ctx
+                .iter()
+                .map(|&(k, v)| (k, v.into()))
+                .chain(head.into_iter().chain(fields))
+                .map(|(k, v)| (k.to_string(), v));
+            Json::Obj(line.collect()).render_into(&mut out);
+            out.push('\n');
+        }
+        out
     }
 
     // -- engine hooks (all no-ops when disabled) --

@@ -3,9 +3,9 @@
 //! Every line digests the complete `Debug` rendering of one run's
 //! [`RunStats`] and, with the recorder on, its [`Telemetry::to_jsonl`]
 //! export, whose order within an instant is the record order: the order in
-//! which the loop applied co-timed events. The scenarios are built around
-//! the loop's edge cases (`assert_shape` checks each one still poses its
-//! case):
+//! which the loop applied co-timed events. The export ends at the makespan,
+//! with the end-of-run gauge sample. The scenarios are built around the
+//! loop's edge cases (`assert_shape` checks each one still poses its case):
 //!
 //! * `cotimed` — zero-cost plans whose first arrivals share an instant with
 //!   other classes' arrivals, so a plan becomes ready between two arrivals
@@ -13,12 +13,14 @@
 //! * `zero_service` — a variant with zero service time, so a dispatch frees
 //!   its device at the instant it starts;
 //! * `tight_slo` — an SLO below the worst service time, so each request's
-//!   deadline poke lands at its own arrival;
+//!   latest safe start is its own arrival;
 //! * `unsorted` — a request slice out of arrival order, with ties;
 //! * `mmpp` — a `generate` MMPP-2 stream over three classes, overloaded in
 //!   its bursts on one device.
 //!
-//! Each runs on pools of 1 and 2, cold and warm, recorder off and on.
+//! Each runs on pools of 1 and 2, cold and warm, recorder off and on. The
+//! engine's unit tests compare it with the heap loop it replaced over
+//! generated scenarios (`engine::oracle`); this file pins the outputs.
 //!
 //! Regenerate only when an intentional engine change lands, with the same
 //! switch as the timing-model goldens:

@@ -3,11 +3,12 @@
 //! * **spans reconcile** — every completed request has a complete lifecycle
 //!   span with ordered edges (`arrival = enqueue ≤ dispatch ≤ complete`),
 //!   and span/miss/batch/histogram counts match [`RunStats`] exactly;
-//! * **export order** — [`Telemetry::drain_into`] replays events sorted by
+//! * **export order** — [`Telemetry::timeline`] yields events sorted by
 //!   `(timestamp, sequence)`, so completions recorded at dispatch time land
 //!   at their completion instant;
-//! * **gauges** — sampled on a strict tick grid covering the whole run,
-//!   with `queued` always the sum of the per-class depths;
+//! * **gauges** — sampled on a strict tick grid covering the whole run and
+//!   ending at the makespan, with `queued` always the sum of the per-class
+//!   depths; no drift event lies after the makespan;
 //! * **off path** — a disabled recorder records nothing and the engine's
 //!   stats are identical to the plain [`run`] path (the simprof contract:
 //!   observability off is bit-identical);
@@ -16,7 +17,7 @@
 
 use serve::engine::{run, run_recorded, EngineConfig};
 use serve::plan::{Plan, PlanVariant};
-use serve::telemetry::{MemSink, Telemetry, TelemetryEvent, TelemetryOptions};
+use serve::telemetry::{Telemetry, TelemetryEvent, TelemetryOptions};
 use serve::traffic::{Request, ShapeClass};
 use serve::LatencyHistogram;
 use tensor::XorShiftRng;
@@ -154,12 +155,10 @@ fn export_is_time_sorted_with_sequence_tiebreak() {
         let (classes, plans, requests, cfg) = scenario(&mut rng);
         let mut tel = Telemetry::new(opts());
         run_recorded(&cfg, &classes, &plans, &requests, &mut tel);
-        let mut sink = MemSink::default();
-        tel.drain_into(&mut sink);
-        assert_eq!(sink.events.len(), tel.events().len());
-        for pair in sink.events.windows(2) {
-            let (s0, e0) = (&pair[0].0, &pair[0].1);
-            let (s1, e1) = (&pair[1].0, &pair[1].1);
+        let timeline: Vec<(u64, &TelemetryEvent)> = tel.timeline().collect();
+        assert_eq!(timeline.len(), tel.events().len());
+        for pair in timeline.windows(2) {
+            let ((s0, e0), (s1, e1)) = (pair[0], pair[1]);
             assert!(
                 e0.t() < e1.t() || (e0.t() == e1.t() && s0 < s1),
                 "trial {trial}: export order violated at t={} seq={s0}",
@@ -225,9 +224,16 @@ fn gauges_tick_monotonically_and_reconcile() {
             );
             prev_ready = *plans_ready;
         }
+        assert_eq!(
+            prev.unwrap(),
+            stats.makespan_ns,
+            "trial {trial}: the gauge series covers the run and ends at the makespan"
+        );
         assert!(
-            prev.unwrap() >= stats.makespan_ns,
-            "trial {trial}: gauge grid covers the whole run"
+            tel.events()
+                .iter()
+                .all(|e| !matches!(e, TelemetryEvent::Drift { t, .. } if *t > stats.makespan_ns)),
+            "trial {trial}: no drift event after the makespan"
         );
     }
 }
