@@ -57,9 +57,11 @@ echo "== simspeed smoke =="
 # execution: runs the tracked simspeed matrix once (timing points plus two
 # launch_parallel points per device, the OURS and the cuDNN-like WINOGRAD
 # fused kernels) and verifies every point produces sane cycle, issue and
-# block counts. The geomean speedups against the committed
-# BENCH_simspeed.json, over all points and over the launch_parallel points,
-# are printed for information only. No wall-clock gate —
+# block counts. It is also an exactness gate on the hot loop: simspeed
+# exits 1 when a point's wave_cycles, issued, busy_sms or blocks differs
+# from the committed BENCH_simspeed.json. The geomean speedups against that
+# file, over all points and over the launch_parallel points, are printed
+# for information only. No wall-clock gate —
 # CI machines are too noisy for that; the tracked numbers live in
 # BENCH_simspeed.json (see EXPERIMENTS.md, "Simulator speed").
 ./target/release/simspeed --smoke --baseline BENCH_simspeed.json --json "$fresh/simspeed.json" \

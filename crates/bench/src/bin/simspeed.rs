@@ -23,13 +23,17 @@
 //! `blocks_per_sec` and the worker `threads` it ran on.
 //!
 //! The committed `BENCH_simspeed.json` at the repo root is this binary's
-//! output (see EXPERIMENTS.md "Simulator speed"); CI runs `--smoke`
-//! to assert the numbers are sane but never gates on wall-clock.
+//! output (see EXPERIMENTS.md "Simulator speed"); CI runs `--smoke
+//! --baseline BENCH_simspeed.json` to assert the numbers are sane and the
+//! simulated ones exact, but never gates on wall-clock.
 //!
 //! Flags: `--iters N` (default 3), `--json PATH` (default
 //! `BENCH_simspeed.json`), `--smoke` (1 iteration + sanity asserts),
 //! `--baseline PATH` (adds `speedup_vs_baseline` per point and prints the
-//! geomean, over all points and over the functional ones).
+//! geomean, over all points and over the functional ones; exits 1, after
+//! writing the report, when a point's deterministic fields — `wave_cycles`,
+//! `issued`, `busy_sms`, `blocks` — differ from the baseline's; a point
+//! the baseline lacks is not compared).
 //! `--cache`/`--no-cache` are accepted for flag parity with the
 //! other binaries and ignored: simspeed always simulates cold.
 
@@ -173,13 +177,33 @@ fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|s| s.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Look up `wall_ms` for the same (device, algo) point in a previous
+/// The metrics of the same (device, algo) point in a previous
 /// `BENCH_simspeed.json`.
-fn baseline_wall_ms(base: &bench::json::Json, device: &str, algo: &str) -> Option<f64> {
+fn baseline_metrics<'a>(
+    base: &'a bench::json::Json,
+    device: &str,
+    algo: &str,
+) -> Option<&'a bench::json::Json> {
     base.as_arr()?.iter().find_map(|r| {
         (r.get("device")?.as_str()? == device && r.get("config")?.get("algo")?.as_str()? == algo)
-            .then(|| r.get("metrics")?.get("wall_ms")?.as_f64())?
+            .then(|| r.get("metrics"))?
     })
+}
+
+/// Compare a point's simulated (deterministic) fields with its baseline
+/// metrics, recording each difference in `mismatches`.
+fn check_exact(
+    base: &bench::json::Json,
+    point: &str,
+    fields: &[(&str, u64)],
+    mismatches: &mut Vec<String>,
+) {
+    for &(name, value) in fields {
+        let was = base.get(name).and_then(|v| v.as_u64());
+        if was != Some(value) {
+            mismatches.push(format!("{point}: {name} {value}, baseline {was:?}"));
+        }
+    }
 }
 
 fn main() {
@@ -222,6 +246,7 @@ fn main() {
         "Minstr/s",
     ]);
     let mut speedups = Vec::new();
+    let mut mismatches = Vec::new();
     for p in &points {
         let wall_s = p.wall_ms / 1e3;
         let cps = p.wave_cycles as f64 / wall_s;
@@ -256,8 +281,18 @@ fn main() {
             ("sim_time_s", p.sim_time_s.into()),
             ("busy_sms", p.busy_sms.into()),
         ];
-        if let Some(base) = &baseline {
-            if let Some(b) = baseline_wall_ms(base, p.device, &p.label) {
+        if let Some(base) = baseline
+            .as_ref()
+            .and_then(|b| baseline_metrics(b, p.device, &p.label))
+        {
+            let exact = [
+                ("wave_cycles", p.wave_cycles),
+                ("issued", p.issued),
+                ("busy_sms", p.busy_sms.into()),
+            ];
+            let point = format!("{} {}", p.device, p.label);
+            check_exact(base, &point, &exact, &mut mismatches);
+            if let Some(b) = base.get("wall_ms").and_then(|v| v.as_f64()) {
                 let s = b / p.wall_ms;
                 speedups.push(s);
                 metrics.push(("speedup_vs_baseline", s.into()));
@@ -298,8 +333,13 @@ fn main() {
             ("blocks", p.blocks.into()),
             ("blocks_per_sec", blocks_per_sec.into()),
         ];
-        if let Some(base) = &baseline {
-            if let Some(b) = baseline_wall_ms(base, p.device, &p.label) {
+        if let Some(base) = baseline
+            .as_ref()
+            .and_then(|b| baseline_metrics(b, p.device, &p.label))
+        {
+            let point = format!("{} {}", p.device, p.label);
+            check_exact(base, &point, &[("blocks", p.blocks)], &mut mismatches);
+            if let Some(b) = base.get("wall_ms").and_then(|v| v.as_f64()) {
                 let s = b / p.wall_ms;
                 speedups.push(s);
                 launch_speedups.push(s);
@@ -335,4 +375,10 @@ fn main() {
         println!("\nsmoke OK: {n} points, all sane");
     }
     report.finish();
+    if !mismatches.is_empty() {
+        for m in &mismatches {
+            eprintln!("simspeed: simulated result differs from the baseline: {m}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -3,8 +3,8 @@
 //! The schedule autotuner (`sass::tune`) evaluates thousands of candidate
 //! streams that all share one baseline's *instructions* and differ only in
 //! control codes and intra-block order. Building a fresh `InstDesc` table
-//! per candidate would redo the operand analysis (source lists, bank-parity
-//! masks, reuse latches) for every proposal even though none of it changed.
+//! per candidate would redo the operand analysis (source lists, bank-conflict
+//! tables, reuse latches) for every proposal even though none of it changed.
 //! [`BatchTimer`] decodes the baseline once, then serves each candidate by
 //! cloning the baseline descriptor of the *same instruction* (located through
 //! the tuner's position map) and re-patching only the control-code-derived

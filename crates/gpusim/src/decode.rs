@@ -10,12 +10,10 @@
 //!   stall count, yield/reuse flags, read/write barriers);
 //! * the source-operand list of `Op::src_regs()` as a fixed array (reuse
 //!   accounting, strict-writeback poison checks, reuse-cache latching);
-//! * register-bank parity **bitmasks** for the conflict test — the old
+//! * a register-bank **conflict table** for FP32 ops — the old
 //!   `reg_bank_conflict` built two `Vec`s per FP32 issue; the descriptor
-//!   knows statically whether a conflict is even possible (fewer than three
-//!   distinct same-parity sources can never conflict, since the reuse cache
-//!   only ever removes bank reads) and otherwise resolves it by clearing
-//!   mask bits for reuse-covered registers.
+//!   holds the answer for every set of reuse-covered operand slots, so an
+//!   issue only forms the 4-bit coverage index and reads one bit.
 //!
 //! Everything here is observationally identical to the direct computation on
 //! [`Instruction`]; `gpusim/tests/hotloop_identity.rs` pins the end-to-end
@@ -79,17 +77,11 @@ pub(crate) struct InstDesc {
     nsrcs: u8,
     /// First source occurrence per operand slot — what `.reuse` latches.
     pub reuse_latch: [Option<Reg>; 4],
-    /// Distinct source registers by index parity, one bit per register pair
-    /// (`reg.0 >> 1`). Two 64-bit banks ⇒ three distinct same-parity reads
-    /// stall the FP32 pipe one extra cycle.
-    even_mask: u128,
-    odd_mask: u128,
-    /// Distinct source registers with the slot-mask of where they appear.
-    uniq: [(Reg, u8); MAX_SRCS],
-    nuniq: u8,
-    /// Static screen: with fewer than three distinct sources in either bank
-    /// the access can never conflict, whatever the reuse cache holds.
-    maybe_conflict: bool,
+    /// Register-bank conflicts of an FP32 op: bit `m` is set iff the op
+    /// conflicts when exactly the operand slots in the 4-bit mask `m` are
+    /// served by the reuse cache ([`conflict_table`]). Zero for every other
+    /// pipe, and for an FP32 op that can never conflict.
+    conflicts: u16,
 }
 
 /// The issue-to-next-issue stall of `inst`, floored at 1. The control
@@ -159,29 +151,14 @@ impl InstDesc {
         );
         let mut srcs = [(0u8, Reg(0)); MAX_SRCS];
         let mut reuse_latch = [None; 4];
-        let mut uniq: [(Reg, u8); MAX_SRCS] = [(Reg(0), 0); MAX_SRCS];
-        let mut nuniq = 0usize;
-        let (mut even_mask, mut odd_mask) = (0u128, 0u128);
         for (i, &(slot, r)) in occurrences.iter().enumerate() {
             srcs[i] = (slot, r);
             let latch = &mut reuse_latch[slot as usize];
             if latch.is_none() {
                 *latch = Some(r);
             }
-            match uniq[..nuniq].iter_mut().find(|(u, _)| *u == r) {
-                Some((_, slots)) => *slots |= 1 << slot,
-                None => {
-                    uniq[nuniq] = (r, 1 << slot);
-                    nuniq += 1;
-                    let bit = 1u128 << (r.0 >> 1);
-                    if r.0 & 1 == 0 {
-                        even_mask |= bit;
-                    } else {
-                        odd_mask |= bit;
-                    }
-                }
-            }
         }
+        let pipe = pipe_of(op);
         let strict_ld = match *op {
             Op::Ld { d, width, .. } if !d.is_rz() && inst.ctrl.write_bar.is_some() => {
                 Some((d.0, width.regs()))
@@ -196,7 +173,7 @@ impl InstDesc {
             _ => MemKind::NotMem,
         };
         InstDesc {
-            pipe: pipe_of(op),
+            pipe,
             mem,
             flops_x32: flops_of(op) * 32,
             stall_cycles: stall_cycles(inst),
@@ -211,12 +188,20 @@ impl InstDesc {
             srcs,
             nsrcs: occurrences.len() as u8,
             reuse_latch,
-            even_mask,
-            odd_mask,
-            uniq,
-            nuniq: nuniq as u8,
-            maybe_conflict: even_mask.count_ones() >= 3 || odd_mask.count_ones() >= 3,
+            conflicts: if pipe == PipeKind::Fp32 {
+                conflict_table(&occurrences)
+            } else {
+                0
+            },
         }
+    }
+
+    /// Whether a timing run only advances the PC past this instruction: it
+    /// is outside the timing slice, and neither a memory access (whose
+    /// addresses the loop reads) nor control flow.
+    #[inline]
+    pub fn pc_only(&self) -> bool {
+        self.effects == Effects::NoData && !matches!(self.pipe, PipeKind::Mio | PipeKind::Ctrl)
     }
 
     /// Source occurrences in `Op::src_regs()` order (RZ never appears).
@@ -229,7 +214,7 @@ impl InstDesc {
     /// the operand analysis. This is the batch-evaluation fast path
     /// ([`crate::batch::BatchTimer`]): a schedule-tuner candidate differs
     /// from its baseline only in control codes and instruction order, so the
-    /// expensive op-derived fields (pipe, FLOPs, source lists, bank masks)
+    /// expensive op-derived fields (pipe, FLOPs, source lists, conflict table)
     /// can be cloned from the baseline descriptor of the *same* instruction
     /// and only this part recomputed. `inst.op` must match the op this
     /// descriptor was decoded from.
@@ -249,39 +234,63 @@ impl InstDesc {
         };
     }
 
-    /// Extra FP32-pipe cycle from a register-bank conflict, given the warp's
-    /// current reuse-cache state.
-    ///
-    /// Volta/Turing have two 64-bit banks (even/odd register index). Per the
-    /// paper's footnote 6, an FFMA whose three source registers all fall in
-    /// one bank occupies the pipe one extra cycle; operands served from the
-    /// reuse cache don't touch the bank. A register reads its bank iff *some*
-    /// slot naming it is not covered by the cache.
+    /// Extra FP32-pipe cycle from a register-bank conflict of this FP32
+    /// instruction, given the warp's reuse-cache state. A slot is covered
+    /// when the cache holds the register this instruction names there, and
+    /// the covered slots index the [`conflict_table`].
     #[inline]
     pub fn bank_conflict(&self, reuse_cache: &[Option<Reg>; 4]) -> bool {
-        if !self.maybe_conflict {
+        if self.conflicts == 0 {
             return false;
         }
-        let (mut even, mut odd) = (self.even_mask, self.odd_mask);
-        for &(r, slots) in &self.uniq[..self.nuniq as usize] {
-            let mut banked = false;
-            for sl in 0..4u8 {
-                if slots & (1 << sl) != 0 && reuse_cache[sl as usize] != Some(r) {
-                    banked = true;
-                    break;
-                }
-            }
-            if !banked {
-                let bit = 1u128 << (r.0 >> 1);
-                if r.0 & 1 == 0 {
-                    even &= !bit;
-                } else {
-                    odd &= !bit;
-                }
+        let mut covered = 0;
+        for (sl, (&latch, &cached)) in self.reuse_latch.iter().zip(reuse_cache).enumerate() {
+            if latch.is_some() && cached == latch {
+                covered |= 1 << sl;
             }
         }
-        even.count_ones() >= 3 || odd.count_ones() >= 3
+        self.conflicts >> covered & 1 != 0
     }
+}
+
+/// The register-bank conflict table of an FP32 op's source occurrences:
+/// bit `m` is set iff the op conflicts when the reuse cache serves exactly
+/// the operand slots in the 4-bit mask `m`.
+///
+/// Volta/Turing have two 64-bit banks (even/odd register index). Per the
+/// paper's footnote 6, an FFMA whose three source registers all fall in
+/// one bank occupies the pipe one extra cycle; operands served from the
+/// reuse cache don't touch the bank. A register reads its bank iff *some*
+/// slot naming it is not covered by the cache. An FP32 op names one
+/// register per slot, so which slots are covered decides which registers
+/// read their bank, and the table is exact. A mask that covers a slot with
+/// no register cannot occur, and its bit stays clear.
+fn conflict_table(occurrences: &[(u8, Reg)]) -> u16 {
+    let present = occurrences.iter().fold(0u8, |m, &(slot, _)| m | 1 << slot);
+    assert_eq!(
+        present.count_ones() as usize,
+        occurrences.len(),
+        "an FP32 op names one register per operand slot"
+    );
+    let mut table = 0u16;
+    for covered in 0..16u8 {
+        if covered & !present != 0 {
+            continue;
+        }
+        // Distinct banked registers by index parity, one bit per register
+        // pair (`reg.0 >> 1`).
+        let (mut even, mut odd) = (0u128, 0u128);
+        for &(slot, r) in occurrences {
+            if covered & 1 << slot == 0 {
+                let bank = if r.0 & 1 == 0 { &mut even } else { &mut odd };
+                *bank |= 1 << (r.0 >> 1);
+            }
+        }
+        if even.count_ones() >= 3 || odd.count_ones() >= 3 {
+            table |= 1 << covered;
+        }
+    }
+    table
 }
 
 /// Build the descriptor table for a launch: one entry per PC.
@@ -300,7 +309,7 @@ mod tests {
     use sass::assemble;
 
     /// The pre-descriptor implementation of the conflict test, kept as the
-    /// reference the bitmask version must match for every reuse state.
+    /// reference the conflict table must match for every reuse state.
     fn reference_conflict(inst: &Instruction, reuse_cache: &[Option<Reg>; 4]) -> bool {
         let mut even = Vec::new();
         let mut odd = Vec::new();
@@ -379,23 +388,21 @@ mod tests {
         assert_eq!(table[9].strict_ld, None);
     }
 
-    #[test]
-    fn bank_conflict_matches_reference_for_all_reuse_states() {
-        let m = sample_module();
-        let table = decode_module(&m.insts, None);
-        // Enumerate reuse-cache states over the registers each instruction
-        // actually names (plus None and an unrelated register).
-        for (pc, (inst, d)) in m.insts.iter().zip(&table).enumerate() {
-            let mut regs: Vec<Option<Reg>> = vec![None, Some(Reg(99))];
-            regs.extend(inst.op.src_regs().iter().map(|&(_, r)| Some(r)));
-            for &a in &regs {
-                for &b in &regs {
-                    for &c in &regs {
-                        let cache = [a, b, c, None];
+    /// Check `d.bank_conflict` against the reference for every reuse-cache
+    /// state over the registers `inst` names, `None` and an unrelated
+    /// register, in all four slots.
+    fn check_all_reuse_states(inst: &Instruction, d: &InstDesc, what: &str) {
+        let mut regs: Vec<Option<Reg>> = vec![None, Some(Reg(99))];
+        regs.extend(inst.op.src_regs().iter().map(|&(_, r)| Some(r)));
+        for &a in &regs {
+            for &b in &regs {
+                for &c in &regs {
+                    for &e in &regs {
+                        let cache = [a, b, c, e];
                         assert_eq!(
                             d.bank_conflict(&cache),
                             reference_conflict(inst, &cache),
-                            "pc {pc} cache {cache:?}"
+                            "{what} cache {cache:?}"
                         );
                     }
                 }
@@ -403,8 +410,90 @@ mod tests {
         }
     }
 
-    /// Three distinct even sources conflict; the static screen filters a
-    /// two-source op before any per-issue work.
+    #[test]
+    fn bank_conflict_matches_reference_for_all_reuse_states() {
+        // The conflict test is defined for the FP32 pipe, the only one that
+        // charges it.
+        let m = sample_module();
+        let table = decode_module(&m.insts, None);
+        for (pc, (inst, d)) in m.insts.iter().zip(&table).enumerate() {
+            if d.pipe == PipeKind::Fp32 {
+                check_all_reuse_states(inst, d, &format!("pc {pc}"));
+            }
+        }
+        // Generated FP32 ops over small register pools, so that a register
+        // repeated across slots and three same-parity sources are both
+        // common: each instruction draws its registers from the even pool,
+        // the odd pool or a mixed pool with RZ. 2,000 instructions, each
+        // under every cache state above (up to 6^4 = 1,296).
+        use sass::reg::RZ;
+        const POOLS: [[Reg; 4]; 3] = [
+            [Reg(0), Reg(2), Reg(4), Reg(6)],
+            [Reg(1), Reg(3), Reg(5), Reg(7)],
+            [Reg(0), Reg(1), Reg(2), RZ],
+        ];
+        let mut rng = tensor::XorShiftRng::new(0xC0F1_1C75);
+        let (mut conflicting, mut repeated) = (0, 0);
+        for case in 0..2_000 {
+            let pool = POOLS[rng.gen_index(3)];
+            let reg = |rng: &mut tensor::XorShiftRng| pool[rng.gen_index(4)];
+            let (d, a, c) = (reg(&mut rng), reg(&mut rng), reg(&mut rng));
+            // `B` is a register three times in four, else an immediate.
+            let b = if rng.gen_index(4) == 0 {
+                sass::isa::SrcB::Imm(0x3f80_0000)
+            } else {
+                sass::isa::SrcB::Reg(reg(&mut rng))
+            };
+            let op = match rng.gen_index(7) {
+                0 | 1 => Op::Ffma {
+                    d,
+                    a,
+                    b,
+                    c,
+                    neg_b: false,
+                    neg_c: false,
+                },
+                2 => Op::Fadd {
+                    d,
+                    a,
+                    neg_a: false,
+                    b,
+                    neg_b: false,
+                },
+                3 => Op::Fmul {
+                    d,
+                    a,
+                    b,
+                    neg_b: false,
+                },
+                4 => Op::Fsetp {
+                    p: sass::reg::Pred(0),
+                    cmp: sass::isa::CmpOp::Gt,
+                    a,
+                    b,
+                    combine: sass::isa::PredSrc::pt(),
+                },
+                _ => Op::Hfma2 { d, a, b, c },
+            };
+            let inst = Instruction::new(op);
+            let desc = InstDesc::decode(&inst, 0, None, Effects::NoData);
+            assert_eq!(desc.pipe, PipeKind::Fp32);
+            conflicting += usize::from(desc.bank_conflict(&[None; 4]));
+            let srcs = inst.op.src_regs();
+            repeated +=
+                usize::from((1..srcs.len()).any(|i| srcs[..i].iter().any(|p| p.1 == srcs[i].1)));
+            check_all_reuse_states(&inst, &desc, &format!("case {case} {op:?}"));
+        }
+        // The generator reaches both interesting shapes often.
+        assert!(
+            conflicting > 100 && repeated > 100,
+            "{conflicting} {repeated}"
+        );
+    }
+
+    /// Three distinct even sources conflict unless reuse covers one; an op
+    /// with fewer than three sources per bank has an empty table, which
+    /// skips the per-issue work.
     #[test]
     fn static_screen_and_masks() {
         let m = assemble(
@@ -412,11 +501,17 @@ mod tests {
         )
         .unwrap();
         let t = decode_module(&m.insts, None);
-        assert!(t[0].maybe_conflict);
+        // Slots 0–2 name R2, R4, R6: only the uncovered state conflicts.
+        assert_eq!(t[0].conflicts, 0b1);
         assert!(t[0].bank_conflict(&[None; 4]));
         // Covering one even source by reuse removes the conflict.
         assert!(!t[0].bank_conflict(&[Some(Reg(2)), None, None, None]));
-        assert!(!t[1].maybe_conflict);
+        // A latched register in a slot that names another one covers
+        // nothing.
+        assert!(t[0].bank_conflict(&[Some(Reg(4)), None, None, Some(Reg(6))]));
+        assert_eq!(t[1].conflicts, 0);
         assert!(!t[1].bank_conflict(&[None; 4]));
+        // Only FP32 ops carry a table.
+        assert_eq!(t[2].conflicts, 0);
     }
 }

@@ -193,19 +193,14 @@ struct SmState {
 impl SmState {
     fn new(cx: &Ctx<'_>, sm: u64) -> Self {
         let count = cx.count(sm);
-        let Launch {
-            device,
-            module,
-            resident,
-            ..
-        } = *cx.launch;
+        let resident = cx.launch.resident;
         SmState {
             sm,
             full: count / resident as u64,
             rem: (count % resident as u64) as u32,
             w: 0,
             prev_cycles: None,
-            carry: SmCarry::new(device, module.info.smem_bytes, resident),
+            carry: SmCarry::new(cx.launch),
             acc: SmAcc::default(),
         }
     }

@@ -5,8 +5,10 @@
 //! model in [`crate::timing`], which executes instructions at issue time so
 //! that memory addresses — and therefore bank conflicts and cache
 //! behaviour — are exact rather than statistical. The launcher runs every
-//! instruction with [`Effects::All`]; the timing model runs those outside
-//! its timing slice ([`crate::slice`]) with [`Effects::NoData`].
+//! instruction with [`Effects::All`]; the timing model runs the memory
+//! accesses and control flow outside its timing slice ([`crate::slice`])
+//! with [`Effects::NoData`], and moves the PC past the other instructions
+//! there itself.
 //!
 //! Divergence is handled SIMT-style with a set of `(mask, pc)` execution
 //! contexts per warp; the context with the smallest PC runs next, and
@@ -183,8 +185,8 @@ pub enum Effects {
     /// What steers the warp and where it touches memory, and no data:
     /// control flow runs in full, a memory access computes, checks and
     /// traces its addresses but moves nothing, and any other instruction
-    /// only advances the PC. The timing model runs the instructions outside
-    /// its timing slice ([`crate::slice`]) this way.
+    /// only advances the PC. The timing model runs the memory accesses and
+    /// control flow outside its timing slice ([`crate::slice`]) this way.
     NoData,
 }
 
@@ -935,7 +937,10 @@ fn push_ctx(warp: &mut Warp, ctx: WarpCtx) {
     warp.ctxs.push(ctx);
 }
 
-fn advance_ctx(warp: &mut Warp, pc: u32) {
+/// Move the lanes of `warp`'s context at `pc` on to `pc + 1`, merging them
+/// into a context already there: all that [`step`] does for an instruction
+/// that only advances the PC.
+pub(crate) fn advance_ctx(warp: &mut Warp, pc: u32) {
     // A converged warp has nothing to merge with: bump its PC in place.
     if let [only] = warp.ctxs.as_mut_slice() {
         if only.pc == pc {

@@ -51,7 +51,7 @@ use crate::counters::{CounterCollector, HwCounters};
 use crate::decode::{decode_module, InstDesc, MemKind, PipeKind};
 use crate::device::DeviceSpec;
 use crate::device_sim::{self, DeviceTrace};
-use crate::exec::{step, Effects, ExecEnv, MemTrace, StepEvent, Warp, WARP_SIZE};
+use crate::exec::{advance_ctx, step, Effects, ExecEnv, MemTrace, StepEvent, Warp, WARP_SIZE};
 use crate::launch::{run_block, Gpu, LaunchDims, LaunchError};
 use crate::memory::{ConstBank, GlobalMemory};
 use crate::simprof::{Collector, KernelProfile, SchedClass, StallCause};
@@ -186,56 +186,66 @@ impl KernelTiming {
 /// Set-associative, sectored L2 with LRU replacement. Presence is tracked
 /// at 32 B sector granularity, like the real cache: a miss fills only the
 /// missing sector, so DRAM traffic is counted per sector.
+///
+/// The sets share one flat tag array, [`L2_WAYS`] entries per set, and the
+/// first `len[set]` tags of a set are its sectors in most-recently-used
+/// order: a hit moves its tag to the front, a miss inserts at the front,
+/// and a full set drops its last tag, the least recently used one.
 pub(crate) struct L2Cache {
-    sets: Vec<Vec<(u64, u64)>>, // (sector tag, last-use stamp)
-    ways: usize,
+    tags: Vec<u64>,
+    len: Vec<u8>,
     num_sets: u64,
-    stamp: u64,
 }
 
 const L2_LINE: u64 = 32;
+const L2_WAYS: usize = 16;
 
 impl L2Cache {
     fn new(bytes: u64) -> Self {
-        let ways = 16usize;
-        let num_sets = (bytes / L2_LINE / ways as u64).max(1);
+        let num_sets = (bytes / L2_LINE / L2_WAYS as u64).max(1);
         L2Cache {
-            sets: vec![Vec::new(); num_sets as usize],
-            ways,
+            tags: vec![0; num_sets as usize * L2_WAYS],
+            len: vec![0; num_sets as usize],
             num_sets,
-            stamp: 0,
         }
+    }
+
+    /// The sector tag of `addr`, its set's tag slots and their fill count.
+    fn set(&mut self, addr: u64) -> (u64, &mut [u64], &mut u8) {
+        let line = addr / L2_LINE;
+        let set = (line % self.num_sets) as usize;
+        let ways = &mut self.tags[set * L2_WAYS..(set + 1) * L2_WAYS];
+        (line, ways, &mut self.len[set])
     }
 
     /// Drop a sector if present (store-coherence for the L1 model).
     fn invalidate(&mut self, addr: u64) {
-        let line = addr / L2_LINE;
-        let set = (line % self.num_sets) as usize;
-        self.sets[set].retain(|e| e.0 != line);
+        let (line, ways, len) = self.set(addr);
+        let n = *len as usize;
+        if let Some(i) = ways[..n].iter().position(|&t| t == line) {
+            ways.copy_within(i + 1..n, i);
+            *len -= 1;
+        }
     }
 
     /// Access one 32 B sector; returns true on hit.
     fn access(&mut self, addr: u64) -> bool {
-        let line = addr / L2_LINE;
-        let set = (line % self.num_sets) as usize;
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let entries = &mut self.sets[set];
-        if let Some(e) = entries.iter_mut().find(|e| e.0 == line) {
-            e.1 = stamp;
-            return true;
-        }
-        if entries.len() >= self.ways {
-            let lru = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.1)
-                .map(|(i, _)| i)
-                .unwrap();
-            entries.swap_remove(lru);
-        }
-        entries.push((line, stamp));
-        false
+        let (line, ways, len) = self.set(addr);
+        let n = *len as usize;
+        let hit = ways[..n].iter().position(|&t| t == line);
+        // Shift the more recent tags back by one over the hit's slot, or
+        // over the first free slot (the last tag, when the set is full).
+        let end = match hit {
+            Some(i) => i,
+            None if n < L2_WAYS => {
+                *len += 1;
+                n
+            }
+            None => L2_WAYS - 1,
+        };
+        ways.copy_within(..end, 1);
+        ways[0] = line;
+        hit.is_some()
     }
 }
 
@@ -328,6 +338,80 @@ fn conflict_degree(chunk: &[u32], words_per_lane: u32) -> u32 {
         }
     }
     per_bank.iter().copied().max().unwrap().max(1)
+}
+
+/// One warp's last shared-memory access at one PC, and its phase count.
+///
+/// Moving every address of a list by the same multiple of 128 bytes, the
+/// bank period, changes no lane's bank and no same-word relation, so the
+/// moved list costs the phases the memoised one did. (`exec` faults a wide
+/// access that is not aligned to its width, so no lane's words straddle
+/// the wrap of the 32-bit address space.) A fresh memo holds the empty
+/// list, which takes no phases.
+#[derive(Clone, Copy, Default)]
+struct PhaseMemo {
+    addrs: [u32; 32],
+    len: u8,
+    phases: u32,
+}
+
+impl PhaseMemo {
+    /// `smem_phases(addrs, width)`, for the one access width of the memo's
+    /// PC: the memoised count when `addrs` is the memoised list moved as a
+    /// whole by a multiple of 128 bytes, else a fresh count, memoised.
+    fn phases(&mut self, addrs: &[u32], width: u32) -> u32 {
+        let n = addrs.len();
+        if n == self.len as usize {
+            let old = &self.addrs[..n];
+            let shift = addrs.first().map_or(0, |&a| a.wrapping_sub(old[0]));
+            if shift.is_multiple_of(128)
+                && addrs
+                    .iter()
+                    .zip(old)
+                    .all(|(&a, &o)| a.wrapping_sub(o) == shift)
+            {
+                return self.phases;
+            }
+        }
+        self.phases = smem_phases(addrs, width);
+        self.addrs[..n].copy_from_slice(addrs);
+        self.len = n as u8;
+        self.phases
+    }
+}
+
+/// The [`PhaseMemo`]s of one SM, one per (shared-memory PC, warp slot).
+struct PhaseMemos {
+    /// Each PC's row of memos; `u32::MAX` for a PC that is no shared-memory
+    /// access.
+    row: Vec<u32>,
+    warps: usize,
+    memos: Vec<PhaseMemo>,
+}
+
+impl PhaseMemos {
+    fn new(table: &[InstDesc], warps: usize) -> Self {
+        let mut rows = 0u32;
+        let row = table
+            .iter()
+            .map(|d| {
+                if d.mem != MemKind::Shared {
+                    return u32::MAX;
+                }
+                rows += 1;
+                rows - 1
+            })
+            .collect();
+        PhaseMemos {
+            row,
+            warps,
+            memos: vec![PhaseMemo::default(); rows as usize * warps],
+        }
+    }
+
+    fn get(&mut self, pc: u32, warp: usize) -> &mut PhaseMemo {
+        &mut self.memos[self.row[pc as usize] as usize * self.warps + warp]
+    }
 }
 
 /// The distinct 32 B sectors (address / 32, ascending) touched by a global
@@ -532,14 +616,10 @@ impl Gates {
     }
 }
 
-/// Set or clear `bit` in `mask`.
+/// Set or clear `bit` in `mask`, without a branch.
 #[inline]
 fn set_bit(mask: &mut u64, bit: u64, on: bool) {
-    if on {
-        *mask |= bit;
-    } else {
-        *mask &= !bit;
-    }
+    *mask = *mask & !bit | bit & u64::from(on).wrapping_neg();
 }
 
 /// Which of a scheduler's issue pipes cannot accept an instruction this
@@ -555,8 +635,9 @@ struct PipesBusy {
 /// values). Only the masked lanes are written back — exactly the lanes the
 /// (possibly predicated) load produced, like hardware. Scoreboard events are
 /// keyed by `(warp, barrier)` in the wave's [`TimeQueue`], preserving the
-/// old `(cycle, warp, barrier)` delivery order exactly.
-type Writeback = Option<(u8, u32, Vec<[u32; 32]>)>;
+/// old `(cycle, warp, barrier)` delivery order exactly; the data is boxed
+/// so that a queue entry stays 32 bytes.
+type Writeback = Option<Box<(u8, u32, Vec<[u32; 32]>)>>;
 
 // ---- per-SM wave simulation (shared with `device_sim`) -----------------------
 
@@ -570,23 +651,36 @@ pub(crate) struct SmCarry {
     /// Residual memory-backend backlog at wave end, in cycles of service
     /// still queued (the next wave starts with its `mem_q` at this bound).
     pub(crate) mem_q: f64,
+    /// Host-side memo of shared-memory phase counts; no model state, so
+    /// any wave may read what an earlier one memoised.
+    phase_memos: PhaseMemos,
 }
 
 impl SmCarry {
-    pub(crate) fn new(device: &DeviceSpec, smem_bytes: u32, resident: u32) -> Self {
+    pub(crate) fn new(launch: &Launch<'_>) -> Self {
+        let Launch {
+            device,
+            module,
+            table,
+            dims,
+            resident,
+            ..
+        } = *launch;
         // L1: whatever the combined L1/shared capacity leaves after the
         // resident blocks' shared-memory allocations. Sectored,
         // write-through/no-allocate. The L2 is modelled at full device
         // capacity per SM — the paper's kernels share their hot (filter)
         // data across SMs, so symmetric sharing is the closest cheap model.
-        let smem_used = resident as u64 * smem_bytes as u64;
+        let smem_used = resident as u64 * module.info.smem_bytes as u64;
         let l1_bytes = (device.l1_smem_combined as u64)
             .saturating_sub(smem_used)
             .max(4 * 1024);
+        let warps = resident as usize * dims.threads_per_block().div_ceil(WARP_SIZE) as usize;
         SmCarry {
             l2: L2Cache::new(device.l2_bytes),
             l1: L2Cache::new(l1_bytes),
             mem_q: 0.0,
+            phase_memos: PhaseMemos::new(table, warps),
         }
     }
 }
@@ -811,7 +905,7 @@ fn one_wave(mem: &GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming, Lau
         .map(|b| grid_coord(dims, b + warm as u64))
         .collect();
 
-    let mut carry = SmCarry::new(device, module.info.smem_bytes, resident);
+    let mut carry = SmCarry::new(launch);
     if warm {
         // Execute block 0, inserting every global-memory sector it touches
         // into the L2 model.
@@ -954,9 +1048,10 @@ pub(crate) fn simulate_wave(
         })
         .collect();
 
-    let mut events: TimeQueue<(usize, u8), Writeback> = TimeQueue::new();
+    let mut events: TimeQueue<(u8, u8), Writeback> = TimeQueue::new();
     let l2 = &mut carry.l2;
     let l1 = &mut carry.l1;
+    let phase_memos = &mut carry.phase_memos;
 
     // Per-scheduler state.
     let mut fp_busy = vec![0u64; schedulers];
@@ -1022,7 +1117,8 @@ pub(crate) fn simulate_wave(
         // Deliver due scoreboard completions.
         while events.peek_time().is_some_and(|t| t <= cycle) {
             let (_, (warp, barrier), wb) = events.pop().unwrap();
-            if let Some((reg0, mask, values)) = &wb {
+            let warp = warp as usize;
+            if let Some((reg0, mask, values)) = wb.as_deref() {
                 for (j, vals) in values.iter().enumerate() {
                     let reg = &mut slots[warp].warp.regs[*reg0 as usize + j];
                     for lane in 0..32 {
@@ -1135,8 +1231,12 @@ pub(crate) fn simulate_wave(
                     }
                 }
             }
-            let event = {
-                let slot = &mut slots[chosen];
+            let event = if !opts.strict_writeback && desc.pc_only() {
+                // All `step` would do. The trace keeps the last memory
+                // access's addresses, which only a memory access reads.
+                advance_ctx(&mut slots[chosen].warp, pc);
+                StepEvent::Executed
+            } else {
                 let mut env = ExecEnv {
                     global: mem,
                     smem: &mut smems[block],
@@ -1151,7 +1251,7 @@ pub(crate) fn simulate_wave(
                     desc.effects
                 };
                 step(
-                    &mut slot.warp,
+                    &mut slots[chosen].warp,
                     &module.insts,
                     &mut env,
                     (chosen % warps_per_block) as u32,
@@ -1178,7 +1278,7 @@ pub(crate) fn simulate_wave(
             // Strict writeback: capture the freshly-loaded destination
             // registers, poison them, and defer the real values to the
             // scoreboard-completion event.
-            let mut wb: Option<(u8, u32, Vec<[u32; 32]>)> = None;
+            let mut wb: Writeback = None;
             if opts.strict_writeback && !trace.is_store && trace.exec_mask != 0 {
                 if let Some((reg0, nregs)) = desc.strict_ld {
                     let n = nregs as usize;
@@ -1193,7 +1293,7 @@ pub(crate) fn simulate_wave(
                             }
                         }
                     }
-                    wb = Some((reg0, trace.exec_mask, vals));
+                    wb = Some(Box::new((reg0, trace.exec_mask, vals)));
                 }
             }
 
@@ -1248,7 +1348,10 @@ pub(crate) fn simulate_wave(
                     let start = mio_busy.max(cycle);
                     match desc.mem {
                         MemKind::Shared => {
-                            let phases = smem_phases(&trace.shared_addrs, trace.width) as u64;
+                            let phases = phase_memos
+                                .get(pc, chosen)
+                                .phases(&trace.shared_addrs, trace.width)
+                                as u64;
                             let ideal = (trace.width as u64 * trace.shared_addrs.len() as u64)
                                 .div_ceil(128);
                             let extra = phases.saturating_sub(ideal.max(1));
@@ -1278,11 +1381,11 @@ pub(crate) fn simulate_wave(
                             let done = mio_busy + device.smem_latency as u64;
                             if let Some(b) = desc.write_bar {
                                 gates.sb_add(chosen, b);
-                                events.push(done, (chosen, b), wb.take());
+                                events.push(done, (chosen as u8, b), wb.take());
                             }
                             if let Some(b) = desc.read_bar {
                                 gates.sb_add(chosen, b);
-                                events.push(mio_busy + 2, (chosen, b), None);
+                                events.push(mio_busy + 2, (chosen as u8, b), None);
                             }
                         }
                         MemKind::Global => {
@@ -1353,17 +1456,17 @@ pub(crate) fn simulate_wave(
                                 // Stores: sources are read at MIO entry.
                                 if let Some(b) = desc.read_bar {
                                     gates.sb_add(chosen, b);
-                                    events.push(mio_busy + 2, (chosen, b), None);
+                                    events.push(mio_busy + 2, (chosen as u8, b), None);
                                 }
                             } else {
                                 let done = (mio_busy + worst).max(backend_done);
                                 if let Some(b) = desc.write_bar {
                                     gates.sb_add(chosen, b);
-                                    events.push(done, (chosen, b), wb.take());
+                                    events.push(done, (chosen as u8, b), wb.take());
                                 }
                                 if let Some(b) = desc.read_bar {
                                     gates.sb_add(chosen, b);
-                                    events.push(mio_busy + 2, (chosen, b), None);
+                                    events.push(mio_busy + 2, (chosen as u8, b), None);
                                 }
                             }
                         }
@@ -1594,6 +1697,192 @@ mod tests {
         assert_eq!(smem_phases(&addrs, 8), 2);
         // Predicated-off access (no active lanes) takes no phases.
         assert_eq!(smem_phases(&[], 4), 0);
+    }
+
+    /// Moving a whole address list by a multiple of 128 bytes, wrapping,
+    /// leaves its phase count alone: 20,000 generated lists of widths
+    /// 4/8/16, full or partial, from pools of one word (broadcast) to a
+    /// million, at strides that spread, conflict or both. Each lane is
+    /// aligned to its width, as `exec` requires, and the bases and moves
+    /// range over the whole 32-bit space, so moves wrap.
+    #[test]
+    fn smem_phases_ignore_whole_list_moves_by_the_bank_period() {
+        let mut rng = tensor::XorShiftRng::new(0xBA4C_0128);
+        let (mut conflicting, mut wrapped) = (0, 0);
+        for case in 0..20_000 {
+            let width = [4u32, 8, 16][rng.gen_index(3)];
+            let lanes = if rng.gen_index(2) == 0 {
+                32
+            } else {
+                rng.gen_index(33)
+            };
+            let pool = [1usize, 4, 64, 1 << 20][rng.gen_index(4)];
+            let stride = [width, 128, 128 + width, 4 * width][rng.gen_index(4)];
+            let base = rng.next_u32() & !(width - 1);
+            let addrs: Vec<u32> = (0..lanes)
+                .map(|_| base.wrapping_add(rng.gen_index(pool) as u32 * stride))
+                .collect();
+            let by = rng.next_u32().wrapping_mul(128);
+            let moved: Vec<u32> = addrs.iter().map(|a| a.wrapping_add(by)).collect();
+            let phases = smem_phases(&addrs, width);
+            assert_eq!(
+                phases,
+                smem_phases(&moved, width),
+                "case {case}: width {width} by {by:#x} addrs {addrs:x?}"
+            );
+            let ideal = (lanes as u32 * width).div_ceil(128);
+            conflicting += usize::from(phases > ideal);
+            wrapped += usize::from(addrs.iter().zip(&moved).any(|(a, m)| m < a));
+        }
+        assert!(
+            conflicting > 1_000 && wrapped > 1_000,
+            "{conflicting} {wrapped}"
+        );
+    }
+
+    /// The memo serves a list moved as a whole by a multiple of 128 bytes,
+    /// and recounts when one lane moves differently from the rest, or when
+    /// the list's length changes.
+    #[test]
+    fn phase_memo_recounts_unless_the_whole_list_moved() {
+        let mut memo = PhaseMemo::default();
+        assert_eq!(memo.phases(&[], 4), 0);
+        // 32-bit unit stride: one phase.
+        let unit: Vec<u32> = (0..32).map(|l| 4096 + l * 4).collect();
+        assert_eq!(memo.phases(&unit, 4), 1);
+        let moved: Vec<u32> = unit.iter().map(|a| a + 256).collect();
+        assert_eq!(memo.phases(&moved, 4), 1);
+        // Lane 0 moves like the rest, lane 1 by 124 bytes more: it lands on
+        // lane 0's bank, a different word, so the phase doubles.
+        let mut skewed = moved.clone();
+        skewed[1] = moved[0] + 128;
+        assert_eq!(memo.phases(&skewed, 4), 2);
+        // A whole-list move of the skewed list keeps its count.
+        let back: Vec<u32> = skewed.iter().map(|a| a - 128).collect();
+        assert_eq!(memo.phases(&back, 4), 2);
+        // Dropping the last lane keeps lane 1's conflict; dropping lane 1
+        // too (a shorter list that is a move of nothing memoised) removes
+        // it.
+        assert_eq!(memo.phases(&back[..31], 4), 2);
+        let no_lane1: Vec<u32> = [&back[..1], &back[2..31]].concat();
+        assert_eq!(memo.phases(&no_lane1, 4), 1);
+    }
+
+    /// The stamp-LRU cache that the flat sets replaced, kept as their
+    /// oracle: each set a list of `(sector tag, last-use stamp)` that
+    /// evicts its least stamp.
+    struct StampCache {
+        sets: Vec<Vec<(u64, u64)>>,
+        num_sets: u64,
+        stamp: u64,
+    }
+
+    impl StampCache {
+        fn new(bytes: u64) -> Self {
+            let num_sets = (bytes / L2_LINE / L2_WAYS as u64).max(1);
+            StampCache {
+                sets: vec![Vec::new(); num_sets as usize],
+                num_sets,
+                stamp: 0,
+            }
+        }
+
+        fn invalidate(&mut self, addr: u64) {
+            let line = addr / L2_LINE;
+            let set = (line % self.num_sets) as usize;
+            self.sets[set].retain(|e| e.0 != line);
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr / L2_LINE;
+            let set = (line % self.num_sets) as usize;
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let entries = &mut self.sets[set];
+            if let Some(e) = entries.iter_mut().find(|e| e.0 == line) {
+                e.1 = stamp;
+                return true;
+            }
+            if entries.len() >= L2_WAYS {
+                let lru = entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.1)
+                    .map(|(i, _)| i)
+                    .unwrap();
+                entries.swap_remove(lru);
+            }
+            entries.push((line, stamp));
+            false
+        }
+
+        /// The tags of set `set`, most recently used first.
+        fn set_tags(&self, set: usize) -> Vec<u64> {
+            let mut entries = self.sets[set].clone();
+            entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.1));
+            entries.into_iter().map(|e| e.0).collect()
+        }
+    }
+
+    /// The flat sets agree with the stamp cache on every hit or miss and on
+    /// every set's final contents: 8 geometries (1–8 sets of 16 ways) × 40
+    /// generated streams × 1,000 accesses and invalidations = 320,000
+    /// operations, over a tag pool of 1.25–2 sets' worth of ways per set,
+    /// so that hits, evictions and invalidations of present and absent
+    /// sectors all occur.
+    #[test]
+    fn flat_lru_sets_match_the_stamp_cache() {
+        let mut rng = tensor::XorShiftRng::new(0x12C0_FFEE);
+        let (mut hits, mut evictions, mut present, mut absent) = (0, 0, 0, 0);
+        for sets in 1..=8u64 {
+            for stream in 0..40 {
+                let bytes = sets * L2_LINE * L2_WAYS as u64;
+                let (mut flat, mut oracle) = (L2Cache::new(bytes), StampCache::new(bytes));
+                let pool = sets as usize * [20, 24, 32][stream % 3];
+                for op in 0..1_000 {
+                    // Any byte of a sector names it.
+                    let addr = rng.gen_index(pool) as u64 * L2_LINE + rng.gen_index(32) as u64;
+                    let set = ((addr / L2_LINE) % sets) as usize;
+                    let held = oracle.sets[set].iter().any(|e| e.0 == addr / L2_LINE);
+                    if rng.gen_index(5) == 0 {
+                        flat.invalidate(addr);
+                        oracle.invalidate(addr);
+                        if held {
+                            present += 1;
+                        } else {
+                            absent += 1;
+                        }
+                    } else {
+                        let full = oracle.sets[set].len() == L2_WAYS;
+                        let hit = oracle.access(addr);
+                        assert_eq!(
+                            flat.access(addr),
+                            hit,
+                            "sets {sets} stream {stream} op {op}"
+                        );
+                        hits += usize::from(hit);
+                        evictions += usize::from(!hit && full);
+                    }
+                }
+                for set in 0..sets as usize {
+                    let n = flat.len[set] as usize;
+                    let tags = &flat.tags[set * L2_WAYS..][..n];
+                    assert_eq!(
+                        tags,
+                        oracle.set_tags(set),
+                        "sets {sets} stream {stream} set {set}"
+                    );
+                }
+            }
+        }
+        for (what, n) in [
+            ("hits", hits),
+            ("evictions", evictions),
+            ("invalidations of held sectors", present),
+            ("invalidations of absent sectors", absent),
+        ] {
+            assert!(n > 5_000, "only {n} {what}");
+        }
     }
 
     fn global_sectors(addrs: &[u64], width: u32) -> Vec<u64> {
