@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI: the exact checks the GitHub workflow runs.
+# Every CI check, in order; the GitHub workflow runs this script as its one
+# check step, so a local run is the same job.
 set -euo pipefail
 cd "$(dirname "$0")"
 

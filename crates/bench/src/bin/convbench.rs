@@ -348,7 +348,7 @@ fn print_profile(
     config: &[(&str, bench::json::Json)],
 ) {
     let slots = p.schedulers as u64 * p.wave_cycles;
-    let issue: u64 = p.lines.iter().map(|l| l.issue_cycles).sum();
+    let issue: u64 = p.lines.iter().map(|l| l.executed).sum();
     let stalls: u64 = p.lines.iter().map(|l| l.stalls.total()).sum();
     println!("\n== stall-attribution profile: {} ==", algo.name());
     println!(
@@ -408,7 +408,7 @@ fn print_profile(
             pc,
             region,
             l.executed,
-            l.issue_cycles,
+            l.executed,
             l.stalls.by_cause[StallCause::Barrier as usize],
             l.stalls.by_cause[StallCause::Scoreboard as usize],
             l.stalls.by_cause[StallCause::MioQueue as usize],

@@ -49,9 +49,14 @@ fn parse_args() -> Result<Args, String> {
     let f = |flag: &str, dflt: f64| -> Result<f64, String> {
         flag_value(&args, flag).map_or(Ok(dflt), |v| v.parse().map_err(|e| format!("{flag}: {e}")))
     };
+    // A NaN or sub-nanosecond window would cast to 0 ns.
+    let window_ns = f("--window-ms", 100.0)? * 1e6;
+    if window_ns.is_nan() || window_ns < 1.0 {
+        return Err("--window-ms must be at least 1e-6 (1 ns)".into());
+    }
     Ok(Args {
         log: flag_value(&args, "--log").ok_or("--log PATH is required")?,
-        window_ns: (f("--window-ms", 100.0)? * 1e6) as u64,
+        window_ns: window_ns as u64,
         top: f("--top", 5.0)? as usize,
         slo_target: f("--slo-target", 0.999)?,
         smoke: args.iter().any(|a| a == "--smoke"),

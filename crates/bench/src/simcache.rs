@@ -143,20 +143,10 @@ pub fn timing_to_json(t: &KernelTiming) -> Json {
         ("tflops", t.tflops.into()),
         ("sol_pct", t.sol_pct.into()),
         ("sol_total_pct", t.sol_total_pct.into()),
-        ("issue_util_pct", t.issue_util_pct.into()),
         ("dram_bytes", t.dram_bytes.into()),
         ("dram_time_s", t.dram_time_s.into()),
         ("region_cycles", t.region_cycles.into()),
-        (
-            "reg_bank_conflict_cycles",
-            t.reg_bank_conflict_cycles.into(),
-        ),
         ("smem_conflict_cycles", t.smem_conflict_cycles.into()),
-        ("yield_switch_cycles", t.yield_switch_cycles.into()),
-        (
-            "idle_breakdown",
-            Json::Arr(t.idle_breakdown.iter().map(|&v| v.into()).collect()),
-        ),
     ];
     if let Some(c) = &t.counters {
         fields.push(("counters", counters_to_json(c)));
@@ -169,18 +159,12 @@ pub fn timing_to_json(t: &KernelTiming) -> Json {
 /// integer, in the timing or in its `counters`. The stall profile is
 /// restored as `None`, and so are the counters of a plain record (see
 /// `gpusim::digest` for why a plain and a counted run share one key).
+/// Fields it does not read are ignored, so a record that still carries
+/// fields since dropped from `KernelTiming` keeps hitting under its key.
 pub fn timing_from_json(j: &Json) -> Option<KernelTiming> {
     let f = |k: &str| j.get(k)?.as_f64();
     let u = |k: &str| j.get(k)?.as_u64();
     let narrow = |k: &str| u32::try_from(u(k)?).ok();
-    let idle = j.get("idle_breakdown")?.as_arr()?;
-    if idle.len() != 5 {
-        return None;
-    }
-    let mut idle_breakdown = [0u64; 5];
-    for (slot, v) in idle_breakdown.iter_mut().zip(idle) {
-        *slot = v.as_u64()?;
-    }
     let counters = match j.get("counters") {
         Some(c) => Some(counters_from_json(c)?),
         None => None,
@@ -196,14 +180,10 @@ pub fn timing_from_json(j: &Json) -> Option<KernelTiming> {
         tflops: f("tflops")?,
         sol_pct: f("sol_pct")?,
         sol_total_pct: f("sol_total_pct")?,
-        issue_util_pct: f("issue_util_pct")?,
         dram_bytes: u("dram_bytes")?,
         dram_time_s: f("dram_time_s")?,
         region_cycles: u("region_cycles")?,
-        reg_bank_conflict_cycles: u("reg_bank_conflict_cycles")?,
         smem_conflict_cycles: u("smem_conflict_cycles")?,
-        yield_switch_cycles: u("yield_switch_cycles")?,
-        idle_breakdown,
         profile: None,
         counters,
     })

@@ -36,6 +36,45 @@ fn unknown_flag_and_help_exit_before_any_work() {
     assert!(left.is_empty(), "wrote {left:?}");
 }
 
+/// `servemon --window-ms` below one nanosecond (zero, negative or NaN)
+/// is a usage error, exit 2, not a division by a zero-length window; one
+/// nanosecond replays the log.
+#[test]
+fn servemon_rejects_windows_under_a_nanosecond() {
+    let dir = std::env::temp_dir().join(format!("bench_servemon_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("events.jsonl");
+    std::fs::write(
+        &log,
+        concat!(
+            r#"{"t":0,"kind":"arrival","device":"V100","phase":"warm","id":0}"#,
+            "\n",
+            r#"{"t":5,"kind":"complete","device":"V100","phase":"warm","id":0,"#,
+            r#""class":"Conv2","latency_ns":5,"wait_ns":1,"batch":0,"miss":false}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
+    for (window_ms, code) in [("0", 2), ("-1", 2), ("NaN", 2), ("1e-7", 2), ("1e-6", 0)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_servemon"))
+            .arg("--log")
+            .arg(&log)
+            .args(["--window-ms", window_ms])
+            .output()
+            .expect("servemon runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "--window-ms {window_ms}: {stderr}"
+        );
+        if code == 2 {
+            assert!(stderr.contains("usage: servemon"), "{stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The closed-form experiments (roofline, break-even, kernel parameters,
 /// workspace) compute their points inline, without the sweep cache, in
 /// milliseconds. Each runs end to end in a temp dir and writes a `--json`

@@ -10,6 +10,8 @@
 //!   float made `null`, a list emptied, the text truncated at any byte —
 //!   reads as a miss, with no panic and no silently coerced value. That
 //!   holds inside a counted timing's hardware counters too.
+//! * Older records: a timing record that still carries fields
+//!   `KernelTiming` has since dropped decodes to the same timing.
 
 use std::path::{Path, PathBuf};
 
@@ -35,7 +37,6 @@ const FLOATS: &[&str] = &[
     "flops",
     "sol_pct",
     "sol_total_pct",
-    "issue_util_pct",
     "dram_time_s",
 ];
 
@@ -239,13 +240,10 @@ fn corrupt_schedule_records_are_misses() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A plain one-wave timing and a counted one on the device model, whose
-/// counters are merged over SMs and fast-forwarded waves: each record reads
-/// as a miss under every corruption, inside `counters` too, and every
-/// truncation. Only dropping `counters` whole leaves a valid record, the
-/// plain one of the same run.
-#[test]
-fn corrupt_timing_records_are_misses() {
+/// The tiny module timed as a plain one-wave run and as a counted run on
+/// the device model, whose counters are merged over SMs and fast-forwarded
+/// waves.
+fn plain_and_counted_timings() -> [KernelTiming; 2] {
     let dev = DeviceSpec::rtx2070();
     let module = tiny_module();
     let time = |blocks: u32, model: Model, counters: bool| {
@@ -259,14 +257,20 @@ fn corrupt_timing_records_are_misses() {
             gpusim::simulate(&mut gpu, &module, dims, &[], model, opts).expect("kernel times");
         t
     };
-    let plain = time(2, Model::OneWave, false);
     let counted = time(4 * dev.num_sms, Model::Device, true);
     assert!(counted.counters.is_some());
+    [time(2, Model::OneWave, false), counted]
+}
 
+/// A plain and a counted timing record each read as a miss under every
+/// corruption, inside `counters` too, and every truncation. Only dropping
+/// `counters` whole leaves a valid record, the plain one of the same run.
+#[test]
+fn corrupt_timing_records_are_misses() {
     let dir = tmpdir("timing");
     let store = Store::new(&dir);
     let key = CacheKey::new(PLAN_KEY.into());
-    for t in [plain, counted] {
+    for t in plain_and_counted_timings() {
         let record = timing_to_json(&t);
         let back = timing_from_json(&record).expect("the intact record decodes");
         assert_eq!(timing_to_json(&back), record);
@@ -295,4 +299,32 @@ fn corrupt_timing_records_are_misses() {
         assert_truncations_miss(&dir, PLAN_KEY, &record, hit);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Timing records written before `KernelTiming` dropped its issue
+/// utilization, register-bank and warp-switch tallies and its idle
+/// breakdown carry those four fields. Keys did not change, so a warm cache
+/// keeps serving such records: each still decodes, to the timing the
+/// trimmed record of the same run decodes to.
+#[test]
+fn timing_records_with_dropped_fields_still_decode() {
+    for t in plain_and_counted_timings() {
+        let record = timing_to_json(&t);
+        let Json::Obj(mut fields) = record.clone() else {
+            panic!("a timing record is an object")
+        };
+        // Where the older writer put them.
+        let mut insert_after = |key: &str, field: &str, value: Json| {
+            let at = fields.iter().position(|(k, _)| k == key).expect("field");
+            fields.insert(at + 1, (field.into(), value));
+        };
+        insert_after("sol_total_pct", "issue_util_pct", Json::Num(37.5));
+        insert_after("region_cycles", "reg_bank_conflict_cycles", 3u64.into());
+        insert_after("smem_conflict_cycles", "yield_switch_cycles", 5u64.into());
+        let idle = [1u64, 2, 0, 4, 9].map(Json::from).to_vec();
+        insert_after("yield_switch_cycles", "idle_breakdown", Json::Arr(idle));
+        let older = timing_from_json(&Json::Obj(fields)).expect("an older record decodes");
+        let trimmed = timing_from_json(&record).expect("the trimmed record decodes");
+        assert_eq!(format!("{older:?}"), format!("{trimmed:?}"));
+    }
 }

@@ -140,7 +140,7 @@ fn kernel_timing_survives_json_round_trip() {
     assert_eq!(j.render(), timing_to_json(&back).render());
     assert_eq!(t.time_s, back.time_s);
     assert_eq!(t.wave_cycles, back.wave_cycles);
-    assert_eq!(t.idle_breakdown, back.idle_breakdown);
+    assert_eq!(t.smem_conflict_cycles, back.smem_conflict_cycles);
     assert!(back.profile.is_none());
     assert!(back.counters.is_none());
 

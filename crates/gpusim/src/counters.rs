@@ -14,14 +14,16 @@
 //!
 //! Every counter carries an **exactness invariant** that reconciles it with
 //! the rest of the model ([`HwCounters::validate`] checks the internal ones;
-//! the integration tests check the cross-`KernelTiming` ones):
+//! the integration tests check the ones against `KernelTiming` and the
+//! [`crate::simprof`] profile):
 //!
 //! | counter | invariant |
 //! |---|---|
-//! | `issued_by_pipe` | sums to `issued`; `issued / (schedulers × wave_cycles)` is `issue_util_pct` |
+//! | `issued_by_pipe` | sums to `issued` |
+//! | `issued` | `==` the profile's `Σ executed`, so `issue_efficiency_pct()` is the profile's issue-slot share |
 //! | `eligible_hist` | one bucket entry per scheduler per cycle: sums to `schedulers × wave_cycles` |
 //! | `fp_pipe_busy_cycles` | `== 2 × fp_issues + reg_bank_conflicts` (the pipe's §5.2.2 occupancy law) |
-//! | `reg_bank_conflicts` | `== KernelTiming::reg_bank_conflict_cycles` |
+//! | `reg_bank_conflicts + smem_extra_phases` | `==` the profile's `Σ bank_conflict_cycles` |
 //! | `smem_phases` | `== smem_ideal_phases + smem_extra_phases` |
 //! | `smem_extra_phases` | `== KernelTiming::smem_conflict_cycles` (MIO occupancy attributed to bank conflicts) |
 //! | `smem_mio_cycles + global_mio_cycles` | total MIO-pipe busy cycles; `≤ wave_cycles` |
@@ -170,7 +172,7 @@ impl HwCounters {
     // ---- derived metrics (the numbers profilers print) -----------------------
 
     /// Issued slots over available slots, percent (Nsight's "issue slot
-    /// utilization"; equals `KernelTiming::issue_util_pct`).
+    /// utilization").
     pub fn issue_efficiency_pct(&self) -> f64 {
         100.0 * self.issued as f64 / self.slot_capacity() as f64
     }

@@ -65,10 +65,12 @@
 
 use crate::launch::{claim_walk, LaunchError};
 use crate::memory::GlobalMemory;
-use crate::timing::{grid_coord, simulate_wave, KernelTiming, Launch, SmCarry, Tally, WaveParams};
+use crate::timing::{
+    grid_coord, simulate_wave, KernelTiming, Launch, SmCarry, Tally, WaveParams, WholeLaunch,
+};
 
 /// Cap on recorded wave spans per simulated SM; past it the trace sets
-/// `truncated` and keeps timing (mirrors `simprof`'s issue-event cap).
+/// `truncated` and keeps timing.
 pub const WAVE_SPAN_CAP: usize = 1 << 20;
 
 /// One contiguous chunk of one SM's timeline: a simulated wave and the
@@ -302,11 +304,7 @@ pub(crate) fn full_device(
     exact: bool,
 ) -> Result<(KernelTiming, Option<DeviceTrace>), LaunchError> {
     let Launch {
-        device,
-        dims,
-        opts,
-        resident,
-        ..
+        device, dims, opts, ..
     } = *launch;
     let total_blocks = dims.num_blocks();
     let num_sms = device.num_sms as u64;
@@ -357,7 +355,6 @@ pub(crate) fn full_device(
     // Deterministic merge, in SM-index order: one scaled add per class
     // (`dev.cycles` sums busy cycles, `dev.region_cycles` region cycles),
     // and the device-only maxima beside it.
-    let schedulers = device.schedulers_per_sm as usize;
     let mut dev = Tally::default();
     let (mut makespan, mut waves, mut region_cycles_max) = (0u64, 0u64, 0u64);
     let mut trace = opts.trace.then(DeviceTrace::default);
@@ -373,42 +370,17 @@ pub(crate) fn full_device(
         dev.add_scaled(acc.tally, k);
     }
 
-    let wave_cycles = makespan.max(1);
-    let compute_time = wave_cycles as f64 / device.clock_hz;
-    let dram_time = dev.dram_bytes as f64 / device.dram_bw;
-    let time_s = compute_time.max(dram_time);
-    let denom = schedulers as f64 * dev.cycles.max(1) as f64;
-    let sol_total = dev.fp_active as f64 / denom;
-    let sol_base = if opts.region.is_some() && dev.region_cycles > 0 {
-        dev.region_fp_active as f64 / (schedulers as f64 * dev.region_cycles as f64)
-    } else {
-        sol_total
-    };
-
     if let Some(tr) = &mut trace {
         tr.makespan_cycles = makespan;
     }
-    let timing = KernelTiming {
+    let wave_cycles = makespan.max(1);
+    let whole = WholeLaunch {
         wave_cycles,
         waves,
-        blocks_per_sm: resident,
-        total_blocks,
-        busy_sms: busy as u32,
-        time_s,
+        compute_s: wave_cycles as f64 / device.clock_hz,
         flops: dev.flops as f64,
-        tflops: dev.flops as f64 / time_s / 1e12,
-        sol_pct: 100.0 * sol_base,
-        sol_total_pct: 100.0 * sol_total,
-        issue_util_pct: 100.0 * dev.issued as f64 / denom,
         dram_bytes: dev.dram_bytes,
-        dram_time_s: dram_time,
         region_cycles: region_cycles_max,
-        reg_bank_conflict_cycles: dev.reg_conflicts,
-        smem_conflict_cycles: dev.smem_conflict_cycles,
-        yield_switch_cycles: dev.yield_switches,
-        idle_breakdown: dev.idle_attr,
-        profile: dev.profile,
-        counters: dev.counters,
     };
-    Ok((timing, trace))
+    Ok((dev.finish(launch, whole), trace))
 }

@@ -67,5 +67,5 @@ pub use digest::{key, Digest, TIMING_MODEL_VERSION};
 pub use exec::{Effects, ExecEnv, ExecError, StepEvent, Warp, WARP_SIZE};
 pub use launch::{ExecCounters, Gpu, LaunchDims, LaunchError};
 pub use memory::{ConstBank, DevPtr, GlobalMemory, MemError, ParamBuilder, PARAM_BASE};
-pub use simprof::{IssueEvent, KernelProfile, LineProfile, Region, StallBreakdown, StallCause};
+pub use simprof::{KernelProfile, LineProfile, Region, StallBreakdown, StallCause};
 pub use timing::{simulate, KernelTiming, Model, TimingOptions, FP32_ISSUE_CYCLES};

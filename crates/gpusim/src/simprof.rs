@@ -18,13 +18,13 @@
 //! This makes the books balance exactly:
 //! `Σ_lines (issue + stalls) + empty == schedulers × wave_cycles`,
 //! which the report prints as a reconciliation line and the tests assert.
+//! It is the simulator's one stall decomposition; the hardware counters
+//! ([`crate::counters`]) reconcile with it.
 //! Bank-conflict cycles (register-bank and shared-memory) are *pipe*
 //! occupancy, not issue slots, so they are tracked per line as a separate
 //! column outside the sum.
 
 use sass::Module;
-
-use crate::json::{obj, Json};
 
 /// Scheduler-idle causes, in attribution-priority order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,26 +81,22 @@ impl StallBreakdown {
 /// Profile of one SASS line (one instruction index in the module).
 #[derive(Clone, Debug, Default)]
 pub struct LineProfile {
-    /// Warp-instructions issued from this line during the wave.
+    /// Warp-instructions issued from this line during the wave, each in
+    /// one scheduler issue slot.
     pub executed: u64,
-    /// Scheduler issue slots this line consumed (== `executed`; kept
-    /// separate so the identity is checkable).
-    pub issue_cycles: u64,
     /// Scheduler slots the wave lost waiting *on this line*.
     pub stalls: StallBreakdown,
     /// Extra pipe cycles from register-bank or shared-memory bank conflicts
     /// this line caused (pipe occupancy, outside the issue-slot sum).
     pub bank_conflict_cycles: u64,
-    /// Disassembly text (without control code), for reports.
+    /// Disassembly text (control code, guard and operands), for reports.
     pub text: String,
-    /// Opcode mnemonic, for per-opcode histograms.
-    pub mnemonic: &'static str,
 }
 
 impl LineProfile {
     /// Issue + stall cycles: the line's total claim on scheduler slots.
     pub fn slot_cycles(&self) -> u64 {
-        self.issue_cycles + self.stalls.total()
+        self.executed + self.stalls.total()
     }
 }
 
@@ -121,16 +117,6 @@ impl Region {
     }
 }
 
-/// One issued warp-instruction, for schedule traces.
-#[derive(Clone, Copy, Debug)]
-pub struct IssueEvent {
-    pub cycle: u64,
-    pub scheduler: u32,
-    /// Warp slot index on the SM (unique across the wave's resident blocks).
-    pub warp: u32,
-    pub pc: u32,
-}
-
 /// Full profile of one simulated wave.
 #[derive(Clone, Debug, Default)]
 pub struct KernelProfile {
@@ -142,16 +128,9 @@ pub struct KernelProfile {
     pub empty_cycles: u64,
     /// Per-instruction-index profile, length == module instruction count.
     pub lines: Vec<LineProfile>,
-    /// Issued instructions in order, capped at [`ISSUE_EVENT_CAP`].
-    pub issue_events: Vec<IssueEvent>,
-    /// True when the wave issued more instructions than the event cap.
-    pub issue_events_truncated: bool,
     /// Named kernel phases, when the emitter provided them.
     pub regions: Vec<Region>,
 }
-
-/// Cap on recorded issue events (~24 MB of trace at most).
-pub const ISSUE_EVENT_CAP: usize = 1_000_000;
 
 impl KernelProfile {
     /// The region containing `pc`, if any. Inner (later-emitted) regions win
@@ -171,9 +150,7 @@ impl KernelProfile {
     /// steady-state waves) and then across SMs. Per-line tallies are linear,
     /// so the `attributed == schedulers × wave_cycles` identity survives
     /// with `wave_cycles` accumulating busy scheduler-cycles (the sum over
-    /// SMs, not the device makespan). Issue events are *not* merged — the
-    /// first wave's trace is kept and `issue_events_truncated` records the
-    /// drop; a full multi-SM event trace would be unboundedly large.
+    /// SMs, not the device makespan).
     pub fn add_scaled(&mut self, other: &KernelProfile, k: u64) {
         debug_assert_eq!(self.schedulers, other.schedulers);
         debug_assert_eq!(self.lines.len(), other.lines.len());
@@ -181,15 +158,11 @@ impl KernelProfile {
         self.empty_cycles += k * other.empty_cycles;
         for (l, o) in self.lines.iter_mut().zip(&other.lines) {
             l.executed += k * o.executed;
-            l.issue_cycles += k * o.issue_cycles;
             for c in 0..5 {
                 l.stalls.by_cause[c] += k * o.stalls.by_cause[c];
             }
             l.stalls.yield_switch += k * o.stalls.yield_switch;
             l.bank_conflict_cycles += k * o.bank_conflict_cycles;
-        }
-        if !other.issue_events.is_empty() || other.issue_events_truncated {
-            self.issue_events_truncated = true;
         }
     }
 
@@ -201,25 +174,6 @@ impl KernelProfile {
         idx.sort_by_key(|&i| std::cmp::Reverse(self.lines[i].slot_cycles()));
         idx.truncate(n);
         idx
-    }
-
-    /// Per-opcode histogram: mnemonic -> (executed, issue_cycles, stall
-    /// cycles), sorted by executed count descending.
-    pub fn opcode_histogram(&self) -> Vec<(&'static str, u64, u64, u64)> {
-        let mut map: std::collections::HashMap<&'static str, (u64, u64, u64)> =
-            std::collections::HashMap::new();
-        for l in &self.lines {
-            if l.executed == 0 && l.stalls.total() == 0 {
-                continue;
-            }
-            let e = map.entry(l.mnemonic).or_default();
-            e.0 += l.executed;
-            e.1 += l.issue_cycles;
-            e.2 += l.stalls.total();
-        }
-        let mut v: Vec<_> = map.into_iter().map(|(k, (a, b, c))| (k, a, b, c)).collect();
-        v.sort_by_key(|&(_, executed, _, _)| std::cmp::Reverse(executed));
-        v
     }
 
     /// Aggregate issue+stall slot cycles per named region, in region order,
@@ -252,61 +206,6 @@ impl KernelProfile {
         }
         totals
     }
-
-    /// Serialize the recorded warp-level schedule as Chrome trace-event JSON
-    /// (open in `chrome://tracing` or Perfetto). One complete event per
-    /// issued instruction: pid = SM, tid = warp slot, ts/dur in "µs" (1 cycle
-    /// = 1 µs so the viewer's zoom math stays sane). A top-level
-    /// `"truncated"` field says whether the wave issued more instructions
-    /// than [`ISSUE_EVENT_CAP`] kept — a truncated trace ends mid-wave and
-    /// must not be read as the whole schedule.
-    pub fn to_chrome_trace(&self) -> String {
-        // Streamed one event at a time: a profile holds up to
-        // ISSUE_EVENT_CAP events, too many to build as one document tree.
-        let mut out = String::with_capacity(self.issue_events.len() * 96 + 64);
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"truncated\":");
-        Json::from(self.issue_events_truncated).render_into(&mut out);
-        out.push_str(",\"traceEvents\":[");
-        let issues = self.issue_events.iter().map(|ev| {
-            let name = self
-                .lines
-                .get(ev.pc as usize)
-                .map(|l| l.mnemonic)
-                .unwrap_or("?");
-            obj(&[
-                ("name", name.into()),
-                ("ph", "X".into()),
-                ("pid", 0u32.into()),
-                ("tid", ev.warp.into()),
-                ("ts", ev.cycle.into()),
-                ("dur", 1u32.into()),
-                (
-                    "args",
-                    obj(&[("pc", ev.pc.into()), ("scheduler", ev.scheduler.into())]),
-                ),
-            ])
-        });
-        // Thread names: warp slot → "warp N".
-        let warps: std::collections::BTreeSet<u32> =
-            self.issue_events.iter().map(|e| e.warp).collect();
-        let names = warps.into_iter().map(|warp| {
-            obj(&[
-                ("name", "thread_name".into()),
-                ("ph", "M".into()),
-                ("pid", 0u32.into()),
-                ("tid", warp.into()),
-                ("args", obj(&[("name", format!("warp {warp}").into())])),
-            ])
-        });
-        for (i, ev) in issues.chain(names).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            ev.render_into(&mut out);
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Wave-profile collector driven by the cycle loop in `timing.rs`.
@@ -317,8 +216,6 @@ impl KernelProfile {
 /// width when nothing could issue).
 pub(crate) struct Collector {
     lines: Vec<LineProfile>,
-    events: Vec<IssueEvent>,
-    truncated: bool,
     empty: u64,
     /// Scratch: this cycle's classification per scheduler.
     pub class: Vec<SchedClass>,
@@ -329,7 +226,7 @@ pub(crate) struct Collector {
 /// What one scheduler did in one visited cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum SchedClass {
-    Issued(u32),
+    Issued,
     Blocked(StallCause, u32),
     /// Recovering from a warp switch or cleared yield flag caused by `pc`.
     YieldRecover(u32),
@@ -343,36 +240,23 @@ impl Collector {
             .iter()
             .map(|inst| LineProfile {
                 text: sass::disasm::inst_text(inst),
-                mnemonic: inst.op.mnemonic(),
                 ..Default::default()
             })
             .collect();
         Collector {
             lines,
-            events: Vec::new(),
-            truncated: false,
             empty: 0,
             class: vec![SchedClass::Empty; schedulers],
             last_pc: vec![None; schedulers],
         }
     }
 
-    /// Record an issue (called at the issue site; slot accounting happens in
-    /// `commit`).
-    pub fn issued(&mut self, s: usize, warp: usize, pc: u32, cycle: u64) {
-        self.class[s] = SchedClass::Issued(pc);
+    /// Record that scheduler `s` issued line `pc` this cycle: the issue
+    /// slot is the line's.
+    pub fn issued(&mut self, s: usize, pc: u32) {
+        self.class[s] = SchedClass::Issued;
         self.last_pc[s] = Some(pc);
         self.lines[pc as usize].executed += 1;
-        if self.events.len() < ISSUE_EVENT_CAP {
-            self.events.push(IssueEvent {
-                cycle,
-                scheduler: s as u32,
-                warp: warp as u32,
-                pc,
-            });
-        } else {
-            self.truncated = true;
-        }
     }
 
     /// Extra pipe cycles from a bank conflict on `pc`.
@@ -385,11 +269,9 @@ impl Collector {
     pub fn commit(&mut self, span: u64) {
         for class in &mut self.class {
             match *class {
-                SchedClass::Issued(pc) => {
-                    // An issue always advances time by exactly one cycle.
-                    debug_assert_eq!(span, 1);
-                    self.lines[pc as usize].issue_cycles += 1;
-                }
+                // `issued` charged the slot; an issue always advances time
+                // by exactly one cycle.
+                SchedClass::Issued => debug_assert_eq!(span, 1),
                 SchedClass::Blocked(cause, pc) => {
                     self.lines[pc as usize].stalls.by_cause[cause as usize] += span;
                 }
@@ -408,8 +290,6 @@ impl Collector {
             wave_cycles,
             empty_cycles: self.empty,
             lines: self.lines,
-            issue_events: self.events,
-            issue_events_truncated: self.truncated,
             regions: Vec::new(),
         }
     }
@@ -422,7 +302,6 @@ mod tests {
     fn line(executed: u64, stall: u64) -> LineProfile {
         LineProfile {
             executed,
-            issue_cycles: executed,
             stalls: StallBreakdown {
                 by_cause: [stall, 0, 0, 0, 0],
                 yield_switch: 0,
@@ -463,33 +342,6 @@ mod tests {
         assert_eq!(p.region_of(5).unwrap().name, "kernel");
         assert_eq!(p.region_of(20).unwrap().name, "main_loop");
         assert!(p.region_of(200).is_none());
-    }
-
-    #[test]
-    fn chrome_trace_shape() {
-        let p = KernelProfile {
-            lines: vec![LineProfile {
-                mnemonic: "FFMA",
-                ..Default::default()
-            }],
-            issue_events: vec![IssueEvent {
-                cycle: 7,
-                scheduler: 1,
-                warp: 3,
-                pc: 0,
-            }],
-            ..Default::default()
-        };
-        let t = p.to_chrome_trace();
-        assert!(t.starts_with('{') && t.ends_with('}'));
-        assert!(t.contains("\"name\":\"FFMA\""));
-        assert!(t.contains("\"ts\":7"));
-        assert!(t.contains("\"tid\":3"));
-        assert!(t.contains("warp 3"));
-        assert!(t.contains("\"truncated\":false"));
-        let mut p = p;
-        p.issue_events_truncated = true;
-        assert!(p.to_chrome_trace().contains("\"truncated\":true"));
     }
 
     #[test]

@@ -143,23 +143,14 @@ pub struct KernelTiming {
     pub sol_pct: f64,
     /// FP32-pipe utilization over the whole kernel, in percent.
     pub sol_total_pct: f64,
-    /// Issue-slot utilization in percent.
-    pub issue_util_pct: f64,
     /// Estimated DRAM traffic of the whole grid, bytes.
     pub dram_bytes: u64,
     /// Pure-DRAM lower bound on kernel time, seconds.
     pub dram_time_s: f64,
     /// Cycles in the accounting region.
     pub region_cycles: u64,
-    /// Extra FP32-pipe cycles lost to register bank conflicts.
-    pub reg_bank_conflict_cycles: u64,
     /// Extra MIO cycles lost to shared-memory bank conflicts.
     pub smem_conflict_cycles: u64,
-    /// Cycles the schedulers lost to warp switches (cleared yield flag).
-    pub yield_switch_cycles: u64,
-    /// Attribution of scheduler-idle cycles (FP pipe free, nothing issued):
-    /// `[barrier, scoreboard-wait, mio-queue, stall, empty]`.
-    pub idle_breakdown: [u64; 5],
     /// Per-instruction stall-attribution profile of the simulated wave,
     /// present when [`TimingOptions::profile`] was set.
     pub profile: Option<KernelProfile>,
@@ -724,14 +715,10 @@ pub(crate) struct Tally {
     /// Busy cycles (the sum of wave cycles).
     pub(crate) cycles: u64,
     pub(crate) waves: u64,
-    pub(crate) issued: u64,
     pub(crate) fp_active: u64,
     pub(crate) flops: u64,
     pub(crate) dram_bytes: u64,
-    pub(crate) reg_conflicts: u64,
     pub(crate) smem_conflict_cycles: u64,
-    pub(crate) yield_switches: u64,
-    pub(crate) idle_attr: [u64; 5],
     /// Cycles spanned by the accounting region (0 if none).
     pub(crate) region_cycles: u64,
     pub(crate) region_fp_active: u64,
@@ -744,21 +731,65 @@ impl Tally {
     pub(crate) fn add_scaled(&mut self, t: Tally, k: u64) {
         self.cycles += k * t.cycles;
         self.waves += k * t.waves;
-        self.issued += k * t.issued;
         self.fp_active += k * t.fp_active;
         self.flops += k * t.flops;
         self.dram_bytes += k * t.dram_bytes;
-        self.reg_conflicts += k * t.reg_conflicts;
         self.smem_conflict_cycles += k * t.smem_conflict_cycles;
-        self.yield_switches += k * t.yield_switches;
-        for (sum, d) in self.idle_attr.iter_mut().zip(t.idle_attr) {
-            *sum += k * d;
-        }
         self.region_cycles += k * t.region_cycles;
         self.region_fp_active += k * t.region_fp_active;
         add_scaled_into(&mut self.profile, t.profile, k, KernelProfile::add_scaled);
         add_scaled_into(&mut self.counters, t.counters, k, HwCounters::add_scaled);
     }
+
+    /// The [`KernelTiming`] of `launch`, whose simulated waves sum to
+    /// `self` and which its model extends to the whole grid as `whole`:
+    /// the one derivation of time, throughput and speed of light that both
+    /// models share.
+    pub(crate) fn finish(self, launch: &Launch<'_>, whole: WholeLaunch) -> KernelTiming {
+        let device = launch.device;
+        let schedulers = device.schedulers_per_sm as f64;
+        let dram_time = whole.dram_bytes as f64 / device.dram_bw;
+        let time_s = whole.compute_s.max(dram_time);
+        let sol_total = self.fp_active as f64 / (schedulers * self.cycles.max(1) as f64);
+        let sol_base = if launch.opts.region.is_some() && self.region_cycles > 0 {
+            self.region_fp_active as f64 / (schedulers * self.region_cycles as f64)
+        } else {
+            sol_total
+        };
+        let total_blocks = launch.dims.num_blocks();
+        KernelTiming {
+            wave_cycles: whole.wave_cycles,
+            waves: whole.waves,
+            blocks_per_sm: launch.resident,
+            total_blocks,
+            busy_sms: total_blocks.min(device.num_sms as u64) as u32,
+            time_s,
+            flops: whole.flops,
+            tflops: whole.flops / time_s / 1e12,
+            sol_pct: 100.0 * sol_base,
+            sol_total_pct: 100.0 * sol_total,
+            dram_bytes: whole.dram_bytes,
+            dram_time_s: dram_time,
+            region_cycles: whole.region_cycles,
+            smem_conflict_cycles: self.smem_conflict_cycles,
+            profile: self.profile,
+            counters: self.counters,
+        }
+    }
+}
+
+/// What a timing model alone knows of a launch: how its simulated waves
+/// extend to the whole grid ([`Tally::finish`]).
+pub(crate) struct WholeLaunch {
+    /// The reported wave cycles (at least 1).
+    pub(crate) wave_cycles: u64,
+    pub(crate) waves: u64,
+    /// Seconds the SMs compute, before the DRAM bound.
+    pub(crate) compute_s: f64,
+    pub(crate) flops: f64,
+    pub(crate) dram_bytes: u64,
+    /// The reported accounting-region cycles.
+    pub(crate) region_cycles: u64,
 }
 
 /// `sum += k · x` for a collector that may be absent; the first `x` starts
@@ -941,51 +972,21 @@ fn one_wave(mem: &GlobalMemory, launch: &Launch<'_>) -> Result<KernelTiming, Lau
         &mut carry,
     )?;
 
-    let schedulers = device.schedulers_per_sm as usize;
     let wave_cycles = wave.cycles.max(1);
     let waves = total_blocks
         .div_ceil(resident as u64 * device.num_sms as u64)
         .max(1);
     // Blocks in the wave we actually simulated:
     let simulated_blocks = resident as u64;
-    let flops_total = wave.flops as f64 * total_blocks as f64 / simulated_blocks as f64;
-    let dram_total =
-        (wave.dram_bytes as f64 * total_blocks as f64 / simulated_blocks as f64) as u64;
-
-    let compute_time = waves as f64 * wave_cycles as f64 / device.clock_hz;
-    let dram_time = dram_total as f64 / device.dram_bw;
-    let time_s = compute_time.max(dram_time);
-
-    let region_cycles = wave.region_cycles;
-    let sol_total = wave.fp_active as f64 / (schedulers as f64 * wave_cycles as f64);
-    let sol_base = if opts.region.is_some() && region_cycles > 0 {
-        wave.region_fp_active as f64 / (schedulers as f64 * region_cycles as f64)
-    } else {
-        sol_total
-    };
-
-    Ok(KernelTiming {
+    let whole = WholeLaunch {
         wave_cycles,
         waves,
-        blocks_per_sm: resident,
-        total_blocks,
-        busy_sms: total_blocks.min(device.num_sms as u64) as u32,
-        time_s,
-        flops: flops_total,
-        tflops: flops_total / time_s / 1e12,
-        sol_pct: 100.0 * sol_base,
-        sol_total_pct: 100.0 * sol_total,
-        issue_util_pct: 100.0 * wave.issued as f64 / (schedulers as f64 * wave_cycles as f64),
-        dram_bytes: dram_total,
-        dram_time_s: dram_time,
-        region_cycles,
-        reg_bank_conflict_cycles: wave.reg_conflicts,
-        smem_conflict_cycles: wave.smem_conflict_cycles,
-        yield_switch_cycles: wave.yield_switches,
-        idle_breakdown: wave.idle_attr,
-        profile: wave.profile,
-        counters: wave.counters,
-    })
+        compute_s: waves as f64 * wave_cycles as f64 / device.clock_hz,
+        flops: wave.flops as f64 * total_blocks as f64 / simulated_blocks as f64,
+        dram_bytes: (wave.dram_bytes as f64 * total_blocks as f64 / simulated_blocks as f64) as u64,
+        region_cycles: wave.region_cycles,
+    };
+    Ok(wave.finish(launch, whole))
 }
 
 /// Simulate one wave of `p.coords.len()` blocks cycle-by-cycle on one SM,
@@ -1072,13 +1073,9 @@ pub(crate) fn simulate_wave(
     // Counters.
     let mut cycle: u64 = 0;
     let mut fp_active: u64 = 0;
-    let mut issued: u64 = 0;
     let mut flops_wave: u64 = 0;
     let mut dram_bytes_wave: u64 = 0;
-    let mut reg_conflicts: u64 = 0;
     let mut smem_conflict_cycles: u64 = 0;
-    let mut yield_switches: u64 = 0;
-    let mut idle_attr = [0u64; 5];
     // Stall-attribution profile: every scheduler-cycle of the wave is
     // charged to exactly one SASS line (or the empty bucket), so the
     // per-line sums reconcile with `schedulers * wave_cycles`.
@@ -1100,7 +1097,6 @@ pub(crate) fn simulate_wave(
     // `slots.iter().any(..)` scan. Scratch buffers below are reused across
     // iterations so the scheduler pass performs no heap allocation.
     let mut live_warps = num_warps;
-    let mut idle_idx: Vec<Option<usize>> = vec![None; schedulers];
     let mut sector_scratch: Vec<u64> = Vec::new();
     let mut trace = MemTrace::default();
     let mut guard_iter: u64 = 0;
@@ -1134,7 +1130,6 @@ pub(crate) fn simulate_wave(
         let mut issued_any = false;
         let mut recovering_any = false;
         for s in 0..schedulers {
-            idle_idx[s] = None;
             if sched_free[s] > cycle {
                 // Recovering from a warp switch or cleared yield flag; the
                 // profile charges the slot to the line that caused it.
@@ -1170,15 +1165,6 @@ pub(crate) fn simulate_wave(
                 (pick != 0).then(|| pick.trailing_zeros() as usize)
             };
             let Some(chosen) = stay.or_else(winner) else {
-                if fp_busy[s] <= cycle {
-                    // Attribute the idle issue slot to the highest-priority
-                    // blocker (a busy FP32 or INT pipe is none); remember the
-                    // bucket so a skipped recovery window can bulk-charge
-                    // its remaining cycles.
-                    let idx = blocked[..4].iter().position(|&b| b != 0).unwrap_or(4);
-                    idle_attr[idx] += 1;
-                    idle_idx[s] = Some(idx);
-                }
                 if let Some(p) = prof.as_mut() {
                     // Charge the slot to the line the lowest warp of the
                     // highest-priority cause would issue next; no blocked
@@ -1198,7 +1184,6 @@ pub(crate) fn simulate_wave(
             issued_any = true;
             let switched = prev != Some(chosen);
             if switched && prev.is_some() {
-                yield_switches += 1;
                 sched_free[s] = cycle + 2;
             } else {
                 sched_free[s] = cycle + 1;
@@ -1260,9 +1245,8 @@ pub(crate) fn simulate_wave(
                 )
                 .map_err(LaunchError::Exec)?
             };
-            issued += 1;
             if let Some(p) = prof.as_mut() {
-                p.issued(s, chosen, pc, cycle);
+                p.issued(s, pc);
             }
             if let Some(cc) = ctr.as_mut() {
                 cc.c.issued += 1;
@@ -1312,7 +1296,6 @@ pub(crate) fn simulate_wave(
                     let conflict = desc.bank_conflict(&slots[chosen].reuse_cache);
                     if conflict {
                         occ += 1;
-                        reg_conflicts += 1;
                         if let Some(p) = prof.as_mut() {
                             p.bank_conflict(pc, 1);
                         }
@@ -1579,13 +1562,6 @@ pub(crate) fn simulate_wave(
             if let Some(cc) = ctr.as_mut() {
                 cc.commit(span);
             }
-            if span > 1 {
-                // The cycle-by-cycle loop re-attributed each idle issue slot
-                // every cycle of the window; bulk-charge the remainder.
-                for idx in idle_idx.iter().take(schedulers).flatten() {
-                    idle_attr[*idx] += span - 1;
-                }
-            }
             cycle = next;
         } else {
             let mut next = u64::MAX;
@@ -1635,14 +1611,10 @@ pub(crate) fn simulate_wave(
     Ok(Tally {
         cycles: cycle,
         waves: 1,
-        issued,
         fp_active,
         flops: flops_wave,
         dram_bytes: dram_bytes_wave,
-        reg_conflicts,
         smem_conflict_cycles,
-        yield_switches,
-        idle_attr,
         region_cycles: region_first.map_or(0, |f| region_last.saturating_sub(f).max(1)),
         region_fp_active,
         profile: prof.map(|p| p.finish(cycle)),
@@ -1971,13 +1943,17 @@ mod tests {
         };
         let run = |m: &sass::Module| {
             let mut gpu = Gpu::new(DeviceSpec::rtx2070(), 1 << 20);
+            let opts = TimingOptions {
+                counters: true,
+                ..TimingOptions::default()
+            };
             simulate(
                 &mut gpu,
                 m,
                 LaunchDims::linear(36, 256),
                 &[],
                 Model::OneWave,
-                TimingOptions::default(),
+                opts,
             )
             .unwrap()
             .0
@@ -1998,14 +1974,15 @@ mod tests {
             reused.wave_cycles,
             clean.wave_cycles
         );
-        assert!(conflicted.reg_bank_conflict_cycles > 0);
+        let conflicts = |t: &KernelTiming| t.counters.as_ref().unwrap().reg_bank_conflicts;
+        assert!(conflicts(&conflicted) > 0);
         // Only cold-start FFMAs (empty reuse cache) may conflict when reuse
         // is on; steady state must be clean.
         assert!(
-            reused.reg_bank_conflict_cycles * 100 < conflicted.reg_bank_conflict_cycles,
+            conflicts(&reused) * 100 < conflicts(&conflicted),
             "reused {} conflicted {}",
-            reused.reg_bank_conflict_cycles,
-            conflicted.reg_bank_conflict_cycles
+            conflicts(&reused),
+            conflicts(&conflicted)
         );
     }
 

@@ -113,6 +113,7 @@ fn matches_one_wave_on_exact_multiple_grids() {
     let dev = DeviceSpec::rtx2070();
     let base = TimingOptions {
         blocks_per_sm: Some(2),
+        counters: true,
         ..Default::default()
     };
     let ow = one_wave(&m, &dev, 144, 256, base);
@@ -146,7 +147,8 @@ fn matches_one_wave_on_exact_multiple_grids() {
     assert_eq!(ow.busy_sms, 36);
     // Utilization ratios agree up to float reassociation (the device model
     // sums numerator and denominator over 72 SM-waves before dividing).
-    assert!((dv.issue_util_pct - ow.issue_util_pct).abs() < 1e-9);
+    let issue_efficiency = |t: &KernelTiming| t.counters.as_ref().unwrap().issue_efficiency_pct();
+    assert!((issue_efficiency(&dv) - issue_efficiency(&ow)).abs() < 1e-9);
     assert!((dv.sol_total_pct - ow.sol_total_pct).abs() < 1e-9);
 
     // Fast-forwarding steady-state waves is a pure speedup: the exact
@@ -223,8 +225,9 @@ fn bit_stable_under_any_jobs() {
 }
 
 /// Device-total counters keep every internal identity exact
-/// (`HwCounters::validate`), reconcile with the `KernelTiming` view, and
-/// need no grid-ratio scaling: DRAM bytes are counted, not extrapolated.
+/// (`HwCounters::validate`), reconcile with the `KernelTiming` view and the
+/// stall profile, and need no grid-ratio scaling: DRAM bytes are counted,
+/// not extrapolated.
 #[test]
 fn device_counters_reconcile_at_device_totals() {
     let m = latency_module();
@@ -251,17 +254,21 @@ fn device_counters_reconcile_at_device_totals() {
     assert!(c.wave_cycles >= t.wave_cycles);
     assert!(c.wave_cycles <= t.busy_sms as u64 * t.wave_cycles);
 
-    // Same slots, same ratio: issue efficiency from counters matches the
-    // timing view built from the merged per-SM sums.
-    assert!((c.issue_efficiency_pct() - t.issue_util_pct).abs() < 1e-9);
-    assert_eq!(c.reg_bank_conflicts, t.reg_bank_conflict_cycles);
     assert_eq!(c.smem_extra_phases, t.smem_conflict_cycles);
 
     // The device model counts DRAM traffic exactly — no wave-ratio scaling.
     assert_eq!(c.dram_read_bytes + c.dram_write_bytes, t.dram_bytes);
 
-    // The stall profile keeps its accounting identity at device totals.
+    // Counters and profile merge over SMs and fast-forwarded waves alike:
+    // the same issues and the same bank-conflict cycles.
     let p = t.profile.as_ref().unwrap();
+    assert_eq!(c.issued, p.lines.iter().map(|l| l.executed).sum::<u64>());
+    assert_eq!(
+        c.reg_bank_conflicts + c.smem_extra_phases,
+        p.lines.iter().map(|l| l.bank_conflict_cycles).sum::<u64>()
+    );
+
+    // The stall profile keeps its accounting identity at device totals.
     assert_eq!(
         p.attributed_cycles(),
         p.schedulers as u64 * p.wave_cycles,

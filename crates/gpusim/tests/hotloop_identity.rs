@@ -6,10 +6,10 @@
 //! checks two things against a committed golden file:
 //!
 //! 1. a digest of the **complete** `KernelTiming` result — including the
-//!    stall profile's per-line buckets and issue-event stream and every
-//!    hardware counter — via its `Debug` rendering (Rust's `Debug` for `f64`
-//!    prints the shortest round-trippable decimal, so two timings digest
-//!    equal iff they are bit-identical);
+//!    stall profile's per-line buckets and every hardware counter — via
+//!    its `Debug` rendering (Rust's `Debug` for `f64` prints the shortest
+//!    round-trippable decimal, so two timings digest equal iff they are
+//!    bit-identical);
 //! 2. the simcache content address (`gpusim::key`) of the call, so warm
 //!    caches written by earlier revisions still hit.
 //!
@@ -21,7 +21,11 @@
 //! into the cache key, so both digests legitimately moved. They moved once
 //! more, with every other numeric column unchanged, when `Digest`'s second
 //! stream got an odd multiplier and `gpusim::key` began hashing every model
-//! the same way. Regenerate only when an intentional model change lands:
+//! the same way. The `timing=` digests moved once more, and the issue-event
+//! count column went, when `KernelTiming` dropped its idle breakdown and
+//! its issue, register-bank and warp-switch tallies and the stall profile
+//! dropped its issue-event trace; every other column stayed unchanged.
+//! Regenerate only when an intentional model change lands:
 //!
 //! ```text
 //! HOTLOOP_GOLDEN_REGEN=1 cargo test -p gpusim --test hotloop_identity
@@ -115,7 +119,7 @@ fn run_line(case: &Case, dev: &DeviceSpec, profile: bool, counters: bool) -> Str
     let mut d = Digest::new();
     d.str(&format!("{t:?}"));
     format!(
-        "{}/{}/p{}c{} timing={} key={} wave_cycles={} issued_events={} time_bits={:016x}",
+        "{}/{}/p{}c{} timing={} key={} wave_cycles={} time_bits={:016x}",
         case.name,
         dev.name,
         profile as u8,
@@ -123,7 +127,6 @@ fn run_line(case: &Case, dev: &DeviceSpec, profile: bool, counters: bool) -> Str
         d.hex(),
         key,
         t.wave_cycles,
-        t.profile.as_ref().map_or(0, |p| p.issue_events.len()),
         t.time_s.to_bits(),
     )
 }

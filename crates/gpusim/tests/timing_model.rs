@@ -2,7 +2,7 @@
 //! costs, L1 capacity carve-out, warm-up behaviour, idle attribution, and
 //! grid-coordinate handling in multi-dimensional launches.
 
-use gpusim::{DeviceSpec, Gpu, LaunchDims, Model, ParamBuilder, TimingOptions};
+use gpusim::{DeviceSpec, Gpu, LaunchDims, Model, ParamBuilder, StallCause, TimingOptions};
 use sass::assemble;
 
 fn ffma_stream_kernel(yield_every: Option<u32>) -> sass::Module {
@@ -23,7 +23,12 @@ fn ffma_stream_kernel(yield_every: Option<u32>) -> sass::Module {
     assemble(&body).unwrap()
 }
 
-fn time_module(m: &sass::Module, dev: DeviceSpec, blocks: u32) -> gpusim::KernelTiming {
+fn time_module(
+    m: &sass::Module,
+    dev: DeviceSpec,
+    blocks: u32,
+    opts: TimingOptions,
+) -> gpusim::KernelTiming {
     let mut gpu = Gpu::new(dev, 1 << 20);
     gpusim::simulate(
         &mut gpu,
@@ -31,7 +36,7 @@ fn time_module(m: &sass::Module, dev: DeviceSpec, blocks: u32) -> gpusim::Kernel
         LaunchDims::linear(blocks, 256),
         &[],
         Model::OneWave,
-        TimingOptions::default(),
+        opts,
     )
     .unwrap()
     .0
@@ -40,8 +45,14 @@ fn time_module(m: &sass::Module, dev: DeviceSpec, blocks: u32) -> gpusim::Kernel
 #[test]
 fn cleared_yield_costs_issue_slots() {
     // §6.1: clearing the yield flag periodically must cost throughput.
-    let natural = time_module(&ffma_stream_kernel(None), DeviceSpec::rtx2070(), 144);
-    let every7 = time_module(&ffma_stream_kernel(Some(7)), DeviceSpec::rtx2070(), 144);
+    let opts = TimingOptions::default();
+    let natural = time_module(&ffma_stream_kernel(None), DeviceSpec::rtx2070(), 144, opts);
+    let every7 = time_module(
+        &ffma_stream_kernel(Some(7)),
+        DeviceSpec::rtx2070(),
+        144,
+        opts,
+    );
     assert!(
         every7.wave_cycles as f64 > 1.03 * natural.wave_cycles as f64,
         "natural {} vs every7 {}",
@@ -52,20 +63,29 @@ fn cleared_yield_costs_issue_slots() {
 
 #[test]
 fn idle_attribution_sums_into_known_buckets() {
-    let t = time_module(&ffma_stream_kernel(None), DeviceSpec::v100(), 80);
-    let total: u64 = t.idle_breakdown.iter().sum();
-    // A pure FFMA stream should lose almost nothing to memory or barriers.
-    assert!(
-        t.idle_breakdown[0] == 0,
-        "no barriers in this kernel: {:?}",
-        t.idle_breakdown
+    let opts = TimingOptions {
+        profile: true,
+        ..TimingOptions::default()
+    };
+    let t = time_module(&ffma_stream_kernel(None), DeviceSpec::v100(), 80, opts);
+    let p = t.profile.expect("profile requested");
+    let mut by_cause = [0u64; 5];
+    for l in &p.lines {
+        for (sum, n) in by_cause.iter_mut().zip(l.stalls.by_cause) {
+            *sum += n;
+        }
+    }
+    // A pure FFMA stream loses nothing to memory or barriers.
+    assert_eq!(
+        by_cause[StallCause::Barrier as usize],
+        0,
+        "no barriers in this kernel: {by_cause:?}"
     );
-    assert!(
-        t.idle_breakdown[2] == 0,
-        "no MIO in this kernel: {:?}",
-        t.idle_breakdown
+    assert_eq!(
+        by_cause[StallCause::MioQueue as usize],
+        0,
+        "no MIO in this kernel: {by_cause:?}"
     );
-    let _ = total;
 }
 
 /// A streaming kernel whose sectors are re-read must hit the L1 and carry

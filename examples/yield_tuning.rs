@@ -24,12 +24,18 @@ pub fn main() {
     ] {
         let mut cfg = conv.ours_config();
         cfg.yield_strategy = strat;
-        let timing = conv.measure(Target::mainloop(cfg), Observe::default());
+        let observe = Observe {
+            profile: true,
+            ..Observe::default()
+        };
+        let timing = conv.measure(Target::mainloop(cfg), observe);
         let timing = timing.kernel.expect("main loop simulates");
         let tflops = timing.region_tflops(&conv.device, cfg.mainloop_flops_per_block());
+        let profile = timing.profile.expect("profile requested");
+        let recovery: u64 = profile.lines.iter().map(|l| l.stalls.yield_switch).sum();
         println!(
-            "  {:<24} {:>6.2} TFLOPS   (yield-induced warp switches per wave: {})",
-            name, tflops, timing.yield_switch_cycles
+            "  {:<24} {:>6.2} TFLOPS   (scheduler slots lost to switch recovery per wave: {})",
+            name, tflops, recovery
         );
         results.push(tflops);
     }
