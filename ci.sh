@@ -19,8 +19,9 @@ cargo build --release --workspace
 echo "== cargo test =="
 # Includes the docs-link check and the closed-form experiments:
 # bench/tests/binaries.rs runs `doclinks` from the repository root, and
-# `fig2`, `breakeven`, `table7` and `fig14` end to end, parsing each
-# --json report.
+# `fig2`, `breakeven`, `table7` and `fig14` end to end, comparing the first
+# three's --metrics reports byte for byte with baselines/ and parsing
+# fig14's.
 cargo test -q --workspace
 
 echo "== examples =="
@@ -34,24 +35,29 @@ for example in quickstart; do
   cargo run --release --quiet --example "$example" > /dev/null
 done
 
-echo "== metricsdiff against committed baselines =="
-# Perf-regression gate: regenerate the three baseline experiments with
-# hardware counters on (one counted simulation per point; the metrics are
-# recomputed from the counters on every run, never cached) and compare
-# metric-for-metric against baselines/.
-# Tolerances: 2% relative by default; 5% on the classifier-pressure
-# metrics (headroom_pct, *_pressure, eligible_warps_avg) — see
-# crates/bench/src/metricsdiff.rs. The simulator is deterministic, so a
-# clean tree reproduces the baselines exactly; any drift is a real
-# behaviour change and must come with regenerated baselines (see
-# EXPERIMENTS.md, "Metrics baselines").
+echo "== drift gate: regenerate every tracked result, compare bytes =="
+# Every result file the simulator alone determines is regenerated into
+# $fresh and must equal its committed copy byte for byte: the
+# `--metrics --json` report of each experiment under baselines/, then the
+# tracked tune, multiwave, resnet and serve runs. The simulator is
+# deterministic, so any difference is a behaviour change, and it must come
+# with the regenerated files (EXPERIMENTS.md, "Regenerating everything").
+# `tune` publishes its winning schedules into the default cache directory
+# (target/simcache), and `serve` replays them from there, so `tune` runs
+# first. BENCH_simspeed.json records host wall times and is checked by the
+# simspeed stage below instead.
 fresh="$(mktemp -d)"
 trap 'rm -rf "$fresh"' EXIT
-./target/release/table2 --metrics --json "$fresh/table2.json" > /dev/null
-./target/release/fig7 --metrics --json "$fresh/fig7.json" > /dev/null
-./target/release/ablation --metrics --json "$fresh/ablation.json" > /dev/null
-./target/release/metricsdiff --baseline baselines \
-  "$fresh/table2.json" "$fresh/fig7.json" "$fresh/ablation.json"
+mkdir "$fresh/baselines"
+for record in baselines/*.json; do
+  ./target/release/"$(basename "$record" .json)" --metrics --json "$fresh/$record" > /dev/null
+done
+for bin in tune multiwave resnet serve; do
+  ./target/release/"$bin" --json "$fresh/BENCH_$bin.json" > /dev/null
+done
+for record in baselines/*.json BENCH_tune.json BENCH_multiwave.json BENCH_resnet.json BENCH_serve.json; do
+  diff -u "$record" "$fresh/$record"
+done
 
 echo "== simspeed smoke =="
 # Host-throughput sanity check of the timing hot loop and of functional
@@ -72,9 +78,9 @@ echo "== multiwave smoke =="
 # Multi-wave timing cross-check: times one Table 2 point per device under
 # both the one-wave extrapolation and the full-device simulation, asserting
 # both produce positive, mutually sane times. (Bit-for-bit agreement on
-# exact-multiple grids is pinned by gpusim/tests/device_sim.rs.) The full
-# tracked run lives in BENCH_multiwave.json (see EXPERIMENTS.md,
-# "Multi-wave timing model").
+# exact-multiple grids is pinned by gpusim/tests/device_sim.rs.) The drift
+# gate above regenerates the full tracked run, BENCH_multiwave.json (see
+# EXPERIMENTS.md, "Multi-wave timing model").
 ./target/release/multiwave --smoke --json "$fresh/multiwave.json" > /dev/null
 
 echo "== convbench profile + trace =="
@@ -91,19 +97,11 @@ echo "== tune smoke =="
 # (--jobs 1 and --jobs 2) inside the binary, asserting equal outcomes
 # across the two (the whole IslandOutcome), a monotone best-so-far trace,
 # and at least one accepted improving move (every visited candidate passes
-# sass::lint by construction). Deterministic (fixed seed, --no-cache) — the full tracked
-# run lives in BENCH_tune.json (see EXPERIMENTS.md, "Autotuner v2").
+# sass::lint by construction). Deterministic (fixed seed, --no-cache). The
+# drift gate above regenerates the full tracked run, BENCH_tune.json, with
+# its recovery and Conv2-beats-hand gates live (see EXPERIMENTS.md,
+# "Autotuner v2").
 ./target/release/tune --smoke --no-cache --json "$fresh/tune.json" > /dev/null
-
-echo "== tune verify =="
-# Drift gate for the autotuner: re-run the full two-tier search (full
-# recovery gate ≥97% + Conv2-beats-hand gate live) against a copy of the
-# committed BENCH_tune.json and assert the re-run reproduces it byte for
-# byte. Warm simcache makes this cheap; the search is byte-deterministic
-# for the fixed default seed, so a mismatch means the committed file is
-# stale — regenerate it (EXPERIMENTS.md, "Autotuner v2").
-cp BENCH_tune.json "$fresh/tune_full.json"
-./target/release/tune --verify --json "$fresh/tune_full.json" > /dev/null
 
 echo "== resnet smoke =="
 # Whole-network runtime smoke: plans the 4-node smoke graph on both devices
@@ -112,9 +110,9 @@ echo "== resnet smoke =="
 # arena validates (no live-range overlap, peak bounds), linear-scan reuse
 # never loses to bump allocation, and hoisting the filter transforms
 # strictly reduces network time. Byte-determinism across --jobs and
-# simcache state is pinned by bench/tests/resnet_determinism.rs; the full
-# tracked run lives in BENCH_resnet.json (see EXPERIMENTS.md,
-# "Whole-network ResNet").
+# simcache state is pinned by bench/tests/resnet_determinism.rs; the drift
+# gate above regenerates the full tracked run, BENCH_resnet.json (see
+# EXPERIMENTS.md, "Whole-network ResNet").
 ./target/release/resnet --smoke --json "$fresh/resnet.json" > /dev/null
 
 echo "== repository benchmark smoke =="
@@ -130,8 +128,9 @@ echo "== serve smoke =="
 # warm time-to-first-dispatch is never later than cold and strictly sooner
 # for every class whose cold build outlasts it, and every plan round-trips
 # its warm-start verification. Byte-determinism across --jobs and cache state
-# is pinned by bench/tests/serve_determinism.rs; the full tracked run
-# lives in BENCH_serve.json (see EXPERIMENTS.md, "Serving engine").
+# is pinned by bench/tests/serve_determinism.rs; the drift gate above
+# regenerates the full tracked run, BENCH_serve.json (see EXPERIMENTS.md,
+# "Serving engine").
 ./target/release/serve --smoke --plan-dir "$fresh/plans" --json "$fresh/serve.json" > /dev/null
 
 echo "== servemon smoke =="

@@ -13,8 +13,10 @@
 //! * a one-line headline (requests / completed / misses / batches and the
 //!   nearest-rank p50 / p99 / p99.9 latency recomputed from the raw
 //!   per-request completions — no histogram approximation);
-//! * the SLO **burn-rate table**: fixed `--window-ms` windows over
-//!   completion time, each with its miss count split by attributed cause
+//! * the SLO **burn-rate table**: one row per fixed `--window-ms` window
+//!   of completion time that holds a completion, labelled with the
+//!   window's start at the window's own resolution, each with its miss
+//!   count split by attributed cause
 //!   (queueing vs service vs plan-build) and the burn rate against
 //!   `--slo-target` (default 0.999: miss fraction over the window divided
 //!   by the 0.1% error budget — above 1.0 the budget is burning);
@@ -34,7 +36,7 @@
 use bench::json::{parse, Json};
 use bench::report::{check_args, flag_value};
 use bench::Table;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 struct Args {
     log: String,
@@ -299,27 +301,30 @@ fn summarize(g: &Group, args: &Args) {
         us(percentile(&latencies, 99.9)),
     );
 
-    // Burn-rate table over fixed windows of completion time.
+    // Burn-rate table over the fixed windows of completion time that hold
+    // a completion, keyed by window index.
     let budget = 1.0 - args.slo_target;
-    let mut windows: Vec<(u64, u64, [u64; 3])> = Vec::new(); // (completed, missed, causes)
+    let mut windows: BTreeMap<u64, (u64, u64, [u64; 3])> = BTreeMap::new(); // (completed, missed, causes)
     for &(t, miss, ref cause) in &completions {
-        let w = (t / args.window_ns) as usize;
-        if windows.len() <= w {
-            windows.resize(w + 1, (0, 0, [0; 3]));
-        }
-        windows[w].0 += 1;
+        let w = windows.entry(t / args.window_ns).or_default();
+        w.0 += 1;
         if miss {
-            windows[w].1 += 1;
+            w.1 += 1;
             let ci = match cause.as_str() {
                 "queueing" => 0,
                 "service" => 1,
                 _ => 2,
             };
-            windows[w].2[ci] += 1;
+            w.2[ci] += 1;
         }
     }
+    // Every window start is a whole multiple of the window, so the
+    // window's own decimal places print each label exactly.
+    let decimals = (0..6)
+        .find(|&d| args.window_ns.is_multiple_of(10u64.pow(6 - d)))
+        .unwrap_or(6) as usize;
     println!(
-        "burn rate (window {:.0} ms, objective {:.3}%):",
+        "burn rate (window {:.decimals$} ms, objective {:.3}%):",
         ms(args.window_ns),
         100.0 * args.slo_target
     );
@@ -332,14 +337,14 @@ fn summarize(g: &Group, args: &Args) {
         "service",
         "plan_build",
     ]);
-    for (w, &(c, m, causes)) in windows.iter().enumerate() {
+    for (&w, &(c, m, causes)) in &windows {
         let burn = if c > 0 {
             (m as f64 / c as f64) / budget
         } else {
             0.0
         };
         t.row(vec![
-            format!("{:.0}", ms(w as u64 * args.window_ns)),
+            format!("{:.decimals$}", ms(w * args.window_ns)),
             c.to_string(),
             m.to_string(),
             format!("{burn:.2}"),

@@ -46,9 +46,7 @@
 //! `--seed S` (default 2020), `--json PATH` (default `BENCH_tune.json`),
 //! `--smoke` (V100 only: 2 islands, tiny budget, runs twice with
 //! `--jobs 1` and `--jobs 2` and asserts equal outcomes + monotone
-//! best-so-far), `--verify` (assert this re-run reproduces the committed
-//! JSON at `--json PATH` byte for byte before overwriting it),
-//! `--no-cache`, `--cache-dir DIR`.
+//! best-so-far), `--no-cache`, `--cache-dir DIR`.
 
 use bench::json::{obj, Json};
 use bench::report::{check_args, flag_value, Report};
@@ -556,7 +554,6 @@ fn u64s_json(v: &[u64]) -> Json {
 /// Every flag `main` reads.
 const TUNE_FLAGS: &[&str] = &[
     "--smoke",
-    "--verify",
     "--budget N",
     "--islands N",
     "--epochs N",
@@ -571,7 +568,6 @@ fn main() {
     check_args("tune", &[TUNE_FLAGS]);
     let args: Vec<String> = std::env::args().collect();
     let smoke_mode = args.iter().any(|a| a == "--smoke");
-    let verify = args.iter().any(|a| a == "--verify");
     let flags = Flags {
         budget: flag_value(&args, "--budget").map_or(400, |v| v.parse().expect("--budget N")),
         islands: flag_value(&args, "--islands").map_or(6, |v| v.parse().expect("--islands N")),
@@ -587,19 +583,12 @@ fn main() {
     // plan store ("tune once, serve forever" across processes).
     let publish = (!no_cache).then(|| SimStore(Store::new(&cache_dir)));
 
-    let mut report = Report::to_path("tune", Some(json_path.clone()));
+    let mut report = Report::to_path("tune", Some(json_path));
     if smoke_mode {
         smoke(flags.seed, &mut report);
         report.finish();
         return;
     }
-    // `--verify` compares the whole re-run with the committed file, which
-    // the run then overwrites: read it first.
-    let committed = verify.then(|| {
-        std::fs::read_to_string(&json_path)
-            .unwrap_or_else(|e| panic!("--verify: cannot read {json_path}: {e}"))
-    });
-
     let cfg = proxy_config();
     println!(
         "tune v2: two-tier search, proxy c={} h={} w={} n={} k={}, budget {}/island, {} islands x {} epochs, seed {}",
@@ -791,22 +780,6 @@ fn main() {
         "no device produced a tuned Conv2@32 schedule that beats the hand schedule \
          under the multi-wave device model"
     );
-
-    if let Some(old) = committed {
-        let new = report.render();
-        let line = old
-            .lines()
-            .zip(new.lines())
-            .take_while(|(a, b)| a == b)
-            .count()
-            + 1;
-        assert!(
-            old == new,
-            "--verify: the re-run drifted from {json_path} at line {line} — the search \
-             result changed; regenerate BENCH_tune.json"
-        );
-        println!("verify OK: the re-run reproduces {json_path} byte for byte");
-    }
 
     recovery_table.print();
     println!();

@@ -18,7 +18,6 @@
 //! returned, and writes them after the binary's own records.
 
 pub mod metrics;
-pub mod metricsdiff;
 pub mod report;
 pub mod simcache;
 pub mod sweep;

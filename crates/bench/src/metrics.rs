@@ -20,9 +20,10 @@
 //! recomputed on every run, so a change to this module or to the classifier
 //! shows on the next run without invalidating anything.
 //!
-//! The committed `baselines/*.json` reports are built from these records and
-//! gated by the `metricsdiff` binary in CI; metric names and the
-//! [`perfmodel::Bound::name`] strings are therefore schema surface.
+//! The committed `baselines/*.json` reports are built from these records,
+//! and CI's drift gate compares each regenerated report with its committed
+//! copy byte for byte; metric names and the [`perfmodel::Bound::name`]
+//! strings are therefore schema surface.
 
 use gpusim::{DeviceSpec, KernelTiming};
 use perfmodel::BottleneckReport;
@@ -143,7 +144,7 @@ mod tests {
 
     #[test]
     fn kernel_metrics_names_are_stable() {
-        // Metric names are baselines/metricsdiff schema surface.
+        // Metric names are the baselines/ reports' schema surface.
         let t = small_conv()
             .time_counted(Algo::OursFused)
             .expect("simulated");

@@ -126,7 +126,7 @@ impl Report {
     }
 
     /// The collected records as the text [`Report::finish`] writes.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         render_records(self.all_records())
     }
 

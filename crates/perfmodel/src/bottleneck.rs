@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn bound_names_are_stable() {
-        // These strings are report-schema surface (metricsdiff baselines).
+        // These strings are report-schema surface (the baselines/ reports).
         assert_eq!(Bound::Compute.name(), "compute");
         assert_eq!(Bound::Dram.name(), "dram");
         assert_eq!(Bound::Smem.name(), "smem");

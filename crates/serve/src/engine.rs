@@ -146,8 +146,7 @@ pub fn run(
 /// hook is a no-op and the result is identical to [`run`] — the off path
 /// costs nothing and changes nothing (the telemetry determinism tests pin
 /// this). When enabled, `tel` comes back holding the full event stream,
-/// per-request spans, gauge series, and burn-rate windows, all ending at
-/// the makespan.
+/// per-request spans and gauge series, all ending at the makespan.
 pub fn run_recorded(
     cfg: &EngineConfig,
     classes: &[ShapeClass],

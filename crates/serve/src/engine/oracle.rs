@@ -6,8 +6,8 @@
 //! an instant it pops free devices, then ready plans, then arrivals, then
 //! pokes, and among exact ties in push order. The engine derives each next
 //! instant from its state instead, so it skips the stale pokes this loop
-//! visits, and it must reproduce this loop's `RunStats`, telemetry export
-//! and burn series exactly.
+//! visits, and it must reproduce this loop's `RunStats` and telemetry
+//! export exactly.
 //!
 //! One change from the original: this loop breaks once every request is
 //! served and the clock has reached the last completion. The original went
@@ -335,9 +335,8 @@ struct Case {
     /// Time step of the hand-built streams and of the plans (1 ns for
     /// nothing coarser).
     grid: u64,
-    /// Gauge ticks per run horizon, and burn windows in gauge ticks.
+    /// Gauge ticks per run horizon.
     ticks: u64,
-    burn_ticks: u64,
 }
 
 /// A random scenario. Half are hand-built streams whose times lie on a
@@ -432,7 +431,6 @@ fn case(rng: &mut XorShiftRng) -> Case {
         slo_ns,
         grid,
         ticks: 4 + rng.gen_index(37) as u64,
-        burn_ticks: 1 + rng.gen_index(8) as u64,
     }
 }
 
@@ -452,7 +450,6 @@ impl Case {
         let tick_ns = self.grid * (horizon / self.grid / self.ticks).max(1);
         TelemetryOptions {
             tick_ns,
-            burn_window_ns: tick_ns * self.burn_ticks,
             drift_warmup_ticks: 2,
             ..TelemetryOptions::on()
         }
@@ -565,7 +562,6 @@ fn engine_matches_the_heap_loop() {
                     if let Some((line, got, want)) = first_difference(&new_log, &old_log) {
                         panic!("{what}: export line {line}:\n  engine {got}\n  oracle {want}");
                     }
-                    assert_eq!(new_tel.burn_series(), old_tel.burn_series(), "{what}: burn");
                     if recorded && pool == 1 {
                         coverage.add(&case, new_tel.events());
                     }

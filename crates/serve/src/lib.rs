@@ -26,8 +26,8 @@
 //!   misses, and time-to-first-dispatch.
 //! - [`telemetry`] is the optional flight recorder
 //!   ([`engine::run_recorded`]): per-request lifecycle spans, periodic
-//!   gauges, SLO burn-rate windows with miss attribution, and mix-drift
-//!   events — off by default and bit-identical when off.
+//!   gauges, miss attribution and mix-drift events — off by default and
+//!   bit-identical when off.
 //!
 //! Everything is deterministic: simulated time is integer nanoseconds, the
 //! only randomness is the seeded `tensor::XorShiftRng`, and no host clock
@@ -45,7 +45,5 @@ pub mod traffic;
 pub use engine::{run, run_recorded, EngineConfig, RunStats};
 pub use plan::{MemStorage, Plan, PlanCache, PlanStorage, Planner, PLAN_FORMAT_VERSION};
 pub use schedstore::{ScheduleStore, StoredSchedule};
-pub use telemetry::{
-    BurnWindow, LatencyHistogram, MissCause, Telemetry, TelemetryEvent, TelemetryOptions,
-};
+pub use telemetry::{LatencyHistogram, MissCause, Telemetry, TelemetryEvent, TelemetryOptions};
 pub use traffic::{generate, Request, ShapeClass, TrafficConfig};

@@ -4,7 +4,7 @@
 //! [`Telemetry`] recorder through the discrete-event loop and emits one
 //! [`TelemetryEvent`] per lifecycle edge of every request — arrival,
 //! enqueue, batch formation, dispatch, completion — on the engine's
-//! integer-nanosecond timeline, plus three derived series:
+//! integer-nanosecond timeline, plus two derived series:
 //!
 //! * **gauges** sampled at a configurable tick
 //!   ([`TelemetryOptions::tick_ns`]): per-class queue depth, busy devices,
@@ -13,10 +13,11 @@
 //!   arrival-rate EWMA compared against the rate assumption baked into each
 //!   [`Plan`](crate::plan::Plan) (`Plan::assumed_rps`, recorded at
 //!   plan-build time from the MMPP-2 traffic config) — the hook a future
-//!   online re-planner consumes;
-//! * a post-hoc **SLO burn-rate series** ([`Telemetry::burn_series`]):
-//!   fixed windows over completion time with every miss attributed to
-//!   queueing, service, or plan-build.
+//!   online re-planner consumes.
+//!
+//! Every completion carries its miss cause (queueing, service or
+//! plan-build); `bench --bin servemon` buckets the exported completions
+//! into its SLO burn-rate table.
 //!
 //! The same module owns [`LatencyHistogram`] — the log-bucketed exact-count
 //! histogram `RunStats` reports next to its nearest-rank percentiles.
@@ -56,8 +57,6 @@ pub struct TelemetryOptions {
     pub enabled: bool,
     /// Gauge sampling period, nanoseconds of simulated time.
     pub tick_ns: u64,
-    /// Burn-rate window length, nanoseconds of simulated time.
-    pub burn_window_ns: u64,
     /// EWMA smoothing factor applied to the per-tick arrival rate of each
     /// class, in `(0, 1]`; larger reacts faster.
     pub drift_alpha: f64,
@@ -78,13 +77,12 @@ impl TelemetryOptions {
         }
     }
 
-    /// Recording enabled with default knobs: 1 ms gauge tick, 100 ms burn
-    /// windows, EWMA α = 0.25, drift band 2×, 8-tick warm-up.
+    /// Recording enabled with default knobs: 1 ms gauge tick, EWMA
+    /// α = 0.25, drift band 2×, 8-tick warm-up.
     pub fn on() -> Self {
         TelemetryOptions {
             enabled: true,
             tick_ns: 1_000_000,
-            burn_window_ns: 100_000_000,
             drift_alpha: 0.25,
             drift_band: 2.0,
             drift_warmup_ticks: 8,
@@ -269,33 +267,6 @@ pub struct RequestSpan {
     pub cause: MissCause,
 }
 
-/// One window of the SLO burn-rate series (fixed
-/// [`TelemetryOptions::burn_window_ns`] windows over completion time).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BurnWindow {
-    pub start_ns: u64,
-    pub completed: u64,
-    pub missed: u64,
-    /// Miss attribution within the window; the three sum to `missed`.
-    pub queueing: u64,
-    pub service: u64,
-    pub plan_build: u64,
-}
-
-impl BurnWindow {
-    /// SRE-style burn rate against an availability objective in `(0, 1)`:
-    /// observed miss fraction over the window divided by the error budget
-    /// `1 − objective`. `1.0` burns the budget exactly; `> 1` is
-    /// unsustainable.
-    pub fn burn_rate(&self, objective: f64) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        let miss_frac = self.missed as f64 / self.completed as f64;
-        miss_frac / (1.0 - objective)
-    }
-}
-
 // ---- histogram --------------------------------------------------------------
 
 /// Sub-buckets per power-of-two octave (3 mantissa bits → ≤ 12.5% relative
@@ -420,8 +391,8 @@ struct DriftState {
 /// The flight recorder. Construct with [`Telemetry::new`] (or
 /// [`Telemetry::off`]), pass to
 /// [`engine::run_recorded`](crate::engine::run_recorded), then read
-/// [`Telemetry::events`], [`Telemetry::spans`], [`Telemetry::burn_series`]
-/// or export through [`Telemetry::timeline`]. A recorder is single-use:
+/// [`Telemetry::events`] or [`Telemetry::spans`], or export through
+/// [`Telemetry::timeline`]. A recorder is single-use:
 /// the engine asserts it is fresh.
 pub struct Telemetry {
     pub opts: TelemetryOptions,
@@ -433,7 +404,6 @@ pub struct Telemetry {
     next_tick: u64,
     ticks: u64,
     batches: u64,
-    burn: Vec<BurnWindow>,
     began: bool,
     finished: bool,
 }
@@ -442,7 +412,6 @@ impl Telemetry {
     pub fn new(opts: TelemetryOptions) -> Self {
         if opts.enabled {
             assert!(opts.tick_ns > 0, "tick_ns must be positive");
-            assert!(opts.burn_window_ns > 0, "burn_window_ns must be positive");
             assert!(
                 opts.drift_alpha > 0.0 && opts.drift_alpha <= 1.0,
                 "drift_alpha must be in (0, 1]"
@@ -459,7 +428,6 @@ impl Telemetry {
             next_tick: 0,
             ticks: 0,
             batches: 0,
-            burn: Vec::new(),
             began: false,
             finished: false,
         }
@@ -483,11 +451,6 @@ impl Telemetry {
     /// Per-request lifecycle spans, indexed by request id.
     pub fn spans(&self) -> &[RequestSpan] {
         &self.spans
-    }
-
-    /// The SLO burn-rate series (available after the run).
-    pub fn burn_series(&self) -> &[BurnWindow] {
-        &self.burn
     }
 
     /// Launch groups recorded.
@@ -863,8 +826,7 @@ impl Telemetry {
     }
 
     /// Called once after the event loop: emits a final gauge sample at the
-    /// makespan (if the tick grid did not already land there) and computes
-    /// the burn-rate series from the completed spans.
+    /// makespan, if the tick grid did not already land there.
     pub(crate) fn finish(&mut self, makespan: u64, snapshot: GaugeSnapshot) {
         if !self.opts.enabled {
             return;
@@ -885,27 +847,6 @@ impl Telemetry {
                 plans_ready: snapshot.plans_ready,
                 plans_building: snapshot.plans_building,
             });
-        }
-        let w = self.opts.burn_window_ns;
-        let windows = (makespan / w + 1) as usize;
-        self.burn = (0..windows)
-            .map(|i| BurnWindow {
-                start_ns: i as u64 * w,
-                ..BurnWindow::default()
-            })
-            .collect();
-        for sp in &self.spans {
-            let b = &mut self.burn[(sp.complete_ns / w) as usize];
-            b.completed += 1;
-            if sp.miss {
-                b.missed += 1;
-                match sp.cause {
-                    MissCause::Queueing => b.queueing += 1,
-                    MissCause::Service => b.service += 1,
-                    MissCause::PlanBuild => b.plan_build += 1,
-                    MissCause::None => unreachable!("missed spans carry a cause"),
-                }
-            }
         }
     }
 }
@@ -973,22 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn burn_rate_scales_with_objective() {
-        let w = BurnWindow {
-            start_ns: 0,
-            completed: 1000,
-            missed: 10,
-            queueing: 10,
-            service: 0,
-            plan_build: 0,
-        };
-        // 1% misses against a 99% objective burn the budget exactly.
-        assert!((w.burn_rate(0.99) - 1.0).abs() < 1e-12);
-        assert!((w.burn_rate(0.999) - 10.0).abs() < 1e-9);
-        assert_eq!(BurnWindow::default().burn_rate(0.999), 0.0);
-    }
-
-    #[test]
     fn off_recorder_records_nothing() {
         let mut tel = Telemetry::off();
         tel.begin(vec!["A".into()], vec![0.0]);
@@ -1014,7 +939,6 @@ mod tests {
         );
         assert!(tel.events().is_empty());
         assert!(tel.spans().is_empty());
-        assert!(tel.burn_series().is_empty());
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //!   depths; no drift event lies after the makespan;
 //! * **off path** — a disabled recorder records nothing and the engine's
 //!   stats are identical to the plain [`run`] path (the simprof contract:
-//!   observability off is bit-identical);
-//! * **burn windows** — partition completions, and each window's cause
-//!   split sums to its miss count.
+//!   observability off is bit-identical).
 
 use serve::engine::{run, run_recorded, EngineConfig};
 use serve::plan::{Plan, PlanVariant};
@@ -89,7 +87,6 @@ fn scenario(rng: &mut XorShiftRng) -> (Vec<ShapeClass>, Vec<Plan>, Vec<Request>,
 fn opts() -> TelemetryOptions {
     TelemetryOptions {
         tick_ns: 10_000, // fine grid so short random runs still tick
-        burn_window_ns: 50_000,
         ..TelemetryOptions::on()
     }
 }
@@ -132,19 +129,6 @@ fn spans_complete_ordered_and_reconcile_with_stats() {
         assert_eq!(misses, stats.slo_misses, "trial {trial}");
         assert_eq!(hist, stats.histogram, "trial {trial}");
         assert_eq!(tel.batch_count(), stats.batches, "trial {trial}");
-
-        // Burn windows partition completions; cause splits sum to misses.
-        let completed: u64 = tel.burn_series().iter().map(|w| w.completed).sum();
-        assert_eq!(completed, stats.completed, "trial {trial}");
-        for w in tel.burn_series() {
-            assert_eq!(
-                w.queueing + w.service + w.plan_build,
-                w.missed,
-                "trial {trial}: window at {} ns",
-                w.start_ns
-            );
-            assert!(w.missed <= w.completed, "trial {trial}");
-        }
     }
 }
 
@@ -249,7 +233,6 @@ fn off_path_is_identical_and_records_nothing() {
         assert_eq!(format!("{plain:?}"), format!("{recorded:?}"));
         assert!(off.events().is_empty());
         assert!(off.spans().is_empty());
-        assert!(off.burn_series().is_empty());
 
         // And the recorded stream itself is deterministic: same inputs,
         // same JSONL bytes.
