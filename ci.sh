@@ -44,7 +44,12 @@ echo "== drift gate: regenerate every tracked result, compare bytes =="
 # with the regenerated files (EXPERIMENTS.md, "Regenerating everything").
 # `tune` publishes its winning schedules into the default cache directory
 # (target/simcache), and `serve` replays them from there, so `tune` runs
-# first. BENCH_simspeed.json records host wall times and is checked by the
+# first. It runs with two workers: the committed file comes from one, and
+# the search is byte-identical for any worker count, so the comparison also
+# checks jobs-invariance on the whole search. Each island search asserts a
+# non-increasing best-so-far trace, and `multiwave` asserts that both timing
+# models give a positive time within 4x of each other at each of its 32
+# points. BENCH_simspeed.json records host wall times and is checked by the
 # simspeed stage below instead.
 fresh="$(mktemp -d)"
 trap 'rm -rf "$fresh"' EXIT
@@ -52,7 +57,8 @@ mkdir "$fresh/baselines"
 for record in baselines/*.json; do
   ./target/release/"$(basename "$record" .json)" --metrics --json "$fresh/$record" > /dev/null
 done
-for bin in tune multiwave resnet serve; do
+./target/release/tune --jobs 2 --json "$fresh/BENCH_tune.json" > /dev/null
+for bin in multiwave resnet serve; do
   ./target/release/"$bin" --json "$fresh/BENCH_$bin.json" > /dev/null
 done
 for record in baselines/*.json BENCH_tune.json BENCH_multiwave.json BENCH_resnet.json BENCH_serve.json; do
@@ -74,15 +80,6 @@ echo "== simspeed smoke =="
 ./target/release/simspeed --smoke --baseline BENCH_simspeed.json --json "$fresh/simspeed.json" \
   | grep "speedup vs baseline"
 
-echo "== multiwave smoke =="
-# Multi-wave timing cross-check: times one Table 2 point per device under
-# both the one-wave extrapolation and the full-device simulation, asserting
-# both produce positive, mutually sane times. (Bit-for-bit agreement on
-# exact-multiple grids is pinned by gpusim/tests/device_sim.rs.) The drift
-# gate above regenerates the full tracked run, BENCH_multiwave.json (see
-# EXPERIMENTS.md, "Multi-wave timing model").
-./target/release/multiwave --smoke --json "$fresh/multiwave.json" > /dev/null
-
 echo "== convbench profile + trace =="
 # The observed measurement paths: `--profile` attaches the stall profile to
 # the fused kernel of the FX -> fused pipeline (device model), `--trace`
@@ -91,17 +88,6 @@ echo "== convbench profile + trace =="
 # this stage checks both paths run end to end and the trace file parses.
 ./target/release/convbench --layer Conv5 --n 32 --profile --trace "$fresh/trace.json" > /dev/null
 python3 -m json.tool "$fresh/trace.json" > /dev/null
-
-echo "== tune smoke =="
-# Autotuner smoke: tiny fixed-seed 2-island search on V100, run twice
-# (--jobs 1 and --jobs 2) inside the binary, asserting equal outcomes
-# across the two (the whole IslandOutcome), a monotone best-so-far trace,
-# and at least one accepted improving move (every visited candidate passes
-# sass::lint by construction). Deterministic (fixed seed, --no-cache). The
-# drift gate above regenerates the full tracked run, BENCH_tune.json, with
-# its recovery and Conv2-beats-hand gates live (see EXPERIMENTS.md,
-# "Autotuner v2").
-./target/release/tune --smoke --no-cache --json "$fresh/tune.json" > /dev/null
 
 echo "== resnet smoke =="
 # Whole-network runtime smoke: plans the 4-node smoke graph on both devices

@@ -21,23 +21,43 @@
 //! `BENCH_multiwave.json` at the repo root is this binary's output — the
 //! record of which evaluation points move, and by how much.
 //!
-//! Flags: `--json PATH` (default `BENCH_multiwave.json`), `--smoke` (two
-//! points + sanity asserts, for CI).
+//! Every (device, layer, N) point under both models is one [`Point`] of one
+//! cached sweep ([`Report::measure`]), so a run over a warm result cache
+//! simulates nothing. Each point asserts that both models give a positive
+//! time within 4× of each other.
+//!
+//! Flags: `--json PATH` (default `BENCH_multiwave.json`).
 
 use bench::report::{check_args, flag_value, Report};
-use bench::Table;
+use bench::{Point, Table};
 use gpusim::DeviceSpec;
 use wino_core::resnet::eval_grid;
-use wino_core::{Conv, Model, Observe, Target};
+use wino_core::{Conv, Model, Target};
 
 fn main() {
-    check_args("multiwave", &[&["--smoke", "--json PATH"]]);
+    check_args("multiwave", &[&["--json PATH"]]);
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
     let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_multiwave.json".into());
 
     println!("multiwave: one-wave extrapolation vs full-device simulation (fused kernel, ours)");
     let mut report = Report::to_path("multiwave", Some(json_path));
+    let mut grid = Vec::new();
+    for dev in [DeviceSpec::v100(), DeviceSpec::rtx2070()] {
+        for (layer, n) in eval_grid() {
+            grid.push((Conv::new(layer.problem(n), dev.clone()), layer, n));
+        }
+    }
+    let points: Vec<Point> = grid
+        .iter()
+        .flat_map(|(conv, _, _)| {
+            [Model::OneWave, Model::Device].map(|model| Point {
+                conv: conv.clone(),
+                target: Target::fused(conv.ours_config(), model),
+                config: Vec::new(),
+            })
+        })
+        .collect();
+    let timings = report.measure(&points);
     let mut t = Table::new(&[
         "device",
         "layer",
@@ -53,82 +73,67 @@ fn main() {
 
     let mut overcharged = 0usize;
     let mut undercharged = 0usize;
-    for dev in [DeviceSpec::v100(), DeviceSpec::rtx2070()] {
-        let grid = eval_grid();
-        let points: Vec<_> = if smoke {
-            // One partial-tail point is enough to smoke the machinery.
-            grid.into_iter().take(1).collect()
-        } else {
-            grid
-        };
-        for (layer, n) in points {
-            let conv = Conv::new(layer.problem(n), dev.clone());
-            let time = |model| {
-                let t = conv.measure(Target::fused(conv.ours_config(), model), Observe::default());
-                t.kernel.expect("fused kernel simulates")
-            };
-            let (ow, dv) = (time(Model::OneWave), time(Model::Device));
-            let full_wave = dv.blocks_per_sm as u64 * dev.num_sms as u64;
-            let partial = dv.total_blocks % full_wave != 0;
-            let corr_pct = 100.0 * (ow.time_s - dv.time_s) / ow.time_s;
+    for ((conv, layer, n), pair) in grid.iter().zip(timings.chunks(2)) {
+        let dev = &conv.device;
+        let kernel = |i: usize| pair[i].kernel.as_ref().expect("fused kernel simulates");
+        let (ow, dv) = (kernel(0), kernel(1));
+        let full_wave = dv.blocks_per_sm as u64 * dev.num_sms as u64;
+        let partial = dv.total_blocks % full_wave != 0;
+        let corr_pct = 100.0 * (ow.time_s - dv.time_s) / ow.time_s;
 
-            // Sanity, not direction: the divergence is signed (see the
-            // module doc), but the two models must stay in the same world.
-            assert!(
-                dv.time_s > 0.0 && ow.time_s > 0.0,
-                "{}/{}: non-positive kernel time",
-                layer.name,
-                n
-            );
-            assert!(
-                dv.time_s < 4.0 * ow.time_s && ow.time_s < 4.0 * dv.time_s,
-                "{}/{}: models diverge beyond sanity (one-wave {:.3e}s, device {:.3e}s)",
-                layer.name,
-                n,
-                ow.time_s,
-                dv.time_s
-            );
-            if corr_pct > 0.0 {
-                overcharged += 1;
-            } else if corr_pct < 0.0 {
-                undercharged += 1;
-            }
-
-            t.row(vec![
-                dev.name.to_string(),
-                layer.name.to_string(),
-                n.to_string(),
-                dv.total_blocks.to_string(),
-                dv.busy_sms.to_string(),
-                dv.waves.to_string(),
-                if partial { "partial" } else { "full" }.to_string(),
-                format!("{:.2}", ow.time_s * 1e6),
-                format!("{:.2}", dv.time_s * 1e6),
-                format!("{:.2}", corr_pct),
-            ]);
-            report.add(
-                dev.name,
-                &[("layer", layer.name.into()), ("n", n.into())],
-                &[
-                    ("total_blocks", dv.total_blocks.into()),
-                    ("blocks_per_sm", dv.blocks_per_sm.into()),
-                    ("busy_sms", dv.busy_sms.into()),
-                    ("waves", dv.waves.into()),
-                    ("partial_tail", partial.into()),
-                    ("one_wave_us", (ow.time_s * 1e6).into()),
-                    ("device_us", (dv.time_s * 1e6).into()),
-                    ("correction_pct", corr_pct.into()),
-                ],
-            );
+        // Sanity, not direction: the divergence is signed (see the
+        // module doc), but the two models must stay in the same world.
+        assert!(
+            dv.time_s > 0.0 && ow.time_s > 0.0,
+            "{}/{}: non-positive kernel time",
+            layer.name,
+            n
+        );
+        assert!(
+            dv.time_s < 4.0 * ow.time_s && ow.time_s < 4.0 * dv.time_s,
+            "{}/{}: models diverge beyond sanity (one-wave {:.3e}s, device {:.3e}s)",
+            layer.name,
+            n,
+            ow.time_s,
+            dv.time_s
+        );
+        if corr_pct > 0.0 {
+            overcharged += 1;
+        } else if corr_pct < 0.0 {
+            undercharged += 1;
         }
+
+        t.row(vec![
+            dev.name.to_string(),
+            layer.name.to_string(),
+            n.to_string(),
+            dv.total_blocks.to_string(),
+            dv.busy_sms.to_string(),
+            dv.waves.to_string(),
+            if partial { "partial" } else { "full" }.to_string(),
+            format!("{:.2}", ow.time_s * 1e6),
+            format!("{:.2}", dv.time_s * 1e6),
+            format!("{:.2}", corr_pct),
+        ]);
+        report.add(
+            dev.name,
+            &[("layer", layer.name.into()), ("n", (*n).into())],
+            &[
+                ("total_blocks", dv.total_blocks.into()),
+                ("blocks_per_sm", dv.blocks_per_sm.into()),
+                ("busy_sms", dv.busy_sms.into()),
+                ("waves", dv.waves.into()),
+                ("partial_tail", partial.into()),
+                ("one_wave_us", (ow.time_s * 1e6).into()),
+                ("device_us", (dv.time_s * 1e6).into()),
+                ("correction_pct", corr_pct.into()),
+            ],
+        );
     }
     t.print();
     println!(
         "\n{overcharged} points overcharged by the one-wave model (corr > 0), \
          {undercharged} undercharged (corr < 0)"
     );
-    if smoke {
-        println!("smoke OK");
-    }
     report.finish();
 }

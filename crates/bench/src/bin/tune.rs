@@ -44,9 +44,7 @@
 //! (default 6), `--epochs N` (migration barriers, default 4), `--jobs N`
 //! (worker threads, default 1 — results are identical for any value),
 //! `--seed S` (default 2020), `--json PATH` (default `BENCH_tune.json`),
-//! `--smoke` (V100 only: 2 islands, tiny budget, runs twice with
-//! `--jobs 1` and `--jobs 2` and asserts equal outcomes + monotone
-//! best-so-far), `--no-cache`, `--cache-dir DIR`.
+//! `--no-cache`, `--cache-dir DIR`.
 
 use bench::json::{obj, Json};
 use bench::report::{check_args, flag_value, Report};
@@ -114,7 +112,8 @@ fn memo(
 }
 
 /// Run the island search through the memo, strictly: no candidate
-/// simulation may fail.
+/// simulation may fail, and the best cost never rises from one epoch to
+/// the next.
 fn islands(
     search: &Search,
     priors: &Priors,
@@ -123,6 +122,11 @@ fn islands(
 ) -> IslandOutcome {
     let outcome = search.islands(priors, icfg, Some(&memo(store)));
     assert_eq!(outcome.stats.failed, 0, "candidate timing failed");
+    assert!(
+        outcome.best_trace.windows(2).all(|w| w[1] <= w[0]),
+        "best-so-far trace is not monotone: {:?}",
+        outcome.best_trace
+    );
     outcome
 }
 
@@ -429,58 +433,6 @@ fn conv2_run(
     }
 }
 
-// ---- smoke ------------------------------------------------------------------
-
-/// Tiny fixed-seed island run on V100, executed twice — `jobs = 1` and
-/// `jobs = 2` — asserting equal outcomes (the whole `IslandOutcome`), a
-/// monotone best-so-far trace, and at least one accepted improving move.
-fn smoke(seed: u64, report: &mut Report) {
-    let hand = FusedKernel::emit(proxy_config());
-    let search = Search::new(&DeviceSpec::v100(), &hand);
-    let run = |jobs: usize| {
-        let mut icfg = IslandConfig::new(2, 2, 15, seed);
-        icfg.seeds = vec![SeedKind::Detuned, SeedKind::Hand];
-        icfg.jobs = jobs;
-        islands(&search, &Priors::default(), &icfg, None)
-    };
-    let a = run(1);
-    let b = run(2);
-
-    assert!(a == b, "smoke: outcomes differ across --jobs");
-    assert!(
-        a.best_trace.windows(2).all(|w| w[1] <= w[0]),
-        "smoke: best-so-far trace is not monotone: {:?}",
-        a.best_trace
-    );
-    assert!(a.stats.accepted >= 1, "smoke: no accepted move");
-    let naive_start = a.per_island[0].start_cost;
-    assert!(
-        a.best_cost < naive_start,
-        "smoke: no improvement over the detuned baseline ({naive_start} -> {})",
-        a.best_cost
-    );
-
-    report.add(
-        "V100",
-        &[
-            ("schema", 2u32.into()),
-            ("phase", "smoke".into()),
-            ("islands", 2u32.into()),
-            ("epochs", 2u32.into()),
-            ("steps_per_epoch", 15u32.into()),
-            ("seed", seed.into()),
-        ],
-        &[
-            ("naive_cycles", naive_start.into()),
-            ("tuned_cycles", a.best_cost.into()),
-            ("accepted", a.stats.accepted.into()),
-            ("evals", a.stats.evals.into()),
-            ("jobs_deterministic", true.into()),
-        ],
-    );
-    println!("smoke OK: jobs-1 and jobs-2 runs byte-identical, best-so-far monotone");
-}
-
 // ---- reporting --------------------------------------------------------------
 
 fn trajectory_json(traj: &[sass::tune::TrajPoint], region_names: &[String]) -> Json {
@@ -553,7 +505,6 @@ fn u64s_json(v: &[u64]) -> Json {
 
 /// Every flag `main` reads.
 const TUNE_FLAGS: &[&str] = &[
-    "--smoke",
     "--budget N",
     "--islands N",
     "--epochs N",
@@ -567,7 +518,6 @@ const TUNE_FLAGS: &[&str] = &[
 fn main() {
     check_args("tune", &[TUNE_FLAGS]);
     let args: Vec<String> = std::env::args().collect();
-    let smoke_mode = args.iter().any(|a| a == "--smoke");
     let flags = Flags {
         budget: flag_value(&args, "--budget").map_or(400, |v| v.parse().expect("--budget N")),
         islands: flag_value(&args, "--islands").map_or(6, |v| v.parse().expect("--islands N")),
@@ -584,11 +534,6 @@ fn main() {
     let publish = (!no_cache).then(|| SimStore(Store::new(&cache_dir)));
 
     let mut report = Report::to_path("tune", Some(json_path));
-    if smoke_mode {
-        smoke(flags.seed, &mut report);
-        report.finish();
-        return;
-    }
     let cfg = proxy_config();
     println!(
         "tune v2: two-tier search, proxy c={} h={} w={} n={} k={}, budget {}/island, {} islands x {} epochs, seed {}",

@@ -10,8 +10,10 @@
 //! Layering:
 //!
 //! * [`transforms`] — the `F(m×m, 3×3)` Winograd transform matrices;
-//! * [`mod@reference`], [`winograd_host`], [`im2col`], [`fft`] — host (CPU)
-//!   implementations of every algorithm, used as correctness oracles;
+//! * [`mod@reference`], [`winograd_host`], [`fft`] — host (CPU)
+//!   implementations of the direct, Winograd and FFT algorithms, used as
+//!   correctness oracles; [`im2col`] — the column lowering the GEMM
+//!   baselines multiply on the simulator;
 //! * [`conv`] — the GPU-facing API dispatching to the SASS kernels in the
 //!   `kernels` crate and the simulator in `gpusim`;
 //! * [`resnet`] — the paper's Table 1 workload definitions;

@@ -148,12 +148,6 @@ impl ArenaPlan {
     }
 }
 
-/// Sum of aligned sizes — the no-reuse peak, and an upper bound on any
-/// policy's peak.
-pub fn sum_aligned_bytes(reqs: &[BufferReq]) -> u64 {
-    reqs.iter().map(BufferReq::aligned).sum()
-}
-
 /// Plan the arena for `reqs` under `policy`. Deterministic: the reuse scan
 /// orders buffers by `(first_use, input index)` and the free list is kept
 /// sorted by offset.

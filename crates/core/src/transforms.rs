@@ -9,9 +9,9 @@
 //! This module provides the `Bᵀ`, `G`, `Aᵀ` matrices for the three standard
 //! variants — `F(2×2, 3×3)` (the paper's kernel, Eq. 2–3), `F(4×4, 3×3)`
 //! (cuDNN's non-fused variant, §7.3/§8.1) and `F(6×6, 3×3)` (mentioned in
-//! §8.1 as numerically problematic, which
-//! [`crate::winograd_host::numerical_error`] quantifies) — plus small dense
-//! matrix helpers used throughout the host-side reference implementations.
+//! §8.1 as numerically problematic; a `winograd_host` unit test pins its
+//! error growing with tile size) — plus small dense matrix helpers used
+//! throughout the host-side reference implementations.
 
 /// A tiny row-major dense matrix, sized at runtime.
 #[derive(Clone, Debug, PartialEq)]
@@ -119,14 +119,6 @@ impl Variant {
             Variant::F4x4 => 4,
             Variant::F6x6 => 6,
         }
-    }
-
-    /// Multiplication reduction factor vs direct convolution:
-    /// `(m·r)² / (m+r-1)²` per 1-D dimension squared.
-    pub fn mult_reduction(self) -> f64 {
-        let m = self.m() as f64;
-        let r = 3.0f64;
-        (m * r) * (m * r) / ((m + r - 1.0) * (m + r - 1.0))
     }
 }
 
@@ -396,6 +388,16 @@ mod tests {
     #[test]
     fn f6_matches_direct_2d() {
         check_2d(Variant::F6x6);
+    }
+
+    impl Variant {
+        /// Multiplication reduction factor vs direct convolution:
+        /// `(m·r)² / (m+r-1)²` per 1-D dimension squared.
+        fn mult_reduction(self) -> f64 {
+            let m = self.m() as f64;
+            let r = 3.0f64;
+            (m * r) * (m * r) / ((m + r - 1.0) * (m + r - 1.0))
+        }
     }
 
     #[test]

@@ -230,23 +230,6 @@ impl NonFusedPipeline {
     }
 }
 
-/// Normalized error of a Winograd variant vs direct convolution on random
-/// data: `max|direct - wino| / max|direct|`. Quantifies the §8.1 remark that
-/// larger variants "may bring numerical issue".
-pub fn numerical_error(v: Variant, seed: u64) -> f32 {
-    let p = ConvProblem::resnet3x3(1, 8, 16, 8);
-    let input = Tensor4::random(LayoutKind::Nchw, [p.n, p.c, p.h, p.w], -1.0, 1.0, seed);
-    let filter = Tensor4::random(LayoutKind::Kcrs, [p.k, p.c, 3, 3], -1.0, 1.0, seed + 1);
-    let direct = crate::reference::conv2d_direct(&p, &input, &filter);
-    let wino = conv2d_winograd(&p, &input, &filter, v);
-    let scale = direct
-        .as_slice()
-        .iter()
-        .fold(0.0f32, |m, v| m.max(v.abs()))
-        .max(f32::EPSILON);
-    tensor::max_abs_diff(direct.as_slice(), wino.as_slice()) / scale
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,6 +290,23 @@ mod tests {
         let input_elems = p.input_len();
         let ratio = nf.transformed_input_len as f64 / input_elems as f64;
         assert!((ratio - 2.25).abs() < 1e-9, "ratio {ratio}");
+    }
+
+    /// Normalized error of a Winograd variant vs direct convolution on
+    /// random data: `max|direct - wino| / max|direct|`. Quantifies the §8.1
+    /// remark that larger variants "may bring numerical issue".
+    fn numerical_error(v: Variant, seed: u64) -> f32 {
+        let p = ConvProblem::resnet3x3(1, 8, 16, 8);
+        let input = Tensor4::random(LayoutKind::Nchw, [p.n, p.c, p.h, p.w], -1.0, 1.0, seed);
+        let filter = Tensor4::random(LayoutKind::Kcrs, [p.k, p.c, 3, 3], -1.0, 1.0, seed + 1);
+        let direct = conv2d_direct(&p, &input, &filter);
+        let wino = conv2d_winograd(&p, &input, &filter, v);
+        let scale = direct
+            .as_slice()
+            .iter()
+            .fold(0.0f32, |m, v| m.max(v.abs()))
+            .max(f32::EPSILON);
+        tensor::max_abs_diff(direct.as_slice(), wino.as_slice()) / scale
     }
 
     #[test]

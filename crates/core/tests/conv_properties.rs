@@ -7,9 +7,54 @@
 //! shapes print on failure for reproduction.
 
 use tensor::{allclose, LayoutKind, Tensor4, XorShiftRng};
+use wino_core::im2col::im2col;
 use wino_core::transforms::{Mat, Variant};
 use wino_core::winograd_host::conv2d_winograd;
 use wino_core::{conv2d_direct, ConvProblem};
+
+/// Plain row-major SGEMM: `C[m×n] = A[m×k] × B[k×n]`.
+fn sgemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), k * n);
+    assert_eq!(c.len(), m * n);
+    for i in 0..m {
+        for kk in 0..k {
+            let av = a[i * k + kk];
+            if av == 0.0 {
+                continue;
+            }
+            let brow = &b[kk * n..(kk + 1) * n];
+            let crow = &mut c[i * n..(i + 1) * n];
+            for j in 0..n {
+                crow[j] += av * brow[j];
+            }
+        }
+    }
+}
+
+/// GEMM-based convolution on the host: `O[K × (N·OH·OW)] = F[K × CRS] ×
+/// im2col(I)`, the structure of cuDNN's `GEMM` algorithm.
+fn conv2d_gemm(p: &ConvProblem, input: &Tensor4, filter: &Tensor4) -> Tensor4 {
+    assert_eq!(filter.kind(), LayoutKind::Kcrs);
+    let (oh, ow) = (p.out_h(), p.out_w());
+    let cols = p.n * oh * ow;
+    let crs = p.c * p.r * p.s;
+    let b = im2col(p, input);
+    let mut c = vec![0.0f32; p.k * cols];
+    sgemm(p.k, cols, crs, filter.as_slice(), &b, &mut c);
+    // Repack K × (N,OH,OW) into NCHW (K plays the channel role).
+    let mut out = Tensor4::zeros(LayoutKind::Nchw, [p.n, p.k, oh, ow]);
+    for k in 0..p.k {
+        for n in 0..p.n {
+            for y in 0..oh {
+                for x in 0..ow {
+                    out.set([n, k, y, x], c[k * cols + (n * oh + y) * ow + x]);
+                }
+            }
+        }
+    }
+    out
+}
 
 fn arb_problem(r: &mut XorShiftRng) -> ConvProblem {
     // Host-only shapes (no GPU-path alignment constraints).
@@ -72,12 +117,55 @@ fn gemm_conv_matches_direct() {
         let seed = 1 + rng.next_u64() % 1000;
         let (input, filter) = random_pair(&p, seed);
         let want = conv2d_direct(&p, &input, &filter);
-        let got = wino_core::im2col::conv2d_gemm(&p, &input, &filter);
+        let got = conv2d_gemm(&p, &input, &filter);
         assert!(
             allclose(want.as_slice(), got.as_slice(), 1e-3, 1e-3),
             "case {case}: {p:?} seed {seed}"
         );
     }
+}
+
+#[test]
+fn gemm_conv_matches_direct_on_pinned_shapes() {
+    for (n, c, hw, k) in [(1, 3, 5, 2), (2, 4, 8, 4), (1, 1, 7, 1)] {
+        let p = ConvProblem::resnet3x3(n, c, hw, k);
+        let input = Tensor4::random(LayoutKind::Nchw, [n, c, hw, hw], -1.0, 1.0, 21);
+        let filter = Tensor4::random(LayoutKind::Kcrs, [k, c, 3, 3], -1.0, 1.0, 22);
+        let want = conv2d_direct(&p, &input, &filter);
+        let got = conv2d_gemm(&p, &input, &filter);
+        assert!(
+            allclose(want.as_slice(), got.as_slice(), 1e-4, 1e-4),
+            "({n},{c},{hw},{k})"
+        );
+    }
+}
+
+#[test]
+fn gemm_conv_no_padding() {
+    let p = ConvProblem {
+        n: 1,
+        c: 2,
+        h: 6,
+        w: 6,
+        k: 3,
+        r: 3,
+        s: 3,
+        pad: 0,
+    };
+    let input = Tensor4::random(LayoutKind::Nchw, [1, 2, 6, 6], -1.0, 1.0, 31);
+    let filter = Tensor4::random(LayoutKind::Kcrs, [3, 2, 3, 3], -1.0, 1.0, 32);
+    let want = conv2d_direct(&p, &input, &filter);
+    let got = conv2d_gemm(&p, &input, &filter);
+    assert!(allclose(want.as_slice(), got.as_slice(), 1e-4, 1e-4));
+}
+
+#[test]
+fn sgemm_small_known_values() {
+    let a = [1.0, 2.0, 3.0, 4.0];
+    let b = [5.0, 6.0, 7.0, 8.0];
+    let mut c = [0.0; 4];
+    sgemm(2, 2, 2, &a, &b, &mut c);
+    assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
 }
 
 /// The defining Winograd identity on random single tiles:

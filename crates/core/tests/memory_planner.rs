@@ -4,8 +4,16 @@
 //! and the arena peak never exceeds the sum of all (aligned) buffers.
 
 use tensor::XorShiftRng;
-use wino_core::memplan::{plan_arena, sum_aligned_bytes, ArenaPolicy, BufferReq};
+use wino_core::memplan::{plan_arena, ArenaPolicy, BufferReq, ARENA_ALIGN};
 use wino_core::{AlgoPolicy, DirectTimer, NetGraph};
+
+/// Sum of aligned sizes — the no-reuse peak, and an upper bound on any
+/// policy's peak.
+fn sum_aligned_bytes(reqs: &[BufferReq]) -> u64 {
+    reqs.iter()
+        .map(|r| r.bytes.div_ceil(ARENA_ALIGN) * ARENA_ALIGN)
+        .sum()
+}
 
 fn random_reqs(rng: &mut XorShiftRng) -> Vec<BufferReq> {
     let n_nodes = 1 + rng.gen_index(12);

@@ -30,9 +30,8 @@
 //! | `global_sectors` | `== l1_sector_hits + l2_sector_hits + l2_sector_misses` |
 //! | `dram_read_bytes + dram_write_bytes` | wave-local DRAM traffic; scaled by `total/simulated` blocks it equals `KernelTiming::dram_bytes` |
 //!
-//! The functional launch path has a narrower sibling,
-//! [`crate::launch::ExecCounters`], for kernels run outside the timing model;
-//! on a grid the timed wave fully covers, the shared counters agree exactly.
+//! These are the only memory-traffic counts in the simulator: a functional
+//! launch ([`crate::Gpu::launch`]) counts nothing.
 
 /// Per-launch hardware counters of one simulated wave (unscaled: counts are
 /// for the `blocks_per_sm` resident blocks the wave executes, like the

@@ -1,7 +1,7 @@
 //! Functional grid launch: run every thread block of a kernel to completion.
 //!
 //! Blocks are independent (CUDA semantics); within a block, warps are
-//! co-scheduled cooperatively and `BAR.SYNC` is honoured. The three
+//! co-scheduled cooperatively and `BAR.SYNC` is honoured. The two
 //! [`Gpu`] launchers are one walk (`claim_walk`): workers claim block
 //! indices from one atomic counter and run each block against the shared
 //! word arena ([`crate::memory`]), so blocks on different host threads share
@@ -16,7 +16,7 @@ use crate::decode::InstDesc;
 use crate::device::DeviceSpec;
 use crate::exec::{step, Effects, ExecEnv, ExecError, MemTrace, StepEvent, Warp, WARP_SIZE};
 use crate::memory::{ConstBank, DevPtr, GlobalMemory};
-use crate::timing::{global_sectors_into, grid_coord, smem_phases};
+use crate::timing::grid_coord;
 
 /// Grid/block shape for a launch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,100 +86,6 @@ impl std::fmt::Display for LaunchError {
 
 impl std::error::Error for LaunchError {}
 
-/// Memory-shape counters of a functional launch — the `exec`-path sibling of
-/// [`crate::HwCounters`], for kernels run via [`Gpu::launch_counted`] where
-/// the timing model never sees the addresses (e.g. the transform kernels the
-/// harness executes only functionally). Counts cover the *whole grid*, one
-/// entry per executed memory instruction with at least one active lane
-/// (fully predicated-off accesses leave no trace on this path). Every field
-/// is a sum, so the per-worker counts of a parallel walk merge exactly.
-///
-/// Exactness invariants: `smem_phases == smem_ideal_phases +
-/// smem_extra_phases`, `global_sectors == global_load_sectors +
-/// global_store_sectors`, and on a grid the timed wave fully covers, the
-/// per-access phase and sector analysis agrees exactly with the counters
-/// [`crate::simulate`] collects (asserted by
-/// `gpusim/tests/counter_invariants.rs`)
-/// — both paths call the same [`smem_phases`] / [`global_sectors_into`]
-/// analysis.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ExecCounters {
-    /// Thread blocks executed.
-    pub blocks: u64,
-    /// Shared-memory warp accesses (LDS + STS).
-    pub smem_accesses: u64,
-    /// Total MIO phases the shared accesses would need (bank-exact).
-    pub smem_phases: u64,
-    /// Conflict-free phase floor.
-    pub smem_ideal_phases: u64,
-    /// Extra phases from bank conflicts.
-    pub smem_extra_phases: u64,
-    /// Global-memory warp accesses (LDG + STG).
-    pub global_accesses: u64,
-    /// Distinct 32 B sectors the global accesses touched (post-coalescing).
-    pub global_sectors: u64,
-    /// Sector count from loads only.
-    pub global_load_sectors: u64,
-    /// Sector count from stores only.
-    pub global_store_sectors: u64,
-}
-
-impl ExecCounters {
-    /// Count one executed instruction; `sectors` is the caller's scratch.
-    fn record(&mut self, t: &MemTrace, sectors: &mut Vec<u64>) {
-        if !t.shared_addrs.is_empty() {
-            let phases = smem_phases(&t.shared_addrs, t.width) as u64;
-            let ideal = (t.width as u64 * t.shared_addrs.len() as u64).div_ceil(128);
-            let extra = phases.saturating_sub(ideal.max(1));
-            self.smem_accesses += 1;
-            self.smem_phases += phases;
-            self.smem_extra_phases += extra;
-            self.smem_ideal_phases += phases - extra;
-        }
-        if !t.global_addrs.is_empty() {
-            global_sectors_into(&t.global_addrs, t.width, sectors);
-            let sectors = sectors.len() as u64;
-            self.global_accesses += 1;
-            self.global_sectors += sectors;
-            if t.is_store {
-                self.global_store_sectors += sectors;
-            } else {
-                self.global_load_sectors += sectors;
-            }
-        }
-    }
-
-    /// Add another worker's counts.
-    fn merge(&mut self, o: &ExecCounters) {
-        self.blocks += o.blocks;
-        self.smem_accesses += o.smem_accesses;
-        self.smem_phases += o.smem_phases;
-        self.smem_ideal_phases += o.smem_ideal_phases;
-        self.smem_extra_phases += o.smem_extra_phases;
-        self.global_accesses += o.global_accesses;
-        self.global_sectors += o.global_sectors;
-        self.global_load_sectors += o.global_load_sectors;
-        self.global_store_sectors += o.global_store_sectors;
-    }
-
-    /// Check the documented internal identities.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.smem_phases != self.smem_ideal_phases + self.smem_extra_phases {
-            return Err(format!(
-                "smem_phases {} != ideal {} + extra {}",
-                self.smem_phases, self.smem_ideal_phases, self.smem_extra_phases
-            ));
-        }
-        if self.global_sectors != self.global_load_sectors + self.global_store_sectors {
-            return Err(format!(
-                "global_sectors {} != load {} + store {}",
-                self.global_sectors, self.global_load_sectors, self.global_store_sectors
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// A simulated GPU: device description plus its global memory.
 pub struct Gpu {
     pub device: DeviceSpec,
@@ -240,20 +146,7 @@ impl Gpu {
         dims: LaunchDims,
         params: &[u8],
     ) -> Result<(), LaunchError> {
-        self.walk(module, dims, params, 1, false).map(drop)
-    }
-
-    /// Run the kernel functionally like [`Gpu::launch_parallel`], collecting
-    /// [`ExecCounters`] from every block's memory traces. Each worker counts
-    /// its own blocks and the sums merge, so the counts equal a sequential
-    /// walk's.
-    pub fn launch_counted(
-        &mut self,
-        module: &Module,
-        dims: LaunchDims,
-        params: &[u8],
-    ) -> Result<ExecCounters, LaunchError> {
-        self.walk(module, dims, params, 0, true)
+        self.walk(module, dims, params, 1)
     }
 
     /// Run the kernel functionally, blocks distributed over host threads.
@@ -268,52 +161,34 @@ impl Gpu {
         dims: LaunchDims,
         params: &[u8],
     ) -> Result<(), LaunchError> {
-        self.walk(module, dims, params, 0, false).map(drop)
+        self.walk(module, dims, params, 0)
     }
 
-    /// The grid walk under every `launch*` method: [`claim_walk`] over the
+    /// The grid walk under both `launch*` methods: [`claim_walk`] over the
     /// blocks in linear-index order ([`grid_coord`]), each run to
-    /// completion with [`run_block`], and the workers' counters merged
-    /// (the memory traces feed them only when `count` is set). A fault
-    /// reports the lowest-indexed failing block, the one a sequential walk
-    /// stops at.
+    /// completion with [`run_block`]. A fault reports the lowest-indexed
+    /// failing block, the one a sequential walk stops at.
     fn walk(
         &mut self,
         module: &Module,
         dims: LaunchDims,
         params: &[u8],
         workers: usize,
-        count: bool,
-    ) -> Result<ExecCounters, LaunchError> {
+    ) -> Result<(), LaunchError> {
         self.validate(module, &dims)?;
         let cbank = ConstBank::new(dims.block, dims.grid, params);
         let mem = &self.mem;
-        let states = claim_walk(
+        claim_walk(
             dims.num_blocks(),
             workers,
-            || (ExecCounters::default(), Vec::new()),
-            |(counters, sectors), i| {
-                let mut record = |t: &MemTrace| counters.record(t, sectors);
-                let on_trace = count.then_some(&mut record as &mut dyn FnMut(&MemTrace));
-                run_block(
-                    module,
-                    mem,
-                    &cbank,
-                    grid_coord(dims, i),
-                    dims.block,
-                    on_trace,
-                    None,
-                )?;
-                counters.blocks += 1;
-                Ok(())
+            || (),
+            |(), i| {
+                let ctaid = grid_coord(dims, i);
+                run_block(module, mem, &cbank, ctaid, dims.block, None, None)
             },
         )
-        .map_err(LaunchError::Exec)?;
-        let mut total = ExecCounters::default();
-        for (counters, _) in &states {
-            total.merge(counters);
-        }
-        Ok(total)
+        .map(drop)
+        .map_err(LaunchError::Exec)
     }
 }
 
@@ -378,9 +253,9 @@ pub(crate) fn claim_walk<S: Send, E: Send>(
 
 /// Run one thread block to completion (cooperative warp scheduling with
 /// barrier support); `on_trace`, when given, sees every executed
-/// instruction's [`MemTrace`] (the [`ExecCounters`] feed, and the one-wave
-/// model's L2 warm-up). Every instruction runs in full unless `table` gives
-/// the [`Effects`] of each PC (the warm-up block's timing slice).
+/// instruction's [`MemTrace`] (the one-wave model's L2 warm-up). Every
+/// instruction runs in full unless `table` gives the [`Effects`] of each PC
+/// (the warm-up block's timing slice).
 pub(crate) fn run_block(
     module: &Module,
     global: &GlobalMemory,
@@ -643,35 +518,13 @@ DONE:
         for workers in [0, 2, 4] {
             gpu.mem.write_u32(out, u32::MAX).unwrap();
             match workers {
-                0 => gpu.launch_parallel(&m, dims, &params).map(drop),
-                n => gpu.walk(&m, dims, &params, n, false).map(drop),
+                0 => gpu.launch_parallel(&m, dims, &params),
+                n => gpu.walk(&m, dims, &params, n),
             }
             .unwrap();
             let v = gpu.mem.read_u32(out).unwrap();
             assert!(v < blocks, "{workers} workers left {v:#x}");
         }
-    }
-
-    /// Per-worker counters merge into exactly the one-worker count, however
-    /// many workers split the grid.
-    #[test]
-    fn counted_walk_merges_workers_exactly() {
-        let blocks = 64u32;
-        let mut gpu = Gpu::new(DeviceSpec::v100(), 1 << 20);
-        let x: Vec<f32> = (0..blocks * 64).map(|i| (i % 5) as f32).collect();
-        let xp = gpu.alloc_upload_f32(&x);
-        let op = gpu.alloc(blocks as u64 * 4);
-        let params = ParamBuilder::new().push_ptr(xp).push_ptr(op).build();
-        let (m, dims) = (reduce_module(), LaunchDims::linear(blocks, 64));
-        let one = gpu.walk(&m, dims, &params, 1, true).unwrap();
-        assert_eq!(one.blocks, blocks as u64);
-        assert!(one.smem_accesses > 0 && one.global_accesses > 0, "{one:?}");
-        one.validate().unwrap();
-        for workers in [2, 3, 8] {
-            let got = gpu.walk(&m, dims, &params, workers, true).unwrap();
-            assert_eq!(got, one, "{workers} workers");
-        }
-        assert_eq!(gpu.launch_counted(&m, dims, &params).unwrap(), one);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! * CUDA **occupancy** rules (registers / shared memory / thread limits)
 //!   that reproduce the V100-vs-RTX2070 difference of §7.1.
 //!
-//! Functional execution ([`exec`], [`launch`]) is exact: the three
+//! Functional execution ([`exec`], [`launch`]) is exact: the two
 //! [`Gpu`] launchers share one grid walk, whose worker threads share the
 //! global-memory arena of atomic words ([`memory`]). Timing has one entry
 //! point, [`simulate`], and one content address, [`key`], over a [`Model`]
@@ -65,7 +65,7 @@ pub use device::{Arch, DeviceSpec};
 pub use device_sim::{DeviceTrace, WaveSpan};
 pub use digest::{key, Digest, TIMING_MODEL_VERSION};
 pub use exec::{Effects, ExecEnv, ExecError, StepEvent, Warp, WARP_SIZE};
-pub use launch::{ExecCounters, Gpu, LaunchDims, LaunchError};
+pub use launch::{Gpu, LaunchDims, LaunchError};
 pub use memory::{ConstBank, DevPtr, GlobalMemory, MemError, ParamBuilder, PARAM_BASE};
 pub use simprof::{KernelProfile, LineProfile, Region, StallBreakdown, StallCause};
 pub use timing::{simulate, KernelTiming, Model, TimingOptions, FP32_ISSUE_CYCLES};

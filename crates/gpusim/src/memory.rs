@@ -82,11 +82,6 @@ impl GlobalMemory {
             .collect()
     }
 
-    /// Bytes currently allocated.
-    pub fn used(&self) -> u64 {
-        self.next - self.base
-    }
-
     /// The word index of `len` bytes at `addr`, an address that must be a
     /// multiple of `align` (a power of two, at least 4): the alignment
     /// fault comes first, then the bounds check.
@@ -255,7 +250,7 @@ mod tests {
         assert_eq!(a % ALLOC_ALIGN, 0);
         assert_eq!(b % ALLOC_ALIGN, 0);
         assert!(b >= a + 100);
-        assert_eq!(m.used(), (b - a) + 256);
+        assert_eq!(m.next - m.base, (b - a) + 256);
     }
 
     #[test]

@@ -111,6 +111,19 @@ fn lop3(a: u32, b: u32, c: u32, lut: u8) -> u32 {
     r
 }
 
+/// `a cmp b`, the ISETP/FSETP comparison: on floats, every comparison with
+/// a NaN is false except `NE`.
+fn compare<T: PartialOrd>(cmp: CmpOp, a: T, b: T) -> bool {
+    match cmp {
+        CmpOp::Lt => a < b,
+        CmpOp::Le => a <= b,
+        CmpOp::Gt => a > b,
+        CmpOp::Ge => a >= b,
+        CmpOp::Eq => a == b,
+        CmpOp::Ne => a != b,
+    }
+}
+
 /// The oracle's view of one block: [`ExecEnv`] with the arena borrowed for
 /// writing, since the oracle stores through the host's word API.
 struct Env<'a> {
@@ -262,7 +275,7 @@ fn oracle(
                 b,
                 combine,
             } => {
-                let base = cmp.eval_f32(f(read_reg(w, a, lane)), f(srcb(w, b, lane)));
+                let base = compare(cmp, f(read_reg(w, a, lane)), f(srcb(w, b, lane)));
                 let comb = read_pred(w, combine.pred, lane) != combine.neg;
                 write_pred(w, p, lane, base && comb);
             }
@@ -353,9 +366,9 @@ fn oracle(
             } => {
                 let (va, vb) = (read_reg(w, a, lane), srcb(w, b, lane));
                 let base = if unsigned {
-                    cmp.eval_i64(va as i64, vb as i64)
+                    compare(cmp, va, vb)
                 } else {
-                    cmp.eval_i64(va as i32 as i64, vb as i32 as i64)
+                    compare(cmp, va as i32, vb as i32)
                 };
                 let comb = read_pred(w, combine.pred, lane) != combine.neg;
                 write_pred(w, p, lane, base && comb);
@@ -872,6 +885,15 @@ fn row_executor_matches_the_lane_by_lane_oracle() {
     );
     assert!(moves > CASES / 20, "only {moves} data-moving cases");
     assert!(partial > CASES / 3, "only {partial} partial-mask cases");
+}
+
+#[test]
+fn cmp_eval() {
+    assert!(compare(CmpOp::Lt, -1, 0));
+    assert!(compare(CmpOp::Ge, 5, 5));
+    assert!(compare(CmpOp::Ne, 1.0f32, 2.0));
+    assert!(!compare(CmpOp::Eq, f32::NAN, f32::NAN));
+    assert!(compare(CmpOp::Ne, f32::NAN, f32::NAN));
 }
 
 /// A misaligned LDG, STG, LDS or STS faults alike in `step` and in the

@@ -60,25 +60,12 @@ impl Emitter {
         self.labels[l.0] = Some(self.insts.len() as u32);
     }
 
-    /// Branch to a label (patched at build).
-    pub fn bra(&mut self, l: Label) -> &mut Instruction {
-        self.patches.push((self.insts.len(), l.0));
-        self.insts
-            .push(Instruction::new(Op::Bra { target: u32::MAX }));
-        self.insts.last_mut().unwrap()
-    }
-
-    /// Guarded branch to a label.
+    /// Guarded branch to a label (patched at build).
     pub fn bra_if(&mut self, guard: PredGuard, l: Label) -> &mut Instruction {
         self.patches.push((self.insts.len(), l.0));
         self.insts
             .push(Instruction::new(Op::Bra { target: u32::MAX }).with_guard(guard));
         self.insts.last_mut().unwrap()
-    }
-
-    /// Current instruction index (for region accounting).
-    pub fn here(&self) -> u32 {
-        self.insts.len() as u32
     }
 
     /// Register a marker at the current position. Markers stay consistent
@@ -322,7 +309,7 @@ mod tests {
         e.op(build::iadd3(Reg(0), Reg(0), (-1i32) as u32, RZ));
         e.op(build::isetp(Pred(0), CmpOp::Le, Reg(0), 0u32));
         e.bra_if(PredGuard::on(Pred(0)), done);
-        e.bra(top);
+        e.bra_if(PredGuard::always(), top);
         e.bind(done);
         e.op(Op::Exit);
         let m = e.build("loop", 0, 0);
@@ -354,7 +341,7 @@ mod tests {
     fn unbound_label_panics() {
         let mut e = Emitter::new();
         let l = e.label();
-        e.bra(l);
+        e.bra_if(PredGuard::always(), l);
         let _ = e.build("bad", 0, 0);
     }
 }

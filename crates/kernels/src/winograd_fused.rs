@@ -186,7 +186,8 @@ impl FusedConfig {
 
     /// The §8.3 fp16 port of our kernel: bn = 64, half2 arithmetic.
     /// The transformed filter must be supplied in duplicated-half2 format
-    /// (see `crate::fp16`), and input/output buffers hold f16 in CHWN/KHWN.
+    /// (each value in both halves of a word), and input/output buffers hold
+    /// f16 in CHWN/KHWN, two batches per word.
     pub fn ours_fp16(c: u32, h: u32, w: u32, n: u32, k: u32) -> Self {
         FusedConfig {
             fp16: true,
@@ -334,20 +335,10 @@ impl FusedConfig {
     }
 }
 
-/// Fig. 3 lane arrangement: filter-fragment word offset for a lane.
-pub fn lane_filter_offset(lane: u32) -> u32 {
-    4 * ((lane % 16) / 2)
-}
-
-/// Fig. 3 lane arrangement: input-fragment word offset for a lane.
-pub fn lane_input_offset(lane: u32) -> u32 {
-    4 * ((lane % 2) + 2 * (lane / 16))
-}
-
-/// The emitted kernel plus its launch metadata.
 /// Signature shared by the FADD/HADD2-style two-source emit helpers.
 type BinEmit = fn(Reg, Reg, Reg) -> Op;
 
+/// The emitted kernel plus its launch metadata.
 pub struct FusedKernel {
     pub module: Module,
     pub config: FusedConfig,
@@ -1517,19 +1508,6 @@ mod tests {
             .iter()
             .zip(&hand.module.insts)
             .any(|(n, h)| n.ctrl.stall > h.ctrl.stall || h.ctrl.reuse != 0));
-    }
-
-    #[test]
-    fn lane_offsets_match_fig3() {
-        assert_eq!(lane_filter_offset(0), 0);
-        assert_eq!(lane_filter_offset(2), 4);
-        assert_eq!(lane_filter_offset(14), 28);
-        assert_eq!(lane_filter_offset(1), 0);
-        assert_eq!(lane_filter_offset(17), 0);
-        assert_eq!(lane_input_offset(0), 0);
-        assert_eq!(lane_input_offset(1), 4);
-        assert_eq!(lane_input_offset(16), 8);
-        assert_eq!(lane_input_offset(17), 12);
     }
 
     #[test]

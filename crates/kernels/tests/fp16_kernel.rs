@@ -3,9 +3,70 @@
 //! timing model.
 
 use gpusim::{DeviceSpec, Gpu, Model, TimingOptions};
-use kernels::fp16::{pack_f16_duplicated, pack_f16_pairs, unpack_f16_pairs};
 use kernels::{FusedConfig, FusedKernel};
+use sass::half::{f16_to_f32, f32_to_f16, pack_half2};
 use tensor::XorShiftRng;
+
+// Host-side packing for the fp16 kernel. It reads f16 data packed
+// two-batches-per-word: a CHWN f32 tensor with N batches becomes a
+// CHW×(N/2) array of `half2` words where word `i` holds batches `2i` (low
+// half) and `2i+1` (high half), which is simply the f16 CHWN array viewed
+// 32 bits at a time. The transformed filter uses *duplicated* half2
+// (`(f, f)`): the two halves of every register are two batches sharing one
+// filter value.
+
+/// Pack an f32 slice into half2 words (`data.len()` must be even): element
+/// pairs `(2i, 2i+1)` share word `i`.
+fn pack_f16_pairs(data: &[f32]) -> Vec<u32> {
+    assert_eq!(
+        data.len() % 2,
+        0,
+        "fp16 packing requires an even element count"
+    );
+    data.chunks_exact(2)
+        .map(|p| pack_half2(p[0], p[1]))
+        .collect()
+}
+
+/// Unpack half2 words back to f32.
+fn unpack_f16_pairs(words: &[u32]) -> Vec<f32> {
+    let mut out = Vec::with_capacity(words.len() * 2);
+    for &w in words {
+        out.push(f16_to_f32(w as u16));
+        out.push(f16_to_f32((w >> 16) as u16));
+    }
+    out
+}
+
+/// Duplicate each f32 value into both halves of a half2 word (the fp16
+/// kernel's transformed-filter format).
+fn pack_f16_duplicated(data: &[f32]) -> Vec<u32> {
+    data.iter()
+        .map(|&v| {
+            let h = f32_to_f16(v) as u32;
+            h | (h << 16)
+        })
+        .collect()
+}
+
+#[test]
+fn pair_round_trip() {
+    let v = vec![0.5f32, -1.25, 3.0, 0.0];
+    assert_eq!(unpack_f16_pairs(&pack_f16_pairs(&v)), v);
+}
+
+#[test]
+fn duplicated_filter_format() {
+    let w = pack_f16_duplicated(&[1.5]);
+    assert_eq!(w[0] & 0xffff, w[0] >> 16);
+    assert_eq!(f16_to_f32(w[0] as u16), 1.5);
+}
+
+#[test]
+#[should_panic(expected = "even element count")]
+fn odd_length_rejected() {
+    let _ = pack_f16_pairs(&[1.0]);
+}
 
 /// Direct convolution on data pre-rounded to f16 (the inputs the kernel
 /// actually sees), accumulated in f32.

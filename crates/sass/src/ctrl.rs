@@ -75,12 +75,6 @@ impl Ctrl {
         self
     }
 
-    /// Builder: clear the yield flag (prefer switching warps).
-    pub fn no_yield(mut self) -> Self {
-        self.yield_flag = false;
-        self
-    }
-
     /// Builder: set write scoreboard.
     pub fn with_write_bar(mut self, b: u8) -> Self {
         assert!(b < 6, "scoreboard index must be 0-5");
@@ -92,13 +86,6 @@ impl Ctrl {
     pub fn with_read_bar(mut self, b: u8) -> Self {
         assert!(b < 6, "scoreboard index must be 0-5");
         self.read_bar = Some(b);
-        self
-    }
-
-    /// Builder: wait on scoreboard `b`.
-    pub fn wait_on(mut self, b: u8) -> Self {
-        assert!(b < 6, "scoreboard index must be 0-5");
-        self.wait_mask |= 1 << b;
         self
     }
 
@@ -186,13 +173,14 @@ mod tests {
 
     #[test]
     fn text_round_trip() {
-        let c = Ctrl::new()
-            .with_stall(4)
-            .no_yield()
-            .with_write_bar(2)
-            .with_read_bar(0)
-            .wait_on(1)
-            .wait_on(5);
+        let c = Ctrl {
+            yield_flag: false,
+            ..Ctrl::new()
+                .with_stall(4)
+                .with_write_bar(2)
+                .with_read_bar(0)
+                .with_wait_mask(1 << 1 | 1 << 5)
+        };
         let t = c.to_text();
         assert_eq!(t, "22:0:2:-:4");
         assert_eq!(Ctrl::from_text(&t).unwrap(), c);
@@ -221,8 +209,10 @@ mod tests {
 
     #[test]
     fn wait_mask_accumulates() {
-        let c = Ctrl::new().wait_on(0).wait_on(3);
-        assert_eq!(c.wait_mask, 0b1001);
+        // Each scoreboard waited on is one bit of the mask.
+        let c = Ctrl::new().with_wait_mask(1 << 0 | 1 << 3);
+        assert_eq!(c.to_text(), "09:-:-:Y:1");
+        assert_eq!(Ctrl::from_text("09:-:-:Y:1").unwrap().wait_mask, 0b1001);
     }
 
     #[test]

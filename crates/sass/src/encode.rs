@@ -746,7 +746,10 @@ mod tests {
             u32: true,
             a: Reg(5),
             b: SrcB::Reg(Reg(6)),
-            combine: PredSrc::not(Pred(2)),
+            combine: PredSrc {
+                pred: Pred(2),
+                neg: true,
+            },
         }));
         rt(Instruction::new(Op::Fsetp {
             p: Pred(0),

@@ -65,9 +65,6 @@ impl PredSrc {
             neg: false,
         }
     }
-    pub fn not(p: Pred) -> Self {
-        PredSrc { pred: p, neg: true }
-    }
 }
 
 /// The flexible "B" source operand: register, 32-bit immediate, or constant
@@ -202,28 +199,6 @@ impl CmpOp {
             CmpOp::Ge => "GE",
             CmpOp::Eq => "EQ",
             CmpOp::Ne => "NE",
-        }
-    }
-
-    pub fn eval_i64(self, a: i64, b: i64) -> bool {
-        match self {
-            CmpOp::Lt => a < b,
-            CmpOp::Le => a <= b,
-            CmpOp::Gt => a > b,
-            CmpOp::Ge => a >= b,
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
-        }
-    }
-
-    pub fn eval_f32(self, a: f32, b: f32) -> bool {
-        match self {
-            CmpOp::Lt => a < b,
-            CmpOp::Le => a <= b,
-            CmpOp::Gt => a > b,
-            CmpOp::Ge => a >= b,
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
         }
     }
 }
@@ -486,12 +461,6 @@ impl Op {
             _ => {}
         }
         v
-    }
-
-    /// True for instructions whose completion latency is variable and must be
-    /// covered by a scoreboard (memory and, on real hardware, a few others).
-    pub fn is_variable_latency(&self) -> bool {
-        matches!(self, Op::Ld { .. } | Op::St { .. })
     }
 
     /// Mnemonic for display and encoding dispatch.
@@ -849,14 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn cmp_eval() {
-        assert!(CmpOp::Lt.eval_i64(-1, 0));
-        assert!(CmpOp::Ge.eval_i64(5, 5));
-        assert!(CmpOp::Ne.eval_f32(1.0, 2.0));
-        assert!(!CmpOp::Eq.eval_f32(f32::NAN, f32::NAN));
-    }
-
-    #[test]
     #[should_panic(expected = "24-bit range")]
     fn addr_offset_range_checked() {
         let _ = Addr::new(Reg(0), 1 << 23);
@@ -867,11 +828,5 @@ mod tests {
         assert_eq!(lds(MemWidth::B128, Reg(0), Reg(1), 0).mnemonic(), "LDS");
         assert_eq!(sts(MemWidth::B32, Reg(1), 0, Reg(0)).mnemonic(), "STS");
         assert_eq!(Op::BarSync.mnemonic(), "BAR.SYNC");
-    }
-
-    #[test]
-    fn variable_latency_flags() {
-        assert!(ldg(MemWidth::B32, Reg(0), Reg(2), 0).is_variable_latency());
-        assert!(!ffma(Reg(0), Reg(1), Reg(2), Reg(3)).is_variable_latency());
     }
 }

@@ -2,7 +2,7 @@
 //! produces, loadable by the `gpusim` runtime.
 
 use crate::encode::{decode, encode, DecodeError};
-use crate::isa::{Instruction, Op};
+use crate::isa::Instruction;
 
 /// Metadata for one kernel.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,11 +72,6 @@ impl Module {
     pub fn with_insts(&self, insts: Vec<Instruction>) -> Module {
         let info = &self.info;
         Module::new(&info.name, info.smem_bytes, info.param_bytes, insts)
-    }
-
-    /// True if any instruction is a block-wide barrier.
-    pub fn uses_barriers(&self) -> bool {
-        self.insts.iter().any(|i| matches!(i.op, Op::BarSync))
     }
 
     /// Serialize to our binary container format.
@@ -194,7 +189,7 @@ impl std::error::Error for ModuleError {}
 mod tests {
     use super::*;
     use crate::isa::build::*;
-    use crate::isa::MemWidth;
+    use crate::isa::{MemWidth, Op};
     use crate::reg::Reg;
 
     fn sample() -> Module {
@@ -263,13 +258,6 @@ mod tests {
         bytes.extend_from_slice(&[0; 4]);
         assert_eq!(bytes.len(), 30);
         assert_eq!(Module::from_cubin(&bytes), Err(ModuleError::Truncated));
-    }
-
-    #[test]
-    fn barrier_detection() {
-        assert!(!sample().uses_barriers());
-        let m = Module::new("b", 0, 0, vec![Instruction::new(Op::BarSync)]);
-        assert!(m.uses_barriers());
     }
 
     #[test]

@@ -20,17 +20,6 @@ impl Reg {
         self.0 == 255
     }
 
-    /// Register bank on Volta/Turing: two 64-bit banks, odd-indexed registers
-    /// in one and even-indexed in the other (§5.2.2). `RZ` conflicts with
-    /// nothing.
-    pub fn bank(self) -> Option<u8> {
-        if self.is_rz() {
-            None
-        } else {
-            Some(self.0 & 1)
-        }
-    }
-
     /// The `i`-th register of a vector operand starting at `self`
     /// (e.g. `LDG.128 R4` writes `R4..R7`). Saturates at `R254`; a vector
     /// operand that would run past the register file is invalid and is
@@ -106,9 +95,6 @@ mod tests {
         assert_eq!(RZ.to_string(), "RZ");
         assert_eq!(Reg(0).to_string(), "R0");
         assert_eq!(Reg(254).to_string(), "R254");
-        assert_eq!(RZ.bank(), None);
-        assert_eq!(Reg(4).bank(), Some(0));
-        assert_eq!(Reg(5).bank(), Some(1));
     }
 
     #[test]

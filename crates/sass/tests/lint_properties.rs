@@ -50,7 +50,7 @@ fn random_op(rng: &mut XorShiftRng) -> Op {
 fn random_ctrl(rng: &mut XorShiftRng, op: &Op) -> Ctrl {
     let mut c = Ctrl::stall((1 + rng.gen_index(8)) as u8);
     if rng.gen_index(4) == 0 {
-        c = c.no_yield();
+        c.yield_flag = false;
     }
     if matches!(op, Op::Ld { .. } | Op::S2r { .. }) {
         c = c.with_write_bar(rng.gen_index(6) as u8);
@@ -62,7 +62,7 @@ fn random_ctrl(rng: &mut XorShiftRng, op: &Op) -> Ctrl {
         c = c.with_read_bar(rng.gen_index(6) as u8);
     }
     if rng.gen_index(3) == 0 {
-        c = c.wait_on(rng.gen_index(6) as u8);
+        c.wait_mask |= 1 << rng.gen_index(6);
     }
     c
 }

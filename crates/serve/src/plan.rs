@@ -484,12 +484,6 @@ impl Planner {
         }
     }
 
-    /// Content address of the plan this planner would build for `class`
-    /// with no tuned-schedule store in play.
-    pub fn plan_key(&self, class: &ShapeClass) -> String {
-        self.plan_key_with(class, None)
-    }
-
     /// Content address of the plan this planner would build for `class`:
     /// every probe's `Conv::key`, and every stored tuned-schedule record the
     /// build would consult — so publishing a new schedule rebuilds cached
@@ -939,7 +933,7 @@ mod tests {
         let class = proxy_class();
         let planner = Planner::new(DeviceSpec::v100(), vec![32]);
         let mem = MemStorage::new();
-        let key_none = planner.plan_key(&class);
+        let key_none = planner.plan_key_with(&class, None);
         let key_empty = planner.plan_key_with(&class, Some(&ScheduleStore::new(&mem)));
         assert_ne!(key_none, key_empty);
 

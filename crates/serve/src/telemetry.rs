@@ -340,13 +340,6 @@ impl LatencyHistogram {
         self.total == 0
     }
 
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-
     /// Non-empty buckets as `(inclusive_upper_bound, count)`, ascending.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts

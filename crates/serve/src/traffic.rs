@@ -115,26 +115,6 @@ pub struct TrafficConfig {
     pub mean_burst_ns: u64,
 }
 
-impl TrafficConfig {
-    /// Expected long-run arrival rate of each class, requests/second:
-    /// `rate_rps` split by mix weight. This is the assumption the planner
-    /// bakes into each plan ([`crate::Plan::assumed_rps`]) and the baseline
-    /// the telemetry drift tracker compares observations against.
-    pub fn expected_class_rps(&self, classes: &[ShapeClass]) -> Vec<f64> {
-        let total: f64 = classes.iter().map(|c| c.weight).sum();
-        classes
-            .iter()
-            .map(|c| {
-                if total > 0.0 {
-                    self.rate_rps * c.weight / total
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-}
-
 impl Default for TrafficConfig {
     fn default() -> Self {
         TrafficConfig {
@@ -311,16 +291,6 @@ mod tests {
         let bursty = iod(8.0);
         assert!(calm < 2.0, "Poisson dispersion ≈ 1, got {calm}");
         assert!(bursty > 2.0 * calm, "bursty {bursty} vs calm {calm}");
-    }
-
-    #[test]
-    fn expected_class_rps_splits_by_weight() {
-        let cfg = TrafficConfig::default();
-        let rps = cfg.expected_class_rps(&classes());
-        assert_eq!(rps.len(), 4);
-        assert!((rps.iter().sum::<f64>() - cfg.rate_rps).abs() < 1e-9);
-        // Conv4 (weight 6) sees twice Conv2's (weight 3) share.
-        assert!((rps[2] / rps[0] - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -123,7 +123,12 @@ fn scenarios() -> Vec<Scenario> {
         burst_factor: 4.0,
         ..Default::default()
     };
-    let rps = traffic.expected_class_rps(&mmpp_classes);
+    // Each class's assumed rate: `rate_rps` split by mix weight.
+    let total: f64 = mmpp_classes.iter().map(|c| c.weight).sum();
+    let rps: Vec<f64> = mmpp_classes
+        .iter()
+        .map(|c| traffic.rate_rps * c.weight / total)
+        .collect();
     vec![
         hand(
             "cotimed",

@@ -86,11 +86,6 @@ pub fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     compare(a, b, 0.0, 0.0).max_abs
 }
 
-/// Largest relative difference between two buffers.
-pub fn max_rel_diff(a: &[f32], b: &[f32]) -> f32 {
-    compare(a, b, 0.0, 0.0).max_rel
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

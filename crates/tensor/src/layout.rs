@@ -95,15 +95,6 @@ impl Layout {
         );
         idx[0] * self.strides[0] + idx[1] * self.strides[1] + idx[2] * self.strides[2] + idx[3]
     }
-
-    /// Dim of the axis with the given name, if present in this layout.
-    pub fn dim_of(&self, axis: char) -> Option<usize> {
-        self.kind
-            .axes()
-            .iter()
-            .position(|&a| a == axis)
-            .map(|i| self.dims[i])
-    }
 }
 
 #[cfg(test)]
@@ -116,16 +107,6 @@ mod tests {
         assert_eq!(l.strides(), [60, 20, 5, 1]);
         assert_eq!(l.len(), 120);
         assert_eq!(l.offset([1, 2, 3, 4]), 60 + 40 + 15 + 4);
-    }
-
-    #[test]
-    fn dim_of_finds_axes() {
-        let l = Layout::new(LayoutKind::Nchw, [8, 16, 32, 64]);
-        assert_eq!(l.dim_of('N'), Some(8));
-        assert_eq!(l.dim_of('C'), Some(16));
-        assert_eq!(l.dim_of('H'), Some(32));
-        assert_eq!(l.dim_of('W'), Some(64));
-        assert_eq!(l.dim_of('K'), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@ mod layout;
 mod rng;
 mod tensor4;
 
-pub use compare::{allclose, compare, max_abs_diff, max_rel_diff, CompareReport};
+pub use compare::{allclose, compare, max_abs_diff, CompareReport};
 pub use layout::{Layout, LayoutKind};
 pub use rng::XorShiftRng;
 pub use tensor4::Tensor4;
